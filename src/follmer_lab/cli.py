@@ -16,7 +16,7 @@ from fractions import Fraction
 
 from .corpus import random_case
 from .decompositions import doob_meyer, multiplicative
-from .errors import FollmerLabError, FreezeTargetError, TreeValidationError
+from .errors import FollmerLabError, FreezeTargetError, TreeValidationError, count_str
 from .follmer import (
     CEMETERY,
     FollmerPair,
@@ -81,56 +81,53 @@ def cmd_decompose(args) -> int:
     return EXIT_OK
 
 
-def cmd_follmer(args) -> int:
-    tree, z = _load_tree(args.tree_file)
-    target = args.target or CEMETERY
-    if target != CEMETERY:
-        pair_probe = construct_follmer(tree, z, CEMETERY)
-        if pair_probe.killed_mass() == 0:
-            print(
-                "refusing a freeze target for a martingale: no mass is lost, "
-                "the freeze pair would not differ from the cemetery pair",
-                file=sys.stderr,
-            )
-            return EXIT_USAGE
-    pair = construct_follmer(tree, z, target)
-    out_dir = _out_dir(args)
-    pair_path = os.path.join(out_dir, "pair.json")
-    pair.to_json(pair_path)
-    ledger = verify_ky_all(pair, tree, z, cap=args.cap, collect_rows=True)
-    ledger_path = os.path.join(out_dir, "ky_ledger.csv")
-    write_ky_ledger(ledger, ledger_path)
-    print(pair_path)
-    print(ledger_path)
-    if not ledger.ok:
+def _verdict(ledger) -> int:
+    """Print the outcome of a KY certificate and return its exit code."""
+    if ledger.ok:
+        print(f"all {count_str(ledger.n_stopping_times)} stopping times verified")
+        return EXIT_OK
+    if ledger.pair_problem is not None:
+        print(f"verification failed: {ledger.pair_problem}", file=sys.stderr)
+    if ledger.first_failure is not None:
         row = ledger.first_failure
         print(
             f"verification failed at stopping time {row.rho_id}, atom "
             f"{row.atom_node}: {frac_str(row.lhs)} != {frac_str(row.rhs)}",
             file=sys.stderr,
         )
-        return EXIT_VERIFY_FAIL
-    print(f"all {ledger.n_stopping_times} stopping times verified")
-    return EXIT_OK
+    return EXIT_VERIFY_FAIL
+
+
+def cmd_follmer(args) -> int:
+    tree, z = _load_tree(args.tree_file)
+    target = args.target or CEMETERY
+    pair = construct_follmer(tree, z, target)
+    if target != CEMETERY and pair.killed_mass() == 0:
+        print(
+            "refusing a freeze target for a martingale: no mass is lost, "
+            "the freeze pair would not differ from the cemetery pair",
+            file=sys.stderr,
+        )
+        return EXIT_USAGE
+    out_dir = _out_dir(args)
+    pair_path = os.path.join(out_dir, "pair.json")
+    pair.to_json(pair_path)
+    ledger = verify_ky_all(pair, tree, z, collect_rows=True)
+    ledger_path = os.path.join(out_dir, "ky_ledger.csv")
+    write_ky_ledger(ledger, ledger_path)
+    print(pair_path)
+    print(ledger_path)
+    return _verdict(ledger)
 
 
 def cmd_verify(args) -> int:
     tree, z = _load_tree(args.tree_file)
     pair = FollmerPair.from_json(args.pair_file)
-    ledger = verify_ky_all(pair, tree, z, cap=args.cap, collect_rows=True)
+    ledger = verify_ky_all(pair, tree, z, collect_rows=True)
     ledger_path = os.path.join(_out_dir(args), "ky_ledger.csv")
     write_ky_ledger(ledger, ledger_path)
     print(ledger_path)
-    if not ledger.ok:
-        row = ledger.first_failure
-        print(
-            f"verification failed at stopping time {row.rho_id}, atom "
-            f"{row.atom_node}: {frac_str(row.lhs)} != {frac_str(row.rhs)}",
-            file=sys.stderr,
-        )
-        return EXIT_VERIFY_FAIL
-    print(f"all {ledger.n_stopping_times} stopping times verified")
-    return EXIT_OK
+    return _verdict(ledger)
 
 
 def cmd_uniqueness(args) -> int:
@@ -271,19 +268,23 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = p.add_subparsers(dest="command", required=True)
 
-    def common(sp, tree=False):
+    def common(sp, seed=False, paths=False):
         sp.add_argument("--out", help="output directory (default: current)")
-        sp.add_argument("--seed", type=int, default=None)
-        sp.add_argument("--cap", type=int, default=10**6, help="stopping-time enumeration cap")
-        sp.add_argument("--paths", type=int, default=None, help="number of Monte-Carlo paths")
-        sp.add_argument("--grid-step", type=float, default=None, help="base grid step")
+        if seed:
+            sp.add_argument("--seed", type=int, default=None)
+        if paths:
+            sp.add_argument("--paths", type=int, default=None, help="number of Monte-Carlo paths")
 
     sp = sub.add_parser("decompose", help="additive and multiplicative decompositions of a tree supermartingale")
     sp.add_argument("tree_file")
     common(sp)
     sp.set_defaults(func=cmd_decompose)
 
-    sp = sub.add_parser("follmer", help="construct the Föllmer pair and verify it against every stopping time")
+    sp = sub.add_parser(
+        "follmer",
+        help="construct the Föllmer pair and certify the Kunita-Yoeurp identity at every "
+        "node, which covers every stopping time",
+    )
     sp.add_argument("tree_file")
     sp.add_argument("--target", default=None, help="cemetery (default) or a freeze-state label")
     common(sp)
@@ -308,16 +309,16 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("mc", help="run a Monte-Carlo experiment from a manifest")
     sp.add_argument("manifest_file")
-    common(sp)
+    common(sp, seed=True, paths=True)
     sp.set_defaults(func=cmd_mc)
 
     sp = sub.add_parser("gallery", help="run a named gallery example")
     sp.add_argument("name")
-    common(sp)
+    common(sp, seed=True, paths=True)
     sp.set_defaults(func=cmd_gallery)
 
     sp = sub.add_parser("selftest", help="quick end-to-end checks")
-    common(sp)
+    common(sp, seed=True)
     sp.set_defaults(func=cmd_selftest)
 
     return p

@@ -10,13 +10,16 @@ announced and surprise parts.
 ``left_limit_smoothing`` builds, for a jump threshold 1/i and an announce
 lag, the smoothed pair that replaces each big predictable drop of D by a
 conditional-expectation ramp starting at the announcing time, and checks the
-exact value it reaches at every stopping time.
+exact value it reaches at every finite stopping time.  That value depends
+only on the stop node and the leaf below it, so each (node, leaf) pair is
+checked once and counted as often as finite stopping times stop there.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import prod
 from typing import Dict, List, Optional, Tuple
 
 from .errors import NotSupermartingaleError
@@ -25,7 +28,6 @@ from .trees import (
     FilteredTree,
     PredictableProcess,
     StoppingTime,
-    enumerate_stopping_times,
     is_supermartingale,
     one_step_expectation,
 )
@@ -226,10 +228,14 @@ def multiplicative_property_violations(
 class SmoothingLimitReport:
     """Per-position comparison of the smoothed pair with its target value.
 
-    A position is one (finite stopping time, stop node) pair; ``guaranteed``
-    counts positions whose governing announcing time sits strictly before the
-    jump (there the target is reached exactly), ``stuck`` those where
-    consecutive qualifying jumps leave no room to announce.
+    A position is one (finite stopping time, leaf) pair, located at the stop
+    node on the leaf's path; the counts weight each (stop node, leaf) pair by
+    the number of finite stopping times that contain the node.
+    ``guaranteed`` counts positions whose governing announcing time sits
+    strictly before the jump (there the target is reached exactly), ``stuck``
+    those where consecutive qualifying jumps leave no room to announce.
+    ``mismatches`` lists each failing (stop node, leaf, time, reached,
+    target) once.
     """
 
     ok: bool
@@ -281,7 +287,6 @@ def left_limit_smoothing(
     z: AdaptedProcess,
     i: int,
     lag: int = 1,
-    enumeration_cap: int = 200000,
 ) -> SmoothedDecomposition:
     """Ramp each drop of the additive drift of size <= -1/i from its announcing time.
 
@@ -291,7 +296,8 @@ def left_limit_smoothing(
     offset, so at lag 1 the pair reaches, at every finite stopping time rho,
     exactly M_rho plus (D_rho when a qualifying drop lands at rho, else the
     pre-rho drift value).  The report records that comparison at every
-    enumerated stopping time.
+    finite stopping time, with positions weighted as in
+    :class:`SmoothingLimitReport`.
     """
     if i <= 0:
         raise ValueError(f"jump threshold index must be positive, got {i}")
@@ -367,40 +373,51 @@ def left_limit_smoothing(
         m_path[leaf] = m_row
         d_path[leaf] = d_row
 
-    # check the reached value at every finite stopping time, leaf by leaf
+    # Finite stopping times containing each node: with F(n) the count of
+    # finite stopping times of n's subtree (F(leaf) = 1, F(n) = 1 + prod of
+    # F over the children), a time stops at c exactly when it stops at no
+    # ancestor and picks any finite time below each sibling, so
+    # mult(c) = mult(parent) * (F(parent) - 1) / F(c).
+    finite: Dict[str, int] = {}
+    for n in reversed(list(tree.iter_nodes())):
+        kids = tree.children[n]
+        finite[n] = 1 + prod(finite[c] for c in kids) if kids else 1
+    mult: Dict[str, int] = {tree.root: 1}
+    for n in tree.iter_nodes():
+        for c in tree.children[n]:
+            mult[c] = mult[n] * ((finite[n] - 1) // finite[c])
+
+    # check the reached value once per (stop node, leaf) pair
     report = SmoothingLimitReport(ok=True)
-    for rho in enumerate_stopping_times(tree, cap=enumeration_cap):
-        if not rho.is_finite(tree):
-            continue
-        for stop in rho.nodes:
-            t = tree.depth[stop]
-            for leaf in tree.leaves_under(stop):
-                # target: M_rho + (D_rho on a qualifying drop at rho, else D_{rho-})
-                jump_at_t = t in sigmas[leaf]
-                target = m_by_leaf[leaf][t] + (
-                    d_by_leaf[leaf][t] if jump_at_t else d_by_leaf[leaf][max(t - 1, 0)]
-                )
-                reached = m_path[leaf][t] + d_path[leaf][max(t - 1, 0)]
-                report.positions += 1
-                stuck = jump_at_t and announce(leaf, sigmas[leaf].index(t)) >= t
-                if stuck:
-                    report.stuck += 1
-                # at lag 1 every non-stuck position reaches the target; at
-                # larger lags positions inside a live announce window are not
-                # asserted (the surrogate announcing times look ahead there)
-                window_open = any(
-                    announce(leaf, k) <= t < s for k, s in enumerate(sigmas[leaf])
-                )
-                guaranteed = not stuck and (lag == 1 or jump_at_t or not window_open)
+    for leaf in tree.leaves:
+        for t, stop in enumerate(tree.path_to(leaf)):
+            w = mult[stop]
+            # target: M_rho + (D_rho on a qualifying drop at rho, else D_{rho-})
+            jump_at_t = t in sigmas[leaf]
+            target = m_by_leaf[leaf][t] + (
+                d_by_leaf[leaf][t] if jump_at_t else d_by_leaf[leaf][max(t - 1, 0)]
+            )
+            reached = m_path[leaf][t] + d_path[leaf][max(t - 1, 0)]
+            report.positions += w
+            stuck = jump_at_t and announce(leaf, sigmas[leaf].index(t)) >= t
+            if stuck:
+                report.stuck += w
+            # at lag 1 every non-stuck position reaches the target; at
+            # larger lags positions inside a live announce window are not
+            # asserted (the surrogate announcing times look ahead there)
+            window_open = any(
+                announce(leaf, k) <= t < s for k, s in enumerate(sigmas[leaf])
+            )
+            guaranteed = not stuck and (lag == 1 or jump_at_t or not window_open)
+            if guaranteed:
+                report.guaranteed += w
+            if reached == target:
+                report.equal += w
                 if guaranteed:
-                    report.guaranteed += 1
-                if reached == target:
-                    report.equal += 1
-                    if guaranteed:
-                        report.guaranteed_equal += 1
-                elif guaranteed:
-                    report.ok = False
-                    report.mismatches.append((stop, leaf, t, reached, target))
+                    report.guaranteed_equal += w
+            elif guaranteed:
+                report.ok = False
+                report.mismatches.append((stop, leaf, t, reached, target))
     m_fold = _fold(tree, m_path)
     d_fold = _fold(tree, d_path)
     return SmoothedDecomposition(

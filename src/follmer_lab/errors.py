@@ -17,16 +17,33 @@ class TreeValidationError(FollmerLabError):
         self.node = node
 
 
+def count_str(n: int) -> str:
+    """Decimal digits of an exact count, or ``2^k+`` when there are too many to print.
+
+    Python refuses ``str`` on integers past its digit limit (4300 digits by
+    default); counts of stopping times reach that on trees of a few thousand
+    nodes, so the fallback names the power of two just below the count.
+    """
+    try:
+        return str(n)
+    except ValueError:
+        return f"2^{n.bit_length() - 1}+"
+
+
 class EnumerationCapError(FollmerLabError):
     """Stopping-time enumeration would exceed the configured cap."""
 
     def __init__(self, count, cap):
         super().__init__(
-            f"refusing to enumerate {count} stopping times (cap is {cap}); "
+            f"refusing to enumerate {count_str(count)} stopping times (cap is {cap}); "
             f"raise the cap explicitly if this is intended"
         )
         self.count = count
         self.cap = cap
+
+
+class PairValidationError(FollmerLabError):
+    """A pair file is malformed or names a node the tree lacks."""
 
 
 class NotSupermartingaleError(FollmerLabError):

@@ -8,8 +8,12 @@ P[leaf] * Z[leaf].  Kill targets are either the cemetery state or a freeze
 state x*; the two choices produce the non-uniqueness witness.
 
 Verification checks the Kunita-Yoeurp identity Q[A and {rho < tau}] =
-E_P[Z_rho 1_A] atom by atom, for one stopping time or for every enumerated
-one, always by exact rational comparison.
+E_P[Z_rho 1_A] atom by atom, by exact rational comparison.  An atom is a stop
+node s of rho, and its comparison (the Q-mass surviving past s against
+P[s] * Z[s]) does not involve rho; every node is a stop node of the constant
+time at its depth.  So the identity holds for every stopping time exactly
+when it holds at every node, and :func:`verify_ky_all` certifies it in one
+pass over the nodes instead of enumerating stopping times.
 """
 
 from __future__ import annotations
@@ -20,13 +24,18 @@ from fractions import Fraction
 from typing import Dict, Iterable, List, Optional, Tuple
 
 from .decompositions import multiplicative
-from .errors import FreezeTargetError, MartingaleWitnessError, NotSupermartingaleError
+from .errors import (
+    FreezeTargetError,
+    MartingaleWitnessError,
+    NotSupermartingaleError,
+    PairValidationError,
+)
 from .trees import (
     AdaptedProcess,
     ExtendedOutcome,
     FilteredTree,
     StoppingTime,
-    enumerate_stopping_times,
+    count_stopping_times,
     frac,
     frac_str,
     is_supermartingale,
@@ -79,12 +88,22 @@ class FollmerPair:
 
     @classmethod
     def from_dict(cls, data: dict) -> "FollmerPair":
+        if not isinstance(data, dict) or not isinstance(data.get("outcomes"), list):
+            raise PairValidationError("a pair needs an 'outcomes' list")
+        if not isinstance(data.get("target"), str):
+            raise PairValidationError("a pair needs a 'target' label")
         outcomes: Dict[ExtendedOutcome, Fraction] = {}
         for row in data["outcomes"]:
-            kt = row["kill_time"]
-            kt = None if kt in (None, "never") else int(kt)
-            o = ExtendedOutcome(str(row["history_node"]), kt, row.get("target"))
-            outcomes[o] = frac(row["mass"])
+            try:
+                kt = row["kill_time"]
+                kt = None if kt in (None, "never") else int(kt)
+                o = ExtendedOutcome(str(row["history_node"]), kt, row.get("target"))
+                mass = frac(row["mass"])
+            except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
+                raise PairValidationError(f"malformed outcome {row!r}: {exc!r}") from exc
+            if o in outcomes:
+                raise PairValidationError(f"{_describe(o)} is listed twice")
+            outcomes[o] = mass
         return cls(outcomes, data["target"])
 
     def to_json(self, path: str) -> None:
@@ -181,10 +200,48 @@ class KYAtomRow:
 
 @dataclass
 class KYReport:
+    """Verdict of a KY check; ``ok`` needs every atom equal and no ``pair_problem``."""
+
     ok: bool
     rows: List[KYAtomRow] = field(default_factory=list)
     n_stopping_times: int = 1
     first_failure: Optional[KYAtomRow] = None
+    pair_problem: Optional[str] = None
+
+
+def _describe(o: ExtendedOutcome) -> str:
+    kill = "never" if o.alive else o.kill_time
+    return f"outcome (history {o.base_node}, kill time {kill}, target {o.target})"
+
+
+def pair_problem(tree: FilteredTree, pair: FollmerPair) -> Optional[str]:
+    """The first outcome that breaks the extended outcome space, or None.
+
+    The KY atoms aggregate masses by history node only, so they cannot see
+    these invariants: a killed outcome dies one step after its history node
+    (kill time depth(base)+1, within the horizon) at the pair's target, a
+    surviving outcome sits on a leaf, and the masses are nonnegative with
+    total 1.  The history nodes must already be known to the tree.
+    """
+    for o, mass in pair.outcomes.items():
+        if mass < 0:
+            return f"{_describe(o)} has negative mass {frac_str(mass)}"
+        if o.alive:
+            if not tree.is_leaf(o.base_node):
+                return f"{_describe(o)} survives at a node that is not a leaf"
+        else:
+            expected = tree.depth[o.base_node] + 1
+            if o.kill_time != expected or expected > tree.horizon:
+                return (
+                    f"{_describe(o)} must be killed at time depth+1 = {expected} "
+                    f"within the horizon {tree.horizon}"
+                )
+            if o.target != pair.target:
+                return f"{_describe(o)} is not killed at the pair's target {pair.target}"
+    total = pair.total_mass()
+    if total != 1:
+        return f"outcome masses sum to {frac_str(total)}, not 1"
+    return None
 
 
 def _survivor_mass_by_node(
@@ -195,9 +252,14 @@ def _survivor_mass_by_node(
     An outcome killed at time u with history n lies in the cylinder of s and
     survives past depth(s) exactly when s is an ancestor-or-equal of n; alive
     outcomes contribute through their leaf.  Aggregated bottom-up in O(nodes).
+    Raises :class:`PairValidationError` for a history node the tree lacks.
     """
     agg: Dict[str, Fraction] = {n: Fraction(0) for n in tree.iter_nodes()}
     for o, mass in pair.outcomes.items():
+        if o.base_node not in agg:
+            raise PairValidationError(
+                f"{_describe(o)} names node {o.base_node!r}, which the tree lacks"
+            )
         agg[o.base_node] += mass
     for n in reversed(list(tree.iter_nodes())):
         for c in tree.children[n]:
@@ -221,56 +283,57 @@ def verify_ky(
     """
     if survivor_mass is None:
         survivor_mass = _survivor_mass_by_node(tree, pair)
-    ok = True
-    rows: List[KYAtomRow] = []
-    first_failure = None
-    for s in sorted(rho.nodes):
-        lhs = survivor_mass[s]
-        rhs = tree.path_prob[s] * z[s]
-        row = KYAtomRow(rho_id, s, lhs, rhs)
-        if lhs != rhs:
-            ok = False
-            if first_failure is None:
-                first_failure = row
-        if collect_rows:
-            rows.append(row)
+    rep = _check_atoms(
+        tree, z, survivor_mass, ((rho_id, s) for s in sorted(rho.nodes)), collect_rows
+    )
     if collect_rows and rho.allows_never(tree):
         for leaf in tree.leaves:
             if rho.stop_node_on_path(tree, leaf) is None:
-                rows.append(KYAtomRow(rho_id, leaf, Fraction(0), Fraction(0)))
-    return KYReport(ok, rows, 1, first_failure)
+                rep.rows.append(KYAtomRow(rho_id, leaf, Fraction(0), Fraction(0)))
+    return rep
+
+
+def _check_atoms(
+    tree: FilteredTree,
+    z: AdaptedProcess,
+    survivor_mass: Dict[str, Fraction],
+    atoms: Iterable[Tuple[str, str]],
+    collect_rows: bool,
+) -> KYReport:
+    """Compare survivor mass with P[s] * Z[s] at each (rho_id, stop node s)."""
+    rep = KYReport(True)
+    for rho_id, s in atoms:
+        row = KYAtomRow(rho_id, s, survivor_mass[s], tree.path_prob[s] * z[s])
+        if not row.equal:
+            rep.ok = False
+            if rep.first_failure is None:
+                rep.first_failure = row
+        if collect_rows:
+            rep.rows.append(row)
+    return rep
 
 
 def verify_ky_all(
     pair: FollmerPair,
     tree: FilteredTree,
     z: AdaptedProcess,
-    cap: int = 10**6,
     collect_rows: bool = False,
 ) -> KYReport:
-    """Run :func:`verify_ky` over every enumerated stopping time."""
+    """Certify the KY identity for every stopping time, one atom per node.
+
+    Every node s is checked once, in breadth-first order, as a stop node of
+    the constant time at its depth (``rho_id`` ``t<depth>``); since an atom's
+    comparison does not depend on the stopping time, this covers all
+    ``count_stopping_times(tree)`` of them in O(nodes).  The pair's outcome
+    space is validated too: ``pair_problem`` names its first broken invariant.
+    """
     survivor_mass = _survivor_mass_by_node(tree, pair)
-    ok = True
-    rows: List[KYAtomRow] = []
-    first_failure = None
-    count = 0
-    for idx, rho in enumerate(enumerate_stopping_times(tree, cap=cap)):
-        rep = verify_ky(
-            pair,
-            tree,
-            z,
-            rho,
-            rho_id=f"rho{idx:05d}",
-            survivor_mass=survivor_mass,
-            collect_rows=collect_rows,
-        )
-        count += 1
-        if not rep.ok:
-            ok = False
-            if first_failure is None:
-                first_failure = rep.first_failure
-        rows.extend(rep.rows)
-    return KYReport(ok, rows, count, first_failure)
+    atoms = ((f"t{tree.depth[s]}", s) for s in tree.iter_nodes())
+    rep = _check_atoms(tree, z, survivor_mass, atoms, collect_rows)
+    rep.n_stopping_times = count_stopping_times(tree)
+    rep.pair_problem = pair_problem(tree, pair)
+    rep.ok = rep.ok and rep.pair_problem is None
+    return rep
 
 
 def write_ky_ledger(report: KYReport, path: str) -> None:

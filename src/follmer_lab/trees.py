@@ -478,8 +478,10 @@ def enumerate_stopping_times(
 ) -> List[StoppingTime]:
     """All antichain stopping times, duplicate-free, including constants and never.
 
-    Refuses with :class:`EnumerationCapError` when the exact count exceeds
-    ``cap`` (computed up front, without enumerating).
+    Exponential in the tree size: the library certifies per node instead,
+    and this list is the oracle those certificates are tested against on
+    small trees.  Refuses with :class:`EnumerationCapError` when the exact
+    count exceeds ``cap`` (computed up front, without enumerating).
     """
     count = count_stopping_times(tree)
     if count > cap:

@@ -9,7 +9,7 @@ import pytest
 from follmer_lab.cli import main
 from follmer_lab.corpus import binary_example
 from follmer_lab.follmer import FollmerPair, construct_follmer
-from follmer_lab.trees import FilteredTree
+from follmer_lab.trees import AdaptedProcess, FilteredTree
 
 
 @pytest.fixture
@@ -30,8 +30,6 @@ def martingale_file(tmp_path):
             {"id": "d", "parent": "r", "prob": "1/2", "state": "d"},
         ],
     )
-    from follmer_lab.trees import AdaptedProcess
-
     z = AdaptedProcess({"r": Fraction(1), "u": Fraction(3, 2), "d": Fraction(1, 2)})
     path = tmp_path / "mart.json"
     tree.to_json(str(path), z)
@@ -103,6 +101,93 @@ def test_verify_detects_corruption(binary_file, tmp_path, capsys):
     err = capsys.readouterr().err
     assert "atom" in err  # failing atom named
     assert main(["verify", binary_file, str(bad_path.with_name("missing.json")), "--out", str(out)]) == 2
+
+
+def _binary_pair_file(tmp_path, edit):
+    """The binary example's pair, edited in its dict form and written to a file."""
+    tree, z = binary_example()
+    data = construct_follmer(tree, z).to_dict()
+    edit(data)
+    path = tmp_path / "edited_pair.json"
+    path.write_text(json.dumps(data))
+    return str(path)
+
+
+def _row(data, node, alive):
+    return next(
+        r for r in data["outcomes"]
+        if r["history_node"] == node and (r["kill_time"] == "never") == alive
+    )
+
+
+@pytest.mark.parametrize(
+    "edit, named",
+    [
+        (lambda d: _row(d, "r", False).update(kill_time=7), "kill time 7"),
+        (lambda d: _row(d, "r", False).update(target="banana"), "target banana"),
+        (lambda d: _row(d, "r", False).update(kill_time="never", target=None), "not a leaf"),
+        (lambda d: _row(d, "u", True).update(mass="-3/4"), "negative mass"),
+        (lambda d: _row(d, "u", True).update(mass="1/1"), "sum to 5/4"),
+    ],
+    ids=["kill-time", "target", "survivor-off-leaf", "negative-mass", "mass-sum"],
+)
+def test_verify_rejects_invalid_outcome_space(binary_file, tmp_path, capsys, edit, named):
+    pair_file = _binary_pair_file(tmp_path, edit)
+    assert main(["verify", binary_file, pair_file, "--out", str(tmp_path / "out")]) == 1
+    captured = capsys.readouterr()
+    assert "verification failed" in captured.err and named in captured.err
+    assert "stopping times verified" not in captured.out
+
+
+@pytest.mark.parametrize(
+    "edit",
+    [
+        lambda d: _row(d, "u", True).update(history_node="nowhere"),
+        lambda d: d.pop("outcomes"),
+        lambda d: _row(d, "u", True).pop("mass"),
+        lambda d: d["outcomes"].append(dict(_row(d, "r", False))),
+    ],
+    ids=["unknown-node", "no-outcomes", "row-without-mass", "duplicate-row"],
+)
+def test_verify_malformed_pair_exits_2(binary_file, tmp_path, capsys, edit):
+    pair_file = _binary_pair_file(tmp_path, edit)
+    assert main(["verify", binary_file, pair_file, "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_follmer_prints_huge_stopping_time_count(tmp_path, capsys):
+    # full binary tree of depth 14: about 2^19257 stopping times, far past
+    # the digits Python will print, so the count is reported by bit length
+    nodes, level, values = [{"id": "n", "parent": None}], ["n"], {"n": Fraction(1)}
+    for t in range(1, 15):
+        nxt = []
+        for par in level:
+            for side in "01":
+                nodes.append({"id": par + side, "parent": par, "prob": "1/2"})
+                values[par + side] = Fraction(1, 2**t)
+                nxt.append(par + side)
+        level = nxt
+    path = tmp_path / "deep.json"
+    FilteredTree(14, nodes).to_json(str(path), AdaptedProcess(values))
+    assert main(["follmer", str(path), "--out", str(tmp_path / "out")]) == 0
+    assert capsys.readouterr().out.splitlines()[-1] == "all 2^19257+ stopping times verified"
+    ledger = (tmp_path / "out" / "ky_ledger.csv").read_text().splitlines()
+    assert len(ledger) == 1 + len(nodes)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["follmer", "--cap", "10"],
+        ["verify", "--grid-step", "0.1"],
+        ["decompose", "--seed", "1"],
+        ["witness", "--paths", "10"],
+    ],
+)
+def test_unread_flags_are_rejected(binary_file, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv[:1] + [binary_file] + argv[1:])
+    assert exc.value.code == 2
 
 
 def test_uniqueness_report_file(binary_file, tmp_path):

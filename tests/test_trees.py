@@ -151,6 +151,12 @@ def test_enumeration_cap_refusal_names_the_count():
     assert str(count) in str(exc.value)
 
 
+def test_enumeration_cap_refusal_prints_huge_counts():
+    # past Python's default 4300-digit limit str(count) raises; the message must not
+    msg = str(EnumerationCapError(3**10000, 10**6))
+    assert "2^15849+ stopping times" in msg
+
+
 def test_stop_value_constants_and_never():
     tree, z = binary_example()
     at0 = stop_value(tree, z, StoppingTime.constant(tree, 0))

@@ -71,6 +71,7 @@ class MultiplicativeDecomposition:
 
 
 def _require_supermartingale(tree: FilteredTree, z: AdaptedProcess) -> None:
+    """Raise :class:`NotSupermartingaleError` unless the (memoised) verdict is ok."""
     rep = is_supermartingale(tree, z)
     if not rep.ok:
         raise NotSupermartingaleError(
@@ -110,6 +111,7 @@ def multiplicative(tree: FilteredTree, z: AdaptedProcess) -> MultiplicativeDecom
     """
     _require_supermartingale(tree, z)
     steps: Dict[str, Fraction] = {}
+    means: Dict[str, Fraction] = {}
     m_vals: Dict[str, Fraction] = {tree.root: z[tree.root]}
     d_on: Dict[str, Fraction] = {tree.root: Fraction(1)}
     first_zero: List[str] = []
@@ -126,15 +128,15 @@ def multiplicative(tree: FilteredTree, z: AdaptedProcess) -> MultiplicativeDecom
                 d_on[c] = d_on[n]
                 m_vals[c] = m_vals[n]
             continue
-        e = one_step_expectation(tree, z, n)
+        e = means[n] = one_step_expectation(tree, z, n)
         d_next = d_on[n] * e / z[n]  # 0 exactly when the hit is announced
         steps[n] = d_next
         for c in tree.children[n]:
             d_on[c] = d_next
             m_vals[c] = m_vals[n] if e == 0 else m_vals[n] * z[c] / e
     for n in first_zero:
-        par = tree.parent[n]
-        if par is not None and one_step_expectation(tree, z, par) == 0:
+        par = tree.parent[n]  # above a first zero Z > 0, so its mean is in means
+        if par is not None and means[par] == 0:
             announced.append(n)
         else:
             surprise.append(n)

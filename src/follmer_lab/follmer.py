@@ -27,7 +27,6 @@ from .decompositions import multiplicative
 from .errors import (
     FreezeTargetError,
     MartingaleWitnessError,
-    NotSupermartingaleError,
     PairValidationError,
 )
 from .trees import (
@@ -52,10 +51,17 @@ class FollmerPair:
     coordinate of each outcome is the stopping time of the pair; no original
     (surviving) path carries a kill time, so the reference measure sees the
     kill time as infinite.
+
+    The survivor masses the KY check aggregates are memoised per tree on the
+    instance, so ``outcomes`` must not be mutated after construction: build
+    a new pair instead.
     """
 
     outcomes: Dict[ExtendedOutcome, Fraction]
     target: str  # CEMETERY or the freeze-state label
+    _survivors: Dict[FilteredTree, Dict[str, Fraction]] = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
 
     def total_mass(self) -> Fraction:
         return sum(self.outcomes.values(), Fraction(0))
@@ -157,15 +163,11 @@ def construct_follmer(
     the killing factor D is a step function along each path, so kill-time
     masses are its successive decrements weighted by the martingale part.
     """
-    rep = is_supermartingale(tree, z)
-    if not rep.ok:
-        raise NotSupermartingaleError(
-            f"not a supermartingale: {rep.reason} at node {rep.first_violation_node!r}",
-            node=rep.first_violation_node,
-        )
+    # multiplicative checks Z first, so a non-supermartingale is reported
+    # before an inadmissible freeze state
+    dec = multiplicative(tree, z)
     if target != CEMETERY:
         _check_freeze_admissible(tree, target)
-    dec = multiplicative(tree, z)
     m, d = dec.martingale, dec.factor
     outcomes: Dict[ExtendedOutcome, Fraction] = {}
     for n in tree.iter_nodes():
@@ -251,10 +253,14 @@ def _survivor_mass_by_node(
 
     An outcome killed at time u with history n lies in the cylinder of s and
     survives past depth(s) exactly when s is an ancestor-or-equal of n; alive
-    outcomes contribute through their leaf.  Aggregated bottom-up in O(nodes).
-    Raises :class:`PairValidationError` for a history node the tree lacks.
+    outcomes contribute through their leaf.  Aggregated bottom-up in O(nodes)
+    once per tree and memoised on the pair.  Raises
+    :class:`PairValidationError` for a history node the tree lacks.
     """
-    agg: Dict[str, Fraction] = {n: Fraction(0) for n in tree.iter_nodes()}
+    agg = pair._survivors.get(tree)
+    if agg is not None:
+        return agg
+    agg = {n: Fraction(0) for n in tree.iter_nodes()}
     for o, mass in pair.outcomes.items():
         if o.base_node not in agg:
             raise PairValidationError(
@@ -264,6 +270,7 @@ def _survivor_mass_by_node(
     for n in reversed(list(tree.iter_nodes())):
         for c in tree.children[n]:
             agg[n] += agg[c]
+    pair._survivors[tree] = agg
     return agg
 
 
@@ -273,7 +280,6 @@ def verify_ky(
     z: AdaptedProcess,
     rho: StoppingTime,
     rho_id: str = "rho",
-    survivor_mass: Optional[Dict[str, Fraction]] = None,
     collect_rows: bool = True,
 ) -> KYReport:
     """Exact per-atom comparison of Q[A and {rho < tau}] with E_P[Z_rho 1_A].
@@ -281,8 +287,7 @@ def verify_ky(
     One atom per stop node; paths the stopping time never reaches contribute
     atoms with both sides zero (the indicator vanishes there).
     """
-    if survivor_mass is None:
-        survivor_mass = _survivor_mass_by_node(tree, pair)
+    survivor_mass = _survivor_mass_by_node(tree, pair)
     rep = _check_atoms(
         tree, z, survivor_mass, ((rho_id, s) for s in sorted(rho.nodes)), collect_rows
     )

@@ -94,7 +94,6 @@ def fatou_path(
             continue
         key = (start, end)
         if key not in bridge_cache:
-            inside = (times > start) & (times < end)
             bridge_cache[key] = _bridge_row(rng, times, end, end - start)
         e = bridge_cache[key][j]
         out[j] = nxt + (prev - nxt) * e

@@ -86,7 +86,7 @@ def median_of_means(values: np.ndarray, n_blocks: int = 32) -> float:
     return float(np.median(means))
 
 
-def mom_standard_error(values: np.ndarray, n_blocks: int = 32) -> float:
+def mom_standard_error(values: np.ndarray) -> float:
     """Scale for the median-of-means estimate: sqrt(pi/2) times the mean's SE."""
     _, se = mean_and_se(values)
     return math.sqrt(math.pi / 2.0) * se

@@ -138,8 +138,7 @@ def bierlein_extend(space: FiniteMeasurableSpace, a: Iterable[str]) -> OneSetExt
         inside = b & a
         outside = b - a
         if inside:  # block belongs to the minimal cover
-            if inside:
-                piece_mass[inside] = m
+            piece_mass[inside] = m
             if outside:
                 piece_mass[outside] = Fraction(0)
         else:

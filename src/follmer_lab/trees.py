@@ -28,14 +28,34 @@ DEFAULT_ENUMERATION_CAP = 10**6
 
 
 def frac(x) -> Fraction:
-    """Parse a rational from an int, Fraction, or 'num/den' string."""
+    """Parse a rational from an int, Fraction, or 'num/den' string.
+
+    Plain ASCII ``digits/digits`` strings, the form :func:`frac_str` writes
+    for nonnegative values, are split and read with ``int``; every other
+    string goes through ``Fraction(str)``.  Anything else is a ``TypeError``.
+    """
     if isinstance(x, Fraction):
         return x
     if isinstance(x, int):
         return Fraction(x)
     if isinstance(x, str):
+        num, slash, den = x.partition("/")
+        if slash and x.isascii() and num.isdigit() and den.isdigit():
+            return Fraction(int(num), int(den))
         return Fraction(x)
     raise TypeError(f"not an exact rational: {x!r}")
+
+
+def _node_rational(x, node: str, what: str) -> Fraction:
+    """:func:`frac` for a value read from a tree file, naming the node on failure."""
+    try:
+        return frac(x)
+    except (TypeError, ValueError, ZeroDivisionError) as exc:
+        raise TreeValidationError(
+            f"{what} at node {node!r} is not an exact rational: {x!r} "
+            f"(write it as an integer or a 'num/den' string)",
+            node=node,
+        ) from exc
 
 
 def frac_str(x: Fraction) -> str:
@@ -50,7 +70,12 @@ class FilteredTree:
     has depth ``horizon``; every internal node has at least one child whose
     edge probabilities are > 0 and sum to exactly 1.  Nodes may carry a
     state label from a finite alphabet (used by freeze-state constructions).
-    Instances are immutable after construction and safe to share.
+
+    The constructor fixes the breadth-first node order and the start of
+    each depth level in it, and every walk reads those; processes and pairs
+    memoise their verdicts and survivor masses per tree object.  So
+    instances must not be mutated after construction; they are safe to
+    share.
     """
 
     def __init__(self, horizon: int, nodes: Sequence[dict]):
@@ -78,7 +103,7 @@ class FilteredTree:
                     raise TreeValidationError(
                         f"non-root node {nid!r} needs an edge probability", node=nid
                     )
-                self.prob[nid] = frac(spec["prob"])
+                self.prob[nid] = _node_rational(spec["prob"], nid, "edge probability")
             order.append(nid)
         roots = [n for n in order if self.parent[n] is None]
         if len(roots) != 1:
@@ -93,16 +118,22 @@ class FilteredTree:
                     )
                 self.children[par].append(nid)
 
-        # depths via BFS from the root; detects orphan cycles
+        # depths via BFS from the root, which also fixes the node order and
+        # the start of each depth level in it; detects orphan cycles
         self.depth: Dict[str, int] = {self.root: 0}
+        self._order: List[str] = []
+        self._levels: List[int] = []
         frontier = [self.root]
         while frontier:
+            self._levels.append(len(self._order))
+            self._order.extend(frontier)
             nxt: List[str] = []
             for n in frontier:
                 for c in self.children[n]:
                     self.depth[c] = self.depth[n] + 1
                     nxt.append(c)
             frontier = nxt
+        self._levels.append(len(self._order))
         if len(self.depth) != len(order):
             missing = sorted(set(order) - set(self.depth))
             raise TreeValidationError(
@@ -148,16 +179,13 @@ class FilteredTree:
 
     def iter_nodes(self) -> Iterator[str]:
         """Nodes in breadth-first (nondecreasing depth) order."""
-        frontier = [self.root]
-        while frontier:
-            nxt: List[str] = []
-            for n in frontier:
-                yield n
-                nxt.extend(self.children[n])
-            frontier = nxt
+        return iter(self._order)
 
     def nodes_at_depth(self, t: int) -> List[str]:
-        return [n for n in self.iter_nodes() if self.depth[n] == t]
+        """The depth-t nodes in breadth-first order; empty outside 0..horizon."""
+        if not 0 <= t < len(self._levels) - 1:
+            return []
+        return self._order[self._levels[t] : self._levels[t + 1]]
 
     def is_leaf(self, n: str) -> bool:
         return not self.children[n]
@@ -226,7 +254,7 @@ class FilteredTree:
     def from_dict(cls, data: dict) -> Tuple["FilteredTree", Optional["AdaptedProcess"]]:
         tree = cls(data["horizon"], data["nodes"])
         zvals = {
-            str(spec["id"]): frac(spec["z"])
+            str(spec["id"]): _node_rational(spec["z"], str(spec["id"]), "process value")
             for spec in data["nodes"]
             if spec.get("z") is not None
         }
@@ -253,9 +281,17 @@ class FilteredTree:
 
 @dataclass(frozen=True)
 class AdaptedProcess:
-    """One exact rational per node; adaptedness is structural."""
+    """One exact rational per node; adaptedness is structural.
+
+    The supermartingale verdict is memoised per tree on the instance (see
+    :func:`is_supermartingale`), so ``values`` must not be mutated after
+    construction: build a new process instead.
+    """
 
     values: Dict[str, Fraction]
+    _verdicts: Dict["FilteredTree", "SupermartingaleReport"] = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
 
     def __getitem__(self, node: str) -> Fraction:
         return self.values[node]
@@ -353,7 +389,21 @@ class StoppingTime:
         return None if n is None else tree.depth[n]
 
     def allows_never(self, tree: FilteredTree) -> bool:
-        return any(self.stop_node_on_path(tree, l) is None for l in tree.leaves)
+        """True when some leaf's path meets no stop node.
+
+        Walks down from the root and halts at the first stop node of each
+        branch, so it also holds for node sets that are not antichains.
+        """
+        stack = [tree.root]
+        while stack:
+            n = stack.pop()
+            if n in self.nodes:
+                continue
+            kids = tree.children[n]
+            if not kids:
+                return True
+            stack.extend(kids)
+        return False
 
     def is_finite(self, tree: FilteredTree) -> bool:
         return not self.allows_never(tree)
@@ -381,8 +431,23 @@ class ExtendedOutcome:
 
 
 def one_step_expectation(tree: FilteredTree, x: AdaptedProcess, node: str) -> Fraction:
-    """E[X_{t+1} | F_t] at an internal node: probability-weighted child average."""
-    return sum((tree.prob[c] * x[c] for c in tree.children[node]), Fraction(0))
+    """E[X_{t+1} | F_t] at an internal node: probability-weighted child average.
+
+    ``x`` may be any node-indexed map of rationals.  The sum is accumulated
+    as one integer numerator over one integer denominator and normalised
+    once, which is the same exact value as summing the ``Fraction`` terms.
+    """
+    num, den = 0, 1
+    prob = tree.prob
+    for c in tree.children[node]:
+        p, v = prob[c], x[c]
+        d = p.denominator * v.denominator
+        if d == den:
+            num += p.numerator * v.numerator
+        else:
+            num = num * d + p.numerator * v.numerator * den
+            den *= d
+    return Fraction(num, den)
 
 
 def conditional_expectation(
@@ -397,18 +462,15 @@ def conditional_expectation(
     """
     if not 0 <= t <= tree.horizon:
         raise ValueError(f"time {t} outside [0, {tree.horizon}]")
+    # averages bottom-up over the nodes at depth >= t, then each depth-t
+    # average copied down its subtree top-down: O(nodes)
+    below = tree._order[tree._levels[t] :]
     avg: Dict[str, Fraction] = {}
-    for n in reversed(list(tree.iter_nodes())):
-        if tree.is_leaf(n):
-            avg[n] = x[n]
-        else:
-            avg[n] = sum((tree.prob[c] * avg[c] for c in tree.children[n]), Fraction(0))
-    vals: Dict[str, Fraction] = {}
-    for n in tree.iter_nodes():
-        if tree.depth[n] < t:
-            vals[n] = x[n]
-        else:
-            vals[n] = avg[tree.ancestor_at(n, t)]
+    for n in reversed(below):
+        avg[n] = one_step_expectation(tree, avg, n) if tree.children[n] else x[n]
+    vals: Dict[str, Fraction] = {n: x[n] for n in tree._order[: tree._levels[t]]}
+    for n in below:
+        vals[n] = avg[n] if tree.depth[n] == t else vals[tree.parent[n]]
     return AdaptedProcess(vals)
 
 
@@ -424,8 +486,16 @@ def is_supermartingale(tree: FilteredTree, z: AdaptedProcess) -> Supermartingale
     """Check Z >= 0, Z_0 = 1 and E[Z_{t+1}|F_t] <= Z_t at every internal node.
 
     Exact comparisons throughout; ``is_martingale`` reports equality at every
-    internal node.
+    internal node.  The verdict is memoised on ``z`` per tree object, so the
+    checks run once however many operations ask.
     """
+    rep = z._verdicts.get(tree)
+    if rep is None:
+        rep = z._verdicts[tree] = _check_supermartingale(tree, z)
+    return rep
+
+
+def _check_supermartingale(tree: FilteredTree, z: AdaptedProcess) -> SupermartingaleReport:
     for n in tree.iter_nodes():
         if z[n] < 0:
             return SupermartingaleReport(

@@ -1,0 +1,331 @@
+"""Cached tree layout, memoised verdicts and survivor masses, exact sums.
+
+Each cached or memoised quantity is compared with a from-scratch
+computation: a breadth-first walk of the children lists, a one-step mean
+summed term by term in ``Fraction`` arithmetic, the supermartingale check
+written out directly and a per-leaf conditional average.  The golden
+digests pin the CLI outputs on three seeded corpus trees byte for byte; they
+were recorded from the implementation that recomputed every walk, check and
+survivor mass on each call.
+"""
+
+import json
+import random
+from fractions import Fraction
+from hashlib import sha256
+
+import pytest
+
+from follmer_lab.cli import main
+from follmer_lab.corpus import binary_example, random_case
+from follmer_lab.decompositions import doob_meyer, multiplicative
+from follmer_lab.errors import FreezeTargetError, NotSupermartingaleError
+from follmer_lab.follmer import FollmerPair, construct_follmer, verify_ky, verify_ky_all
+from follmer_lab.trees import (
+    AdaptedProcess,
+    FilteredTree,
+    StoppingTime,
+    conditional_expectation,
+    is_supermartingale,
+    one_step_expectation,
+)
+
+
+def corpus(n, seed):
+    rng = random.Random(seed)
+    return [random_case(rng, martingale=k % 4 == 0) for k in range(n)]
+
+
+def fresh_bfs(tree):
+    """Node order and depths by a breadth-first walk of the children lists."""
+    order, depth, frontier = [], {tree.root: 0}, [tree.root]
+    while frontier:
+        order += frontier
+        nxt = []
+        for n in frontier:
+            for c in tree.children[n]:
+                depth[c] = depth[n] + 1
+                nxt.append(c)
+        frontier = nxt
+    return order, depth
+
+
+def fraction_mean(tree, x, n):
+    return sum((tree.prob[c] * x[c] for c in tree.children[n]), Fraction(0))
+
+
+def reference_verdict(tree, z):
+    """(ok, is_martingale, first_violation_node, reason), checked directly."""
+    order, _ = fresh_bfs(tree)
+    for n in order:
+        if z[n] < 0:
+            return (False, False, n, "negative value")
+    if z[tree.root] != 1:
+        return (False, False, tree.root, f"initial value {z[tree.root]} != 1")
+    martingale = True
+    for n in order:
+        if not tree.children[n]:
+            continue
+        e = fraction_mean(tree, z, n)
+        if e > z[n]:
+            return (False, False, n, f"one-step mean {e} exceeds {z[n]}")
+        martingale = martingale and e == z[n]
+    return (True, martingale, None, None)
+
+
+def verdict_fields(rep):
+    return (rep.ok, rep.is_martingale, rep.first_violation_node, rep.reason)
+
+
+# -- cached layout --------------------------------------------------------------
+
+
+def test_layout_matches_fresh_bfs():
+    for tree, _ in corpus(50, 1):
+        order, depth = fresh_bfs(tree)
+        assert list(tree.iter_nodes()) == order
+        assert list(tree.iter_nodes()) == order  # every walk sees the same order
+        for t in range(-2, tree.horizon + 3):
+            assert tree.nodes_at_depth(t) == [n for n in order if depth[n] == t]
+        assert tree.leaves == [n for n in order if not tree.children[n]]
+        assert tree.depth == depth
+
+
+def test_nodes_at_depth_returns_a_copy():
+    tree, _ = binary_example()
+    tree.nodes_at_depth(1).append("x")
+    assert tree.nodes_at_depth(1) == ["u", "d"]
+    assert list(tree.iter_nodes()) == ["r", "u", "d"]
+
+
+def test_constant_time_and_allows_never_on_non_antichains():
+    tree, _ = corpus(1, 5)[0]
+    for t in range(tree.horizon + 1):
+        assert StoppingTime.constant(tree, t).nodes == frozenset(tree.nodes_at_depth(t))
+        assert StoppingTime.constant(tree, t).is_finite(tree)
+    assert StoppingTime.never().allows_never(tree)
+    leaf = tree.leaves[0]
+    # a node set that is not an antichain: the root plus a leaf below it
+    assert not StoppingTime(frozenset([tree.root, leaf])).allows_never(tree)
+    # one leaf with its own ancestors, on a tree with another leaf
+    path = tree.path_to(leaf)
+    partial = StoppingTime(frozenset(path[1:]))
+    expect = any(partial.stop_node_on_path(tree, l) is None for l in tree.leaves)
+    assert partial.allows_never(tree) == expect
+
+
+# -- exact arithmetic -----------------------------------------------------------
+
+
+def test_one_step_expectation_is_the_fraction_sum():
+    for tree, z in corpus(50, 2):
+        for n in tree.iter_nodes():
+            got = one_step_expectation(tree, z, n)
+            assert type(got) is Fraction
+            assert got == fraction_mean(tree, z, n)
+    tree = FilteredTree(
+        1,
+        [
+            {"id": "r", "parent": None},
+            {"id": "a", "parent": "r", "prob": "1/3"},
+            {"id": "b", "parent": "r", "prob": "1/6"},
+            {"id": "c", "parent": "r", "prob": "1/2"},
+        ],
+    )
+    x = AdaptedProcess({"r": 0, "a": 2, "b": Fraction(-5, 4), "c": 3})
+    assert one_step_expectation(tree, x, "r") == fraction_mean(tree, x, "r")
+    assert one_step_expectation(tree, x, "a") == 0
+
+
+def test_conditional_expectation_matches_per_leaf_average():
+    for tree, z in corpus(30, 3):
+        for t in range(tree.horizon + 1):
+            ce = conditional_expectation(tree, z, t)
+            for n in tree.iter_nodes():
+                if tree.depth[n] < t:
+                    assert ce[n] == z[n]
+                    continue
+                anc = tree.ancestor_at(n, t)
+                leaves = tree.leaves_under(anc)
+                want = sum((tree.path_prob[l] * z[l] for l in leaves), Fraction(0))
+                assert ce[n] == want / tree.path_prob[anc]
+            assert list(ce.values) == list(tree.iter_nodes())
+
+
+# -- one verdict per (tree, process) ---------------------------------------------
+
+
+def test_is_supermartingale_matches_reference():
+    for k, (tree, z) in enumerate(corpus(40, 4)):
+        order, _ = fresh_bfs(tree)
+        negative = dict(z.values, **{order[-1 - k % len(order)]: Fraction(-1, 7)})
+        root_off = dict(z.values, **{tree.root: Fraction(2)})
+        internal = [n for n in order if tree.children[n]]
+        n = internal[k % len(internal)]
+        c = tree.children[n][0]
+        # raise the mean at n past z[n] + 1
+        step_up = dict(z.values, **{c: z[c] + (z[n] + 1) / tree.prob[c]})
+        for vals in (z.values, negative, root_off, step_up):
+            proc = AdaptedProcess(dict(vals))
+            want = reference_verdict(tree, proc)
+            assert verdict_fields(is_supermartingale(tree, proc)) == want
+            assert verdict_fields(is_supermartingale(tree, proc)) == want
+        assert reference_verdict(tree, AdaptedProcess(step_up))[2] == n
+
+
+def coin(p_up, p_down):
+    return FilteredTree(
+        1,
+        [
+            {"id": "r", "parent": None},
+            {"id": "u", "parent": "r", "prob": p_up, "state": "u"},
+            {"id": "d", "parent": "r", "prob": p_down, "state": "d"},
+        ],
+    )
+
+
+def test_verdicts_are_separate_per_tree_and_per_process():
+    low, high = coin("1/4", "3/4"), coin("3/4", "1/4")
+    z = AdaptedProcess({"r": Fraction(1), "u": Fraction(3, 2), "d": Fraction(1, 2)})
+    assert is_supermartingale(low, z).ok
+    rep = is_supermartingale(high, z)
+    assert not rep.ok and rep.first_violation_node == "r"
+    assert is_supermartingale(low, z).ok
+    with pytest.raises(NotSupermartingaleError):
+        multiplicative(high, z)
+    assert multiplicative(low, z).factor.steps["r"] == Fraction(3, 4)
+
+    # two processes on one tree
+    bad = AdaptedProcess({"r": Fraction(1), "u": Fraction(4), "d": Fraction(1, 2)})
+    assert not is_supermartingale(low, bad).ok
+    with pytest.raises(NotSupermartingaleError, match="one-step mean 11/8 exceeds 1"):
+        doob_meyer(low, bad)
+    assert doob_meyer(low, z).drift.steps["r"] == Fraction(-1, 4)
+    assert is_supermartingale(low, z).ok
+
+
+def test_construct_follmer_checks_supermartingale_before_freeze_state():
+    tree = FilteredTree(
+        2,
+        [
+            {"id": "r", "parent": None, "state": "u"},
+            {"id": "a", "parent": "r", "prob": "1/1", "state": "x"},
+            {"id": "b", "parent": "a", "prob": "1/1", "state": "x"},
+        ],
+    )
+    bad = AdaptedProcess({"r": Fraction(1), "a": Fraction(2), "b": Fraction(2)})
+    with pytest.raises(NotSupermartingaleError) as err:
+        construct_follmer(tree, bad, "x")
+    assert str(err.value) == "not a supermartingale: one-step mean 2 exceeds 1 at node 'r'"
+    assert err.value.node == "r"
+    good = AdaptedProcess({"r": Fraction(1), "a": Fraction(1), "b": Fraction(1, 2)})
+    with pytest.raises(FreezeTargetError):
+        construct_follmer(tree, good, "x")
+
+
+# -- survivor masses once per (pair, tree) ------------------------------------------
+
+
+def test_mass_moved_copy_gets_its_own_verdict():
+    tree, z = binary_example()
+    pair = construct_follmer(tree, z)
+    assert verify_ky_all(pair, tree, z).ok
+    alive = [o for o in pair.outcomes if o.alive]
+    moved = dict(pair.outcomes)
+    moved[alive[0]] -= Fraction(1, 100)
+    moved[alive[1]] += Fraction(1, 100)
+    copy = FollmerPair(moved, pair.target)
+    rep = verify_ky_all(copy, tree, z)
+    assert not rep.ok and rep.pair_problem is None
+    assert rep.first_failure.atom_node == alive[0].base_node
+    assert not verify_ky(copy, tree, z, StoppingTime.constant(tree, 1)).ok
+    assert verify_ky_all(pair, tree, z).ok
+    assert verify_ky(pair, tree, z, StoppingTime.constant(tree, 1)).ok
+
+
+def test_one_pair_against_two_trees():
+    def tree(grandchildren):
+        nodes = [
+            {"id": "r", "parent": None},
+            {"id": "a", "parent": "r", "prob": "1/2"},
+            {"id": "b", "parent": "r", "prob": "1/2"},
+        ]
+        nodes += [{"id": c, "parent": p, "prob": "1/1"} for p, c in grandchildren]
+        return FilteredTree(2, nodes)
+
+    straight = tree([("a", "c"), ("b", "d")])
+    crossed = tree([("a", "d"), ("b", "c")])
+    z = AdaptedProcess({n: Fraction(v) for n, v in zip("rabcd", (1, 1, 1, "1/2", 1))})
+    pair = construct_follmer(straight, z)
+    assert verify_ky_all(pair, straight, z).ok
+    rep = verify_ky_all(pair, crossed, z)
+    assert not rep.ok
+    # on the crossed tree the surviving mass past a is 1/4 killed + 1/2 at d
+    assert (rep.first_failure.atom_node, rep.first_failure.lhs) == ("a", Fraction(3, 4))
+    assert verify_ky_all(pair, straight, z).ok
+    assert verify_ky_all(construct_follmer(crossed, z), crossed, z).ok
+
+
+# -- golden outputs ---------------------------------------------------------------
+
+# per corpus seed (random_case, default sizes); the freeze state is "x"
+GOLDEN = {
+    12: {
+        "tree.json": "435cf4be43f83d5f6926920a98649d6d852b86cc8c3bfb8cc39695dfc35be58c",
+        "decomposition.json": "59964e92802bd155fa0166878add36c01703b724e9b1b384a3e4e6d131d3c8b2",
+        "pair.json": "e91c5e3a93908ee98b9ddacea5859c53c9ab7bb82c9942ad98bea8ade7ac3738",
+        "ky_ledger.csv": "800d36a4d02d1b1519a462e7de384045adae42781245d3846338c37d5452f68e",
+        "uniqueness.json": "f74f8dda88166a10748e8e7d8b0a11e6cf17546081a91517735f096d3ca00e55",
+        "pair_cemetery.json": "e91c5e3a93908ee98b9ddacea5859c53c9ab7bb82c9942ad98bea8ade7ac3738",
+        "pair_freeze.json": "3ffad43935c86795b2a79281319dd06634126180dd4f1a412fc055129bc2fbf3",
+        "total_variation": "1/1",
+    },
+    17: {
+        "tree.json": "c16a1aaed6b82df8199e91db4caf39fb027f69b8cd09fea74dbd4924cf1a89c6",
+        "decomposition.json": "3c585ccc894ae06fa0f50ffda648d302c358bbc7535843168e09d99cacd4c77f",
+        "pair.json": "b541e30e248b373ef468a6a70c500b1d52128a2f03033974b253b80e29602ea6",
+        "ky_ledger.csv": "1c38757e755d7c64c6db345c5425a2e7229a98919ec4641ba40b4a701d7021d6",
+        "uniqueness.json": "d264497e067ad43d00524fae2f355590eeb53cd5bf6dc5872be2d6353b14479c",
+        "pair_cemetery.json": "b541e30e248b373ef468a6a70c500b1d52128a2f03033974b253b80e29602ea6",
+        "pair_freeze.json": "f65da5c6de8c10c33d4549850ed6f7f192181f0fa31e21eac5e546fe092b99c6",
+        "total_variation": "1253/1280",
+    },
+    34: {
+        "tree.json": "808ce603d305a2c08cf4a566b7f2a6f0c045ac73a930e657566f5d9f50fd7397",
+        "decomposition.json": "71decdbf82a7a56e3c1a1a794badcd9c69937c737bdf2c4276b7351786ab9e8a",
+        "pair.json": "d61cb7c4bdaa83b278dd1ed85de1022253030996b4cbdd601d8bb5ab54347d5f",
+        "ky_ledger.csv": "012b98eba49b33585b5a175fa828f5a1d9db7e3f0b07ad8575a9a30bcc3ca0a3",
+        "uniqueness.json": "394e21c1c1c3fd6e2dc46f0db42f2d7f4143869ad508d1ea38a5eef76bd193c8",
+        "pair_cemetery.json": "d61cb7c4bdaa83b278dd1ed85de1022253030996b4cbdd601d8bb5ab54347d5f",
+        "pair_freeze.json": "1ff2048ba599d328126d8d62ddc22c414e692680b3a0bc384bceb9ecfa28146e",
+        "total_variation": "31913/49152",
+    },
+}
+
+
+def cli_digests(tmp_path, seed):
+    """SHA-256 of every exact output of the CLI on the seeded corpus tree."""
+    tree, z = random_case(random.Random(seed))
+    tree_file = tmp_path / f"tree{seed}.json"
+    tree.to_json(str(tree_file), z)
+    out = tmp_path / f"out{seed}"
+    runs = {
+        "decompose": ["decomposition.json"],
+        "follmer": ["pair.json", "ky_ledger.csv"],
+        "uniqueness": ["uniqueness.json"],
+        "witness": ["pair_cemetery.json", "pair_freeze.json"],
+    }
+    digests = {"tree.json": sha256(tree_file.read_bytes()).hexdigest()}
+    for sub, files in runs.items():
+        argv = [sub, str(tree_file)] + (["x"] if sub == "witness" else [])
+        assert main(argv + ["--out", str(out / sub)]) == 0
+        for name in files:
+            digests[name] = sha256((out / sub / name).read_bytes()).hexdigest()
+    witness = json.loads((out / "witness" / "witness.json").read_text())
+    digests["total_variation"] = witness["total_variation"]
+    return digests
+
+
+@pytest.mark.parametrize("seed", sorted(GOLDEN))
+def test_cli_outputs_match_golden_digests(tmp_path, seed):
+    assert cli_digests(tmp_path, seed) == GOLDEN[seed]

@@ -2,8 +2,7 @@
 
 Exit codes: 0 on success, 1 when a verification fails, 2 for usage or
 validation errors.  Every Monte-Carlo run writes a manifest sufficient to
-replay it bit-exactly; FOLLMER_LAB_THREADS bounds worker counts without
-changing any output byte.
+replay it bit-exactly.
 """
 
 from __future__ import annotations
@@ -217,8 +216,6 @@ def cmd_gallery(args) -> int:
 def cmd_selftest(args) -> int:
     """Quick end-to-end checks of the exact engine and the MC plumbing."""
     import random as _random
-
-    import numpy as np
 
     failures = []
 

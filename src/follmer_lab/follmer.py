@@ -358,9 +358,8 @@ def write_ky_ledger(report: KYReport, path: str) -> None:
 def tau_hat(tree: FilteredTree, z: AdaptedProcess, n: int) -> StoppingTime:
     """Stop at the first node with Z >= n, no later than time min(n, horizon).
 
-    On a finite tree the n-limit of these times is the never-stopping time:
-    once n exceeds both the maximum of Z and the horizon, the threshold is
-    unreachable and the cap time n runs past the horizon.
+    Once n exceeds both the maximum of Z and the horizon, the threshold is
+    unreachable and the cap is the horizon, so the time is the constant T.
     """
     if n < 1:
         raise ValueError(f"level must be >= 1, got {n}")
@@ -376,11 +375,6 @@ def tau_hat(tree: FilteredTree, z: AdaptedProcess, n: int) -> StoppingTime:
 
     walk(tree.root)
     return StoppingTime(frozenset(stops))
-
-
-def tau_hat_limit(tree: FilteredTree, z: AdaptedProcess) -> StoppingTime:
-    """The n-limit of the capped crossing times: never, on any finite tree."""
-    return StoppingTime.never()
 
 
 # -- uniqueness diagnostics ----------------------------------------------------

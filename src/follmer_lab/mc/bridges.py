@@ -23,12 +23,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 import numpy as np
 
 from ..errors import GridError
-from .grids import GridSpec, window_grid_indices
+from .grids import GridSpec, step_value, window_grid_indices
 from .paths import PathBatch
 from .streams import fill_paths
 
@@ -52,18 +52,14 @@ def bridge_increment_values(
 
 
 def _bridge_row(
-    rng: np.random.Generator,
-    times: np.ndarray,
-    anchor: float,
-    length: float,
-    sigma_max: float = SIGMA_MAX,
+    rng: np.random.Generator, times: np.ndarray, anchor: float, length: float
 ) -> np.ndarray:
     """One path of the bridge at all grid times: 1 before, burn inside, 0 after."""
     out = np.ones(times.size)
     start = anchor - length
     inside = (times >= start) & (times < anchor)
     sig = burnin_clock(times[inside], anchor, length)
-    live = sig <= sigma_max
+    live = sig <= SIGMA_MAX
     vals = np.zeros(sig.size)
     vals[live] = bridge_increment_values(rng, sig[live])
     out[inside] = vals
@@ -146,6 +142,14 @@ class SimpleNonincreasing:
     def values(self, times: np.ndarray) -> np.ndarray:
         return np.array([self.value(float(t)) for t in times])
 
+    def drops(self) -> List[Tuple[float, float]]:
+        """(jump time, drop size) for every jump that lowers the level."""
+        return [
+            (rho, self.levels[k] - self.levels[k + 1])
+            for k, rho in enumerate(self.jump_times)
+            if self.levels[k] != self.levels[k + 1]
+        ]
+
 
 def suicide_martingale(
     g: SimpleNonincreasing,
@@ -165,11 +169,7 @@ def suicide_martingale(
         raise ValueError(f"need m >= 1, got {m}")
     times = grid.points()
     length = 2.0**-m
-    drops = [
-        (rho, g.levels[k] - g.levels[k + 1])
-        for k, rho in enumerate(g.jump_times)
-        if g.levels[k] != g.levels[k + 1]
-    ]
+    drops = g.drops()
 
     def fill_one(i: int, rng: np.random.Generator) -> np.ndarray:
         out = np.full(times.size, g.levels[0])
@@ -196,18 +196,14 @@ def simple_approx(times: Sequence[float], values: Sequence[float], k: int) -> Si
     if np.any(np.diff(vals) > 1e-15):
         raise ValueError("input path must be nonincreasing")
 
-    def sample(t: float) -> float:
-        idx = np.searchsorted(times, t, side="right") - 1
-        return float(vals[max(idx, 0)])
-
     step = 2.0**-k
     t_end = float(times[-1])
     n_steps = int(math.floor(t_end / step + 1e-12))
     jumps: List[float] = []
-    levels: List[float] = [sample(0.0)]
+    levels: List[float] = [step_value(times, vals, 0.0)]
     for n in range(1, n_steps + 1):
         t = n * step
-        level = sample(t)
+        level = step_value(times, vals, t)
         if level < levels[-1]:
             jumps.append(t)
             levels.append(level)

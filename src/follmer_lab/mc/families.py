@@ -17,12 +17,19 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import Callable, Optional, Sequence, Tuple
 
 import numpy as np
 from scipy.special import ndtr
 
-from .bridges import SIGMA_MAX, SimpleNonincreasing, burnin_clock, simple_approx, suicide_martingale
+from .bridges import (
+    SIGMA_MAX,
+    SimpleNonincreasing,
+    bridge_increment_values,
+    burnin_clock,
+    simple_approx,
+    suicide_martingale,
+)
 from .grids import GridSpec
 from .paths import PathBatch
 from .streams import fill_paths, mean_and_se
@@ -31,10 +38,7 @@ LADDER_STEP = 0.25
 
 
 def _window_walk(
-    rng: np.random.Generator,
-    grid_sigmas: np.ndarray,
-    e_threshold: float,
-    sigma_step: float = LADDER_STEP,
+    rng: np.random.Generator, grid_sigmas: np.ndarray, e_threshold: float
 ) -> Tuple[np.ndarray, float, Optional[Tuple[float, float]]]:
     """Walk one burn-in window on the merged clock ladder.
 
@@ -45,12 +49,10 @@ def _window_walk(
     small overshoot and the capped residual stays bounded on non-crossing
     paths.
     """
-    ladder = np.arange(sigma_step, SIGMA_MAX + sigma_step / 2, sigma_step)
+    ladder = np.arange(LADDER_STEP, SIGMA_MAX + LADDER_STEP / 2, LADDER_STEP)
     merged = np.unique(np.concatenate((ladder, grid_sigmas)))
     merged = merged[(merged > 0) & (merged <= SIGMA_MAX)]
-    d = np.diff(np.concatenate(([0.0], merged)))
-    b = np.cumsum(rng.standard_normal(merged.size) * np.sqrt(d))
-    e = np.exp(b - merged / 2.0)
+    e = bridge_increment_values(rng, merged)
     crossing = None
     if e_threshold < math.inf:
         hit = np.nonzero(e >= e_threshold)[0]
@@ -83,11 +85,7 @@ def localized_suicide_family(
         )
     times = grid.points()
     length = 2.0**-m
-    windows = [
-        (rho, g.levels[k] - g.levels[k + 1])
-        for k, rho in enumerate(g.jump_times)
-        if g.levels[k] != g.levels[k + 1]
-    ]
+    windows = g.drops()
     for (r1, _), (r2, _) in zip(windows, windows[1:]):
         if r2 < r1 + length:
             raise ValueError("burn-in windows overlap; lower m or thin the jumps")
@@ -171,25 +169,21 @@ def extended_approx(
         raise ValueError("Z path must be sampled on the grid")
     oracle_arr = np.asarray(oracle(times), dtype=float)
     normalizer = float(z_arr[0] - terminal_mean)
-    if normalizer == 0.0:
+    core_constant = normalizer == 0.0
+    if core_constant:
         values = np.tile(oracle_arr + 0.0, (n_paths, 1))
-        batch = PathBatch(times, values, seed, kind="extended")
-        mean0, se0 = mean_and_se(values[:, 0])
-        meanT, seT = mean_and_se(values[:, -1])
-        return ExtendedFamilyReport(
-            batch, normalizer, mean0, se0, meanT, seT, terminal_mean, True
-        )
-    core = np.where(times < h, (z_arr - oracle_arr) / normalizer, 0.0)
-    if np.any(core < -1e-12) or np.any(np.diff(core) > 1e-12):
-        raise ValueError("core path must be nonnegative and nonincreasing")
-    g = simple_approx(times, np.maximum(core, 0.0), k)
-    fam = suicide_martingale(g, m, grid, n_paths, seed)
-    values = oracle_arr[None, :] + normalizer * fam.values
+    else:
+        core = np.where(times < h, (z_arr - oracle_arr) / normalizer, 0.0)
+        if np.any(core < -1e-12) or np.any(np.diff(core) > 1e-12):
+            raise ValueError("core path must be nonnegative and nonincreasing")
+        g = simple_approx(times, np.maximum(core, 0.0), k)
+        fam = suicide_martingale(g, m, grid, n_paths, seed)
+        values = oracle_arr[None, :] + normalizer * fam.values
     batch = PathBatch(times, values, seed, kind="extended")
     mean0, se0 = mean_and_se(values[:, 0])
     meanT, seT = mean_and_se(values[:, -1])
     return ExtendedFamilyReport(
-        batch, normalizer, mean0, se0, meanT, seT, terminal_mean, False
+        batch, normalizer, mean0, se0, meanT, seT, terminal_mean, core_constant
     )
 
 
@@ -294,37 +288,27 @@ def split_limit_demo(
     resid_std = math.sqrt(math.exp(-2.0 * n) / 2.0)
     gn_std = math.sqrt((1.0 - math.exp(-2.0 * n)) / 2.0)
 
-    terminal = np.empty(n_paths)
-    stopped_vals = np.empty(n_paths)
-    raw_own = np.empty(n_paths)
-    cross = np.empty(n_paths)
-    crossed = np.empty(n_paths, dtype=bool)
-
-    from .streams import path_generator
-
-    for i in range(n_paths):
-        rng = path_generator(seed, i)
+    def fill_one(i: int, rng: np.random.Generator) -> np.ndarray:
         g_n = rng.standard_normal() * gn_std
         g_inf = g_n + rng.standard_normal() * resid_std
         _, residual, crossing = _window_walk(rng, np.empty(0), level)
-        if crossing is not None:
-            stopped = crossing[1]
-            crossed[i] = True
-        else:
-            stopped = residual
-            crossed[i] = False
-        stopped_vals[i] = stopped
-        p_plus = float(ndtr(g_n / resid_std))
-        if sign == "+":
-            p_own, own_event, cross_event = p_plus, g_inf > 0, g_inf < 0
-        else:
-            p_own, own_event, cross_event = 1.0 - p_plus, g_inf < 0, g_inf > 0
-        val = stopped / p_own if own_event and p_own > 0 else 0.0
-        terminal[i] = val
-        raw_own[i] = val if own_event else 0.0
-        cross[i] = val if cross_event else 0.0
+        if crossing is None:
+            return np.array([g_n, g_inf, residual, 0.0])
+        return np.array([g_n, g_inf, crossing[1], 1.0])
 
-    own_mass, own_se = mean_and_se(stopped_vals)
+    g_n, g_inf, stopped, crossed = fill_paths(n_paths, fill_one, 4, seed).T
+    p_plus = ndtr(g_n / resid_std)
+    if sign == "+":
+        p_own, own_event, cross_event = p_plus, g_inf > 0, g_inf < 0
+    else:
+        p_own, own_event, cross_event = 1.0 - p_plus, g_inf < 0, g_inf > 0
+    # the weight 1/p_own applies only on the own event, and only where p_own > 0
+    terminal = np.zeros(n_paths)
+    np.divide(stopped, p_own, out=terminal, where=own_event & (p_own > 0))
+    raw_own = np.where(own_event, terminal, 0.0)
+    cross = np.where(cross_event, terminal, 0.0)
+
+    own_mass, own_se = mean_and_se(stopped)
     raw_mass, raw_se = mean_and_se(raw_own)
     cross_mass, cross_se = mean_and_se(cross)
     return SplitLimitResult(

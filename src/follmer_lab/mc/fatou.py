@@ -11,15 +11,14 @@ limit of the path once the dyadic clock resolves its jumps.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Optional, Sequence, Tuple
+from typing import Sequence
 
 import numpy as np
 
 from .bridges import _bridge_row
 from .paths import PathBatch
-from .grids import GridSpec
+from .grids import GridSpec, step_value
 from .streams import fill_paths
 
 
@@ -70,25 +69,22 @@ def fatou_path(
     Holds the last completed dyadic sample between phases and bridges the
     decrement inside each phase.
     """
-
-    def sample(t: float) -> float:
-        idx = np.searchsorted(times, t, side="right") - 1
-        return float(d_values[max(idx, 0)])
-
     phases = _phase_schedule(m, float(times[-1]))
     out = np.empty(times.size)
     # bridge rows are drawn per phase, lazily, in phase order for determinism
     bridge_cache = {}
     for j, t in enumerate(times):
         completed = [p for p in phases if p[1] <= t]
-        level = sample(completed[-1][2]) if completed else float(d_values[0])
+        level = (
+            step_value(times, d_values, completed[-1][2]) if completed else float(d_values[0])
+        )
         active = next((p for p in phases if p[0] < t < p[1]), None)
         if active is None:
             out[j] = level
             continue
         start, end, target = active
         prev = level  # the level held entering this phase: last completed sample
-        nxt = sample(target)
+        nxt = step_value(times, d_values, target)
         if nxt == prev:
             out[j] = level
             continue

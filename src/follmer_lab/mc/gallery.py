@@ -3,8 +3,7 @@
 Each experiment is a pure function of (seed, n_paths, params) returning an
 :class:`ExperimentResult` with tabular rows, plot series and a report dict.
 A manifest (JSON) pins everything needed to replay a run bit-exactly;
-re-running a manifest must reproduce byte-identical outputs regardless of
-the worker count.
+re-running a manifest must reproduce byte-identical outputs.
 """
 
 from __future__ import annotations
@@ -12,7 +11,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 from scipy.special import ndtr
@@ -28,13 +27,7 @@ from .families import (
 )
 from .grids import GridSpec
 from .paths import PathBatch, simulate_bm
-from .streams import (
-    fill_paths,
-    mean_and_se,
-    median_of_means,
-    mom_standard_error,
-    path_generator,
-)
+from .streams import fill_paths, mean_and_se, median_of_means, mom_standard_error
 
 
 @dataclass
@@ -501,20 +494,14 @@ EXPERIMENTS: Dict[str, Callable[[int, int, Optional[dict]], ExperimentResult]] =
 GALLERY = {"reciprocal_bessel", "exp_decay", "uniform_rho"}
 
 
-def gallery(name: str, seed: int = 0, n_paths: int = 10000) -> ExperimentResult:
-    """Run one of the named gallery bundles."""
-    if name not in GALLERY:
-        raise FollmerLabError(
-            f"unknown gallery example {name!r}; choose from {sorted(GALLERY)}"
-        )
-    return EXPERIMENTS[name](seed, n_paths, None)
-
-
 def run_experiment(name: str, seed: int, n_paths: int, params: Optional[dict]) -> ExperimentResult:
+    """Run a named experiment; every estimate needs a standard error, so n_paths >= 2."""
     if name not in EXPERIMENTS:
         raise FollmerLabError(
             f"unknown experiment {name!r}; choose from {sorted(EXPERIMENTS)}"
         )
+    if n_paths < 2:
+        raise FollmerLabError(f"need n_paths >= 2, got {n_paths}")
     return EXPERIMENTS[name](seed, n_paths, params)
 
 

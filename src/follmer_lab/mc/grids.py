@@ -3,8 +3,8 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Tuple
 
 import numpy as np
 
@@ -73,6 +73,15 @@ class GridSpec:
             ),
             extra_points=tuple(float(t) for t in data.get("extra_points", [])),
         )
+
+
+def step_value(times: np.ndarray, values: np.ndarray, t: float) -> float:
+    """Value at t of a step path sampled at ``times``: the value at the last time <= t.
+
+    Times before the first sample read the first value.
+    """
+    idx = np.searchsorted(times, t, side="right") - 1
+    return float(values[max(idx, 0)])
 
 
 def window_grid_indices(times: np.ndarray, start: float, anchor: float) -> np.ndarray:

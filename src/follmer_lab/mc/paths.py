@@ -3,13 +3,12 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
 from ..errors import GridError
 from .grids import GridSpec
-from .streams import fill_paths, path_generator
+from .streams import fill_paths
 
 
 @dataclass
@@ -29,7 +28,7 @@ class PathBatch:
         """Column of values at an exact grid time."""
         idx = np.nonzero(np.isclose(self.times, t, rtol=0.0, atol=1e-12))[0]
         if idx.size != 1:
-            raise KeyError(f"time {t} is not a grid point")
+            raise GridError(f"time {t} is not a grid point")
         return self.values[:, idx[0]]
 
 

@@ -1,34 +1,24 @@
-"""Counter-based per-path random streams and order-independent aggregation.
+"""Counter-based per-path random streams and the path-order aggregation helpers.
 
 Each path draws from a Philox generator keyed by (master seed, path index),
-so replaying any (seed, index) pair reproduces the path bit-exactly and the
-result of a batch does not depend on how paths are distributed over workers.
-``FOLLMER_LAB_THREADS`` bounds the worker count without changing any output:
-workers write into disjoint slices of preallocated arrays.
+so replaying any (seed, index) pair reproduces the path bit-exactly, and the
+first k paths of a batch do not depend on how many paths follow them.
 """
 
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
+
+MOM_BLOCKS = 32
 
 
 def path_generator(seed: int, index: int) -> np.random.Generator:
     """The stream for one path: Philox keyed by the seed and the path counter."""
     key = np.array([np.uint64(seed & 0xFFFFFFFFFFFFFFFF), np.uint64(index)])
     return np.random.Generator(np.random.Philox(key=key))
-
-
-def thread_count() -> int:
-    raw = os.environ.get("FOLLMER_LAB_THREADS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
 
 
 def fill_paths(
@@ -39,27 +29,12 @@ def fill_paths(
 ) -> np.ndarray:
     """Evaluate ``fill_one(path_index, rng)`` for every path into a 2-D array.
 
-    Results are identical for any worker count: each path uses its own keyed
-    stream and writes only its own row.
+    Row i is drawn from the stream keyed by (seed, i) alone; this is the one
+    place where path streams are created.
     """
     out = np.empty((n_paths, n_cols), dtype=np.float64)
-
-    def run_block(lo: int, hi: int) -> None:
-        for i in range(lo, hi):
-            out[i, :] = fill_one(i, path_generator(seed, i))
-
-    workers = min(thread_count(), n_paths)
-    if workers <= 1:
-        run_block(0, n_paths)
-    else:
-        block = (n_paths + workers - 1) // workers
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            futures = [
-                pool.submit(run_block, lo, min(lo + block, n_paths))
-                for lo in range(0, n_paths, block)
-            ]
-            for f in futures:
-                f.result()
+    for i in range(n_paths):
+        out[i, :] = fill_one(i, path_generator(seed, i))
     return out
 
 
@@ -73,14 +48,13 @@ def mean_and_se(values: np.ndarray) -> tuple:
     return mean, math.sqrt(var / n)
 
 
-def median_of_means(values: np.ndarray, n_blocks: int = 32) -> float:
-    """Median of block means: a heavy-tail-robust location estimate.
+def median_of_means(values: np.ndarray) -> float:
+    """Median of ``MOM_BLOCKS`` block means: a heavy-tail-robust location estimate.
 
-    Blocks are contiguous in path order, so the estimate is independent of
-    worker count.
+    Blocks are contiguous runs of paths in path order.
     """
     n = values.size
-    n_blocks = max(1, min(n_blocks, n))
+    n_blocks = max(1, min(MOM_BLOCKS, n))
     edges = np.linspace(0, n, n_blocks + 1, dtype=int)
     means = [float(np.mean(values[lo:hi])) for lo, hi in zip(edges[:-1], edges[1:])]
     return float(np.median(means))

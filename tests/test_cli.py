@@ -2,10 +2,13 @@
 
 import json
 import os
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
 
+import follmer_lab
 from follmer_lab.cli import main
 from follmer_lab.corpus import binary_example
 from follmer_lab.follmer import FollmerPair, construct_follmer
@@ -222,11 +225,7 @@ def test_mc_manifest_replay_byte_identical(tmp_path):
     mpath.write_text(json.dumps(manifest))
     out1, out2 = tmp_path / "a", tmp_path / "b"
     assert main(["mc", str(mpath), "--out", str(out1)]) == 0
-    os.environ["FOLLMER_LAB_THREADS"] = "4"
-    try:
-        assert main(["mc", str(mpath), "--out", str(out2)]) == 0
-    finally:
-        os.environ.pop("FOLLMER_LAB_THREADS", None)
+    assert main(["mc", str(mpath), "--out", str(out2)]) == 0
     for name in ("results.csv", "plot.csv", "report.json", "manifest.json"):
         assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
 
@@ -256,6 +255,46 @@ def test_gallery_exp_decay_matches_law(tmp_path):
 
 def test_gallery_unknown_name_exits_2(tmp_path):
     assert main(["gallery", "nope", "--out", str(tmp_path)]) == 2
+
+
+def _run_cli(argv, cwd):
+    src = os.path.dirname(os.path.dirname(follmer_lab.__file__))
+    return subprocess.run(
+        [sys.executable, "-m", "follmer_lab.cli", *argv],
+        capture_output=True,
+        text=True,
+        cwd=cwd,
+        env=dict(os.environ, PYTHONPATH=src),
+    )
+
+
+@pytest.mark.parametrize(
+    "argv, manifest",
+    [
+        (["mc", "manifest.json"], {"experiment": "bm_check", "seed": 1, "n_paths": 1}),
+        (["gallery", "exp_decay", "--paths", "0"], None),
+        (["gallery", "exp_decay", "--paths", "1"], None),
+    ],
+    ids=["mc-bm_check-1", "gallery-0", "gallery-1"],
+)
+def test_too_few_paths_exits_2_without_traceback(tmp_path, argv, manifest):
+    if manifest is not None:
+        (tmp_path / "manifest.json").write_text(json.dumps(manifest))
+    proc = _run_cli(argv + ["--out", "out"], tmp_path)
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    assert "n_paths >= 2" in proc.stderr
+    assert not (tmp_path / "out" / "results.csv").exists()
+
+
+def test_single_jump_off_grid_mid_time_exits_2_without_traceback(tmp_path):
+    manifest = {"experiment": "single_jump", "seed": 1, "n_paths": 10, "params": {"m": 40}}
+    (tmp_path / "manifest.json").write_text(json.dumps(manifest))
+    proc = _run_cli(["mc", "manifest.json", "--out", "out"], tmp_path)
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    mid = 1.0 - 2.0**-40 / 2.0
+    assert f"time {mid} is not a grid point" in proc.stderr
 
 
 def test_selftest_passes(tmp_path, capsys):

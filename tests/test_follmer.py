@@ -19,7 +19,6 @@ from follmer_lab.follmer import (
     construct_follmer,
     nonuniqueness_witness,
     tau_hat,
-    tau_hat_limit,
     total_variation,
     uniqueness_report,
     verify_ky,
@@ -100,7 +99,6 @@ def test_tau_hat_unreachable_threshold_caps_at_horizon():
     # tau_hat only reads values
     rho = tau_hat(chain, z, 3)
     assert rho.nodes == frozenset({"n2"})  # constant min(3, T) = 2
-    assert tau_hat_limit(chain, z).nodes == frozenset()
 
 
 def test_tau_hat_stops_at_root_at_level_one():

@@ -7,12 +7,7 @@ import pytest
 from scipy.special import ndtr
 
 from follmer_lab.errors import FollmerLabError
-from follmer_lab.mc.gallery import (
-    gallery,
-    read_manifest,
-    run_experiment,
-    write_manifest,
-)
+from follmer_lab.mc.gallery import read_manifest, run_experiment, write_manifest
 
 
 def test_exp_decay_survival_matches_exponential():
@@ -48,10 +43,10 @@ def test_uniform_rho_full_separation():
 
 
 def test_gallery_names():
-    res = gallery("exp_decay", seed=1, n_paths=2000)
+    res = run_experiment("exp_decay", seed=1, n_paths=2000, params=None)
     assert res.name == "exp_decay"
     with pytest.raises(FollmerLabError):
-        gallery("nope")
+        run_experiment("nope", seed=1, n_paths=2000, params=None)
 
 
 def test_manifest_round_trip(tmp_path):

@@ -152,8 +152,6 @@ def test_dyadic_representative_set_has_full_mass_all_levels():
     assert rep.ok
     for lv in rep.levels:
         assert lv.representative_set_mass == 1
-    # under the continuous reference surrogate the finite set carries no mass
-    assert rep.reference_mass_of_representatives == 0
 
 
 def test_dyadic_rejects_representative_outside_interval():

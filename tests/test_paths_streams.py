@@ -1,7 +1,6 @@
 """Grids, Brownian batches, stream determinism, aggregation helpers."""
 
 import math
-import os
 
 import numpy as np
 import pytest
@@ -67,13 +66,13 @@ def test_per_path_streams_are_stable_under_batch_size():
     assert np.array_equal(big.values[:7], small.values)
 
 
-def test_worker_count_does_not_change_results(monkeypatch):
+def test_fill_paths_rows_match_their_own_streams():
     grid = GridSpec(t_max=1.0, base_step=1 / 16)
-    monkeypatch.setenv("FOLLMER_LAB_THREADS", "1")
-    a = simulate_bm(grid, 500, seed=3)
-    monkeypatch.setenv("FOLLMER_LAB_THREADS", "5")
-    b = simulate_bm(grid, 500, seed=3)
-    assert np.array_equal(a.values, b.values)
+    batch = simulate_bm(grid, 500, seed=3)
+    sqrt_dt = np.sqrt(np.diff(batch.times))
+    for i in (0, 1, 250, 499):
+        steps = path_generator(3, i).standard_normal(sqrt_dt.size) * sqrt_dt
+        assert np.array_equal(batch.values[i, 1:], np.cumsum(steps))
 
 
 def test_fill_paths_rows_keyed_by_index():
@@ -99,5 +98,5 @@ def test_mean_se_and_median_of_means():
     x = rng.normal(3.0, 1.0, size=4096)
     mean, se = mean_and_se(x)
     assert abs(mean - 3.0) <= 5 * se
-    mom = median_of_means(x, 32)
+    mom = median_of_means(x)
     assert abs(mom - 3.0) <= 10 * se

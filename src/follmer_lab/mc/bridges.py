@@ -40,31 +40,55 @@ def burnin_clock(t: np.ndarray, anchor: float, length: float) -> np.ndarray:
     return -np.log((anchor - t) / length)
 
 
-def bridge_increment_values(
-    rng: np.random.Generator, sigmas: np.ndarray
-) -> np.ndarray:
-    """exp(B_s - s/2) at increasing clock times s, B a standard Brownian motion."""
-    if sigmas.size == 0:
-        return np.empty(0)
+def bridge_increment_values(z: np.ndarray, sigmas: np.ndarray) -> np.ndarray:
+    """exp(B_s - s/2) at increasing clock times s, B a standard Brownian motion.
+
+    ``z`` holds one standard normal per clock time in its last axis (one row
+    per path); B is their cumulative sum scaled by the clock increments.
+    """
     d = np.diff(np.concatenate(([0.0], sigmas)))
-    b = np.cumsum(rng.standard_normal(sigmas.size) * np.sqrt(d))
+    b = np.cumsum(z * np.sqrt(d), axis=-1)
     return np.exp(b - sigmas / 2.0)
 
 
-def _bridge_row(
-    rng: np.random.Generator, times: np.ndarray, anchor: float, length: float
-) -> np.ndarray:
-    """One path of the bridge at all grid times: 1 before, burn inside, 0 after."""
-    out = np.ones(times.size)
-    start = anchor - length
-    inside = (times >= start) & (times < anchor)
-    sig = burnin_clock(times[inside], anchor, length)
-    live = sig <= SIGMA_MAX
-    vals = np.zeros(sig.size)
-    vals[live] = bridge_increment_values(rng, sig[live])
-    out[inside] = vals
-    out[times >= anchor] = 0.0
-    return out
+@dataclass(frozen=True)
+class BridgeWindow:
+    """Where one burn-in window [anchor - length, anchor) sits on a time grid.
+
+    ``inside`` are the grid indices in the window, ``live`` marks those whose
+    clock is at most SIGMA_MAX and ``sigmas`` are the live clocks: a path
+    draws one normal per live clock, the rest of the window reads 0.
+    """
+
+    anchor: float
+    inside: np.ndarray
+    live: np.ndarray
+    sigmas: np.ndarray
+
+    @classmethod
+    def on(cls, times: np.ndarray, anchor: float, length: float) -> "BridgeWindow":
+        start = anchor - length
+        inside = np.nonzero((times >= start) & (times < anchor))[0]
+        sig = burnin_clock(times[inside], anchor, length)
+        live = sig <= SIGMA_MAX
+        return cls(anchor, inside, live, sig[live])
+
+    @property
+    def n_draws(self) -> int:
+        return int(self.sigmas.size)
+
+    def values(self, z: np.ndarray) -> np.ndarray:
+        """Bridge values at the ``inside`` grid times for a block of normals."""
+        vals = np.zeros((z.shape[0], self.inside.size))
+        vals[:, self.live] = bridge_increment_values(z, self.sigmas)
+        return vals
+
+    def rows(self, z: np.ndarray, times: np.ndarray) -> np.ndarray:
+        """The bridge at all grid times: 1 before the window, burn inside, 0 from the anchor."""
+        out = np.ones((z.shape[0], times.size))
+        out[:, self.inside] = self.values(z)
+        out[:, times >= self.anchor] = 0.0
+        return out
 
 
 def bridge_exponential(
@@ -87,11 +111,12 @@ def bridge_exponential(
             f"window [{start}, {anchor}) shorter than one grid step: refine "
             f"the grid near the anchor"
         )
+    window = BridgeWindow.on(times, anchor, length)
 
-    def fill_one(i: int, rng: np.random.Generator) -> np.ndarray:
-        return _bridge_row(rng, times, anchor, length)
+    def fill_block(z: np.ndarray) -> np.ndarray:
+        return window.rows(z, times)
 
-    values = fill_paths(n_paths, fill_one, times.size, seed)
+    values = fill_paths(n_paths, window.n_draws, fill_block, times.size, seed)
     return PathBatch(times, values, seed, kind="bridge")
 
 
@@ -169,16 +194,19 @@ def suicide_martingale(
         raise ValueError(f"need m >= 1, got {m}")
     times = grid.points()
     length = 2.0**-m
-    drops = g.drops()
+    drops = [(drop, BridgeWindow.on(times, rho + length, length)) for rho, drop in g.drops()]
+    n_draws = sum(w.n_draws for _, w in drops)
 
-    def fill_one(i: int, rng: np.random.Generator) -> np.ndarray:
-        out = np.full(times.size, g.levels[0])
-        for rho, drop in drops:
-            e = _bridge_row(rng, times, rho + length, length)
+    def fill_block(z: np.ndarray) -> np.ndarray:
+        out = np.full((z.shape[0], times.size), g.levels[0])
+        off = 0
+        for drop, window in drops:
+            e = window.rows(z[:, off : off + window.n_draws], times)
             out -= drop * (1.0 - e)
+            off += window.n_draws
         return out
 
-    values = fill_paths(n_paths, fill_one, times.size, seed)
+    values = fill_paths(n_paths, n_draws, fill_block, times.size, seed)
     return PathBatch(times, values, seed, kind="suicide")
 
 

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence, Tuple
+from typing import Callable, Dict, Optional, Sequence, Tuple
 
 import numpy as np
 from scipy.special import ndtr
@@ -35,33 +35,39 @@ from .paths import PathBatch
 from .streams import fill_paths, mean_and_se
 
 LADDER_STEP = 0.25
+LADDER = np.arange(LADDER_STEP, SIGMA_MAX + LADDER_STEP / 2, LADDER_STEP)
 
 
-def _window_walk(
-    rng: np.random.Generator, grid_sigmas: np.ndarray, e_threshold: float
-) -> Tuple[np.ndarray, float, Optional[Tuple[float, float]]]:
-    """Walk one burn-in window on the merged clock ladder.
+def _merged_ladder(grid_sigmas: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """One window's clock ladder and where each grid clock sits on it.
 
-    Returns the bridge values at ``grid_sigmas``, the residual value at the
-    clock cap, and the first ladder crossing of ``e_threshold`` as a
-    (clock, value) pair, if any.  The ladder is the uniform grid up to
-    SIGMA_MAX merged with the requested clocks, so crossings are caught with
-    small overshoot and the capped residual stays bounded on non-crossing
-    paths.
+    The ladder is the uniform grid LADDER up to SIGMA_MAX merged with the
+    grid clocks, so crossings are caught with small overshoot and the capped
+    residual stays bounded on non-crossing paths.  A path draws one normal
+    per ladder clock.  Grid clocks are members of the ladder, except a clock
+    of 0 (below the ladder), which reads the first ladder value.
     """
-    ladder = np.arange(LADDER_STEP, SIGMA_MAX + LADDER_STEP / 2, LADDER_STEP)
-    merged = np.unique(np.concatenate((ladder, grid_sigmas)))
+    merged = np.unique(np.concatenate((LADDER, grid_sigmas)))
     merged = merged[(merged > 0) & (merged <= SIGMA_MAX)]
-    e = bridge_increment_values(rng, merged)
-    crossing = None
-    if e_threshold < math.inf:
-        hit = np.nonzero(e >= e_threshold)[0]
-        if hit.size:
-            crossing = (float(merged[hit[0]]), float(e[hit[0]]))
-    at_grid = np.interp(grid_sigmas, merged, e) if grid_sigmas.size else np.empty(0)
-    # grid clocks are members of the merged ladder: interp just selects them
-    residual = float(e[-1]) if merged.size else 1.0
-    return at_grid, residual, crossing
+    return merged, np.searchsorted(merged, grid_sigmas)
+
+
+def _first_crossing(e: np.ndarray, threshold) -> Tuple[np.ndarray, np.ndarray]:
+    """Per row of ladder values: does it reach ``threshold``, and the first ladder index that does."""
+    hit = e >= threshold
+    return hit.any(axis=1), hit.argmax(axis=1)
+
+
+@dataclass(frozen=True)
+class _LocalizedWindow:
+    """The path-independent part of one burn-in window of the localized family."""
+
+    drop: float
+    plateau: np.ndarray  # grid indices holding the level entering the window
+    inside: np.ndarray  # grid indices inside the window
+    ladder: np.ndarray  # merged clock ladder
+    at: np.ndarray  # position of each inside grid clock on the ladder
+    t_cross: np.ndarray  # calendar time of each ladder clock
 
 
 def localized_suicide_family(
@@ -77,7 +83,9 @@ def localized_suicide_family(
     Burn-in windows [rho_k, rho_k + 2^-m) must not overlap.  Values past a
     window's clock cap keep the capped residual (not a hard zero), so every
     path is a martingale along the merged simulation clock and the stopped
-    values have mean exactly the starting level at every grid time.
+    values have mean exactly the starting level at every grid time.  Each
+    path draws the normals of every window's ladder; a path that crosses
+    leaves the rest of its draws unused.
     """
     if level <= g.levels[0]:
         raise ValueError(
@@ -85,41 +93,53 @@ def localized_suicide_family(
         )
     times = grid.points()
     length = 2.0**-m
-    windows = g.drops()
-    for (r1, _), (r2, _) in zip(windows, windows[1:]):
+    drops = g.drops()
+    for (r1, _), (r2, _) in zip(drops, drops[1:]):
         if r2 < r1 + length:
             raise ValueError("burn-in windows overlap; lower m or thin the jumps")
+    windows = []
+    fill_from = 0.0  # the level entering the next window applies from here on
+    for rho, drop in drops:
+        anchor = rho + length
+        inside = np.nonzero((times >= rho) & (times < anchor))[0]
+        sig = np.minimum(burnin_clock(times[inside], anchor, length), SIGMA_MAX)
+        ladder, at = _merged_ladder(sig)
+        t_cross = np.array([anchor - length * math.exp(-s) for s in ladder.tolist()])
+        plateau = np.nonzero((times >= fill_from) & (times < rho))[0]
+        windows.append(_LocalizedWindow(drop, plateau, inside, ladder, at, t_cross))
+        fill_from = anchor
+    tail = np.nonzero(times >= fill_from)[0]
+    n_draws = sum(w.ladder.size for w in windows)
 
-    def fill_one(i: int, rng: np.random.Generator) -> np.ndarray:
-        out = np.empty(times.size)
-        base = g.levels[0]
-        frozen: Optional[Tuple[float, float]] = None
-        fill_from = 0.0  # plateau value `base` applies from here on
-        for rho, drop in windows:
-            anchor = rho + length
-            plateau = (times >= fill_from) & (times < rho)
-            out[plateau] = base
-            inside_idx = np.nonzero((times >= rho) & (times < anchor))[0]
-            sig = np.minimum(burnin_clock(times[inside_idx], anchor, length), SIGMA_MAX)
-            floor = base - drop
-            e_threshold = (level - floor) / drop
-            at_grid, residual, crossing = _window_walk(rng, sig, e_threshold)
-            out[inside_idx] = floor + drop * at_grid
-            if crossing is not None:
-                s_cross, e_cross = crossing
-                t_cross = anchor - length * math.exp(-s_cross)
-                frozen = (t_cross, floor + drop * e_cross)
-                break
-            base = floor + drop * residual
-            fill_from = anchor
-        if frozen is None:
-            out[times >= fill_from] = base
-        else:
-            t_cross, value = frozen
-            out[times >= t_cross] = value
+    def fill_block(z: np.ndarray) -> np.ndarray:
+        # Every row walks every window; a row's values after its first
+        # crossing are overwritten by the frozen value at the end.
+        n = z.shape[0]
+        out = np.empty((n, times.size))
+        base = np.full(n, g.levels[0])
+        crossed = np.zeros(n, dtype=bool)
+        t_frozen = np.empty(n)
+        v_frozen = np.empty(n)
+        off = 0
+        for w in windows:
+            out[:, w.plateau] = base[:, None]
+            floor = base - w.drop
+            e = bridge_increment_values(z[:, off : off + w.ladder.size], w.ladder)
+            off += w.ladder.size
+            out[:, w.inside] = floor[:, None] + w.drop * e[:, w.at]
+            hit, first = _first_crossing(e, ((level - floor) / w.drop)[:, None])
+            new = np.nonzero(hit & ~crossed)[0]
+            t_frozen[new] = w.t_cross[first[new]]
+            v_frozen[new] = floor[new] + w.drop * e[new, first[new]]
+            crossed[new] = True
+            base = floor + w.drop * e[:, -1]
+        out[:, tail] = base[:, None]
+        rows = np.nonzero(crossed)[0]
+        after = times[None, :] >= t_frozen[rows, None]
+        out[rows] = np.where(after, v_frozen[rows, None], out[rows])
         return out
 
-    values = fill_paths(n_paths, fill_one, times.size, seed)
+    values = fill_paths(n_paths, n_draws, fill_block, times.size, seed)
     return PathBatch(times, values, seed, kind="localized_suicide")
 
 
@@ -257,12 +277,7 @@ class SplitLimitResult:
     crossing_bound: float
 
 
-def split_limit_demo(
-    sign: str,
-    n: int,
-    n_paths: int,
-    seed: int,
-) -> SplitLimitResult:
+def split_limit_demo(n: int, n_paths: int, seed: int) -> Dict[str, SplitLimitResult]:
     """Family reweighted on the sign of an independent Gaussian terminal value.
 
     The driver integral has terminal variance 1/2 and residual variance
@@ -279,46 +294,46 @@ def split_limit_demo(
     half its expectation on sign flips of probability too small to sample
     (the indicator-over-probability weight has infinite variance), which is
     why the conditioned estimator is the quoted one.
+
+    Both signs reweight the same paths, so each path is drawn once and the
+    result maps "+" and "-" to their reweightings.
     """
-    if sign not in {"+", "-"}:
-        raise ValueError("sign must be '+' or '-'")
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
     level = 2.0**n
     resid_std = math.sqrt(math.exp(-2.0 * n) / 2.0)
     gn_std = math.sqrt((1.0 - math.exp(-2.0 * n)) / 2.0)
 
-    def fill_one(i: int, rng: np.random.Generator) -> np.ndarray:
-        g_n = rng.standard_normal() * gn_std
-        g_inf = g_n + rng.standard_normal() * resid_std
-        _, residual, crossing = _window_walk(rng, np.empty(0), level)
-        if crossing is None:
-            return np.array([g_n, g_inf, residual, 0.0])
-        return np.array([g_n, g_inf, crossing[1], 1.0])
+    def fill_block(z: np.ndarray) -> np.ndarray:
+        g_n = z[:, 0] * gn_std
+        g_inf = g_n + z[:, 1] * resid_std
+        e = bridge_increment_values(z[:, 2:], LADDER)
+        crossed, first = _first_crossing(e, level)
+        stopped = np.where(crossed, e[np.arange(z.shape[0]), first], e[:, -1])
+        return np.column_stack((g_n, g_inf, stopped, crossed))
 
-    g_n, g_inf, stopped, crossed = fill_paths(n_paths, fill_one, 4, seed).T
+    g_n, g_inf, stopped, crossed = fill_paths(n_paths, 2 + LADDER.size, fill_block, 4, seed).T
     p_plus = ndtr(g_n / resid_std)
-    if sign == "+":
-        p_own, own_event, cross_event = p_plus, g_inf > 0, g_inf < 0
-    else:
-        p_own, own_event, cross_event = 1.0 - p_plus, g_inf < 0, g_inf > 0
-    # the weight 1/p_own applies only on the own event, and only where p_own > 0
-    terminal = np.zeros(n_paths)
-    np.divide(stopped, p_own, out=terminal, where=own_event & (p_own > 0))
-    raw_own = np.where(own_event, terminal, 0.0)
-    cross = np.where(cross_event, terminal, 0.0)
-
     own_mass, own_se = mean_and_se(stopped)
-    raw_mass, raw_se = mean_and_se(raw_own)
-    cross_mass, cross_se = mean_and_se(cross)
-    return SplitLimitResult(
-        terminal=terminal,
-        own_mass=own_mass,
-        own_se=own_se,
-        cross_mass=cross_mass,
-        cross_se=cross_se,
-        raw_own_mass=raw_mass,
-        raw_own_se=raw_se,
-        crossing_frequency=float(np.mean(crossed)),
-        crossing_bound=2.0**-n,
-    )
+    results = {}
+    for sign, p_own, own_event, cross_event in (
+        ("+", p_plus, g_inf > 0, g_inf < 0),
+        ("-", 1.0 - p_plus, g_inf < 0, g_inf > 0),
+    ):
+        # the weight 1/p_own applies only on the own event, and only where p_own > 0
+        terminal = np.zeros(n_paths)
+        np.divide(stopped, p_own, out=terminal, where=own_event & (p_own > 0))
+        raw_mass, raw_se = mean_and_se(np.where(own_event, terminal, 0.0))
+        cross_mass, cross_se = mean_and_se(np.where(cross_event, terminal, 0.0))
+        results[sign] = SplitLimitResult(
+            terminal=terminal,
+            own_mass=own_mass,
+            own_se=own_se,
+            cross_mass=cross_mass,
+            cross_se=cross_se,
+            raw_own_mass=raw_mass,
+            raw_own_se=raw_se,
+            crossing_frequency=float(np.mean(crossed)),
+            crossing_bound=2.0**-n,
+        )
+    return results

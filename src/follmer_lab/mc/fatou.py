@@ -11,14 +11,15 @@ limit of the path once the dyadic clock resolves its jumps.
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from typing import Sequence, Tuple
 
 import numpy as np
 
-from .bridges import _bridge_row
+from .bridges import BridgeWindow
+from .grids import GridSpec, grid_index, step_value
 from .paths import PathBatch
-from .grids import GridSpec, step_value
 from .streams import fill_paths
 
 
@@ -58,41 +59,71 @@ def _phase_schedule(m: int, t_max: float) -> list:
     return out
 
 
-def fatou_path(
-    times: np.ndarray,
-    d_values: np.ndarray,
-    m: int,
-    rng: np.random.Generator,
-) -> np.ndarray:
-    """One path of the level-m schedule for the nonincreasing path ``d_values``.
+@dataclass(frozen=True)
+class _BridgedPhase:
+    """A phase whose decrement is burned through a bridge, and where it shows on the grid."""
+
+    window: BridgeWindow
+    cols: np.ndarray  # grid indices strictly inside the phase
+    at: np.ndarray  # their positions among the window's inside indices
+    prev: float  # level held entering the phase
+    nxt: float  # dyadic sample the phase burns down to
+
+
+@dataclass(frozen=True)
+class FatouSchedule:
+    """The path-independent part of the level-m schedule of a nonincreasing path.
+
+    ``level`` is the value every path holds at each grid time outside a
+    bridged phase; ``bridged`` lists the phases that burn a decrement, in
+    phase order, which is the order a path draws their normals.
+    """
+
+    level: np.ndarray
+    bridged: Tuple[_BridgedPhase, ...]
+
+    @classmethod
+    def build(cls, times: np.ndarray, d_values: np.ndarray, m: int) -> "FatouSchedule":
+        phases = _phase_schedule(m, float(times[-1]))
+        starts = np.array([p[0] for p in phases])
+        ends = np.array([p[1] for p in phases])
+        # the last completed dyadic sample before each phase, and before each time
+        held = [float(d_values[0])] + [step_value(times, d_values, p[2]) for p in phases]
+        level = np.array(held)[np.searchsorted(ends, times, side="right")]
+        # phases are disjoint and sorted: the one that can hold t has the last start < t
+        active = np.searchsorted(starts, times, side="left") - 1
+        in_phase = active >= 0
+        in_phase[in_phase] = times[in_phase] < ends[active[in_phase]]
+        active[~in_phase] = -1
+        bridged = []
+        for k in np.unique(active[in_phase]).tolist():
+            start, end, _ = phases[k]
+            prev, nxt = held[k], held[k + 1]
+            if nxt == prev:
+                continue
+            window = BridgeWindow.on(times, end, end - start)
+            cols = np.nonzero(active == k)[0]
+            at = np.searchsorted(window.inside, cols)
+            bridged.append(_BridgedPhase(window, cols, at, prev, nxt))
+        return cls(level, tuple(bridged))
+
+    @property
+    def n_draws(self) -> int:
+        return sum(p.window.n_draws for p in self.bridged)
+
+
+def fatou_path(schedule: FatouSchedule, z: np.ndarray) -> np.ndarray:
+    """A block of paths of the level-m schedule, one row per row of normals ``z``.
 
     Holds the last completed dyadic sample between phases and bridges the
     decrement inside each phase.
     """
-    phases = _phase_schedule(m, float(times[-1]))
-    out = np.empty(times.size)
-    # bridge rows are drawn per phase, lazily, in phase order for determinism
-    bridge_cache = {}
-    for j, t in enumerate(times):
-        completed = [p for p in phases if p[1] <= t]
-        level = (
-            step_value(times, d_values, completed[-1][2]) if completed else float(d_values[0])
-        )
-        active = next((p for p in phases if p[0] < t < p[1]), None)
-        if active is None:
-            out[j] = level
-            continue
-        start, end, target = active
-        prev = level  # the level held entering this phase: last completed sample
-        nxt = step_value(times, d_values, target)
-        if nxt == prev:
-            out[j] = level
-            continue
-        key = (start, end)
-        if key not in bridge_cache:
-            bridge_cache[key] = _bridge_row(rng, times, end, end - start)
-        e = bridge_cache[key][j]
-        out[j] = nxt + (prev - nxt) * e
+    out = np.tile(schedule.level, (z.shape[0], 1))
+    off = 0
+    for p in schedule.bridged:
+        e = p.window.values(z[:, off : off + p.window.n_draws])
+        off += p.window.n_draws
+        out[:, p.cols] = p.nxt + (p.prev - p.nxt) * e[:, p.at]
     return out
 
 
@@ -114,11 +145,12 @@ def fatou_approx(
         raise ValueError("M and D paths must be sampled on the grid")
     if np.any(np.diff(d_arr) > 1e-15):
         raise ValueError("D path must be nonincreasing")
+    schedule = FatouSchedule.build(times, d_arr, m)
 
-    def fill_one(i: int, rng: np.random.Generator) -> np.ndarray:
-        return m_arr + fatou_path(times, d_arr, m, rng)
+    def fill_block(z: np.ndarray) -> np.ndarray:
+        return m_arr + fatou_path(schedule, z)
 
-    values = fill_paths(n_paths, fill_one, times.size, seed)
+    values = fill_paths(n_paths, schedule.n_draws, fill_block, times.size, seed)
     return PathBatch(times, values, seed, kind="fatou")
 
 
@@ -132,8 +164,6 @@ def fatou_probe_error(
     times = batch.times
     m_arr = np.asarray(m_values, dtype=float)
     d_arr = np.asarray(d_values, dtype=float)
-    idx = np.nonzero(np.isclose(times, t, rtol=0.0, atol=1e-12))[0]
-    if idx.size != 1:
-        raise KeyError(f"probe {t} is not a grid point")
-    target = m_arr[idx[0]] + left_value(times, d_arr, t)
-    return np.abs(batch.values[:, idx[0]] - target)
+    j = grid_index(times, t)
+    target = m_arr[j] + left_value(times, d_arr, t)
+    return np.abs(batch.values[:, j] - target)

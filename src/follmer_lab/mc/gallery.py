@@ -10,8 +10,9 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 from scipy.special import ndtr
@@ -53,6 +54,27 @@ def _row(t: float, est: float, se: float, n: int, **extra) -> dict:
 # -- gallery: exponential decay -------------------------------------------------
 
 
+def _probe_times(params: dict) -> List[float]:
+    """The ``ts`` parameter: a nonempty list of positive finite times."""
+    ts = params.get("ts", [0.5, 1.0, 2.0])
+    if not isinstance(ts, (list, tuple)) or not ts:
+        raise FollmerLabError(f"ts must be a nonempty list of positive times, got {ts!r}")
+    for t in ts:
+        if isinstance(t, bool) or not isinstance(t, (int, float)) or not 0 < t <= sys.float_info.max:
+            raise FollmerLabError(f"ts entry {t!r} is not a positive number")
+    return [float(t) for t in ts]
+
+
+def exp_decay_kill_times(n_paths: int, seed: int) -> np.ndarray:
+    """Standard exponential kill times -log(1 - U), one uniform U per path."""
+
+    def fill_block(u: np.ndarray) -> np.ndarray:
+        # math.log1p, not np.log1p: the two differ in the last bit on some inputs
+        return np.array([-math.log1p(-x) for x in u[:, 0].tolist()])[:, None]
+
+    return fill_paths(n_paths, 1, fill_block, 1, seed, uniform=True)[:, 0]
+
+
 def run_exp_decay(seed: int, n_paths: int, params: Optional[dict] = None) -> ExperimentResult:
     """Quantile-killed law of the deterministic exponential-decay supermartingale.
 
@@ -60,13 +82,8 @@ def run_exp_decay(seed: int, n_paths: int, params: Optional[dict] = None) -> Exp
     time is exactly standard exponential; the survival law Q[tau > t] matches
     exp(-t) at every time.
     """
-    params = params or {}
-    ts = params.get("ts", [0.5, 1.0, 2.0])
-
-    def fill_one(i: int, rng: np.random.Generator) -> np.ndarray:
-        return np.array([-math.log1p(-rng.random())])
-
-    taus = fill_paths(n_paths, fill_one, 1, seed)[:, 0]
+    ts = _probe_times(params or {})
+    taus = exp_decay_kill_times(n_paths, seed)
     res = ExperimentResult("exp_decay")
     xs, ys = [], []
     for t in ts:
@@ -91,23 +108,67 @@ def run_exp_decay(seed: int, n_paths: int, params: Optional[dict] = None) -> Exp
 # -- gallery: reciprocal Bessel --------------------------------------------------
 
 
-def _first_passage_survival(rng: np.random.Generator, t: float, steps: int) -> float:
-    """Survival probability of unit-start Brownian motion above 0 up to t.
+def _first_passage_survival(z: np.ndarray, t: float) -> Tuple[np.ndarray, np.ndarray]:
+    """Survival probability of unit-start Brownian motion above 0 up to t, per row.
 
-    One path of the endpoint skeleton; between grid points the crossing
-    probability of the bridge is the reflection closed form
-    exp(-2 (a-x)(a-y)/dt) for barrier a, accumulated multiplicatively.
+    Each row of ``z`` holds the normals of one path's endpoint skeleton on
+    ``z.shape[1]`` equal steps; between grid points the crossing probability
+    of the bridge is the reflection closed form exp(-2 (a-x)(a-y)/dt) for
+    barrier a, accumulated multiplicatively.  A path that reaches 0 has
+    survival 0 and stops drawing there, so the second result is the number
+    of normals each row used.
     """
+    steps = z.shape[1]
     dt = t / steps
-    x = 1.0
-    survival = 1.0
-    for _ in range(steps):
-        y = x + rng.standard_normal() * math.sqrt(dt)
-        if y <= 0.0:
-            return 0.0
-        survival *= 1.0 - math.exp(-2.0 * x * y / dt)
-        x = y
-    return survival
+    steps_walked = np.empty((z.shape[0], steps + 1))
+    steps_walked[:, 0] = 1.0
+    steps_walked[:, 1:] = z * math.sqrt(dt)
+    walk = np.cumsum(steps_walked, axis=1)
+    x, y = walk[:, :-1], walk[:, 1:]
+    dead = y <= 0.0
+    killed = dead.any(axis=1)
+    n_factors = np.where(killed, dead.argmax(axis=1), steps)  # steps before the hit
+    live = np.arange(steps) < n_factors[:, None]
+    factor = np.ones((z.shape[0], steps))
+    # math.exp, not np.exp: the two differ in the last bit on some inputs
+    factor[live] = [1.0 - math.exp(a) for a in (-2.0 * x[live] * y[live] / dt).tolist()]
+    survival = np.ones(z.shape[0])
+    for k in range(steps):
+        survival *= factor[:, k]
+    return np.where(killed, 0.0, survival), n_factors + killed
+
+
+def reciprocal_bessel_samples(
+    probe: Sequence[float], steps: int, n_paths: int, seed: int
+) -> np.ndarray:
+    """Per path: 1/R_t at each probe time, then the first-passage survival to each probe.
+
+    R is the three-dimensional Bessel process from 1, the norm of a 3-D
+    Brownian motion started at (1, 0, 0).  A path draws 3 normals per probe,
+    then up to ``steps`` normals per probe for the survival skeletons; a
+    skeleton that hits 0 leaves its remaining normals to the next probe.
+    """
+    n_probes = len(probe)
+
+    def fill_block(z: np.ndarray) -> np.ndarray:
+        out = np.empty((z.shape[0], 2 * n_probes))
+        pos = np.zeros((z.shape[0], 3))
+        pos[:, 0] = 1.0
+        prev = 0.0
+        for j, t in enumerate(probe):
+            pos = pos + z[:, 3 * j : 3 * j + 3] * math.sqrt(t - prev)
+            # per-row norm: np.linalg.norm(pos, axis=1) differs in the last bit
+            out[:, j] = [1.0 / float(np.linalg.norm(p)) for p in pos]
+            prev = t
+        off = np.full(z.shape[0], 3 * n_probes)
+        for j, t in enumerate(probe):
+            skeleton = np.take_along_axis(z, off[:, None] + np.arange(steps), axis=1)
+            out[:, n_probes + j], used = _first_passage_survival(skeleton, t)
+            off += used
+        return out
+
+    n_draws = n_probes * (3 + steps)
+    return fill_paths(n_paths, n_draws, fill_block, 2 * n_probes, seed)
 
 
 def run_reciprocal_bessel(
@@ -121,24 +182,12 @@ def run_reciprocal_bessel(
     Monte Carlo.
     """
     params = params or {}
-    ts = params.get("ts", [0.5, 1.0, 2.0])
+    probe = sorted(_probe_times(params))
     steps = int(params.get("fp_steps", 64))
+    if steps < 1:
+        raise FollmerLabError(f"fp_steps must be at least 1, got {steps}")
     res = ExperimentResult("reciprocal_bessel")
-    probe = sorted(float(t) for t in ts)
-
-    def fill_one(i: int, rng: np.random.Generator) -> np.ndarray:
-        out = np.empty(len(probe) + len(probe))
-        pos = np.array([1.0, 0.0, 0.0])
-        prev = 0.0
-        for j, t in enumerate(probe):
-            pos = pos + rng.standard_normal(3) * math.sqrt(t - prev)
-            out[j] = 1.0 / float(np.linalg.norm(pos))
-            prev = t
-        for j, t in enumerate(probe):
-            out[len(probe) + j] = _first_passage_survival(rng, t, steps)
-        return out
-
-    vals = fill_paths(n_paths, fill_one, 2 * len(probe), seed)
+    vals = reciprocal_bessel_samples(probe, steps, n_paths, seed)
     xs, ys = [], []
     for j, t in enumerate(probe):
         est, se = mean_and_se(vals[:, j])
@@ -165,6 +214,18 @@ def run_reciprocal_bessel(
 # -- gallery: uniform independent passage time -----------------------------------
 
 
+def uniform_rho_samples(n_paths: int, seed: int) -> np.ndarray:
+    """Per path: rho = 1 + U, then the pre-burn and post-burn family values at rho."""
+
+    def fill_block(u: np.ndarray) -> np.ndarray:
+        rho = 1.0 + u[:, 0]
+        # window [rho - 1/m, rho): value at the anchor is exactly 0;
+        # window [rho, rho + 1/m): value at the window start is exactly 1
+        return np.column_stack((rho, np.zeros_like(rho), np.ones_like(rho)))
+
+    return fill_paths(n_paths, 1, fill_block, 3, seed, uniform=True)
+
+
 def run_uniform_rho(seed: int, n_paths: int, params: Optional[dict] = None) -> ExperimentResult:
     """Before/after burn-in families evaluated at an independent uniform time.
 
@@ -176,14 +237,7 @@ def run_uniform_rho(seed: int, n_paths: int, params: Optional[dict] = None) -> E
     """
     params = params or {}
     m = int(params.get("m", 8))
-
-    def fill_one(i: int, rng: np.random.Generator) -> np.ndarray:
-        rho = 1.0 + rng.random()
-        # window [rho - 1/m, rho): value at the anchor is exactly 0;
-        # window [rho, rho + 1/m): value at the window start is exactly 1
-        return np.array([rho, 0.0, 1.0])
-
-    vals = fill_paths(n_paths, fill_one, 3, seed)
+    vals = uniform_rho_samples(n_paths, seed)
     before_mean, before_se = mean_and_se(vals[:, 1])
     after_mean, after_se = mean_and_se(vals[:, 2])
     res = ExperimentResult("uniform_rho")
@@ -387,8 +441,7 @@ def run_split_limit(seed: int, n_paths: int, params: Optional[dict] = None) -> E
     params = params or {}
     n = int(params.get("n", 4))
     res = ExperimentResult("split_limit")
-    for sign in ("+", "-"):
-        r = split_limit_demo(sign, n, n_paths, seed)
+    for sign, r in split_limit_demo(n, n_paths, seed).items():
         res.rows.append(
             _row(
                 float(n),

@@ -84,6 +84,16 @@ def step_value(times: np.ndarray, values: np.ndarray, t: float) -> float:
     return float(values[max(idx, 0)])
 
 
+def grid_index(times: np.ndarray, t: float) -> int:
+    """Index of the one grid time within 1e-12 of t; GridError if there is none or several."""
+    idx = np.nonzero(np.isclose(times, t, rtol=0.0, atol=1e-12))[0]
+    if idx.size == 0:
+        raise GridError(f"time {t} is not a grid point")
+    if idx.size > 1:
+        raise GridError(f"time {t} is not a grid point: it is within 1e-12 of {idx.size} grid times")
+    return int(idx[0])
+
+
 def window_grid_indices(times: np.ndarray, start: float, anchor: float) -> np.ndarray:
     """Indices of grid times inside [start, anchor); empty means too coarse."""
     return np.nonzero((times >= start) & (times < anchor))[0]

@@ -7,7 +7,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..errors import GridError
-from .grids import GridSpec
+from .grids import GridSpec, grid_index
 from .streams import fill_paths
 
 
@@ -26,10 +26,7 @@ class PathBatch:
 
     def at_time(self, t: float) -> np.ndarray:
         """Column of values at an exact grid time."""
-        idx = np.nonzero(np.isclose(self.times, t, rtol=0.0, atol=1e-12))[0]
-        if idx.size != 1:
-            raise GridError(f"time {t} is not a grid point")
-        return self.values[:, idx[0]]
+        return self.values[:, grid_index(self.times, t)]
 
 
 def simulate_bm(grid: GridSpec, n_paths: int, seed: int) -> PathBatch:
@@ -46,12 +43,11 @@ def simulate_bm(grid: GridSpec, n_paths: int, seed: int) -> PathBatch:
     dt = np.diff(times)
     sqrt_dt = np.sqrt(dt)
 
-    def fill_one(i: int, rng: np.random.Generator) -> np.ndarray:
-        steps = rng.standard_normal(dt.size) * sqrt_dt
-        out = np.empty(times.size)
-        out[0] = 0.0
-        np.cumsum(steps, out=out[1:])
+    def fill_block(z: np.ndarray) -> np.ndarray:
+        out = np.empty((z.shape[0], times.size))
+        out[:, 0] = 0.0
+        np.cumsum(z * sqrt_dt, axis=1, out=out[:, 1:])
         return out
 
-    values = fill_paths(n_paths, fill_one, times.size, seed)
+    values = fill_paths(n_paths, dt.size, fill_block, times.size, seed)
     return PathBatch(times, values, seed, kind="brownian")

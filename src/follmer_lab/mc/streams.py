@@ -3,6 +3,9 @@
 Each path draws from a Philox generator keyed by (master seed, path index),
 so replaying any (seed, index) pair reproduces the path bit-exactly, and the
 first k paths of a batch do not depend on how many paths follow them.
+:func:`fill_paths` draws each path's variates in one call and hands blocks
+of paths to array code, so families do their path arithmetic on whole
+blocks while every row still reads only its own stream.
 """
 
 from __future__ import annotations
@@ -13,6 +16,10 @@ from typing import Callable
 import numpy as np
 
 MOM_BLOCKS = 32
+# Paths per drawn block, and the most variates one block may hold: together
+# they bound the memory of a block whatever the path count.
+CHUNK_PATHS = 256
+CHUNK_DRAWS = 1 << 20
 
 
 def path_generator(seed: int, index: int) -> np.random.Generator:
@@ -23,18 +30,36 @@ def path_generator(seed: int, index: int) -> np.random.Generator:
 
 def fill_paths(
     n_paths: int,
-    fill_one: Callable[[int, np.random.Generator], np.ndarray],
+    n_draws: int,
+    fill_block: Callable[[np.ndarray], np.ndarray],
     n_cols: int,
     seed: int,
+    uniform: bool = False,
 ) -> np.ndarray:
-    """Evaluate ``fill_one(path_index, rng)`` for every path into a 2-D array.
+    """Draw every path's variates in blocks and map each block to its rows.
 
-    Row i is drawn from the stream keyed by (seed, i) alone; this is the one
-    place where path streams are created.
+    Path i draws its first ``n_draws`` variates from the stream keyed by
+    (seed, i) in one call: standard normals, or uniforms on [0, 1) when
+    ``uniform``.  Draws from one stream concatenate, so a path that used to
+    draw piece by piece reads the same numbers from its row of the block.
+    Consecutive paths are stacked into blocks of at most ``CHUNK_PATHS``
+    rows (fewer when a row holds more than ``CHUNK_DRAWS // CHUNK_PATHS``
+    variates, but at least one), and ``fill_block(draws)`` maps a
+    ``(rows, n_draws)`` block to the ``(rows, n_cols)`` output of those paths.
+    ``fill_block`` must treat rows independently; then row i depends on
+    (seed, i) alone, and the first k rows of an n-path batch equal a k-path
+    batch (the prefix property).  This is the one place where path streams
+    are created.
     """
     out = np.empty((n_paths, n_cols), dtype=np.float64)
-    for i in range(n_paths):
-        out[i, :] = fill_one(i, path_generator(seed, i))
+    rows = max(1, min(CHUNK_PATHS, CHUNK_DRAWS // max(n_draws, 1)))
+    for lo in range(0, n_paths, rows):
+        hi = min(lo + rows, n_paths)
+        draws = np.empty((hi - lo, n_draws), dtype=np.float64)
+        for i in range(lo, hi):
+            rng = path_generator(seed, i)
+            draws[i - lo] = rng.random(n_draws) if uniform else rng.standard_normal(n_draws)
+        out[lo:hi] = fill_block(draws)
     return out
 
 

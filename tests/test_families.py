@@ -86,8 +86,8 @@ def test_mass_redirect_validates_c():
 
 
 def test_split_limit_masses():
-    r_plus = split_limit_demo("+", n=4, n_paths=30000, seed=55)
-    r_minus = split_limit_demo("-", n=4, n_paths=30000, seed=55)
+    both = split_limit_demo(n=4, n_paths=30000, seed=55)
+    r_plus, r_minus = both["+"], both["-"]
     assert abs(r_plus.own_mass - 1.0) <= 3 * r_plus.own_se
     assert abs(r_minus.own_mass - 1.0) <= 3 * r_minus.own_se
     # the sign events are disjoint: cross products vanish samplewise
@@ -98,16 +98,14 @@ def test_split_limit_masses():
 
 
 def test_split_limit_crossing_frequency_bound():
-    r = split_limit_demo("+", n=4, n_paths=30000, seed=99)
+    r = split_limit_demo(n=4, n_paths=30000, seed=99)["+"]
     freq_se = math.sqrt(r.crossing_frequency * (1 - r.crossing_frequency) / 30000)
     assert r.crossing_frequency <= r.crossing_bound + 5 * freq_se
 
 
 def test_split_limit_validates_inputs():
     with pytest.raises(ValueError):
-        split_limit_demo("x", 4, 10, 1)
-    with pytest.raises(ValueError):
-        split_limit_demo("+", 0, 10, 1)
+        split_limit_demo(0, 10, 1)
 
 
 def _decay_grid(h, k, m, t_max):

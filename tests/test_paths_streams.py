@@ -76,13 +76,13 @@ def test_fill_paths_rows_match_their_own_streams():
 
 
 def test_fill_paths_rows_keyed_by_index():
-    def fill_one(i, rng):
-        return np.array([float(i), rng.random()])
-
-    out = fill_paths(10, fill_one, 2, seed=1)
-    assert np.array_equal(out[:, 0], np.arange(10.0))
-    again = fill_paths(10, fill_one, 2, seed=1)
-    assert np.array_equal(out, again)
+    for uniform in (False, True):
+        out = fill_paths(10, 3, lambda z: z, 3, seed=1, uniform=uniform)
+        for i in range(10):
+            rng = path_generator(1, i)
+            assert np.array_equal(out[i], rng.random(3) if uniform else rng.standard_normal(3))
+        again = fill_paths(10, 3, lambda z: z, 3, seed=1, uniform=uniform)
+        assert np.array_equal(out, again)
 
 
 def test_path_generator_distinct_streams():

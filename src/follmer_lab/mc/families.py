@@ -42,10 +42,9 @@ def _merged_ladder(grid_sigmas: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     """One window's clock ladder and where each grid clock sits on it.
 
     The ladder is the uniform grid LADDER up to SIGMA_MAX merged with the
-    grid clocks, so crossings are caught with small overshoot and the capped
-    residual stays bounded on non-crossing paths.  A path draws one normal
-    per ladder clock.  Grid clocks are members of the ladder, except a clock
-    of 0 (below the ladder), which reads the first ladder value.
+    positive grid clocks, so crossings are caught with small overshoot and
+    the capped residual stays bounded on non-crossing paths.  A path draws
+    one normal per ladder clock.
     """
     merged = np.unique(np.concatenate((LADDER, grid_sigmas)))
     merged = merged[(merged > 0) & (merged <= SIGMA_MAX)]
@@ -101,11 +100,15 @@ def localized_suicide_family(
     fill_from = 0.0  # the level entering the next window applies from here on
     for rho, drop in drops:
         anchor = rho + length
-        inside = np.nonzero((times >= rho) & (times < anchor))[0]
-        sig = np.minimum(burnin_clock(times[inside], anchor, length), SIGMA_MAX)
+        window = np.nonzero((times >= rho) & (times < anchor))[0]
+        sig = np.minimum(burnin_clock(times[window], anchor, length), SIGMA_MAX)
+        # at clock 0 (the jump time itself) the bridge is still 1: the level holds
+        started = sig > 0
+        inside, sig = window[started], sig[started]
         ladder, at = _merged_ladder(sig)
         t_cross = np.array([anchor - length * math.exp(-s) for s in ladder.tolist()])
-        plateau = np.nonzero((times >= fill_from) & (times < rho))[0]
+        before = np.nonzero((times >= fill_from) & (times < rho))[0]
+        plateau = np.concatenate((before, window[~started]))
         windows.append(_LocalizedWindow(drop, plateau, inside, ladder, at, t_cross))
         fill_from = anchor
     tail = np.nonzero(times >= fill_from)[0]

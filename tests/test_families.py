@@ -36,6 +36,16 @@ def test_localized_family_freezes_at_level():
         assert np.all(fam.values[i, j:] == fam.values[i, j])
 
 
+def test_localized_family_holds_its_level_at_jump_times():
+    # at a jump time the window's clock is 0 and the bridge still reads 1
+    draft = GridSpec(t_max=2.5, base_step=1 / 16).points()
+    g = simple_approx(draft, np.exp(-draft), k=3)
+    fam, _ = exp_decay_family(seed=7, n_paths=400)
+    assert g.jump_times[-1] == fam.times[-1] == 2.5
+    for rho in g.jump_times:
+        assert np.array_equal(fam.at_time(rho), fam.at_time(rho - 1 / 16))
+
+
 def test_localized_family_rejects_low_level_and_overlap():
     g = SimpleNonincreasing((1.0, 1.004), (1.0, 0.6, 0.3))
     grid = GridSpec(t_max=2.0, base_step=1 / 8)

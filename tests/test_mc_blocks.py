@@ -2,6 +2,8 @@
 
 The oracle is the per-path code the block families replaced: one closure per
 path that draws its variates piece by piece from that path's own stream.
+Its localized family carries one fix the block code also has: at a jump
+time the clock is 0 and the path holds the level entering the window.
 Because draws from one stream concatenate, every block family must
 reproduce it bit for bit, at path counts on both sides of the block size and
 on more than one seed.  The first k rows of an n-path batch must also equal
@@ -134,6 +136,7 @@ def oracle_localized(g, m, level, grid, n_paths, seed):
             floor = base - drop
             at_grid, residual, crossing = oracle_window_walk(rng, sig, (level - floor) / drop)
             out[inside_idx] = floor + drop * at_grid
+            out[inside_idx[sig <= 0]] = base  # at the jump time itself the level holds
             if crossing is not None:
                 s_cross, e_cross = crossing
                 frozen = (anchor - length * math.exp(-s_cross), floor + drop * e_cross)

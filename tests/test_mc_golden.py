@@ -2,9 +2,12 @@
 
 Each case runs one experiment through the ``mc`` subcommand at a small fixed
 (seed, n_paths) and compares the SHA-256 of its ``results.csv``, ``plot.csv``
-and ``report.json`` with digests recorded before the Monte-Carlo stack was
-last restructured.  A refactor of the path driver, the families or the
-writers must leave every byte of these files unchanged.
+and ``report.json`` with recorded digests.  A refactor of the path driver,
+the families or the writers must leave every byte of these files unchanged.
+The digests were recorded before the per-path driver was restructured and
+kept through the move to block-drawn paths; only ``mass_redirect``'s were
+re-recorded, after the localized family was fixed to hold its level at a
+jump time (clock 0) instead of reading the bridge at the first ladder clock.
 """
 
 import hashlib
@@ -51,9 +54,9 @@ GOLDEN = {
         "02df47794774146677af62be92ddd6c85e4b2fcbb72c19c1e5d9d475052b95ba",
     ),
     ("mass_redirect", 3, 200, None): (
-        "16083d558d7e69874f016f0e53fc910e6af0ab8a68592f03c2a592fbc9a92bc2",
+        "9e519aee1670f9c77a75109d8e2dc6f8b341e420f197d35eb8db888be2ba7318",
         EMPTY_PLOT,
-        "4f69470be55a58e122ac410f9974316741a5cc9034a7bce69586fd32ed616357",
+        "81461832ffb0ba22d991c0c0773f4a1c70bf063d09c34a110de8249cd8a1ef9f",
     ),
     ("split_limit", 3, 2000, None): (
         "fd69ed195f29dbfec3d6295a645e3c6befa5c5d2ba04ab560e0cdbba350835b4",

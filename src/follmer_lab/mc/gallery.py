@@ -26,7 +26,7 @@ from .families import (
     mass_redirect,
     split_limit_demo,
 )
-from .grids import GridSpec
+from .grids import GridSpec, grid_index
 from .paths import PathBatch, simulate_bm
 from .streams import fill_paths, mean_and_se, median_of_means, mom_standard_error
 
@@ -120,18 +120,21 @@ def _first_passage_survival(z: np.ndarray, t: float) -> Tuple[np.ndarray, np.nda
     """
     steps = z.shape[1]
     dt = t / steps
-    steps_walked = np.empty((z.shape[0], steps + 1))
-    steps_walked[:, 0] = 1.0
-    steps_walked[:, 1:] = z * math.sqrt(dt)
-    walk = np.cumsum(steps_walked, axis=1)
+    increments = np.empty((z.shape[0], steps + 1))
+    increments[:, 0] = 1.0
+    increments[:, 1:] = z * math.sqrt(dt)
+    walk = np.cumsum(increments, axis=1)
     x, y = walk[:, :-1], walk[:, 1:]
     dead = y <= 0.0
     killed = dead.any(axis=1)
     n_factors = np.where(killed, dead.argmax(axis=1), steps)  # steps before the hit
     live = np.arange(steps) < n_factors[:, None]
+    arg = np.where(live, -2.0 * x * y / dt, -np.inf)
+    # math.exp, not np.exp: the two differ in the last bit on some inputs.
+    # Below -40, exp < 2^-57 and 1 - exp rounds to exactly 1.0 either way.
+    near = arg > -40.0
     factor = np.ones((z.shape[0], steps))
-    # math.exp, not np.exp: the two differ in the last bit on some inputs
-    factor[live] = [1.0 - math.exp(a) for a in (-2.0 * x[live] * y[live] / dt).tolist()]
+    factor[near] = [1.0 - math.exp(a) for a in arg[near].tolist()]
     survival = np.ones(z.shape[0])
     for k in range(steps):
         survival *= factor[:, k]
@@ -340,6 +343,8 @@ def run_fatou(seed: int, n_paths: int, params: Optional[dict] = None) -> Experim
         extra_points=tuple(probes),
     )
     times = grid.points()
+    for p in probes:
+        grid_index(times, p)  # each probe must be exactly one grid time
     # piecewise-constant drift with dyadic drop times
     d = np.where(times < 0.25, 0.0, np.where(times < 0.5, -0.25, -0.5))
     mvals = np.ones_like(times)

@@ -19,7 +19,7 @@ MOM_BLOCKS = 32
 # Paths per drawn block, and the most variates one block may hold: together
 # they bound the memory of a block whatever the path count.
 CHUNK_PATHS = 256
-CHUNK_DRAWS = 1 << 20
+CHUNK_DRAWS = 1 << 18
 
 
 def path_generator(seed: int, index: int) -> np.random.Generator:
@@ -40,9 +40,11 @@ def fill_paths(
 
     Path i draws its first ``n_draws`` variates from the stream keyed by
     (seed, i) in one call: standard normals, or uniforms on [0, 1) when
-    ``uniform``.  Draws from one stream concatenate, so a path that used to
-    draw piece by piece reads the same numbers from its row of the block.
-    Consecutive paths are stacked into blocks of at most ``CHUNK_PATHS``
+    ``uniform``.  Draws from one stream concatenate (n variates in one call
+    equal the same n drawn in pieces), so a family may cut a row into
+    consecutive pieces, one per window, phase or step, exactly as if each
+    piece had been drawn in turn; a path that stops early leaves the tail of
+    its row unused.  Consecutive paths are stacked into blocks of at most ``CHUNK_PATHS``
     rows (fewer when a row holds more than ``CHUNK_DRAWS // CHUNK_PATHS``
     variates, but at least one), and ``fill_block(draws)`` maps a
     ``(rows, n_draws)`` block to the ``(rows, n_cols)`` output of those paths.

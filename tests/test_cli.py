@@ -301,3 +301,23 @@ def test_selftest_passes(tmp_path, capsys):
     assert main(["selftest", "--out", str(tmp_path)]) == 0
     out = capsys.readouterr().out
     assert "selftest ok" in out
+
+
+@pytest.mark.parametrize(
+    "experiment, params, named",
+    [
+        ("fatou", {"probes": [0.5, 0.5000000000001]}, "time 0.5 is not a grid point"),
+        ("exp_decay", {"ts": [0]}, "ts entry 0 is not a positive number"),
+        ("exp_decay", {"ts": ["a"]}, "ts entry 'a' is not a positive number"),
+        ("reciprocal_bessel", {"ts": [-1]}, "ts entry -1 is not a positive number"),
+        ("reciprocal_bessel", {"fp_steps": 0}, "fp_steps must be at least 1"),
+    ],
+    ids=["fatou-twin-probes", "exp_decay-ts-0", "exp_decay-ts-str", "bessel-ts-neg", "bessel-fp-0"],
+)
+def test_bad_experiment_params_exit_2_without_traceback(tmp_path, experiment, params, named):
+    manifest = {"experiment": experiment, "seed": 1, "n_paths": 10, "params": params}
+    (tmp_path / "manifest.json").write_text(json.dumps(manifest))
+    proc = _run_cli(["mc", "manifest.json", "--out", "out"], tmp_path)
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    assert named in proc.stderr

@@ -18,7 +18,6 @@ from follmer_lab.mc.paths import simulate_bm
 from follmer_lab.mc.streams import mean_and_se
 
 
-@pytest.mark.slow
 def test_localized_family_is_mean_exact_at_grid_times():
     fam, rho = exp_decay_family(seed=101, n_paths=20000)
     for t in (rho, float(fam.times[-1])):
@@ -56,7 +55,6 @@ def test_localized_family_rejects_low_level_and_overlap():
         localized_suicide_family(g, m=6, level=4.0, grid=grid, n_paths=2, seed=1)
 
 
-@pytest.mark.slow
 def test_mass_redirect_bound_and_disjointness():
     fam, rho = exp_decay_family(seed=31, n_paths=20000)
     l_rho = fam.at_time(rho)

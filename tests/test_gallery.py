@@ -7,6 +7,7 @@ import pytest
 from scipy.special import ndtr
 
 from follmer_lab.errors import FollmerLabError
+from follmer_lab.mc import streams
 from follmer_lab.mc.gallery import read_manifest, run_experiment, write_manifest
 
 
@@ -70,3 +71,27 @@ def test_experiment_replay_determinism():
     b = run_experiment("single_jump", seed=9, n_paths=3000, params=None)
     assert a.rows == b.rows
     assert a.report == b.report
+
+
+@pytest.mark.parametrize(
+    "name, params",
+    [
+        ("exp_decay", {"ts": [0]}),
+        ("exp_decay", {"ts": [1.0, None]}),
+        ("exp_decay", {"ts": []}),
+        ("exp_decay", {"ts": 1.0}),
+        ("exp_decay", {"ts": [True]}),
+        ("exp_decay", {"ts": [float("nan")]}),
+        ("reciprocal_bessel", {"ts": [float("inf")]}),
+        ("reciprocal_bessel", {"ts": [10**400]}),
+        ("reciprocal_bessel", {"fp_steps": -3}),
+        ("fatou", {"probes": [0.5, 0.5 + 1e-13]}),
+    ],
+)
+def test_bad_params_are_refused_before_any_draw(monkeypatch, name, params):
+    def no_draws(seed, index):
+        raise AssertionError("drew a path before validating the parameters")
+
+    monkeypatch.setattr(streams, "path_generator", no_draws)
+    with pytest.raises(FollmerLabError):
+        run_experiment(name, seed=1, n_paths=10, params=params)

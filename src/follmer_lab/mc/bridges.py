@@ -67,8 +67,7 @@ class BridgeWindow:
 
     @classmethod
     def on(cls, times: np.ndarray, anchor: float, length: float) -> "BridgeWindow":
-        start = anchor - length
-        inside = np.nonzero((times >= start) & (times < anchor))[0]
+        inside = window_grid_indices(times, anchor - length, anchor)
         sig = burnin_clock(times[inside], anchor, length)
         live = sig <= SIGMA_MAX
         return cls(anchor, inside, live, sig[live])
@@ -106,12 +105,12 @@ def bridge_exponential(
     start = anchor - length
     if start < 0 or anchor > grid.t_max:
         raise GridError(f"window [{start}, {anchor}) outside the grid span")
-    if window_grid_indices(times, start, anchor).size == 0:
+    window = BridgeWindow.on(times, anchor, length)
+    if window.inside.size == 0:
         raise GridError(
             f"window [{start}, {anchor}) shorter than one grid step: refine "
             f"the grid near the anchor"
         )
-    window = BridgeWindow.on(times, anchor, length)
 
     def fill_block(z: np.ndarray) -> np.ndarray:
         return window.rows(z, times)

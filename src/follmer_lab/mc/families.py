@@ -30,7 +30,7 @@ from .bridges import (
     simple_approx,
     suicide_martingale,
 )
-from .grids import GridSpec
+from .grids import GridSpec, window_grid_indices
 from .paths import PathBatch
 from .streams import fill_paths, mean_and_se
 
@@ -100,7 +100,7 @@ def localized_suicide_family(
     fill_from = 0.0  # the level entering the next window applies from here on
     for rho, drop in drops:
         anchor = rho + length
-        window = np.nonzero((times >= rho) & (times < anchor))[0]
+        window = window_grid_indices(times, rho, anchor)
         sig = np.minimum(burnin_clock(times[window], anchor, length), SIGMA_MAX)
         # at clock 0 (the jump time itself) the bridge is still 1: the level holds
         started = sig > 0

@@ -167,19 +167,10 @@ def cmd_witness(args) -> int:
 
 
 def _run_mc(manifest: dict, out_dir: str) -> int:
-    result = run_experiment(
-        manifest["experiment"],
-        int(manifest["seed"]),
-        int(manifest["n_paths"]),
-        manifest.get("params") or {},
-    )
-    write_manifest(
-        os.path.join(out_dir, "manifest.json"),
-        manifest["experiment"],
-        int(manifest["seed"]),
-        int(manifest["n_paths"]),
-        manifest.get("params") or {},
-    )
+    """Run a manifest (``run_experiment`` validates it) and write its four files."""
+    fields = [manifest[key] for key in ("experiment", "seed", "n_paths", "params")]
+    result = run_experiment(*fields)
+    write_manifest(os.path.join(out_dir, "manifest.json"), *fields)
     write_results_csv(result, os.path.join(out_dir, "results.csv"))
     write_plot_data(result, os.path.join(out_dir, "plot.csv"))
     write_report_json(result, os.path.join(out_dir, "report.json"))

@@ -116,7 +116,7 @@ def bridge_exponential(
         return window.rows(z, times)
 
     values = fill_paths(n_paths, window.n_draws, fill_block, times.size, seed)
-    return PathBatch(times, values, seed, kind="bridge")
+    return PathBatch(times, values)
 
 
 def single_jump_approx(
@@ -127,7 +127,6 @@ def single_jump_approx(
         raise ValueError(f"need 0 <= a < 1, got {a}")
     batch = bridge_exponential(m, anchor, grid, n_paths, seed)
     batch.values = a + (1.0 - a) * batch.values
-    batch.kind = "single_jump"
     return batch
 
 
@@ -206,7 +205,7 @@ def suicide_martingale(
         return out
 
     values = fill_paths(n_paths, n_draws, fill_block, times.size, seed)
-    return PathBatch(times, values, seed, kind="suicide")
+    return PathBatch(times, values)
 
 
 def simple_approx(times: Sequence[float], values: Sequence[float], k: int) -> SimpleNonincreasing:

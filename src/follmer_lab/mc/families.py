@@ -143,7 +143,7 @@ def localized_suicide_family(
         return out
 
     values = fill_paths(n_paths, n_draws, fill_block, times.size, seed)
-    return PathBatch(times, values, seed, kind="localized_suicide")
+    return PathBatch(times, values)
 
 
 # -- terminal extension --------------------------------------------------------
@@ -202,7 +202,7 @@ def extended_approx(
         g = simple_approx(times, np.maximum(core, 0.0), k)
         fam = suicide_martingale(g, m, grid, n_paths, seed)
         values = oracle_arr[None, :] + normalizer * fam.values
-    batch = PathBatch(times, values, seed, kind="extended")
+    batch = PathBatch(times, values)
     mean0, se0 = mean_and_se(values[:, 0])
     meanT, seT = mean_and_se(values[:, -1])
     return ExtendedFamilyReport(

@@ -151,7 +151,7 @@ def fatou_approx(
         return m_arr + fatou_path(schedule, z)
 
     values = fill_paths(n_paths, schedule.n_draws, fill_block, times.size, seed)
-    return PathBatch(times, values, seed, kind="fatou")
+    return PathBatch(times, values)
 
 
 def fatou_probe_error(

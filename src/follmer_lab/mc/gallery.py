@@ -4,6 +4,24 @@ Each experiment is a pure function of (seed, n_paths, params) returning an
 :class:`ExperimentResult` with tabular rows, plot series and a report dict.
 A manifest (JSON) pins everything needed to replay a run bit-exactly;
 re-running a manifest must reproduce byte-identical outputs.
+
+The manifest contract is decided here, by :func:`run_experiment`, before any
+path is drawn:
+
+- ``experiment`` names a key of :data:`EXPERIMENTS`;
+- ``seed`` and ``n_paths`` are JSON integers (not booleans), n_paths >= 2;
+- ``params`` is null or an object whose keys are among the experiment's
+  entries in :data:`PARAMS`; an unknown key is refused with the list of
+  accepted keys, and an omitted key takes its default;
+- a parameter's type is its default's: an int parameter takes a JSON
+  integer, a float parameter a finite number (an integer is read as a
+  float), a list parameter (tuple default) a nonempty list of those; the
+  probe times ``ts`` must also be positive.
+
+Range rules that the library below already enforces (grid spans, window
+sizes, ``m >= 1``, ...) are left to it.  The written ``manifest.json``
+echoes ``params`` exactly as given, without the defaults, so a manifest
+replays itself.
 """
 
 from __future__ import annotations
@@ -54,17 +72,6 @@ def _row(t: float, est: float, se: float, n: int, **extra) -> dict:
 # -- gallery: exponential decay -------------------------------------------------
 
 
-def _probe_times(params: dict) -> List[float]:
-    """The ``ts`` parameter: a nonempty list of positive finite times."""
-    ts = params.get("ts", [0.5, 1.0, 2.0])
-    if not isinstance(ts, (list, tuple)) or not ts:
-        raise FollmerLabError(f"ts must be a nonempty list of positive times, got {ts!r}")
-    for t in ts:
-        if isinstance(t, bool) or not isinstance(t, (int, float)) or not 0 < t <= sys.float_info.max:
-            raise FollmerLabError(f"ts entry {t!r} is not a positive number")
-    return [float(t) for t in ts]
-
-
 def exp_decay_kill_times(n_paths: int, seed: int) -> np.ndarray:
     """Standard exponential kill times -log(1 - U), one uniform U per path."""
 
@@ -75,22 +82,21 @@ def exp_decay_kill_times(n_paths: int, seed: int) -> np.ndarray:
     return fill_paths(n_paths, 1, fill_block, 1, seed, uniform=True)[:, 0]
 
 
-def run_exp_decay(seed: int, n_paths: int, params: Optional[dict] = None) -> ExperimentResult:
+def run_exp_decay(seed: int, n_paths: int, params: dict) -> ExperimentResult:
     """Quantile-killed law of the deterministic exponential-decay supermartingale.
 
     The killing factor equals the value itself, so the integrated-out kill
     time is exactly standard exponential; the survival law Q[tau > t] matches
     exp(-t) at every time.
     """
-    ts = _probe_times(params or {})
     taus = exp_decay_kill_times(n_paths, seed)
     res = ExperimentResult("exp_decay")
     xs, ys = [], []
-    for t in ts:
+    for t in params["ts"]:
         ind = (taus > t).astype(float)
         est, se = mean_and_se(ind)
-        res.rows.append(_row(float(t), est, se, n_paths, analytic=math.exp(-t)))
-        xs.append(float(t))
+        res.rows.append(_row(t, est, se, n_paths, analytic=math.exp(-t)))
+        xs.append(t)
         ys.append(est)
     res.series.append(("survival_estimate", xs, ys))
     res.series.append(("survival_analytic", xs, [math.exp(-t) for t in xs]))
@@ -174,9 +180,7 @@ def reciprocal_bessel_samples(
     return fill_paths(n_paths, n_draws, fill_block, 2 * n_probes, seed)
 
 
-def run_reciprocal_bessel(
-    seed: int, n_paths: int, params: Optional[dict] = None
-) -> ExperimentResult:
+def run_reciprocal_bessel(seed: int, n_paths: int, params: dict) -> ExperimentResult:
     """Reciprocal three-dimensional Bessel process from 1: E[Z_t] vs the hitting law.
 
     E[1/R_t] equals the probability that a unit-start Brownian motion has not
@@ -184,9 +188,8 @@ def run_reciprocal_bessel(
     oracle estimates that first-passage probability by bridge-corrected
     Monte Carlo.
     """
-    params = params or {}
-    probe = sorted(_probe_times(params))
-    steps = int(params.get("fp_steps", 64))
+    probe = sorted(params["ts"])
+    steps = params["fp_steps"]
     if steps < 1:
         raise FollmerLabError(f"fp_steps must be at least 1, got {steps}")
     res = ExperimentResult("reciprocal_bessel")
@@ -217,19 +220,7 @@ def run_reciprocal_bessel(
 # -- gallery: uniform independent passage time -----------------------------------
 
 
-def uniform_rho_samples(n_paths: int, seed: int) -> np.ndarray:
-    """Per path: rho = 1 + U, then the pre-burn and post-burn family values at rho."""
-
-    def fill_block(u: np.ndarray) -> np.ndarray:
-        rho = 1.0 + u[:, 0]
-        # window [rho - 1/m, rho): value at the anchor is exactly 0;
-        # window [rho, rho + 1/m): value at the window start is exactly 1
-        return np.column_stack((rho, np.zeros_like(rho), np.ones_like(rho)))
-
-    return fill_paths(n_paths, 1, fill_block, 3, seed, uniform=True)
-
-
-def run_uniform_rho(seed: int, n_paths: int, params: Optional[dict] = None) -> ExperimentResult:
+def run_uniform_rho(seed: int, n_paths: int, params: dict) -> ExperimentResult:
     """Before/after burn-in families evaluated at an independent uniform time.
 
     rho is uniform on [1, 2] and known at time 0.  The family burning just
@@ -237,18 +228,18 @@ def run_uniform_rho(seed: int, n_paths: int, params: Optional[dict] = None) -> E
     burning just after is exactly 1 at rho (its window starts there).  Both
     families converge to the same indicator supermartingale at deterministic
     times, yet their values at rho separate fully.
+
+    This is a closed form, not a simulation: both families sit at exact
+    window endpoints for every rho and every burn-in index m, so every path
+    reads the constant 0 or 1 and none is drawn.  The rows carry those exact
+    values with standard error 0.
     """
-    params = params or {}
-    m = int(params.get("m", 8))
-    vals = uniform_rho_samples(n_paths, seed)
-    before_mean, before_se = mean_and_se(vals[:, 1])
-    after_mean, after_se = mean_and_se(vals[:, 2])
     res = ExperimentResult("uniform_rho")
-    res.rows.append(_row(0.0, before_mean, before_se, n_paths, family="pre_burn_at_rho"))
-    res.rows.append(_row(0.0, after_mean, after_se, n_paths, family="post_burn_at_rho"))
+    res.rows.append(_row(0.0, 0.0, 0.0, n_paths, family="pre_burn_at_rho"))
+    res.rows.append(_row(0.0, 1.0, 0.0, n_paths, family="post_burn_at_rho"))
     res.report = {
-        "m": m,
-        "separation": after_mean - before_mean,
+        "m": params["m"],
+        "separation": 1.0,
         "note": "values at the random time are exact window endpoints",
     }
     return res
@@ -257,18 +248,14 @@ def run_uniform_rho(seed: int, n_paths: int, params: Optional[dict] = None) -> E
 # -- parametrized experiments -----------------------------------------------------
 
 
-def run_single_jump(seed: int, n_paths: int, params: Optional[dict] = None) -> ExperimentResult:
-    params = params or {}
-    a = float(params.get("a", 0.5))
-    m = int(params.get("m", 6))
-    anchor = float(params.get("anchor", 1.0))
-    t_max = float(params.get("t_max", 2.0))
+def run_single_jump(seed: int, n_paths: int, params: dict) -> ExperimentResult:
+    a, m, anchor, t_max = params["a"], params["m"], params["anchor"], params["t_max"]
     window = 2.0**-m
     mid = anchor - window / 2.0
     grid = GridSpec(
         t_max=t_max,
-        base_step=float(params.get("base_step", 1 / 16)),
-        refinements=((anchor, window, int(params.get("refine_points", 24))),),
+        base_step=params["base_step"],
+        refinements=((anchor, window, params["refine_points"]),),
         extra_points=(mid,),
     )
     batch = single_jump_approx(a, m, anchor, grid, n_paths, seed)
@@ -298,17 +285,13 @@ def run_single_jump(seed: int, n_paths: int, params: Optional[dict] = None) -> E
     return res
 
 
-def run_suicide(seed: int, n_paths: int, params: Optional[dict] = None) -> ExperimentResult:
-    params = params or {}
-    m = int(params.get("m", 6))
-    jumps = tuple(float(x) for x in params.get("jumps", (1.0, 2.0)))
-    levels = tuple(float(x) for x in params.get("levels", (1.0, 0.5, 0.25)))
-    t_max = float(params.get("t_max", 3.0))
+def run_suicide(seed: int, n_paths: int, params: dict) -> ExperimentResult:
+    m, jumps, levels = params["m"], params["jumps"], params["levels"]
     g = SimpleNonincreasing(jumps, levels)
     window = 2.0**-m
     grid = GridSpec(
-        t_max=t_max,
-        base_step=float(params.get("base_step", 1 / 8)),
+        t_max=params["t_max"],
+        base_step=params["base_step"],
         refinements=tuple((rho + window, window, 16) for rho in jumps),
     )
     batch = suicide_martingale(g, m, grid, n_paths, seed)
@@ -332,16 +315,9 @@ def run_suicide(seed: int, n_paths: int, params: Optional[dict] = None) -> Exper
     return res
 
 
-def run_fatou(seed: int, n_paths: int, params: Optional[dict] = None) -> ExperimentResult:
-    params = params or {}
-    m_list = [int(m) for m in params.get("m_list", range(1, 9))]
-    probes = [float(p) for p in params.get("probes", (0.5, 0.375))]
-    scan_depth = int(params.get("scan_depth", 20))
-    grid = GridSpec(
-        t_max=float(params.get("t_max", 1.0)),
-        base_step=float(params.get("base_step", 1 / 64)),
-        extra_points=tuple(probes),
-    )
+def run_fatou(seed: int, n_paths: int, params: dict) -> ExperimentResult:
+    m_list, probes, scan_depth = params["m_list"], params["probes"], params["scan_depth"]
+    grid = GridSpec(t_max=params["t_max"], base_step=params["base_step"], extra_points=probes)
     times = grid.points()
     for p in probes:
         grid_index(times, p)  # each probe must be exactly one grid time
@@ -404,16 +380,10 @@ def exp_decay_family(
     return fam, rho
 
 
-def run_mass_redirect(seed: int, n_paths: int, params: Optional[dict] = None) -> ExperimentResult:
-    params = params or {}
-    c = float(params.get("c", 0.5))
-    ls = [int(l) for l in params.get("ls", (1, 2))]
+def run_mass_redirect(seed: int, n_paths: int, params: dict) -> ExperimentResult:
+    c = params["c"]
     fam, rho = exp_decay_family(
-        seed,
-        n_paths,
-        k=int(params.get("k", 3)),
-        m=int(params.get("m", 6)),
-        level=float(params.get("level", 4.0)),
+        seed, n_paths, k=params["k"], m=params["m"], level=params["level"]
     )
     l_rho = fam.at_time(rho)
     l_term = fam.at_time(fam.times[-1])
@@ -423,7 +393,7 @@ def run_mass_redirect(seed: int, n_paths: int, params: Optional[dict] = None) ->
     w_after = w.at_time(rho + 1.0)
     res = ExperimentResult("mass_redirect")
     estimates = {}
-    for l in ls:
+    for l in params["ls"]:
         r = mass_redirect(l_rho, l_term, w_rho, w_after, c, l)
         estimates[l] = (r.estimate, r.se)
         res.rows.append(
@@ -442,9 +412,8 @@ def run_mass_redirect(seed: int, n_paths: int, params: Optional[dict] = None) ->
     return res
 
 
-def run_split_limit(seed: int, n_paths: int, params: Optional[dict] = None) -> ExperimentResult:
-    params = params or {}
-    n = int(params.get("n", 4))
+def run_split_limit(seed: int, n_paths: int, params: dict) -> ExperimentResult:
+    n = params["n"]
     res = ExperimentResult("split_limit")
     for sign, r in split_limit_demo(n, n_paths, seed).items():
         res.rows.append(
@@ -471,17 +440,13 @@ def run_split_limit(seed: int, n_paths: int, params: Optional[dict] = None) -> E
     return res
 
 
-def run_extended(seed: int, n_paths: int, params: Optional[dict] = None) -> ExperimentResult:
+def run_extended(seed: int, n_paths: int, params: dict) -> ExperimentResult:
     """Terminal-extension demo on the shifted exponential decay.
 
     Z_t = (1 + exp(-t))/2 has limit 1/2; extending by the constant terminal
     value 1/2 gives oracle 1/2, normalizer 1/2 and core exp(-t) cut at h.
     """
-    params = params or {}
-    h = float(params.get("h", 1.0))
-    k = int(params.get("k", 3))
-    m = int(params.get("m", 6))
-    t_max = float(params.get("t_max", 1.5))
+    h, k, m, t_max = params["h"], params["k"], params["m"], params["t_max"]
     base = GridSpec(t_max=t_max, base_step=1 / 32)
     draft = base.points()
     core_draft = np.where(draft < h, np.exp(-draft), 0.0)
@@ -520,10 +485,9 @@ def run_extended(seed: int, n_paths: int, params: Optional[dict] = None) -> Expe
     return res
 
 
-def run_bm_check(seed: int, n_paths: int, params: Optional[dict] = None) -> ExperimentResult:
-    params = params or {}
-    t_max = float(params.get("t_max", 1.0))
-    grid = GridSpec(t_max=t_max, base_step=float(params.get("base_step", 1 / 32)))
+def run_bm_check(seed: int, n_paths: int, params: dict) -> ExperimentResult:
+    t_max = params["t_max"]
+    grid = GridSpec(t_max=t_max, base_step=params["base_step"])
     batch = simulate_bm(grid, n_paths, seed)
     w = batch.at_time(t_max)
     mean, se = mean_and_se(w)
@@ -536,7 +500,7 @@ def run_bm_check(seed: int, n_paths: int, params: Optional[dict] = None) -> Expe
     return res
 
 
-EXPERIMENTS: Dict[str, Callable[[int, int, Optional[dict]], ExperimentResult]] = {
+EXPERIMENTS: Dict[str, Callable[[int, int, dict], ExperimentResult]] = {
     "exp_decay": run_exp_decay,
     "reciprocal_bessel": run_reciprocal_bessel,
     "uniform_rho": run_uniform_rho,
@@ -551,22 +515,84 @@ EXPERIMENTS: Dict[str, Callable[[int, int, Optional[dict]], ExperimentResult]] =
 
 GALLERY = {"reciprocal_bessel", "exp_decay", "uniform_rho"}
 
+# Every settable parameter of each experiment and its default; the default's
+# type is the parameter's type (a tuple default makes a list parameter).
+PARAMS: Dict[str, Dict[str, object]] = {
+    "exp_decay": {"ts": (0.5, 1.0, 2.0)},
+    "reciprocal_bessel": {"ts": (0.5, 1.0, 2.0), "fp_steps": 64},
+    "uniform_rho": {"m": 8},
+    "single_jump": {
+        "a": 0.5, "m": 6, "anchor": 1.0, "t_max": 2.0, "base_step": 1 / 16, "refine_points": 24,
+    },
+    "suicide": {
+        "m": 6, "jumps": (1.0, 2.0), "levels": (1.0, 0.5, 0.25), "t_max": 3.0, "base_step": 1 / 8,
+    },
+    "fatou": {
+        "m_list": tuple(range(1, 9)), "probes": (0.5, 0.375), "scan_depth": 20,
+        "t_max": 1.0, "base_step": 1 / 64,
+    },
+    "mass_redirect": {"c": 0.5, "ls": (1, 2), "k": 3, "m": 6, "level": 4.0},
+    "split_limit": {"n": 4},
+    "extended": {"h": 1.0, "k": 3, "m": 6, "t_max": 1.5},
+    "bm_check": {"t_max": 1.0, "base_step": 1 / 32},
+}
+POSITIVE = {"ts"}  # float parameters whose values must also be > 0
+
+
+def _checked(key: str, x, kind: type, entry: bool = False):
+    """``x`` as a ``kind`` value of the parameter ``key`` (or an entry of it), else an error naming it."""
+    ok = isinstance(x, int if kind is int else (int, float)) and not isinstance(x, bool)
+    if ok and kind is float:
+        ok = abs(x) <= sys.float_info.max and (x > 0 or key not in POSITIVE)  # False for nan
+    if ok:
+        return kind(x)
+    what = "an integer" if kind is int else "a positive number" if key in POSITIVE else "a finite number"
+    raise FollmerLabError(f"{key} entry {x!r} is not {what}" if entry else f"{key} must be {what}, got {x!r}")
+
+
+def _resolve(name: str, params) -> dict:
+    """``params`` checked against ``PARAMS[name]``, with the defaults filled in."""
+    if params is None:
+        params = {}
+    if not isinstance(params, dict):
+        raise FollmerLabError(f"params must be an object or null, got {params!r}")
+    table = PARAMS[name]
+    resolved = dict(table)
+    for key, x in params.items():
+        if key not in table:
+            raise FollmerLabError(f"{name} has no parameter {key!r}; it accepts {sorted(table)}")
+        default = table[key]
+        if not isinstance(default, tuple):
+            resolved[key] = _checked(key, x, type(default))
+        elif isinstance(x, list) and x:
+            resolved[key] = tuple(_checked(key, v, type(default[0]), entry=True) for v in x)
+        else:
+            raise FollmerLabError(f"{key} must be a nonempty list, got {x!r}")
+    return resolved
+
 
 def run_experiment(name: str, seed: int, n_paths: int, params: Optional[dict]) -> ExperimentResult:
-    """Run a named experiment; every estimate needs a standard error, so n_paths >= 2."""
-    if name not in EXPERIMENTS:
+    """Validate a manifest's fields as the module docstring says, then run its experiment.
+
+    Every estimate needs a standard error, so n_paths >= 2.
+    """
+    if not isinstance(name, str) or name not in EXPERIMENTS:
         raise FollmerLabError(
             f"unknown experiment {name!r}; choose from {sorted(EXPERIMENTS)}"
         )
+    _checked("seed", seed, int)
+    _checked("n_paths", n_paths, int)
     if n_paths < 2:
         raise FollmerLabError(f"need n_paths >= 2, got {n_paths}")
-    return EXPERIMENTS[name](seed, n_paths, params)
+    return EXPERIMENTS[name](seed, n_paths, _resolve(name, params))
 
 
 # -- manifests and deterministic writers ----------------------------------------
 
 
-def write_manifest(path: str, experiment: str, seed: int, n_paths: int, params: dict) -> None:
+def write_manifest(
+    path: str, experiment: str, seed: int, n_paths: int, params: Optional[dict]
+) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(
             {
@@ -585,6 +611,8 @@ def write_manifest(path: str, experiment: str, seed: int, n_paths: int, params: 
 def read_manifest(path: str) -> dict:
     with open(path, "r", encoding="utf-8") as fh:
         data = json.load(fh)
+    if not isinstance(data, dict):
+        raise FollmerLabError(f"manifest must be a JSON object, got {data!r}")
     for key in ("experiment", "seed", "n_paths"):
         if key not in data:
             raise FollmerLabError(f"manifest missing {key!r}")

@@ -55,25 +55,6 @@ class GridSpec:
             raise GridError("degenerate grid")
         return arr
 
-    def to_dict(self) -> dict:
-        return {
-            "t_max": self.t_max,
-            "base_step": self.base_step,
-            "refinements": [list(r) for r in self.refinements],
-            "extra_points": list(self.extra_points),
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "GridSpec":
-        return cls(
-            t_max=float(data["t_max"]),
-            base_step=float(data["base_step"]),
-            refinements=tuple(
-                (float(a), float(l), int(n)) for a, l, n in data.get("refinements", [])
-            ),
-            extra_points=tuple(float(t) for t in data.get("extra_points", [])),
-        )
-
 
 def step_value(times: np.ndarray, values: np.ndarray, t: float) -> float:
     """Value at t of a step path sampled at ``times``: the value at the last time <= t.

@@ -13,16 +13,10 @@ from .streams import fill_paths
 
 @dataclass
 class PathBatch:
-    """Per-path per-gridpoint values plus the stream bookkeeping to replay them."""
+    """Per-path per-gridpoint values on a shared time grid."""
 
     times: np.ndarray
     values: np.ndarray  # shape (n_paths, len(times))
-    seed: int
-    kind: str = "paths"
-
-    @property
-    def n_paths(self) -> int:
-        return int(self.values.shape[0])
 
     def at_time(self, t: float) -> np.ndarray:
         """Column of values at an exact grid time."""
@@ -50,4 +44,4 @@ def simulate_bm(grid: GridSpec, n_paths: int, seed: int) -> PathBatch:
         return out
 
     values = fill_paths(n_paths, dt.size, fill_block, times.size, seed)
-    return PathBatch(times, values, seed, kind="brownian")
+    return PathBatch(times, values)

@@ -47,12 +47,6 @@ class FiniteMeasurableSpace:
         atoms = tuple(sorted(set().union(*bl)))
         return cls(atoms, bl, tuple(frac(m) for m in mass))
 
-    def block_of(self, atom: str) -> int:
-        for i, b in enumerate(self.blocks):
-            if atom in b:
-                return i
-        raise KeyError(atom)
-
     def measure(self, block_union: FrozenSet[str]) -> Fraction:
         """Mass of a union of blocks (must be measurable)."""
         total = Fraction(0)

@@ -301,21 +301,6 @@ class AdaptedProcess:
         c = frac(c)
         return cls({n: c for n in tree.iter_nodes()})
 
-    @classmethod
-    def from_leaf_values(
-        cls, tree: FilteredTree, leaf_values: Dict[str, Fraction]
-    ) -> "AdaptedProcess":
-        """Martingale closure of a terminal variable: E[X_T | F_t] at each node."""
-        vals: Dict[str, Fraction] = {}
-        for n in reversed(list(tree.iter_nodes())):
-            if tree.is_leaf(n):
-                vals[n] = frac(leaf_values[n])
-            else:
-                vals[n] = sum(
-                    (tree.prob[c] * vals[c] for c in tree.children[n]), Fraction(0)
-                )
-        return cls(vals)
-
     def to_dict(self) -> Dict[str, str]:
         return {n: frac_str(v) for n, v in self.values.items()}
 
@@ -340,9 +325,6 @@ class PredictableProcess:
     def value_after(self, node: str) -> Fraction:
         """Process value at time depth(node)+1 for the children of ``node``."""
         return self.steps[node]
-
-    def as_adapted(self, tree: FilteredTree) -> AdaptedProcess:
-        return AdaptedProcess({n: self.value_on(tree, n) for n in tree.iter_nodes()})
 
     def to_dict(self) -> dict:
         return {
@@ -382,11 +364,6 @@ class StoppingTime:
             if n in self.nodes:
                 return n
         return None
-
-    def time_at(self, tree: FilteredTree, leaf: str) -> Optional[int]:
-        """Stopping time of the path through ``leaf``; None means never."""
-        n = self.stop_node_on_path(tree, leaf)
-        return None if n is None else tree.depth[n]
 
     def allows_never(self, tree: FilteredTree) -> bool:
         """True when some leaf's path meets no stop node.

@@ -1,15 +1,23 @@
 """CLI exit-code contract, file outputs, replay determinism."""
 
+import contextlib
+import io
 import json
+import math
 import os
 import subprocess
 import sys
+import tempfile
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import follmer_lab
 from follmer_lab.cli import main
+from follmer_lab.mc import streams
+from follmer_lab.mc.gallery import PARAMS
 from follmer_lab.corpus import binary_example
 from follmer_lab.follmer import FollmerPair, construct_follmer
 from follmer_lab.trees import AdaptedProcess, FilteredTree
@@ -304,20 +312,97 @@ def test_selftest_passes(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
-    "experiment, params, named",
+    "fields, named",
     [
-        ("fatou", {"probes": [0.5, 0.5000000000001]}, "time 0.5 is not a grid point"),
-        ("exp_decay", {"ts": [0]}, "ts entry 0 is not a positive number"),
-        ("exp_decay", {"ts": ["a"]}, "ts entry 'a' is not a positive number"),
-        ("reciprocal_bessel", {"ts": [-1]}, "ts entry -1 is not a positive number"),
-        ("reciprocal_bessel", {"fp_steps": 0}, "fp_steps must be at least 1"),
+        (
+            {"experiment": "fatou", "params": {"probes": [0.5, 0.5000000000001]}},
+            "time 0.5 is not a grid point",
+        ),
+        ({"experiment": "exp_decay", "params": {"ts": [0]}}, "ts entry 0 is not a positive number"),
+        ({"experiment": "exp_decay", "params": {"ts": ["a"]}}, "ts entry 'a' is not a positive number"),
+        ({"experiment": "reciprocal_bessel", "params": {"ts": [-1]}}, "ts entry -1 is not a positive number"),
+        ({"experiment": "reciprocal_bessel", "params": {"fp_steps": 0}}, "fp_steps must be at least 1"),
+        ({"experiment": "single_jump", "params": {"m": None}}, "m must be an integer, got None"),
+        ({"experiment": "extended", "params": {"h": None}}, "h must be a finite number, got None"),
+        ({"experiment": "suicide", "params": {"jumps": None}}, "jumps must be a nonempty list, got None"),
+        ({"experiment": "fatou", "params": {"m_list": 5}}, "m_list must be a nonempty list, got 5"),
+        ({"experiment": "mass_redirect", "params": {"ls": [None]}}, "ls entry None is not an integer"),
+        ({"experiment": "mass_redirect", "params": [1, 2]}, "params must be an object or null, got [1, 2]"),
+        (
+            {"experiment": "bm_check", "params": {"bogus": 3}},
+            "no parameter 'bogus'; it accepts ['base_step', 't_max']",
+        ),
+        ({"experiment": "single_jump", "params": {"m": 2.9}}, "m must be an integer, got 2.9"),
+        ({"experiment": "split_limit", "params": {"n": True}}, "n must be an integer, got True"),
+        ({"experiment": "split_limit", "params": {"n": "3"}}, "n must be an integer, got '3'"),
+        ({"experiment": "bm_check", "seed": None}, "seed must be an integer, got None"),
+        ({"experiment": "bm_check", "seed": 1.7}, "seed must be an integer, got 1.7"),
+        ({"experiment": "bm_check", "n_paths": None}, "n_paths must be an integer, got None"),
     ],
-    ids=["fatou-twin-probes", "exp_decay-ts-0", "exp_decay-ts-str", "bessel-ts-neg", "bessel-fp-0"],
+    ids=[
+        "fatou-twin-probes", "exp_decay-ts-0", "exp_decay-ts-str", "bessel-ts-neg", "bessel-fp-0",
+        "single_jump-m-null", "extended-h-null", "suicide-jumps-null", "fatou-m_list-int",
+        "mass_redirect-ls-null-entry", "params-list", "bm_check-unknown-key", "single_jump-m-2.9",
+        "split_limit-n-true", "split_limit-n-str", "seed-null", "seed-1.7", "n_paths-null",
+    ],
 )
-def test_bad_experiment_params_exit_2_without_traceback(tmp_path, experiment, params, named):
-    manifest = {"experiment": experiment, "seed": 1, "n_paths": 10, "params": params}
+def test_bad_experiment_params_exit_2_without_traceback(tmp_path, fields, named):
+    manifest = {"seed": 1, "n_paths": 10, "params": {}, **fields}
     (tmp_path / "manifest.json").write_text(json.dumps(manifest))
     proc = _run_cli(["mc", "manifest.json", "--out", "out"], tmp_path)
     assert proc.returncode == 2
     assert "Traceback" not in proc.stderr
     assert named in proc.stderr
+    assert not (tmp_path / "out" / "results.csv").exists()
+
+
+def test_mc_manifest_echoes_params_as_given(tmp_path):
+    # an integer for a float parameter, no defaults filled in, and a null params
+    for params in ({"t_max": 2}, None):
+        manifest = {"experiment": "bm_check", "seed": 3, "n_paths": 10, "params": params}
+        (tmp_path / "in.json").write_text(json.dumps(manifest))
+        assert main(["mc", str(tmp_path / "in.json"), "--out", str(tmp_path / "out")]) == 0
+        assert json.loads((tmp_path / "out" / "manifest.json").read_text()) == manifest
+
+
+# One wrong-typed value: never a well-typed one, so no example runs an experiment.
+_WRONG_SCALAR = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.text(max_size=3),
+    st.dictionaries(st.text(max_size=2), st.integers(), max_size=2),
+    st.sampled_from([math.nan, math.inf, -math.inf]),
+)
+_WRONG = st.one_of(_WRONG_SCALAR, st.lists(_WRONG_SCALAR, min_size=1, max_size=3))
+
+
+@st.composite
+def _mistyped_manifests(draw):
+    name = draw(st.sampled_from(sorted(PARAMS)))
+    manifest = {"experiment": name, "seed": 1, "n_paths": 10, "params": {}}
+    field = draw(st.sampled_from(["experiment", "seed", "n_paths", "params", "a parameter"]))
+    if field == "a parameter":
+        manifest["params"] = {draw(st.sampled_from(sorted(PARAMS[name]))): draw(_WRONG)}
+    elif field == "params":  # null and objects are valid params
+        manifest["params"] = draw(_WRONG.filter(lambda v: v is not None and not isinstance(v, dict)))
+    else:
+        manifest[field] = draw(_WRONG)
+    return manifest
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(manifest=_mistyped_manifests())
+def test_mistyped_manifest_exits_2_before_any_draw(manifest):
+    def no_draws(seed, index):
+        raise AssertionError("drew a path before validating the manifest")
+
+    with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as mp:
+        mp.setattr(streams, "path_generator", no_draws)
+        path = os.path.join(tmp, "manifest.json")
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump(manifest, fh)
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            code = main(["mc", path, "--out", os.path.join(tmp, "out")])
+    assert code == 2
+    assert err.getvalue().startswith("error: ")

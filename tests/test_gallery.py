@@ -8,7 +8,7 @@ from scipy.special import ndtr
 
 from follmer_lab.errors import FollmerLabError
 from follmer_lab.mc import streams
-from follmer_lab.mc.gallery import read_manifest, run_experiment, write_manifest
+from follmer_lab.mc.gallery import EXPERIMENTS, PARAMS, read_manifest, run_experiment, write_manifest
 
 
 def test_exp_decay_survival_matches_exponential():
@@ -43,6 +43,10 @@ def test_uniform_rho_full_separation():
     assert res.report["separation"] > 0.9
 
 
+def test_every_experiment_has_a_parameter_table():
+    assert set(PARAMS) == set(EXPERIMENTS)
+
+
 def test_gallery_names():
     res = run_experiment("exp_decay", seed=1, n_paths=2000, params=None)
     assert res.name == "exp_decay"
@@ -61,9 +65,10 @@ def test_manifest_round_trip(tmp_path):
 
 def test_manifest_validation(tmp_path):
     path = tmp_path / "bad.json"
-    path.write_text('{"experiment": "exp_decay"}')
-    with pytest.raises(FollmerLabError):
-        read_manifest(str(path))
+    for text in ('{"experiment": "exp_decay"}', '["exp_decay", 1, 10]'):
+        path.write_text(text)
+        with pytest.raises(FollmerLabError):
+            read_manifest(str(path))
 
 
 def test_experiment_replay_determinism():
@@ -86,6 +91,16 @@ def test_experiment_replay_determinism():
         ("reciprocal_bessel", {"ts": [10**400]}),
         ("reciprocal_bessel", {"fp_steps": -3}),
         ("fatou", {"probes": [0.5, 0.5 + 1e-13]}),
+        ("single_jump", {"m": None}),
+        ("extended", {"h": None}),
+        ("suicide", {"jumps": None}),
+        ("fatou", {"m_list": 5}),
+        ("mass_redirect", {"ls": [None]}),
+        ("mass_redirect", [1, 2]),
+        ("bm_check", {"bogus": 3}),
+        ("single_jump", {"m": 2.9}),
+        ("split_limit", {"n": True}),
+        ("split_limit", {"n": "3"}),
     ],
 )
 def test_bad_params_are_refused_before_any_draw(monkeypatch, name, params):

@@ -32,7 +32,6 @@ from follmer_lab.mc.gallery import (
     exp_decay_family,
     exp_decay_kill_times,
     reciprocal_bessel_samples,
-    uniform_rho_samples,
 )
 from follmer_lab.mc.grids import GridSpec, step_value
 from follmer_lab.mc.paths import simulate_bm
@@ -229,10 +228,6 @@ def oracle_kill_times(n_paths, seed):
     )[:, 0]
 
 
-def oracle_uniform_rho(n_paths, seed):
-    return per_path(n_paths, lambda i, rng: np.array([1.0 + rng.random(), 0.0, 1.0]), 3, seed)
-
-
 # -- the families under test, as (block, oracle) functions of (n_paths, seed) --------
 
 
@@ -301,7 +296,6 @@ def _cases():
             lambda n, s: oracle_suicide(SUICIDE_G, 6, SUICIDE_GRID, n, s),
         ),
         "exp_decay_kill_times": (exp_decay_kill_times, oracle_kill_times),
-        "uniform_rho": (uniform_rho_samples, oracle_uniform_rho),
         "reciprocal_bessel": (
             lambda n, s: reciprocal_bessel_samples([0.5, 1.0, 2.0], 64, n, s),
             lambda n, s: oracle_reciprocal([0.5, 1.0, 2.0], 64, n, s),

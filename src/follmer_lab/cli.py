@@ -111,7 +111,7 @@ def cmd_follmer(args) -> int:
     out_dir = _out_dir(args)
     pair_path = os.path.join(out_dir, "pair.json")
     pair.to_json(pair_path)
-    ledger = verify_ky_all(pair, tree, z, collect_rows=True)
+    ledger = verify_ky_all(pair, tree, z)
     ledger_path = os.path.join(out_dir, "ky_ledger.csv")
     write_ky_ledger(ledger, ledger_path)
     print(pair_path)
@@ -122,7 +122,7 @@ def cmd_follmer(args) -> int:
 def cmd_verify(args) -> int:
     tree, z = _load_tree(args.tree_file)
     pair = FollmerPair.from_json(args.pair_file)
-    ledger = verify_ky_all(pair, tree, z, collect_rows=True)
+    ledger = verify_ky_all(pair, tree, z)
     ledger_path = os.path.join(_out_dir(args), "ky_ledger.csv")
     write_ky_ledger(ledger, ledger_path)
     print(ledger_path)
@@ -180,12 +180,7 @@ def _run_mc(manifest: dict, out_dir: str) -> int:
 
 
 def cmd_mc(args) -> int:
-    manifest = read_manifest(args.manifest_file)
-    if args.seed is not None:
-        manifest["seed"] = args.seed
-    if args.paths is not None:
-        manifest["n_paths"] = args.paths
-    return _run_mc(manifest, _out_dir(args))
+    return _run_mc(read_manifest(args.manifest_file), _out_dir(args))
 
 
 def cmd_gallery(args) -> int:
@@ -197,8 +192,8 @@ def cmd_gallery(args) -> int:
         return EXIT_USAGE
     manifest = {
         "experiment": args.name,
-        "seed": args.seed if args.seed is not None else 0,
-        "n_paths": args.paths if args.paths is not None else 10000,
+        "seed": args.seed,
+        "n_paths": args.paths,
         "params": {},
     }
     return _run_mc(manifest, _out_dir(args))
@@ -215,7 +210,7 @@ def cmd_selftest(args) -> int:
         if not ok:
             failures.append(name)
 
-    rng = _random.Random(args.seed if args.seed is not None else 0)
+    rng = _random.Random(args.seed)
     for idx in range(5):
         tree, z = random_case(rng)
         pair = construct_follmer(tree, z)
@@ -256,12 +251,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = p.add_subparsers(dest="command", required=True)
 
-    def common(sp, seed=False, paths=False):
+    def common(sp):
         sp.add_argument("--out", help="output directory (default: current)")
-        if seed:
-            sp.add_argument("--seed", type=int, default=None)
-        if paths:
-            sp.add_argument("--paths", type=int, default=None, help="number of Monte-Carlo paths")
 
     sp = sub.add_parser("decompose", help="additive and multiplicative decompositions of a tree supermartingale")
     sp.add_argument("tree_file")
@@ -297,16 +288,18 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("mc", help="run a Monte-Carlo experiment from a manifest")
     sp.add_argument("manifest_file")
-    common(sp, seed=True, paths=True)
+    common(sp)
     sp.set_defaults(func=cmd_mc)
 
     sp = sub.add_parser("gallery", help="run a named gallery example")
     sp.add_argument("name")
-    common(sp, seed=True, paths=True)
+    common(sp)
+    sp.add_argument("--seed", type=int, default=0)
+    sp.add_argument("--paths", type=int, default=10000, help="number of Monte-Carlo paths")
     sp.set_defaults(func=cmd_gallery)
 
     sp = sub.add_parser("selftest", help="quick end-to-end checks")
-    common(sp, seed=True)
+    sp.add_argument("--seed", type=int, default=0)
     sp.set_defaults(func=cmd_selftest)
 
     return p
@@ -322,13 +315,7 @@ def main(argv=None) -> int:
         suffix = f" (node {node})" if node else ""
         print(f"error: {exc}{suffix}", file=sys.stderr)
         return EXIT_USAGE
-    except FollmerLabError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except FileNotFoundError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except (ValueError, json.JSONDecodeError) as exc:
+    except (FollmerLabError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

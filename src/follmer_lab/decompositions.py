@@ -22,14 +22,13 @@ from fractions import Fraction
 from math import prod
 from typing import Dict, List, Optional, Tuple
 
-from .errors import NotSupermartingaleError
 from .trees import (
     AdaptedProcess,
     FilteredTree,
     PredictableProcess,
     StoppingTime,
-    is_supermartingale,
-    one_step_expectation,
+    one_step_means,
+    require_supermartingale,
 )
 
 
@@ -70,26 +69,13 @@ class MultiplicativeDecomposition:
         }
 
 
-def _require_supermartingale(tree: FilteredTree, z: AdaptedProcess) -> None:
-    """Raise :class:`NotSupermartingaleError` unless the (memoised) verdict is ok."""
-    rep = is_supermartingale(tree, z)
-    if not rep.ok:
-        raise NotSupermartingaleError(
-            f"not a supermartingale: {rep.reason} at node {rep.first_violation_node!r}",
-            node=rep.first_violation_node,
-        )
-
-
 def doob_meyer(tree: FilteredTree, z: AdaptedProcess) -> AdditiveDecomposition:
     """Additive decomposition: D gains E[Z_{t+1}|F_t] - Z_t at each step, M = Z - D."""
-    _require_supermartingale(tree, z)
+    means = require_supermartingale(tree, z)
     steps: Dict[str, Fraction] = {}
     m_vals: Dict[str, Fraction] = {tree.root: z[tree.root]}
     d_on: Dict[str, Fraction] = {tree.root: Fraction(0)}
-    for n in tree.iter_nodes():
-        if tree.is_leaf(n):
-            continue
-        e = one_step_expectation(tree, z, n)
+    for n, e in means.items():  # internal nodes, parents first
         d_next = d_on[n] + e - z[n]
         steps[n] = d_next
         for c in tree.children[n]:
@@ -109,41 +95,30 @@ def multiplicative(tree: FilteredTree, z: AdaptedProcess) -> MultiplicativeDecom
     zero hit is announced: the factor drops to 0 and M crosses unchanged; at
     or below a zero of Z both parts are frozen.
     """
-    _require_supermartingale(tree, z)
+    means = require_supermartingale(tree, z)
     steps: Dict[str, Fraction] = {}
-    means: Dict[str, Fraction] = {}
     m_vals: Dict[str, Fraction] = {tree.root: z[tree.root]}
     d_on: Dict[str, Fraction] = {tree.root: Fraction(1)}
-    first_zero: List[str] = []
     announced: List[str] = []
     surprise: List[str] = []
-    for n in tree.iter_nodes():
-        if z[n] == 0 and (tree.parent[n] is None or z[tree.parent[n]] != 0):
-            first_zero.append(n)
-        if tree.is_leaf(n):
-            continue
+    for n, e in means.items():  # internal nodes, parents first
         if z[n] == 0:
             steps[n] = d_on[n]
             for c in tree.children[n]:
                 d_on[c] = d_on[n]
                 m_vals[c] = m_vals[n]
             continue
-        e = means[n] = one_step_expectation(tree, z, n)
         d_next = d_on[n] * e / z[n]  # 0 exactly when the hit is announced
         steps[n] = d_next
         for c in tree.children[n]:
             d_on[c] = d_next
             m_vals[c] = m_vals[n] if e == 0 else m_vals[n] * z[c] / e
-    for n in first_zero:
-        par = tree.parent[n]  # above a first zero Z > 0, so its mean is in means
-        if par is not None and means[par] == 0:
-            announced.append(n)
-        else:
-            surprise.append(n)
+            if z[c] == 0:  # a first zero: Z_0 = 1, and Z > 0 above c
+                (announced if e == 0 else surprise).append(c)
     return MultiplicativeDecomposition(
         AdaptedProcess(m_vals),
         PredictableProcess(Fraction(1), steps),
-        StoppingTime(frozenset(first_zero)),
+        StoppingTime(frozenset(announced + surprise)),
         StoppingTime(frozenset(announced)),
         StoppingTime(frozenset(surprise)),
     )
@@ -154,12 +129,7 @@ def predictable_projection(tree: FilteredTree, z: AdaptedProcess) -> Predictable
 
     The time-0 value is Z_0 itself (trivial initial sigma-algebra).
     """
-    steps = {
-        n: one_step_expectation(tree, z, n)
-        for n in tree.iter_nodes()
-        if not tree.is_leaf(n)
-    }
-    return PredictableProcess(z[tree.root], steps)
+    return PredictableProcess(z[tree.root], dict(one_step_means(tree, z)))
 
 
 # -- uniqueness of the multiplicative pair -----------------------------------

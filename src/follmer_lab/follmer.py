@@ -1,10 +1,19 @@
 """Exact Föllmer pairs on the cemetery-extended tree, and their diagnostics.
 
-The construction integrates out the uniform quantile randomization of the
-killing time in closed form: with the multiplicative split Z = M * D, the
-outcome "history ends at node n, killed at time depth(n)+1" gets mass
-P[n] * M[n] * (D at n - D after n), and each surviving leaf keeps mass
-P[leaf] * Z[leaf].  Kill targets are either the cemetery state or a freeze
+The pair is fixed by one per-node fact, the Kunita-Yoeurp identity: the
+mass that survives past node n is P[n] * Z[n].  So the outcome "history
+ends at n, killed at time depth(n)+1" has mass
+
+    P[n] * (Z[n] - E[Z_{t+1} | F_t](n)),
+
+the mass that reaches n but not its children, and each surviving leaf keeps
+P[leaf] * Z[leaf].  This is Föllmer's (1972) exit measure, read off the
+one-step means.  It is the quantile-killing construction with the uniform
+randomization integrated out: with the multiplicative split Z = M * D, that
+construction gives the killed outcome at n the mass P[n] * M[n] * (D_n -
+D_{n+1}).  Since M * D = Z, and M[n] * D_{n+1} is the one-step mean at n
+(both are 0 at and below a zero of Z and at an announced zero hit), the two
+masses are equal.  Kill targets are either the cemetery state or a freeze
 state x*; the two choices produce the non-uniqueness witness.
 
 Verification checks the Kunita-Yoeurp identity Q[A and {rho < tau}] =
@@ -23,7 +32,6 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Dict, Iterable, List, Optional, Tuple
 
-from .decompositions import multiplicative
 from .errors import (
     FreezeTargetError,
     MartingaleWitnessError,
@@ -38,6 +46,7 @@ from .trees import (
     frac,
     frac_str,
     is_supermartingale,
+    require_supermartingale,
 )
 
 CEMETERY = "cemetery"
@@ -103,9 +112,12 @@ class FollmerPair:
             try:
                 kt = row["kill_time"]
                 kt = None if kt in (None, "never") else int(kt)
-                o = ExtendedOutcome(str(row["history_node"]), kt, row.get("target"))
+                target = row.get("target")
+                if target is not None and not isinstance(target, str):
+                    raise TypeError(f"target {target!r} is not a string")
+                o = ExtendedOutcome(str(row["history_node"]), kt, target)
                 mass = frac(row["mass"])
-            except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
+            except (ArithmeticError, KeyError, TypeError, ValueError) as exc:
                 raise PairValidationError(f"malformed outcome {row!r}: {exc!r}") from exc
             if o in outcomes:
                 raise PairValidationError(f"{_describe(o)} is listed twice")
@@ -156,28 +168,21 @@ def construct_follmer(
     z: AdaptedProcess,
     target: str = CEMETERY,
 ) -> FollmerPair:
-    """Quantile-killing construction of a Föllmer pair for Z.
+    """The Föllmer pair of Z, from its one-step means (see the module docstring).
 
     ``target`` is :data:`CEMETERY` or a freeze-state label x* (then no charged
-    path may end in x*).  The uniform randomization is integrated out exactly:
-    the killing factor D is a step function along each path, so kill-time
-    masses are its successive decrements weighted by the martingale part.
+    path may end in x*).  Z is checked first, so a non-supermartingale is
+    reported before an inadmissible freeze state.
     """
-    # multiplicative checks Z first, so a non-supermartingale is reported
-    # before an inadmissible freeze state
-    dec = multiplicative(tree, z)
+    means = require_supermartingale(tree, z)
     if target != CEMETERY:
         _check_freeze_admissible(tree, target)
-    m, d = dec.martingale, dec.factor
     outcomes: Dict[ExtendedOutcome, Fraction] = {}
     for n in tree.iter_nodes():
-        if not tree.is_leaf(n):
-            drop = d.value_on(tree, n) - d.value_after(n)
-            if drop != 0:
-                mass = tree.path_prob[n] * m[n] * drop
-                if mass != 0:
-                    o = ExtendedOutcome(n, tree.depth[n] + 1, target)
-                    outcomes[o] = outcomes.get(o, Fraction(0)) + mass
+        if n in means:
+            killed = tree.path_prob[n] * (z[n] - means[n])
+            if killed != 0:
+                outcomes[ExtendedOutcome(n, tree.depth[n] + 1, target)] = killed
         else:
             alive = tree.path_prob[n] * z[n]
             if alive != 0:
@@ -279,22 +284,19 @@ def verify_ky(
     tree: FilteredTree,
     z: AdaptedProcess,
     rho: StoppingTime,
-    rho_id: str = "rho",
-    collect_rows: bool = True,
 ) -> KYReport:
     """Exact per-atom comparison of Q[A and {rho < tau}] with E_P[Z_rho 1_A].
 
-    One atom per stop node; paths the stopping time never reaches contribute
-    atoms with both sides zero (the indicator vanishes there).
+    One atom per stop node, in rows with ``rho_id`` ``rho``; paths the
+    stopping time never reaches contribute atoms with both sides zero (the
+    indicator vanishes there).
     """
     survivor_mass = _survivor_mass_by_node(tree, pair)
-    rep = _check_atoms(
-        tree, z, survivor_mass, ((rho_id, s) for s in sorted(rho.nodes)), collect_rows
-    )
-    if collect_rows and rho.allows_never(tree):
+    rep = _check_atoms(tree, z, survivor_mass, (("rho", s) for s in sorted(rho.nodes)))
+    if rho.allows_never(tree):
         for leaf in tree.leaves:
             if rho.stop_node_on_path(tree, leaf) is None:
-                rep.rows.append(KYAtomRow(rho_id, leaf, Fraction(0), Fraction(0)))
+                rep.rows.append(KYAtomRow("rho", leaf, Fraction(0), Fraction(0)))
     return rep
 
 
@@ -303,7 +305,6 @@ def _check_atoms(
     z: AdaptedProcess,
     survivor_mass: Dict[str, Fraction],
     atoms: Iterable[Tuple[str, str]],
-    collect_rows: bool,
 ) -> KYReport:
     """Compare survivor mass with P[s] * Z[s] at each (rho_id, stop node s)."""
     rep = KYReport(True)
@@ -313,8 +314,7 @@ def _check_atoms(
             rep.ok = False
             if rep.first_failure is None:
                 rep.first_failure = row
-        if collect_rows:
-            rep.rows.append(row)
+        rep.rows.append(row)
     return rep
 
 
@@ -322,7 +322,6 @@ def verify_ky_all(
     pair: FollmerPair,
     tree: FilteredTree,
     z: AdaptedProcess,
-    collect_rows: bool = False,
 ) -> KYReport:
     """Certify the KY identity for every stopping time, one atom per node.
 
@@ -334,7 +333,7 @@ def verify_ky_all(
     """
     survivor_mass = _survivor_mass_by_node(tree, pair)
     atoms = ((f"t{tree.depth[s]}", s) for s in tree.iter_nodes())
-    rep = _check_atoms(tree, z, survivor_mass, atoms, collect_rows)
+    rep = _check_atoms(tree, z, survivor_mass, atoms)
     rep.n_stopping_times = count_stopping_times(tree)
     rep.pair_problem = pair_problem(tree, pair)
     rep.ok = rep.ok and rep.pair_problem is None

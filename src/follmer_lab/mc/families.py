@@ -20,7 +20,6 @@ from dataclasses import dataclass
 from typing import Callable, Dict, Optional, Sequence, Tuple
 
 import numpy as np
-from scipy.special import ndtr
 
 from .bridges import (
     SIGMA_MAX,
@@ -240,6 +239,7 @@ def mass_redirect(
     form).  The estimate of the redirected mass on B_l is bounded below by
     (1-c)/2 up to sampling error, for every member of the family.
     """
+    from scipy.special import ndtr  # slow to import, so only where it is called
     if not 0.0 <= c < 1.0:
         raise ValueError(f"need 0 <= c < 1, got {c}")
     l_at_rho = np.asarray(l_at_rho, dtype=float)
@@ -299,10 +299,12 @@ def split_limit_demo(n: int, n_paths: int, seed: int) -> Dict[str, SplitLimitRes
     why the conditioned estimator is the quoted one.
 
     Both signs reweight the same paths, so each path is drawn once and the
-    result maps "+" and "-" to their reweightings.
+    result maps "+" and "-" to their reweightings.  ``n`` is at most 372:
+    past that exp(-2n) underflows to 0.
     """
-    if n < 1:
-        raise ValueError(f"need n >= 1, got {n}")
+    from scipy.special import ndtr  # slow to import, so only where it is called
+    if not 1 <= n <= 372:
+        raise ValueError(f"need 1 <= n <= 372, got {n}")
     level = 2.0**n
     resid_std = math.sqrt(math.exp(-2.0 * n) / 2.0)
     gn_std = math.sqrt((1.0 - math.exp(-2.0 * n)) / 2.0)

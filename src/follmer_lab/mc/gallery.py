@@ -16,12 +16,15 @@ path is drawn:
 - a parameter's type is its default's: an int parameter takes a JSON
   integer, a float parameter a finite number (an integer is read as a
   float), a list parameter (tuple default) a nonempty list of those; the
-  probe times ``ts`` must also be positive.
+  probe times ``ts`` must also be positive;
+- the burn-in indices ``m`` and ``m_list`` entries, the split level ``n``
+  and ``fp_steps`` are at least 1, and the resolution ``k`` at least 0
+  (:data:`MINIMUM`).
 
-Range rules that the library below already enforces (grid spans, window
-sizes, ``m >= 1``, ...) are left to it.  The written ``manifest.json``
-echoes ``params`` exactly as given, without the defaults, so a manifest
-replays itself.
+Other range rules that the library below enforces (grid spans, window
+sizes, the upper bound on ``n``, ...) are left to it.  The written
+``manifest.json`` echoes ``params`` exactly as given, without the defaults,
+so a manifest replays itself.
 """
 
 from __future__ import annotations
@@ -33,7 +36,6 @@ from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
-from scipy.special import ndtr
 
 from ..errors import FollmerLabError
 from .bridges import SIGMA_MAX, SimpleNonincreasing, simple_approx, single_jump_approx, suicide_martingale
@@ -188,10 +190,9 @@ def run_reciprocal_bessel(seed: int, n_paths: int, params: dict) -> ExperimentRe
     oracle estimates that first-passage probability by bridge-corrected
     Monte Carlo.
     """
+    from scipy.special import ndtr  # slow to import, so only where it is called
     probe = sorted(params["ts"])
     steps = params["fp_steps"]
-    if steps < 1:
-        raise FollmerLabError(f"fp_steps must be at least 1, got {steps}")
     res = ExperimentResult("reciprocal_bessel")
     vals = reciprocal_bessel_samples(probe, steps, n_paths, seed)
     xs, ys = [], []
@@ -537,6 +538,9 @@ PARAMS: Dict[str, Dict[str, object]] = {
     "bm_check": {"t_max": 1.0, "base_step": 1 / 32},
 }
 POSITIVE = {"ts"}  # float parameters whose values must also be > 0
+# lower bounds of int parameters (for a list, of each entry), checked before
+# 2.0**-m and the like can overflow
+MINIMUM = {"m": 1, "n": 1, "fp_steps": 1, "m_list": 1, "k": 0}
 
 
 def _checked(key: str, x, kind: type, entry: bool = False):
@@ -544,6 +548,9 @@ def _checked(key: str, x, kind: type, entry: bool = False):
     ok = isinstance(x, int if kind is int else (int, float)) and not isinstance(x, bool)
     if ok and kind is float:
         ok = abs(x) <= sys.float_info.max and (x > 0 or key not in POSITIVE)  # False for nan
+    low = MINIMUM.get(key)
+    if ok and low is not None and x < low:
+        raise FollmerLabError(f"{key} must be at least {low}, got {x!r}")
     if ok:
         return kind(x)
     what = "an integer" if kind is int else "a positive number" if key in POSITIVE else "a finite number"

@@ -8,6 +8,22 @@ root.  All processes, stopping times and conditional expectations on such a
 tree are exact, so identities can be tested as equalities rather than up to
 tolerances.
 
+A tree file (:meth:`FilteredTree.from_json`) is valid exactly when the one
+breadth-first walk of :class:`FilteredTree` accepts it; each broken rule is
+a :class:`TreeValidationError` naming the node where there is one:
+
+- the top level is an object with a ``nodes`` list and a ``horizon`` that
+  is an integer >= 0 (not a boolean);
+- each node is an object with an ``id``, unique among the nodes; exactly
+  one node has a null ``parent``, and every other parent names a node;
+- ``state`` is absent, a string or null;
+- ``prob`` (required below the root) and ``z`` are an integer or a
+  ``num/den`` string, never a boolean or a float;
+- every node is reachable from the root, each sibling block has
+  probabilities > 0 summing to exactly 1, and every leaf sits at the
+  horizon;
+- ``z`` is given at every node or at none.
+
 Stopping times are represented extensionally: an antichain of nodes plus the
 paths that never stop.  A stopping time is *finite* when every leaf passes
 through a stop node.
@@ -18,9 +34,9 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple
 
-from .errors import EnumerationCapError, TreeValidationError
+from .errors import EnumerationCapError, NotSupermartingaleError, TreeValidationError
 
 Rational = Fraction
 
@@ -32,11 +48,12 @@ def frac(x) -> Fraction:
 
     Plain ASCII ``digits/digits`` strings, the form :func:`frac_str` writes
     for nonnegative values, are split and read with ``int``; every other
-    string goes through ``Fraction(str)``.  Anything else is a ``TypeError``.
+    string goes through ``Fraction(str)``.  Anything else, booleans
+    included, is a ``TypeError``.
     """
     if isinstance(x, Fraction):
         return x
-    if isinstance(x, int):
+    if isinstance(x, int) and not isinstance(x, bool):
         return Fraction(x)
     if isinstance(x, str):
         num, slash, den = x.partition("/")
@@ -79,101 +96,95 @@ class FilteredTree:
     """
 
     def __init__(self, horizon: int, nodes: Sequence[dict]):
-        if horizon < 0:
-            raise TreeValidationError(f"horizon must be >= 0, got {horizon}")
-        self.horizon = int(horizon)
+        if isinstance(horizon, bool) or not isinstance(horizon, int) or horizon < 0:
+            raise TreeValidationError(f"horizon must be an integer >= 0, got {horizon!r}")
+        self.horizon = horizon
         self.parent: Dict[str, Optional[str]] = {}
         self.prob: Dict[str, Fraction] = {}
         self.state: Dict[str, Optional[str]] = {}
         self.children: Dict[str, List[str]] = {}
-        order: List[str] = []
-        for spec in nodes:
+        roots: List[str] = []
+        for k, spec in enumerate(nodes):
+            if not isinstance(spec, dict) or "id" not in spec:
+                raise TreeValidationError(
+                    f"node entry {k} must be an object with an 'id', got {spec!r}"
+                )
             nid = str(spec["id"])
             if nid in self.parent:
                 raise TreeValidationError(f"duplicate node id {nid!r}", node=nid)
             par = spec.get("parent")
             par = None if par is None else str(par)
+            state = spec.get("state")
+            if state is not None and not isinstance(state, str):
+                raise TreeValidationError(
+                    f"state at node {nid!r} must be a string or null, got {state!r}",
+                    node=nid,
+                )
             self.parent[nid] = par
-            self.state[nid] = spec.get("state")
-            self.children[nid] = []
+            self.state[nid] = state
+            self.children.setdefault(nid, [])
             if par is None:
                 self.prob[nid] = Fraction(1)
+                roots.append(nid)
             else:
-                if "prob" not in spec or spec["prob"] is None:
+                if spec.get("prob") is None:
                     raise TreeValidationError(
                         f"non-root node {nid!r} needs an edge probability", node=nid
                     )
                 self.prob[nid] = _node_rational(spec["prob"], nid, "edge probability")
-            order.append(nid)
-        roots = [n for n in order if self.parent[n] is None]
+                self.children.setdefault(par, []).append(nid)
         if len(roots) != 1:
             raise TreeValidationError(f"need exactly one root, got {len(roots)}")
-        self.root = roots[0]
-        for nid in order:
-            par = self.parent[nid]
-            if par is not None:
-                if par not in self.children:
-                    raise TreeValidationError(
-                        f"node {nid!r} references unknown parent {par!r}", node=nid
-                    )
-                self.children[par].append(nid)
+        if len(self.children) > len(self.parent):
+            nid, par = next(
+                (c, p) for p, kids in self.children.items() if p not in self.parent for c in kids
+            )
+            raise TreeValidationError(
+                f"node {nid!r} references unknown parent {par!r}", node=nid
+            )
 
-        # depths via BFS from the root, which also fixes the node order and
-        # the start of each depth level in it; detects orphan cycles
+        # One breadth-first walk fixes the node order, the start of each
+        # depth level in it, the depths, path probabilities and leaves, and
+        # checks each sibling block and each leaf's depth as it reaches them.
+        self.root = roots[0]
         self.depth: Dict[str, int] = {self.root: 0}
-        self._order: List[str] = []
-        self._levels: List[int] = []
-        frontier = [self.root]
-        while frontier:
-            self._levels.append(len(self._order))
-            self._order.extend(frontier)
-            nxt: List[str] = []
-            for n in frontier:
-                for c in self.children[n]:
-                    self.depth[c] = self.depth[n] + 1
-                    nxt.append(c)
-            frontier = nxt
+        self.path_prob: Dict[str, Fraction] = {self.root: Fraction(1)}
+        self.leaves: List[str] = []
+        self._order: List[str] = [self.root]
+        self._levels: List[int] = [0]
+        for n in self._order:  # grows as the walk appends children
+            kids = self.children[n]
+            d = self.depth[n]
+            if not kids:
+                if d != horizon:
+                    raise TreeValidationError(
+                        f"leaf {n!r} has depth {d}, horizon is {horizon}", node=n
+                    )
+                self.leaves.append(n)
+                continue
+            if len(self._levels) == d + 1:
+                self._levels.append(len(self._order))
+            total = Fraction(0)
+            for c in kids:
+                p = self.prob[c]
+                if p <= 0:
+                    raise TreeValidationError(
+                        f"edge probability into {c!r} must be > 0, got {p}", node=c
+                    )
+                total += p
+                self.depth[c] = d + 1
+                self.path_prob[c] = self.path_prob[n] * p
+                self._order.append(c)
+            if total != 1:
+                raise TreeValidationError(
+                    f"child probabilities at {n!r} sum to {total}, not 1", node=n
+                )
         self._levels.append(len(self._order))
-        if len(self.depth) != len(order):
-            missing = sorted(set(order) - set(self.depth))
+        if len(self._order) != len(self.parent):
+            missing = sorted(set(self.parent) - set(self.depth))
             raise TreeValidationError(
                 f"nodes unreachable from root: {missing}", node=missing[0]
             )
-
-        self._validate()
-
-        # path probability of the atom at each node
-        self.path_prob: Dict[str, Fraction] = {}
-        for n in self.iter_nodes():
-            par = self.parent[n]
-            self.path_prob[n] = (
-                Fraction(1) if par is None else self.path_prob[par] * self.prob[n]
-            )
-        self.leaves: List[str] = [n for n in self.iter_nodes() if not self.children[n]]
-
-    def _validate(self) -> None:
-        for n, kids in self.children.items():
-            if kids:
-                total = Fraction(0)
-                for c in kids:
-                    if self.prob[c] <= 0:
-                        raise TreeValidationError(
-                            f"edge probability into {c!r} must be > 0, "
-                            f"got {self.prob[c]}",
-                            node=c,
-                        )
-                    total += self.prob[c]
-                if total != 1:
-                    raise TreeValidationError(
-                        f"child probabilities at {n!r} sum to {total}, not 1", node=n
-                    )
-            else:
-                if self.depth[n] != self.horizon:
-                    raise TreeValidationError(
-                        f"leaf {n!r} has depth {self.depth[n]}, horizon is "
-                        f"{self.horizon}",
-                        node=n,
-                    )
 
     # -- structure helpers -------------------------------------------------
 
@@ -252,7 +263,9 @@ class FilteredTree:
 
     @classmethod
     def from_dict(cls, data: dict) -> Tuple["FilteredTree", Optional["AdaptedProcess"]]:
-        tree = cls(data["horizon"], data["nodes"])
+        if not isinstance(data, dict) or not isinstance(data.get("nodes"), list):
+            raise TreeValidationError("a tree file must be an object with a 'nodes' list")
+        tree = cls(data.get("horizon"), data["nodes"])
         zvals = {
             str(spec["id"]): _node_rational(spec["z"], str(spec["id"]), "process value")
             for spec in data["nodes"]
@@ -283,15 +296,15 @@ class FilteredTree:
 class AdaptedProcess:
     """One exact rational per node; adaptedness is structural.
 
-    The supermartingale verdict is memoised per tree on the instance (see
-    :func:`is_supermartingale`), so ``values`` must not be mutated after
-    construction: build a new process instead.
+    The one-step means and the supermartingale verdict are memoised per
+    tree on the instance (see :func:`one_step_means`), so ``values`` must
+    not be mutated after construction: build a new process instead.
     """
 
     values: Dict[str, Fraction]
-    _verdicts: Dict["FilteredTree", "SupermartingaleReport"] = field(
-        default_factory=dict, init=False, repr=False, compare=False
-    )
+    _one_step: Dict[
+        "FilteredTree", Tuple[Dict[str, Fraction], "SupermartingaleReport"]
+    ] = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __getitem__(self, node: str) -> Fraction:
         return self.values[node]
@@ -459,47 +472,68 @@ class SupermartingaleReport:
     reason: Optional[str] = None
 
 
+def one_step_means(tree: FilteredTree, z: AdaptedProcess) -> Dict[str, Fraction]:
+    """E[Z_{t+1} | F_t] at every internal node, in breadth-first order.
+
+    Computed once per (tree, z), in the pass that decides
+    :func:`is_supermartingale`, and memoised with that verdict on ``z``.
+    The dict is shared: callers must not mutate it.
+    """
+    return _one_step(tree, z)[0]
+
+
 def is_supermartingale(tree: FilteredTree, z: AdaptedProcess) -> SupermartingaleReport:
     """Check Z >= 0, Z_0 = 1 and E[Z_{t+1}|F_t] <= Z_t at every internal node.
 
     Exact comparisons throughout; ``is_martingale`` reports equality at every
-    internal node.  The verdict is memoised on ``z`` per tree object, so the
-    checks run once however many operations ask.
+    internal node.  The first negative value (breadth-first) is reported
+    before a wrong initial value, and that before the first one-step
+    violation.  The verdict is memoised with :func:`one_step_means`.
     """
-    rep = z._verdicts.get(tree)
-    if rep is None:
-        rep = z._verdicts[tree] = _check_supermartingale(tree, z)
-    return rep
+    return _one_step(tree, z)[1]
 
 
-def _check_supermartingale(tree: FilteredTree, z: AdaptedProcess) -> SupermartingaleReport:
-    for n in tree.iter_nodes():
-        if z[n] < 0:
-            return SupermartingaleReport(
-                False, False, first_violation_node=n, reason="negative value"
-            )
-    if z[tree.root] != 1:
-        return SupermartingaleReport(
-            False,
-            False,
-            first_violation_node=tree.root,
-            reason=f"initial value {z[tree.root]} != 1",
+def require_supermartingale(tree: FilteredTree, z: AdaptedProcess) -> Dict[str, Fraction]:
+    """The one-step means of Z; :class:`NotSupermartingaleError` unless Z is a supermartingale."""
+    rep = is_supermartingale(tree, z)
+    if not rep.ok:
+        raise NotSupermartingaleError(
+            f"not a supermartingale: {rep.reason} at node {rep.first_violation_node!r}",
+            node=rep.first_violation_node,
         )
+    return one_step_means(tree, z)
+
+
+def _one_step(
+    tree: FilteredTree, z: AdaptedProcess
+) -> Tuple[Dict[str, Fraction], SupermartingaleReport]:
+    """The one-step means and the verdict, from one pass over the nodes (memoised on z)."""
+    memo = z._one_step.get(tree)
+    if memo is not None:
+        return memo
+    means: Dict[str, Fraction] = {}
+    negative = exceeded = None
     martingale = True
     for n in tree.iter_nodes():
-        if tree.is_leaf(n):
-            continue
-        e = one_step_expectation(tree, z, n)
-        if e > z[n]:
-            return SupermartingaleReport(
-                False,
-                False,
-                first_violation_node=n,
-                reason=f"one-step mean {e} exceeds {z[n]}",
-            )
-        if e != z[n]:
-            martingale = False
-    return SupermartingaleReport(True, martingale)
+        if z[n] < 0 and negative is None:
+            negative = n
+        if tree.children[n]:
+            e = means[n] = one_step_expectation(tree, z, n)
+            martingale = martingale and e == z[n]
+            if e > z[n] and exceeded is None:
+                exceeded = n
+    root = tree.root
+    if negative is not None:
+        rep = SupermartingaleReport(False, False, negative, "negative value")
+    elif z[root] != 1:
+        rep = SupermartingaleReport(False, False, root, f"initial value {z[root]} != 1")
+    elif exceeded is not None:
+        reason = f"one-step mean {means[exceeded]} exceeds {z[exceeded]}"
+        rep = SupermartingaleReport(False, False, exceeded, reason)
+    else:
+        rep = SupermartingaleReport(True, martingale)
+    z._one_step[tree] = means, rep
+    return means, rep
 
 
 def count_stopping_times(tree: FilteredTree) -> int:

@@ -157,8 +157,10 @@ def test_verify_rejects_invalid_outcome_space(binary_file, tmp_path, capsys, edi
         lambda d: d.pop("outcomes"),
         lambda d: _row(d, "u", True).pop("mass"),
         lambda d: d["outcomes"].append(dict(_row(d, "r", False))),
+        lambda d: _row(d, "r", False).update(kill_time=math.inf),
+        lambda d: _row(d, "r", False).update(target=[1]),
     ],
-    ids=["unknown-node", "no-outcomes", "row-without-mass", "duplicate-row"],
+    ids=["unknown-node", "no-outcomes", "row-without-mass", "duplicate-row", "infinite-kill-time", "list-target"],
 )
 def test_verify_malformed_pair_exits_2(binary_file, tmp_path, capsys, edit):
     pair_file = _binary_pair_file(tmp_path, edit)
@@ -193,6 +195,8 @@ def test_follmer_prints_huge_stopping_time_count(tmp_path, capsys):
         ["verify", "--grid-step", "0.1"],
         ["decompose", "--seed", "1"],
         ["witness", "--paths", "10"],
+        ["mc", "--seed", "1"],
+        ["mc", "--paths", "10"],
     ],
 )
 def test_unread_flags_are_rejected(binary_file, argv):
@@ -305,8 +309,8 @@ def test_single_jump_off_grid_mid_time_exits_2_without_traceback(tmp_path):
     assert f"time {mid} is not a grid point" in proc.stderr
 
 
-def test_selftest_passes(tmp_path, capsys):
-    assert main(["selftest", "--out", str(tmp_path)]) == 0
+def test_selftest_passes(capsys):
+    assert main(["selftest"]) == 0
     out = capsys.readouterr().out
     assert "selftest ok" in out
 
@@ -338,12 +342,16 @@ def test_selftest_passes(tmp_path, capsys):
         ({"experiment": "bm_check", "seed": None}, "seed must be an integer, got None"),
         ({"experiment": "bm_check", "seed": 1.7}, "seed must be an integer, got 1.7"),
         ({"experiment": "bm_check", "n_paths": None}, "n_paths must be an integer, got None"),
+        ({"experiment": "single_jump", "params": {"m": -3000}}, "m must be at least 1, got -3000"),
+        ({"experiment": "split_limit", "params": {"n": 2000}}, "need 1 <= n <= 372, got 2000"),
+        ({"experiment": "mass_redirect", "params": {"k": -1100}}, "k must be at least 0, got -1100"),
     ],
     ids=[
         "fatou-twin-probes", "exp_decay-ts-0", "exp_decay-ts-str", "bessel-ts-neg", "bessel-fp-0",
         "single_jump-m-null", "extended-h-null", "suicide-jumps-null", "fatou-m_list-int",
         "mass_redirect-ls-null-entry", "params-list", "bm_check-unknown-key", "single_jump-m-2.9",
         "split_limit-n-true", "split_limit-n-str", "seed-null", "seed-1.7", "n_paths-null",
+        "single_jump-m-neg", "split_limit-n-2000", "mass_redirect-k-neg",
     ],
 )
 def test_bad_experiment_params_exit_2_without_traceback(tmp_path, fields, named):

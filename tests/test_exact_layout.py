@@ -1,9 +1,10 @@
-"""Cached tree layout, memoised verdicts and survivor masses, exact sums.
+"""Cached tree layout, memoised means, verdicts and survivor masses, exact sums.
 
 Each cached or memoised quantity is compared with a from-scratch
 computation: a breadth-first walk of the children lists, a one-step mean
 summed term by term in ``Fraction`` arithmetic, the supermartingale check
-written out directly and a per-leaf conditional average.  The golden
+written out directly, a per-leaf conditional average and the Föllmer pair
+by the quantile-killing formula of the multiplicative decomposition.  The golden
 digests pin the CLI outputs on three seeded corpus trees byte for byte; they
 were recorded from the implementation that recomputed every walk, check and
 survivor mass on each call.
@@ -11,18 +12,21 @@ survivor mass on each call.
 
 import json
 import random
+import sys
 from fractions import Fraction
 from hashlib import sha256
 
 import pytest
 
+from follmer_lab import trees
 from follmer_lab.cli import main
 from follmer_lab.corpus import binary_example, random_case
-from follmer_lab.decompositions import doob_meyer, multiplicative
+from follmer_lab.decompositions import doob_meyer, multiplicative, predictable_projection
 from follmer_lab.errors import FreezeTargetError, NotSupermartingaleError
-from follmer_lab.follmer import FollmerPair, construct_follmer, verify_ky, verify_ky_all
+from follmer_lab.follmer import CEMETERY, FollmerPair, construct_follmer, verify_ky, verify_ky_all
 from follmer_lab.trees import (
     AdaptedProcess,
+    ExtendedOutcome,
     FilteredTree,
     StoppingTime,
     conditional_expectation,
@@ -221,6 +225,71 @@ def test_construct_follmer_checks_supermartingale_before_freeze_state():
     good = AdaptedProcess({"r": Fraction(1), "a": Fraction(1), "b": Fraction(1, 2)})
     with pytest.raises(FreezeTargetError):
         construct_follmer(tree, good, "x")
+
+
+# -- one pass of one-step means ----------------------------------------------------
+
+
+def test_one_step_means_are_computed_once_per_tree_and_process(monkeypatch):
+    calls = []
+    real = trees.one_step_expectation
+
+    def counted(tree, x, node):
+        calls.append(node)
+        return real(tree, x, node)
+
+    # wherever the package binds the function, so an imported copy is counted too
+    for name, module in list(sys.modules.items()):
+        if name.startswith("follmer_lab") and getattr(module, "one_step_expectation", None) is real:
+            monkeypatch.setattr(module, "one_step_expectation", counted)
+    for tree, z in corpus(30, 6):
+        calls.clear()
+        is_supermartingale(tree, z)
+        doob_meyer(tree, z)
+        multiplicative(tree, z)
+        construct_follmer(tree, z)
+        construct_follmer(tree, z, "x")
+        predictable_projection(tree, z)
+        assert sorted(calls) == sorted(n for n in tree.iter_nodes() if tree.children[n])
+
+
+def quantile_killing_outcomes(tree, z, target):
+    """The pair by the quantile-killing formula: P[n] M[n] (D_n - D_{n+1}) and P[leaf] Z[leaf]."""
+    dec = multiplicative(tree, z)
+    m, d = dec.martingale, dec.factor
+    outcomes = {}
+    for n in tree.iter_nodes():
+        if tree.children[n]:
+            mass = tree.path_prob[n] * m[n] * (d.value_on(tree, n) - d.value_after(n))
+            if mass != 0:
+                outcomes[ExtendedOutcome(n, tree.depth[n] + 1, target)] = mass
+        elif z[n] != 0:
+            outcomes[ExtendedOutcome(n, None, None)] = tree.path_prob[n] * z[n]
+    return outcomes
+
+
+def test_follmer_pair_equals_the_quantile_killing_construction():
+    seen = {"martingale": 0, "announced": 0, "surprise": 0, "freeze": 0}
+    for tree, z in corpus(240, 7):
+        # the first zeros of Z and their split, from the definitions
+        dec = multiplicative(tree, z)
+        first = {n for n in tree.iter_nodes() if z[n] == 0 and z[tree.parent[n]] != 0}
+        announced = {n for n in first if fraction_mean(tree, z, tree.parent[n]) == 0}
+        assert dec.rho0.nodes == first
+        assert dec.rho0_announced.nodes == announced
+        assert dec.rho0_surprise.nodes == first - announced
+        seen["martingale"] += is_supermartingale(tree, z).is_martingale
+        seen["announced"] += bool(announced)
+        seen["surprise"] += bool(first - announced)
+        for target in (CEMETERY, "x", tree.state[tree.leaves[0]]):
+            try:
+                pair = construct_follmer(tree, z, target)
+            except FreezeTargetError:
+                continue
+            seen["freeze"] += target != CEMETERY
+            assert pair.outcomes == quantile_killing_outcomes(tree, z, target)
+            assert pair.target == target
+    assert min(seen.values()) >= 20, seen
 
 
 # -- survivor masses once per (pair, tree) ------------------------------------------

@@ -75,7 +75,7 @@ def test_verify_ky_binary_atoms():
 def test_verify_ky_all_binary_passes_all_five():
     tree, z = binary_example()
     pair = construct_follmer(tree, z)
-    rep = verify_ky_all(pair, tree, z, collect_rows=True)
+    rep = verify_ky_all(pair, tree, z)
     assert rep.ok
     assert rep.n_stopping_times == 5
 

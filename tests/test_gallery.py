@@ -101,6 +101,10 @@ def test_experiment_replay_determinism():
         ("single_jump", {"m": 2.9}),
         ("split_limit", {"n": True}),
         ("split_limit", {"n": "3"}),
+        ("single_jump", {"m": -3000}),
+        ("mass_redirect", {"k": -1100}),
+        ("extended", {"k": -1}),
+        ("fatou", {"m_list": [1, 0]}),
     ],
 )
 def test_bad_params_are_refused_before_any_draw(monkeypatch, name, params):

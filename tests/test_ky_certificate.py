@@ -54,7 +54,7 @@ def test_per_node_verdict_equals_exhaustive_verdict():
         tree, z = random_case(rng)
         for kind, pair in _variants(rng, construct_follmer(tree, z)):
             ok, failing = _exhaustive(pair, tree, z)
-            rep = verify_ky_all(pair, tree, z, collect_rows=True)
+            rep = verify_ky_all(pair, tree, z)
             assert {r.atom_node for r in rep.rows if not r.equal} == failing
             assert (rep.first_failure is None) == ok
             if kind != "shifted":  # moved mass keeps the outcome space valid
@@ -79,7 +79,7 @@ def test_ledger_has_one_row_per_node(tmp_path):
     rng = random.Random(43)
     for k in range(10):
         tree, z = random_case(rng)
-        rep = verify_ky_all(construct_follmer(tree, z), tree, z, collect_rows=True)
+        rep = verify_ky_all(construct_follmer(tree, z), tree, z)
         assert [r.atom_node for r in rep.rows] == list(tree.iter_nodes())
         assert all(r.rho_id == f"t{tree.depth[r.atom_node]}" for r in rep.rows)
         path = tmp_path / f"ledger{k}.csv"

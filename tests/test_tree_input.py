@@ -1,16 +1,23 @@
-"""Rationals read from tree files: exact parsing and validation errors that name the node."""
+"""Tree files: exact rationals, validation errors that name the node, and the exit-code contract."""
 
+import contextlib
+import io
 import json
+import math
 import os
+import random
 import subprocess
 import sys
+import tempfile
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import follmer_lab
 from follmer_lab.cli import main
-from follmer_lab.corpus import binary_example
+from follmer_lab.corpus import binary_example, random_case
 from follmer_lab.errors import TreeValidationError
 from follmer_lab.follmer import construct_follmer
 from follmer_lab.trees import FilteredTree, frac
@@ -40,11 +47,16 @@ def _tree_data(prob_up="1/2", z_down="1/4"):
     }
 
 
-@pytest.mark.parametrize(
-    "data, node",
-    [(_tree_data(prob_up=0.5), "up"), (_tree_data(z_down=1.5), "down")],
-    ids=["float-prob", "float-z"],
-)
+NOT_RATIONAL = [
+    (_tree_data(prob_up=0.5), "up"),
+    (_tree_data(z_down=1.5), "down"),
+    (_tree_data(prob_up=True), "up"),
+    (_tree_data(z_down=True), "down"),
+]
+NOT_RATIONAL_IDS = ["float-prob", "float-z", "bool-prob", "bool-z"]
+
+
+@pytest.mark.parametrize("data, node", NOT_RATIONAL, ids=NOT_RATIONAL_IDS)
 def test_from_dict_names_the_node_of_a_float(data, node):
     with pytest.raises(TreeValidationError) as err:
         FilteredTree.from_dict(data)
@@ -53,11 +65,7 @@ def test_from_dict_names_the_node_of_a_float(data, node):
 
 
 @pytest.mark.parametrize("command", ["decompose", "follmer", "verify"])
-@pytest.mark.parametrize(
-    "data, node",
-    [(_tree_data(prob_up=0.5), "up"), (_tree_data(z_down=1.5), "down")],
-    ids=["float-prob", "float-z"],
-)
+@pytest.mark.parametrize("data, node", NOT_RATIONAL, ids=NOT_RATIONAL_IDS)
 def test_cli_exits_2_on_float_values(tmp_path, capsys, command, data, node):
     tree_file = tmp_path / "tree.json"
     tree_file.write_text(json.dumps(data))
@@ -86,3 +94,113 @@ def test_float_prob_exits_2_without_traceback(tmp_path):
     assert proc.returncode == 2
     assert "Traceback" not in proc.stderr
     assert "(node up)" in proc.stderr
+
+
+def _edited(edit):
+    data = _tree_data()
+    data["nodes"][1]["state"] = "u"
+    edit(data)
+    return data
+
+
+@pytest.mark.parametrize(
+    "command, data, named",
+    [
+        ("decompose", [_tree_data()], "a tree file must be an object with a 'nodes' list"),
+        ("decompose", _edited(lambda d: d["nodes"][1].pop("id")), "node entry 1 must be an object with an 'id'"),
+        ("decompose", _edited(lambda d: d["nodes"].append(5)), "node entry 3 must be an object with an 'id', got 5"),
+        ("decompose", _edited(lambda d: d.update(horizon="a")), "horizon must be an integer >= 0, got 'a'"),
+        ("decompose", _edited(lambda d: d.update(horizon=True)), "horizon must be an integer >= 0, got True"),
+        ("uniqueness", _edited(lambda d: d["nodes"][1].update(state=[1])), "state at node 'up' must be a string or null"),
+        ("decompose", None, "Is a directory"),
+    ],
+    ids=["top-level-list", "node-without-id", "node-5", "horizon-str", "horizon-true", "state-list", "directory"],
+)
+def test_malformed_tree_file_exits_2_naming_the_fault(tmp_path, capsys, command, data, named):
+    tree_file = tmp_path
+    if data is not None:
+        tree_file = tmp_path / "tree.json"
+        tree_file.write_text(json.dumps(data))
+    assert main([command, str(tree_file), "--out", str(tmp_path / "out")]) == 2
+    assert named in capsys.readouterr().err
+
+
+# -- malformed tree and pair files through every exact subcommand -------------------
+
+_JUNK = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(-3, 3),
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.text(max_size=4),
+    st.sampled_from(["1/2", "-1/2", "3/2", "0", "1/0", "never", "cemetery", "n", "n.0", math.inf, math.nan]),
+    st.lists(st.integers(-1, 1), max_size=2),
+    st.dictionaries(st.text(max_size=2), st.integers(), max_size=2),
+)
+
+
+def _valid_files():
+    tree, z = random_case(random.Random(5), max_depth=2)
+    return tree.to_dict(z), construct_follmer(tree, z).to_dict()
+
+
+@st.composite
+def _one_fault(draw, doc, rows_key):
+    """``doc`` (a tree or pair dict) with one value replaced, removed or repeated."""
+    rows = doc[rows_key]
+    k = draw(st.integers(0, len(rows) - 1))
+    action = draw(st.sampled_from(["whole", "top-key", "drop-top-key", "row", "field", "drop-field", "repeat-row"]))
+    if action == "whole":
+        return draw(_JUNK)
+    if action in ("top-key", "drop-top-key"):
+        key = draw(st.sampled_from(sorted(doc)))
+        if action == "drop-top-key":
+            del doc[key]
+        else:
+            doc[key] = draw(_JUNK)
+    elif action == "row":
+        rows[k] = draw(_JUNK)
+    elif action == "repeat-row":
+        rows.append(dict(rows[k]))
+    else:
+        key = draw(st.sampled_from(sorted(rows[k]) + ["parent", "prob", "state", "z"]))
+        if action == "drop-field":
+            rows[k].pop(key, None)
+        else:
+            rows[k][key] = draw(_JUNK)
+    return doc
+
+
+@st.composite
+def _broken_files(draw):
+    tree_data, pair_data = _valid_files()
+    if draw(st.booleans()):
+        tree_data = draw(_one_fault(tree_data, "nodes"))
+    else:
+        pair_data = draw(_one_fault(pair_data, "outcomes"))
+    return tree_data, pair_data
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(files=_broken_files())
+def test_malformed_files_keep_the_exit_code_contract(files):
+    with tempfile.TemporaryDirectory() as tmp:
+        paths = []
+        for name, data in zip(("tree.json", "pair.json"), files):
+            paths.append(os.path.join(tmp, name))
+            with open(paths[-1], "w", encoding="utf-8") as fh:
+                json.dump(data, fh)
+        tree_file, pair_file = paths
+        for argv in (
+            ["decompose", tree_file],
+            ["follmer", tree_file],
+            ["verify", tree_file, pair_file],
+            ["uniqueness", tree_file],
+            ["witness", tree_file, "x"],
+        ):
+            err = io.StringIO()
+            with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+                code = main(argv + ["--out", os.path.join(tmp, argv[0])])
+            assert code in (0, 1, 2), argv
+            if code == 1:
+                assert "verification failed" in err.getvalue(), argv

@@ -269,11 +269,9 @@ def mass_redirect(
 
 @dataclass
 class SplitLimitResult:
-    terminal: np.ndarray
+    terminal: np.ndarray  # L 1_{A_sign}: 0 off the own sign event
     own_mass: float  # E[L 1_{A_sign}] ~ 1, time-n conditioning integrated out
     own_se: float
-    cross_mass: float  # E[L 1_{A_-sign}] = 0 samplewise
-    cross_se: float
     raw_own_mass: float  # plain average of L * 1_{A_sign}: heavy boundary layer
     raw_own_se: float
     crossing_frequency: float  # P[level 2^n reached] <= 2^-n
@@ -321,21 +319,15 @@ def split_limit_demo(n: int, n_paths: int, seed: int) -> Dict[str, SplitLimitRes
     p_plus = ndtr(g_n / resid_std)
     own_mass, own_se = mean_and_se(stopped)
     results = {}
-    for sign, p_own, own_event, cross_event in (
-        ("+", p_plus, g_inf > 0, g_inf < 0),
-        ("-", 1.0 - p_plus, g_inf < 0, g_inf > 0),
-    ):
+    for sign, p_own, own_event in (("+", p_plus, g_inf > 0), ("-", 1.0 - p_plus, g_inf < 0)):
         # the weight 1/p_own applies only on the own event, and only where p_own > 0
         terminal = np.zeros(n_paths)
         np.divide(stopped, p_own, out=terminal, where=own_event & (p_own > 0))
-        raw_mass, raw_se = mean_and_se(np.where(own_event, terminal, 0.0))
-        cross_mass, cross_se = mean_and_se(np.where(cross_event, terminal, 0.0))
+        raw_mass, raw_se = mean_and_se(terminal)
         results[sign] = SplitLimitResult(
             terminal=terminal,
             own_mass=own_mass,
             own_se=own_se,
-            cross_mass=cross_mass,
-            cross_se=cross_se,
             raw_own_mass=raw_mass,
             raw_own_se=raw_se,
             crossing_frequency=float(np.mean(crossed)),

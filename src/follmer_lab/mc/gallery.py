@@ -424,7 +424,6 @@ def run_split_limit(seed: int, n_paths: int, params: dict) -> ExperimentResult:
                 r.own_se,
                 n_paths,
                 sign=sign,
-                cross_mass=r.cross_mass,
                 raw_own_mass=r.raw_own_mass,
                 crossing_frequency=r.crossing_frequency,
                 crossing_bound=r.crossing_bound,
@@ -433,7 +432,6 @@ def run_split_limit(seed: int, n_paths: int, params: dict) -> ExperimentResult:
         res.report[sign] = {
             "own_mass": r.own_mass,
             "own_se": r.own_se,
-            "cross_mass": r.cross_mass,
             "raw_own_mass": r.raw_own_mass,
             "crossing_frequency": r.crossing_frequency,
             "crossing_bound": r.crossing_bound,

@@ -98,9 +98,6 @@ def test_split_limit_masses():
     r_plus, r_minus = both["+"], both["-"]
     assert abs(r_plus.own_mass - 1.0) <= 3 * r_plus.own_se
     assert abs(r_minus.own_mass - 1.0) <= 3 * r_minus.own_se
-    # the sign events are disjoint: cross products vanish samplewise
-    assert r_plus.cross_mass == 0.0
-    assert r_minus.cross_mass == 0.0
     # raw average hides the boundary-layer mass; it must sit well below 1
     assert r_plus.raw_own_mass < 0.8
 

@@ -12,8 +12,8 @@ one-step means.  It is the quantile-killing construction with the uniform
 randomization integrated out: with the multiplicative split Z = M * D, that
 construction gives the killed outcome at n the mass P[n] * M[n] * (D_n -
 D_{n+1}).  Since M * D = Z, and M[n] * D_{n+1} is the one-step mean at n
-(both are 0 at and below a zero of Z and at an announced zero hit), the two
-masses are equal.  Kill targets are either the cemetery state or a freeze
+(both vanish at and below a zero of Z, and where the zero hit just after n
+is announced), the two masses are equal.  Kill targets are either the cemetery state or a freeze
 state x*; the two choices produce the non-uniqueness witness.
 
 Verification checks the Kunita-Yoeurp identity Q[A and {rho < tau}] =

@@ -301,8 +301,10 @@ def split_limit_demo(n: int, n_paths: int, seed: int) -> Dict[str, SplitLimitRes
     past that exp(-2n) underflows to 0.
     """
     from scipy.special import ndtr  # slow to import, so only where it is called
-    if not 1 <= n <= 372:
-        raise ValueError(f"need 1 <= n <= 372, got {n}")
+    if n < 1:
+        raise ValueError(f"need n >= 1, got {n}")
+    if n > 372:
+        raise ValueError(f"need n <= 372, got {n}")
     level = 2.0**n
     resid_std = math.sqrt(math.exp(-2.0 * n) / 2.0)
     gn_std = math.sqrt((1.0 - math.exp(-2.0 * n)) / 2.0)

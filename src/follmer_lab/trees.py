@@ -96,8 +96,10 @@ class FilteredTree:
     """
 
     def __init__(self, horizon: int, nodes: Sequence[dict]):
-        if isinstance(horizon, bool) or not isinstance(horizon, int) or horizon < 0:
-            raise TreeValidationError(f"horizon must be an integer >= 0, got {horizon!r}")
+        if isinstance(horizon, bool) or not isinstance(horizon, int):
+            raise TreeValidationError(f"horizon must be an integer, got {horizon!r}")
+        if horizon < 0:
+            raise TreeValidationError(f"horizon must be >= 0, got {horizon}")
         self.horizon = horizon
         self.parent: Dict[str, Optional[str]] = {}
         self.prob: Dict[str, Fraction] = {}

@@ -109,8 +109,8 @@ def _edited(edit):
         ("decompose", [_tree_data()], "a tree file must be an object with a 'nodes' list"),
         ("decompose", _edited(lambda d: d["nodes"][1].pop("id")), "node entry 1 must be an object with an 'id'"),
         ("decompose", _edited(lambda d: d["nodes"].append(5)), "node entry 3 must be an object with an 'id', got 5"),
-        ("decompose", _edited(lambda d: d.update(horizon="a")), "horizon must be an integer >= 0, got 'a'"),
-        ("decompose", _edited(lambda d: d.update(horizon=True)), "horizon must be an integer >= 0, got True"),
+        ("decompose", _edited(lambda d: d.update(horizon="a")), "horizon must be an integer, got 'a'"),
+        ("decompose", _edited(lambda d: d.update(horizon=True)), "horizon must be an integer, got True"),
         ("uniqueness", _edited(lambda d: d["nodes"][1].update(state=[1])), "state at node 'up' must be a string or null"),
         ("decompose", None, "Is a directory"),
     ],

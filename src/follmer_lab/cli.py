@@ -13,6 +13,8 @@ import os
 import sys
 from fractions import Fraction
 
+import numpy as np
+
 from .corpus import random_case
 from .decompositions import doob_meyer, multiplicative
 from .errors import FollmerLabError, FreezeTargetError, TreeValidationError, count_str
@@ -36,6 +38,7 @@ from .mc.gallery import (
     write_report_json,
     write_results_csv,
 )
+from .mc.streams import uniform_words
 from .trees import FilteredTree, frac_str, is_supermartingale
 
 EXIT_OK = 0
@@ -233,6 +236,14 @@ def cmd_selftest(args) -> int:
     check(f"exponential law within 3 sigma (worst {dev:.2f})", dev <= 3.0)
     res2 = run_experiment("single_jump", 0, 5000, {})
     check("one-drop family exact endpoints", res2.report["exact_one_before_window"] and res2.report["exact_a_from_anchor"])
+    # stream v1's uniform words are computed without numpy's Philox: check
+    # them against it, so that a numpy upgrade cannot move the stream unseen
+    ok = True
+    for seed, index in ((2**64 - 1, 2**63), (0, 2**64 - 1)):
+        key = np.array([seed, index], dtype=np.uint64)
+        ours = uniform_words(seed, key[1:], 9)[0]
+        ok = ok and np.array_equal(ours, np.random.Philox(key=key).random_raw(9))
+    check("v1 uniform words match numpy's Philox on edge keys", ok)
     if failures:
         print(f"{len(failures)} selftest check(s) failed", file=sys.stderr)
         return EXIT_VERIFY_FAIL

@@ -111,7 +111,10 @@ class FollmerPair:
         for row in data["outcomes"]:
             try:
                 kt = row["kill_time"]
-                kt = None if kt in (None, "never") else int(kt)
+                if kt == "never":
+                    kt = None
+                elif not isinstance(kt, int) or isinstance(kt, bool):
+                    raise TypeError(f"kill_time {kt!r} is neither an integer nor 'never'")
                 target = row.get("target")
                 if target is not None and not isinstance(target, str):
                     raise TypeError(f"target {target!r} is not a string")
@@ -227,8 +230,9 @@ def pair_problem(tree: FilteredTree, pair: FollmerPair) -> Optional[str]:
     The KY atoms aggregate masses by history node only, so they cannot see
     these invariants: a killed outcome dies one step after its history node
     (kill time depth(base)+1, within the horizon) at the pair's target, a
-    surviving outcome sits on a leaf, and the masses are nonnegative with
-    total 1.  The history nodes must already be known to the tree.
+    surviving outcome sits on a leaf with no target, and the masses are
+    nonnegative with total 1.  The history nodes must already be known to
+    the tree.
     """
     for o, mass in pair.outcomes.items():
         if mass < 0:
@@ -236,6 +240,8 @@ def pair_problem(tree: FilteredTree, pair: FollmerPair) -> Optional[str]:
         if o.alive:
             if not tree.is_leaf(o.base_node):
                 return f"{_describe(o)} survives at a node that is not a leaf"
+            if o.target is not None:
+                return f"{_describe(o)} survives, so it can have no target"
         else:
             expected = tree.depth[o.base_node] + 1
             if o.kill_time != expected or expected > tree.horizon:

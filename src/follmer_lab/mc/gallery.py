@@ -19,7 +19,24 @@ path is drawn:
   probe times ``ts`` must also be positive;
 - the burn-in indices ``m`` and ``m_list`` entries, the split level ``n``
   and ``fp_steps`` are at least 1, and the resolution ``k`` at least 0
-  (:data:`MINIMUM`).
+  (:data:`MINIMUM`);
+- ``m``, the ``m_list`` entries and ``k`` are bounded above where the code
+  stops computing what it claims (:data:`MAXIMUM`):
+
+  - ``m`` <= 51: a burn-in window is 2^-m long, and from m = 52 the
+    windows ending at ``suicide``'s jump times 1 and 2 are as short as the
+    spacing of doubles there, so its plateau identity reads false.  Shorter
+    windows that a grid cannot resolve are refused by the library below
+    (``single_jump`` from m = 36, where its mid-window time lies within the
+    1e-12 grid tolerance of several grid times);
+  - ``m_list`` entries <= 16: fatou phases are 2^-3m wide, so at m = 18 a
+    phase at t = 1/2 is narrower than the spacing of doubles there and
+    vanishes (the probe error at 0.5 reads 0.25 where m = 17 reads 0); at
+    m = 16 phases stay wider than that spacing up to t = 16, and the
+    schedule walks t_max 2^m phases in Python;
+  - ``k`` <= 16: ``simple_approx`` walks t_max 2^k dyadic times in Python
+    (about a second at k = 16, hours at k = 30), and 2^-k underflows to 0
+    from k = 1075.
 
 Other range rules that the library below enforces (grid spans, window
 sizes, the upper bound on ``n``, ...) are left to it.  The written
@@ -536,9 +553,11 @@ PARAMS: Dict[str, Dict[str, object]] = {
     "bm_check": {"t_max": 1.0, "base_step": 1 / 32},
 }
 POSITIVE = {"ts"}  # float parameters whose values must also be > 0
-# lower bounds of int parameters (for a list, of each entry), checked before
-# 2.0**-m and the like can overflow
+# bounds of int parameters (for a list, of each entry), checked before
+# 2.0**-m and the like can overflow or underflow; the module docstring says
+# where each upper bound comes from
 MINIMUM = {"m": 1, "n": 1, "fp_steps": 1, "m_list": 1, "k": 0}
+MAXIMUM = {"m": 51, "m_list": 16, "k": 16}
 
 
 def _checked(key: str, x, kind: type, entry: bool = False):
@@ -546,9 +565,11 @@ def _checked(key: str, x, kind: type, entry: bool = False):
     ok = isinstance(x, int if kind is int else (int, float)) and not isinstance(x, bool)
     if ok and kind is float:
         ok = abs(x) <= sys.float_info.max and (x > 0 or key not in POSITIVE)  # False for nan
-    low = MINIMUM.get(key)
+    low, high = MINIMUM.get(key), MAXIMUM.get(key)
     if ok and low is not None and x < low:
         raise FollmerLabError(f"{key} must be at least {low}, got {x!r}")
+    if ok and high is not None and x > high:
+        raise FollmerLabError(f"{key} must be at most {high}, got {x!r}")
     if ok:
         return kind(x)
     what = "an integer" if kind is int else "a positive number" if key in POSITIVE else "a finite number"

@@ -1,11 +1,29 @@
 """Counter-based per-path random streams and the path-order aggregation helpers.
 
-Each path draws from a Philox generator keyed by (master seed, path index),
-so replaying any (seed, index) pair reproduces the path bit-exactly, and the
+Each path draws from its own stream, keyed by (master seed, path index), so
+replaying any (seed, index) pair reproduces the path bit-exactly, and the
 first k paths of a batch do not depend on how many paths follow them.
 :func:`fill_paths` draws each path's variates in one call and hands blocks
 of paths to array code, so families do their path arithmetic on whole
 blocks while every row still reads only its own stream.
+
+Stream v1, which every manifest replays under: stream (seed, i) is numpy's
+Philox4x64-10 bit generator with key (seed mod 2^64, i), counter 0 and an
+empty buffer (:func:`stream_state`), read through an ``np.random.Generator``.
+
+- Normals are the generator's ``standard_normal``, numpy's ziggurat, whose
+  tables exist only in compiled code.  :func:`fill_paths` therefore still
+  draws them path by path, on one private generator whose state it resets
+  to each path's stream.
+- Uniform j is the generator's ``random()``, ``(w_j >> 11) * 2^-53``, where
+  the word w_j is word ``j mod 4`` of Philox4x64-10 applied to the counter
+  ``(j // 4 + 1, 0, 0, 0)`` under the key.  :func:`uniform_words` computes
+  these words as array code over many paths at once, with no generator
+  (the counter-based construction of Salmon et al., "Parallel random
+  numbers: as easy as 1, 2, 3", SC'11).
+
+:func:`path_generator` is the per-path reference stream that the tests and
+``selftest`` compare both against.
 """
 
 from __future__ import annotations
@@ -16,16 +34,78 @@ from typing import Callable
 import numpy as np
 
 MOM_BLOCKS = 32
-# Paths per drawn block, and the most variates one block may hold: together
-# they bound the memory of a block whatever the path count.
+# Paths per block handed to ``fill_block``, and the most variates one block
+# may hold: together they bound the memory of a block whatever the path count.
 CHUNK_PATHS = 256
 CHUNK_DRAWS = 1 << 18
+# Variates drawn at once, across blocks: uniform words are array code whose
+# per-call overhead dominates below a few thousand words.
+SPAN_DRAWS = 1 << 12
+
+_MASK64 = (1 << 64) - 1
+# Philox4x64 round multipliers and key increments (Random123)
+_PHILOX_M = (np.uint64(0xD2E7470EE14C6C93), np.uint64(0xCA5A826395121157))
+_PHILOX_W = (np.uint64(0x9E3779B97F4A7C15), np.uint64(0xBB67AE8584CAA73B))
+_PHILOX_ROUNDS = 10
+_LOW32 = np.uint64(0xFFFFFFFF)
+_32 = np.uint64(32)
+
+
+def stream_state(seed: int, index: int) -> dict:
+    """Philox state of stream (seed, index) before its first draw."""
+    return {
+        "bit_generator": "Philox",
+        "state": {"counter": (0, 0, 0, 0), "key": (seed & _MASK64, index)},
+        "buffer": (0, 0, 0, 0),
+        "buffer_pos": 4,  # empty: the first draw computes counter 1
+        "has_uint32": 0,
+        "uinteger": 0,
+    }
+
+
+def _unkeyed_generator() -> np.random.Generator:
+    # an explicit seed spares the OS entropy a keyless Philox gathers; the
+    # caller overwrites the whole state with stream_state
+    return np.random.Generator(np.random.Philox(0))
 
 
 def path_generator(seed: int, index: int) -> np.random.Generator:
-    """The stream for one path: Philox keyed by the seed and the path counter."""
-    key = np.array([np.uint64(seed & 0xFFFFFFFFFFFFFFFF), np.uint64(index)])
-    return np.random.Generator(np.random.Philox(key=key))
+    """The stream for one path, as its own generator: the per-path reference."""
+    rng = _unkeyed_generator()
+    rng.bit_generator.state = stream_state(seed, index)
+    return rng
+
+
+def _mulhilo(a: np.uint64, b: np.ndarray):
+    """High and low words of the 128-bit products a * b, from 32-bit halves."""
+    a_lo, a_hi = a & _LOW32, a >> _32
+    b_lo, b_hi = b & _LOW32, b >> _32
+    ll, lh, hl = a_lo * b_lo, a_lo * b_hi, a_hi * b_lo
+    carry = ((ll >> _32) + (lh & _LOW32) + (hl & _LOW32)) >> _32
+    return a_hi * b_hi + (lh >> _32) + (hl >> _32) + carry, a * b
+
+
+def uniform_words(seed: int, indices: np.ndarray, n_words: int) -> np.ndarray:
+    """The first ``n_words`` 64-bit words of each stream (seed, i), i in ``indices``.
+
+    Row r holds the words stream (seed, indices[r]) hands out in order: word
+    j is word j mod 4 of Philox4x64-10 on counter (j // 4 + 1, 0, 0, 0).
+    """
+    indices = np.asarray(indices, dtype=np.uint64)
+    n_blocks = -(-n_words // 4)
+    with np.errstate(over="ignore"):
+        k0 = np.full((indices.size, 1), seed & _MASK64, dtype=np.uint64)
+        k1 = indices[:, None]
+        zero = np.zeros((1, n_blocks), dtype=np.uint64)
+        c = (np.arange(1, n_blocks + 1, dtype=np.uint64)[None, :], zero, zero, zero)
+        for r in range(_PHILOX_ROUNDS):
+            if r:
+                k0, k1 = k0 + _PHILOX_W[0], k1 + _PHILOX_W[1]
+            hi0, lo0 = _mulhilo(_PHILOX_M[0], c[0])
+            hi1, lo1 = _mulhilo(_PHILOX_M[1], c[2])
+            c = (hi1 ^ c[1] ^ k0, lo1, hi0 ^ c[3] ^ k1, lo0)
+    words = np.stack(c, axis=-1).reshape(indices.size, 4 * n_blocks)
+    return words[:, :n_words]
 
 
 def fill_paths(
@@ -38,30 +118,37 @@ def fill_paths(
 ) -> np.ndarray:
     """Draw every path's variates in blocks and map each block to its rows.
 
-    Path i draws its first ``n_draws`` variates from the stream keyed by
-    (seed, i) in one call: standard normals, or uniforms on [0, 1) when
-    ``uniform``.  Draws from one stream concatenate (n variates in one call
-    equal the same n drawn in pieces), so a family may cut a row into
-    consecutive pieces, one per window, phase or step, exactly as if each
-    piece had been drawn in turn; a path that stops early leaves the tail of
-    its row unused.  Consecutive paths are stacked into blocks of at most ``CHUNK_PATHS``
-    rows (fewer when a row holds more than ``CHUNK_DRAWS // CHUNK_PATHS``
-    variates, but at least one), and ``fill_block(draws)`` maps a
-    ``(rows, n_draws)`` block to the ``(rows, n_cols)`` output of those paths.
-    ``fill_block`` must treat rows independently; then row i depends on
-    (seed, i) alone, and the first k rows of an n-path batch equal a k-path
-    batch (the prefix property).  This is the one place where path streams
-    are created.
+    Path i draws the first ``n_draws`` variates of stream (seed, i):
+    standard normals, or uniforms on [0, 1) when ``uniform``.  Draws from
+    one stream concatenate (n variates in one call equal the same n drawn in
+    pieces), so a family may cut a row into consecutive pieces, one per
+    window, phase or step, exactly as if each piece had been drawn in turn;
+    a path that stops early leaves the tail of its row unused.  Consecutive
+    paths are stacked into blocks of at most ``CHUNK_PATHS`` rows (fewer when
+    a row holds more than ``CHUNK_DRAWS // CHUNK_PATHS`` variates, but at
+    least one), and ``fill_block(draws)`` maps a ``(rows, n_draws)`` block to
+    the ``(rows, n_cols)`` output of those paths.  ``fill_block`` must treat
+    rows independently; then row i depends on (seed, i) alone, and the first
+    k rows of an n-path batch equal a k-path batch (the prefix property).
+    This is the one place where the families' variates are drawn.
     """
     out = np.empty((n_paths, n_cols), dtype=np.float64)
-    rows = max(1, min(CHUNK_PATHS, CHUNK_DRAWS // max(n_draws, 1)))
-    for lo in range(0, n_paths, rows):
-        hi = min(lo + rows, n_paths)
-        draws = np.empty((hi - lo, n_draws), dtype=np.float64)
-        for i in range(lo, hi):
-            rng = path_generator(seed, i)
-            draws[i - lo] = rng.random(n_draws) if uniform else rng.standard_normal(n_draws)
-        out[lo:hi] = fill_block(draws)
+    per_row = max(n_draws, 1)
+    rows = max(1, min(CHUNK_PATHS, CHUNK_DRAWS // per_row))
+    span = rows * max(1, SPAN_DRAWS // (rows * per_row))
+    rng = None if uniform else _unkeyed_generator()
+    for lo in range(0, n_paths, span):
+        hi = min(lo + span, n_paths)
+        if uniform:
+            words = uniform_words(seed, np.arange(lo, hi, dtype=np.uint64), n_draws)
+            draws = (words >> np.uint64(11)) * 2.0**-53
+        else:
+            draws = np.empty((hi - lo, n_draws), dtype=np.float64)
+            for i, row in zip(range(lo, hi), draws):
+                rng.bit_generator.state = stream_state(seed, i)
+                rng.standard_normal(out=row)
+        for a in range(lo, hi, rows):
+            out[a : a + rows] = fill_block(draws[a - lo : a - lo + rows])
     return out
 
 

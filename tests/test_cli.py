@@ -139,8 +139,9 @@ def _row(data, node, alive):
         (lambda d: _row(d, "r", False).update(kill_time="never", target=None), "not a leaf"),
         (lambda d: _row(d, "u", True).update(mass="-3/4"), "negative mass"),
         (lambda d: _row(d, "u", True).update(mass="1/1"), "sum to 5/4"),
+        (lambda d: _row(d, "u", True).update(target="banana"), "target banana) survives, so it can have no target"),
     ],
-    ids=["kill-time", "target", "survivor-off-leaf", "negative-mass", "mass-sum"],
+    ids=["kill-time", "target", "survivor-off-leaf", "negative-mass", "mass-sum", "survivor-target"],
 )
 def test_verify_rejects_invalid_outcome_space(binary_file, tmp_path, capsys, edit, named):
     pair_file = _binary_pair_file(tmp_path, edit)
@@ -159,8 +160,15 @@ def test_verify_rejects_invalid_outcome_space(binary_file, tmp_path, capsys, edi
         lambda d: d["outcomes"].append(dict(_row(d, "r", False))),
         lambda d: _row(d, "r", False).update(kill_time=math.inf),
         lambda d: _row(d, "r", False).update(target=[1]),
+        lambda d: _row(d, "r", False).update(kill_time=1.9),
+        lambda d: _row(d, "r", False).update(kill_time=True),
+        lambda d: _row(d, "r", False).update(kill_time="1"),
+        lambda d: _row(d, "r", False).update(kill_time=None),
     ],
-    ids=["unknown-node", "no-outcomes", "row-without-mass", "duplicate-row", "infinite-kill-time", "list-target"],
+    ids=[
+        "unknown-node", "no-outcomes", "row-without-mass", "duplicate-row", "infinite-kill-time", "list-target",
+        "fractional-kill-time", "bool-kill-time", "string-kill-time", "null-kill-time",
+    ],
 )
 def test_verify_malformed_pair_exits_2(binary_file, tmp_path, capsys, edit):
     pair_file = _binary_pair_file(tmp_path, edit)
@@ -345,13 +353,18 @@ def test_selftest_passes(capsys):
         ({"experiment": "single_jump", "params": {"m": -3000}}, "m must be at least 1, got -3000"),
         ({"experiment": "split_limit", "params": {"n": 2000}}, "need n <= 372, got 2000"),
         ({"experiment": "mass_redirect", "params": {"k": -1100}}, "k must be at least 0, got -1100"),
+        ({"experiment": "mass_redirect", "params": {"k": 1100}}, "k must be at most 16, got 1100"),
+        ({"experiment": "extended", "params": {"k": 1100}}, "k must be at most 16, got 1100"),
+        ({"experiment": "fatou", "params": {"m_list": [3000]}}, "m_list must be at most 16, got 3000"),
+        ({"experiment": "suicide", "params": {"m": 52}}, "m must be at most 51, got 52"),
     ],
     ids=[
         "fatou-twin-probes", "exp_decay-ts-0", "exp_decay-ts-str", "bessel-ts-neg", "bessel-fp-0",
         "single_jump-m-null", "extended-h-null", "suicide-jumps-null", "fatou-m_list-int",
         "mass_redirect-ls-null-entry", "params-list", "bm_check-unknown-key", "single_jump-m-2.9",
         "split_limit-n-true", "split_limit-n-str", "seed-null", "seed-1.7", "n_paths-null",
-        "single_jump-m-neg", "split_limit-n-2000", "mass_redirect-k-neg",
+        "single_jump-m-neg", "split_limit-n-2000", "mass_redirect-k-neg", "mass_redirect-k-1100",
+        "extended-k-1100", "fatou-m_list-3000", "suicide-m-52",
     ],
 )
 def test_bad_experiment_params_exit_2_without_traceback(tmp_path, fields, named):
@@ -401,11 +414,12 @@ def _mistyped_manifests(draw):
 @settings(derandomize=True, max_examples=100, deadline=None)
 @given(manifest=_mistyped_manifests())
 def test_mistyped_manifest_exits_2_before_any_draw(manifest):
-    def no_draws(seed, index):
+    def no_draws(*args):
         raise AssertionError("drew a path before validating the manifest")
 
     with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as mp:
-        mp.setattr(streams, "path_generator", no_draws)
+        mp.setattr(streams, "stream_state", no_draws)
+        mp.setattr(streams, "uniform_words", no_draws)
         path = os.path.join(tmp, "manifest.json")
         with open(path, "w", encoding="utf-8") as fh:
             json.dump(manifest, fh)

@@ -105,12 +105,19 @@ def test_experiment_replay_determinism():
         ("mass_redirect", {"k": -1100}),
         ("extended", {"k": -1}),
         ("fatou", {"m_list": [1, 0]}),
+        ("mass_redirect", {"k": 1100}),
+        ("extended", {"k": 17}),
+        ("fatou", {"m_list": [1, 3000]}),
+        ("suicide", {"m": 52}),
+        ("mass_redirect", {"m": 52}),
     ],
 )
 def test_bad_params_are_refused_before_any_draw(monkeypatch, name, params):
-    def no_draws(seed, index):
+    def no_draws(*args):
         raise AssertionError("drew a path before validating the parameters")
 
-    monkeypatch.setattr(streams, "path_generator", no_draws)
+    # every normal draw starts from stream_state, every uniform from uniform_words
+    monkeypatch.setattr(streams, "stream_state", no_draws)
+    monkeypatch.setattr(streams, "uniform_words", no_draws)
     with pytest.raises(FollmerLabError):
         run_experiment(name, seed=1, n_paths=10, params=params)

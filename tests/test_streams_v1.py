@@ -1,0 +1,102 @@
+"""Stream v1 against numpy's own keyed Philox generator.
+
+``fill_paths`` builds the v1 streams without a generator per path: normals
+come from one generator whose state it resets to each path's key, and
+uniforms from Philox4x64-10 words computed as array code.  Both must equal
+``np.random.Generator(np.random.Philox(key=[seed mod 2^64, index]))`` bit
+for bit, on edge keys, across the 4-word counter blocks and on both sides of
+the block and span sizes.
+"""
+
+import numpy as np
+import pytest
+
+from follmer_lab.mc import streams
+from follmer_lab.mc.streams import CHUNK_PATHS, fill_paths, path_generator, stream_state, uniform_words
+
+C = CHUNK_PATHS
+SEEDS = (0, 2**64 - 1, -1, 2**64 + 3)
+INDICES = (0, 255, 256, 2**63, 2**64 - 1)
+
+
+def numpy_stream(seed, index):
+    key = np.array([seed & (2**64 - 1), index], dtype=np.uint64)
+    return np.random.Generator(np.random.Philox(key=key))
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_uniform_words_match_numpy_philox(seed):
+    for n_draws in range(1, 10):
+        words = uniform_words(seed, np.array(INDICES, dtype=np.uint64), n_draws)
+        assert words.shape == (len(INDICES), n_draws) and words.dtype == np.uint64
+        for row, index in zip(words, INDICES):
+            assert np.array_equal(row, numpy_stream(seed, index).bit_generator.random_raw(n_draws))
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_stream_state_is_numpys_keyed_state(seed):
+    for index in INDICES:
+        expected = numpy_stream(seed, index).bit_generator.state
+        bitgen = np.random.Philox(0)
+        bitgen.state = stream_state(seed, index)
+        got = bitgen.state
+        for part in ("counter", "key"):
+            assert np.array_equal(got["state"][part], expected["state"][part])
+        assert np.array_equal(got["buffer"], expected["buffer"])
+        for field in ("buffer_pos", "has_uint32", "uinteger"):
+            assert got[field] == expected[field]
+        for n_draws in (1, 4, 5, 9):
+            assert np.array_equal(path_generator(seed, index).standard_normal(n_draws),
+                                  numpy_stream(seed, index).standard_normal(n_draws))
+            assert np.array_equal(path_generator(seed, index).random(n_draws),
+                                  numpy_stream(seed, index).random(n_draws))
+
+
+@pytest.mark.parametrize("n_paths", [1, C - 1, C, C + 1])
+@pytest.mark.parametrize("uniform", [False, True])
+def test_fill_paths_rows_are_numpys_streams(n_paths, uniform):
+    for seed in (2**64 + 3, 7):
+        for n_draws in (1, 5, 9):
+            out = fill_paths(n_paths, n_draws, lambda z: z, n_draws, seed, uniform=uniform)
+            for i in range(n_paths):
+                rng = numpy_stream(seed, i)
+                expected = rng.random(n_draws) if uniform else rng.standard_normal(n_draws)
+                assert np.array_equal(out[i], expected), (seed, n_draws, i)
+
+
+@pytest.mark.parametrize("uniform", [False, True])
+def test_fill_paths_across_a_span(uniform):
+    # one variate per path: the first span holds SPAN_DRAWS paths in 16 blocks
+    n_paths = streams.SPAN_DRAWS + 2
+    sizes = []
+
+    def fill_block(z):
+        sizes.append(z.shape[0])
+        return z
+
+    out = fill_paths(n_paths, 1, fill_block, 1, seed=11, uniform=uniform)
+    assert max(sizes) == C and sum(sizes) == n_paths
+    for i in (0, C - 1, C, streams.SPAN_DRAWS - 1, streams.SPAN_DRAWS, n_paths - 1):
+        rng = numpy_stream(11, i)
+        assert out[i, 0] == (rng.random() if uniform else rng.standard_normal())
+
+
+def test_fill_block_may_call_fill_paths():
+    # each call draws on its own generator, so a nested call cannot shift
+    # the streams of the call that invoked it; 20 variates a path make two
+    # spans of C + 1 paths, so the nested calls run between the outer draws
+    inner = []
+
+    def fill_block(z):
+        inner.append((fill_paths(3, 2, lambda w: w, 2, seed=5),
+                      fill_paths(3, 2, lambda w: w, 2, seed=5, uniform=True)))
+        return z
+
+    out = fill_paths(C + 1, 20, fill_block, 20, seed=4)
+    for i in range(C + 1):
+        assert np.array_equal(out[i], numpy_stream(4, i).standard_normal(20))
+    assert len(inner) == 2
+    for normals, uniforms in inner:
+        for j in range(3):
+            assert np.array_equal(normals[j], numpy_stream(5, j).standard_normal(2))
+            assert np.array_equal(uniforms[j], numpy_stream(5, j).random(2))

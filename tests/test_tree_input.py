@@ -204,3 +204,46 @@ def test_malformed_files_keep_the_exit_code_contract(files):
             assert code in (0, 1, 2), argv
             if code == 1:
                 assert "verification failed" in err.getvalue(), argv
+
+
+def _verify_exit(pair_data):
+    tree, z = binary_example()
+    with tempfile.TemporaryDirectory() as tmp:
+        tree_file, pair_file = os.path.join(tmp, "tree.json"), os.path.join(tmp, "pair.json")
+        tree.to_json(tree_file, z)
+        with open(pair_file, "w", encoding="utf-8") as fh:
+            json.dump(pair_data, fh)
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+            code = main(["verify", tree_file, pair_file, "--out", os.path.join(tmp, "out")])
+    assert code != 1 or "verification failed" in err.getvalue()
+    return code
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(kill_time=st.one_of(_JUNK, st.integers(-2, 4), st.just(1.0)), target=_JUNK)
+def test_pair_kill_times_and_survivor_targets_are_checked(kill_time, target):
+    """A killed row's kill time is an integer or "never"; a surviving row has no target.
+
+    On the binary example's pair: the killed row at the root dies at 1, and
+    a "never" there makes a survivor off the leaves; the row surviving at
+    "u" has target null.
+    """
+    tree, z = binary_example()
+    data = construct_follmer(tree, z).to_dict()
+    killed = next(r for r in data["outcomes"] if r["history_node"] == "r" and r["kill_time"] != "never")
+    assert killed["kill_time"] == 1
+    killed["kill_time"] = kill_time
+    if kill_time == "never":
+        want = 1
+    elif isinstance(kill_time, int) and not isinstance(kill_time, bool):
+        want = 0 if kill_time == 1 else 1
+    else:
+        want = 2
+    assert _verify_exit(data) == want
+
+    data = construct_follmer(tree, z).to_dict()
+    survivor = next(r for r in data["outcomes"] if r["history_node"] == "u" and r["kill_time"] == "never")
+    assert survivor["target"] is None
+    survivor["target"] = target
+    assert _verify_exit(data) == (0 if target is None else 1 if isinstance(target, str) else 2)

@@ -118,19 +118,20 @@ def fill_paths(
 ) -> np.ndarray:
     """Draw every path's variates in blocks and map each block to its rows.
 
-    Path i draws the first ``n_draws`` variates of stream (seed, i):
-    standard normals, or uniforms on [0, 1) when ``uniform``.  Draws from
-    one stream concatenate (n variates in one call equal the same n drawn in
-    pieces), so a family may cut a row into consecutive pieces, one per
-    window, phase or step, exactly as if each piece had been drawn in turn;
-    a path that stops early leaves the tail of its row unused.  Consecutive
-    paths are stacked into blocks of at most ``CHUNK_PATHS`` rows (fewer when
-    a row holds more than ``CHUNK_DRAWS // CHUNK_PATHS`` variates, but at
-    least one), and ``fill_block(draws)`` maps a ``(rows, n_draws)`` block to
-    the ``(rows, n_cols)`` output of those paths.  ``fill_block`` must treat
-    rows independently; then row i depends on (seed, i) alone, and the first
-    k rows of an n-path batch equal a k-path batch (the prefix property).
-    This is the one place where the families' variates are drawn.
+    Path i draws its first ``n_draws`` variates from the stream keyed by
+    (seed, i) in one call: standard normals, or uniforms on [0, 1) when
+    ``uniform``.  Draws from one stream concatenate (n variates in one call
+    equal the same n drawn in pieces), so a family may cut a row into
+    consecutive pieces, one per window, phase or step, exactly as if each
+    piece had been drawn in turn; a path that stops early leaves the tail of
+    its row unused.  Consecutive paths are stacked into blocks of at most ``CHUNK_PATHS``
+    rows (fewer when a row holds more than ``CHUNK_DRAWS // CHUNK_PATHS``
+    variates, but at least one), and ``fill_block(draws)`` maps a
+    ``(rows, n_draws)`` block to the ``(rows, n_cols)`` output of those paths.
+    ``fill_block`` must treat rows independently; then row i depends on
+    (seed, i) alone, and the first k rows of an n-path batch equal a k-path
+    batch (the prefix property).  This is the one place where path streams
+    are created.
     """
     out = np.empty((n_paths, n_cols), dtype=np.float64)
     per_row = max(n_draws, 1)

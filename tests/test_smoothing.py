@@ -2,16 +2,25 @@
 
 Threshold note: a drop qualifies when it is <= -1/i, so the chain with a
 single -1/2 drop needs i >= 2 to trigger the smoothing.
+
+The golden digests pin every output field, value types included, on a
+seeded corpus; they were recorded from the implementation that walked each
+path once per use and summed the conditional expectations by hand.  Two
+independent oracles check the path values: the pair's sum against a
+brute-force conditional expectation, and the lag-1 fold against its own
+one-step means.
 """
 
 import random
+from dataclasses import astuple
 from fractions import Fraction
+from hashlib import sha256
 
 import pytest
 
 from follmer_lab.corpus import random_case, unary_chain
 from follmer_lab.decompositions import doob_meyer, left_limit_smoothing
-from follmer_lab.trees import FilteredTree, AdaptedProcess
+from follmer_lab.trees import FilteredTree, AdaptedProcess, one_step_expectation
 
 
 def test_no_qualifying_jumps_is_identity():
@@ -136,3 +145,94 @@ def test_invalid_threshold_rejected():
         left_limit_smoothing(chain, z, i=0)
     with pytest.raises(ValueError):
         left_limit_smoothing(chain, z, i=2, lag=0)
+
+
+def corpus_smoothings(n_trees=100, seed=909):
+    """(tree, z, smoothing) over seeded corpus trees x i in 1..4 x lag in 1..3."""
+    rng = random.Random(seed)
+    for _ in range(n_trees):
+        tree, z = random_case(rng, max_depth=4, max_branching=3)
+        for i in (1, 2, 3, 4):
+            for lag in (1, 2, 3):
+                yield tree, z, left_limit_smoothing(tree, z, i=i, lag=lag)
+
+
+def _folded(proc):
+    return None if proc is None else sorted(proc.values.items())
+
+
+def smoothing_digests():
+    """One sha256 per output group; reprs keep Fraction, int and bool apart."""
+    groups = {"paths": [], "folds": [], "report": []}
+    for _, _, sm in corpus_smoothings():
+        groups["paths"].append(
+            (
+                sm.lag,
+                sm.threshold_index,
+                sorted(sm.martingale_path.items()),
+                sorted(sm.drift_path.items()),
+                sorted(sm.jump_times.items()),
+            )
+        )
+        groups["folds"].append((_folded(sm.martingale), _folded(sm.drift_adapted)))
+        groups["report"].append(astuple(sm.limit_report))
+    return {k: sha256(repr(v).encode()).hexdigest() for k, v in groups.items()}
+
+
+GOLDEN = {
+    "paths": "b9654c1f2fba69574446daf578a94cf433f3e4c3885115f2cb342f27006e71af",
+    "folds": "a63841c49bc2d2ce2374282e45e6aa03ceb1e46cf8601ee3f2caaa33b92e4d20",
+    "report": "fabd7bc7d9ae650dbe0fb50b87e05e7e70a2e074d8fdd0e96f32ca20dfe1cefb",
+}
+
+
+def test_smoothing_outputs_match_golden_digests():
+    assert smoothing_digests() == GOLDEN
+
+
+def test_smoothed_sum_is_the_windowed_conditional_expectation():
+    # inside the k-th window [a_k, sigma_k) of a path, M^s_t + D^s_t is
+    # E[Z_{sigma_k} 1{sigma_k exists} | F_t], averaged by brute force over
+    # the leaves below the time-t node; outside every window it is Z_t
+    for tree, z, sm in corpus_smoothings(n_trees=60):
+        add = doob_meyer(tree, z)
+        sigmas = {}
+        for leaf in tree.leaves:
+            d = [add.drift.value_on(tree, n) for n in tree.path_to(leaf)]
+            sigmas[leaf] = [
+                t for t in range(1, tree.horizon + 1)
+                if d[t] - d[t - 1] <= -Fraction(1, sm.threshold_index)
+            ]
+        assert sm.jump_times == sigmas
+
+        def at_kth_jump(leaf, k):
+            return z[tree.ancestor_at(leaf, sigmas[leaf][k])] if k < len(sigmas[leaf]) else 0
+
+        for leaf in tree.leaves:
+            starts = [
+                max(s - sm.lag, (sigmas[leaf][k - 1] if k else 0) + 1)
+                for k, s in enumerate(sigmas[leaf])
+            ]
+            for t, n in enumerate(tree.path_to(leaf)):
+                window = [
+                    k for k, s in enumerate(sigmas[leaf]) if starts[k] <= t < s
+                ]
+                assert len(window) <= 1  # the windows are disjoint
+                if window:
+                    below = tree.leaves_under(n)
+                    expected = sum(
+                        (tree.path_prob[m] * at_kth_jump(m, window[0]) for m in below),
+                        Fraction(0),
+                    ) / tree.path_prob[n]
+                else:
+                    expected = z[n]
+                assert sm.martingale_path[leaf][t] + sm.drift_path[leaf][t] == expected
+
+
+def test_lag_one_fold_is_a_martingale():
+    for tree, _, sm in corpus_smoothings(n_trees=60):
+        if sm.lag != 1:
+            continue
+        for n in tree.iter_nodes():
+            if tree.children[n]:
+                assert one_step_expectation(tree, sm.martingale, n) == sm.martingale[n]

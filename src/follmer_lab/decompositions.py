@@ -27,6 +27,7 @@ from .trees import (
     FilteredTree,
     PredictableProcess,
     StoppingTime,
+    one_step_expectation,
     one_step_means,
     require_supermartingale,
 )
@@ -240,17 +241,13 @@ class SmoothedDecomposition:
     limit_report: SmoothingLimitReport
 
 
-def _fold(tree: FilteredTree, per_leaf: Dict[str, List[Fraction]]) -> Optional[AdaptedProcess]:
+def _fold(paths: Dict[str, List[str]], per_leaf: Dict[str, List[Fraction]]) -> Optional[AdaptedProcess]:
+    """The node-valued process of per-leaf path values; None where two paths disagree."""
     vals: Dict[str, Fraction] = {}
-    for leaf in tree.leaves:
-        path = tree.path_to(leaf)
-        for t, n in enumerate(path):
-            v = per_leaf[leaf][t]
-            if n in vals:
-                if vals[n] != v:
-                    return None
-            else:
-                vals[n] = v
+    for leaf, path in paths.items():
+        for n, v in zip(path, per_leaf[leaf]):
+            if vals.setdefault(n, v) != v:
+                return None
     return AdaptedProcess(vals)
 
 
@@ -262,9 +259,12 @@ def left_limit_smoothing(
 ) -> SmoothedDecomposition:
     """Ramp each drop of the additive drift of size <= -1/i from its announcing time.
 
-    The n-th qualifying drop time sigma_n on a path is announced at
-    max(sigma_n - lag, sigma_{n-1} + 1); from there the martingale part tracks
-    the conditional expectation of Z at the drop and the drift absorbs the
+    It illustrates, on a finite tree, that the big predictable jumps of a
+    supermartingale's drift can be carried by martingales started at their
+    announcing times without changing the value the pair reaches at a finite
+    stopping time.  The n-th qualifying drop time sigma_n on a path is announced at
+    a_n = max(sigma_n - lag, sigma_{n-1} + 1); from there the martingale part
+    tracks E[Z_{sigma_n} 1{sigma_n exists} | F_t] and the drift absorbs the
     offset, so at lag 1 the pair reaches, at every finite stopping time rho,
     exactly M_rho plus (D_rho when a qualifying drop lands at rho, else the
     pre-rho drift value).  The report records that comparison at every
@@ -276,74 +276,34 @@ def left_limit_smoothing(
     if lag < 1:
         raise ValueError(f"announce lag must be >= 1, got {lag}")
     add = doob_meyer(tree, z)
-    T = tree.horizon
-    threshold = -Fraction(1, i)
+    T, threshold = tree.horizon, -Fraction(1, i)
+    bottom_up = list(tree.iter_nodes())[::-1]
 
-    # per-leaf drift values by time and qualifying jump times
-    d_by_leaf: Dict[str, List[Fraction]] = {}
-    m_by_leaf: Dict[str, List[Fraction]] = {}
-    z_by_leaf: Dict[str, List[Fraction]] = {}
+    # once per leaf: its path, M and D along it, the qualifying jump times
+    # and their announcing times
+    paths = {leaf: tree.path_to(leaf) for leaf in tree.leaves}
+    m_by: Dict[str, List[Fraction]] = {}
+    d_by: Dict[str, List[Fraction]] = {}
     sigmas: Dict[str, List[int]] = {}
-    for leaf in tree.leaves:
-        path = tree.path_to(leaf)
-        d_vals = [add.drift.value_on(tree, n) for n in path]
-        d_by_leaf[leaf] = d_vals
-        m_by_leaf[leaf] = [add.martingale[n] for n in path]
-        z_by_leaf[leaf] = [z[n] for n in path]
-        sigmas[leaf] = [
-            t for t in range(1, T + 1) if d_vals[t] - d_vals[t - 1] <= threshold
-        ]
+    starts: Dict[str, List[int]] = {}
+    for leaf, path in paths.items():
+        m_by[leaf] = [add.martingale[n] for n in path]
+        d = d_by[leaf] = [add.drift.value_on(tree, n) for n in path]
+        sig = sigmas[leaf] = [t for t in range(1, T + 1) if d[t] - d[t - 1] <= threshold]
+        starts[leaf] = [max(s - lag, prev + 1) for prev, s in zip([0] + sig, sig)]
 
-    def announce(leaf: str, k: int) -> int:
-        """Announcing time of the k-th (0-based) qualifying jump on the path."""
-        s = sigmas[leaf][k]
-        prev = sigmas[leaf][k - 1] if k > 0 else 0
-        return max(s - lag, prev + 1)
-
-    # conditional expectations E[Z_{sigma_k} | F_t] per (node, jump index):
-    # value of Z at the k-th qualifying jump of each path, averaged over the
-    # leaves under the node.  Missing jumps contribute nothing (their
-    # announcing time never fires).
-    max_jumps = max((len(v) for v in sigmas.values()), default=0)
+    # cond[k][n] = E[Z_{sigma_k} 1{sigma_k exists} | F_t] at node n, by one
+    # bottom-up pass of one-step means per jump index k
     cond: List[Dict[str, Fraction]] = []
-    for k in range(max_jumps):
-        agg: Dict[str, Fraction] = {}
-        for n in reversed(list(tree.iter_nodes())):
-            if tree.is_leaf(n):
-                if k < len(sigmas[n]):
-                    agg[n] = tree.path_prob[n] * z_by_leaf[n][sigmas[n][k]]
-                else:
-                    agg[n] = Fraction(0)
-            else:
-                agg[n] = sum((agg[c] for c in tree.children[n]), Fraction(0))
-        cond.append(agg)
-
-    m_path: Dict[str, List[Fraction]] = {}
-    d_path: Dict[str, List[Fraction]] = {}
-    for leaf in tree.leaves:
-        path = tree.path_to(leaf)
-        m_row: List[Fraction] = []
-        d_row: List[Fraction] = []
-        for t in range(T + 1):
-            m_t = m_by_leaf[leaf][t]
-            d_t = d_by_leaf[leaf][t]
-            node_t = path[t]
-            for k, s in enumerate(sigmas[leaf]):
-                a = announce(leaf, k)
-                if a > t:
-                    continue
-                node_a = path[a]
-                e_t = cond[k][node_t] / tree.path_prob[node_t]
-                e_a = cond[k][node_a] / tree.path_prob[node_a]
-                m_a = m_by_leaf[leaf][a]
-                m_st = m_by_leaf[leaf][min(s, t)]
-                d_st = d_by_leaf[leaf][min(s, t)]
-                m_t += e_t - e_a - m_st + m_a
-                d_t += e_a - m_a - d_st
-            m_row.append(m_t)
-            d_row.append(d_t)
-        m_path[leaf] = m_row
-        d_path[leaf] = d_row
+    for k in range(max(map(len, sigmas.values()))):
+        x = {
+            leaf: z[paths[leaf][sig[k]]] if k < len(sig) else Fraction(0)
+            for leaf, sig in sigmas.items()
+        }
+        for n in bottom_up:
+            if tree.children[n]:
+                x[n] = one_step_expectation(tree, x, n)
+        cond.append(x)
 
     # Finite stopping times containing each node: with F(n) the count of
     # finite stopping times of n's subtree (F(leaf) = 1, F(n) = 1 + prod of
@@ -351,7 +311,7 @@ def left_limit_smoothing(
     # ancestor and picks any finite time below each sibling, so
     # mult(c) = mult(parent) * (F(parent) - 1) / F(c).
     finite: Dict[str, int] = {}
-    for n in reversed(list(tree.iter_nodes())):
+    for n in bottom_up:
         kids = tree.children[n]
         finite[n] = 1 + prod(finite[c] for c in kids) if kids else 1
     mult: Dict[str, int] = {tree.root: 1}
@@ -359,46 +319,49 @@ def left_limit_smoothing(
         for c in tree.children[n]:
             mult[c] = mult[n] * ((finite[n] - 1) // finite[c])
 
-    # check the reached value once per (stop node, leaf) pair
+    # the smoothed values along each path, then the reached value checked
+    # once per (stop node, leaf) pair
+    m_path: Dict[str, List[Fraction]] = {}
+    d_path: Dict[str, List[Fraction]] = {}
     report = SmoothingLimitReport(ok=True)
-    for leaf in tree.leaves:
-        for t, stop in enumerate(tree.path_to(leaf)):
-            w = mult[stop]
+    for leaf, path in paths.items():
+        m, d, sig, a = m_by[leaf], d_by[leaf], sigmas[leaf], starts[leaf]
+        m_row, d_row = list(m), list(d)
+        for k, (s, a_k) in enumerate(zip(sig, a)):
+            e_a = cond[k][path[a_k]]
+            for t in range(a_k, T + 1):
+                u = min(s, t)
+                m_row[t] += cond[k][path[t]] - e_a - m[u] + m[a_k]
+                d_row[t] += e_a - m[a_k] - d[u]
+        m_path[leaf], d_path[leaf] = m_row, d_row
+        for t, stop in enumerate(path):
+            w, prev = mult[stop], max(t - 1, 0)
             # target: M_rho + (D_rho on a qualifying drop at rho, else D_{rho-})
-            jump_at_t = t in sigmas[leaf]
-            target = m_by_leaf[leaf][t] + (
-                d_by_leaf[leaf][t] if jump_at_t else d_by_leaf[leaf][max(t - 1, 0)]
-            )
-            reached = m_path[leaf][t] + d_path[leaf][max(t - 1, 0)]
-            report.positions += w
-            stuck = jump_at_t and announce(leaf, sigmas[leaf].index(t)) >= t
-            if stuck:
-                report.stuck += w
+            jump_at_t = t in sig
+            target = m[t] + (d[t] if jump_at_t else d[prev])
+            reached = m_row[t] + d_row[prev]
+            stuck = jump_at_t and a[sig.index(t)] >= t
             # at lag 1 every non-stuck position reaches the target; at
             # larger lags positions inside a live announce window are not
             # asserted (the surrogate announcing times look ahead there)
-            window_open = any(
-                announce(leaf, k) <= t < s for k, s in enumerate(sigmas[leaf])
-            )
+            window_open = any(a_k <= t < s for s, a_k in zip(sig, a))
             guaranteed = not stuck and (lag == 1 or jump_at_t or not window_open)
-            if guaranteed:
-                report.guaranteed += w
+            report.positions += w
+            report.stuck += w * stuck
+            report.guaranteed += w * guaranteed
             if reached == target:
                 report.equal += w
-                if guaranteed:
-                    report.guaranteed_equal += w
+                report.guaranteed_equal += w * guaranteed
             elif guaranteed:
                 report.ok = False
                 report.mismatches.append((stop, leaf, t, reached, target))
-    m_fold = _fold(tree, m_path)
-    d_fold = _fold(tree, d_path)
     return SmoothedDecomposition(
         lag=lag,
         threshold_index=i,
         martingale_path=m_path,
         drift_path=d_path,
         jump_times=sigmas,
-        martingale=m_fold,
-        drift_adapted=d_fold,
+        martingale=_fold(paths, m_path),
+        drift_adapted=_fold(paths, d_path),
         limit_report=report,
     )

@@ -28,7 +28,7 @@ pass over the nodes instead of enumerating stopping times.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from typing import Dict, Iterable, List, Optional, Tuple
 
@@ -139,13 +139,20 @@ class FollmerPair:
 
 
 def _check_freeze_admissible(tree: FilteredTree, x_star: str) -> None:
-    """No charged path may sit at x* for a positive duration through the horizon.
+    """The freeze-state rules: x* is not the cemetery, and no charged path sits at it.
 
-    The discrete surrogate of "the path is constant at x* on some interval":
-    states equal to x* at every time in {t, ..., T} for some t <= T-1.  A
-    single visit at the final instant does not witness freezing, so fresh
-    symbols and states visited only momentarily are admissible.
+    A freeze state named like the cemetery would give the cemetery pair
+    again.  A charged path sits at x* when its states equal x* at every time
+    in {t, ..., T} for some t <= T-1, the discrete surrogate of "the path is
+    constant at x* on some interval".  A single visit at the final instant
+    does not witness freezing, so fresh symbols and states visited only
+    momentarily are admissible.
     """
+    if x_star == CEMETERY:
+        raise FreezeTargetError(
+            f"freeze state {x_star!r} is the cemetery: the freeze pair would be "
+            f"the cemetery pair"
+        )
     for leaf in tree.leaves:
         if tree.state[leaf] != x_star:
             continue
@@ -173,8 +180,8 @@ def construct_follmer(
 ) -> FollmerPair:
     """The Föllmer pair of Z, from its one-step means (see the module docstring).
 
-    ``target`` is :data:`CEMETERY` or a freeze-state label x* (then no charged
-    path may end in x*).  Z is checked first, so a non-supermartingale is
+    ``target`` is :data:`CEMETERY` or a freeze-state label x* that passes
+    :func:`_check_freeze_admissible`.  Z is checked first, so a non-supermartingale is
     reported before an inadmissible freeze state.
     """
     means = require_supermartingale(tree, z)
@@ -230,10 +237,16 @@ def pair_problem(tree: FilteredTree, pair: FollmerPair) -> Optional[str]:
     The KY atoms aggregate masses by history node only, so they cannot see
     these invariants: a killed outcome dies one step after its history node
     (kill time depth(base)+1, within the horizon) at the pair's target, a
-    surviving outcome sits on a leaf with no target, and the masses are
-    nonnegative with total 1.  The history nodes must already be known to
+    surviving outcome sits on a leaf with no target, the masses are
+    nonnegative with total 1, and a freeze target obeys the same rules as in
+    :func:`construct_follmer`.  The history nodes must already be known to
     the tree.
     """
+    if pair.target != CEMETERY:
+        try:
+            _check_freeze_admissible(tree, pair.target)
+        except FreezeTargetError as exc:
+            return str(exc)
     for o, mass in pair.outcomes.items():
         if mass < 0:
             return f"{_describe(o)} has negative mass {frac_str(mass)}"
@@ -479,15 +492,20 @@ def nonuniqueness_witness(
     """Two distinct Föllmer pairs for a strict supermartingale: cemetery vs freeze.
 
     Both pairs satisfy the Kunita-Yoeurp identity for every stopping time;
-    they disagree exactly on where the killed outcomes sit, so their total
-    variation distance equals the lost mass.
+    they disagree exactly on where the killed outcomes sit, so the freeze
+    pair is the cemetery pair with its killed outcomes moved to x*, and
+    their total variation distance equals the lost mass.
     """
     pair_cemetery = construct_follmer(tree, z, CEMETERY)
     if pair_cemetery.killed_mass() == 0:
         raise MartingaleWitnessError(
             "witness requires a non-martingale: no mass is lost"
         )
-    pair_freeze = construct_follmer(tree, z, x_star)
+    _check_freeze_admissible(tree, x_star)
+    pair_freeze = FollmerPair(
+        {o if o.alive else replace(o, target=x_star): m for o, m in pair_cemetery.outcomes.items()},
+        x_star,
+    )
     return pair_cemetery, pair_freeze, total_variation(pair_cemetery, pair_freeze)
 
 

@@ -114,14 +114,39 @@ def test_verify_detects_corruption(binary_file, tmp_path, capsys):
     assert main(["verify", binary_file, str(bad_path.with_name("missing.json")), "--out", str(out)]) == 2
 
 
-def _binary_pair_file(tmp_path, edit):
-    """The binary example's pair, edited in its dict form and written to a file."""
-    tree, z = binary_example()
+def _colliding_example():
+    """Horizon-2 tree whose a-path sits at state d at times 1 and 2: d is no freeze state."""
+    tree = FilteredTree(
+        2,
+        [
+            {"id": "r", "parent": None},
+            {"id": "a", "parent": "r", "prob": "1/2", "state": "d"},
+            {"id": "b", "parent": "r", "prob": "1/2", "state": "u"},
+            {"id": "aa", "parent": "a", "prob": "1/1", "state": "d"},
+            {"id": "ba", "parent": "b", "prob": "1/1", "state": "u"},
+        ],
+    )
+    values = {"r": 1, "a": Fraction(1, 2), "b": Fraction(3, 2), "aa": Fraction(1, 4), "ba": Fraction(3, 2)}
+    return tree, AdaptedProcess({n: Fraction(v) for n, v in values.items()})
+
+
+def _pair_files(tmp_path, edit, case=binary_example):
+    """A case's tree file and its cemetery pair, edited in its dict form and written to a file."""
+    tree, z = case()
+    tree_path = tmp_path / "tree.json"
+    tree.to_json(str(tree_path), z)
     data = construct_follmer(tree, z).to_dict()
     edit(data)
     path = tmp_path / "edited_pair.json"
     path.write_text(json.dumps(data))
-    return str(path)
+    return str(tree_path), str(path)
+
+
+def _freeze_at_d(data):
+    data["target"] = "d"
+    for row in data["outcomes"]:
+        if row["target"] == "cemetery":
+            row["target"] = "d"
 
 
 def _row(data, node, alive):
@@ -132,20 +157,29 @@ def _row(data, node, alive):
 
 
 @pytest.mark.parametrize(
-    "edit, named",
+    "case, edit, named",
     [
-        (lambda d: _row(d, "r", False).update(kill_time=7), "kill time 7"),
-        (lambda d: _row(d, "r", False).update(target="banana"), "target banana"),
-        (lambda d: _row(d, "r", False).update(kill_time="never", target=None), "not a leaf"),
-        (lambda d: _row(d, "u", True).update(mass="-3/4"), "negative mass"),
-        (lambda d: _row(d, "u", True).update(mass="1/1"), "sum to 5/4"),
-        (lambda d: _row(d, "u", True).update(target="banana"), "target banana) survives, so it can have no target"),
+        (binary_example, lambda d: _row(d, "r", False).update(kill_time=7), "kill time 7"),
+        (binary_example, lambda d: _row(d, "r", False).update(target="banana"), "target banana"),
+        (binary_example, lambda d: _row(d, "r", False).update(kill_time="never", target=None), "not a leaf"),
+        (binary_example, lambda d: _row(d, "u", True).update(mass="-3/4"), "negative mass"),
+        (binary_example, lambda d: _row(d, "u", True).update(mass="1/1"), "sum to 5/4"),
+        (
+            binary_example,
+            lambda d: _row(d, "u", True).update(target="banana"),
+            "target banana) survives, so it can have no target",
+        ),
+        # the freeze pair that `follmer --target d` refuses to build
+        (_colliding_example, _freeze_at_d, "freeze state 'd' collides with charged path r/a/aa"),
     ],
-    ids=["kill-time", "target", "survivor-off-leaf", "negative-mass", "mass-sum", "survivor-target"],
+    ids=[
+        "kill-time", "target", "survivor-off-leaf", "negative-mass", "mass-sum", "survivor-target",
+        "colliding-freeze-state",
+    ],
 )
-def test_verify_rejects_invalid_outcome_space(binary_file, tmp_path, capsys, edit, named):
-    pair_file = _binary_pair_file(tmp_path, edit)
-    assert main(["verify", binary_file, pair_file, "--out", str(tmp_path / "out")]) == 1
+def test_verify_rejects_invalid_outcome_space(tmp_path, capsys, case, edit, named):
+    tree_file, pair_file = _pair_files(tmp_path, edit, case)
+    assert main(["verify", tree_file, pair_file, "--out", str(tmp_path / "out")]) == 1
     captured = capsys.readouterr()
     assert "verification failed" in captured.err and named in captured.err
     assert "stopping times verified" not in captured.out
@@ -170,9 +204,9 @@ def test_verify_rejects_invalid_outcome_space(binary_file, tmp_path, capsys, edi
         "fractional-kill-time", "bool-kill-time", "string-kill-time", "null-kill-time",
     ],
 )
-def test_verify_malformed_pair_exits_2(binary_file, tmp_path, capsys, edit):
-    pair_file = _binary_pair_file(tmp_path, edit)
-    assert main(["verify", binary_file, pair_file, "--out", str(tmp_path / "out")]) == 2
+def test_verify_malformed_pair_exits_2(tmp_path, capsys, edit):
+    tree_file, pair_file = _pair_files(tmp_path, edit)
+    assert main(["verify", tree_file, pair_file, "--out", str(tmp_path / "out")]) == 2
     assert capsys.readouterr().err.startswith("error: ")
 
 
@@ -232,6 +266,21 @@ def test_witness_writes_two_pairs(binary_file, tmp_path):
 
 def test_witness_on_martingale_exits_2(martingale_file, tmp_path):
     assert main(["witness", martingale_file, "x", "--out", str(tmp_path / "o")]) == 2
+
+
+def test_witness_with_cemetery_as_freeze_state_exits_2(binary_file, tmp_path, capsys):
+    # the binary example is a strict supermartingale, but a freeze state named
+    # like the cemetery would build the cemetery pair twice and witness nothing
+    out = tmp_path / "o"
+    assert main(["witness", binary_file, "cemetery", "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith("error: freeze state 'cemetery' is the cemetery")
+    assert not (out / "witness.json").exists()
+
+
+def test_follmer_refuses_the_colliding_freeze_state(tmp_path, capsys):
+    tree_file, _ = _pair_files(tmp_path, lambda d: None, _colliding_example)
+    assert main(["follmer", tree_file, "--target", "d", "--out", str(tmp_path / "o")]) == 2
+    assert "freeze state 'd' collides with charged path r/a/aa" in capsys.readouterr().err
 
 
 def test_mc_manifest_replay_byte_identical(tmp_path):

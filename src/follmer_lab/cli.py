@@ -1,7 +1,7 @@
 """Command-line front end: reproducible runs with machine-readable reports.
 
 Exit codes: 0 on success, 1 when a verification fails, 2 for usage or
-validation errors.  Every Monte-Carlo run writes a manifest sufficient to
+validation errors, and for requests larger than the memory the host grants.  Every Monte-Carlo run writes a manifest sufficient to
 replay it bit-exactly.
 """
 
@@ -328,6 +328,9 @@ def main(argv=None) -> int:
         return EXIT_USAGE
     except (FollmerLabError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
+    except MemoryError as exc:  # a request larger than the host can hold
+        print(f"error: out of memory: {str(exc) or 'allocation refused'}", file=sys.stderr)
         return EXIT_USAGE
 
 

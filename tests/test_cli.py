@@ -10,6 +10,7 @@ import sys
 import tempfile
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -423,6 +424,38 @@ def test_bad_experiment_params_exit_2_without_traceback(tmp_path, fields, named)
     assert proc.returncode == 2
     assert "Traceback" not in proc.stderr
     assert named in proc.stderr
+    assert not (tmp_path / "out" / "results.csv").exists()
+
+
+class _RefusingNumpy:
+    """numpy, except that ``empty`` refuses more than 10^9 elements as an exhausted allocator does."""
+
+    def __getattr__(self, name):
+        return getattr(np, name)
+
+    @staticmethod
+    def empty(shape, *args, **kwargs):
+        if math.prod(shape if isinstance(shape, tuple) else (shape,)) > 10**9:
+            raise MemoryError(f"Unable to allocate an array with shape {shape}")
+        return np.empty(shape, *args, **kwargs)
+
+
+@pytest.mark.parametrize(
+    "manifest",
+    [
+        {"experiment": "exp_decay", "seed": 1, "n_paths": 10**12, "params": {}},
+        {"experiment": "reciprocal_bessel", "seed": 1, "n_paths": 10, "params": {"fp_steps": 10**10}},
+    ],
+    ids=["exp_decay-n_paths-1e12", "bessel-fp_steps-1e10"],
+)
+def test_out_of_memory_exits_2(tmp_path, monkeypatch, capsys, manifest):
+    # the refusal is simulated: whether a host refuses a real oversized
+    # allocation depends on its overcommit setting
+    monkeypatch.setattr(streams, "np", _RefusingNumpy())
+    (tmp_path / "manifest.json").write_text(json.dumps(manifest))
+    assert main(["mc", str(tmp_path / "manifest.json"), "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: out of memory: Unable to allocate an array with shape (")
     assert not (tmp_path / "out" / "results.csv").exists()
 
 

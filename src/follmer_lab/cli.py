@@ -8,7 +8,6 @@ replay it bit-exactly.
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 from fractions import Fraction
@@ -39,7 +38,7 @@ from .mc.gallery import (
     write_results_csv,
 )
 from .mc.streams import uniform_words
-from .trees import FilteredTree, frac_str, is_supermartingale
+from .trees import FilteredTree, frac_str, is_supermartingale, write_json
 
 EXIT_OK = 0
 EXIT_VERIFY_FAIL = 1
@@ -76,9 +75,7 @@ def cmd_decompose(args) -> int:
         "multiplicative": mul.to_dict(),
     }
     out = os.path.join(_out_dir(args), "decomposition.json")
-    with open(out, "w", encoding="utf-8") as fh:
-        json.dump(report, fh, indent=1, sort_keys=True)
-        fh.write("\n")
+    write_json(out, report)
     print(out)
     return EXIT_OK
 
@@ -137,9 +134,7 @@ def cmd_uniqueness(args) -> int:
     pair = construct_follmer(tree, z, CEMETERY)
     rep = uniqueness_report(tree, z, pair)
     out = os.path.join(_out_dir(args), "uniqueness.json")
-    with open(out, "w", encoding="utf-8") as fh:
-        json.dump(rep.to_dict(), fh, indent=1, sort_keys=True)
-        fh.write("\n")
+    write_json(out, rep.to_dict())
     print(out)
     return EXIT_OK
 
@@ -152,19 +147,12 @@ def cmd_witness(args) -> int:
     frz_path = os.path.join(out_dir, "pair_freeze.json")
     cem.to_json(cem_path)
     frz.to_json(frz_path)
-    with open(os.path.join(out_dir, "witness.json"), "w", encoding="utf-8") as fh:
-        json.dump(
-            {
-                "total_variation": frac_str(tv),
-                "pair_cemetery": cem_path,
-                "pair_freeze": frz_path,
-            },
-            fh,
-            indent=1,
-            sort_keys=True,
-        )
-        fh.write("\n")
-    print(os.path.join(out_dir, "witness.json"))
+    witness_path = os.path.join(out_dir, "witness.json")
+    write_json(
+        witness_path,
+        {"total_variation": frac_str(tv), "pair_cemetery": cem_path, "pair_freeze": frz_path},
+    )
+    print(witness_path)
     print(f"total variation {frac_str(tv)}")
     return EXIT_OK
 

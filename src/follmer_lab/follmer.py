@@ -47,6 +47,7 @@ from .trees import (
     frac_str,
     is_supermartingale,
     require_supermartingale,
+    write_json,
 )
 
 CEMETERY = "cemetery"
@@ -128,9 +129,7 @@ class FollmerPair:
         return cls(outcomes, data["target"])
 
     def to_json(self, path: str) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(self.to_dict(), fh, indent=1, sort_keys=True)
-            fh.write("\n")
+        write_json(path, self.to_dict())
 
     @classmethod
     def from_json(cls, path: str) -> "FollmerPair":

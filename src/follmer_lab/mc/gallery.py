@@ -55,6 +55,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from ..errors import FollmerLabError
+from ..trees import write_json
 from .bridges import SIGMA_MAX, SimpleNonincreasing, simple_approx, single_jump_approx, suicide_martingale
 from .fatou import fatou_approx, fatou_probe_error, in_S
 from .families import (
@@ -619,19 +620,7 @@ def run_experiment(name: str, seed: int, n_paths: int, params: Optional[dict]) -
 def write_manifest(
     path: str, experiment: str, seed: int, n_paths: int, params: Optional[dict]
 ) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(
-            {
-                "experiment": experiment,
-                "seed": seed,
-                "n_paths": n_paths,
-                "params": params,
-            },
-            fh,
-            indent=1,
-            sort_keys=True,
-        )
-        fh.write("\n")
+    write_json(path, {"experiment": experiment, "seed": seed, "n_paths": n_paths, "params": params})
 
 
 def read_manifest(path: str) -> dict:
@@ -670,6 +659,4 @@ def write_plot_data(result: ExperimentResult, path: str) -> None:
 
 
 def write_report_json(result: ExperimentResult, path: str) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump({"experiment": result.name, "report": result.report}, fh, indent=1, sort_keys=True)
-        fh.write("\n")
+    write_json(path, {"experiment": result.name, "report": result.report})

@@ -80,6 +80,13 @@ def frac_str(x: Fraction) -> str:
     return f"{x.numerator}/{x.denominator}"
 
 
+def write_json(path: str, obj) -> None:
+    """Write ``obj`` as the library's one JSON format: indent 1, sorted keys, final newline."""
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(obj, fh, indent=1, sort_keys=True)
+        fh.write("\n")
+
+
 class FilteredTree:
     """Finite filtered tree: nodes, parent links, exact edge probabilities.
 
@@ -289,9 +296,7 @@ class FilteredTree:
             return cls.from_dict(json.load(fh))
 
     def to_json(self, path: str, z: Optional["AdaptedProcess"] = None) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(self.to_dict(z), fh, indent=1, sort_keys=True)
-            fh.write("\n")
+        write_json(path, self.to_dict(z))
 
 
 @dataclass(frozen=True)

@@ -375,6 +375,9 @@ def write_ky_ledger(report: KYReport, path: str) -> None:
 def tau_hat(tree: FilteredTree, z: AdaptedProcess, n: int) -> StoppingTime:
     """Stop at the first node with Z >= n, no later than time min(n, horizon).
 
+    It illustrates the localizing times of the existence statement: they
+    increase with n, and before each of them the density Z stays below n,
+    so the measure with density Z can be built up to one of them at a time.
     Once n exceeds both the maximum of Z and the horizon, the threshold is
     unreachable and the cap is the horizon, so the time is the constant T.
     """
@@ -439,36 +442,28 @@ def uniqueness_report(
     else:
         negligible = mass_lost == 0  # frozen outcomes have zeta = never > tau
     if rep.is_martingale:
-        return UniquenessReport(
-            True,
-            mass_lost,
-            negligible,
-            negligible,
-            True,
-            False,
+        unique_pair, reason = True, (
             "martingale: no mass lost, the capped crossing times never fire "
-            "and the pair is pinned down",
+            "and the pair is pinned down"
         )
-    if tree.effective_state_count() >= 2:
-        return UniquenessReport(
-            False,
-            mass_lost,
-            negligible,
-            negligible,
-            False,
-            True,
+    elif tree.effective_state_count() >= 2:
+        unique_pair, reason = False, (
             "strict supermartingale with >= 2 states: cemetery and "
-            "freeze-state pairs disagree on the killed outcomes",
+            "freeze-state pairs disagree on the killed outcomes"
+        )
+    else:
+        unique_pair, reason = True, (
+            "single-state chain: the outcome space {original path, killed "
+            "truncations} pins the measure down"
         )
     return UniquenessReport(
-        False,
+        rep.is_martingale,
         mass_lost,
         negligible,
         negligible,
-        True,
-        False,
-        "single-state chain: the outcome space {original path, killed "
-        "truncations} pins the measure down",
+        unique_pair,
+        not unique_pair,
+        reason,
     )
 
 
@@ -513,7 +508,9 @@ def chain_measure_from_constant_times(
 ) -> Dict[Optional[int], Fraction]:
     """Unique kill-time law on a single-path tree, solved from constant times.
 
-    On a chain the outcome space is {kill at 1..T} plus the surviving path,
+    It illustrates the uniqueness statement for a single path: when the
+    outcome space is the original path and its killed truncations, the
+    identities at the constant times alone determine the measure.  On a chain the outcome space is {kill at 1..T} plus the surviving path,
     and the identities at the constant times t = 0..T form a triangular
     system: mass surviving past t must be E[Z_t], so the kill mass at t is
     the decrement E[Z_{t-1}] - E[Z_t] and the surviving mass is E[Z_T].

@@ -213,7 +213,6 @@ class DyadicFamily:
             picks = default_dense_sequence(4 ** n_max + 64)
         else:
             picks = [frac(p) for p in dense_picks]
-        self._picks = picks
         # first-hit representative per interval per level
         self.reps: Dict[int, List[Fraction]] = {}
         for n in range(1, n_max + 1):
@@ -260,10 +259,6 @@ class DyadicFamily:
             Fraction(0),
         )
 
-    def reference_measure_of_dyadic(self, level: int, k: int) -> Fraction:
-        span = 2 ** (self.n_max - level)
-        return sum(self.weights[k * span : (k + 1) * span], Fraction(0))
-
 
 def dyadic_demo(
     n_max: int,
@@ -272,7 +267,10 @@ def dyadic_demo(
 ) -> DyadicDemoReport:
     """Run the agreement/disagreement demo across all levels.
 
-    Checks exact agreement of the level-n measure with the reference measure
+    It illustrates that agreement on every finite level of a filtration does
+    not pin a measure down: each level measure matches the reference measure
+    on the dyadic intervals up to its level, yet all of them charge only a
+    countable set of representatives.  Checks exact agreement of the level-n measure with the reference measure
     on every dyadic interval of every level <= n, and that the set of all
     representatives carries level mass one.  The reference measure is known
     only through its interval weights, which do not determine its mass on a
@@ -283,8 +281,7 @@ def dyadic_demo(
     levels: List[DyadicLevel] = []
     for n in range(1, n_max + 1):
         agrees = all(
-            fam.level_measure_of_dyadic(n, lv, k)
-            == fam.reference_measure_of_dyadic(lv, k)
+            fam.level_measure_of_dyadic(n, lv, k) == fam.interval_weight(lv, k)
             for lv in range(1, n + 1)
             for k in range(2**lv)
         )

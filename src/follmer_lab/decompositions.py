@@ -262,7 +262,9 @@ def left_limit_smoothing(
     It illustrates, on a finite tree, that the big predictable jumps of a
     supermartingale's drift can be carried by martingales started at their
     announcing times without changing the value the pair reaches at a finite
-    stopping time.  The n-th qualifying drop time sigma_n on a path is announced at
+    stopping time.
+
+    The n-th qualifying drop time sigma_n on a path is announced at
     a_n = max(sigma_n - lag, sigma_{n-1} + 1); from there the martingale part
     tracks E[Z_{sigma_n} 1{sigma_n exists} | F_t] and the drift absorbs the
     offset, so at lag 1 the pair reaches, at every finite stopping time rho,

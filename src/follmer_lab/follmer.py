@@ -377,7 +377,9 @@ def tau_hat(tree: FilteredTree, z: AdaptedProcess, n: int) -> StoppingTime:
 
     It illustrates the localizing times of the existence statement: they
     increase with n, and before each of them the density Z stays below n,
-    so the measure with density Z can be built up to one of them at a time.
+    so the measure with density Z can be built on the history up to each of
+    them in turn.
+
     Once n exceeds both the maximum of Z and the horizon, the threshold is
     unreachable and the cap is the horizon, so the time is the constant T.
     """
@@ -510,7 +512,9 @@ def chain_measure_from_constant_times(
 
     It illustrates the uniqueness statement for a single path: when the
     outcome space is the original path and its killed truncations, the
-    identities at the constant times alone determine the measure.  On a chain the outcome space is {kill at 1..T} plus the surviving path,
+    identities at the constant times alone determine the measure.
+
+    On a chain the outcome space is {kill at 1..T} plus the surviving path,
     and the identities at the constant times t = 0..T form a triangular
     system: mass surviving past t must be E[Z_t], so the kill mass at t is
     the decrement E[Z_{t-1}] - E[Z_t] and the surviving mass is E[Z_T].

@@ -270,7 +270,9 @@ def dyadic_demo(
     It illustrates that agreement on every finite level of a filtration does
     not pin a measure down: each level measure matches the reference measure
     on the dyadic intervals up to its level, yet all of them charge only a
-    countable set of representatives.  Checks exact agreement of the level-n measure with the reference measure
+    countable set of representatives.
+
+    Checks exact agreement of the level-n measure with the reference measure
     on every dyadic interval of every level <= n, and that the set of all
     representatives carries level mass one.  The reference measure is known
     only through its interval weights, which do not determine its mass on a

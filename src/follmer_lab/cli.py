@@ -1,8 +1,8 @@
 """Command-line front end: reproducible runs with machine-readable reports.
 
 Exit codes: 0 on success, 1 when a verification fails, 2 for usage or
-validation errors, and for requests larger than the memory the host grants.  Every Monte-Carlo run writes a manifest sufficient to
-replay it bit-exactly.
+validation errors and for requests larger than the memory the host grants.
+Every Monte-Carlo run writes a manifest sufficient to replay it bit-exactly.
 """
 
 from __future__ import annotations

@@ -180,8 +180,8 @@ def construct_follmer(
     """The Föllmer pair of Z, from its one-step means (see the module docstring).
 
     ``target`` is :data:`CEMETERY` or a freeze-state label x* that passes
-    :func:`_check_freeze_admissible`.  Z is checked first, so a non-supermartingale is
-    reported before an inadmissible freeze state.
+    :func:`_check_freeze_admissible`.  Z is checked first, so a
+    non-supermartingale is reported before an inadmissible freeze state.
     """
     means = require_supermartingale(tree, z)
     if target != CEMETERY:

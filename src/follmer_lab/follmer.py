@@ -28,7 +28,7 @@ pass over the nodes instead of enumerating stopping times.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Dict, Iterable, List, Optional, Tuple
 
@@ -488,9 +488,8 @@ def nonuniqueness_witness(
     """Two distinct Föllmer pairs for a strict supermartingale: cemetery vs freeze.
 
     Both pairs satisfy the Kunita-Yoeurp identity for every stopping time;
-    they disagree exactly on where the killed outcomes sit, so the freeze
-    pair is the cemetery pair with its killed outcomes moved to x*, and
-    their total variation distance equals the lost mass.
+    they disagree exactly on where the killed outcomes sit, so their total
+    variation distance equals the lost mass.
     """
     pair_cemetery = construct_follmer(tree, z, CEMETERY)
     if pair_cemetery.killed_mass() == 0:
@@ -498,10 +497,7 @@ def nonuniqueness_witness(
             "witness requires a non-martingale: no mass is lost"
         )
     _check_freeze_admissible(tree, x_star)
-    pair_freeze = FollmerPair(
-        {o if o.alive else replace(o, target=x_star): m for o, m in pair_cemetery.outcomes.items()},
-        x_star,
-    )
+    pair_freeze = construct_follmer(tree, z, x_star)
     return pair_cemetery, pair_freeze, total_variation(pair_cemetery, pair_freeze)
 
 

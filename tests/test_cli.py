@@ -278,12 +278,6 @@ def test_witness_with_cemetery_as_freeze_state_exits_2(binary_file, tmp_path, ca
     assert not (out / "witness.json").exists()
 
 
-def test_follmer_refuses_the_colliding_freeze_state(tmp_path, capsys):
-    tree_file, _ = _pair_files(tmp_path, lambda d: None, _colliding_example)
-    assert main(["follmer", tree_file, "--target", "d", "--out", str(tmp_path / "o")]) == 2
-    assert "freeze state 'd' collides with charged path r/a/aa" in capsys.readouterr().err
-
-
 def test_mc_manifest_replay_byte_identical(tmp_path):
     manifest = {
         "experiment": "exp_decay",

@@ -184,22 +184,6 @@ def test_witness_refuses_the_cemetery_as_freeze_state():
         nonuniqueness_witness(tree, z, CEMETERY)
 
 
-def test_witness_freeze_pair_is_the_constructed_freeze_pair():
-    rng = random.Random(5)
-    for _ in range(30):
-        tree, z = random_case(rng)
-        if construct_follmer(tree, z).killed_mass() == 0:
-            continue
-        for x_star in ("x", tree.state[tree.leaves[-1]]):
-            try:
-                frz = construct_follmer(tree, z, x_star)
-            except FreezeTargetError:
-                with pytest.raises(FreezeTargetError):
-                    nonuniqueness_witness(tree, z, x_star)
-                continue
-            assert nonuniqueness_witness(tree, z, x_star)[1] == frz
-
-
 def test_witness_refuses_martingale():
     rng = random.Random(12)
     tree, z = random_case(rng, martingale=True)

@@ -243,12 +243,9 @@ class SmoothedDecomposition:
 
 def _fold(paths: Dict[str, List[str]], per_leaf: Dict[str, List[Fraction]]) -> Optional[AdaptedProcess]:
     """The node-valued process of per-leaf path values; None where two paths disagree."""
-    vals: Dict[str, Fraction] = {}
-    for leaf, path in paths.items():
-        for n, v in zip(path, per_leaf[leaf]):
-            if vals.setdefault(n, v) != v:
-                return None
-    return AdaptedProcess(vals)
+    pairs = [(n, v) for leaf, path in paths.items() for n, v in zip(path, per_leaf[leaf])]
+    vals = dict(pairs)
+    return AdaptedProcess(vals) if all(vals[n] == v for n, v in pairs) else None
 
 
 def left_limit_smoothing(
@@ -278,21 +275,20 @@ def left_limit_smoothing(
     if lag < 1:
         raise ValueError(f"announce lag must be >= 1, got {lag}")
     add = doob_meyer(tree, z)
-    T, threshold = tree.horizon, -Fraction(1, i)
+    threshold = -Fraction(1, i)
     bottom_up = list(tree.iter_nodes())[::-1]
 
     # once per leaf: its path, M and D along it, the qualifying jump times
     # and their announcing times
     paths = {leaf: tree.path_to(leaf) for leaf in tree.leaves}
-    m_by: Dict[str, List[Fraction]] = {}
-    d_by: Dict[str, List[Fraction]] = {}
-    sigmas: Dict[str, List[int]] = {}
-    starts: Dict[str, List[int]] = {}
+    along: Dict[str, Tuple[List[Fraction], List[Fraction], List[int], List[int]]] = {}
     for leaf, path in paths.items():
-        m_by[leaf] = [add.martingale[n] for n in path]
-        d = d_by[leaf] = [add.drift.value_on(tree, n) for n in path]
-        sig = sigmas[leaf] = [t for t in range(1, T + 1) if d[t] - d[t - 1] <= threshold]
-        starts[leaf] = [max(s - lag, prev + 1) for prev, s in zip([0] + sig, sig)]
+        m = [add.martingale[n] for n in path]
+        d = [add.drift.value_on(tree, n) for n in path]
+        sig = [t for t in range(1, len(path)) if d[t] - d[t - 1] <= threshold]
+        a = [max(s - lag, prev + 1) for prev, s in zip([0] + sig, sig)]
+        along[leaf] = (m, d, sig, a)
+    sigmas = {leaf: sig for leaf, (_, _, sig, _) in along.items()}
 
     # cond[k][n] = E[Z_{sigma_k} 1{sigma_k exists} | F_t] at node n, by one
     # bottom-up pass of one-step means per jump index k
@@ -326,22 +322,23 @@ def left_limit_smoothing(
     m_path: Dict[str, List[Fraction]] = {}
     d_path: Dict[str, List[Fraction]] = {}
     report = SmoothingLimitReport(ok=True)
-    for leaf, path in paths.items():
-        m, d, sig, a = m_by[leaf], d_by[leaf], sigmas[leaf], starts[leaf]
-        m_row, d_row = list(m), list(d)
+    for leaf, (m, d, sig, a) in along.items():
+        path = paths[leaf]
+        m_path[leaf] = list(m)
+        d_path[leaf] = list(d)
         for k, (s, a_k) in enumerate(zip(sig, a)):
             e_a = cond[k][path[a_k]]
-            for t in range(a_k, T + 1):
+            for t in range(a_k, len(path)):
                 u = min(s, t)
-                m_row[t] += cond[k][path[t]] - e_a - m[u] + m[a_k]
-                d_row[t] += e_a - m[a_k] - d[u]
-        m_path[leaf], d_path[leaf] = m_row, d_row
+                m_path[leaf][t] += cond[k][path[t]] - e_a - m[u] + m[a_k]
+                d_path[leaf][t] += e_a - m[a_k] - d[u]
         for t, stop in enumerate(path):
-            w, prev = mult[stop], max(t - 1, 0)
+            w = mult[stop]
+            prev = max(t - 1, 0)
             # target: M_rho + (D_rho on a qualifying drop at rho, else D_{rho-})
             jump_at_t = t in sig
             target = m[t] + (d[t] if jump_at_t else d[prev])
-            reached = m_row[t] + d_row[prev]
+            reached = m_path[leaf][t] + d_path[leaf][prev]
             stuck = jump_at_t and a[sig.index(t)] >= t
             # at lag 1 every non-stuck position reaches the target; at
             # larger lags positions inside a live announce window are not
@@ -349,11 +346,14 @@ def left_limit_smoothing(
             window_open = any(a_k <= t < s for s, a_k in zip(sig, a))
             guaranteed = not stuck and (lag == 1 or jump_at_t or not window_open)
             report.positions += w
-            report.stuck += w * stuck
-            report.guaranteed += w * guaranteed
+            if stuck:
+                report.stuck += w
+            if guaranteed:
+                report.guaranteed += w
             if reached == target:
                 report.equal += w
-                report.guaranteed_equal += w * guaranteed
+                if guaranteed:
+                    report.guaranteed_equal += w
             elif guaranteed:
                 report.ok = False
                 report.mismatches.append((stop, leaf, t, reached, target))

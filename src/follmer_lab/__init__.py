@@ -22,7 +22,6 @@ from .trees import (
     frac_str,
     is_supermartingale,
     one_step_expectation,
-    stop_value,
 )
 
 __all__ = [
@@ -38,7 +37,6 @@ __all__ = [
     "frac_str",
     "is_supermartingale",
     "one_step_expectation",
-    "stop_value",
 ]
 
 __version__ = "0.1.0"

@@ -11,17 +11,17 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
-from typing import List, Optional, Tuple
+from typing import List, Tuple
 
 from .trees import AdaptedProcess, FilteredTree, count_stopping_times
 
 _STATES = ["u", "d", "m", "w"]
 
 
-def unary_chain(values, horizon: Optional[int] = None) -> Tuple[FilteredTree, AdaptedProcess]:
+def unary_chain(values) -> Tuple[FilteredTree, AdaptedProcess]:
     """A single-path tree carrying the given process values (time 0..T)."""
     vals = [Fraction(v) for v in values]
-    T = len(vals) - 1 if horizon is None else horizon
+    T = len(vals) - 1
     nodes = [{"id": "n0", "parent": None}]
     for t in range(1, T + 1):
         nodes.append({"id": f"n{t}", "parent": f"n{t-1}", "prob": "1/1"})
@@ -49,13 +49,12 @@ def random_tree(
     rng: random.Random,
     max_depth: int = 4,
     max_branching: int = 3,
-    labeled: bool = True,
-    stopping_time_cap: Optional[int] = 4000,
 ) -> FilteredTree:
     """A random tree with depth <= max_depth and branching <= max_branching.
 
-    Rejection-samples until the exact stopping-time count fits under
-    ``stopping_time_cap`` so exhaustive suites stay fast.
+    Sibling j carries the state label ``"udmw"[j % 4]``.  Rejection-samples
+    until the exact stopping-time count is at most 4000, so exhaustive suites
+    stay fast.
     """
     while True:
         depth = rng.randint(1, max_depth)
@@ -69,18 +68,18 @@ def random_tree(
                 total = sum(weights)
                 for j, w in enumerate(weights):
                     nid = f"{par}.{j}"
-                    entry = {
-                        "id": nid,
-                        "parent": par,
-                        "prob": Fraction(w, total),
-                    }
-                    if labeled:
-                        entry["state"] = _STATES[j % len(_STATES)]
-                    nodes.append(entry)
+                    nodes.append(
+                        {
+                            "id": nid,
+                            "parent": par,
+                            "prob": Fraction(w, total),
+                            "state": _STATES[j % len(_STATES)],
+                        }
+                    )
                     nxt.append(nid)
             level = nxt
         tree = FilteredTree(depth, nodes)
-        if stopping_time_cap is None or count_stopping_times(tree) <= stopping_time_cap:
+        if count_stopping_times(tree) <= 4000:
             return tree
 
 
@@ -139,7 +138,6 @@ def random_case(
     max_depth: int = 4,
     max_branching: int = 3,
     martingale: bool = False,
-    **kw,
 ) -> Tuple[FilteredTree, AdaptedProcess]:
-    tree = random_tree(rng, max_depth=max_depth, max_branching=max_branching, **kw)
+    tree = random_tree(rng, max_depth=max_depth, max_branching=max_branching)
     return tree, random_supermartingale(rng, tree, martingale=martingale)

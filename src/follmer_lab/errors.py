@@ -38,8 +38,6 @@ class EnumerationCapError(FollmerLabError):
             f"refusing to enumerate {count_str(count)} stopping times (cap is {cap}); "
             f"raise the cap explicitly if this is intended"
         )
-        self.count = count
-        self.cap = cap
 
 
 class PairValidationError(FollmerLabError):
@@ -55,11 +53,7 @@ class NotSupermartingaleError(FollmerLabError):
 
 
 class FreezeTargetError(FollmerLabError):
-    """The freeze-state target collides with a charged path of the tree."""
-
-    def __init__(self, message, path=None):
-        super().__init__(message)
-        self.path = path
+    """The freeze-state target is the cemetery or collides with a charged path of the tree."""
 
 
 class GridError(FollmerLabError):

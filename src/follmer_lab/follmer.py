@@ -163,12 +163,10 @@ def _check_freeze_admissible(tree: FilteredTree, x_star: str) -> None:
             else:
                 break
         if run >= 2:
-            path = "/".join(path_nodes)
             raise FreezeTargetError(
-                f"freeze state {x_star!r} collides with charged path {path}: "
+                f"freeze state {x_star!r} collides with charged path {'/'.join(path_nodes)}: "
                 f"it sits at {x_star!r} for {run} consecutive times through "
-                f"the horizon",
-                path=path,
+                f"the horizon"
             )
 
 
@@ -387,15 +385,13 @@ def tau_hat(tree: FilteredTree, z: AdaptedProcess, n: int) -> StoppingTime:
         raise ValueError(f"level must be >= 1, got {n}")
     cap_time = min(n, tree.horizon)
     stops: List[str] = []
-
-    def walk(node: str) -> None:
+    stack = [tree.root]
+    while stack:
+        node = stack.pop()
         if z[node] >= n or tree.depth[node] == cap_time:
             stops.append(node)
-            return
-        for c in tree.children[node]:
-            walk(c)
-
-    walk(tree.root)
+        else:
+            stack.extend(tree.children[node])
     return StoppingTime(frozenset(stops))
 
 

@@ -214,7 +214,6 @@ def extended_approx(
 
 @dataclass
 class MassRedirectResult:
-    reweighted_terminal: np.ndarray
     indicator: np.ndarray
     estimate: float  # E[L^(l)_inf 1_{B_l}]
     se: float
@@ -255,7 +254,6 @@ def mass_redirect(
     samples = reweighted * indicator
     est, se = mean_and_se(samples)
     return MassRedirectResult(
-        reweighted_terminal=reweighted,
         indicator=indicator,
         estimate=est,
         se=se,
@@ -273,7 +271,6 @@ class SplitLimitResult:
     own_mass: float  # E[L 1_{A_sign}] ~ 1, time-n conditioning integrated out
     own_se: float
     raw_own_mass: float  # plain average of L * 1_{A_sign}: heavy boundary layer
-    raw_own_se: float
     crossing_frequency: float  # P[level 2^n reached] <= 2^-n
     crossing_bound: float
 
@@ -325,13 +322,11 @@ def split_limit_demo(n: int, n_paths: int, seed: int) -> Dict[str, SplitLimitRes
         # the weight 1/p_own applies only on the own event, and only where p_own > 0
         terminal = np.zeros(n_paths)
         np.divide(stopped, p_own, out=terminal, where=own_event & (p_own > 0))
-        raw_mass, raw_se = mean_and_se(terminal)
         results[sign] = SplitLimitResult(
             terminal=terminal,
             own_mass=own_mass,
             own_se=own_se,
-            raw_own_mass=raw_mass,
-            raw_own_se=raw_se,
+            raw_own_mass=mean_and_se(terminal)[0],
             crossing_frequency=float(np.mean(crossed)),
             crossing_bound=2.0**-n,
         )

@@ -23,8 +23,8 @@ from .paths import PathBatch
 from .streams import fill_paths
 
 
-def in_S(t, n_max: int, n_min: int = 1) -> bool:
-    """Is t inside some mass-loss interval (k 2^-m, k 2^-m + 2^-3m), m in [n_min, n_max]?
+def in_S(t, n_max: int) -> bool:
+    """Is t inside some mass-loss interval (k 2^-m, k 2^-m + 2^-3m), m in [1, n_max]?
 
     Exact rational arithmetic: floats are converted via Fraction so dyadic
     endpoint exclusions are decided correctly.
@@ -32,7 +32,7 @@ def in_S(t, n_max: int, n_min: int = 1) -> bool:
     t = Fraction(t) if not isinstance(t, Fraction) else t
     if t <= 0:
         return False
-    for m in range(n_min, n_max + 1):
+    for m in range(1, n_max + 1):
         step = Fraction(1, 2**m)
         width = Fraction(1, 2 ** (3 * m))
         k = t // step  # candidate interval index: k*step < t iff t not on the grid

@@ -17,11 +17,11 @@ path is drawn:
   integer, a float parameter a finite number (an integer is read as a
   float), a list parameter (tuple default) a nonempty list of those; the
   probe times ``ts`` must also be positive;
-- the burn-in indices ``m`` and ``m_list`` entries, the split level ``n``
-  and ``fp_steps`` are at least 1, and the resolution ``k`` at least 0
-  (:data:`MINIMUM`);
-- ``m``, the ``m_list`` entries and ``k`` are bounded above where the code
-  stops computing what it claims (:data:`MAXIMUM`):
+- the burn-in indices ``m`` and ``m_list`` entries, the split level ``n``,
+  ``fp_steps`` and ``scan_depth`` are at least 1, and the resolution ``k``
+  at least 0 (:data:`MINIMUM`);
+- ``m``, the ``m_list`` entries, ``k`` and ``scan_depth`` are bounded above
+  where the code stops computing what it claims (:data:`MAXIMUM`):
 
   - ``m`` <= 51: a burn-in window is 2^-m long, and from m = 52 the
     windows ending at ``suicide``'s jump times 1 and 2 are as short as the
@@ -36,7 +36,11 @@ path is drawn:
     schedule walks t_max 2^m phases in Python;
   - ``k`` <= 16: ``simple_approx`` walks t_max 2^k dyadic times in Python
     (about a second at k = 16, hours at k = 30), and 2^-k underflows to 0
-    from k = 1075.
+    from k = 1075;
+  - ``scan_depth`` <= 1074: every double is a multiple of 2^-1074, so at
+    every level from 1074 on a probe is a point of the level's dyadic grid
+    and lies in none of its phase intervals.  A deeper scan cannot change
+    ``in_S``, and its exact work grows with the square of the depth.
 
 Other range rules that the library below enforces (grid spans, window
 sizes, the upper bound on ``n``, ...) are left to it.  The written
@@ -378,14 +382,14 @@ def exp_decay_family(
     k: int = 3,
     m: int = 6,
     level: float = 4.0,
-    t_max: float = 2.5,
-    base_step: float = 1 / 16,
 ) -> Tuple[PathBatch, float]:
     """Level-stopped suicide family for the exponential-decay supermartingale.
 
-    Returns the batch and the first-passage time of the decay below 1/2.
+    Returns the batch, on a grid of step 1/16 up to 2.5 refined in each
+    burn-in window, and the first-passage time of the decay below 1/2.
     """
     rho = math.log(2.0)
+    t_max, base_step = 2.5, 1 / 16
     draft = GridSpec(t_max=t_max, base_step=base_step).points()
     g = simple_approx(draft, np.exp(-draft), k=k)
     window = 2.0**-m
@@ -530,8 +534,6 @@ EXPERIMENTS: Dict[str, Callable[[int, int, dict], ExperimentResult]] = {
     "bm_check": run_bm_check,
 }
 
-GALLERY = {"reciprocal_bessel", "exp_decay", "uniform_rho"}
-
 # Every settable parameter of each experiment and its default; the default's
 # type is the parameter's type (a tuple default makes a list parameter).
 PARAMS: Dict[str, Dict[str, object]] = {
@@ -557,8 +559,8 @@ POSITIVE = {"ts"}  # float parameters whose values must also be > 0
 # bounds of int parameters (for a list, of each entry), checked before
 # 2.0**-m and the like can overflow or underflow; the module docstring says
 # where each upper bound comes from
-MINIMUM = {"m": 1, "n": 1, "fp_steps": 1, "m_list": 1, "k": 0}
-MAXIMUM = {"m": 51, "m_list": 16, "k": 16}
+MINIMUM = {"m": 1, "n": 1, "fp_steps": 1, "m_list": 1, "k": 0, "scan_depth": 1}
+MAXIMUM = {"m": 51, "m_list": 16, "k": 16, "scan_depth": 1074}
 
 
 def _checked(key: str, x, kind: type, entry: bool = False):

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, FrozenSet, Iterable, List, Sequence, Tuple
 
 from .trees import frac
 
@@ -95,8 +95,6 @@ class OneSetExtension:
     extension restricts to mu on the blocks and gives A its outer content.
     """
 
-    space: FiniteMeasurableSpace
-    new_set: FrozenSet[str]
     piece_mass: Dict[FrozenSet[str], Fraction]
 
     def measure(self, s: Iterable[str]) -> Fraction:
@@ -137,7 +135,7 @@ def bierlein_extend(space: FiniteMeasurableSpace, a: Iterable[str]) -> OneSetExt
                 piece_mass[outside] = Fraction(0)
         else:
             piece_mass[b] = m
-    return OneSetExtension(space, a, piece_mass)
+    return OneSetExtension(piece_mass)
 
 
 # -- dyadic representative measures -------------------------------------------
@@ -188,16 +186,14 @@ class DyadicFamily:
     The reference measure lives on the level-``n_max`` dyadic partition of
     (0, 1] via exact interval weights.  For each n <= n_max the level-n
     measure puts the mass of each level-n interval onto that interval's
-    representative: the first member of a fixed countable dense sequence that
-    falls inside it.
+    representative: the first member of :func:`default_dense_sequence` that
+    falls inside it.  Its first 4^n_max + 64 members hold one for every
+    interval: the level-n interval k contains (k+1)/2^n, whose denominator
+    is at most 2^n, and the sequence lists the at most 2^n (2^n + 1)/2 such
+    fractions before any other.
     """
 
-    def __init__(
-        self,
-        n_max: int,
-        weights: Sequence,
-        dense_picks: Optional[Sequence] = None,
-    ):
+    def __init__(self, n_max: int, weights: Sequence):
         if n_max < 1:
             raise ValueError("need n_max >= 1")
         self.n_max = n_max
@@ -209,10 +205,7 @@ class DyadicFamily:
             )
         if any(w < 0 for w in self.weights) or sum(self.weights, Fraction(0)) != 1:
             raise ValueError("weights must be a probability vector")
-        if dense_picks is None:
-            picks = default_dense_sequence(4 ** n_max + 64)
-        else:
-            picks = [frac(p) for p in dense_picks]
+        picks = default_dense_sequence(4 ** n_max + 64)
         # first-hit representative per interval per level
         self.reps: Dict[int, List[Fraction]] = {}
         for n in range(1, n_max + 1):
@@ -220,12 +213,7 @@ class DyadicFamily:
             for k in range(2**n):
                 lo = Fraction(k, 2**n)
                 hi = Fraction(k + 1, 2**n)
-                rep = next((x for x in picks if lo < x <= hi), None)
-                if rep is None:
-                    raise ValueError(
-                        f"no representative available in ({lo}, {hi}] at level {n}"
-                    )
-                row.append(rep)
+                row.append(next(x for x in picks if lo < x <= hi))
             self.reps[n] = row
 
     def interval_weight(self, n: int, k: int) -> Fraction:
@@ -260,11 +248,7 @@ class DyadicFamily:
         )
 
 
-def dyadic_demo(
-    n_max: int,
-    weights: Sequence,
-    dense_picks: Optional[Sequence] = None,
-) -> DyadicDemoReport:
+def dyadic_demo(n_max: int, weights: Sequence) -> DyadicDemoReport:
     """Run the agreement/disagreement demo across all levels.
 
     It illustrates that agreement on every finite level of a filtration does
@@ -278,7 +262,7 @@ def dyadic_demo(
     only through its interval weights, which do not determine its mass on a
     finite set, so no such mass is reported.
     """
-    fam = DyadicFamily(n_max, weights, dense_picks)
+    fam = DyadicFamily(n_max, weights)
     all_reps = {r for row in fam.reps.values() for r in row}
     levels: List[DyadicLevel] = []
     for n in range(1, n_max + 1):

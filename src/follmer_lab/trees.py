@@ -575,37 +575,14 @@ def enumerate_stopping_times(
     if count > cap:
         raise EnumerationCapError(count, cap)
 
-    def antichains(n: str) -> List[frozenset]:
-        if tree.is_leaf(n):
-            return [frozenset(), frozenset([n])]
+    # bottom-up over the breadth-first order, each node's antichains built
+    # from its children's: no recursion, so long chains cannot overflow
+    below: Dict[str, List[frozenset]] = {}
+    for n in reversed(tree._order):
         partial: List[frozenset] = [frozenset()]
         for c in tree.children[n]:
-            child_choices = antichains(c)
+            child_choices = below.pop(c)
             partial = [p | q for p in partial for q in child_choices]
         partial.append(frozenset([n]))
-        return partial
-
-    return [StoppingTime(s) for s in antichains(tree.root)]
-
-
-@dataclass(frozen=True)
-class StopValue:
-    """X_rho per stopped leaf plus the exact expectation E[X_rho 1_{rho<inf}]."""
-
-    leaf_values: Dict[str, Fraction]
-    expectation: Fraction
-
-
-def stop_value(
-    tree: FilteredTree, x: AdaptedProcess, rho: StoppingTime
-) -> StopValue:
-    """Value of x at the stopping time; leaves below a stop node inherit its value."""
-    leaf_values: Dict[str, Fraction] = {}
-    expectation = Fraction(0)
-    for leaf in tree.leaves:
-        s = rho.stop_node_on_path(tree, leaf)
-        if s is not None:
-            leaf_values[leaf] = x[s]
-    for s in rho.nodes:
-        expectation += tree.path_prob[s] * x[s]
-    return StopValue(leaf_values, expectation)
+        below[n] = partial
+    return [StoppingTime(s) for s in below[tree.root]]

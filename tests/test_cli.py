@@ -81,6 +81,28 @@ def test_decompose_malformed_probabilities_exits_2(tmp_path, capsys):
     assert "r" in err  # offending node named
 
 
+@pytest.mark.parametrize(
+    "command", [["decompose"], ["follmer"], ["uniqueness"], ["witness", "x"]], ids=lambda c: c[0]
+)
+@pytest.mark.parametrize(
+    "values, named",
+    [
+        ({"r": 1, "u": Fraction(9, 4), "d": Fraction(-1, 4)}, "negative value at node 'd'"),
+        ({"r": 2, "u": 3, "d": 1}, "initial value 2 != 1 at node 'r'"),
+        ({"r": 1, "u": Fraction(3, 2), "d": Fraction(3, 4)}, "one-step mean 9/8 exceeds 1 at node 'r'"),
+    ],
+    ids=["negative", "initial-value", "mean-above"],
+)
+def test_exact_commands_refuse_a_non_supermartingale(tmp_path, capsys, command, values, named):
+    tree, _ = binary_example()
+    path = tmp_path / "tree.json"
+    tree.to_json(str(path), AdaptedProcess({n: Fraction(v) for n, v in values.items()}))
+    out = tmp_path / "out"
+    assert main([command[0], str(path), *command[1:], "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"error: not a supermartingale: {named}\n"
+    assert not out.exists()
+
+
 def test_follmer_all_pass_ledger(binary_file, tmp_path):
     out = tmp_path / "out"
     assert main(["follmer", binary_file, "--out", str(out)]) == 0
@@ -321,6 +343,14 @@ def test_gallery_unknown_name_exits_2(tmp_path):
     assert main(["gallery", "nope", "--out", str(tmp_path)]) == 2
 
 
+def test_gallery_runs_every_experiment_name(tmp_path, capsys):
+    # the same names as `mc`, each with its default parameters
+    assert main(["gallery", "bm_check", "--paths", "10", "--out", str(tmp_path)]) == 0
+    assert (tmp_path / "results.csv").exists()
+    assert main(["gallery", "nope", "--out", str(tmp_path / "no")]) == 2
+    assert str(sorted(PARAMS)) in capsys.readouterr().err
+
+
 def _run_cli(argv, cwd):
     src = os.path.dirname(os.path.dirname(follmer_lab.__file__))
     return subprocess.run(
@@ -401,6 +431,8 @@ def test_selftest_passes(capsys):
         ({"experiment": "extended", "params": {"k": 1100}}, "k must be at most 16, got 1100"),
         ({"experiment": "fatou", "params": {"m_list": [3000]}}, "m_list must be at most 16, got 3000"),
         ({"experiment": "suicide", "params": {"m": 52}}, "m must be at most 51, got 52"),
+        ({"experiment": "fatou", "params": {"scan_depth": 0}}, "scan_depth must be at least 1, got 0"),
+        ({"experiment": "fatou", "params": {"scan_depth": 1075}}, "scan_depth must be at most 1074, got 1075"),
     ],
     ids=[
         "fatou-twin-probes", "exp_decay-ts-0", "exp_decay-ts-str", "bessel-ts-neg", "bessel-fp-0",
@@ -408,7 +440,8 @@ def test_selftest_passes(capsys):
         "mass_redirect-ls-null-entry", "params-list", "bm_check-unknown-key", "single_jump-m-2.9",
         "split_limit-n-true", "split_limit-n-str", "seed-null", "seed-1.7", "n_paths-null",
         "single_jump-m-neg", "split_limit-n-2000", "mass_redirect-k-neg", "mass_redirect-k-1100",
-        "extended-k-1100", "fatou-m_list-3000", "suicide-m-52",
+        "extended-k-1100", "fatou-m_list-3000", "suicide-m-52", "fatou-scan_depth-0",
+        "fatou-scan_depth-1075",
     ],
 )
 def test_bad_experiment_params_exit_2_without_traceback(tmp_path, fields, named):

@@ -28,6 +28,17 @@ def test_in_s_zero_and_negative():
     assert in_S(Fraction(-1, 2), 20) is False
 
 
+def test_in_s_is_settled_by_level_1074():
+    # every double is a multiple of 2^-1074, so from level 1074 on it is a
+    # grid point of the level, outside every phase interval
+    probes = [0.125 + 2.0**-10, 0.5 + 2.0**-52, 1.0 + 2.0**-52, 0.1, 0.6, 5e-324, 2.0**-1022]
+    probes += [2.0**-m + 2.0 ** -(3 * m + 1) for m in range(2, 17, 2)]
+    probes += [0.5, 0.375, 1.0 - 2.0**-53, 1.0 / 3.0]
+    at_bound = [in_S(p, 1074) for p in probes]
+    assert at_bound == [in_S(p, 1200) for p in probes]
+    assert sum(at_bound) == 15
+
+
 def _gallery_paths(grid):
     times = grid.points()
     d = np.where(times < 0.25, 0.0, np.where(times < 0.5, -0.25, -0.5))

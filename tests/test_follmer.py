@@ -99,6 +99,9 @@ def test_tau_hat_unreachable_threshold_caps_at_horizon():
     # tau_hat only reads values
     rho = tau_hat(chain, z, 3)
     assert rho.nodes == frozenset({"n2"})  # constant min(3, T) = 2
+    # deeper than Python's default recursion limit
+    chain, z = unary_chain([1] * 1200)
+    assert tau_hat(chain, z, 5000).nodes == frozenset({"n1199"})
 
 
 def test_tau_hat_stops_at_root_at_level_one():

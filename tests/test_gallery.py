@@ -110,6 +110,8 @@ def test_experiment_replay_determinism():
         ("fatou", {"m_list": [1, 3000]}),
         ("suicide", {"m": 52}),
         ("mass_redirect", {"m": 52}),
+        ("fatou", {"scan_depth": 0}),
+        ("fatou", {"scan_depth": 1075}),
     ],
 )
 def test_bad_params_are_refused_before_any_draw(monkeypatch, name, params):

@@ -154,12 +154,6 @@ def test_dyadic_representative_set_has_full_mass_all_levels():
         assert lv.representative_set_mass == 1
 
 
-def test_dyadic_rejects_representative_outside_interval():
-    with pytest.raises(ValueError):
-        # picks outside (0, 1/2] for the first interval: no first hit exists
-        DyadicFamily(1, [Fraction(1, 2), Fraction(1, 2)], dense_picks=[Fraction(3, 4)])
-
-
 def test_space_validation():
     with pytest.raises(ValueError):
         FiniteMeasurableSpace.build([["a"], ["a", "b"]], [Fraction(1, 2), Fraction(1, 2)])

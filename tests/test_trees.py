@@ -22,7 +22,6 @@ from follmer_lab.trees import (
     frac_str,
     is_supermartingale,
     one_step_expectation,
-    stop_value,
 )
 
 
@@ -127,8 +126,10 @@ def test_enumeration_binary_depth_one():
 def test_enumeration_degenerate_and_chain():
     tree0 = FilteredTree(0, [{"id": "r", "parent": None}])
     assert len(enumerate_stopping_times(tree0)) == 2
-    chain, _ = unary_chain([1, 1, 1])
-    assert len(enumerate_stopping_times(chain)) == 4
+    # the 1200-node chain is deeper than Python's default recursion limit
+    for length, count in ((3, 4), (1200, 1201)):
+        chain, _ = unary_chain([1] * length)
+        assert len(enumerate_stopping_times(chain)) == count
 
 
 def test_enumeration_matches_count_formula():
@@ -155,25 +156,6 @@ def test_enumeration_cap_refusal_prints_huge_counts():
     # past Python's default 4300-digit limit str(count) raises; the message must not
     msg = str(EnumerationCapError(3**10000, 10**6))
     assert "2^15849+ stopping times" in msg
-
-
-def test_stop_value_constants_and_never():
-    tree, z = binary_example()
-    at0 = stop_value(tree, z, StoppingTime.constant(tree, 0))
-    assert at0.expectation == 1  # X at root times full mass
-    never = stop_value(tree, z, StoppingTime.never())
-    assert never.expectation == 0
-    at1 = stop_value(tree, z, StoppingTime.constant(tree, 1))
-    assert at1.expectation == Fraction(7, 8)
-    assert at1.leaf_values == {"u": Fraction(3, 2), "d": Fraction(1, 4)}
-
-
-def test_stop_value_inherits_stop_node_value():
-    chain, z = unary_chain([1, Fraction(1, 2), Fraction(1, 3)])
-    rho = StoppingTime(frozenset({"n1"}))
-    sv = stop_value(chain, z, rho)
-    assert sv.leaf_values == {"n2": Fraction(1, 2)}
-    assert sv.expectation == Fraction(1, 2)
 
 
 def test_antichain_validation():

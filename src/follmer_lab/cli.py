@@ -260,7 +260,11 @@ def build_parser() -> argparse.ArgumentParser:
     common(sp)
     sp.set_defaults(func=cmd_verify)
 
-    sp = sub.add_parser("uniqueness", help="uniqueness diagnostics for the constructed pair")
+    sp = sub.add_parser(
+        "uniqueness",
+        help="uniqueness verdicts: the pair is unique exactly when no mass is lost; "
+        "otherwise 'witness' builds two distinct pairs",
+    )
     sp.add_argument("tree_file")
     common(sp)
     sp.set_defaults(func=cmd_uniqueness)

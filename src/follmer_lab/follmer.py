@@ -13,8 +13,15 @@ randomization integrated out: with the multiplicative split Z = M * D, that
 construction gives the killed outcome at n the mass P[n] * M[n] * (D_n -
 D_{n+1}).  Since M * D = Z, and M[n] * D_{n+1} is the one-step mean at n
 (both vanish at and below a zero of Z, and where the zero hit just after n
-is announced), the two masses are equal.  Kill targets are either the cemetery state or a freeze
-state x*; the two choices produce the non-uniqueness witness.
+is announced), the two masses are equal.
+
+The identity fixes the mass killed at every node and leaves only its target
+free: the cemetery, or a freeze state x* that no charged path sits at.  A
+freeze state need not label any node, so a fresh symbol is always
+admissible, on single-state trees too.  Under this reading the pair is
+unique exactly when no mass is lost; otherwise the cemetery pair and the
+pair frozen at a fresh symbol are two distinct pairs at total variation
+equal to the lost mass (the non-uniqueness witness).
 
 Verification checks the Kunita-Yoeurp identity Q[A and {rho < tau}] =
 E_P[Z_rho 1_A] atom by atom, by exact rational comparison.  An atom is a stop
@@ -138,20 +145,14 @@ class FollmerPair:
 
 
 def _check_freeze_admissible(tree: FilteredTree, x_star: str) -> None:
-    """The freeze-state rules: x* is not the cemetery, and no charged path sits at it.
+    """The freeze-state rule: no charged path sits at x*.
 
-    A freeze state named like the cemetery would give the cemetery pair
-    again.  A charged path sits at x* when its states equal x* at every time
-    in {t, ..., T} for some t <= T-1, the discrete surrogate of "the path is
+    A charged path sits at x* when its states equal x* at every time in
+    {t, ..., T} for some t <= T-1, the discrete surrogate of "the path is
     constant at x* on some interval".  A single visit at the final instant
     does not witness freezing, so fresh symbols and states visited only
     momentarily are admissible.
     """
-    if x_star == CEMETERY:
-        raise FreezeTargetError(
-            f"freeze state {x_star!r} is the cemetery: the freeze pair would be "
-            f"the cemetery pair"
-        )
     for leaf in tree.leaves:
         if tree.state[leaf] != x_star:
             continue
@@ -403,8 +404,7 @@ class UniquenessReport:
     is_martingale: bool
     mass_lost: Fraction
     tau_lt_zeta_negligible: bool
-    unique_measure_for_tau: bool
-    unique_pair: Optional[bool]
+    unique_pair: bool
     witness_available: bool
     reason: str
 
@@ -413,7 +413,6 @@ class UniquenessReport:
             "is_martingale": self.is_martingale,
             "mass_lost": frac_str(self.mass_lost),
             "tau_lt_zeta_negligible": self.tau_lt_zeta_negligible,
-            "unique_measure_for_tau": self.unique_measure_for_tau,
             "unique_pair": self.unique_pair,
             "witness_available": self.witness_available,
             "reason": self.reason,
@@ -428,37 +427,32 @@ def uniqueness_report(
     The measure for the given kill time is unique exactly when {tau < zeta}
     is negligible under the pair: immediate for cemetery targets (killed
     outcomes hit the cemetery at their kill time), false for freeze targets
-    whenever mass is lost (frozen outcomes never reach the cemetery).  At the
-    pair level, martingales pin the pair down; a strict supermartingale on a
-    tree with at least two effective states admits the freeze-state witness,
-    while an unlabeled single-path tree does not.
+    whenever mass is lost (frozen outcomes never reach the cemetery).
+
+    The pair is unique exactly when no mass is lost.  The Kunita-Yoeurp
+    identity fixes the killed mass at every node but not its target, and a
+    fresh freeze symbol is always admissible, so any lost mass can be sent
+    to the cemetery or frozen: :func:`nonuniqueness_witness` builds the two
+    pairs whenever ``witness_available`` is true.
     """
-    rep = is_supermartingale(tree, z)
     mass_lost = pair.killed_mass()
-    if pair.target == CEMETERY:
-        negligible = True  # every killed outcome satisfies tau = zeta
-    else:
-        negligible = mass_lost == 0  # frozen outcomes have zeta = never > tau
-    if rep.is_martingale:
-        unique_pair, reason = True, (
-            "martingale: no mass lost, the capped crossing times never fire "
-            "and the pair is pinned down"
-        )
-    elif tree.effective_state_count() >= 2:
-        unique_pair, reason = False, (
-            "strict supermartingale with >= 2 states: cemetery and "
-            "freeze-state pairs disagree on the killed outcomes"
+    unique_pair = mass_lost == 0
+    if unique_pair:
+        reason = (
+            "no mass lost: the Kunita-Yoeurp identity fixes every outcome, "
+            "so the pair is unique"
         )
     else:
-        unique_pair, reason = True, (
-            "single-state chain: the outcome space {original path, killed "
-            "truncations} pins the measure down"
+        reason = (
+            "mass lost: the Kunita-Yoeurp identity fixes the killed mass at "
+            "each node but not its target, so the cemetery pair and the pair "
+            "frozen at a fresh state differ by the lost mass"
         )
     return UniquenessReport(
-        rep.is_martingale,
+        is_supermartingale(tree, z).is_martingale,
         mass_lost,
-        negligible,
-        negligible,
+        # frozen outcomes have zeta = never > tau; killed ones hit the cemetery
+        pair.target == CEMETERY or unique_pair,
         unique_pair,
         not unique_pair,
         reason,
@@ -485,14 +479,20 @@ def nonuniqueness_witness(
 
     Both pairs satisfy the Kunita-Yoeurp identity for every stopping time;
     they disagree exactly on where the killed outcomes sit, so their total
-    variation distance equals the lost mass.
+    variation distance equals the lost mass.  Refusals come in this order:
+    Z is not a supermartingale, no mass is lost, x* is the cemetery, and a
+    charged path sits at x* (:func:`construct_follmer` checks that).
     """
     pair_cemetery = construct_follmer(tree, z, CEMETERY)
     if pair_cemetery.killed_mass() == 0:
         raise MartingaleWitnessError(
             "witness requires a non-martingale: no mass is lost"
         )
-    _check_freeze_admissible(tree, x_star)
+    if x_star == CEMETERY:
+        raise FreezeTargetError(
+            f"freeze state {x_star!r} is the cemetery: the freeze pair would be "
+            f"the cemetery pair"
+        )
     pair_freeze = construct_follmer(tree, z, x_star)
     return pair_cemetery, pair_freeze, total_variation(pair_cemetery, pair_freeze)
 

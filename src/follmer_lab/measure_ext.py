@@ -112,9 +112,6 @@ class OneSetExtension:
             raise ValueError(f"unknown atoms {sorted(set(s) - covered)}")
         return total
 
-    def generated_atoms(self) -> List[FrozenSet[str]]:
-        return list(self.piece_mass)
-
 
 def bierlein_extend(space: FiniteMeasurableSpace, a: Iterable[str]) -> OneSetExtension:
     """One-set extension giving ``a`` its outer content.
@@ -141,22 +138,17 @@ def bierlein_extend(space: FiniteMeasurableSpace, a: Iterable[str]) -> OneSetExt
 # -- dyadic representative measures -------------------------------------------
 
 
-def default_dense_sequence(count: int) -> List[Fraction]:
-    """An enumeration of rationals in (0, 1]: 1/1, 1/2, 1/3, 2/3, 1/4, 3/4, ...
+def _representative(n: int, k: int) -> Fraction:
+    """The rational in (k/2^n, (k+1)/2^n] with the smallest denominator, then numerator.
 
-    Ordered by denominator then numerator, in lowest terms.
+    At denominator q the smallest numerator above k/2^n is floor(q k/2^n) + 1;
+    the first q at which it stays <= (k+1)/2^n is at most 2^n, and the
+    fraction found there is already in lowest terms.
     """
-    out: List[Fraction] = []
     q = 1
-    while len(out) < count:
-        for p in range(1, q + 1):
-            f = Fraction(p, q)
-            if f.denominator == q:
-                out.append(f)
-                if len(out) >= count:
-                    break
+    while (q * k // 2**n + 1) * 2**n > q * (k + 1):
         q += 1
-    return out
+    return Fraction(q * k // 2**n + 1, q)
 
 
 @dataclass
@@ -186,11 +178,8 @@ class DyadicFamily:
     The reference measure lives on the level-``n_max`` dyadic partition of
     (0, 1] via exact interval weights.  For each n <= n_max the level-n
     measure puts the mass of each level-n interval onto that interval's
-    representative: the first member of :func:`default_dense_sequence` that
-    falls inside it.  Its first 4^n_max + 64 members hold one for every
-    interval: the level-n interval k contains (k+1)/2^n, whose denominator
-    is at most 2^n, and the sequence lists the at most 2^n (2^n + 1)/2 such
-    fractions before any other.
+    representative: the rational inside it with the smallest denominator,
+    then the smallest numerator (:func:`_representative`).
     """
 
     def __init__(self, n_max: int, weights: Sequence):
@@ -205,16 +194,9 @@ class DyadicFamily:
             )
         if any(w < 0 for w in self.weights) or sum(self.weights, Fraction(0)) != 1:
             raise ValueError("weights must be a probability vector")
-        picks = default_dense_sequence(4 ** n_max + 64)
-        # first-hit representative per interval per level
-        self.reps: Dict[int, List[Fraction]] = {}
-        for n in range(1, n_max + 1):
-            row: List[Fraction] = []
-            for k in range(2**n):
-                lo = Fraction(k, 2**n)
-                hi = Fraction(k + 1, 2**n)
-                row.append(next(x for x in picks if lo < x <= hi))
-            self.reps[n] = row
+        self.reps: Dict[int, List[Fraction]] = {
+            n: [_representative(n, k) for k in range(2**n)] for n in range(1, n_max + 1)
+        }
 
     def interval_weight(self, n: int, k: int) -> Fraction:
         """Reference mass of the level-n interval k (aggregated from level n_max)."""

@@ -34,11 +34,9 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from .errors import EnumerationCapError, NotSupermartingaleError, TreeValidationError
-
-Rational = Fraction
 
 DEFAULT_ENUMERATION_CAP = 10**6
 
@@ -241,20 +239,6 @@ class FilteredTree:
                 stack.extend(self.children[m])
         return out
 
-    def state_alphabet(self) -> Set[str]:
-        return {s for s in self.state.values() if s is not None}
-
-    def effective_state_count(self) -> int:
-        """Distinct labels if any are present, else 1 for chains, 2 otherwise.
-
-        An unlabeled branching tree needs at least two distinguishable states
-        to realize its paths; an unlabeled chain is the single-state case.
-        """
-        labels = self.state_alphabet()
-        if labels:
-            return len(labels)
-        return 1 if self.is_chain() else 2
-
     # -- serialization -----------------------------------------------------
 
     def to_dict(self, z: Optional["AdaptedProcess"] = None) -> dict:
@@ -342,10 +326,6 @@ class PredictableProcess:
         par = tree.parent[node]
         return self.initial if par is None else self.steps[par]
 
-    def value_after(self, node: str) -> Fraction:
-        """Process value at time depth(node)+1 for the children of ``node``."""
-        return self.steps[node]
-
     def to_dict(self) -> dict:
         return {
             "initial": frac_str(self.initial),
@@ -401,9 +381,6 @@ class StoppingTime:
                 return True
             stack.extend(kids)
         return False
-
-    def is_finite(self, tree: FilteredTree) -> bool:
-        return not self.allows_never(tree)
 
 
 @dataclass(frozen=True)

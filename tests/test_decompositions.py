@@ -21,7 +21,7 @@ def test_doob_meyer_binary_example():
     dec = doob_meyer(tree, z)
     # hand recursion: D(1) = 0 + 7/8 - 1 = -1/8; M_1 = Z_1 + 1/8
     assert dec.drift.initial == 0
-    assert dec.drift.value_after("r") == Fraction(-1, 8)
+    assert dec.drift.steps["r"] == Fraction(-1, 8)
     assert dec.martingale["u"] == Fraction(13, 8)
     assert dec.martingale["d"] == Fraction(3, 8)
 
@@ -39,7 +39,7 @@ def test_doob_meyer_deterministic_halving_telescopes():
     # Z_t = (1/2)^t on a chain: D(t) = sum of the telescoping decrements
     chain, z = unary_chain([1, Fraction(1, 2), Fraction(1, 4), Fraction(1, 8)])
     dec = doob_meyer(chain, z)
-    d = [dec.drift.initial] + [dec.drift.value_after(f"n{t}") for t in range(3)]
+    d = [dec.drift.initial] + [dec.drift.steps[f"n{t}"] for t in range(3)]
     for t in range(1, 4):
         assert d[t] == Fraction(1, 2) ** t - 1
         assert dec.martingale[f"n{t}"] == z[f"n{t}"] - d[t]
@@ -58,7 +58,7 @@ def test_multiplicative_binary_example():
     dec = multiplicative(tree, z)
     # D(1) = 7/8, M_1 = Z_1 * 8/7 = (12/7, 2/7), hand recursion
     assert dec.factor.initial == 1
-    assert dec.factor.value_after("r") == Fraction(7, 8)
+    assert dec.factor.steps["r"] == Fraction(7, 8)
     assert dec.martingale["u"] == Fraction(12, 7)
     assert dec.martingale["d"] == Fraction(2, 7)
     assert not dec.rho0.nodes
@@ -80,7 +80,7 @@ def test_multiplicative_announced_zero_hit():
     assert dec.rho0.nodes == frozenset({"n2"})
     assert dec.rho0_announced.nodes == frozenset({"n2"})
     assert not dec.rho0_surprise.nodes
-    assert dec.factor.value_after("n1") == 0
+    assert dec.factor.steps["n1"] == 0
     assert dec.martingale["n2"] == 1
 
 
@@ -91,7 +91,7 @@ def test_multiplicative_surprise_zero_hit():
     assert dec.rho0.nodes == frozenset({"d"})
     assert dec.rho0_surprise.nodes == frozenset({"d"})
     assert not dec.rho0_announced.nodes
-    assert dec.factor.value_after("r") == 1  # mean 1: martingale step
+    assert dec.factor.steps["r"] == 1  # mean 1: martingale step
     assert dec.martingale["d"] == 0  # the martingale part jumps by surprise
 
 
@@ -108,7 +108,7 @@ def test_reconstruction_identities_on_random_corpus():
         for n in tree.iter_nodes():
             if tree.is_leaf(n):
                 continue
-            assert add.drift.value_after(n) <= add.drift.value_on(tree, n)
+            assert add.drift.steps[n] <= add.drift.value_on(tree, n)
             assert one_step_expectation(tree, add.martingale, n) == add.martingale[n]
 
 
@@ -123,7 +123,7 @@ def test_multiplicative_martingale_before_first_zero():
             e = one_step_expectation(tree, mul.martingale, n)
             assert e == mul.martingale[n]
             # factor nonincreasing and sibling-constant by construction
-            assert mul.factor.value_after(n) <= mul.factor.value_on(tree, n)
+            assert mul.factor.steps[n] <= mul.factor.value_on(tree, n)
 
 
 def test_multiplicative_computed_pair_passes_all_properties():
@@ -183,7 +183,7 @@ def test_perturbed_pairs_always_violate_some_property():
 def test_predictable_projection_binary():
     tree, z = binary_example()
     p = predictable_projection(tree, z)
-    assert p.value_after("r") == Fraction(7, 8)
+    assert p.steps["r"] == Fraction(7, 8)
     assert p.initial == 1  # time-0 convention: the value itself
 
 

@@ -106,7 +106,7 @@ def test_constant_time_and_allows_never_on_non_antichains():
     tree, _ = corpus(1, 5)[0]
     for t in range(tree.horizon + 1):
         assert StoppingTime.constant(tree, t).nodes == frozenset(tree.nodes_at_depth(t))
-        assert StoppingTime.constant(tree, t).is_finite(tree)
+        assert not StoppingTime.constant(tree, t).allows_never(tree)
     assert StoppingTime.never().allows_never(tree)
     leaf = tree.leaves[0]
     # a node set that is not an antichain: the root plus a leaf below it
@@ -260,7 +260,7 @@ def quantile_killing_outcomes(tree, z, target):
     outcomes = {}
     for n in tree.iter_nodes():
         if tree.children[n]:
-            mass = tree.path_prob[n] * m[n] * (d.value_on(tree, n) - d.value_after(n))
+            mass = tree.path_prob[n] * m[n] * (d.value_on(tree, n) - d.steps[n])
             if mass != 0:
                 outcomes[ExtendedOutcome(n, tree.depth[n] + 1, target)] = mass
         elif z[n] != 0:
@@ -344,7 +344,7 @@ GOLDEN = {
         "decomposition.json": "59964e92802bd155fa0166878add36c01703b724e9b1b384a3e4e6d131d3c8b2",
         "pair.json": "e91c5e3a93908ee98b9ddacea5859c53c9ab7bb82c9942ad98bea8ade7ac3738",
         "ky_ledger.csv": "800d36a4d02d1b1519a462e7de384045adae42781245d3846338c37d5452f68e",
-        "uniqueness.json": "f74f8dda88166a10748e8e7d8b0a11e6cf17546081a91517735f096d3ca00e55",
+        "uniqueness.json": "80de87abd524776588fa5f0e378e18fb4c653e2476c69aeb9044af882995af67",
         "pair_cemetery.json": "e91c5e3a93908ee98b9ddacea5859c53c9ab7bb82c9942ad98bea8ade7ac3738",
         "pair_freeze.json": "3ffad43935c86795b2a79281319dd06634126180dd4f1a412fc055129bc2fbf3",
         "total_variation": "1/1",
@@ -354,7 +354,7 @@ GOLDEN = {
         "decomposition.json": "3c585ccc894ae06fa0f50ffda648d302c358bbc7535843168e09d99cacd4c77f",
         "pair.json": "b541e30e248b373ef468a6a70c500b1d52128a2f03033974b253b80e29602ea6",
         "ky_ledger.csv": "1c38757e755d7c64c6db345c5425a2e7229a98919ec4641ba40b4a701d7021d6",
-        "uniqueness.json": "d264497e067ad43d00524fae2f355590eeb53cd5bf6dc5872be2d6353b14479c",
+        "uniqueness.json": "f9c25a5a45eab825be839f5a2b6df96ee1c523177649d77e161b9759b5c1706c",
         "pair_cemetery.json": "b541e30e248b373ef468a6a70c500b1d52128a2f03033974b253b80e29602ea6",
         "pair_freeze.json": "f65da5c6de8c10c33d4549850ed6f7f192181f0fa31e21eac5e546fe092b99c6",
         "total_variation": "1253/1280",
@@ -364,7 +364,7 @@ GOLDEN = {
         "decomposition.json": "71decdbf82a7a56e3c1a1a794badcd9c69937c737bdf2c4276b7351786ab9e8a",
         "pair.json": "d61cb7c4bdaa83b278dd1ed85de1022253030996b4cbdd601d8bb5ab54347d5f",
         "ky_ledger.csv": "012b98eba49b33585b5a175fa828f5a1d9db7e3f0b07ad8575a9a30bcc3ca0a3",
-        "uniqueness.json": "394e21c1c1c3fd6e2dc46f0db42f2d7f4143869ad508d1ea38a5eef76bd193c8",
+        "uniqueness.json": "9167f2693679d58eac0c17fd1f76d16805ba7ee948db6f172d68478b345a7ce1",
         "pair_cemetery.json": "d61cb7c4bdaa83b278dd1ed85de1022253030996b4cbdd601d8bb5ab54347d5f",
         "pair_freeze.json": "1ff2048ba599d328126d8d62ddc22c414e692680b3a0bc384bceb9ecfa28146e",
         "total_variation": "31913/49152",

@@ -143,7 +143,6 @@ def test_uniqueness_martingale_verdict():
     assert rep.is_martingale
     assert rep.mass_lost == 0
     assert rep.tau_lt_zeta_negligible
-    assert rep.unique_measure_for_tau
     assert rep.unique_pair is True
     assert not rep.witness_available
 
@@ -155,13 +154,11 @@ def test_uniqueness_binary_cemetery_vs_freeze():
     assert not rep.is_martingale
     assert rep.mass_lost == Fraction(1, 8)
     assert rep.tau_lt_zeta_negligible  # killed outcomes hit the cemetery
-    assert rep.unique_measure_for_tau
     assert rep.unique_pair is False and rep.witness_available
 
     frozen = construct_follmer(tree, z, "u")
     rep2 = uniqueness_report(tree, z, frozen)
     assert not rep2.tau_lt_zeta_negligible  # frozen outcomes never die
-    assert not rep2.unique_measure_for_tau
 
 
 def test_witness_binary_total_variation():

@@ -101,7 +101,7 @@ def _smoothing_oracle(tree, z, sm):
     counts = dict(positions=0, equal=0, guaranteed=0, guaranteed_equal=0, stuck=0)
     mismatches = set()
     for rho in enumerate_stopping_times(tree):
-        if not rho.is_finite(tree):
+        if rho.allows_never(tree):
             continue
         for stop in rho.nodes:
             t = tree.depth[stop]

@@ -9,7 +9,6 @@ import pytest
 from follmer_lab.measure_ext import (
     FiniteMeasurableSpace,
     bierlein_extend,
-    default_dense_sequence,
     dyadic_demo,
     DyadicFamily,
     inner_content,
@@ -106,7 +105,7 @@ def test_extension_additivity_exhaustive_small():
             continue
         a = [x for x in sp.atoms if rng.random() < 0.5]
         ext = bierlein_extend(sp, a)
-        pieces = ext.generated_atoms()
+        pieces = list(ext.piece_mass)
         # additivity over every union of generated atoms
         for r in range(len(pieces) + 1):
             for combo in itertools.combinations(pieces, r):
@@ -115,16 +114,20 @@ def test_extension_additivity_exhaustive_small():
                 assert ext.measure(union) == total
 
 
-def test_dense_sequence_enumerates_lowest_terms():
-    seq = default_dense_sequence(8)
-    assert seq[:6] == [
-        Fraction(1),
-        Fraction(1, 2),
-        Fraction(1, 3),
-        Fraction(2, 3),
-        Fraction(1, 4),
-        Fraction(3, 4),
-    ]
+def test_dyadic_representatives_have_the_smallest_denominator():
+    # brute force: scan denominators upward, numerators upward within each
+    for n_max in range(1, 7):
+        fam = DyadicFamily(n_max, [Fraction(1, 2**n_max)] * 2**n_max)
+        for n in range(1, n_max + 1):
+            for k in range(2**n):
+                lo, hi = Fraction(k, 2**n), Fraction(k + 1, 2**n)
+                expected = next(
+                    Fraction(p, q)
+                    for q in itertools.count(1)
+                    for p in range(1, q + 1)
+                    if lo < Fraction(p, q) <= hi
+                )
+                assert fam.reps[n][k] == expected
 
 
 def test_dyadic_level_one_uniform():

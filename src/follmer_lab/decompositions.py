@@ -71,17 +71,29 @@ class MultiplicativeDecomposition:
 
 
 def doob_meyer(tree: FilteredTree, z: AdaptedProcess) -> AdditiveDecomposition:
-    """Additive decomposition: D gains E[Z_{t+1}|F_t] - Z_t at each step, M = Z - D."""
+    """Additive decomposition: D gains E[Z_{t+1}|F_t] - Z_t at each step, M = Z - D.
+
+    At and below a zero of Z nothing moves (the mean and the children are 0
+    too), and a martingale step's mean is Z[n]'s own value (see
+    :func:`one_step_means`), so D keeps its value there without arithmetic.
+    """
     means = require_supermartingale(tree, z)
+    zv = z.values
     steps: Dict[str, Fraction] = {}
-    m_vals: Dict[str, Fraction] = {tree.root: z[tree.root]}
+    m_vals: Dict[str, Fraction] = {tree.root: zv[tree.root]}
     d_on: Dict[str, Fraction] = {tree.root: Fraction(0)}
     for n, e in means.items():  # internal nodes, parents first
-        d_next = d_on[n] + e - z[n]
-        steps[n] = d_next
+        d, zn = d_on[n], zv[n]
+        if not zn:
+            steps[n] = d
+            for c in tree.children[n]:
+                d_on[c] = d
+                m_vals[c] = m_vals[n]
+            continue
+        d_next = steps[n] = d if e is zn else d + e - zn
         for c in tree.children[n]:
             d_on[c] = d_next
-            m_vals[c] = z[c] - d_next
+            m_vals[c] = zv[c] - d_next if d_next else zv[c]
     return AdditiveDecomposition(
         AdaptedProcess(m_vals), PredictableProcess(Fraction(0), steps)
     )
@@ -97,25 +109,34 @@ def multiplicative(tree: FilteredTree, z: AdaptedProcess) -> MultiplicativeDecom
     or below a zero of Z both parts are frozen.
     """
     means = require_supermartingale(tree, z)
+    zv = z.values
     steps: Dict[str, Fraction] = {}
-    m_vals: Dict[str, Fraction] = {tree.root: z[tree.root]}
+    m_vals: Dict[str, Fraction] = {tree.root: zv[tree.root]}
     d_on: Dict[str, Fraction] = {tree.root: Fraction(1)}
     announced: List[str] = []
     surprise: List[str] = []
     for n, e in means.items():  # internal nodes, parents first
-        if z[n] == 0:
-            steps[n] = d_on[n]
+        zn, d, m = zv[n], d_on[n], m_vals[n]
+        if not zn:
+            steps[n] = d
             for c in tree.children[n]:
-                d_on[c] = d_on[n]
-                m_vals[c] = m_vals[n]
+                d_on[c] = d
+                m_vals[c] = m
             continue
-        d_next = d_on[n] * e / z[n]  # 0 exactly when the hit is announced
-        steps[n] = d_next
+        # a martingale step's mean is Z[n]'s own value: the factor keeps
+        # its value, and M stays Z's own value while the factor is 1
+        d_next = steps[n] = d if e is zn else d * e / zn  # 0 exactly when the hit is announced
         for c in tree.children[n]:
             d_on[c] = d_next
-            m_vals[c] = m_vals[n] if e == 0 else m_vals[n] * z[c] / e
-            if z[c] == 0:  # a first zero: Z_0 = 1, and Z > 0 above c
-                (announced if e == 0 else surprise).append(c)
+            zc = zv[c]
+            if not e:
+                m_vals[c] = m
+            elif not zc or (e is zn and m is zn):
+                m_vals[c] = zc
+            else:
+                m_vals[c] = m * zc / e
+            if not zc:  # a first zero: Z_0 = 1, and Z > 0 above c
+                (announced if not e else surprise).append(c)
     return MultiplicativeDecomposition(
         AdaptedProcess(m_vals),
         PredictableProcess(Fraction(1), steps),

@@ -186,15 +186,17 @@ def construct_follmer(
     if target != CEMETERY:
         _check_freeze_admissible(tree, target)
     outcomes: Dict[ExtendedOutcome, Fraction] = {}
+    zv, path_prob = z.values, tree.path_prob
     for n in tree.iter_nodes():
-        if n in means:
-            killed = tree.path_prob[n] * (z[n] - means[n])
-            if killed != 0:
-                outcomes[ExtendedOutcome(n, tree.depth[n] + 1, target)] = killed
-        else:
-            alive = tree.path_prob[n] * z[n]
-            if alive != 0:
-                outcomes[ExtendedOutcome(n, None, None)] = alive
+        zn = zv[n]
+        e = means.get(n)
+        # nothing is killed where the mean is Z[n]'s own value (a martingale
+        # step) and nothing survives at a zero of Z
+        if e is not None:
+            if e is not zn:
+                outcomes[ExtendedOutcome(n, tree.depth[n] + 1, target)] = path_prob[n] * (zn - e)
+        elif zn:
+            outcomes[ExtendedOutcome(n, None, None)] = path_prob[n] * zn
     return FollmerPair(outcomes, target)
 
 
@@ -282,16 +284,20 @@ def _survivor_mass_by_node(
     agg = pair._survivors.get(tree)
     if agg is not None:
         return agg
-    agg = {n: Fraction(0) for n in tree.iter_nodes()}
+    # zero masses, most of a tree below its zero hits, add nothing
+    agg = dict.fromkeys(tree.iter_nodes(), Fraction(0))
     for o, mass in pair.outcomes.items():
         if o.base_node not in agg:
             raise PairValidationError(
                 f"{_describe(o)} names node {o.base_node!r}, which the tree lacks"
             )
-        agg[o.base_node] += mass
+        a = agg[o.base_node]
+        agg[o.base_node] = a + mass if a else mass
     for n in reversed(list(tree.iter_nodes())):
         for c in tree.children[n]:
-            agg[n] += agg[c]
+            b = agg[c]
+            if b:
+                agg[n] = agg[n] + b if agg[n] else b
     pair._survivors[tree] = agg
     return agg
 
@@ -325,8 +331,10 @@ def _check_atoms(
 ) -> KYReport:
     """Compare survivor mass with P[s] * Z[s] at each (rho_id, stop node s)."""
     rep = KYReport(True)
+    zv, path_prob = z.values, tree.path_prob
     for rho_id, s in atoms:
-        row = KYAtomRow(rho_id, s, survivor_mass[s], tree.path_prob[s] * z[s])
+        zs = zv[s]
+        row = KYAtomRow(rho_id, s, survivor_mass[s], path_prob[s] * zs if zs else zs)
         if not row.equal:
             rep.ok = False
             if rep.first_failure is None:

@@ -24,6 +24,25 @@ a :class:`TreeValidationError` naming the node where there is one:
   horizon;
 - ``z`` is given at every node or at none.
 
+Faults are reported in this order: the top level and the horizon; node
+entries, ids, states and ``prob`` values in file order as the nodes are
+read; the root, unknown parents, the breadth-first walk (sibling blocks
+and leaf depths) and unreachable nodes; then ``z`` values in file order
+and missing ones.  A fault that concerns many nodes names the first five
+and the total count.
+
+Each distinct rational *string* is parsed once per file, probabilities and
+process values each keeping one map from raw string to ``Fraction``; only
+strings are looked up, since ``1``, ``1.0`` and ``True`` are equal and hash
+alike but only the first is a valid value.  The hot checks run on integer
+numerators and denominators instead of ``Fraction`` operations: a sibling
+block's probabilities are summed as one numerator over a running
+denominator, positivity and negativity are read from the numerator's sign,
+and the supermartingale verdict at a node compares the cross-products
+num * b and a * den of its one-step mean num/den and its value a/b.  Where
+the mean equals Z[n], the stored mean *is* Z[n]'s value object, so readers
+of the means skip the arithmetic of a martingale step by an identity test.
+
 Stopping times are represented extensionally: an antichain of nodes plus the
 paths that never stop.  A stopping time is *finite* when every leaf passes
 through a stop node.
@@ -73,6 +92,22 @@ def _node_rational(x, node: str, what: str) -> Fraction:
         ) from exc
 
 
+def _parse_rational(seen: Dict[str, Fraction], x, node: str, what: str) -> Fraction:
+    """:func:`_node_rational`, parsing each distinct string once per ``seen`` map."""
+    if type(x) is not str:
+        return _node_rational(x, node, what)
+    v = seen.get(x)
+    if v is None:
+        v = seen[x] = _node_rational(x, node, what)
+    return v
+
+
+def _some_ids(ids: List[str], total: int) -> str:
+    """``k of total nodes: 'a', 'b', ...``, naming at most the first five of ``ids``."""
+    shown = ", ".join(repr(n) for n in ids[:5])
+    return f"{len(ids)} of {total} nodes: {shown}{', ...' if len(ids) > 5 else ''}"
+
+
 def frac_str(x: Fraction) -> str:
     """Serialize a rational as a decimal-free 'num/den' string (bit-exact)."""
     return f"{x.numerator}/{x.denominator}"
@@ -111,6 +146,7 @@ class FilteredTree:
         self.state: Dict[str, Optional[str]] = {}
         self.children: Dict[str, List[str]] = {}
         roots: List[str] = []
+        seen: Dict[str, Fraction] = {}
         for k, spec in enumerate(nodes):
             if not isinstance(spec, dict) or "id" not in spec:
                 raise TreeValidationError(
@@ -138,7 +174,7 @@ class FilteredTree:
                     raise TreeValidationError(
                         f"non-root node {nid!r} needs an edge probability", node=nid
                     )
-                self.prob[nid] = _node_rational(spec["prob"], nid, "edge probability")
+                self.prob[nid] = _parse_rational(seen, spec["prob"], nid, "edge probability")
                 self.children.setdefault(par, []).append(nid)
         if len(roots) != 1:
             raise TreeValidationError(f"need exactly one root, got {len(roots)}")
@@ -171,26 +207,37 @@ class FilteredTree:
                 continue
             if len(self._levels) == d + 1:
                 self._levels.append(len(self._order))
-            total = Fraction(0)
+            # the block's sum as num/den over a running denominator; the path
+            # probability once per run of one parsed value (equal strings
+            # parse to one object)
+            num, den, last = 0, 1, None
             for c in kids:
                 p = self.prob[c]
-                if p <= 0:
+                a, b = p.numerator, p.denominator
+                if a <= 0:
                     raise TreeValidationError(
                         f"edge probability into {c!r} must be > 0, got {p}", node=c
                     )
-                total += p
+                if b == den:
+                    num += a
+                else:
+                    num, den = num * b + a * den, den * b
+                if p is not last:
+                    last, q = p, self.path_prob[n] * p
                 self.depth[c] = d + 1
-                self.path_prob[c] = self.path_prob[n] * p
+                self.path_prob[c] = q
                 self._order.append(c)
-            if total != 1:
+            if num != den:
                 raise TreeValidationError(
-                    f"child probabilities at {n!r} sum to {total}, not 1", node=n
+                    f"child probabilities at {n!r} sum to {Fraction(num, den)}, not 1",
+                    node=n,
                 )
         self._levels.append(len(self._order))
         if len(self._order) != len(self.parent):
             missing = sorted(set(self.parent) - set(self.depth))
             raise TreeValidationError(
-                f"nodes unreachable from root: {missing}", node=missing[0]
+                f"{_some_ids(missing, len(self.parent))} unreachable from root",
+                node=missing[0],
             )
 
     # -- structure helpers -------------------------------------------------
@@ -228,17 +275,6 @@ class FilteredTree:
             n = self.parent[n]
         return n
 
-    def leaves_under(self, n: str) -> List[str]:
-        out = []
-        stack = [n]
-        while stack:
-            m = stack.pop()
-            if self.is_leaf(m):
-                out.append(m)
-            else:
-                stack.extend(self.children[m])
-        return out
-
     # -- serialization -----------------------------------------------------
 
     def to_dict(self, z: Optional["AdaptedProcess"] = None) -> dict:
@@ -259,17 +295,19 @@ class FilteredTree:
         if not isinstance(data, dict) or not isinstance(data.get("nodes"), list):
             raise TreeValidationError("a tree file must be an object with a 'nodes' list")
         tree = cls(data.get("horizon"), data["nodes"])
-        zvals = {
-            str(spec["id"]): _node_rational(spec["z"], str(spec["id"]), "process value")
-            for spec in data["nodes"]
-            if spec.get("z") is not None
-        }
+        seen: Dict[str, Fraction] = {}
+        zvals: Dict[str, Fraction] = {}
+        for spec in data["nodes"]:
+            raw = spec.get("z")
+            if raw is not None:
+                nid = str(spec["id"])
+                zvals[nid] = _parse_rational(seen, raw, nid, "process value")
         if not zvals:
             return tree, None
         missing = [n for n in tree.iter_nodes() if n not in zvals]
         if missing:
             raise TreeValidationError(
-                f"process values missing at nodes {sorted(missing)}",
+                f"process values missing at {_some_ids(missing, len(tree.parent))}",
                 node=missing[0],
             )
         return tree, AdaptedProcess(zvals)
@@ -349,16 +387,6 @@ class StoppingTime:
             raise ValueError(f"time {t} outside [0, {tree.horizon}]")
         return cls(frozenset(tree.nodes_at_depth(t)))
 
-    def validate(self, tree: FilteredTree) -> None:
-        for n in self.nodes:
-            anc = tree.parent[n]
-            while anc is not None:
-                if anc in self.nodes:
-                    raise ValueError(
-                        f"stop nodes {anc!r} and {n!r} violate the antichain property"
-                    )
-                anc = tree.parent[anc]
-
     def stop_node_on_path(self, tree: FilteredTree, leaf: str) -> Optional[str]:
         for n in tree.path_to(leaf):
             if n in self.nodes:
@@ -411,17 +439,24 @@ def one_step_expectation(tree: FilteredTree, x: AdaptedProcess, node: str) -> Fr
     as one integer numerator over one integer denominator and normalised
     once, which is the same exact value as summing the ``Fraction`` terms.
     """
+    return Fraction(*_one_step_sum(tree, x, node))
+
+
+def _one_step_sum(tree: FilteredTree, x, node: str) -> Tuple[int, int]:
+    """The one-step mean at ``node`` as unreduced integers (num, den > 0), zero terms skipped."""
     num, den = 0, 1
     prob = tree.prob
     for c in tree.children[node]:
-        p, v = prob[c], x[c]
-        d = p.denominator * v.denominator
-        if d == den:
-            num += p.numerator * v.numerator
-        else:
-            num = num * d + p.numerator * v.numerator * den
-            den *= d
-    return Fraction(num, den)
+        v = x[c]
+        a = v.numerator
+        if a:
+            p = prob[c]
+            d = p.denominator * v.denominator
+            if d == den:
+                num += p.numerator * a
+            else:
+                num, den = num * d + p.numerator * a * den, den * d
+    return num, den
 
 
 def conditional_expectation(
@@ -461,7 +496,9 @@ def one_step_means(tree: FilteredTree, z: AdaptedProcess) -> Dict[str, Fraction]
 
     Computed once per (tree, z), in the pass that decides
     :func:`is_supermartingale`, and memoised with that verdict on ``z``.
-    The dict is shared: callers must not mutate it.
+    Where the mean equals Z[n] the value is ``z.values[n]`` itself, so
+    ``means[n] is z.values[n]`` exactly at the martingale steps.  The dict
+    is shared: callers must not mutate it.
     """
     return _one_step(tree, z)[0]
 
@@ -491,25 +528,38 @@ def require_supermartingale(tree: FilteredTree, z: AdaptedProcess) -> Dict[str, 
 def _one_step(
     tree: FilteredTree, z: AdaptedProcess
 ) -> Tuple[Dict[str, Fraction], SupermartingaleReport]:
-    """The one-step means and the verdict, from one pass over the nodes (memoised on z)."""
+    """The one-step means and the verdict, from one pass over the nodes (memoised on z).
+
+    Signs and comparisons are read from integers: the mean num/den at n
+    against Z[n] = a/b by num * b and a * den.  Where they are equal the mean
+    stored is Z[n]'s own value and no ``Fraction`` is built.
+    """
     memo = z._one_step.get(tree)
     if memo is not None:
         return memo
     means: Dict[str, Fraction] = {}
     negative = exceeded = None
     martingale = True
-    for n in tree.iter_nodes():
-        if z[n] < 0 and negative is None:
+    vals, children = z.values, tree.children
+    for n in tree._order:
+        v = vals[n]
+        a = v.numerator
+        if a < 0 and negative is None:
             negative = n
-        if tree.children[n]:
-            e = means[n] = one_step_expectation(tree, z, n)
-            martingale = martingale and e == z[n]
-            if e > z[n] and exceeded is None:
+        if children[n]:
+            num, den = _one_step_sum(tree, vals, n)
+            lhs, rhs = num * v.denominator, a * den
+            if lhs == rhs:
+                means[n] = v
+                continue
+            means[n] = Fraction(num, den)
+            martingale = False
+            if lhs > rhs and exceeded is None:
                 exceeded = n
     root = tree.root
     if negative is not None:
         rep = SupermartingaleReport(False, False, negative, "negative value")
-    elif z[root] != 1:
+    elif vals[root].numerator != vals[root].denominator:
         rep = SupermartingaleReport(False, False, root, f"initial value {z[root]} != 1")
     elif exceeded is not None:
         reason = f"one-step mean {means[exceeded]} exceeds {z[exceeded]}"

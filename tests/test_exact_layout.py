@@ -20,7 +20,7 @@ import pytest
 
 from follmer_lab import trees
 from follmer_lab.cli import main
-from follmer_lab.corpus import binary_example, random_case
+from follmer_lab.corpus import binary_example, random_case, random_supermartingale
 from follmer_lab.decompositions import doob_meyer, multiplicative, predictable_projection
 from follmer_lab.errors import FreezeTargetError, NotSupermartingaleError
 from follmer_lab.follmer import CEMETERY, FollmerPair, construct_follmer, verify_ky, verify_ky_all
@@ -52,6 +52,11 @@ def fresh_bfs(tree):
                 nxt.append(c)
         frontier = nxt
     return order, depth
+
+
+def leaves_under(tree, n):
+    """The leaves whose path passes through ``n``."""
+    return [leaf for leaf in tree.leaves if tree.ancestor_at(leaf, tree.depth[n]) == n]
 
 
 def fraction_mean(tree, x, n):
@@ -150,7 +155,7 @@ def test_conditional_expectation_matches_per_leaf_average():
                     assert ce[n] == z[n]
                     continue
                 anc = tree.ancestor_at(n, t)
-                leaves = tree.leaves_under(anc)
+                leaves = leaves_under(tree, anc)
                 want = sum((tree.path_prob[l] * z[l] for l in leaves), Fraction(0))
                 assert ce[n] == want / tree.path_prob[anc]
             assert list(ce.values) == list(tree.iter_nodes())
@@ -232,16 +237,17 @@ def test_construct_follmer_checks_supermartingale_before_freeze_state():
 
 def test_one_step_means_are_computed_once_per_tree_and_process(monkeypatch):
     calls = []
-    real = trees.one_step_expectation
+    real = trees._one_step_sum
 
     def counted(tree, x, node):
         calls.append(node)
         return real(tree, x, node)
 
+    # counted where the sum is done, which one_step_expectation calls too;
     # wherever the package binds the function, so an imported copy is counted too
     for name, module in list(sys.modules.items()):
-        if name.startswith("follmer_lab") and getattr(module, "one_step_expectation", None) is real:
-            monkeypatch.setattr(module, "one_step_expectation", counted)
+        if name.startswith("follmer_lab") and getattr(module, "_one_step_sum", None) is real:
+            monkeypatch.setattr(module, "_one_step_sum", counted)
     for tree, z in corpus(30, 6):
         calls.clear()
         is_supermartingale(tree, z)
@@ -374,10 +380,14 @@ GOLDEN = {
 
 def cli_digests(tmp_path, seed):
     """SHA-256 of every exact output of the CLI on the seeded corpus tree."""
-    tree, z = random_case(random.Random(seed))
-    tree_file = tmp_path / f"tree{seed}.json"
+    return tree_digests(tmp_path, f"tree{seed}", *random_case(random.Random(seed)))
+
+
+def tree_digests(tmp_path, name, tree, z):
+    """SHA-256 of the tree file and every exact CLI output on it."""
+    tree_file = tmp_path / f"{name}.json"
     tree.to_json(str(tree_file), z)
-    out = tmp_path / f"out{seed}"
+    out = tmp_path / f"out-{name}"
     runs = {
         "decompose": ["decomposition.json"],
         "follmer": ["pair.json", "ky_ledger.csv"],
@@ -398,3 +408,101 @@ def cli_digests(tmp_path, seed):
 @pytest.mark.parametrize("seed", sorted(GOLDEN))
 def test_cli_outputs_match_golden_digests(tmp_path, seed):
     assert cli_digests(tmp_path, seed) == GOLDEN[seed]
+
+
+# -- golden outputs on larger trees ---------------------------------------------
+
+
+def _tree_below(rng, depth, branching, weights):
+    """Full tree of ``branching`` children per node; ``weights(rng)`` gives each sibling block's."""
+    nodes, level = [{"id": "n", "parent": None}], ["n"]
+    for _ in range(depth):
+        nxt = []
+        for par in level:
+            w = weights(rng)
+            for j, wj in enumerate(w):
+                nid = f"{par}.{j}"
+                nodes.append(
+                    {"id": nid, "parent": par, "prob": Fraction(wj, sum(w)), "state": "udmw"[j % 4]}
+                )
+                nxt.append(nid)
+        level = nxt
+    return FilteredTree(depth, nodes)
+
+
+def _strict(rng, tree, zero_hit_prob):
+    while True:
+        z = random_supermartingale(rng, tree, zero_hit_prob=zero_hit_prob)
+        if not is_supermartingale(tree, z).is_martingale:
+            return z
+
+
+def large_case(name):
+    rng = random.Random(f"large:{name}")
+    if name == "binary9":  # zero hits, the same few rational strings everywhere
+        tree = _tree_below(rng, 9, 2, lambda r: [1, 1])
+        return tree, _strict(rng, tree, 0.04)
+    if name == "chain120":  # no zero hits; denominators past 300 bits
+        tree = _tree_below(rng, 120, 1, lambda r: [1])
+        return tree, _strict(rng, tree, 0.0)
+    # branching 5, depth 3: each sibling block a shuffle of the weights 1..5
+    tree = _tree_below(rng, 3, 5, lambda r: r.sample(range(1, 6), 5))
+    return tree, _strict(rng, tree, 0.15)
+
+
+# recorded on the implementation that parsed every value with Fraction and
+# compared every one-step mean as a Fraction
+LARGE_GOLDEN = {
+    "binary9": {
+        "tree.json": "70c23e2e9b52018a18c2dceeb4121d28d21f0efe10d21afd01dcce2b4a5a7105",
+        "decomposition.json": "2bd63fb49b8223dd8f6ce7245ef7bfa783a6fa85493bc2906205751a078ddac3",
+        "pair.json": "1bc74fb6ff8040cfb06bf208e437f5b739ee20c1f1e409d295b052c0babe4202",
+        "ky_ledger.csv": "aac8515d25545ccbb3a041329c9534776a96cad75bd7e5a697e0e9e762c28e53",
+        "uniqueness.json": "d0b3ecbebfa68c31de13c3526cf5f11467e600cb5a3d3185a1cb24aa3569aaa8",
+        "pair_cemetery.json": "1bc74fb6ff8040cfb06bf208e437f5b739ee20c1f1e409d295b052c0babe4202",
+        "pair_freeze.json": "999c4686312e3d4548c685fc7442c3e329f5aec1b3d69732af7faaae123dc77e",
+        "total_variation": "44001810262860777854848837799/48764219233644071780509286400",
+    },
+    "branch5": {
+        "tree.json": "52160b5884fb30a1de62087c27f0f499ff34a9acf5d12add7e50b5d99a87b2fe",
+        "decomposition.json": "8bbfc0c9e07ee68347b82087f6e7af24eb94cf904bb2e23829d2566a4bba7b21",
+        "pair.json": "632f3176fc1aa27e1a71d471c72343fc8f29f79c1550003b8659578490c90383",
+        "ky_ledger.csv": "6a8ad48e2f4836ca5ca8c2ddf2e054d58ec55b4b2ced5ec480566610f4bed14e",
+        "uniqueness.json": "025991e4bd32d1a22b122d75db3ccc3e6dc00d16a03ed59f2676ac6a06fc02a2",
+        "pair_cemetery.json": "632f3176fc1aa27e1a71d471c72343fc8f29f79c1550003b8659578490c90383",
+        "pair_freeze.json": "41e245af33c9214266bff08b829e66409080842b3ba6cf7fe3026681553a5af5",
+        "total_variation": "21556549751/34138341376",
+    },
+    "chain120": {
+        "tree.json": "ee07506373dc63e332b926224c3c4f4845fbc85f6136e5409f9acdb49983a4ad",
+        "decomposition.json": "9a8b61e95e81d8c3e75572e077c905a6901c461be9f825af1fd4475502980b83",
+        "pair.json": "98ee416e3daa146860bd5e923299b1b686f1f4da1ee208a65083867e67157091",
+        "ky_ledger.csv": "98f580a0da7efcff6403a9125199719bbc75cdc90ebe43ea91508da21e0dd374",
+        "uniqueness.json": "a0b537d25a4007cfe2768f4835d75607343bdc3c8b87fc990a4dbdf2dbf6f12e",
+        "pair_cemetery.json": "98ee416e3daa146860bd5e923299b1b686f1f4da1ee208a65083867e67157091",
+        "pair_freeze.json": "b4c1d4192c71bf44f53a0464b953933baa6ceaace2eea9718ceaa89ed9ecc7d1",
+        "total_variation": "17498005798264090669048240444251939996407839917666178653838338789402979344892913985726974892502789967/17498005798264095394980017816940970922825355447145699491406164851279623993595007385788105416184430592",
+    },
+}
+
+
+def test_large_cases_have_the_properties_they_pin():
+    cases = {name: large_case(name) for name in ("binary9", "chain120", "branch5")}
+    for tree, z in cases.values():
+        assert 0 < construct_follmer(tree, z).killed_mass() < 1
+    tree, z = cases["binary9"]
+    assert len(tree.parent) == 1023
+    assert sum(v == 0 for v in z.values.values()) > 100
+    tree, z = cases["chain120"]
+    assert min(z.values.values()) > 0
+    assert max(v.denominator.bit_length() for v in z.values.values()) > 300
+    tree, z = cases["branch5"]
+    assert len(tree.parent) == 156
+    for n in tree.iter_nodes():
+        probs = [tree.prob[c] for c in tree.children[n]]
+        assert not probs or len(set(probs)) == 5
+
+
+@pytest.mark.parametrize("name", sorted(LARGE_GOLDEN))
+def test_cli_outputs_on_larger_trees_match_golden_digests(tmp_path, name):
+    assert tree_digests(tmp_path, name, *large_case(name)) == LARGE_GOLDEN[name]

@@ -89,6 +89,11 @@ def test_ledger_has_one_row_per_node(tmp_path):
         assert len(lines) == 1 + len(tree.parent)
 
 
+def leaves_under(tree, n):
+    """The leaves whose path passes through ``n``."""
+    return [leaf for leaf in tree.leaves if tree.ancestor_at(leaf, tree.depth[n]) == n]
+
+
 def _smoothing_oracle(tree, z, sm):
     """The limit report recomputed position by position over every finite stopping time."""
     add = doob_meyer(tree, z)
@@ -105,7 +110,7 @@ def _smoothing_oracle(tree, z, sm):
             continue
         for stop in rho.nodes:
             t = tree.depth[stop]
-            for leaf in tree.leaves_under(stop):
+            for leaf in leaves_under(tree, stop):
                 path = tree.path_to(leaf)
                 prev = path[max(t - 1, 0)]
                 jump = t in sigmas[leaf]

@@ -190,6 +190,11 @@ def test_smoothing_outputs_match_golden_digests():
     assert smoothing_digests() == GOLDEN
 
 
+def leaves_under(tree, n):
+    """The leaves whose path passes through ``n``."""
+    return [leaf for leaf in tree.leaves if tree.ancestor_at(leaf, tree.depth[n]) == n]
+
+
 def test_smoothed_sum_is_the_windowed_conditional_expectation():
     # inside the k-th window [a_k, sigma_k) of a path, M^s_t + D^s_t is
     # E[Z_{sigma_k} 1{sigma_k exists} | F_t], averaged by brute force over
@@ -219,7 +224,7 @@ def test_smoothed_sum_is_the_windowed_conditional_expectation():
                 ]
                 assert len(window) <= 1  # the windows are disjoint
                 if window:
-                    below = tree.leaves_under(n)
+                    below = leaves_under(tree, n)
                     expected = sum(
                         (tree.path_prob[m] * at_kth_jump(m, window[0]) for m in below),
                         Fraction(0),

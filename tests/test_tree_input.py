@@ -247,3 +247,102 @@ def test_pair_kill_times_and_survivor_targets_are_checked(kill_time, target):
     assert survivor["target"] is None
     survivor["target"] = target
     assert _verify_exit(data) == (0 if target is None else 1 if isinstance(target, str) else 2)
+
+
+# -- one parse per distinct rational string ------------------------------------------
+
+_EXACT_COMMANDS = ["decompose", "follmer", "verify", "uniqueness", "witness"]
+
+
+def _exit_and_error(tmp_path, command, data):
+    """Run one exact command on ``data`` as a tree file; (exit code, stderr)."""
+    tree_file = tmp_path / "tree.json"
+    tree_file.write_text(json.dumps(data))
+    argv = [command, str(tree_file)]
+    if command == "verify":
+        tree, z = binary_example()
+        construct_follmer(tree, z).to_json(str(tmp_path / "pair.json"))
+        argv.append(str(tmp_path / "pair.json"))
+    elif command == "witness":
+        argv.append("x")
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+        code = main(argv + ["--out", str(tmp_path / "out")])
+    return code, err.getvalue()
+
+
+@pytest.mark.parametrize("command", _EXACT_COMMANDS)
+@pytest.mark.parametrize("field", ["prob", "z"])
+@pytest.mark.parametrize("earlier", ["1/2", 1], ids=["str", "int"])
+@pytest.mark.parametrize("later", [True, 1.0, [1, 2], {"a": 1}], ids=["true", "float", "list", "object"])
+def test_an_equal_valued_earlier_value_does_not_admit_a_later_one(
+    tmp_path, command, field, earlier, later
+):
+    # "1/2" and 1 parse first; the later value equals 1 (or cannot be hashed)
+    data = _tree_data()
+    data["nodes"][1][field] = earlier
+    data["nodes"][2][field] = later
+    code, err = _exit_and_error(tmp_path, command, data)
+    assert code == 2
+    assert "node 'down'" in err and "not an exact rational" in err and "(node down)" in err
+
+
+def test_a_rational_string_reads_reduced_and_is_written_reduced(tmp_path):
+    data = _tree_data(prob_up="2/4", z_down="2/8")
+    data["nodes"][2]["prob"] = "2/4"
+    tree, z = FilteredTree.from_dict(data)
+    assert tree.prob["up"] == tree.prob["down"] == Fraction(1, 2)
+    assert z["down"] == Fraction(1, 4)
+    written = tree.to_dict(z)["nodes"]
+    assert [(n.get("prob"), n["z"]) for n in written] == [
+        (None, "1/1"), ("1/2", "3/2"), ("1/2", "1/4")
+    ]
+
+
+def test_the_first_bad_z_in_file_order_is_named():
+    # breadth-first the order is r, a, b, a.0, b.0; in the file a.0 comes first
+    nodes = [
+        {"id": "r", "parent": None, "z": "1"},
+        {"id": "a.0", "parent": "a", "prob": "1", "z": 0.5},
+        {"id": "a", "parent": "r", "prob": "1/2", "z": "1"},
+        {"id": "b", "parent": "r", "prob": "1/2", "z": True},
+        {"id": "b.0", "parent": "b", "prob": "1", "z": "1"},
+    ]
+    with pytest.raises(TreeValidationError) as err:
+        FilteredTree.from_dict({"horizon": 2, "nodes": nodes})
+    assert err.value.node == "a.0"
+
+
+# -- faults that concern many nodes name five of them ------------------------------
+
+
+def _wide_tree_nodes(n_leaves):
+    """A root with ``n_leaves`` children of probability 1/n_leaves, ids c0000, c0001, ..."""
+    kids = [{"id": f"c{k:04d}", "parent": "r", "prob": f"1/{n_leaves}"} for k in range(n_leaves)]
+    return [{"id": "r", "parent": None}] + kids
+
+
+def test_missing_process_values_name_five_nodes_and_the_count(tmp_path):
+    nodes = _wide_tree_nodes(1999)
+    nodes[-1]["z"] = "1"  # the only value, on the last node in the file
+    with pytest.raises(TreeValidationError) as err:
+        FilteredTree.from_dict({"horizon": 1, "nodes": nodes})
+    # breadth-first from the root, which the error names as its node
+    assert err.value.node == "r"
+    assert str(err.value) == (
+        "process values missing at 1999 of 2000 nodes: 'r', 'c0000', 'c0001', 'c0002', 'c0003', ..."
+    )
+    code, printed = _exit_and_error(tmp_path, "decompose", {"horizon": 1, "nodes": nodes})
+    assert code == 2 and printed.endswith("'c0003', ... (node r)\n")
+
+
+def test_unreachable_nodes_name_five_nodes_and_the_count():
+    # 2,000 nodes and no z at all; 1997 of them form a cycle the root never reaches
+    nodes = _wide_tree_nodes(2)
+    nodes += [{"id": f"x{k:04d}", "parent": f"x{(k + 1) % 1997:04d}", "prob": "1"} for k in range(1997)]
+    with pytest.raises(TreeValidationError) as err:
+        FilteredTree.from_dict({"horizon": 1, "nodes": nodes})
+    assert err.value.node == "x0000"
+    assert str(err.value) == (
+        "1997 of 2000 nodes: 'x0000', 'x0001', 'x0002', 'x0003', 'x0004', ... unreachable from root"
+    )

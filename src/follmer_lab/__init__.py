@@ -9,34 +9,4 @@ suicide strategies, Fatou schedules) and the mass-redirection non-uniqueness
 demos.
 """
 
-from .trees import (
-    AdaptedProcess,
-    ExtendedOutcome,
-    FilteredTree,
-    PredictableProcess,
-    StoppingTime,
-    conditional_expectation,
-    count_stopping_times,
-    enumerate_stopping_times,
-    frac,
-    frac_str,
-    is_supermartingale,
-    one_step_expectation,
-)
-
-__all__ = [
-    "AdaptedProcess",
-    "ExtendedOutcome",
-    "FilteredTree",
-    "PredictableProcess",
-    "StoppingTime",
-    "conditional_expectation",
-    "count_stopping_times",
-    "enumerate_stopping_times",
-    "frac",
-    "frac_str",
-    "is_supermartingale",
-    "one_step_expectation",
-]
-
 __version__ = "0.1.0"

@@ -22,7 +22,6 @@ from .follmer import (
     FollmerPair,
     construct_follmer,
     nonuniqueness_witness,
-    total_variation,
     uniqueness_report,
     verify_ky_all,
     write_ky_ledger,
@@ -135,15 +134,13 @@ def cmd_witness(args) -> int:
     tree, z = _load_tree(args.tree_file)
     cem, frz, tv = nonuniqueness_witness(tree, z, args.freeze_state)
     out_dir = _out_dir(args)
-    cem_path = os.path.join(out_dir, "pair_cemetery.json")
-    frz_path = os.path.join(out_dir, "pair_freeze.json")
-    cem.to_json(cem_path)
-    frz.to_json(frz_path)
+    record = {"total_variation": frac_str(tv)}
+    for key, pair in (("pair_cemetery", cem), ("pair_freeze", frz)):
+        # a sibling file name, not a path: witness.json reads the same in any directory
+        record[key] = f"{key}.json"
+        pair.to_json(os.path.join(out_dir, record[key]))
     witness_path = os.path.join(out_dir, "witness.json")
-    write_json(
-        witness_path,
-        {"total_variation": frac_str(tv), "pair_cemetery": cem_path, "pair_freeze": frz_path},
-    )
+    write_json(witness_path, record)
     print(witness_path)
     print(f"total variation {frac_str(tv)}")
     return EXIT_OK

@@ -28,7 +28,6 @@ from .trees import (
     PredictableProcess,
     StoppingTime,
     one_step_expectation,
-    one_step_means,
     require_supermartingale,
 )
 
@@ -144,14 +143,6 @@ def multiplicative(tree: FilteredTree, z: AdaptedProcess) -> MultiplicativeDecom
         StoppingTime(frozenset(announced)),
         StoppingTime(frozenset(surprise)),
     )
-
-
-def predictable_projection(tree: FilteredTree, z: AdaptedProcess) -> PredictableProcess:
-    """One-step-ahead conditional expectation, attached one node early.
-
-    The time-0 value is Z_0 itself (trivial initial sigma-algebra).
-    """
-    return PredictableProcess(z[tree.root], dict(one_step_means(tree, z)))
 
 
 # -- uniqueness of the multiplicative pair -----------------------------------

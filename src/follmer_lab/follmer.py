@@ -88,12 +88,6 @@ class FollmerPair:
             (m for o, m in self.outcomes.items() if not o.alive), Fraction(0)
         )
 
-    def kill_time_distribution(self) -> Dict[Optional[int], Fraction]:
-        dist: Dict[Optional[int], Fraction] = {}
-        for o, m in self.outcomes.items():
-            dist[o.kill_time] = dist.get(o.kill_time, Fraction(0)) + m
-        return dist
-
     def to_dict(self) -> dict:
         rows = []
         for o in sorted(
@@ -467,19 +461,6 @@ def uniqueness_report(
     )
 
 
-def total_variation(p1: FollmerPair, p2: FollmerPair) -> Fraction:
-    """Half the L1 distance between two outcome measures, exactly."""
-    keys = set(p1.outcomes) | set(p2.outcomes)
-    l1 = sum(
-        (
-            abs(p1.outcomes.get(k, Fraction(0)) - p2.outcomes.get(k, Fraction(0)))
-            for k in keys
-        ),
-        Fraction(0),
-    )
-    return l1 / 2
-
-
 def nonuniqueness_witness(
     tree: FilteredTree, z: AdaptedProcess, x_star: str
 ) -> Tuple[FollmerPair, FollmerPair, Fraction]:
@@ -487,12 +468,14 @@ def nonuniqueness_witness(
 
     Both pairs satisfy the Kunita-Yoeurp identity for every stopping time;
     they disagree exactly on where the killed outcomes sit, so their total
-    variation distance equals the lost mass.  Refusals come in this order:
-    Z is not a supermartingale, no mass is lost, x* is the cemetery, and a
-    charged path sits at x* (:func:`construct_follmer` checks that).
+    variation distance is the lost mass, returned third.  Refusals come in
+    this order: Z is not a supermartingale, no mass is lost, x* is the
+    cemetery, and a charged path sits at x* (:func:`construct_follmer`
+    checks that).
     """
     pair_cemetery = construct_follmer(tree, z, CEMETERY)
-    if pair_cemetery.killed_mass() == 0:
+    lost = pair_cemetery.killed_mass()
+    if lost == 0:
         raise MartingaleWitnessError(
             "witness requires a non-martingale: no mass is lost"
         )
@@ -501,8 +484,7 @@ def nonuniqueness_witness(
             f"freeze state {x_star!r} is the cemetery: the freeze pair would be "
             f"the cemetery pair"
         )
-    pair_freeze = construct_follmer(tree, z, x_star)
-    return pair_cemetery, pair_freeze, total_variation(pair_cemetery, pair_freeze)
+    return pair_cemetery, construct_follmer(tree, z, x_star), lost
 
 
 def chain_measure_from_constant_times(

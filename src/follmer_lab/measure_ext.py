@@ -1,6 +1,6 @@
 """Constructive measure extension on finite spaces, and the dyadic demo.
 
-Inner/outer content over a finite sub-algebra, the one-set extension that
+Outer content over a finite sub-algebra, the one-set extension that
 assigns a new set its outer content (via the minimal measurable cover), and
 the dyadic-interval family of atomic measures that agree with a reference
 measure on every finite level of the dyadic filtration while loading full
@@ -71,68 +71,34 @@ def outer_content(space: FiniteMeasurableSpace, a: Iterable[str]) -> Fraction:
     )
 
 
-def inner_content(space: FiniteMeasurableSpace, a: Iterable[str]) -> Fraction:
-    """Maximal mass of a block-union inside ``a``: blocks contained in ``a``."""
-    a = set(a)
-    _check_atoms(space, a)
-    return sum(
-        (m for b, m in zip(space.blocks, space.mass) if b <= a), Fraction(0)
-    )
-
-
 def _check_atoms(space: FiniteMeasurableSpace, a: set) -> None:
     unknown = a - set(space.atoms)
     if unknown:
         raise ValueError(f"unknown atoms {sorted(unknown)}")
 
 
-@dataclass(frozen=True)
-class OneSetExtension:
-    """The extension of mu to the algebra generated by the blocks and one set A.
-
-    Atoms of the generated algebra are the nonempty pieces block-and-A and
-    block-minus-A; ``piece_mass`` carries their masses.  By construction the
-    extension restricts to mu on the blocks and gives A its outer content.
-    """
-
-    piece_mass: Dict[FrozenSet[str], Fraction]
-
-    def measure(self, s: Iterable[str]) -> Fraction:
-        """Mass of any union of generated atoms."""
-        s = frozenset(s)
-        total = Fraction(0)
-        covered: set = set()
-        for piece, m in self.piece_mass.items():
-            if piece <= s:
-                total += m
-                covered |= piece
-            elif piece & s:
-                raise ValueError("set not measurable in the generated algebra")
-        if covered != set(s):
-            raise ValueError(f"unknown atoms {sorted(set(s) - covered)}")
-        return total
-
-
-def bierlein_extend(space: FiniteMeasurableSpace, a: Iterable[str]) -> OneSetExtension:
+def bierlein_extend(space: FiniteMeasurableSpace, a: Iterable[str]) -> FiniteMeasurableSpace:
     """One-set extension giving ``a`` its outer content.
 
-    Uses the minimal measurable cover: pieces of blocks inside the cover are
-    charged on their A-part, pieces outside on their complement part, so the
-    block masses are preserved and the new set receives the outer content.
+    The extension lives on the algebra generated by the blocks and ``a``,
+    so the returned space's blocks are its atoms, the nonempty pieces
+    block-and-A and block-minus-A.  It uses the minimal measurable cover:
+    a block meeting ``a`` is charged on its A-part and its rest gets mass 0,
+    and a block outside the cover stays whole.  So the extension restricts
+    to mu on the blocks and gives ``a`` its outer content.
     """
     a = frozenset(str(x) for x in a)
     _check_atoms(space, set(a))
-    piece_mass: Dict[FrozenSet[str], Fraction] = {}
+    blocks: List[FrozenSet[str]] = []
+    mass: List[Fraction] = []
     for b, m in zip(space.blocks, space.mass):
-        inside = b & a
-        outside = b - a
-        if inside:  # block belongs to the minimal cover
-            piece_mass[inside] = m
-            if outside:
-                piece_mass[outside] = Fraction(0)
-        else:
-            piece_mass[b] = m
-    return OneSetExtension(piece_mass)
+        inside = b & a or b
+        blocks.append(inside)
+        mass.append(m)
+        if inside != b:
+            blocks.append(b - inside)
+            mass.append(Fraction(0))
+    return FiniteMeasurableSpace(space.atoms, tuple(blocks), tuple(mass))
 
 
 # -- dyadic representative measures -------------------------------------------

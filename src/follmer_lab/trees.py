@@ -18,7 +18,9 @@ a :class:`TreeValidationError` naming the node where there is one:
   one node has a null ``parent``, and every other parent names a node;
 - ``state`` is absent, a string or null;
 - ``prob`` (required below the root) and ``z`` are an integer or a
-  ``num/den`` string, never a boolean or a float;
+  rational string that :func:`frac` reads (``num/den``, or a decimal such
+  as ``1.5`` or ``2e3`` whose exponent is within Python's digit limit for
+  integers), never a boolean or a float;
 - every node is reachable from the root, each sibling block has
   probabilities > 0 summing to exactly 1, and every leaf sits at the
   horizon;
@@ -51,6 +53,8 @@ through a stop node.
 from __future__ import annotations
 
 import json
+import re
+import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
@@ -60,13 +64,20 @@ from .errors import EnumerationCapError, NotSupermartingaleError, TreeValidation
 DEFAULT_ENUMERATION_CAP = 10**6
 
 
+# the exponent of a decimal string, as ``Fraction(str)`` reads it
+_EXPONENT = re.compile(r"e([-+]?\d+(?:_\d+)*)\s*\Z", re.IGNORECASE)
+
+
 def frac(x) -> Fraction:
-    """Parse a rational from an int, Fraction, or 'num/den' string.
+    """Parse a rational from an int, Fraction, or rational string.
 
     Plain ASCII ``digits/digits`` strings, the form :func:`frac_str` writes
     for nonnegative values, are split and read with ``int``; every other
-    string goes through ``Fraction(str)``.  Anything else, booleans
-    included, is a ``TypeError``.
+    string goes through ``Fraction(str)``, so decimals such as ``"1.5"``
+    and ``"2e3"`` are read too.  An exponent of magnitude above
+    ``sys.get_int_max_str_digits()`` is a ``ValueError`` before any work:
+    ``Fraction`` would compute 10^e, and :func:`frac_str` could not print
+    the result.  Anything else, booleans included, is a ``TypeError``.
     """
     if isinstance(x, Fraction):
         return x
@@ -76,6 +87,9 @@ def frac(x) -> Fraction:
         num, slash, den = x.partition("/")
         if slash and x.isascii() and num.isdigit() and den.isdigit():
             return Fraction(int(num), int(den))
+        exp, limit = _EXPONENT.search(x), sys.get_int_max_str_digits()
+        if exp and limit and abs(int(exp[1])) > limit:
+            raise ValueError(f"exponent {exp[1]} is beyond the {limit}-digit limit for integers")
         return Fraction(x)
     raise TypeError(f"not an exact rational: {x!r}")
 
@@ -378,10 +392,6 @@ class StoppingTime:
     nodes: frozenset
 
     @classmethod
-    def never(cls) -> "StoppingTime":
-        return cls(frozenset())
-
-    @classmethod
     def constant(cls, tree: FilteredTree, t: int) -> "StoppingTime":
         if not 0 <= t <= tree.horizon:
             raise ValueError(f"time {t} outside [0, {tree.horizon}]")
@@ -457,30 +467,6 @@ def _one_step_sum(tree: FilteredTree, x, node: str) -> Tuple[int, int]:
             else:
                 num, den = num * d + p.numerator * a * den, den * d
     return num, den
-
-
-def conditional_expectation(
-    tree: FilteredTree, x: AdaptedProcess, t: int
-) -> AdaptedProcess:
-    """Project the terminal values of ``x`` onto F_t.
-
-    Returns the process that keeps x's own values strictly before time t and,
-    from time t on, is constant on each depth-t subtree, equal to the
-    P-weighted average of x over that subtree's leaves.  At t = horizon this
-    is x itself; at t = 0 it is the constant E[x_T].
-    """
-    if not 0 <= t <= tree.horizon:
-        raise ValueError(f"time {t} outside [0, {tree.horizon}]")
-    # averages bottom-up over the nodes at depth >= t, then each depth-t
-    # average copied down its subtree top-down: O(nodes)
-    below = tree._order[tree._levels[t] :]
-    avg: Dict[str, Fraction] = {}
-    for n in reversed(below):
-        avg[n] = one_step_expectation(tree, avg, n) if tree.children[n] else x[n]
-    vals: Dict[str, Fraction] = {n: x[n] for n in tree._order[: tree._levels[t]]}
-    for n in below:
-        vals[n] = avg[n] if tree.depth[n] == t else vals[tree.parent[n]]
-    return AdaptedProcess(vals)
 
 
 @dataclass(frozen=True)

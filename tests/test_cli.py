@@ -209,28 +209,30 @@ def test_verify_rejects_invalid_outcome_space(tmp_path, capsys, case, edit, name
 
 
 @pytest.mark.parametrize(
-    "edit",
+    "edit, named",
     [
-        lambda d: _row(d, "u", True).update(history_node="nowhere"),
-        lambda d: d.pop("outcomes"),
-        lambda d: _row(d, "u", True).pop("mass"),
-        lambda d: d["outcomes"].append(dict(_row(d, "r", False))),
-        lambda d: _row(d, "r", False).update(kill_time=math.inf),
-        lambda d: _row(d, "r", False).update(target=[1]),
-        lambda d: _row(d, "r", False).update(kill_time=1.9),
-        lambda d: _row(d, "r", False).update(kill_time=True),
-        lambda d: _row(d, "r", False).update(kill_time="1"),
-        lambda d: _row(d, "r", False).update(kill_time=None),
+        (lambda d: _row(d, "u", True).update(history_node="nowhere"), "names node 'nowhere'"),
+        (lambda d: d.pop("outcomes"), "needs an 'outcomes' list"),
+        (lambda d: _row(d, "u", True).pop("mass"), "'history_node': 'u'"),
+        (lambda d: d["outcomes"].append(dict(_row(d, "r", False))), "(history r, kill time 1, target cemetery) is listed twice"),
+        (lambda d: _row(d, "r", False).update(kill_time=math.inf), "kill_time inf"),
+        (lambda d: _row(d, "r", False).update(target=[1]), "target [1] is not a string"),
+        (lambda d: _row(d, "r", False).update(kill_time=1.9), "kill_time 1.9"),
+        (lambda d: _row(d, "r", False).update(kill_time=True), "kill_time True"),
+        (lambda d: _row(d, "r", False).update(kill_time="1"), "kill_time '1'"),
+        (lambda d: _row(d, "r", False).update(kill_time=None), "kill_time None"),
+        (lambda d: _row(d, "u", True).update(mass="1e-5000"), "'history_node': 'u'"),
     ],
     ids=[
         "unknown-node", "no-outcomes", "row-without-mass", "duplicate-row", "infinite-kill-time", "list-target",
-        "fractional-kill-time", "bool-kill-time", "string-kill-time", "null-kill-time",
+        "fractional-kill-time", "bool-kill-time", "string-kill-time", "null-kill-time", "exponent-mass",
     ],
 )
-def test_verify_malformed_pair_exits_2(tmp_path, capsys, edit):
+def test_verify_malformed_pair_exits_2(tmp_path, capsys, edit, named):
     tree_file, pair_file = _pair_files(tmp_path, edit)
     assert main(["verify", tree_file, pair_file, "--out", str(tmp_path / "out")]) == 2
-    assert capsys.readouterr().err.startswith("error: ")
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and named in err
 
 
 def test_follmer_prints_huge_stopping_time_count(tmp_path, capsys):

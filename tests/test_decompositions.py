@@ -10,10 +10,9 @@ from follmer_lab.decompositions import (
     doob_meyer,
     multiplicative,
     multiplicative_property_violations,
-    predictable_projection,
 )
 from follmer_lab.errors import NotSupermartingaleError
-from follmer_lab.trees import AdaptedProcess, one_step_expectation
+from follmer_lab.trees import AdaptedProcess, one_step_expectation, one_step_means
 
 
 def test_doob_meyer_binary_example():
@@ -180,17 +179,15 @@ def test_perturbed_pairs_always_violate_some_property():
     assert rejected == trials
 
 
-def test_predictable_projection_binary():
+def test_one_step_means_binary():
     tree, z = binary_example()
-    p = predictable_projection(tree, z)
-    assert p.steps["r"] == Fraction(7, 8)
-    assert p.initial == 1  # time-0 convention: the value itself
+    assert one_step_means(tree, z) == {"r": Fraction(7, 8)}
 
 
-def test_predictable_projection_constant():
+def test_one_step_means_of_a_constant_are_its_value():
     rng = random.Random(8)
     tree, _ = random_case(rng)
     c = AdaptedProcess.constant(tree, Fraction(2, 7))
-    p = predictable_projection(tree, c)
-    assert p.initial == Fraction(2, 7)
-    assert all(v == Fraction(2, 7) for v in p.steps.values())
+    means = one_step_means(tree, c)
+    assert list(means) == [n for n in tree.iter_nodes() if tree.children[n]]
+    assert all(v is c.values[n] for n, v in means.items())

@@ -3,11 +3,11 @@
 Each cached or memoised quantity is compared with a from-scratch
 computation: a breadth-first walk of the children lists, a one-step mean
 summed term by term in ``Fraction`` arithmetic, the supermartingale check
-written out directly, a per-leaf conditional average and the Föllmer pair
-by the quantile-killing formula of the multiplicative decomposition.  The golden
-digests pin the CLI outputs on three seeded corpus trees byte for byte; they
-were recorded from the implementation that recomputed every walk, check and
-survivor mass on each call.
+written out directly and the Föllmer pair by the quantile-killing formula
+of the multiplicative decomposition.  The golden digests pin the CLI
+outputs on three seeded corpus trees byte for byte; they were recorded from
+the implementation that recomputed every walk, check and survivor mass on
+each call.
 """
 
 import json
@@ -21,7 +21,7 @@ import pytest
 from follmer_lab import trees
 from follmer_lab.cli import main
 from follmer_lab.corpus import binary_example, random_case, random_supermartingale
-from follmer_lab.decompositions import doob_meyer, multiplicative, predictable_projection
+from follmer_lab.decompositions import doob_meyer, multiplicative
 from follmer_lab.errors import FreezeTargetError, NotSupermartingaleError
 from follmer_lab.follmer import CEMETERY, FollmerPair, construct_follmer, verify_ky, verify_ky_all
 from follmer_lab.trees import (
@@ -29,9 +29,9 @@ from follmer_lab.trees import (
     ExtendedOutcome,
     FilteredTree,
     StoppingTime,
-    conditional_expectation,
     is_supermartingale,
     one_step_expectation,
+    one_step_means,
 )
 
 
@@ -52,11 +52,6 @@ def fresh_bfs(tree):
                 nxt.append(c)
         frontier = nxt
     return order, depth
-
-
-def leaves_under(tree, n):
-    """The leaves whose path passes through ``n``."""
-    return [leaf for leaf in tree.leaves if tree.ancestor_at(leaf, tree.depth[n]) == n]
 
 
 def fraction_mean(tree, x, n):
@@ -112,7 +107,7 @@ def test_constant_time_and_allows_never_on_non_antichains():
     for t in range(tree.horizon + 1):
         assert StoppingTime.constant(tree, t).nodes == frozenset(tree.nodes_at_depth(t))
         assert not StoppingTime.constant(tree, t).allows_never(tree)
-    assert StoppingTime.never().allows_never(tree)
+    assert StoppingTime(frozenset()).allows_never(tree)
     leaf = tree.leaves[0]
     # a node set that is not an antichain: the root plus a leaf below it
     assert not StoppingTime(frozenset([tree.root, leaf])).allows_never(tree)
@@ -144,21 +139,6 @@ def test_one_step_expectation_is_the_fraction_sum():
     x = AdaptedProcess({"r": 0, "a": 2, "b": Fraction(-5, 4), "c": 3})
     assert one_step_expectation(tree, x, "r") == fraction_mean(tree, x, "r")
     assert one_step_expectation(tree, x, "a") == 0
-
-
-def test_conditional_expectation_matches_per_leaf_average():
-    for tree, z in corpus(30, 3):
-        for t in range(tree.horizon + 1):
-            ce = conditional_expectation(tree, z, t)
-            for n in tree.iter_nodes():
-                if tree.depth[n] < t:
-                    assert ce[n] == z[n]
-                    continue
-                anc = tree.ancestor_at(n, t)
-                leaves = leaves_under(tree, anc)
-                want = sum((tree.path_prob[l] * z[l] for l in leaves), Fraction(0))
-                assert ce[n] == want / tree.path_prob[anc]
-            assert list(ce.values) == list(tree.iter_nodes())
 
 
 # -- one verdict per (tree, process) ---------------------------------------------
@@ -255,7 +235,7 @@ def test_one_step_means_are_computed_once_per_tree_and_process(monkeypatch):
         multiplicative(tree, z)
         construct_follmer(tree, z)
         construct_follmer(tree, z, "x")
-        predictable_projection(tree, z)
+        one_step_means(tree, z)
         assert sorted(calls) == sorted(n for n in tree.iter_nodes() if tree.children[n])
 
 
@@ -343,7 +323,9 @@ def test_one_pair_against_two_trees():
 
 # -- golden outputs ---------------------------------------------------------------
 
-# per corpus seed (random_case, default sizes); the freeze state is "x"
+# per corpus seed (random_case, default sizes); the freeze state is "x".
+# witness.json names its two pair files relative to itself, so its digest
+# does not depend on the output directory
 GOLDEN = {
     12: {
         "tree.json": "435cf4be43f83d5f6926920a98649d6d852b86cc8c3bfb8cc39695dfc35be58c",
@@ -354,6 +336,7 @@ GOLDEN = {
         "pair_cemetery.json": "e91c5e3a93908ee98b9ddacea5859c53c9ab7bb82c9942ad98bea8ade7ac3738",
         "pair_freeze.json": "3ffad43935c86795b2a79281319dd06634126180dd4f1a412fc055129bc2fbf3",
         "total_variation": "1/1",
+        "witness.json": "268de16cfdd907bc0a06e9b4488e9483151a988dffb42b88e65f024617d4573b",
     },
     17: {
         "tree.json": "c16a1aaed6b82df8199e91db4caf39fb027f69b8cd09fea74dbd4924cf1a89c6",
@@ -364,6 +347,7 @@ GOLDEN = {
         "pair_cemetery.json": "b541e30e248b373ef468a6a70c500b1d52128a2f03033974b253b80e29602ea6",
         "pair_freeze.json": "f65da5c6de8c10c33d4549850ed6f7f192181f0fa31e21eac5e546fe092b99c6",
         "total_variation": "1253/1280",
+        "witness.json": "21a9734dda764b121b08b1574e81db8f62573852f01c29623c806e6296aff7d5",
     },
     34: {
         "tree.json": "808ce603d305a2c08cf4a566b7f2a6f0c045ac73a930e657566f5d9f50fd7397",
@@ -374,6 +358,7 @@ GOLDEN = {
         "pair_cemetery.json": "d61cb7c4bdaa83b278dd1ed85de1022253030996b4cbdd601d8bb5ab54347d5f",
         "pair_freeze.json": "1ff2048ba599d328126d8d62ddc22c414e692680b3a0bc384bceb9ecfa28146e",
         "total_variation": "31913/49152",
+        "witness.json": "a87cfd01c5a5738bc22ecfa47850c653c58fd351e5fc447efa28230f76b96959",
     },
 }
 
@@ -392,7 +377,7 @@ def tree_digests(tmp_path, name, tree, z):
         "decompose": ["decomposition.json"],
         "follmer": ["pair.json", "ky_ledger.csv"],
         "uniqueness": ["uniqueness.json"],
-        "witness": ["pair_cemetery.json", "pair_freeze.json"],
+        "witness": ["pair_cemetery.json", "pair_freeze.json", "witness.json"],
     }
     digests = {"tree.json": sha256(tree_file.read_bytes()).hexdigest()}
     for sub, files in runs.items():
@@ -462,6 +447,7 @@ LARGE_GOLDEN = {
         "pair_cemetery.json": "1bc74fb6ff8040cfb06bf208e437f5b739ee20c1f1e409d295b052c0babe4202",
         "pair_freeze.json": "999c4686312e3d4548c685fc7442c3e329f5aec1b3d69732af7faaae123dc77e",
         "total_variation": "44001810262860777854848837799/48764219233644071780509286400",
+        "witness.json": "5d5ae4b98435eba114e5f3094060b97b130ee1e905c3a0f467d6dae17fc07810",
     },
     "branch5": {
         "tree.json": "52160b5884fb30a1de62087c27f0f499ff34a9acf5d12add7e50b5d99a87b2fe",
@@ -472,6 +458,7 @@ LARGE_GOLDEN = {
         "pair_cemetery.json": "632f3176fc1aa27e1a71d471c72343fc8f29f79c1550003b8659578490c90383",
         "pair_freeze.json": "41e245af33c9214266bff08b829e66409080842b3ba6cf7fe3026681553a5af5",
         "total_variation": "21556549751/34138341376",
+        "witness.json": "4e45536f77a36b13da20bc409260e583844880dbaaefd5012081091e15e214a5",
     },
     "chain120": {
         "tree.json": "ee07506373dc63e332b926224c3c4f4845fbc85f6136e5409f9acdb49983a4ad",
@@ -482,6 +469,7 @@ LARGE_GOLDEN = {
         "pair_cemetery.json": "98ee416e3daa146860bd5e923299b1b686f1f4da1ee208a65083867e67157091",
         "pair_freeze.json": "b4c1d4192c71bf44f53a0464b953933baa6ceaace2eea9718ceaa89ed9ecc7d1",
         "total_variation": "17498005798264090669048240444251939996407839917666178653838338789402979344892913985726974892502789967/17498005798264095394980017816940970922825355447145699491406164851279623993595007385788105416184430592",
+        "witness.json": "4c2054c7bea1d9f07da00f58ee3d8df7feb90dd3c414386aa42133066c58c6e3",
     },
 }
 

@@ -19,12 +19,19 @@ from follmer_lab.follmer import (
     construct_follmer,
     nonuniqueness_witness,
     tau_hat,
-    total_variation,
     uniqueness_report,
     verify_ky,
     verify_ky_all,
 )
 from follmer_lab.trees import AdaptedProcess, FilteredTree, StoppingTime
+
+
+def kill_time_distribution(pair):
+    """The pair's mass per kill time (None for the surviving outcomes)."""
+    dist = {}
+    for o, m in pair.outcomes.items():
+        dist[o.kill_time] = dist.get(o.kill_time, Fraction(0)) + m
+    return dist
 
 
 def test_binary_masses_by_hand_enumeration():
@@ -67,7 +74,7 @@ def test_verify_ky_binary_atoms():
     assert by_atom["u"].lhs == Fraction(3, 4) and by_atom["u"].rhs == Fraction(3, 4)
     rep0 = verify_ky(pair, tree, z, StoppingTime.constant(tree, 0))
     assert rep0.ok and rep0.rows[0].lhs == 1  # E[Z_0] = 1 against full mass
-    never = verify_ky(pair, tree, z, StoppingTime.never())
+    never = verify_ky(pair, tree, z, StoppingTime(frozenset()))
     assert never.ok
     assert all(r.lhs == 0 and r.rhs == 0 for r in never.rows)
 
@@ -168,7 +175,7 @@ def test_witness_binary_total_variation():
     assert verify_ky_all(cem, tree, z).ok
     assert verify_ky_all(frz, tree, z).ok
     # the kill-time laws coincide; only the target differs
-    assert cem.kill_time_distribution() == frz.kill_time_distribution()
+    assert kill_time_distribution(cem) == kill_time_distribution(frz)
 
 
 def test_witness_chain_with_fresh_symbol():
@@ -232,7 +239,7 @@ def test_chain_restricted_uniqueness_matches_triangular_solve():
     for values in cases:
         chain, z = unary_chain(values)
         pair = construct_follmer(chain, z)
-        law = pair.kill_time_distribution()
+        law = kill_time_distribution(pair)
         assert law == chain_measure_from_constant_times(chain, z)
 
 
@@ -271,9 +278,3 @@ def test_pair_json_round_trip(tmp_path):
     again = FollmerPair.from_json(str(p))
     assert again.outcomes == pair.outcomes
     assert again.target == pair.target
-
-
-def test_total_variation_is_half_l1():
-    tree, z = binary_example()
-    cem = construct_follmer(tree, z, CEMETERY)
-    assert total_variation(cem, cem) == 0

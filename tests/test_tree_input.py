@@ -36,6 +36,16 @@ def test_frac_agrees_with_fraction_on_strings():
         frac(0.5)
 
 
+def test_frac_refuses_an_exponent_beyond_the_digit_limit():
+    # Fraction(str) computes 10^e; frac refuses first, and frac_str could
+    # not print such a value anyway
+    limit = sys.get_int_max_str_digits()
+    assert frac(f"1e-{limit}") == Fraction(1, 10**limit)
+    for big in (f"1e-{limit + 1}", f"2E+{limit + 1}", "1e-100000", "1e1_000_000", "1e-999999999 "):
+        with pytest.raises(ValueError, match="beyond the"):
+            frac(big)
+
+
 def _tree_data(prob_up="1/2", z_down="1/4"):
     return {
         "horizon": 1,
@@ -113,8 +123,14 @@ def _edited(edit):
         ("decompose", _edited(lambda d: d.update(horizon=True)), "horizon must be an integer, got True"),
         ("uniqueness", _edited(lambda d: d["nodes"][1].update(state=[1])), "state at node 'up' must be a string or null"),
         ("decompose", None, "Is a directory"),
+        ("decompose", _edited(lambda d: d["nodes"][2].update(z="1e-5000")), "process value at node 'down'"),
+        ("uniqueness", _edited(lambda d: d["nodes"][1].update(z="3E+5000")), "process value at node 'up'"),
+        ("follmer", _edited(lambda d: d["nodes"][1].update(prob="5e-99999")), "edge probability at node 'up'"),
     ],
-    ids=["top-level-list", "node-without-id", "node-5", "horizon-str", "horizon-true", "state-list", "directory"],
+    ids=[
+        "top-level-list", "node-without-id", "node-5", "horizon-str", "horizon-true", "state-list", "directory",
+        "exponent-z", "exponent-z-positive", "exponent-prob",
+    ],
 )
 def test_malformed_tree_file_exits_2_naming_the_fault(tmp_path, capsys, command, data, named):
     tree_file = tmp_path

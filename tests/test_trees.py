@@ -1,4 +1,4 @@
-"""Tree engine: conditional expectations, supermartingale checks, stopping times.
+"""Tree engine: cylinder probabilities, supermartingale checks, stopping times.
 
 Expected values in the point tests were computed by hand enumeration of the
 leaves of the tiny trees involved.
@@ -16,7 +16,6 @@ from follmer_lab.trees import (
     AdaptedProcess,
     FilteredTree,
     StoppingTime,
-    conditional_expectation,
     count_stopping_times,
     enumerate_stopping_times,
     frac_str,
@@ -33,50 +32,6 @@ def check_antichain(tree, st):
             if anc in st.nodes:
                 raise ValueError(f"stop nodes {anc!r} and {n!r} violate the antichain property")
             anc = tree.parent[anc]
-
-
-def test_binary_conditional_expectation_at_root():
-    tree, z = binary_example()
-    ce = conditional_expectation(tree, z, 0)
-    # (1/2)(3/2) + (1/2)(1/4) = 7/8, hand enumeration of the two leaves
-    assert ce["r"] == Fraction(7, 8)
-    assert ce["u"] == Fraction(7, 8)
-    assert ce["d"] == Fraction(7, 8)
-
-
-def test_conditional_expectation_constant_invariance():
-    rng = random.Random(11)
-    tree, _ = random_case(rng)
-    c = AdaptedProcess.constant(tree, Fraction(5, 3))
-    for t in range(tree.horizon + 1):
-        ce = conditional_expectation(tree, c, t)
-        assert all(ce[n] == Fraction(5, 3) for n in tree.iter_nodes())
-
-
-def test_conditional_expectation_terminal_time_is_identity():
-    tree, z = binary_example()
-    ce = conditional_expectation(tree, z, tree.horizon)
-    assert ce.values == z.values
-
-
-def test_conditional_expectation_rejects_bad_time():
-    tree, z = binary_example()
-    with pytest.raises(ValueError):
-        conditional_expectation(tree, z, tree.horizon + 1)
-    with pytest.raises(ValueError):
-        conditional_expectation(tree, z, -1)
-
-
-def test_tower_property_exact_on_random_trees():
-    rng = random.Random(7)
-    for _ in range(50):
-        tree, z = random_case(rng)
-        for s in range(tree.horizon + 1):
-            for t in range(s, tree.horizon + 1):
-                inner = conditional_expectation(tree, z, t)
-                outer = conditional_expectation(tree, inner, s)
-                direct = conditional_expectation(tree, z, s)
-                assert outer.values == direct.values
 
 
 def test_cylinder_probabilities_sum_to_one():

@@ -3,8 +3,8 @@
 `witness <tree> x` (x a fresh symbol) exits 0 exactly when `uniqueness`
 writes `witness_available: true`.  Where it does, both stored pairs satisfy
 the Kunita-Yoeurp identity at every enumerated stopping time, not only at
-the per-node certificate, and their total variation is the reported lost
-mass.
+the per-node certificate, and their total variation, recomputed below as
+half the L1 distance over both pairs' outcomes, is the reported lost mass.
 """
 
 import importlib.util
@@ -17,8 +17,15 @@ import pytest
 
 from follmer_lab.cli import main
 from follmer_lab.corpus import binary_example, random_case, unary_chain
-from follmer_lab.follmer import FollmerPair, total_variation, verify_ky
+from follmer_lab.follmer import FollmerPair, verify_ky
 from follmer_lab.trees import AdaptedProcess, FilteredTree, enumerate_stopping_times
+
+
+def total_variation(p1, p2):
+    """Half the L1 distance between two outcome measures, exactly."""
+    zero = Fraction(0)
+    keys = set(p1.outcomes) | set(p2.outcomes)
+    return sum((abs(p1.outcomes.get(k, zero) - p2.outcomes.get(k, zero)) for k in keys), zero) / 2
 
 
 def _bench_inputs():
@@ -62,6 +69,11 @@ CASES = {
     "chain_1_half_quarter": lambda: unary_chain([1, Fraction(1, 2), Fraction(1, 4)]),
     "single_state_depth1": _single_state_tree,
 }
+# more seeded corpus trees; the strict generator loses no mass at seeds 19 and 29
+for _seed in (7, 13):
+    CASES[f"corpus_martingale_{_seed}"] = lambda s=_seed: _corpus(s, True)
+for _seed in (7, 13, 19, 23, 29):
+    CASES[f"corpus_strict_{_seed}"] = lambda s=_seed: _corpus(s, False)
 
 
 @pytest.mark.parametrize("name", sorted(CASES))
@@ -89,4 +101,6 @@ def test_uniqueness_and_witness_agree(tmp_path, name):
     mass_lost = Fraction(rep["mass_lost"])
     assert mass_lost > 0
     assert total_variation(cem, frz) == mass_lost
-    assert Fraction(json.loads((wdir / "witness.json").read_text())["total_variation"]) == mass_lost
+    witness = json.loads((wdir / "witness.json").read_text())
+    assert Fraction(witness["total_variation"]) == mass_lost
+    assert (witness["pair_cemetery"], witness["pair_freeze"]) == ("pair_cemetery.json", "pair_freeze.json")

@@ -43,13 +43,6 @@ EXIT_VERIFY_FAIL = 1
 EXIT_USAGE = 2
 
 
-def _load_tree(path: str):
-    tree, z = FilteredTree.from_json(path)
-    if z is None:
-        raise TreeValidationError(f"tree file {path} carries no process values")
-    return tree, z
-
-
 def _out_dir(args) -> str:
     out = args.out or "."
     os.makedirs(out, exist_ok=True)
@@ -57,7 +50,7 @@ def _out_dir(args) -> str:
 
 
 def cmd_decompose(args) -> int:
-    tree, z = _load_tree(args.tree_file)
+    tree, z = FilteredTree.from_json(args.tree_file)
     add = doob_meyer(tree, z)
     mul = multiplicative(tree, z)
     report = {
@@ -89,7 +82,7 @@ def _verdict(ledger) -> int:
 
 
 def cmd_follmer(args) -> int:
-    tree, z = _load_tree(args.tree_file)
+    tree, z = FilteredTree.from_json(args.tree_file)
     target = args.target or CEMETERY
     pair = construct_follmer(tree, z, target)
     if target != CEMETERY and pair.killed_mass() == 0:
@@ -111,7 +104,7 @@ def cmd_follmer(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    tree, z = _load_tree(args.tree_file)
+    tree, z = FilteredTree.from_json(args.tree_file)
     pair = FollmerPair.from_json(args.pair_file)
     ledger = verify_ky_all(pair, tree, z)
     ledger_path = os.path.join(_out_dir(args), "ky_ledger.csv")
@@ -121,9 +114,8 @@ def cmd_verify(args) -> int:
 
 
 def cmd_uniqueness(args) -> int:
-    tree, z = _load_tree(args.tree_file)
-    pair = construct_follmer(tree, z, CEMETERY)
-    rep = uniqueness_report(tree, z, pair)
+    tree, z = FilteredTree.from_json(args.tree_file)
+    rep = uniqueness_report(tree, z)
     out = os.path.join(_out_dir(args), "uniqueness.json")
     write_json(out, rep.to_dict())
     print(out)
@@ -131,7 +123,7 @@ def cmd_uniqueness(args) -> int:
 
 
 def cmd_witness(args) -> int:
-    tree, z = _load_tree(args.tree_file)
+    tree, z = FilteredTree.from_json(args.tree_file)
     cem, frz, tv = nonuniqueness_witness(tree, z, args.freeze_state)
     out_dir = _out_dir(args)
     record = {"total_variation": frac_str(tv)}
@@ -259,8 +251,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser(
         "uniqueness",
-        help="uniqueness verdicts: the pair is unique exactly when no mass is lost; "
-        "otherwise 'witness' builds two distinct pairs",
+        help="write the lost mass and whether the Föllmer pair is unique, which it is "
+        "exactly when no mass is lost; otherwise 'witness' builds two distinct pairs",
     )
     sp.add_argument("tree_file")
     common(sp)

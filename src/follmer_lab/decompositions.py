@@ -7,12 +7,15 @@ starting at 1.  Both are computed by one-step recursions in exact rational
 arithmetic, together with the classification of the first zero of Z into its
 announced and surprise parts.
 
-``left_limit_smoothing`` builds, for a jump threshold 1/i and an announce
-lag, the smoothed pair that replaces each big predictable drop of D by a
-conditional-expectation ramp starting at the announcing time, and checks the
-exact value it reaches at every finite stopping time.  That value depends
-only on the stop node and the leaf below it, so each (node, leaf) pair is
-checked once and counted as often as finite stopping times stop there.
+``left_limit_smoothing`` builds, for a jump threshold 1/i, the smoothed
+pair that replaces each big predictable drop of D by a
+conditional-expectation ramp starting at its announcing time, one step
+before the drop unless the previous drop is there, and checks the exact
+value it reaches at every finite stopping time.  The drops are
+predictable, so the announcing times are stopping times and the
+construction is adapted.  The reached value depends only on the stop node
+and the leaf below it, so each (node, leaf) pair is checked once and
+counted as often as finite stopping times stop there.
 """
 
 from __future__ import annotations
@@ -216,9 +219,9 @@ class SmoothingLimitReport:
     A position is one (finite stopping time, leaf) pair, located at the stop
     node on the leaf's path; the counts weight each (stop node, leaf) pair by
     the number of finite stopping times that contain the node.
-    ``guaranteed`` counts positions whose governing announcing time sits
-    strictly before the jump (there the target is reached exactly), ``stuck``
-    those where consecutive qualifying jumps leave no room to announce.
+    ``stuck`` counts positions at a jump that consecutive qualifying jumps
+    leave no room to announce, and ``guaranteed`` all the others, where the
+    target is reached exactly.
     ``mismatches`` lists each failing (stop node, leaf, time, reached,
     target) once.
     """
@@ -234,16 +237,14 @@ class SmoothingLimitReport:
 
 @dataclass
 class SmoothedDecomposition:
-    """Smoothed pair indexed per leaf and time, plus folded forms when adapted.
+    """Smoothed pair indexed per leaf and time, plus its folded node-valued forms.
 
     ``martingale_path[leaf][t]`` / ``drift_path[leaf][t]`` hold the exact
-    values along each path.  For announce lag 1 the construction is adapted
-    and ``martingale`` / ``drift_adapted`` carry the folded node-valued
-    processes; for larger lags the surrogate announcing times look ahead, the
-    fold can be inconsistent, and the folded fields are None.
+    values along each path, and ``martingale`` / ``drift_adapted`` carry the
+    folded node-valued processes: the construction is adapted, so paths
+    through a node agree there, and a fold is None only where they do not.
     """
 
-    lag: int
     threshold_index: int
     martingale_path: Dict[str, List[Fraction]]
     drift_path: Dict[str, List[Fraction]]
@@ -264,7 +265,6 @@ def left_limit_smoothing(
     tree: FilteredTree,
     z: AdaptedProcess,
     i: int,
-    lag: int = 1,
 ) -> SmoothedDecomposition:
     """Ramp each drop of the additive drift of size <= -1/i from its announcing time.
 
@@ -274,9 +274,9 @@ def left_limit_smoothing(
     stopping time.
 
     The n-th qualifying drop time sigma_n on a path is announced at
-    a_n = max(sigma_n - lag, sigma_{n-1} + 1); from there the martingale part
+    a_n = max(sigma_n - 1, sigma_{n-1} + 1); from there the martingale part
     tracks E[Z_{sigma_n} 1{sigma_n exists} | F_t] and the drift absorbs the
-    offset, so at lag 1 the pair reaches, at every finite stopping time rho,
+    offset, so the pair reaches, at every finite stopping time rho,
     exactly M_rho plus (D_rho when a qualifying drop lands at rho, else the
     pre-rho drift value).  The report records that comparison at every
     finite stopping time, with positions weighted as in
@@ -284,8 +284,6 @@ def left_limit_smoothing(
     """
     if i <= 0:
         raise ValueError(f"jump threshold index must be positive, got {i}")
-    if lag < 1:
-        raise ValueError(f"announce lag must be >= 1, got {lag}")
     add = doob_meyer(tree, z)
     threshold = -Fraction(1, i)
     bottom_up = list(tree.iter_nodes())[::-1]
@@ -298,7 +296,7 @@ def left_limit_smoothing(
         m = [add.martingale[n] for n in path]
         d = [add.drift.value_on(tree, n) for n in path]
         sig = [t for t in range(1, len(path)) if d[t] - d[t - 1] <= threshold]
-        a = [max(s - lag, prev + 1) for prev, s in zip([0] + sig, sig)]
+        a = [max(s - 1, prev + 1) for prev, s in zip([0] + sig, sig)]
         along[leaf] = (m, d, sig, a)
     sigmas = {leaf: sig for leaf, (_, _, sig, _) in along.items()}
 
@@ -351,26 +349,21 @@ def left_limit_smoothing(
             jump_at_t = t in sig
             target = m[t] + (d[t] if jump_at_t else d[prev])
             reached = m_path[leaf][t] + d_path[leaf][prev]
+            # every position but a stuck one is guaranteed to reach the target
             stuck = jump_at_t and a[sig.index(t)] >= t
-            # at lag 1 every non-stuck position reaches the target; at
-            # larger lags positions inside a live announce window are not
-            # asserted (the surrogate announcing times look ahead there)
-            window_open = any(a_k <= t < s for s, a_k in zip(sig, a))
-            guaranteed = not stuck and (lag == 1 or jump_at_t or not window_open)
             report.positions += w
             if stuck:
                 report.stuck += w
-            if guaranteed:
+            else:
                 report.guaranteed += w
             if reached == target:
                 report.equal += w
-                if guaranteed:
+                if not stuck:
                     report.guaranteed_equal += w
-            elif guaranteed:
+            elif not stuck:
                 report.ok = False
                 report.mismatches.append((stop, leaf, t, reached, target))
     return SmoothedDecomposition(
-        lag=lag,
         threshold_index=i,
         martingale_path=m_path,
         drift_path=d_path,

@@ -21,7 +21,11 @@ freeze state need not label any node, so a fresh symbol is always
 admissible, on single-state trees too.  Under this reading the pair is
 unique exactly when no mass is lost; otherwise the cemetery pair and the
 pair frozen at a fresh symbol are two distinct pairs at total variation
-equal to the lost mass (the non-uniqueness witness).
+equal to the lost mass (the non-uniqueness witness).  The measure given
+the kill time tau is unique exactly when {tau < zeta} is negligible: it is
+for the cemetery pair, whose killed outcomes reach the cemetery at their
+kill time, and it is not for a freeze pair that loses mass, whose frozen
+outcomes never reach the cemetery.
 
 Verification checks the Kunita-Yoeurp identity Q[A and {rho < tau}] =
 E_P[Z_rho 1_A] atom by atom, by exact rational comparison.  An atom is a stop
@@ -52,7 +56,6 @@ from .trees import (
     count_stopping_times,
     frac,
     frac_str,
-    is_supermartingale,
     require_supermartingale,
     write_json,
 )
@@ -403,41 +406,30 @@ def tau_hat(tree: FilteredTree, z: AdaptedProcess, n: int) -> StoppingTime:
 
 @dataclass(frozen=True)
 class UniquenessReport:
-    is_martingale: bool
     mass_lost: Fraction
-    tau_lt_zeta_negligible: bool
     unique_pair: bool
-    witness_available: bool
     reason: str
 
     def to_dict(self) -> dict:
         return {
-            "is_martingale": self.is_martingale,
             "mass_lost": frac_str(self.mass_lost),
-            "tau_lt_zeta_negligible": self.tau_lt_zeta_negligible,
             "unique_pair": self.unique_pair,
-            "witness_available": self.witness_available,
             "reason": self.reason,
         }
 
 
-def uniqueness_report(
-    tree: FilteredTree, z: AdaptedProcess, pair: FollmerPair
-) -> UniquenessReport:
-    """Uniqueness verdicts for the measure given tau, and for the pair.
+def uniqueness_report(tree: FilteredTree, z: AdaptedProcess) -> UniquenessReport:
+    """Whether the Föllmer pair of Z is unique, from the mass its cemetery pair loses.
 
-    The measure for the given kill time is unique exactly when {tau < zeta}
-    is negligible under the pair: immediate for cemetery targets (killed
-    outcomes hit the cemetery at their kill time), false for freeze targets
-    whenever mass is lost (frozen outcomes never reach the cemetery).
-
-    The pair is unique exactly when no mass is lost.  The Kunita-Yoeurp
-    identity fixes the killed mass at every node but not its target, and a
-    fresh freeze symbol is always admissible, so any lost mass can be sent
-    to the cemetery or frozen: :func:`nonuniqueness_witness` builds the two
-    pairs whenever ``witness_available`` is true.
+    The pair is unique exactly when no mass is lost, E_P[Z_T] = Z_0.  The
+    lost mass is a sum of nonnegative one-step drifts, so it is 0 exactly
+    when Z is a martingale.  The Kunita-Yoeurp identity fixes the killed
+    mass at every node but not its target, and a fresh freeze symbol is
+    always admissible, so any lost mass can be sent to the cemetery or
+    frozen: :func:`nonuniqueness_witness` builds the two pairs whenever
+    ``unique_pair`` is false.
     """
-    mass_lost = pair.killed_mass()
+    mass_lost = construct_follmer(tree, z).killed_mass()
     unique_pair = mass_lost == 0
     if unique_pair:
         reason = (
@@ -450,15 +442,7 @@ def uniqueness_report(
             "each node but not its target, so the cemetery pair and the pair "
             "frozen at a fresh state differ by the lost mass"
         )
-    return UniquenessReport(
-        is_supermartingale(tree, z).is_martingale,
-        mass_lost,
-        # frozen outcomes have zeta = never > tau; killed ones hit the cemetery
-        pair.target == CEMETERY or unique_pair,
-        unique_pair,
-        not unique_pair,
-        reason,
-    )
+    return UniquenessReport(mass_lost, unique_pair, reason)
 
 
 def nonuniqueness_witness(

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Dict, Optional, Sequence, Tuple
+from typing import Callable, Dict, Sequence, Tuple
 
 import numpy as np
 
@@ -165,7 +165,7 @@ class ExtendedFamilyReport:
 def extended_approx(
     grid: GridSpec,
     z_values: Sequence[float],
-    oracle: Optional[Callable[[np.ndarray], np.ndarray]],
+    oracle: Callable[[np.ndarray], np.ndarray],
     terminal_mean: float,
     h: float,
     k: int,
@@ -183,8 +183,6 @@ def extended_approx(
     normalizer vanishes the core is identically one (0/0 = 1 convention) and
     the member is the oracle itself.
     """
-    if oracle is None:
-        raise ValueError("terminal conditional-expectation oracle is required")
     times = grid.points()
     z_arr = np.asarray(z_values, dtype=float)
     if z_arr.size != times.size:

@@ -24,7 +24,7 @@ a :class:`TreeValidationError` naming the node where there is one:
 - every node is reachable from the root, each sibling block has
   probabilities > 0 summing to exactly 1, and every leaf sits at the
   horizon;
-- ``z`` is given at every node or at none.
+- ``z`` is given at every node.
 
 Faults are reported in this order: the top level and the horizon; node
 entries, ids, states and ``prob`` values in file order as the nodes are
@@ -95,13 +95,22 @@ def frac(x) -> Fraction:
 
 
 def _node_rational(x, node: str, what: str) -> Fraction:
-    """:func:`frac` for a value read from a tree file, naming the node on failure."""
+    """:func:`frac` for a value read from a tree file, naming the node and the reason on failure.
+
+    A value of the wrong type (a float, a boolean) gets the form to write
+    it in; a string that :func:`frac` refuses gets the refusal's reason.
+    """
     try:
         return frac(x)
     except (TypeError, ValueError, ZeroDivisionError) as exc:
+        if isinstance(exc, TypeError):
+            reason = "write it as an integer or a 'num/den' string"
+        elif isinstance(exc, ZeroDivisionError):
+            reason = "its denominator is 0"
+        else:
+            reason = str(exc)
         raise TreeValidationError(
-            f"{what} at node {node!r} is not an exact rational: {x!r} "
-            f"(write it as an integer or a 'num/den' string)",
+            f"{what} at node {node!r} is not an exact rational: {x!r} ({reason})",
             node=node,
         ) from exc
 
@@ -291,7 +300,7 @@ class FilteredTree:
 
     # -- serialization -----------------------------------------------------
 
-    def to_dict(self, z: Optional["AdaptedProcess"] = None) -> dict:
+    def to_dict(self, z: "AdaptedProcess") -> dict:
         nodes = []
         for n in self.iter_nodes():
             entry: dict = {"id": n, "parent": self.parent[n]}
@@ -299,13 +308,12 @@ class FilteredTree:
                 entry["prob"] = frac_str(self.prob[n])
             if self.state[n] is not None:
                 entry["state"] = self.state[n]
-            if z is not None:
-                entry["z"] = frac_str(z[n])
+            entry["z"] = frac_str(z[n])
             nodes.append(entry)
         return {"horizon": self.horizon, "nodes": nodes}
 
     @classmethod
-    def from_dict(cls, data: dict) -> Tuple["FilteredTree", Optional["AdaptedProcess"]]:
+    def from_dict(cls, data: dict) -> Tuple["FilteredTree", "AdaptedProcess"]:
         if not isinstance(data, dict) or not isinstance(data.get("nodes"), list):
             raise TreeValidationError("a tree file must be an object with a 'nodes' list")
         tree = cls(data.get("horizon"), data["nodes"])
@@ -316,8 +324,6 @@ class FilteredTree:
             if raw is not None:
                 nid = str(spec["id"])
                 zvals[nid] = _parse_rational(seen, raw, nid, "process value")
-        if not zvals:
-            return tree, None
         missing = [n for n in tree.iter_nodes() if n not in zvals]
         if missing:
             raise TreeValidationError(
@@ -327,11 +333,11 @@ class FilteredTree:
         return tree, AdaptedProcess(zvals)
 
     @classmethod
-    def from_json(cls, path: str) -> Tuple["FilteredTree", Optional["AdaptedProcess"]]:
+    def from_json(cls, path: str) -> Tuple["FilteredTree", "AdaptedProcess"]:
         with open(path, "r", encoding="utf-8") as fh:
             return cls.from_dict(json.load(fh))
 
-    def to_json(self, path: str, z: Optional["AdaptedProcess"] = None) -> None:
+    def to_json(self, path: str, z: "AdaptedProcess") -> None:
         write_json(path, self.to_dict(z))
 
 

@@ -276,8 +276,9 @@ def test_uniqueness_report_file(binary_file, tmp_path):
     out = tmp_path / "out"
     assert main(["uniqueness", binary_file, "--out", str(out)]) == 0
     rep = json.loads((out / "uniqueness.json").read_text())
+    assert sorted(rep) == ["mass_lost", "reason", "unique_pair"]
     assert rep["mass_lost"] == "1/8"
-    assert rep["witness_available"] is True
+    assert rep["unique_pair"] is False
 
 
 def test_witness_writes_two_pairs(binary_file, tmp_path):

@@ -181,11 +181,3 @@ def test_extended_zero_over_zero_convention():
     )
     assert rep.core_constant
     assert np.all(rep.batch.values == 1.0)
-
-
-def test_extended_requires_oracle():
-    grid = GridSpec(t_max=1.0, base_step=1 / 8)
-    with pytest.raises(ValueError):
-        extended_approx(
-            grid, np.ones(grid.points().size), None, 0.0, 0.5, 2, 4, 5, 1
-        )

@@ -145,27 +145,19 @@ def test_tau_hat_mixed_crossing_and_cap():
 def test_uniqueness_martingale_verdict():
     rng = random.Random(10)
     tree, z = random_case(rng, martingale=True)
-    pair = construct_follmer(tree, z)
-    rep = uniqueness_report(tree, z, pair)
-    assert rep.is_martingale
+    rep = uniqueness_report(tree, z)
     assert rep.mass_lost == 0
-    assert rep.tau_lt_zeta_negligible
     assert rep.unique_pair is True
-    assert not rep.witness_available
 
 
 def test_uniqueness_binary_cemetery_vs_freeze():
     tree, z = binary_example()
-    cem = construct_follmer(tree, z, CEMETERY)
-    rep = uniqueness_report(tree, z, cem)
-    assert not rep.is_martingale
+    rep = uniqueness_report(tree, z)
     assert rep.mass_lost == Fraction(1, 8)
-    assert rep.tau_lt_zeta_negligible  # killed outcomes hit the cemetery
-    assert rep.unique_pair is False and rep.witness_available
-
-    frozen = construct_follmer(tree, z, "u")
-    rep2 = uniqueness_report(tree, z, frozen)
-    assert not rep2.tau_lt_zeta_negligible  # frozen outcomes never die
+    assert rep.unique_pair is False
+    # the lost mass is the same whichever target the killed outcomes go to
+    assert construct_follmer(tree, z, CEMETERY).killed_mass() == rep.mass_lost
+    assert construct_follmer(tree, z, "u").killed_mass() == rep.mass_lost
 
 
 def test_witness_binary_total_variation():

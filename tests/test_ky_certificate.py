@@ -97,11 +97,11 @@ def leaves_under(tree, n):
 def _smoothing_oracle(tree, z, sm):
     """The limit report recomputed position by position over every finite stopping time."""
     add = doob_meyer(tree, z)
-    sigmas, lag = sm.jump_times, sm.lag
+    sigmas = sm.jump_times
 
     def announce(leaf, k):
         prev = sigmas[leaf][k - 1] if k > 0 else 0
-        return max(sigmas[leaf][k] - lag, prev + 1)
+        return max(sigmas[leaf][k] - 1, prev + 1)
 
     counts = dict(positions=0, equal=0, guaranteed=0, guaranteed_equal=0, stuck=0)
     mismatches = set()
@@ -117,8 +117,7 @@ def _smoothing_oracle(tree, z, sm):
                 target = add.martingale[stop] + add.drift.value_on(tree, stop if jump else prev)
                 reached = sm.martingale_path[leaf][t] + sm.drift_path[leaf][max(t - 1, 0)]
                 stuck = jump and announce(leaf, sigmas[leaf].index(t)) >= t
-                window = any(announce(leaf, k) <= t < s for k, s in enumerate(sigmas[leaf]))
-                guaranteed = not stuck and (lag == 1 or jump or not window)
+                guaranteed = not stuck
                 counts["positions"] += 1
                 counts["stuck"] += stuck
                 counts["guaranteed"] += guaranteed
@@ -134,11 +133,10 @@ def test_smoothing_report_equals_enumeration_oracle():
     for _ in range(25):
         tree, z = random_case(rng, max_depth=3, max_branching=3)
         for i in (1, 2, 4):
-            for lag in (1, 2):
-                sm = left_limit_smoothing(tree, z, i=i, lag=lag)
-                rep = sm.limit_report
-                counts, mismatches = _smoothing_oracle(tree, z, sm)
-                assert {k: getattr(rep, k) for k in counts} == counts
-                assert set(rep.mismatches) == mismatches
-                assert len(rep.mismatches) == len(mismatches)
-                assert rep.ok == (not mismatches)
+            sm = left_limit_smoothing(tree, z, i=i)
+            rep = sm.limit_report
+            counts, mismatches = _smoothing_oracle(tree, z, sm)
+            assert {k: getattr(rep, k) for k in counts} == counts
+            assert set(rep.mismatches) == mismatches
+            assert len(rep.mismatches) == len(mismatches)
+            assert rep.ok == (not mismatches)

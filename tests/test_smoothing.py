@@ -4,10 +4,11 @@ Threshold note: a drop qualifies when it is <= -1/i, so the chain with a
 single -1/2 drop needs i >= 2 to trigger the smoothing.
 
 The golden digests pin every output field, value types included, on a
-seeded corpus; they were recorded from the implementation that walked each
-path once per use and summed the conditional expectations by hand.  Two
+seeded corpus; they were recorded from the implementation that also took
+an announce lag, restricted to lag 1 (an announcement one step before the
+jump), which is the announcement every smoothing now makes.  Two
 independent oracles check the path values: the pair's sum against a
-brute-force conditional expectation, and the lag-1 fold against its own
+brute-force conditional expectation, and the fold against its own
 one-step means.
 """
 
@@ -26,21 +27,20 @@ from follmer_lab.trees import FilteredTree, AdaptedProcess, one_step_expectation
 def test_no_qualifying_jumps_is_identity():
     chain, z = unary_chain([1, 1, Fraction(1, 2)])
     add = doob_meyer(chain, z)
-    for lag in (1, 2, 3):
-        sm = left_limit_smoothing(chain, z, i=1, lag=lag)  # threshold -1: no jumps
-        assert sm.jump_times == {"n2": []}
-        assert sm.martingale is not None and sm.drift_adapted is not None
-        for n in chain.iter_nodes():
-            assert sm.martingale[n] == add.martingale[n]
-            t = chain.depth[n]
-            assert sm.drift_path["n2"][t] == add.drift.value_on(chain, n)
-        assert sm.limit_report.ok
+    sm = left_limit_smoothing(chain, z, i=1)  # threshold -1: no jumps
+    assert sm.jump_times == {"n2": []}
+    assert sm.martingale is not None and sm.drift_adapted is not None
+    for n in chain.iter_nodes():
+        assert sm.martingale[n] == add.martingale[n]
+        t = chain.depth[n]
+        assert sm.drift_path["n2"][t] == add.drift.value_on(chain, n)
+    assert sm.limit_report.ok
 
 
 def test_halving_chain_hand_values():
     # Z = (1, 1, 1/2): drift (0, 0, -1/2); the -1/2 drop at t=2 qualifies at i=2
     chain, z = unary_chain([1, 1, Fraction(1, 2)])
-    sm = left_limit_smoothing(chain, z, i=2, lag=1)
+    sm = left_limit_smoothing(chain, z, i=2)
     assert sm.jump_times == {"n2": [2]}
     # hand evaluation of the two displayed sums with announce time 1:
     # smoothed martingale stays at 1; smoothed drift is -1/2 from time 1 on
@@ -55,19 +55,19 @@ def test_halving_chain_hand_values():
     assert sm.limit_report.equal == sm.limit_report.positions
 
 
-def test_lag_one_reaches_target_on_random_trees():
+def test_smoothing_reaches_target_on_random_trees():
     rng = random.Random(31)
     for _ in range(60):
         tree, z = random_case(rng, max_depth=3, max_branching=2)
         for i in (1, 2, 3):
-            sm = left_limit_smoothing(tree, z, i=i, lag=1)
+            sm = left_limit_smoothing(tree, z, i=i)
             assert sm.limit_report.ok, sm.limit_report.mismatches
-            # every non-stuck position is exact at lag 1
+            # every non-stuck position is exact
             assert (
                 sm.limit_report.equal
                 >= sm.limit_report.positions - sm.limit_report.stuck
             )
-            # lag 1 is adapted: folding must succeed
+            # the construction is adapted: folding must succeed
             assert sm.martingale is not None
             assert sm.drift_adapted is not None
 
@@ -76,7 +76,7 @@ def test_smoothed_pair_sums_to_conditional_patch():
     # M^s + D^s equals Z outside announce windows and, inside a window,
     # the conditional expectation of Z at the announced jump time.
     chain, z = unary_chain([1, Fraction(3, 4), Fraction(1, 4), Fraction(1, 4)])
-    sm = left_limit_smoothing(chain, z, i=2, lag=1)  # jump at t=2, announced at 1
+    sm = left_limit_smoothing(chain, z, i=2)  # jump at t=2, announced at 1
     sums = [
         sm.martingale_path["n3"][t] + sm.drift_path["n3"][t] for t in range(4)
     ]
@@ -89,30 +89,14 @@ def test_smoothed_pair_sums_to_conditional_patch():
 def test_consecutive_jumps_are_reported_stuck():
     # drops of -1/2 at t=1 and t=2: the second announce clamps onto the jump
     chain, z = unary_chain([1, Fraction(1, 2), Fraction(1, 8)])
-    sm = left_limit_smoothing(chain, z, i=4, lag=1)
+    sm = left_limit_smoothing(chain, z, i=4)
     assert sm.jump_times == {"n2": [1, 2]}
     assert sm.limit_report.stuck > 0
     assert sm.limit_report.ok  # stuck positions are excluded from the guarantee
 
 
-def test_larger_lag_converges_down_to_limit():
-    # lag larger than the distance to the previous jump clamps to it; the
-    # reached value equals the target once the lag window collapses
-    chain, z = unary_chain([1, 1, 1, Fraction(1, 2)])
-    values = {}
-    for lag in (3, 2, 1):
-        sm = left_limit_smoothing(chain, z, i=2, lag=lag)
-        values[lag] = (
-            sm.martingale_path["n3"][3] + sm.drift_path["n3"][2],
-            sm.martingale_path["n3"][2] + sm.drift_path["n3"][1],
-        )
-        assert sm.limit_report.ok
-    # at the jump time rho=3 every lag reaches Z_3 (announce < jump in all cases)
-    assert values[1][0] == values[2][0] == values[3][0] == Fraction(1, 2)
-
-
 def test_branching_tree_with_random_jump_paths():
-    # jumps qualifying on one branch only; exactness at lag 1 across the tree
+    # jumps qualifying on one branch only; exactness across the tree
     tree = FilteredTree(
         2,
         [
@@ -134,27 +118,24 @@ def test_branching_tree_with_random_jump_paths():
             "bb": Fraction(1, 4),
         }
     )
-    sm = left_limit_smoothing(tree, z, i=2, lag=1)
+    sm = left_limit_smoothing(tree, z, i=2)
     assert sm.limit_report.ok, sm.limit_report.mismatches
-    assert sm.martingale is not None  # adapted at lag 1
+    assert sm.martingale is not None  # adapted
 
 
 def test_invalid_threshold_rejected():
     chain, z = unary_chain([1, 1])
     with pytest.raises(ValueError):
         left_limit_smoothing(chain, z, i=0)
-    with pytest.raises(ValueError):
-        left_limit_smoothing(chain, z, i=2, lag=0)
 
 
 def corpus_smoothings(n_trees=100, seed=909):
-    """(tree, z, smoothing) over seeded corpus trees x i in 1..4 x lag in 1..3."""
+    """(tree, z, smoothing) over seeded corpus trees x i in 1..4."""
     rng = random.Random(seed)
     for _ in range(n_trees):
         tree, z = random_case(rng, max_depth=4, max_branching=3)
         for i in (1, 2, 3, 4):
-            for lag in (1, 2, 3):
-                yield tree, z, left_limit_smoothing(tree, z, i=i, lag=lag)
+            yield tree, z, left_limit_smoothing(tree, z, i=i)
 
 
 def _folded(proc):
@@ -167,7 +148,6 @@ def smoothing_digests():
     for _, _, sm in corpus_smoothings():
         groups["paths"].append(
             (
-                sm.lag,
                 sm.threshold_index,
                 sorted(sm.martingale_path.items()),
                 sorted(sm.drift_path.items()),
@@ -180,9 +160,9 @@ def smoothing_digests():
 
 
 GOLDEN = {
-    "paths": "b9654c1f2fba69574446daf578a94cf433f3e4c3885115f2cb342f27006e71af",
-    "folds": "a63841c49bc2d2ce2374282e45e6aa03ceb1e46cf8601ee3f2caaa33b92e4d20",
-    "report": "fabd7bc7d9ae650dbe0fb50b87e05e7e70a2e074d8fdd0e96f32ca20dfe1cefb",
+    "paths": "a87bd59d174b0c543b5f03ebfca45698944154b24158ef96c6b12fecb8773570",
+    "folds": "3e0b6c2510a05ef9e8fb988b55f015108e5e1668b5040bcf0ffb7ba2c2ea69ad",
+    "report": "0469e2fed2d012d1668126ecd77ad20d6e99efc479723254d6ff706656ee185d",
 }
 
 
@@ -215,7 +195,7 @@ def test_smoothed_sum_is_the_windowed_conditional_expectation():
 
         for leaf in tree.leaves:
             starts = [
-                max(s - sm.lag, (sigmas[leaf][k - 1] if k else 0) + 1)
+                max(s - 1, (sigmas[leaf][k - 1] if k else 0) + 1)
                 for k, s in enumerate(sigmas[leaf])
             ]
             for t, n in enumerate(tree.path_to(leaf)):
@@ -234,10 +214,8 @@ def test_smoothed_sum_is_the_windowed_conditional_expectation():
                 assert sm.martingale_path[leaf][t] + sm.drift_path[leaf][t] == expected
 
 
-def test_lag_one_fold_is_a_martingale():
+def test_fold_is_a_martingale():
     for tree, _, sm in corpus_smoothings(n_trees=60):
-        if sm.lag != 1:
-            continue
         for n in tree.iter_nodes():
             if tree.children[n]:
                 assert one_step_expectation(tree, sm.martingale, n) == sm.martingale[n]

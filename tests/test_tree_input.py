@@ -123,13 +123,27 @@ def _edited(edit):
         ("decompose", _edited(lambda d: d.update(horizon=True)), "horizon must be an integer, got True"),
         ("uniqueness", _edited(lambda d: d["nodes"][1].update(state=[1])), "state at node 'up' must be a string or null"),
         ("decompose", None, "Is a directory"),
-        ("decompose", _edited(lambda d: d["nodes"][2].update(z="1e-5000")), "process value at node 'down'"),
+        (
+            "decompose",
+            _edited(lambda d: d["nodes"][2].update(z="1e-5000")),
+            "process value at node 'down' is not an exact rational: '1e-5000' (exponent -5000 is beyond the",
+        ),
         ("uniqueness", _edited(lambda d: d["nodes"][1].update(z="3E+5000")), "process value at node 'up'"),
         ("follmer", _edited(lambda d: d["nodes"][1].update(prob="5e-99999")), "edge probability at node 'up'"),
+        (
+            "uniqueness",
+            _edited(lambda d: d["nodes"][2].update(z="1/0")),
+            "process value at node 'down' is not an exact rational: '1/0' (its denominator is 0) (node down)",
+        ),
+        (
+            "decompose",
+            _edited(lambda d: [node.pop("z") for node in d["nodes"]]),
+            "process values missing at 3 of 3 nodes: 'r', 'up', 'down' (node r)",
+        ),
     ],
     ids=[
         "top-level-list", "node-without-id", "node-5", "horizon-str", "horizon-true", "state-list", "directory",
-        "exponent-z", "exponent-z-positive", "exponent-prob",
+        "exponent-z", "exponent-z-positive", "exponent-prob", "zero-denominator-z", "no-z",
     ],
 )
 def test_malformed_tree_file_exits_2_naming_the_fault(tmp_path, capsys, command, data, named):

@@ -1,10 +1,17 @@
-"""`uniqueness` and `witness` agree on every tree.
+"""`uniqueness`, `decompose` and `witness` agree on every tree.
 
-`witness <tree> x` (x a fresh symbol) exits 0 exactly when `uniqueness`
-writes `witness_available: true`.  Where it does, both stored pairs satisfy
-the Kunita-Yoeurp identity at every enumerated stopping time, not only at
-the per-node certificate, and their total variation, recomputed below as
-half the L1 distance over both pairs' outcomes, is the reported lost mass.
+`uniqueness` writes `unique_pair: true` exactly when `decompose` writes
+`is_martingale: true`, and `witness <tree> x` (x a fresh symbol) exits 0
+exactly when `unique_pair` is false.  Where it does, both stored pairs
+satisfy the Kunita-Yoeurp identity at every enumerated stopping time, not
+only at the per-node certificate, and their total variation, recomputed
+below as half the L1 distance over both pairs' outcomes, is the reported
+lost mass.
+
+The elimination oracle shows why one bit says it all: the identity at
+every stopping time and atom, as linear equations in the survivor mass of
+each leaf and the killed mass of each internal node, has full rank, so it
+fixes those masses, and only the target of a killed mass is free.
 """
 
 import importlib.util
@@ -17,7 +24,7 @@ import pytest
 
 from follmer_lab.cli import main
 from follmer_lab.corpus import binary_example, random_case, unary_chain
-from follmer_lab.follmer import FollmerPair, verify_ky
+from follmer_lab.follmer import FollmerPair, construct_follmer, uniqueness_report, verify_ky
 from follmer_lab.trees import AdaptedProcess, FilteredTree, enumerate_stopping_times
 
 
@@ -83,12 +90,14 @@ def test_uniqueness_and_witness_agree(tmp_path, name):
     tree.to_json(tree_file, z)
     assert main(["uniqueness", tree_file, "--out", str(tmp_path / "u")]) == 0
     rep = json.loads((tmp_path / "u" / "uniqueness.json").read_text())
-    assert rep["witness_available"] is (not rep["unique_pair"])
+    assert main(["decompose", tree_file, "--out", str(tmp_path / "d")]) == 0
+    decomposition = json.loads((tmp_path / "d" / "decomposition.json").read_text())
+    assert rep["unique_pair"] is decomposition["is_martingale"]
 
     wdir = tmp_path / "w"
     code = main(["witness", tree_file, "x", "--out", str(wdir)])
     assert code in (0, 2)
-    assert (code == 0) is rep["witness_available"]
+    assert (code == 0) is (not rep["unique_pair"])
     if code != 0:
         assert Fraction(rep["mass_lost"]) == 0
         return
@@ -104,3 +113,66 @@ def test_uniqueness_and_witness_agree(tmp_path, name):
     witness = json.loads((wdir / "witness.json").read_text())
     assert Fraction(witness["total_variation"]) == mass_lost
     assert (witness["pair_cemetery"], witness["pair_freeze"]) == ("pair_cemetery.json", "pair_freeze.json")
+
+
+def ky_elimination(tree, z):
+    """The KY identity at every enumerated stopping time and atom, solved by elimination.
+
+    One unknown per node: the survivor mass of a leaf, the killed mass of an
+    internal node summed over targets.  The atom at stop node s counts each
+    outcome whose history node lies at or below s, since it survives past
+    depth(s) inside the cylinder of s; its right-hand side is P[s] * Z[s].
+    Duplicate rows are kept once.  Returns the rank of the system and, at
+    full rank, its solution by node.
+    """
+    nodes = list(tree.iter_nodes())
+    below = {n: {n} for n in nodes}
+    for n in reversed(nodes):
+        for c in tree.children[n]:
+            below[n] |= below[c]
+    rows = {}
+    for rho in enumerate_stopping_times(tree):
+        for s in rho.nodes:
+            row = tuple(Fraction(int(u in below[s])) for u in nodes)
+            rhs = tree.path_prob[s] * z[s]
+            assert rows.setdefault(row, rhs) == rhs
+    system = [list(row) + [rhs] for row, rhs in rows.items()]
+    rank = 0
+    for col in range(len(nodes)):
+        pivot = next((r for r in range(rank, len(system)) if system[r][col] != 0), None)
+        if pivot is None:
+            continue
+        system[rank], system[pivot] = system[pivot], system[rank]
+        top = [v / system[rank][col] for v in system[rank]]
+        system[rank] = top
+        for r, row in enumerate(system):
+            if r != rank and row[col] != 0:
+                system[r] = [a - row[col] * b for a, b in zip(row, top)]
+        rank += 1
+    # the rows left below the pivots are zero, right-hand sides included
+    assert all(v == 0 for row in system[rank:] for v in row)
+    if rank < len(nodes):
+        return rank, None
+    return rank, {n: system[k][-1] for k, n in enumerate(nodes)}
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_ky_elimination_fixes_every_mass_but_no_target(name):
+    """The solved masses are the pair's, and the pair is unique exactly when none is killed.
+
+    The identity sees an outcome only through its history node and whether
+    it is alive, not through its target.  So with two targets a positive
+    killed mass can be split between them in infinitely many ways, all with
+    nonnegative masses, while a killed mass of 0 leaves nothing to split.
+    """
+    tree, z = CASES[name]()
+    rank, solved = ky_elimination(tree, z)
+    assert rank == len(tree.parent)
+    from_pair = dict.fromkeys(tree.iter_nodes(), Fraction(0))
+    for outcome, mass in construct_follmer(tree, z).outcomes.items():
+        assert outcome.alive is tree.is_leaf(outcome.base_node)
+        from_pair[outcome.base_node] += mass
+    assert solved == from_pair
+    killed = [solved[n] for n in tree.iter_nodes() if not tree.is_leaf(n)]
+    assert min(killed, default=0) >= 0
+    assert uniqueness_report(tree, z).unique_pair is all(m == 0 for m in killed)

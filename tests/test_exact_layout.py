@@ -326,7 +326,7 @@ def test_one_pair_against_two_trees():
 # per corpus seed (random_case, default sizes); the freeze state is "x".
 # witness.json names its two pair files relative to itself, so its digest
 # does not depend on the output directory.  Each uniqueness.json digest was
-# recorded from the five-field report that also wrote is_martingale,
+# recorded from the six-field report that also wrote is_martingale,
 # witness_available and tau_lt_zeta_negligible, with those keys deleted and
 # the rest rewritten by write_json
 GOLDEN = {

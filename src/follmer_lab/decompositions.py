@@ -23,7 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import prod
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 from .trees import (
     AdaptedProcess,
@@ -242,23 +242,31 @@ class SmoothedDecomposition:
     ``martingale_path[leaf][t]`` / ``drift_path[leaf][t]`` hold the exact
     values along each path, and ``martingale`` / ``drift_adapted`` carry the
     folded node-valued processes: the construction is adapted, so paths
-    through a node agree there, and a fold is None only where they do not.
+    through a node agree there (:func:`_fold` checks it).
     """
 
     threshold_index: int
     martingale_path: Dict[str, List[Fraction]]
     drift_path: Dict[str, List[Fraction]]
     jump_times: Dict[str, List[int]]
-    martingale: Optional[AdaptedProcess]
-    drift_adapted: Optional[AdaptedProcess]
+    martingale: AdaptedProcess
+    drift_adapted: AdaptedProcess
     limit_report: SmoothingLimitReport
 
 
-def _fold(paths: Dict[str, List[str]], per_leaf: Dict[str, List[Fraction]]) -> Optional[AdaptedProcess]:
-    """The node-valued process of per-leaf path values; None where two paths disagree."""
-    pairs = [(n, v) for leaf, path in paths.items() for n, v in zip(path, per_leaf[leaf])]
-    vals = dict(pairs)
-    return AdaptedProcess(vals) if all(vals[n] == v for n, v in pairs) else None
+def _fold(paths: Dict[str, List[str]], per_leaf: Dict[str, List[Fraction]]) -> AdaptedProcess:
+    """The node-valued process of per-leaf path values.
+
+    Self-check: the smoothing is adapted, so every path through a node
+    carries one value there; two that differ are a fault in the
+    construction, and the ``RuntimeError`` names the node.
+    """
+    vals: Dict[str, Fraction] = {}
+    for leaf, path in paths.items():
+        for n, v in zip(path, per_leaf[leaf]):
+            if vals.setdefault(n, v) != v:
+                raise RuntimeError(f"smoothed paths disagree at node {n!r}: {vals[n]} != {v}")
+    return AdaptedProcess(vals)
 
 
 def left_limit_smoothing(

@@ -38,6 +38,7 @@ pass over the nodes instead of enumerating stopping times.
 
 from __future__ import annotations
 
+import csv
 import json
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -363,13 +364,21 @@ def verify_ky_all(
 
 
 def write_ky_ledger(report: KYReport, path: str) -> None:
-    """Per-atom CSV ledger: rho_id, atom_node, lhs, rhs, equal."""
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("rho_id,atom_node,lhs,rhs,equal\n")
+    """Per-atom CSV ledger: rho_id, atom_node, lhs, rhs, equal.
+
+    A field is quoted only where CSV needs it, so plain node ids are written
+    bare.  A carriage return is not one of those places for a writer whose
+    lines end in a line feed, so a row whose node id holds one is quoted
+    whole.
+    """
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        minimal = csv.writer(fh, lineterminator="\n")
+        quoted = csv.writer(fh, lineterminator="\n", quoting=csv.QUOTE_ALL)
+        minimal.writerow(("rho_id", "atom_node", "lhs", "rhs", "equal"))
         for row in report.rows:
-            fh.write(
-                f"{row.rho_id},{row.atom_node},{frac_str(row.lhs)},"
-                f"{frac_str(row.rhs)},{str(row.equal).lower()}\n"
+            (quoted if "\r" in row.atom_node else minimal).writerow(
+                (row.rho_id, row.atom_node, frac_str(row.lhs), frac_str(row.rhs),
+                 "true" if row.equal else "false")
             )
 
 

@@ -45,6 +45,27 @@ num * b and a * den of its one-step mean num/den and its value a/b.  Where
 the mean equals Z[n], the stored mean *is* Z[n]'s value object, so readers
 of the means skip the arithmetic of a martingale step by an identity test.
 
+Path probabilities are shared objects.  The walk reads each parsed
+probability's numerator and denominator once, and computes a path
+probability once per pair of objects (the parent's path probability, the
+edge probability).  On a tree whose edges at a depth carry one string, all
+nodes at a depth share one ``Fraction``: the depth-13 binary tree makes 13
+products instead of 8,191.
+
+:func:`write_json` writes the library's one JSON format, the bytes of
+``json.dumps(obj, indent=1, sort_keys=True)`` plus a final newline.  With
+an indent, ``json`` encodes in pure Python, piece by piece.  So the writer
+walks the nested containers itself, sorting each dict's items as
+``sorted(d.items())``, and hands every *leaf* container (one whose values
+are all strings, numbers, booleans or null) to the C encoder.  That
+encoder is built with the indent of the leaf's items as its item
+separator.  A list of non-empty leaf dicts, such as a pair's outcome rows
+or a tree's nodes, goes to the C encoder as a list, and the writer then
+puts each row's brackets on lines of their own.  The C encoder keeps every
+piece of its output as a string until it joins them, several times the
+text's size.  So each call gets at most ``_CHUNK`` items or rows, and no
+whole-document string or list of fragments is ever built.
+
 Stopping times are represented extensionally: an antichain of nodes plus the
 paths that never stop.  A stopping time is *finite* when every leaf passes
 through a stop node.
@@ -52,12 +73,14 @@ through a stop node.
 
 from __future__ import annotations
 
+import functools
 import json
 import re
 import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from itertools import chain
+from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from .errors import EnumerationCapError, NotSupermartingaleError, TreeValidationError
 
@@ -115,16 +138,6 @@ def _node_rational(x, node: str, what: str) -> Fraction:
         ) from exc
 
 
-def _parse_rational(seen: Dict[str, Fraction], x, node: str, what: str) -> Fraction:
-    """:func:`_node_rational`, parsing each distinct string once per ``seen`` map."""
-    if type(x) is not str:
-        return _node_rational(x, node, what)
-    v = seen.get(x)
-    if v is None:
-        v = seen[x] = _node_rational(x, node, what)
-    return v
-
-
 def _some_ids(ids: List[str], total: int) -> str:
     """``k of total nodes: 'a', 'b', ...``, naming at most the first five of ``ids``."""
     shown = ", ".join(repr(n) for n in ids[:5])
@@ -137,10 +150,89 @@ def frac_str(x: Fraction) -> str:
 
 
 def write_json(path: str, obj) -> None:
-    """Write ``obj`` as the library's one JSON format: indent 1, sorted keys, final newline."""
+    """Write ``obj`` as the library's one JSON format: indent 1, sorted keys, final newline.
+
+    The bytes are those of ``json.dumps(obj, indent=1, sort_keys=True)``
+    and a newline; the module docstring says how they are produced.
+    """
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(obj, fh, indent=1, sort_keys=True)
+        _write_json(fh.write, obj, 0, "")
         fh.write("\n")
+
+
+# Items (or rows) per C-encoder call: bounds what the writer holds at once.
+_CHUNK = 64
+# The value types the C encoder writes in place; a leaf container holds only these.
+_SCALARS = frozenset((str, int, float, bool, type(None)))
+
+
+@functools.lru_cache(maxsize=None)
+def _encoder(level: int, sort_keys: bool) -> Callable[[object], str]:
+    """One-shot (C) encoding that starts each item on a line indented ``level`` spaces."""
+    return json.JSONEncoder(separators=(",\n" + " " * level, ": "), sort_keys=sort_keys).encode
+
+
+def _is_rows(obj) -> bool:
+    """True for a list of non-empty dicts whose values are all scalars."""
+    return (
+        {dict}.issuperset(map(type, obj))
+        and all(obj)
+        and _SCALARS.issuperset(map(type, chain.from_iterable(map(dict.values, obj))))
+    )
+
+
+def _write_json(write, obj, level: int, lead: str) -> None:
+    """Write ``lead``, then ``obj`` laid out as ``json.dump(indent=1, sort_keys=True)`` at ``level``."""
+    if isinstance(obj, dict):
+        items, values, opening, closing = sorted(obj.items()), obj.values(), "{", "}"
+    elif isinstance(obj, (list, tuple)):
+        items = values = obj
+        opening, closing = "[", "]"
+    else:
+        write(lead + _encoder(0, False)(obj))
+        return
+    if not items:
+        write(lead + opening + closing)
+        return
+    inner, deeper = "\n" + " " * (level + 1), "\n" + " " * (level + 2)
+    lead += opening + inner
+    if _SCALARS.issuperset(map(type, values)):
+        # a leaf container: the encoder writes its items, one chunk per call
+        encode = _encoder(level + 1, False)
+        for i in range(0, len(items), _CHUNK):
+            chunk = items[i : i + _CHUNK]
+            write(lead + encode(dict(chunk) if opening == "{" else chunk)[1:-1])
+            lead = "," + inner
+    elif opening == "[" and _is_rows(obj):
+        # rows: the encoder writes a chunk of rows as one list whose only
+        # "},<line break>{" are the row breaks (a string holds no raw line
+        # break), and each break gets the lines the rows' brackets stand on
+        encode = _encoder(level + 2, True)
+        row_break = "}," + deeper + "{"
+        for i in range(0, len(obj), _CHUNK):
+            rows = encode(obj[i : i + _CHUNK])[2:-2]
+            rows = rows.replace(row_break, inner + "}," + inner + "{" + deeper)
+            write(lead + "{" + deeper + rows + inner + "}")
+            lead = "," + inner
+    else:
+        for item in items:
+            if opening == "{":
+                key, item = item
+                lead += _key(key) + ": "
+            _write_json(write, item, level + 1, lead)
+            lead = "," + inner
+    write("\n" + " " * level + closing)
+
+
+def _key(key) -> str:
+    """A dict key as ``json`` writes it: a string, or the JSON text of a number, bool or null, quoted."""
+    if not isinstance(key, str):
+        if key is not None and not isinstance(key, (int, float)):
+            raise TypeError(
+                f"keys must be str, int, float, bool or None, not {key.__class__.__name__}"
+            )
+        key = _encoder(0, False)(key)
+    return _encoder(0, False)(key)
 
 
 class FilteredTree:
@@ -167,44 +259,61 @@ class FilteredTree:
         self.parent: Dict[str, Optional[str]] = {}
         self.prob: Dict[str, Fraction] = {}
         self.state: Dict[str, Optional[str]] = {}
+        # parents only while the entries are read; leaves get theirs in the walk
         self.children: Dict[str, List[str]] = {}
-        roots: List[str] = []
+        parent, prob, state_of, children = self.parent, self.prob, self.state, self.children
+        # each distinct probability string parsed once, and each parsed
+        # value's numerator and denominator read once, keyed by its id
         seen: Dict[str, Fraction] = {}
+        parts: Dict[int, Tuple[int, int]] = {}
+        one = Fraction(1)
+        roots: List[str] = []
         for k, spec in enumerate(nodes):
             if not isinstance(spec, dict) or "id" not in spec:
                 raise TreeValidationError(
                     f"node entry {k} must be an object with an 'id', got {spec!r}"
                 )
-            nid = str(spec["id"])
-            if nid in self.parent:
+            nid = spec["id"]
+            if type(nid) is not str:
+                nid = str(nid)
+            if nid in parent:
                 raise TreeValidationError(f"duplicate node id {nid!r}", node=nid)
             par = spec.get("parent")
-            par = None if par is None else str(par)
+            if par is not None and type(par) is not str:
+                par = str(par)
             state = spec.get("state")
             if state is not None and not isinstance(state, str):
                 raise TreeValidationError(
                     f"state at node {nid!r} must be a string or null, got {state!r}",
                     node=nid,
                 )
-            self.parent[nid] = par
-            self.state[nid] = state
-            self.children.setdefault(nid, [])
+            parent[nid] = par
+            state_of[nid] = state
             if par is None:
-                self.prob[nid] = Fraction(1)
+                prob[nid] = one
                 roots.append(nid)
+                continue
+            raw = spec.get("prob")
+            if raw is None:
+                raise TreeValidationError(
+                    f"non-root node {nid!r} needs an edge probability", node=nid
+                )
+            p = seen.get(raw) if type(raw) is str else None
+            if p is None:
+                p = _node_rational(raw, nid, "edge probability")
+                parts[id(p)] = p.numerator, p.denominator
+                if type(raw) is str:
+                    seen[raw] = p
+            prob[nid] = p
+            kids = children.get(par)
+            if kids is None:
+                children[par] = [nid]
             else:
-                if spec.get("prob") is None:
-                    raise TreeValidationError(
-                        f"non-root node {nid!r} needs an edge probability", node=nid
-                    )
-                self.prob[nid] = _parse_rational(seen, spec["prob"], nid, "edge probability")
-                self.children.setdefault(par, []).append(nid)
+                kids.append(nid)
         if len(roots) != 1:
             raise TreeValidationError(f"need exactly one root, got {len(roots)}")
-        if len(self.children) > len(self.parent):
-            nid, par = next(
-                (c, p) for p, kids in self.children.items() if p not in self.parent for c in kids
-            )
+        if not children.keys() <= parent.keys():
+            nid, par = next((c, p) for p, kids in children.items() if p not in parent for c in kids)
             raise TreeValidationError(
                 f"node {nid!r} references unknown parent {par!r}", node=nid
             )
@@ -212,54 +321,64 @@ class FilteredTree:
         # One breadth-first walk fixes the node order, the start of each
         # depth level in it, the depths, path probabilities and leaves, and
         # checks each sibling block and each leaf's depth as it reaches them.
-        self.root = roots[0]
-        self.depth: Dict[str, int] = {self.root: 0}
-        self.path_prob: Dict[str, Fraction] = {self.root: Fraction(1)}
-        self.leaves: List[str] = []
-        self._order: List[str] = [self.root]
-        self._levels: List[int] = [0]
-        for n in self._order:  # grows as the walk appends children
-            kids = self.children[n]
-            d = self.depth[n]
-            if not kids:
+        root = self.root = roots[0]
+        depth: Dict[str, int] = {root: 0}
+        path_prob: Dict[str, Fraction] = {root: one}
+        leaves: List[str] = []
+        order: List[str] = [root]
+        levels: List[int] = [0]
+        # path probability per (parent's path-probability object, edge
+        # probability object), both alive in the tree while the walk runs:
+        # equal strings parse to one object, so a uniform level shares one
+        # product and one object
+        products: Dict[Tuple[int, int], Fraction] = {}
+        for n in order:  # grows as the walk appends children
+            kids = children.get(n)
+            d = depth[n]
+            if kids is None:
                 if d != horizon:
                     raise TreeValidationError(
                         f"leaf {n!r} has depth {d}, horizon is {horizon}", node=n
                     )
-                self.leaves.append(n)
+                children[n] = []
+                leaves.append(n)
                 continue
-            if len(self._levels) == d + 1:
-                self._levels.append(len(self._order))
-            # the block's sum as num/den over a running denominator; the path
-            # probability once per run of one parsed value (equal strings
-            # parse to one object)
+            if len(levels) == d + 1:
+                levels.append(len(order))
+            # the block's sum as num/den over a running denominator
+            pp, below = path_prob[n], d + 1
             num, den, last = 0, 1, None
             for c in kids:
-                p = self.prob[c]
-                a, b = p.numerator, p.denominator
-                if a <= 0:
-                    raise TreeValidationError(
-                        f"edge probability into {c!r} must be > 0, got {p}", node=c
-                    )
+                p = prob[c]
+                if p is not last:  # a run of siblings of one parsed value skips this
+                    a, b = parts[id(p)]
+                    if a <= 0:
+                        raise TreeValidationError(
+                            f"edge probability into {c!r} must be > 0, got {p}", node=c
+                        )
+                    last, key = p, (id(pp), id(p))
+                    q = products.get(key)
+                    if q is None:
+                        q = products[key] = pp * p
                 if b == den:
                     num += a
                 else:
                     num, den = num * b + a * den, den * b
-                if p is not last:
-                    last, q = p, self.path_prob[n] * p
-                self.depth[c] = d + 1
-                self.path_prob[c] = q
-                self._order.append(c)
+                depth[c] = below
+                path_prob[c] = q
+                order.append(c)
             if num != den:
                 raise TreeValidationError(
                     f"child probabilities at {n!r} sum to {Fraction(num, den)}, not 1",
                     node=n,
                 )
-        self._levels.append(len(self._order))
-        if len(self._order) != len(self.parent):
-            missing = sorted(set(self.parent) - set(self.depth))
+        levels.append(len(order))
+        self.depth, self.path_prob, self.leaves = depth, path_prob, leaves
+        self._order, self._levels = order, levels
+        if len(order) != len(parent):
+            missing = sorted(set(parent) - set(depth))
             raise TreeValidationError(
-                f"{_some_ids(missing, len(self.parent))} unreachable from root",
+                f"{_some_ids(missing, len(parent))} unreachable from root",
                 node=missing[0],
             )
 
@@ -316,16 +435,24 @@ class FilteredTree:
     def from_dict(cls, data: dict) -> Tuple["FilteredTree", "AdaptedProcess"]:
         if not isinstance(data, dict) or not isinstance(data.get("nodes"), list):
             raise TreeValidationError("a tree file must be an object with a 'nodes' list")
-        tree = cls(data.get("horizon"), data["nodes"])
+        nodes = data["nodes"]
+        tree = cls(data.get("horizon"), nodes)
+        # the tree accepted every entry, so its parent map lists their ids
+        # in file order
         seen: Dict[str, Fraction] = {}
         zvals: Dict[str, Fraction] = {}
-        for spec in data["nodes"]:
+        for nid, spec in zip(tree.parent, nodes):
             raw = spec.get("z")
-            if raw is not None:
-                nid = str(spec["id"])
-                zvals[nid] = _parse_rational(seen, raw, nid, "process value")
-        missing = [n for n in tree.iter_nodes() if n not in zvals]
-        if missing:
+            if raw is None:
+                continue
+            v = seen.get(raw) if type(raw) is str else None
+            if v is None:
+                v = _node_rational(raw, nid, "process value")
+                if type(raw) is str:
+                    seen[raw] = v
+            zvals[nid] = v
+        if len(zvals) != len(nodes):
+            missing = [n for n in tree._order if n not in zvals]
             raise TreeValidationError(
                 f"process values missing at {_some_ids(missing, len(tree.parent))}",
                 node=missing[0],

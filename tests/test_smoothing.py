@@ -20,7 +20,7 @@ from hashlib import sha256
 import pytest
 
 from follmer_lab.corpus import random_case, unary_chain
-from follmer_lab.decompositions import doob_meyer, left_limit_smoothing
+from follmer_lab.decompositions import _fold, doob_meyer, left_limit_smoothing
 from follmer_lab.trees import FilteredTree, AdaptedProcess, one_step_expectation
 
 
@@ -29,7 +29,6 @@ def test_no_qualifying_jumps_is_identity():
     add = doob_meyer(chain, z)
     sm = left_limit_smoothing(chain, z, i=1)  # threshold -1: no jumps
     assert sm.jump_times == {"n2": []}
-    assert sm.martingale is not None and sm.drift_adapted is not None
     for n in chain.iter_nodes():
         assert sm.martingale[n] == add.martingale[n]
         t = chain.depth[n]
@@ -67,9 +66,6 @@ def test_smoothing_reaches_target_on_random_trees():
                 sm.limit_report.equal
                 >= sm.limit_report.positions - sm.limit_report.stuck
             )
-            # the construction is adapted: folding must succeed
-            assert sm.martingale is not None
-            assert sm.drift_adapted is not None
 
 
 def test_smoothed_pair_sums_to_conditional_patch():
@@ -120,7 +116,12 @@ def test_branching_tree_with_random_jump_paths():
     )
     sm = left_limit_smoothing(tree, z, i=2)
     assert sm.limit_report.ok, sm.limit_report.mismatches
-    assert sm.martingale is not None  # adapted
+
+
+def test_fold_names_the_node_where_paths_disagree():
+    paths = {"a": ["r", "a"], "b": ["r", "b"]}
+    with pytest.raises(RuntimeError, match="disagree at node 'r'"):
+        _fold(paths, {"a": [Fraction(1), Fraction(2)], "b": [Fraction(1, 2), Fraction(3)]})
 
 
 def test_invalid_threshold_rejected():
@@ -139,7 +140,7 @@ def corpus_smoothings(n_trees=100, seed=909):
 
 
 def _folded(proc):
-    return None if proc is None else sorted(proc.values.items())
+    return sorted(proc.values.items())
 
 
 def smoothing_digests():

@@ -367,9 +367,8 @@ def write_ky_ledger(report: KYReport, path: str) -> None:
     """Per-atom CSV ledger: rho_id, atom_node, lhs, rhs, equal.
 
     A field is quoted only where CSV needs it, so plain node ids are written
-    bare.  A carriage return is not one of those places for a writer whose
-    lines end in a line feed, so a row whose node id holds one is quoted
-    whole.
+    bare.  That minimal quoting leaves a carriage return bare when lines end
+    in a line feed, so a row whose node id holds one is quoted whole.
     """
     with open(path, "w", encoding="utf-8", newline="") as fh:
         minimal = csv.writer(fh, lineterminator="\n")

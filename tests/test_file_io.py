@@ -27,7 +27,7 @@ from follmer_lab.cli import main
 from follmer_lab.corpus import random_case
 from follmer_lab.errors import TreeValidationError
 from follmer_lab.follmer import construct_follmer, verify_ky_all, write_ky_ledger
-from follmer_lab.trees import AdaptedProcess, FilteredTree, write_json
+from follmer_lab.trees import FilteredTree, write_json
 
 # -- the tree build ------------------------------------------------------------
 
@@ -173,7 +173,7 @@ def _oracle(obj) -> str:
     return json.dumps(obj, indent=1, sort_keys=True) + "\n"
 
 
-@settings(derandomize=True, max_examples=300, deadline=None)
+@settings(derandomize=True, max_examples=150, deadline=None)
 @given(obj=_JSON)
 def test_write_json_matches_the_stdlib_indented_encoder(obj):
     assert _written(obj) == _oracle(obj)
@@ -185,7 +185,7 @@ def test_write_json_matches_past_the_chunk_size(obj):
     assert _written(obj) == _oracle(obj)
 
 
-@settings(derandomize=True, max_examples=200, deadline=None)
+@settings(derandomize=True, max_examples=100, deadline=None)
 @given(obj=_JSON)
 def test_write_json_matches_at_every_chunk_boundary(obj):
     # two items per encoder call: every container of three or more items is split
@@ -230,32 +230,3 @@ def test_ledger_rows_read_back_for_awkward_node_ids(tmp_path):
         assert main(["follmer", str(tree_file), "--out", str(tmp_path / "out")]) == 0
     with open(tmp_path / "out" / "ky_ledger.csv", newline="", encoding="utf-8") as fh:
         assert list(csv.reader(fh)) == rows
-
-
-def test_ledger_keeps_plain_ids_bare(tmp_path):
-    tree, z = FilteredTree.from_dict(
-        {
-            "horizon": 1,
-            "nodes": [
-                {"id": "r", "parent": None, "z": "1"},
-                {"id": "u", "parent": "r", "prob": "1/2", "z": "3/2"},
-                {"id": "d", "parent": "r", "prob": "1/2", "z": "1/2"},
-            ],
-        }
-    )
-    path = tmp_path / "ledger.csv"
-    write_ky_ledger(verify_ky_all(construct_follmer(tree, z), tree, z), str(path))
-    assert path.read_bytes() == (
-        b"rho_id,atom_node,lhs,rhs,equal\n"
-        b"t0,r,1/1,1/1,true\nt1,u,3/4,3/4,true\nt1,d,1/4,1/4,true\n"
-    )
-
-
-def test_adapted_process_round_trips_through_the_writer(tmp_path):
-    tree = FilteredTree(3, uniform_tree_nodes(2, 3))
-    z = AdaptedProcess({n: Fraction(1) for n in tree.iter_nodes()})
-    path = tmp_path / "tree.json"
-    tree.to_json(str(path), z)
-    assert path.read_text() == _oracle(tree.to_dict(z))
-    back, zb = FilteredTree.from_json(str(path))
-    assert back._order == tree._order and zb.values == z.values

@@ -3,11 +3,16 @@
 Exit codes: 0 on success, 1 when a verification fails, 2 for usage or
 validation errors and for requests larger than the memory the host grants.
 Every Monte-Carlo run writes a manifest sufficient to replay it bit-exactly.
+
+``main(argv)`` may be called repeatedly in one process.  The calls share
+one parser, built on the first call; each call looks its ``cmd_*`` handler
+up by the subcommand's name, so the parser holds nothing a call can change.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 from fractions import Fraction
@@ -231,7 +236,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("decompose", help="additive and multiplicative decompositions of a tree supermartingale")
     sp.add_argument("tree_file")
     common(sp)
-    sp.set_defaults(func=cmd_decompose)
 
     sp = sub.add_parser(
         "follmer",
@@ -241,13 +245,11 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("tree_file")
     sp.add_argument("--target", default=None, help="cemetery (default) or a freeze-state label")
     common(sp)
-    sp.set_defaults(func=cmd_follmer)
 
     sp = sub.add_parser("verify", help="verify a stored pair file against a tree")
     sp.add_argument("tree_file")
     sp.add_argument("pair_file")
     common(sp)
-    sp.set_defaults(func=cmd_verify)
 
     sp = sub.add_parser(
         "uniqueness",
@@ -256,38 +258,38 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sp.add_argument("tree_file")
     common(sp)
-    sp.set_defaults(func=cmd_uniqueness)
 
     sp = sub.add_parser("witness", help="two distinct pairs for a strict supermartingale")
     sp.add_argument("tree_file")
     sp.add_argument("freeze_state")
     common(sp)
-    sp.set_defaults(func=cmd_witness)
 
     sp = sub.add_parser("mc", help="run a Monte-Carlo experiment from a manifest")
     sp.add_argument("manifest_file")
     common(sp)
-    sp.set_defaults(func=cmd_mc)
 
     sp = sub.add_parser("gallery", help="run a named experiment with its default parameters")
     sp.add_argument("name")
     common(sp)
     sp.add_argument("--seed", type=int, default=0)
     sp.add_argument("--paths", type=int, default=10000, help="number of Monte-Carlo paths")
-    sp.set_defaults(func=cmd_gallery)
 
     sp = sub.add_parser("selftest", help="quick end-to-end checks")
     sp.add_argument("--seed", type=int, default=0)
-    sp.set_defaults(func=cmd_selftest)
 
     return p
 
 
+@functools.lru_cache(maxsize=None)
+def _parser() -> argparse.ArgumentParser:
+    """The parser every ``main`` call in this process shares, built on the first."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
-        return args.func(args)
+        return globals()[f"cmd_{args.command}"](args)
     except TreeValidationError as exc:
         suffix = f" (node {exc.node})" if exc.node else ""
         print(f"error: {exc}{suffix}", file=sys.stderr)

@@ -149,6 +149,22 @@ def frac_str(x: Fraction) -> str:
     return f"{x.numerator}/{x.denominator}"
 
 
+def _frac_strs(values: Dict[str, Fraction]) -> Dict[str, str]:
+    """``{n: frac_str(v)}`` in ``values``' order, formatting each value object once.
+
+    Processes share one ``Fraction`` object across many nodes.  ``values``
+    keeps every object alive for the call, so its ``id`` names it.
+    """
+    text: Dict[int, str] = {}
+    out = {}
+    for n, v in values.items():
+        s = text.get(id(v))
+        if s is None:
+            s = text[id(v)] = frac_str(v)
+        out[n] = s
+    return out
+
+
 def write_json(path: str, obj) -> None:
     """Write ``obj`` as the library's one JSON format: indent 1, sorted keys, final newline.
 
@@ -491,7 +507,7 @@ class AdaptedProcess:
         return cls({n: c for n in tree.iter_nodes()})
 
     def to_dict(self) -> Dict[str, str]:
-        return {n: frac_str(v) for n, v in self.values.items()}
+        return _frac_strs(self.values)
 
 
 @dataclass(frozen=True)
@@ -514,7 +530,7 @@ class PredictableProcess:
     def to_dict(self) -> dict:
         return {
             "initial": frac_str(self.initial),
-            "steps": {n: frac_str(v) for n, v in self.steps.items()},
+            "steps": _frac_strs(self.steps),
         }
 
 

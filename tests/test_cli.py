@@ -1,5 +1,6 @@
-"""CLI exit-code contract, file outputs, replay determinism."""
+"""CLI exit-code contract, file outputs, replay determinism, one parser per process."""
 
+import argparse
 import contextlib
 import io
 import json
@@ -16,6 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import follmer_lab
+from follmer_lab import cli
 from follmer_lab.cli import main
 from follmer_lab.mc import streams
 from follmer_lab.mc.gallery import PARAMS
@@ -540,3 +542,92 @@ def test_mistyped_manifest_exits_2_before_any_draw(manifest):
             code = main(["mc", path, "--out", os.path.join(tmp, "out")])
     assert code == 2
     assert err.getvalue().startswith("error: ")
+
+
+# -- one parser per process --------------------------------------------------------
+
+REUSE_SESSION = [
+    ["decompose", "--no-such-flag"],
+    ["decompose", "--help"],
+    ["decompose", "binary.json", "--out", "decompose"],
+    ["follmer", "binary.json", "--out", "follmer"],
+    ["uniqueness", "binary.json", "--out", "uniqueness"],
+    ["verify", "binary.json", "follmer/pair.json", "--out", "verify"],
+]
+
+
+@pytest.fixture
+def parsers_built(monkeypatch):
+    """Count ``ArgumentParser`` constructions, subparsers included, from a cleared parser cache."""
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    cli._parser.cache_clear()
+    yield built
+    cli._parser.cache_clear()
+
+
+def _run_session(directory, built, fresh):
+    """Run ``REUSE_SESSION`` in ``directory``; ``fresh`` rebuilds the parser before each call.
+
+    Returns each call's exit code, stdout, stderr and parsers built so far,
+    and the bytes of every file the session leaves.
+    """
+    tree, z = binary_example()
+    tree.to_json(str(directory / "binary.json"), z)
+    calls = []
+    with contextlib.chdir(directory):
+        for argv in REUSE_SESSION:
+            if fresh:
+                cli._parser.cache_clear()
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                try:
+                    code = cli.main(argv)
+                except SystemExit as exc:
+                    code = exc.code
+            calls.append((code, out.getvalue(), err.getvalue(), len(built)))
+    files = {
+        str(p.relative_to(directory)): p.read_bytes() for p in sorted(directory.rglob("*")) if p.is_file()
+    }
+    return calls, files
+
+
+def test_reusing_the_parser_is_invisible(tmp_path, parsers_built):
+    (tmp_path / "fresh").mkdir()
+    (tmp_path / "shared").mkdir()
+    fresh, fresh_files = _run_session(tmp_path / "fresh", parsers_built, fresh=True)
+    per_call = fresh[0][3]
+    assert per_call > 1  # the counter sees the subparsers as well
+    assert [c[3] for c in fresh] == [per_call * (k + 1) for k in range(len(REUSE_SESSION))]
+
+    parsers_built.clear()
+    cli._parser.cache_clear()
+    shared, shared_files = _run_session(tmp_path / "shared", parsers_built, fresh=False)
+    # the first call builds every parser, and no later call builds one
+    assert [c[3] for c in shared] == [per_call] * len(REUSE_SESSION)
+    assert [c[:3] for c in shared] == [c[:3] for c in fresh]
+    assert [c[0] for c in shared] == [2, 0, 0, 0, 0, 0]
+    assert "decompose/decomposition.json" in shared_files
+    assert shared_files == fresh_files
+
+
+def test_the_shared_parser_reaches_a_patched_handler(binary_file, monkeypatch, parsers_built):
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(["uniqueness", binary_file, "--out", os.path.dirname(binary_file)]) == 0
+    seen = []
+
+    def patched(args):
+        seen.append(args.tree_file)
+        return 7
+
+    monkeypatch.setattr(cli, "cmd_decompose", patched)
+    n_built = len(parsers_built)
+    assert main(["decompose", binary_file]) == 7
+    assert seen == [binary_file]
+    assert len(parsers_built) == n_built

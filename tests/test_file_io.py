@@ -3,8 +3,8 @@
 The build is checked against a plain breadth-first walk of the node list
 and against products of edge probabilities along each path; the writer
 against the standard library's indented encoder, which is its oracle here
-and nowhere in the package; the ledger by reading it back with
-``csv.reader``.
+and nowhere in the package; the process dicts against one ``frac_str``
+per entry; the ledger by reading it back with ``csv.reader``.
 """
 
 import contextlib
@@ -24,7 +24,8 @@ from hypothesis import strategies as st
 
 from follmer_lab import trees
 from follmer_lab.cli import main
-from follmer_lab.corpus import random_case
+from follmer_lab.corpus import binary_example, random_case
+from follmer_lab.decompositions import doob_meyer, multiplicative
 from follmer_lab.errors import TreeValidationError
 from follmer_lab.follmer import construct_follmer, verify_ky_all, write_ky_ledger
 from follmer_lab.trees import FilteredTree, write_json
@@ -199,6 +200,32 @@ def test_write_json_refuses_what_the_stdlib_refuses():
             json.dumps(bad, indent=1, sort_keys=True)
         with pytest.raises(TypeError):
             _written(bad)
+
+
+# -- process dicts -------------------------------------------------------------------
+
+
+def _process_maps(tree, z):
+    """The four value maps ``decompose`` writes, with their ``to_dict`` results."""
+    add, mul = doob_meyer(tree, z), multiplicative(tree, z)
+    for proc in (add.martingale, mul.martingale):
+        yield proc.values, proc.to_dict()
+    for proc in (add.drift, mul.factor):
+        d = proc.to_dict()
+        assert d["initial"] == trees.frac_str(proc.initial)
+        yield proc.steps, d["steps"]
+
+
+def test_process_dicts_equal_the_per_entry_strings():
+    rng = random.Random(16)
+    cases = [binary_example()] + [random_case(rng, martingale=k % 3 == 0) for k in range(30)]
+    shared = 0
+    for tree, z in cases:
+        for values, written in _process_maps(tree, z):
+            # one string per value object, in the map's own key order
+            assert list(written.items()) == [(n, trees.frac_str(v)) for n, v in values.items()]
+            shared += len(values) - len({id(v) for v in values.values()})
+    assert shared > 0  # some maps do share value objects across nodes
 
 
 # -- the KY ledger -------------------------------------------------------------------

@@ -219,7 +219,9 @@ def cmd_selftest(args) -> int:
     return EXIT_OK
 
 
-def build_parser() -> argparse.ArgumentParser:
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser every ``main`` call in this process shares, built on the first."""
     p = argparse.ArgumentParser(
         prog="follmer-lab",
         description=(
@@ -278,12 +280,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--seed", type=int, default=0)
 
     return p
-
-
-@functools.lru_cache(maxsize=None)
-def _parser() -> argparse.ArgumentParser:
-    """The parser every ``main`` call in this process shares, built on the first."""
-    return build_parser()
 
 
 def main(argv=None) -> int:

@@ -462,8 +462,10 @@ def nonuniqueness_witness(
     they disagree exactly on where the killed outcomes sit, so their total
     variation distance is the lost mass, returned third.  Refusals come in
     this order: Z is not a supermartingale, no mass is lost, x* is the
-    cemetery, and a charged path sits at x* (:func:`construct_follmer`
-    checks that).
+    cemetery, and a charged path sits at x*
+    (:func:`_check_freeze_admissible`).  The freeze pair is the cemetery
+    pair with each killed outcome's target set to x*, which is what
+    ``construct_follmer(tree, z, x_star)`` returns.
     """
     pair_cemetery = construct_follmer(tree, z, CEMETERY)
     lost = pair_cemetery.killed_mass()
@@ -476,7 +478,12 @@ def nonuniqueness_witness(
             f"freeze state {x_star!r} is the cemetery: the freeze pair would be "
             f"the cemetery pair"
         )
-    return pair_cemetery, construct_follmer(tree, z, x_star), lost
+    _check_freeze_admissible(tree, x_star)
+    frozen = {
+        o if o.alive else ExtendedOutcome(o.base_node, o.kill_time, x_star): mass
+        for o, mass in pair_cemetery.outcomes.items()
+    }
+    return pair_cemetery, FollmerPair(frozen, x_star), lost
 
 
 def chain_measure_from_constant_times(

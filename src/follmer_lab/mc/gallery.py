@@ -101,7 +101,7 @@ def exp_decay_kill_times(n_paths: int, seed: int) -> np.ndarray:
 
     def fill_block(u: np.ndarray) -> np.ndarray:
         # math.log1p, not np.log1p: the two differ in the last bit on some inputs
-        return np.array([-math.log1p(-x) for x in u[:, 0].tolist()])[:, None]
+        return -np.fromiter(map(math.log1p, (-u[:, 0]).tolist()), float, u.shape[0])[:, None]
 
     return fill_paths(n_paths, 1, fill_block, 1, seed, uniform=True)[:, 0]
 
@@ -164,7 +164,8 @@ def _first_passage_survival(z: np.ndarray, t: float) -> Tuple[np.ndarray, np.nda
     # Below -40, exp < 2^-57 and 1 - exp rounds to exactly 1.0 either way.
     near = arg > -40.0
     factor = np.ones((z.shape[0], steps))
-    factor[near] = [1.0 - math.exp(a) for a in arg[near].tolist()]
+    args = arg[near]
+    factor[near] = 1.0 - np.fromiter(map(math.exp, args.tolist()), float, args.size)
     survival = np.ones(z.shape[0])
     for k in range(steps):
         survival *= factor[:, k]
@@ -190,8 +191,9 @@ def reciprocal_bessel_samples(
         prev = 0.0
         for j, t in enumerate(probe):
             pos = pos + z[:, 3 * j : 3 * j + 3] * math.sqrt(t - prev)
-            # per-row norm: np.linalg.norm(pos, axis=1) differs in the last bit
-            out[:, j] = [1.0 / float(np.linalg.norm(p)) for p in pos]
+            # per-row dot, as np.linalg.norm computes a vector's norm: the
+            # axis=1 reduction np.linalg.norm(pos, axis=1) differs in the last bit
+            out[:, j] = [1.0 / math.sqrt(p.dot(p)) for p in pos]
             prev = t
         off = np.full(z.shape[0], 3 * n_probes)
         for j, t in enumerate(probe):

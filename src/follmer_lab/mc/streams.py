@@ -13,8 +13,8 @@ empty buffer (:func:`stream_state`), read through an ``np.random.Generator``.
 
 - Normals are the generator's ``standard_normal``, numpy's ziggurat, whose
   tables exist only in compiled code.  :func:`fill_paths` therefore still
-  draws them path by path, on one private generator whose state it resets
-  to each path's stream.
+  draws them path by path, on one private generator and one keyed state per
+  call, re-keyed to each path's index before its draws.
 - Uniform j is the generator's ``random()``, ``(w_j >> 11) * 2^-53``, where
   the word w_j is word ``j mod 4`` of Philox4x64-10 applied to the counter
   ``(j // 4 + 1, 0, 0, 0)`` under the key.  :func:`uniform_words` computes
@@ -131,23 +131,36 @@ def fill_paths(
     ``fill_block`` must treat rows independently; then row i depends on
     (seed, i) alone, and the first k rows of an n-path batch equal a k-path
     batch (the prefix property).  This is the one place where path streams
-    are created.
+    are read: normals from one keyed state per call (:func:`stream_state`),
+    whose key is set to (seed mod 2^64, i) before path i draws, and uniforms
+    from :func:`uniform_words`.  With ``n_draws == 0`` the rows are empty
+    and no stream is read.
     """
     out = np.empty((n_paths, n_cols), dtype=np.float64)
     per_row = max(n_draws, 1)
     rows = max(1, min(CHUNK_PATHS, CHUNK_DRAWS // per_row))
     span = rows * max(1, SPAN_DRAWS // (rows * per_row))
-    rng = None if uniform else _unkeyed_generator()
+    if n_draws and not uniform:
+        # the state and generator belong to this call, since fill_block may
+        # call fill_paths itself; only the key's path index changes per path
+        state = stream_state(seed, 0)
+        philox = state["state"]
+        key0 = philox["key"][0]
+        rng = _unkeyed_generator()
+        bitgen, normal = rng.bit_generator, rng.standard_normal
     for lo in range(0, n_paths, span):
         hi = min(lo + span, n_paths)
-        if uniform:
+        if not n_draws:
+            draws = np.empty((hi - lo, 0), dtype=np.float64)
+        elif uniform:
             words = uniform_words(seed, np.arange(lo, hi, dtype=np.uint64), n_draws)
             draws = (words >> np.uint64(11)) * 2.0**-53
         else:
             draws = np.empty((hi - lo, n_draws), dtype=np.float64)
             for i, row in zip(range(lo, hi), draws):
-                rng.bit_generator.state = stream_state(seed, i)
-                rng.standard_normal(out=row)
+                philox["key"] = (key0, i)
+                bitgen.state = state
+                normal(out=row)
         for a in range(lo, hi, rows):
             out[a : a + rows] = fill_block(draws[a - lo : a - lo + rows])
     return out

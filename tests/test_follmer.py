@@ -177,6 +177,32 @@ def test_witness_chain_with_fresh_symbol():
     assert verify_ky_all(cem, chain, z).ok and verify_ky_all(frz, chain, z).ok
 
 
+def test_witness_freeze_pair_is_the_constructed_freeze_pair():
+    # the witness relabels the cemetery pair's killed outcomes instead of
+    # constructing the freeze pair again: outcome by outcome, in order, the
+    # result is construct_follmer's, and an inadmissible x* is still refused
+    rng = random.Random(18)
+    cases = [binary_example()] + [random_case(rng) for _ in range(30)]
+    compared = refused = 0
+    for tree, z in cases:
+        if construct_follmer(tree, z).killed_mass() == 0:
+            continue
+        for x_star in ("u", "x"):
+            try:
+                expected = construct_follmer(tree, z, x_star)
+            except FreezeTargetError as exc:
+                with pytest.raises(FreezeTargetError) as got:
+                    nonuniqueness_witness(tree, z, x_star)
+                assert str(got.value) == str(exc)
+                refused += 1
+                continue
+            _, frz, _ = nonuniqueness_witness(tree, z, x_star)
+            assert frz.target == expected.target == x_star
+            assert list(frz.outcomes.items()) == list(expected.outcomes.items())
+            compared += 1
+    assert compared >= 30 and refused >= 1
+
+
 def test_witness_refuses_the_cemetery_as_freeze_state():
     tree, z = binary_example()
     with pytest.raises(FreezeTargetError, match="is the cemetery"):

@@ -1,8 +1,9 @@
 """Stream v1 against numpy's own keyed Philox generator.
 
 ``fill_paths`` builds the v1 streams without a generator per path: normals
-come from one generator whose state it resets to each path's key, and
-uniforms from Philox4x64-10 words computed as array code.  Both must equal
+come from one keyed state and generator per call, re-keyed to each path's
+index before its draws, and uniforms from Philox4x64-10 words computed as
+array code; a call with no draws per path reads no stream.  Both must equal
 ``np.random.Generator(np.random.Philox(key=[seed mod 2^64, index]))`` bit
 for bit, on edge keys, across the 4-word counter blocks and on both sides of
 the block and span sizes.
@@ -55,13 +56,31 @@ def test_stream_state_is_numpys_keyed_state(seed):
 @pytest.mark.parametrize("n_paths", [1, C - 1, C, C + 1])
 @pytest.mark.parametrize("uniform", [False, True])
 def test_fill_paths_rows_are_numpys_streams(n_paths, uniform):
-    for seed in (2**64 + 3, 7):
+    for seed in SEEDS:
         for n_draws in (1, 5, 9):
             out = fill_paths(n_paths, n_draws, lambda z: z, n_draws, seed, uniform=uniform)
             for i in range(n_paths):
                 rng = numpy_stream(seed, i)
                 expected = rng.random(n_draws) if uniform else rng.standard_normal(n_draws)
                 assert np.array_equal(out[i], expected), (seed, n_draws, i)
+
+
+@pytest.mark.parametrize("uniform", [False, True])
+def test_zero_draw_rows_read_no_stream(monkeypatch, uniform):
+    def no_stream(*args):
+        raise AssertionError("a zero-draw call read a stream")
+
+    monkeypatch.setattr(streams, "stream_state", no_stream)
+    monkeypatch.setattr(streams, "uniform_words", no_stream)
+    shapes = []
+
+    def fill_block(z):
+        shapes.append(z.shape)
+        return np.arange(2.0 * z.shape[0]).reshape(-1, 2)
+
+    out = fill_paths(150, 0, fill_block, 2, seed=3, uniform=uniform)
+    assert shapes == [(150, 0)]
+    assert np.array_equal(out, np.arange(300.0).reshape(150, 2))
 
 
 @pytest.mark.parametrize("uniform", [False, True])

@@ -7,6 +7,13 @@ Every Monte-Carlo run writes a manifest sufficient to replay it bit-exactly.
 ``main(argv)`` may be called repeatedly in one process.  The calls share
 one parser, built on the first call; each call looks its ``cmd_*`` handler
 up by the subcommand's name, so the parser holds nothing a call can change.
+
+``decompose``, ``follmer``, ``verify``, ``uniqueness`` and ``witness`` run
+on the exact engine alone and never import numpy or any ``mc`` module but
+``mc.gallery``, which holds the manifest contract and the writers.  ``mc``
+and ``gallery`` import numpy and the Monte-Carlo modules when
+``run_experiment`` has accepted the manifest, so a refused manifest loads
+neither; ``selftest`` imports them when it starts.
 """
 
 from __future__ import annotations
@@ -17,9 +24,6 @@ import os
 import sys
 from fractions import Fraction
 
-import numpy as np
-
-from .corpus import random_case
 from .decompositions import doob_meyer, multiplicative
 from .errors import FollmerLabError, TreeValidationError, count_str
 from .follmer import (
@@ -31,7 +35,6 @@ from .follmer import (
     verify_ky_all,
     write_ky_ledger,
 )
-from .measure_ext import FiniteMeasurableSpace, bierlein_extend, outer_content
 from .mc.gallery import (
     read_manifest,
     run_experiment,
@@ -40,7 +43,6 @@ from .mc.gallery import (
     write_report_json,
     write_results_csv,
 )
-from .mc.streams import uniform_words
 from .trees import FilteredTree, frac_str, is_supermartingale, write_json
 
 EXIT_OK = 0
@@ -173,6 +175,12 @@ def cmd_gallery(args) -> int:
 def cmd_selftest(args) -> int:
     """Quick end-to-end checks of the exact engine and the MC plumbing."""
     import random as _random
+
+    import numpy as np
+
+    from .corpus import random_case
+    from .mc.streams import uniform_words
+    from .measure_ext import FiniteMeasurableSpace, bierlein_extend, outer_content
 
     failures = []
 

@@ -1,14 +1,22 @@
-"""Named experiments, their closed-form laws, and reproducible run bundles.
+"""The named experiments' manifest contract, run bundles and deterministic writers.
 
 Each experiment is a pure function of (seed, n_paths, params) returning an
 :class:`ExperimentResult` with tabular rows, plot series and a report dict.
 A manifest (JSON) pins everything needed to replay a run bit-exactly;
 re-running a manifest must reproduce byte-identical outputs.
 
+The experiments themselves live in :mod:`.experiments`, which imports numpy
+and the Monte-Carlo families.  This module imports neither: the exact
+subcommands load it without them, and :func:`run_experiment` imports
+:mod:`.experiments` once a manifest has passed the checks below.  The
+public names of :mod:`.experiments` (:data:`EXPERIMENTS`, the ``run_*``
+functions and their helpers) are still readable as ``gallery`` attributes,
+imported on first use.
+
 The manifest contract is decided here, by :func:`run_experiment`, before any
 path is drawn:
 
-- ``experiment`` names a key of :data:`EXPERIMENTS`;
+- ``experiment`` names a key of :data:`PARAMS`;
 - ``seed`` and ``n_paths`` are JSON integers (not booleans), n_paths >= 2;
 - ``params`` is null or an object whose keys are among the experiment's
   entries in :data:`PARAMS`; an unknown key is refused with the list of
@@ -51,26 +59,12 @@ so a manifest replays itself.
 from __future__ import annotations
 
 import json
-import math
 import sys
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
-
-import numpy as np
+from typing import Dict, List, Optional, Tuple
 
 from ..errors import FollmerLabError
 from ..trees import write_json
-from .bridges import SIGMA_MAX, SimpleNonincreasing, simple_approx, single_jump_approx, suicide_martingale
-from .fatou import fatou_approx, fatou_probe_error, in_S
-from .families import (
-    extended_approx,
-    localized_suicide_family,
-    mass_redirect,
-    split_limit_demo,
-)
-from .grids import GridSpec, grid_index
-from .paths import PathBatch, simulate_bm
-from .streams import fill_paths, mean_and_se, median_of_means, mom_standard_error
 
 
 @dataclass
@@ -80,461 +74,6 @@ class ExperimentResult:
     series: List[Tuple[str, List[float], List[float]]] = field(default_factory=list)
     report: dict = field(default_factory=dict)
 
-
-def _row(t: float, est: float, se: float, n: int, **extra) -> dict:
-    out = {
-        "t": t,
-        "estimate": est,
-        "ci_low": est - 1.96 * se,
-        "ci_high": est + 1.96 * se,
-        "n_eff": n,
-    }
-    out.update(extra)
-    return out
-
-
-# -- gallery: exponential decay -------------------------------------------------
-
-
-def exp_decay_kill_times(n_paths: int, seed: int) -> np.ndarray:
-    """Standard exponential kill times -log(1 - U), one uniform U per path."""
-
-    def fill_block(u: np.ndarray) -> np.ndarray:
-        # math.log1p, not np.log1p: the two differ in the last bit on some inputs
-        return -np.fromiter(map(math.log1p, (-u[:, 0]).tolist()), float, u.shape[0])[:, None]
-
-    return fill_paths(n_paths, 1, fill_block, 1, seed, uniform=True)[:, 0]
-
-
-def run_exp_decay(seed: int, n_paths: int, params: dict) -> ExperimentResult:
-    """Quantile-killed law of the deterministic exponential-decay supermartingale.
-
-    The killing factor equals the value itself, so the integrated-out kill
-    time is exactly standard exponential; the survival law Q[tau > t] matches
-    exp(-t) at every time.
-    """
-    taus = exp_decay_kill_times(n_paths, seed)
-    res = ExperimentResult("exp_decay")
-    xs, ys = [], []
-    for t in params["ts"]:
-        ind = (taus > t).astype(float)
-        est, se = mean_and_se(ind)
-        res.rows.append(_row(t, est, se, n_paths, analytic=math.exp(-t)))
-        xs.append(t)
-        ys.append(est)
-    res.series.append(("survival_estimate", xs, ys))
-    res.series.append(("survival_analytic", xs, [math.exp(-t) for t in xs]))
-    res.report = {
-        "law": "Q[tau > t] = exp(-t)",
-        "max_abs_dev_sigmas": max(
-            abs(r["estimate"] - r["analytic"])
-            / max((r["ci_high"] - r["estimate"]) / 1.96, 1e-300)
-            for r in res.rows
-        ),
-    }
-    return res
-
-
-# -- gallery: reciprocal Bessel --------------------------------------------------
-
-
-def _first_passage_survival(z: np.ndarray, t: float) -> Tuple[np.ndarray, np.ndarray]:
-    """Survival probability of unit-start Brownian motion above 0 up to t, per row.
-
-    Each row of ``z`` holds the normals of one path's endpoint skeleton on
-    ``z.shape[1]`` equal steps; between grid points the crossing probability
-    of the bridge is the reflection closed form exp(-2 (a-x)(a-y)/dt) for
-    barrier a, accumulated multiplicatively.  A path that reaches 0 has
-    survival 0 and stops drawing there, so the second result is the number
-    of normals each row used.
-    """
-    steps = z.shape[1]
-    dt = t / steps
-    increments = np.empty((z.shape[0], steps + 1))
-    increments[:, 0] = 1.0
-    increments[:, 1:] = z * math.sqrt(dt)
-    walk = np.cumsum(increments, axis=1)
-    x, y = walk[:, :-1], walk[:, 1:]
-    dead = y <= 0.0
-    killed = dead.any(axis=1)
-    n_factors = np.where(killed, dead.argmax(axis=1), steps)  # steps before the hit
-    live = np.arange(steps) < n_factors[:, None]
-    arg = np.where(live, -2.0 * x * y / dt, -np.inf)
-    # math.exp, not np.exp: the two differ in the last bit on some inputs.
-    # Below -40, exp < 2^-57 and 1 - exp rounds to exactly 1.0 either way.
-    near = arg > -40.0
-    factor = np.ones((z.shape[0], steps))
-    args = arg[near]
-    factor[near] = 1.0 - np.fromiter(map(math.exp, args.tolist()), float, args.size)
-    survival = np.ones(z.shape[0])
-    for k in range(steps):
-        survival *= factor[:, k]
-    return np.where(killed, 0.0, survival), n_factors + killed
-
-
-def reciprocal_bessel_samples(
-    probe: Sequence[float], steps: int, n_paths: int, seed: int
-) -> np.ndarray:
-    """Per path: 1/R_t at each probe time, then the first-passage survival to each probe.
-
-    R is the three-dimensional Bessel process from 1, the norm of a 3-D
-    Brownian motion started at (1, 0, 0).  A path draws 3 normals per probe,
-    then up to ``steps`` normals per probe for the survival skeletons; a
-    skeleton that hits 0 leaves its remaining normals to the next probe.
-    """
-    n_probes = len(probe)
-
-    def fill_block(z: np.ndarray) -> np.ndarray:
-        out = np.empty((z.shape[0], 2 * n_probes))
-        pos = np.zeros((z.shape[0], 3))
-        pos[:, 0] = 1.0
-        prev = 0.0
-        for j, t in enumerate(probe):
-            pos = pos + z[:, 3 * j : 3 * j + 3] * math.sqrt(t - prev)
-            # per-row dot, as np.linalg.norm computes a vector's norm: the
-            # axis=1 reduction np.linalg.norm(pos, axis=1) differs in the last bit
-            out[:, j] = [1.0 / math.sqrt(p.dot(p)) for p in pos]
-            prev = t
-        off = np.full(z.shape[0], 3 * n_probes)
-        for j, t in enumerate(probe):
-            skeleton = np.take_along_axis(z, off[:, None] + np.arange(steps), axis=1)
-            out[:, n_probes + j], used = _first_passage_survival(skeleton, t)
-            off += used
-        return out
-
-    n_draws = n_probes * (3 + steps)
-    return fill_paths(n_paths, n_draws, fill_block, 2 * n_probes, seed)
-
-
-def run_reciprocal_bessel(seed: int, n_paths: int, params: dict) -> ExperimentResult:
-    """Reciprocal three-dimensional Bessel process from 1: E[Z_t] vs the hitting law.
-
-    E[1/R_t] equals the probability that a unit-start Brownian motion has not
-    yet hit zero by t (closed form 2 Phi(1/sqrt(t)) - 1); the independent
-    oracle estimates that first-passage probability by bridge-corrected
-    Monte Carlo.
-    """
-    from scipy.special import ndtr  # slow to import, so only where it is called
-    probe = sorted(params["ts"])
-    steps = params["fp_steps"]
-    res = ExperimentResult("reciprocal_bessel")
-    vals = reciprocal_bessel_samples(probe, steps, n_paths, seed)
-    xs, ys = [], []
-    for j, t in enumerate(probe):
-        est, se = mean_and_se(vals[:, j])
-        surv_est, surv_se = mean_and_se(vals[:, len(probe) + j])
-        analytic = 2.0 * ndtr(1.0 / math.sqrt(t)) - 1.0
-        res.rows.append(
-            _row(
-                t,
-                est,
-                se,
-                n_paths,
-                analytic=float(analytic),
-                survival_oracle=surv_est,
-                survival_oracle_se=surv_se,
-            )
-        )
-        xs.append(t)
-        ys.append(est)
-    res.series.append(("reciprocal_mean", xs, ys))
-    res.report = {"identity": "E[1/R_t] = P[unit-start BM stays positive to t]"}
-    return res
-
-
-# -- gallery: uniform independent passage time -----------------------------------
-
-
-def run_uniform_rho(seed: int, n_paths: int, params: dict) -> ExperimentResult:
-    """Before/after burn-in families evaluated at an independent uniform time.
-
-    rho is uniform on [1, 2] and known at time 0.  The family burning just
-    before rho is exactly 0 at rho (its window anchors there); the family
-    burning just after is exactly 1 at rho (its window starts there).  Both
-    families converge to the same indicator supermartingale at deterministic
-    times, yet their values at rho separate fully.
-
-    This is a closed form, not a simulation: both families sit at exact
-    window endpoints for every rho and every burn-in index m, so every path
-    reads the constant 0 or 1 and none is drawn.  The rows carry those exact
-    values with standard error 0.
-    """
-    res = ExperimentResult("uniform_rho")
-    res.rows.append(_row(0.0, 0.0, 0.0, n_paths, family="pre_burn_at_rho"))
-    res.rows.append(_row(0.0, 1.0, 0.0, n_paths, family="post_burn_at_rho"))
-    res.report = {
-        "m": params["m"],
-        "separation": 1.0,
-        "note": "values at the random time are exact window endpoints",
-    }
-    return res
-
-
-# -- parametrized experiments -----------------------------------------------------
-
-
-def run_single_jump(seed: int, n_paths: int, params: dict) -> ExperimentResult:
-    a, m, anchor, t_max = params["a"], params["m"], params["anchor"], params["t_max"]
-    window = 2.0**-m
-    mid = anchor - window / 2.0
-    grid = GridSpec(
-        t_max=t_max,
-        base_step=params["base_step"],
-        refinements=((anchor, window, params["refine_points"]),),
-        extra_points=(mid,),
-    )
-    batch = single_jump_approx(a, m, anchor, grid, n_paths, seed)
-    before = batch.times < anchor - window
-    exact_before = bool(np.all(batch.values[:, before] == 1.0))
-    exact_after = bool(np.all(batch.at_time(t_max) == a))
-    mid_vals = batch.at_time(mid)
-    mean, se = mean_and_se(mid_vals)
-    mom = median_of_means(mid_vals)
-    mom_se = mom_standard_error(mid_vals)
-    res = ExperimentResult("single_jump")
-    res.rows.append(_row(mid, mean, se, n_paths, median_of_means=mom, mom_se=mom_se))
-    res.series.append(
-        ("mean_path", [float(t) for t in batch.times], [float(v) for v in batch.values.mean(axis=0)])
-    )
-    res.report = {
-        "a": a,
-        "m": m,
-        "anchor": anchor,
-        "exact_one_before_window": exact_before,
-        "exact_a_from_anchor": exact_after,
-        "mid_window_mean": mean,
-        "mid_window_mom": mom,
-        "clock_cap": SIGMA_MAX,
-        "cap_tail_bound": math.exp(-SIGMA_MAX / 8.0),
-    }
-    return res
-
-
-def run_suicide(seed: int, n_paths: int, params: dict) -> ExperimentResult:
-    m, jumps, levels = params["m"], params["jumps"], params["levels"]
-    g = SimpleNonincreasing(jumps, levels)
-    window = 2.0**-m
-    grid = GridSpec(
-        t_max=params["t_max"],
-        base_step=params["base_step"],
-        refinements=tuple((rho + window, window, 16) for rho in jumps),
-    )
-    batch = suicide_martingale(g, m, grid, n_paths, seed)
-    gvals = g.values(batch.times)
-    plateau = np.ones(batch.times.size, dtype=bool)
-    for rho in jumps:
-        plateau &= ~((batch.times > rho) & (batch.times < rho + window))
-    match = batch.values[:, plateau] == gvals[plateau]
-    res = ExperimentResult("suicide")
-    res.report = {
-        "m": m,
-        "plateau_points": int(plateau.sum()),
-        "paths_with_exact_plateaus": int(np.all(match, axis=1).sum()),
-        "n_paths": n_paths,
-        "plateau_identity_exact": bool(np.all(match)),
-        "start_value_exact": bool(np.all(batch.values[:, 0] == levels[0])),
-    }
-    res.series.append(
-        ("mean_path", [float(t) for t in batch.times], [float(v) for v in batch.values.mean(axis=0)])
-    )
-    return res
-
-
-def run_fatou(seed: int, n_paths: int, params: dict) -> ExperimentResult:
-    m_list, probes, scan_depth = params["m_list"], params["probes"], params["scan_depth"]
-    grid = GridSpec(t_max=params["t_max"], base_step=params["base_step"], extra_points=probes)
-    times = grid.points()
-    for p in probes:
-        grid_index(times, p)  # each probe must be exactly one grid time
-    # piecewise-constant drift with dyadic drop times
-    d = np.where(times < 0.25, 0.0, np.where(times < 0.5, -0.25, -0.5))
-    mvals = np.ones_like(times)
-    res = ExperimentResult("fatou")
-    probe_err: Dict[float, List[float]] = {p: [] for p in probes}
-    for m in m_list:
-        batch = fatou_approx(grid, mvals, d, m, n_paths, seed)
-        for p in probes:
-            err = float(fatou_probe_error(batch, mvals, d, p).max())
-            probe_err[p].append(err)
-            res.rows.append(_row(p, err, 0.0, n_paths, m=m))
-    for p in probes:
-        res.series.append((f"probe_{p}", [float(m) for m in m_list], probe_err[p]))
-    res.report = {
-        "probes": {
-            str(p): {
-                "in_S": in_S(p, scan_depth),
-                "errors_by_m": probe_err[p],
-                "exactly_zero_from": next(
-                    (m for m, e in zip(m_list, probe_err[p]) if e == 0.0), None
-                ),
-            }
-            for p in probes
-        },
-        "in_S_checks": {
-            "0.5": in_S(0.5, scan_depth),
-            "2^-3+2^-9/2": in_S(0.125 + 1.0 / 1024.0, scan_depth),
-        },
-    }
-    return res
-
-
-def exp_decay_family(
-    seed: int,
-    n_paths: int,
-    k: int = 3,
-    m: int = 6,
-    level: float = 4.0,
-) -> Tuple[PathBatch, float]:
-    """Level-stopped suicide family for the exponential-decay supermartingale.
-
-    Returns the batch, on a grid of step 1/16 up to 2.5 refined in each
-    burn-in window, and the first-passage time of the decay below 1/2.
-    """
-    rho = math.log(2.0)
-    t_max, base_step = 2.5, 1 / 16
-    draft = GridSpec(t_max=t_max, base_step=base_step).points()
-    g = simple_approx(draft, np.exp(-draft), k=k)
-    window = 2.0**-m
-    grid = GridSpec(
-        t_max=t_max,
-        base_step=base_step,
-        refinements=tuple((rj + window, window, 12) for rj in g.jump_times),
-        extra_points=(rho, rho + 1.0),
-    )
-    fam = localized_suicide_family(g, m=m, level=level, grid=grid, n_paths=n_paths, seed=seed)
-    return fam, rho
-
-
-def run_mass_redirect(seed: int, n_paths: int, params: dict) -> ExperimentResult:
-    c = params["c"]
-    fam, rho = exp_decay_family(
-        seed, n_paths, k=params["k"], m=params["m"], level=params["level"]
-    )
-    l_rho = fam.at_time(rho)
-    l_term = fam.at_time(fam.times[-1])
-    wgrid = GridSpec(t_max=float(fam.times[-1]), base_step=1 / 4, extra_points=(rho, rho + 1.0))
-    w = simulate_bm(wgrid, n_paths, seed + 1)
-    w_rho = w.at_time(rho)
-    w_after = w.at_time(rho + 1.0)
-    res = ExperimentResult("mass_redirect")
-    estimates = {}
-    for l in params["ls"]:
-        r = mass_redirect(l_rho, l_term, w_rho, w_after, c, l)
-        estimates[l] = (r.estimate, r.se)
-        res.rows.append(
-            _row(rho, r.estimate, r.se, n_paths, l=l, bound=r.bound, fired=r.fired_fraction)
-        )
-    total = sum(e for e, _ in estimates.values())
-    total_se = math.sqrt(sum(s * s for _, s in estimates.values()))
-    res.report = {
-        "c": c,
-        "bound": (1.0 - c) / 2.0,
-        "estimates": {str(l): e for l, (e, _) in estimates.items()},
-        "disjoint_sum": total,
-        "disjoint_sum_se": total_se,
-        "family_mean_at_rho": mean_and_se(l_rho)[0],
-    }
-    return res
-
-
-def run_split_limit(seed: int, n_paths: int, params: dict) -> ExperimentResult:
-    n = params["n"]
-    res = ExperimentResult("split_limit")
-    for sign, r in split_limit_demo(n, n_paths, seed).items():
-        res.rows.append(
-            _row(
-                float(n),
-                r.own_mass,
-                r.own_se,
-                n_paths,
-                sign=sign,
-                raw_own_mass=r.raw_own_mass,
-                crossing_frequency=r.crossing_frequency,
-                crossing_bound=r.crossing_bound,
-            )
-        )
-        res.report[sign] = {
-            "own_mass": r.own_mass,
-            "own_se": r.own_se,
-            "raw_own_mass": r.raw_own_mass,
-            "crossing_frequency": r.crossing_frequency,
-            "crossing_bound": r.crossing_bound,
-        }
-    return res
-
-
-def run_extended(seed: int, n_paths: int, params: dict) -> ExperimentResult:
-    """Terminal-extension demo on the shifted exponential decay.
-
-    Z_t = (1 + exp(-t))/2 has limit 1/2; extending by the constant terminal
-    value 1/2 gives oracle 1/2, normalizer 1/2 and core exp(-t) cut at h.
-    """
-    h, k, m, t_max = params["h"], params["k"], params["m"], params["t_max"]
-    base = GridSpec(t_max=t_max, base_step=1 / 32)
-    draft = base.points()
-    core_draft = np.where(draft < h, np.exp(-draft), 0.0)
-    g = simple_approx(draft, core_draft, k=k)
-    window = 2.0**-m
-    grid = GridSpec(
-        t_max=t_max,
-        base_step=1 / 32,
-        refinements=tuple((rj + window, window, 10) for rj in g.jump_times),
-    )
-    times = grid.points()
-    z_vals = (1.0 + np.exp(-times)) / 2.0
-    rep = extended_approx(
-        grid,
-        z_vals,
-        oracle=lambda t: np.full_like(t, 0.5),
-        terminal_mean=0.5,
-        h=h,
-        k=k,
-        m=m,
-        n_paths=n_paths,
-        seed=seed,
-    )
-    res = ExperimentResult("extended")
-    res.rows.append(_row(0.0, rep.mean_initial, rep.se_initial, n_paths, which="initial"))
-    res.rows.append(
-        _row(t_max, rep.mean_terminal, rep.se_terminal, n_paths, which="terminal")
-    )
-    res.report = {
-        "normalizer": rep.normalizer,
-        "expected_terminal": rep.expected_terminal,
-        "mean_initial": rep.mean_initial,
-        "mean_terminal": rep.mean_terminal,
-        "core_constant_branch": rep.core_constant,
-    }
-    return res
-
-
-def run_bm_check(seed: int, n_paths: int, params: dict) -> ExperimentResult:
-    t_max = params["t_max"]
-    grid = GridSpec(t_max=t_max, base_step=params["base_step"])
-    batch = simulate_bm(grid, n_paths, seed)
-    w = batch.at_time(t_max)
-    mean, se = mean_and_se(w)
-    var = float(np.var(w, ddof=1))
-    var_se = var * math.sqrt(2.0 / (n_paths - 1))
-    res = ExperimentResult("bm_check")
-    res.rows.append(_row(t_max, mean, se, n_paths, which="mean"))
-    res.rows.append(_row(t_max, var, var_se / 1.96, n_paths, which="variance"))
-    res.report = {"mean": mean, "variance": var, "t": t_max}
-    return res
-
-
-EXPERIMENTS: Dict[str, Callable[[int, int, dict], ExperimentResult]] = {
-    "exp_decay": run_exp_decay,
-    "reciprocal_bessel": run_reciprocal_bessel,
-    "uniform_rho": run_uniform_rho,
-    "single_jump": run_single_jump,
-    "suicide": run_suicide,
-    "fatou": run_fatou,
-    "mass_redirect": run_mass_redirect,
-    "split_limit": run_split_limit,
-    "extended": run_extended,
-    "bm_check": run_bm_check,
-}
 
 # Every settable parameter of each experiment and its default; the default's
 # type is the parameter's type (a tuple default makes a list parameter).
@@ -607,15 +146,30 @@ def run_experiment(name: str, seed: int, n_paths: int, params: Optional[dict]) -
 
     Every estimate needs a standard error, so n_paths >= 2.
     """
-    if not isinstance(name, str) or name not in EXPERIMENTS:
+    if not isinstance(name, str) or name not in PARAMS:
         raise FollmerLabError(
-            f"unknown experiment {name!r}; choose from {sorted(EXPERIMENTS)}"
+            f"unknown experiment {name!r}; choose from {sorted(PARAMS)}"
         )
     _checked("seed", seed, int)
     _checked("n_paths", n_paths, int)
     if n_paths < 2:
         raise FollmerLabError(f"need n_paths >= 2, got {n_paths}")
-    return EXPERIMENTS[name](seed, n_paths, _resolve(name, params))
+    resolved = _resolve(name, params)
+    from .experiments import EXPERIMENTS  # numpy and the families: slow to import, so only here
+
+    return EXPERIMENTS[name](seed, n_paths, resolved)
+
+
+def __getattr__(name: str):
+    """``gallery.<name>`` for the public names of :mod:`.experiments`, imported on first use.
+
+    A private name is not forwarded, so probing one imports nothing.
+    """
+    if name.startswith("_"):
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from . import experiments
+
+    return getattr(experiments, name)
 
 
 # -- manifests and deterministic writers ----------------------------------------

@@ -12,7 +12,7 @@ from follmer_lab.mc.families import (
     mass_redirect,
     split_limit_demo,
 )
-from follmer_lab.mc.gallery import exp_decay_family
+from follmer_lab.mc.experiments import exp_decay_family
 from follmer_lab.mc.grids import GridSpec
 from follmer_lab.mc.paths import simulate_bm
 from follmer_lab.mc.streams import mean_and_se

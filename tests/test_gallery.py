@@ -7,7 +7,7 @@ import pytest
 from scipy.special import ndtr
 
 from follmer_lab.errors import FollmerLabError
-from follmer_lab.mc import streams
+from follmer_lab.mc import experiments, gallery, streams
 from follmer_lab.mc.gallery import EXPERIMENTS, PARAMS, read_manifest, run_experiment, write_manifest
 
 
@@ -45,6 +45,16 @@ def test_uniform_rho_full_separation():
 
 def test_every_experiment_has_a_parameter_table():
     assert set(PARAMS) == set(EXPERIMENTS)
+
+
+def test_gallery_spellings_are_the_experiments_objects():
+    # the experiments moved to their own module; gallery.<name> still reaches
+    # the same objects, and a private name is not forwarded
+    names = ["EXPERIMENTS", "exp_decay_family", "exp_decay_kill_times", "reciprocal_bessel_samples"]
+    names += [fn.__name__ for fn in experiments.EXPERIMENTS.values()]
+    for name in names:
+        assert getattr(gallery, name) is getattr(experiments, name)
+    assert getattr(gallery, "_row", None) is None
 
 
 def test_gallery_names():

@@ -28,7 +28,7 @@ from follmer_lab.mc.bridges import (
 )
 from follmer_lab.mc.families import LADDER_STEP, split_limit_demo
 from follmer_lab.mc.fatou import _phase_schedule, fatou_approx
-from follmer_lab.mc.gallery import (
+from follmer_lab.mc.experiments import (
     exp_decay_family,
     exp_decay_kill_times,
     reciprocal_bessel_samples,

@@ -3,7 +3,9 @@
 ``bench/tracer.py`` patches the package's public functions by name from
 outside, so deleting or renaming one of them breaks every traced benchmark
 run.  Installing the tracer and undoing it checks that each name resolves,
-and that the undo puts every original back.
+and that the undo puts every original back: once in this process, where
+every module is loaded, and once in a fresh interpreter that has loaded
+only the exact modules and ``gallery``, as a traced ``exact_enum`` run has.
 """
 
 import importlib.util
@@ -14,7 +16,6 @@ import sys
 
 import follmer_lab
 from follmer_lab.mc import gallery
-from follmer_lab.mc.gallery import PARAMS
 
 TRACER = os.path.join(os.path.dirname(__file__), os.pardir, "bench", "tracer.py")
 
@@ -39,10 +40,9 @@ def test_tracer_installs_and_restores():
     assert (gallery.EXPERIMENTS, gallery.run_experiment) == before
 
 
-# The traced exact_enum path: only the exact modules and gallery are loaded
-# when the tracer installs, so the experiments are imported by its reads of
-# gallery.EXPERIMENTS and gallery.run_*, after the layers below them are
-# already wrapped.  The script prints what it saw as one JSON line.
+# In the fresh interpreter the experiments are imported by the tracer's own
+# reads of gallery.EXPERIMENTS and gallery.run_*, after the layers below them
+# are already wrapped.  The script prints what it saw as one JSON line.
 FRESH = """
 import importlib.util, json, sys
 import follmer_lab.cli, follmer_lab.decompositions, follmer_lab.follmer, follmer_lab.trees
@@ -108,10 +108,10 @@ def test_tracer_installs_and_restores_in_a_fresh_interpreter():
     assert seen["loaded"] == ["follmer_lab.mc.gallery"]
     # every experiment was wrapped through the forwarder, which copied
     # nothing into gallery's own namespace
-    assert seen["n_wrapped"] == len(PARAMS)
+    assert seen["n_wrapped"] == len(gallery.PARAMS)
     assert seen["own"] == []
     assert "follmer_lab.mc.experiments.EXPERIMENTS['bm_check']" in seen["during"]
     assert "follmer_lab.mc.streams.fill_paths" in seen["during"]
     # and every original is back, in the modules imported during install too
     assert seen["left"] == []
-    assert seen["restored"] == sorted(PARAMS)
+    assert seen["restored"] == sorted(gallery.PARAMS)

@@ -48,8 +48,8 @@ def test_every_experiment_has_a_parameter_table():
 
 
 def test_gallery_spellings_are_the_experiments_objects():
-    # the experiments moved to their own module; gallery.<name> still reaches
-    # the same objects, and a private name is not forwarded
+    # gallery.<name> reaches the experiments' own objects, not copies, and
+    # does not forward a private name
     names = ["EXPERIMENTS", "exp_decay_family", "exp_decay_kill_times", "reciprocal_bessel_samples"]
     names += [fn.__name__ for fn in experiments.EXPERIMENTS.values()]
     for name in names:

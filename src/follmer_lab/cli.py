@@ -90,9 +90,8 @@ def _verdict(ledger) -> int:
 
 def cmd_follmer(args) -> int:
     tree, z = FilteredTree.from_json(args.tree_file)
-    target = args.target or CEMETERY
-    pair = construct_follmer(tree, z, target)
-    if target != CEMETERY and pair.killed_mass() == 0:
+    pair = construct_follmer(tree, z, args.target)
+    if args.target != CEMETERY and pair.killed_mass() == 0:
         print(
             "refusing a freeze target for a martingale: no mass is lost, "
             "the freeze pair would not differ from the cemetery pair",
@@ -253,7 +252,7 @@ def _parser() -> argparse.ArgumentParser:
         "node, which covers every stopping time",
     )
     sp.add_argument("tree_file")
-    sp.add_argument("--target", default=None, help="cemetery (default) or a freeze-state label")
+    sp.add_argument("--target", default=CEMETERY, help="cemetery (default) or a freeze-state label")
     common(sp)
 
     sp = sub.add_parser("verify", help="verify a stored pair file against a tree")

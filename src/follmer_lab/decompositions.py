@@ -77,7 +77,8 @@ def doob_meyer(tree: FilteredTree, z: AdaptedProcess) -> AdditiveDecomposition:
 
     At and below a zero of Z nothing moves (the mean and the children are 0
     too), and a martingale step's mean is Z[n]'s own value (see
-    :func:`one_step_means`), so D keeps its value there without arithmetic.
+    :func:`require_supermartingale`), so D keeps its value there without
+    arithmetic.
     """
     means = require_supermartingale(tree, z)
     zv = z.values

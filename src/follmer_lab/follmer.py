@@ -310,14 +310,27 @@ def verify_ky(
 
     One atom per stop node, in rows with ``rho_id`` ``rho``; paths the
     stopping time never reaches contribute atoms with both sides zero (the
-    indicator vanishes there).
+    indicator vanishes there), one per leaf in ``tree.leaves`` order after
+    the stop nodes' rows.
     """
     survivor_mass = _survivor_mass_by_node(tree, pair)
-    rep = _check_atoms(tree, z, survivor_mass, (("rho", s) for s in sorted(rho.nodes)))
-    if rho.allows_never(tree):
-        for leaf in tree.leaves:
-            if rho.stop_node_on_path(tree, leaf) is None:
-                rep.rows.append(KYAtomRow("rho", leaf, Fraction(0), Fraction(0)))
+    stops, children = rho.nodes, tree.children
+    rep = _check_atoms(tree, z, survivor_mass, (("rho", s) for s in sorted(stops)))
+    # one walk from the root that halts at each stop node reaches exactly the
+    # leaves whose path meets none; it also holds for sets that are not antichains
+    never = set()
+    stack = [tree.root]
+    while stack:
+        n = stack.pop()
+        if n not in stops:
+            kids = children[n]
+            if kids:
+                stack += kids
+            else:
+                never.add(n)
+    if never:
+        zero = Fraction(0)
+        rep.rows += [KYAtomRow("rho", s, zero, zero) for s in tree.leaves if s in never]
     return rep
 
 

@@ -48,14 +48,14 @@ def left_value(times: np.ndarray, values: np.ndarray, t: float) -> float:
 
 
 def _phase_schedule(m: int, t_max: float) -> list:
-    """Phase intervals (start, end, dyadic target time) at level m, within [0, t_max]."""
+    """Phase intervals (start, end) at level m, within [0, t_max]; a phase burns down to D(start)."""
     step = 2.0**-m
     width = 2.0 ** (-3 * m)
     k_max = min(int(math.floor(t_max / step + 1e-12)), m * 2**m)
     out = []
     for k in range(1, k_max + 1):
         start = k * step
-        out.append((start, start + width, start))
+        out.append((start, start + width))
     return out
 
 
@@ -88,7 +88,7 @@ class FatouSchedule:
         starts = np.array([p[0] for p in phases])
         ends = np.array([p[1] for p in phases])
         # the last completed dyadic sample before each phase, and before each time
-        held = [float(d_values[0])] + [step_value(times, d_values, p[2]) for p in phases]
+        held = [float(d_values[0])] + [step_value(times, d_values, p[0]) for p in phases]
         level = np.array(held)[np.searchsorted(ends, times, side="right")]
         # phases are disjoint and sorted: the one that can hold t has the last start < t
         active = np.searchsorted(starts, times, side="left") - 1
@@ -97,7 +97,7 @@ class FatouSchedule:
         active[~in_phase] = -1
         bridged = []
         for k in np.unique(active[in_phase]).tolist():
-            start, end, _ = phases[k]
+            start, end = phases[k]
             prev, nxt = held[k], held[k + 1]
             if nxt == prev:
                 continue

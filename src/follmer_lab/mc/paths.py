@@ -6,7 +6,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..errors import GridError
 from .grids import GridSpec, grid_index
 from .streams import fill_paths
 
@@ -32,8 +31,6 @@ def simulate_bm(grid: GridSpec, n_paths: int, seed: int) -> PathBatch:
     if n_paths < 1:
         raise ValueError(f"need n_paths >= 1, got {n_paths}")
     times = grid.points()
-    if times[0] != 0.0:
-        raise GridError("Brownian grid must start at 0")
     dt = np.diff(times)
     sqrt_dt = np.sqrt(dt)
 

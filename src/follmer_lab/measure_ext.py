@@ -120,14 +120,12 @@ def _representative(n: int, k: int) -> Fraction:
 @dataclass
 class DyadicLevel:
     level: int
-    representatives: List[Fraction]  # one per interval (k 2^-n, (k+1) 2^-n]
     agrees_on_level_algebra: bool
     representative_set_mass: Fraction
 
 
 @dataclass
 class DyadicDemoReport:
-    n_max: int
     levels: List[DyadicLevel]
 
     @property
@@ -220,5 +218,5 @@ def dyadic_demo(n_max: int, weights: Sequence) -> DyadicDemoReport:
             for k in range(2**lv)
         )
         rep_mass = fam.level_measure_of_points(n, all_reps)
-        levels.append(DyadicLevel(n, fam.reps[n], agrees, rep_mass))
-    return DyadicDemoReport(n_max, levels)
+        levels.append(DyadicLevel(n, agrees, rep_mass))
+    return DyadicDemoReport(levels)

@@ -489,8 +489,8 @@ class AdaptedProcess:
     """One exact rational per node; adaptedness is structural.
 
     The one-step means and the supermartingale verdict are memoised per
-    tree on the instance (see :func:`one_step_means`), so ``values`` must
-    not be mutated after construction: build a new process instead.
+    tree on the instance (see :func:`require_supermartingale`), so ``values``
+    must not be mutated after construction: build a new process instead.
     """
 
     values: Dict[str, Fraction]
@@ -500,11 +500,6 @@ class AdaptedProcess:
 
     def __getitem__(self, node: str) -> Fraction:
         return self.values[node]
-
-    @classmethod
-    def constant(cls, tree: FilteredTree, c) -> "AdaptedProcess":
-        c = frac(c)
-        return cls({n: c for n in tree.iter_nodes()})
 
     def to_dict(self) -> Dict[str, str]:
         return _frac_strs(self.values)
@@ -545,29 +540,6 @@ class StoppingTime:
         if not 0 <= t <= tree.horizon:
             raise ValueError(f"time {t} outside [0, {tree.horizon}]")
         return cls(frozenset(tree.nodes_at_depth(t)))
-
-    def stop_node_on_path(self, tree: FilteredTree, leaf: str) -> Optional[str]:
-        for n in tree.path_to(leaf):
-            if n in self.nodes:
-                return n
-        return None
-
-    def allows_never(self, tree: FilteredTree) -> bool:
-        """True when some leaf's path meets no stop node.
-
-        Walks down from the root and halts at the first stop node of each
-        branch, so it also holds for node sets that are not antichains.
-        """
-        stack = [tree.root]
-        while stack:
-            n = stack.pop()
-            if n in self.nodes:
-                continue
-            kids = tree.children[n]
-            if not kids:
-                return True
-            stack.extend(kids)
-        return False
 
 
 @dataclass(frozen=True)
@@ -626,38 +598,35 @@ class SupermartingaleReport:
     reason: Optional[str] = None
 
 
-def one_step_means(tree: FilteredTree, z: AdaptedProcess) -> Dict[str, Fraction]:
-    """E[Z_{t+1} | F_t] at every internal node, in breadth-first order.
-
-    Computed once per (tree, z), in the pass that decides
-    :func:`is_supermartingale`, and memoised with that verdict on ``z``.
-    Where the mean equals Z[n] the value is ``z.values[n]`` itself, so
-    ``means[n] is z.values[n]`` exactly at the martingale steps.  The dict
-    is shared: callers must not mutate it.
-    """
-    return _one_step(tree, z)[0]
-
-
 def is_supermartingale(tree: FilteredTree, z: AdaptedProcess) -> SupermartingaleReport:
     """Check Z >= 0, Z_0 = 1 and E[Z_{t+1}|F_t] <= Z_t at every internal node.
 
     Exact comparisons throughout; ``is_martingale`` reports equality at every
     internal node.  The first negative value (breadth-first) is reported
     before a wrong initial value, and that before the first one-step
-    violation.  The verdict is memoised with :func:`one_step_means`.
+    violation.  The verdict is memoised with the one-step means that
+    :func:`require_supermartingale` returns.
     """
     return _one_step(tree, z)[1]
 
 
 def require_supermartingale(tree: FilteredTree, z: AdaptedProcess) -> Dict[str, Fraction]:
-    """The one-step means of Z; :class:`NotSupermartingaleError` unless Z is a supermartingale."""
+    """E[Z_{t+1} | F_t] at every internal node, in breadth-first order.
+
+    Raises :class:`NotSupermartingaleError` unless Z is a supermartingale.
+    Computed once per (tree, z), in the pass that decides
+    :func:`is_supermartingale`, and memoised with that verdict on ``z``.
+    Where the mean equals Z[n] the value is ``z.values[n]`` itself, so
+    ``means[n] is z.values[n]`` exactly at the martingale steps.  The dict
+    is shared: callers must not mutate it.
+    """
     rep = is_supermartingale(tree, z)
     if not rep.ok:
         raise NotSupermartingaleError(
             f"not a supermartingale: {rep.reason} at node {rep.first_violation_node!r}",
             node=rep.first_violation_node,
         )
-    return one_step_means(tree, z)
+    return _one_step(tree, z)[0]
 
 
 def _one_step(

@@ -305,6 +305,16 @@ def test_witness_with_cemetery_as_freeze_state_exits_2(binary_file, tmp_path, ca
     assert not (out / "witness.json").exists()
 
 
+def test_follmer_empty_target_freezes_like_witness(binary_file, tmp_path):
+    # an empty label is a freeze state like any other, not a request for the cemetery
+    follmer_out, witness_out = tmp_path / "f", tmp_path / "w"
+    assert main(["follmer", binary_file, "--target", "", "--out", str(follmer_out)]) == 0
+    assert main(["witness", binary_file, "", "--out", str(witness_out)]) == 0
+    frozen = (follmer_out / "pair.json").read_bytes()
+    assert frozen == (witness_out / "pair_freeze.json").read_bytes()
+    assert frozen != (witness_out / "pair_cemetery.json").read_bytes()
+
+
 def test_mc_manifest_replay_byte_identical(tmp_path):
     manifest = {
         "experiment": "exp_decay",

@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from follmer_lab import trees
 from follmer_lab.corpus import binary_example, random_case, unary_chain
 from follmer_lab.decompositions import (
     doob_meyer,
@@ -12,7 +13,7 @@ from follmer_lab.decompositions import (
     multiplicative_property_violations,
 )
 from follmer_lab.errors import NotSupermartingaleError
-from follmer_lab.trees import AdaptedProcess, one_step_expectation, one_step_means
+from follmer_lab.trees import AdaptedProcess, one_step_expectation, require_supermartingale
 
 
 def test_doob_meyer_binary_example():
@@ -181,13 +182,13 @@ def test_perturbed_pairs_always_violate_some_property():
 
 def test_one_step_means_binary():
     tree, z = binary_example()
-    assert one_step_means(tree, z) == {"r": Fraction(7, 8)}
+    assert require_supermartingale(tree, z) == {"r": Fraction(7, 8)}
 
 
 def test_one_step_means_of_a_constant_are_its_value():
     rng = random.Random(8)
     tree, _ = random_case(rng)
-    c = AdaptedProcess.constant(tree, Fraction(2, 7))
-    means = one_step_means(tree, c)
+    c = AdaptedProcess(dict.fromkeys(tree.iter_nodes(), Fraction(2, 7)))
+    means = trees._one_step(tree, c)[0]
     assert list(means) == [n for n in tree.iter_nodes() if tree.children[n]]
     assert all(v is c.values[n] for n, v in means.items())

@@ -31,7 +31,7 @@ from follmer_lab.trees import (
     StoppingTime,
     is_supermartingale,
     one_step_expectation,
-    one_step_means,
+    require_supermartingale,
 )
 
 
@@ -102,20 +102,42 @@ def test_nodes_at_depth_returns_a_copy():
     assert list(tree.iter_nodes()) == ["r", "u", "d"]
 
 
-def test_constant_time_and_allows_never_on_non_antichains():
-    tree, _ = corpus(1, 5)[0]
-    for t in range(tree.horizon + 1):
-        assert StoppingTime.constant(tree, t).nodes == frozenset(tree.nodes_at_depth(t))
-        assert not StoppingTime.constant(tree, t).allows_never(tree)
-    assert StoppingTime(frozenset()).allows_never(tree)
-    leaf = tree.leaves[0]
-    # a node set that is not an antichain: the root plus a leaf below it
-    assert not StoppingTime(frozenset([tree.root, leaf])).allows_never(tree)
-    # one leaf with its own ancestors, on a tree with another leaf
-    path = tree.path_to(leaf)
-    partial = StoppingTime(frozenset(path[1:]))
-    expect = any(partial.stop_node_on_path(tree, l) is None for l in tree.leaves)
-    assert partial.allows_never(tree) == expect
+def never_rows(tree, rho):
+    """(atom_node, lhs, rhs) of the leaves whose path meets no stop node, leaf by leaf."""
+    return [
+        (leaf, 0, 0)
+        for leaf in tree.leaves
+        if not any(n in rho.nodes for n in tree.path_to(leaf))
+    ]
+
+
+def test_constant_time_and_never_rows_on_non_antichains():
+    for tree, z in corpus(20, 5):
+        pair = construct_follmer(tree, z)
+        times = [StoppingTime.constant(tree, t) for t in range(tree.horizon + 1)]
+        for t, rho in enumerate(times):
+            assert rho.nodes == frozenset(tree.nodes_at_depth(t))
+        leaf = tree.leaves[0]
+        path = tree.path_to(leaf)
+        cases = times + [
+            StoppingTime(frozenset()),
+            # a node set that is not an antichain: the root plus a leaf below it
+            StoppingTime(frozenset([tree.root, leaf])),
+            # one leaf with its own ancestors, on a tree with other leaves
+            StoppingTime(frozenset(path[1:])),
+        ]
+        for rho in cases:
+            rep = verify_ky(pair, tree, z, rho)
+            assert rep.ok
+            k = len(rho.nodes)
+            assert [r.atom_node for r in rep.rows[:k]] == sorted(rho.nodes)
+            expect = never_rows(tree, rho)
+            assert [(r.atom_node, r.lhs, r.rhs) for r in rep.rows[k:]] == expect
+            assert all(r.rho_id == "rho" for r in rep.rows)
+        for rho in times:
+            assert len(verify_ky(pair, tree, z, rho).rows) == len(rho.nodes)
+        everything = verify_ky(pair, tree, z, StoppingTime(frozenset()))
+        assert [r.atom_node for r in everything.rows] == tree.leaves
 
 
 # -- exact arithmetic -----------------------------------------------------------
@@ -235,7 +257,7 @@ def test_one_step_means_are_computed_once_per_tree_and_process(monkeypatch):
         multiplicative(tree, z)
         construct_follmer(tree, z)
         construct_follmer(tree, z, "x")
-        one_step_means(tree, z)
+        require_supermartingale(tree, z)
         assert sorted(calls) == sorted(n for n in tree.iter_nodes() if tree.children[n])
 
 

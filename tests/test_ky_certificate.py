@@ -106,8 +106,8 @@ def _smoothing_oracle(tree, z, sm):
     counts = dict(positions=0, equal=0, guaranteed=0, guaranteed_equal=0, stuck=0)
     mismatches = set()
     for rho in enumerate_stopping_times(tree):
-        if rho.allows_never(tree):
-            continue
+        if any(rho.nodes.isdisjoint(tree.path_to(leaf)) for leaf in tree.leaves):
+            continue  # some leaf is never stopped
         for stop in rho.nodes:
             t = tree.depth[stop]
             for leaf in leaves_under(tree, stop):

@@ -160,13 +160,13 @@ def oracle_fatou(grid, m_arr, d_arr, m, n_paths, seed):
         cache = {}
         for j, t in enumerate(times):
             completed = [p for p in phases if p[1] <= t]
-            level = step_value(times, d_arr, completed[-1][2]) if completed else float(d_arr[0])
+            level = step_value(times, d_arr, completed[-1][0]) if completed else float(d_arr[0])
             active = next((p for p in phases if p[0] < t < p[1]), None)
             if active is None:
                 out[j] = level
                 continue
-            start, end, target = active
-            nxt = step_value(times, d_arr, target)
+            start, end = active
+            nxt = step_value(times, d_arr, start)
             if nxt == level:
                 out[j] = level
                 continue

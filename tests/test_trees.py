@@ -45,7 +45,7 @@ def test_cylinder_probabilities_sum_to_one():
 
 def test_supermartingale_constant_one_is_martingale():
     tree, _ = binary_example()
-    rep = is_supermartingale(tree, AdaptedProcess.constant(tree, 1))
+    rep = is_supermartingale(tree, AdaptedProcess(dict.fromkeys(tree.iter_nodes(), Fraction(1))))
     assert rep.ok and rep.is_martingale
 
 

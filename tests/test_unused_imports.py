@@ -10,6 +10,13 @@ A module-level private name (``_x``, not a dunder) defined by ``def``,
 ``class`` or assignment counts as used when some module under ``src/``
 reads it as a plain name, reads it as an attribute or imports it.  A
 removal that leaves its private helper behind fails here.
+
+A module-level public name counts as used when code under ``src/`` other
+than its own definition reads it in one of those ways, or when a script in
+``bench/`` reads it, either in code or as a string (the bench tracer
+patches functions by name).  A name that only tests use does not belong
+in ``src/``; the few public names that nothing else reads are listed in
+``KEPT_UNREAD`` with the reason each stays.
 """
 
 import ast
@@ -19,6 +26,17 @@ import pytest
 
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src"
 MODULES = sorted(SRC.rglob("*.py"))
+BENCH_SCRIPTS = sorted((SRC.parent / "bench").glob("*.py"))
+
+# public names that nothing in src/ or bench/ reads, and why each stays
+KEPT_UNREAD = {
+    "tau_hat": "a statement of the paper",
+    "chain_measure_from_constant_times": "a statement of the paper",
+    "dyadic_demo": "a statement of the paper",
+    "multiplicative_property_violations": "a statement of the paper",
+    "unary_chain": "test support: the corpus's one-path tree",
+}
+DISPATCHED_PREFIX = "cmd_"  # cli.main looks each subcommand's handler up by name
 
 
 def unused_imports(source: str):
@@ -52,33 +70,44 @@ def test_no_unused_import(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
 
 
-def private_definitions(source: str):
-    """(line, name) of each module-level private name that ``source`` defines."""
+def definitions(module: ast.Module):
+    """(statement, line, name) of each name that a module-level statement defines."""
     found = []
-    for node in ast.parse(source).body:
+    for node in module.body:
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-            found.append((node.lineno, node.name))
+            found.append((node, node.lineno, node.name))
         elif isinstance(node, (ast.Assign, ast.AnnAssign)):
             targets = node.targets if isinstance(node, ast.Assign) else [node.target]
             for target in targets:
-                found += [(n.lineno, n.id) for n in ast.walk(target) if isinstance(n, ast.Name)]
+                found += [(node, n.lineno, n.id) for n in ast.walk(target) if isinstance(n, ast.Name)]
+    return found
+
+
+def private_definitions(source: str):
+    """(line, name) of each module-level private name that ``source`` defines."""
     return [
         (line, name)
-        for line, name in found
+        for _, line, name in definitions(ast.parse(source))
         if name.startswith("_") and not (name.startswith("__") and name.endswith("__"))
     ]
 
 
-def references(source: str):
-    """Every name that ``source`` reads, reads as an attribute, or imports."""
+def references(source, strings=False):
+    """Every name that ``source`` (text or a parsed node) reads, reads as an attribute, or imports.
+
+    With ``strings``, each dotted part of a string constant counts as read too.
+    """
     names = set()
-    for node in ast.walk(ast.parse(source)):
+    tree = ast.parse(source) if isinstance(source, str) else source
+    for node in ast.walk(tree):
         if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
             names.add(node.id)
         elif isinstance(node, ast.Attribute):
             names.add(node.attr)
         elif isinstance(node, ast.ImportFrom):
             names.update(alias.name for alias in node.names)
+        elif strings and isinstance(node, ast.Constant) and isinstance(node.value, str):
+            names.update(node.value.split("."))
     return names
 
 
@@ -105,3 +134,60 @@ def test_no_unused_private_name(path):
     used = set().union(*(references(p.read_text(encoding="utf-8")) for p in MODULES))
     defined = private_definitions(path.read_text(encoding="utf-8"))
     assert [(line, name) for line, name in defined if name not in used] == []
+
+
+def unread_public_names(module: ast.Module, elsewhere: set):
+    """(line, name) of each public module-level name that nothing reads.
+
+    A reader is ``elsewhere`` or a statement of ``module`` other than the
+    name's own definition.  ``KEPT_UNREAD`` and the dispatched handlers are
+    left out.
+    """
+    unread = []
+    for stmt, line, name in definitions(module):
+        if name.startswith("_") or name in KEPT_UNREAD or name.startswith(DISPATCHED_PREFIX):
+            continue
+        if name in elsewhere:
+            continue
+        if not any(name in references(other) for other in module.body if other is not stmt):
+            unread.append((line, name))
+    return unread
+
+
+def test_the_check_sees_an_unread_public_name():
+    module = ast.parse(
+        "LIMIT = 3\n"
+        "UNREAD = 4\n"
+        "def used(n):\n"
+        "    return min(n, LIMIT)\n"
+        "def only_itself(n):\n"
+        "    return only_itself(n - 1) if n else 0\n"
+        "class Report:\n"
+        "    def again(self) -> 'Report':\n"
+        "        return Report()\n"
+        "def patched_by_name():\n"
+        "    pass\n"
+        "def cmd_run(args):\n"
+        "    pass\n"
+        "def tau_hat():\n"
+        "    pass\n"
+    )
+    other = references("from .m import used\nused(1)\n")
+    bench = references("spans(m, 'm', ('patched_by_name',))\n", strings=True)
+    assert unread_public_names(module, other | bench) == [
+        (2, "UNREAD"),
+        (5, "only_itself"),
+        (7, "Report"),
+    ]
+
+
+PARSED = {path: ast.parse(path.read_text(encoding="utf-8")) for path in MODULES}
+
+
+@pytest.mark.parametrize("path", MODULES, ids=[str(p.relative_to(SRC)) for p in MODULES])
+def test_every_public_name_is_read_outside_tests(path):
+    elsewhere = set().union(
+        *(references(module) for other, module in PARSED.items() if other != path),
+        *(references(p.read_text(encoding="utf-8"), strings=True) for p in BENCH_SCRIPTS),
+    )
+    assert unread_public_names(PARSED[path], elsewhere) == []

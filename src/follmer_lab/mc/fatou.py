@@ -48,7 +48,7 @@ def left_value(times: np.ndarray, values: np.ndarray, t: float) -> float:
 
 
 def _phase_schedule(m: int, t_max: float) -> list:
-    """Phase intervals (start, end) at level m, within [0, t_max]; a phase burns down to D(start)."""
+    """Phase intervals (start, end) at level m within [0, t_max]; each burns down to D(start)."""
     step = 2.0**-m
     width = 2.0 ** (-3 * m)
     k_max = min(int(math.floor(t_max / step + 1e-12)), m * 2**m)

@@ -134,8 +134,8 @@ def test_constant_time_and_never_rows_on_non_antichains():
             expect = never_rows(tree, rho)
             assert [(r.atom_node, r.lhs, r.rhs) for r in rep.rows[k:]] == expect
             assert all(r.rho_id == "rho" for r in rep.rows)
-        for rho in times:
-            assert len(verify_ky(pair, tree, z, rho).rows) == len(rho.nodes)
+        # every path meets a constant time, and the empty set stops none
+        assert all(never_rows(tree, rho) == [] for rho in times)
         everything = verify_ky(pair, tree, z, StoppingTime(frozenset()))
         assert [r.atom_node for r in everything.rows] == tree.leaves
 

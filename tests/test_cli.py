@@ -10,6 +10,7 @@ import subprocess
 import sys
 import tempfile
 from fractions import Fraction
+from hashlib import sha256
 
 import numpy as np
 import pytest
@@ -181,33 +182,99 @@ def _row(data, node, alive):
     )
 
 
+def _hide_negative_killed_row_at_u(data):
+    """A killed row at the leaf u with mass -1/8, which the survivor row at u makes up."""
+    _row(data, "u", True).update(mass="7/8")
+    data["outcomes"].append({"history_node": "u", "kill_time": 2, "target": "cemetery", "mass": "-1/8"})
+
+
+def _split_root_between_targets(data):
+    """The mass killed at r, half at the pair's target and half at another."""
+    _row(data, "r", False).update(mass="1/16")
+    data["outcomes"].append({"history_node": "r", "kill_time": 1, "target": "x", "mass": "1/16"})
+
+
+def _unknown_node_then_layout_fault(data):
+    data["outcomes"][0].update(history_node="nowhere")
+    _row(data, "u", True).update(target="banana")
+
+
+def _layout_fault_then_malformed_row(data):
+    _row(data, "r", False).update(kill_time=7)
+    data["outcomes"].append({"history_node": "u", "kill_time": "never", "target": None})
+
+
+# the ledger of the binary example's valid pair: every atom equal
+_BINARY_LEDGER = "1ed37de0794ae8417e215694a3e7d564669e05447ca8186f6bea6a189356663a"
+
+
+# each case's exit code, whole stderr and the SHA-256 of ky_ledger.csv (None
+# where none is written); a row's mass counts at its node in the ledger, so
+# the ledger of a broken pair keeps every row
 @pytest.mark.parametrize(
-    "case, edit, named",
+    "case, edit, code, err, ledger",
     [
-        (binary_example, lambda d: _row(d, "r", False).update(kill_time=7), "kill time 7"),
-        (binary_example, lambda d: _row(d, "r", False).update(target="banana"), "target banana"),
-        (binary_example, lambda d: _row(d, "r", False).update(kill_time="never", target=None), "not a leaf"),
-        (binary_example, lambda d: _row(d, "u", True).update(mass="-3/4"), "negative mass"),
-        (binary_example, lambda d: _row(d, "u", True).update(mass="1/1"), "sum to 5/4"),
-        (
-            binary_example,
-            lambda d: _row(d, "u", True).update(target="banana"),
-            "target banana) survives, so it can have no target",
+        (binary_example, lambda d: _row(d, "r", False).update(kill_time=7), 1,
+            'verification failed: outcome (history r, kill time 7, target cemetery) must be killed at time depth+1 = 1 within the horizon 1\n',
+            _BINARY_LEDGER,
+        ),
+        (binary_example, lambda d: _row(d, "r", False).update(target="banana"), 1,
+            "verification failed: outcome (history r, kill time 1, target banana) is not killed at the pair's target cemetery\n",
+            _BINARY_LEDGER,
+        ),
+        (binary_example, lambda d: _row(d, "r", False).update(kill_time="never", target=None), 1,
+            'verification failed: outcome (history r, kill time never, target None) survives at a node that is not a leaf\n',
+            _BINARY_LEDGER,
+        ),
+        (binary_example, lambda d: _row(d, "u", True).update(mass="-3/4"), 1,
+            'verification failed: outcome (history u, kill time never, target None) has negative mass -3/4\nverification failed at stopping time t0, atom r: -1/2 != 1/1\n',
+            "e76fb9d6904ee39abc1a4fb0b3edaa7dc02bf4347077002526368ea3a52a4086",
+        ),
+        (binary_example, lambda d: _row(d, "u", True).update(mass="1/1"), 1,
+            'verification failed: outcome masses sum to 5/4, not 1\nverification failed at stopping time t0, atom r: 5/4 != 1/1\n',
+            "d1e81ea17a78c756cd44966f7b7eb386ca957c24b7ec5c33ea9345413825a501",
+        ),
+        (binary_example, lambda d: _row(d, "u", True).update(target="banana"), 1,
+            'verification failed: outcome (history u, kill time never, target banana) survives, so it can have no target\n',
+            _BINARY_LEDGER,
         ),
         # the freeze pair that `follmer --target d` refuses to build
-        (_colliding_example, _freeze_at_d, "freeze state 'd' collides with charged path r/a/aa"),
+        (_colliding_example, _freeze_at_d, 1,
+            "verification failed: freeze state 'd' collides with charged path r/a/aa: it sits at 'd' for 2 consecutive times through the horizon\n",
+            "9f05424c662b4e603201648036c8b212511e8a663cc296cbf398f7642d004ea9",
+        ),
+        (binary_example, _split_root_between_targets, 1,
+            "verification failed: outcome (history r, kill time 1, target x) is not killed at the pair's target cemetery\n",
+            _BINARY_LEDGER,
+        ),
+        (binary_example, _hide_negative_killed_row_at_u, 1,
+            'verification failed: outcome (history u, kill time 2, target cemetery) has negative mass -1/8\n',
+            _BINARY_LEDGER,
+        ),
+        (binary_example, _unknown_node_then_layout_fault, 2,
+            "error: outcome (history nowhere, kill time 1, target cemetery) names node 'nowhere', which the tree lacks\n",
+            None,
+        ),
+        (binary_example, _layout_fault_then_malformed_row, 2,
+            "error: malformed outcome {'history_node': 'u', 'kill_time': 'never', 'target': None}: KeyError('mass')\n",
+            None,
+        ),
     ],
     ids=[
         "kill-time", "target", "survivor-off-leaf", "negative-mass", "mass-sum", "survivor-target",
-        "colliding-freeze-state",
+        "colliding-freeze-state", "two-targets-at-a-node", "hidden-negative-row", "unknown-node-first",
+        "malformed-row-after-layout-fault",
     ],
 )
-def test_verify_rejects_invalid_outcome_space(tmp_path, capsys, case, edit, named):
+def test_verify_rejects_invalid_outcome_space(tmp_path, capsys, case, edit, code, err, ledger):
     tree_file, pair_file = _pair_files(tmp_path, edit, case)
-    assert main(["verify", tree_file, pair_file, "--out", str(tmp_path / "out")]) == 1
+    out = tmp_path / "out"
+    assert main(["verify", tree_file, pair_file, "--out", str(out)]) == code
     captured = capsys.readouterr()
-    assert "verification failed" in captured.err and named in captured.err
+    assert captured.err == err
     assert "stopping times verified" not in captured.out
+    ledger_file = out / "ky_ledger.csv"
+    assert (sha256(ledger_file.read_bytes()).hexdigest() if ledger_file.exists() else None) == ledger
 
 
 @pytest.mark.parametrize(

@@ -111,7 +111,7 @@ def cmd_follmer(args) -> int:
 
 def cmd_verify(args) -> int:
     tree, z = FilteredTree.from_json(args.tree_file)
-    pair = FollmerPair.from_json(args.pair_file)
+    pair = FollmerPair.from_json(args.pair_file, tree)
     ledger = verify_ky_all(pair, tree, z)
     ledger_path = os.path.join(_out_dir(args), "ky_ledger.csv")
     write_ky_ledger(ledger, ledger_path)

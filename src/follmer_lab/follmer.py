@@ -34,13 +34,51 @@ P[s] * Z[s]) does not involve rho; every node is a stop node of the constant
 time at its depth.  So the identity holds for every stopping time exactly
 when it holds at every node, and :func:`verify_ky_all` certifies it in one
 pass over the nodes instead of enumerating stopping times.
+
+On a finite tree the pair is two node-keyed laws (:class:`FollmerPair`): the
+mass killed just after each internal node, and the mass surviving at each
+leaf.  A pair file (:meth:`FollmerPair.to_json`) is an object with the
+pair's ``target`` (``"cemetery"`` or the freeze label) and an ``outcomes``
+list of rows, one per node with nonzero mass:
+
+- ``history_node``: the node's id, read as a string;
+- ``kill_time``: depth(node)+1 for a killed mass, or ``"never"`` for a
+  survivor;
+- ``target``: the pair's target for a killed mass, null for a survivor;
+- ``mass``: a rational string as :func:`~follmer_lab.trees.frac` reads it.
+
+Killed rows come first, sorted by kill time and then node id, and the
+survivor rows follow, sorted by node id.  ``verify`` reads a pair file
+against its tree (:meth:`FollmerPair.from_json`) and reports the first
+fault in this order.  Exit code 2:
+
+- the file cannot be read as JSON;
+- the top level has no ``outcomes`` list, or no string ``target``;
+- a malformed row (a missing field, a ``kill_time`` that is neither an
+  integer nor ``"never"``, a ``target`` that is neither a string nor null,
+  a ``mass`` that is not a rational), or a row whose (node, kill time,
+  target) is listed twice, whichever comes first in the file;
+- the first row whose node the tree lacks.
+
+Exit code 1, with the KY ledger still written:
+
+- the freeze target breaks the freeze-state rule;
+- the first row that has negative mass or breaks the layout above: a
+  ``"never"`` row off a leaf or with a target, or a killed row whose kill
+  time is not depth+1 within the horizon or whose target is not the
+  pair's;
+- the masses do not total 1.
+
+A failing KY atom also exits 1, and is reported after any of these.  Each
+row's mass counts at its node, whatever its kill time and target, so
+the ledger of a broken pair accounts for every row.
 """
 
 from __future__ import annotations
 
 import csv
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from typing import Dict, Iterable, List, Optional, Tuple
 
@@ -51,7 +89,6 @@ from .errors import (
 )
 from .trees import (
     AdaptedProcess,
-    ExtendedOutcome,
     FilteredTree,
     StoppingTime,
     count_stopping_times,
@@ -66,54 +103,66 @@ CEMETERY = "cemetery"
 
 @dataclass(frozen=True)
 class FollmerPair:
-    """An outcome measure on the extended tree together with its kill time.
+    """A Föllmer pair on ``tree``: two node-keyed laws and the target of its kill time.
 
-    ``outcomes`` maps :class:`ExtendedOutcome` to exact mass.  The kill-time
-    coordinate of each outcome is the stopping time of the pair; no original
-    (surviving) path carries a kill time, so the reference measure sees the
-    kill time as infinite.
+    ``killed[n]`` is the mass killed just after the internal node n, at time
+    depth(n)+1, and sent to ``target``; ``survivors[leaf]`` is the mass never
+    killed, which the reference measure sees with an infinite kill time.
+    Nodes that carry no mass are left out.  ``defect`` is set only by
+    :meth:`from_dict`: the first row of the file that breaks this layout or
+    has negative mass, as ``verify`` reports it.
 
     The survivor masses the KY check aggregates are memoised per tree on the
-    instance, so ``outcomes`` must not be mutated after construction: build
-    a new pair instead.
+    instance, so the maps must not be mutated after construction: build a new
+    pair instead.
     """
 
-    outcomes: Dict[ExtendedOutcome, Fraction]
+    tree: FilteredTree
     target: str  # CEMETERY or the freeze-state label
-    _survivors: Dict[FilteredTree, Dict[str, Fraction]] = field(
+    killed: Dict[str, Fraction]
+    survivors: Dict[str, Fraction]
+    defect: Optional[str] = None
+    _mass_past: Dict[FilteredTree, Dict[str, Fraction]] = field(
         default_factory=dict, init=False, repr=False, compare=False
     )
 
     def total_mass(self) -> Fraction:
-        return sum(self.outcomes.values(), Fraction(0))
+        return sum(self.survivors.values(), self.killed_mass())
 
     def killed_mass(self) -> Fraction:
-        return sum(
-            (m for o, m in self.outcomes.items() if not o.alive), Fraction(0)
-        )
+        return sum(self.killed.values(), Fraction(0))
 
     def to_dict(self) -> dict:
-        rows = []
-        for o in sorted(
-            self.outcomes, key=lambda o: (o.kill_time is None, o.kill_time or 0, o.base_node)
-        ):
-            rows.append(
-                {
-                    "history_node": o.base_node,
-                    "kill_time": "never" if o.alive else o.kill_time,
-                    "target": o.target,
-                    "mass": frac_str(self.outcomes[o]),
-                }
-            )
-        return {"target": self.target, "outcomes": rows}
+        depth, target = self.tree.depth, self.target
+        rows = [
+            {"history_node": n, "kill_time": depth[n] + 1, "target": target, "mass": frac_str(m)}
+            for n, m in sorted(self.killed.items(), key=lambda item: (depth[item[0]], item[0]))
+        ]
+        rows += [
+            {"history_node": n, "kill_time": "never", "target": None, "mass": frac_str(m)}
+            for n, m in sorted(self.survivors.items())
+        ]
+        return {"target": target, "outcomes": rows}
 
     @classmethod
-    def from_dict(cls, data: dict) -> "FollmerPair":
+    def from_dict(cls, data: dict, tree: FilteredTree) -> "FollmerPair":
+        """The pair a pair file holds, read against ``tree``; faults as in the module docstring.
+
+        Raises :class:`PairValidationError` for the faults of exit code 2.
+        Each row's mass is added to its node's entry, in ``killed`` at an
+        internal node and in ``survivors`` at a leaf, whatever the row's kill
+        time and target, so the KY ledger of a broken pair counts every row.
+        """
         if not isinstance(data, dict) or not isinstance(data.get("outcomes"), list):
             raise PairValidationError("a pair needs an 'outcomes' list")
         if not isinstance(data.get("target"), str):
             raise PairValidationError("a pair needs a 'target' label")
-        outcomes: Dict[ExtendedOutcome, Fraction] = {}
+        target = data["target"]
+        depth, children, horizon = tree.depth, tree.children, tree.horizon
+        killed: Dict[str, Fraction] = {}
+        survivors: Dict[str, Fraction] = {}
+        seen = {}  # every row's (node, kill time, target), in file order
+        defect = None
         for row in data["outcomes"]:
             try:
                 kt = row["kill_time"]
@@ -121,25 +170,47 @@ class FollmerPair:
                     kt = None
                 elif not isinstance(kt, int) or isinstance(kt, bool):
                     raise TypeError(f"kill_time {kt!r} is neither an integer nor 'never'")
-                target = row.get("target")
-                if target is not None and not isinstance(target, str):
-                    raise TypeError(f"target {target!r} is not a string")
-                o = ExtendedOutcome(str(row["history_node"]), kt, target)
+                to = row.get("target")
+                if to is not None and not isinstance(to, str):
+                    raise TypeError(f"target {to!r} is not a string")
+                node = str(row["history_node"])
                 mass = frac(row["mass"])
             except (ArithmeticError, KeyError, TypeError, ValueError) as exc:
                 raise PairValidationError(f"malformed outcome {row!r}: {exc!r}") from exc
-            if o in outcomes:
-                raise PairValidationError(f"{_describe(o)} is listed twice")
-            outcomes[o] = mass
-        return cls(outcomes, data["target"])
+            if (node, kt, to) in seen:
+                raise PairValidationError(f"{_describe(node, kt, to)} is listed twice")
+            seen[node, kt, to] = None
+            if node not in depth:  # reported once every row has been parsed
+                continue
+            if defect is None:
+                if mass < 0:
+                    defect = f"{_describe(node, kt, to)} has negative mass {frac_str(mass)}"
+                elif kt is None:
+                    if children[node]:
+                        defect = f"{_describe(node, kt, to)} survives at a node that is not a leaf"
+                    elif to is not None:
+                        defect = f"{_describe(node, kt, to)} survives, so it can have no target"
+                elif kt != depth[node] + 1 or kt > horizon:
+                    defect = (
+                        f"{_describe(node, kt, to)} must be killed at time depth+1 = "
+                        f"{depth[node] + 1} within the horizon {horizon}"
+                    )
+                elif to != target:
+                    defect = f"{_describe(node, kt, to)} is not killed at the pair's target {target}"
+            masses = killed if children[node] else survivors
+            masses[node] = masses[node] + mass if node in masses else mass
+        for node, kt, to in seen:
+            if node not in depth:
+                raise PairValidationError(f"{_describe(node, kt, to)} names node {node!r}, which the tree lacks")
+        return cls(tree, target, killed, survivors, defect)
 
     def to_json(self, path: str) -> None:
         write_json(path, self.to_dict())
 
     @classmethod
-    def from_json(cls, path: str) -> "FollmerPair":
+    def from_json(cls, path: str, tree: FilteredTree) -> "FollmerPair":
         with open(path, "r", encoding="utf-8") as fh:
-            return cls.from_dict(json.load(fh))
+            return cls.from_dict(json.load(fh), tree)
 
 
 def _check_freeze_admissible(tree: FilteredTree, x_star: str) -> None:
@@ -183,7 +254,8 @@ def construct_follmer(
     means = require_supermartingale(tree, z)
     if target != CEMETERY:
         _check_freeze_admissible(tree, target)
-    outcomes: Dict[ExtendedOutcome, Fraction] = {}
+    killed: Dict[str, Fraction] = {}
+    survivors: Dict[str, Fraction] = {}
     zv, path_prob = z.values, tree.path_prob
     for n in tree.iter_nodes():
         zn = zv[n]
@@ -192,10 +264,10 @@ def construct_follmer(
         # step) and nothing survives at a zero of Z
         if e is not None:
             if e is not zn:
-                outcomes[ExtendedOutcome(n, tree.depth[n] + 1, target)] = path_prob[n] * (zn - e)
+                killed[n] = path_prob[n] * (zn - e)
         elif zn:
-            outcomes[ExtendedOutcome(n, None, None)] = path_prob[n] * zn
-    return FollmerPair(outcomes, target)
+            survivors[n] = path_prob[n] * zn
+    return FollmerPair(tree, target, killed, survivors)
 
 
 # -- Kunita-Yoeurp verification ----------------------------------------------
@@ -224,44 +296,31 @@ class KYReport:
     pair_problem: Optional[str] = None
 
 
-def _describe(o: ExtendedOutcome) -> str:
-    kill = "never" if o.alive else o.kill_time
-    return f"outcome (history {o.base_node}, kill time {kill}, target {o.target})"
+def _describe(node: str, kill_time: Optional[int], target: Optional[str]) -> str:
+    kill = "never" if kill_time is None else kill_time
+    return f"outcome (history {node}, kill time {kill}, target {target})"
 
 
 def pair_problem(tree: FilteredTree, pair: FollmerPair) -> Optional[str]:
-    """The first outcome that breaks the extended outcome space, or None.
+    """The pair's first broken invariant, or None.
 
-    The KY atoms aggregate masses by history node only, so they cannot see
-    these invariants: a killed outcome dies one step after its history node
-    (kill time depth(base)+1, within the horizon) at the pair's target, a
-    surviving outcome sits on a leaf with no target, the masses are
-    nonnegative with total 1, and a freeze target obeys the same rules as in
-    :func:`construct_follmer`.  The history nodes must already be known to
-    the tree.
+    The KY atoms aggregate masses by node only, so they cannot see these
+    invariants, checked in this order: a freeze target obeys the same rules
+    as in :func:`construct_follmer`, the rows of a pair file keep the layout
+    (``pair.defect``), the masses are nonnegative, and they total 1.
     """
     if pair.target != CEMETERY:
         try:
             _check_freeze_admissible(tree, pair.target)
         except FreezeTargetError as exc:
             return str(exc)
-    for o, mass in pair.outcomes.items():
-        if mass < 0:
-            return f"{_describe(o)} has negative mass {frac_str(mass)}"
-        if o.alive:
-            if not tree.is_leaf(o.base_node):
-                return f"{_describe(o)} survives at a node that is not a leaf"
-            if o.target is not None:
-                return f"{_describe(o)} survives, so it can have no target"
-        else:
-            expected = tree.depth[o.base_node] + 1
-            if o.kill_time != expected or expected > tree.horizon:
-                return (
-                    f"{_describe(o)} must be killed at time depth+1 = {expected} "
-                    f"within the horizon {tree.horizon}"
-                )
-            if o.target != pair.target:
-                return f"{_describe(o)} is not killed at the pair's target {pair.target}"
+    if pair.defect is not None:
+        return pair.defect
+    for masses in (pair.killed, pair.survivors):
+        for n, mass in masses.items():
+            if mass < 0:
+                kill, to = (tree.depth[n] + 1, pair.target) if masses is pair.killed else (None, None)
+                return f"{_describe(n, kill, to)} has negative mass {frac_str(mass)}"
     total = pair.total_mass()
     if total != 1:
         return f"outcome masses sum to {frac_str(total)}, not 1"
@@ -273,30 +332,26 @@ def _survivor_mass_by_node(
 ) -> Dict[str, Fraction]:
     """For each node s: Q-mass of outcomes alive strictly past depth(s) within cyl(s).
 
-    An outcome killed at time u with history n lies in the cylinder of s and
-    survives past depth(s) exactly when s is an ancestor-or-equal of n; alive
-    outcomes contribute through their leaf.  Aggregated bottom-up in O(nodes)
-    once per tree and memoised on the pair.  Raises
-    :class:`PairValidationError` for a history node the tree lacks.
+    The mass killed after n lies in the cylinder of s and survives past
+    depth(s) exactly when s is an ancestor-or-equal of n; survivors
+    contribute through their leaf.  Aggregated bottom-up in O(nodes) once
+    per tree and memoised on the pair.
     """
-    agg = pair._survivors.get(tree)
+    agg = pair._mass_past.get(tree)
     if agg is not None:
         return agg
-    # zero masses, most of a tree below its zero hits, add nothing
+    # killed masses sit at internal nodes and survivors at leaves, so the
+    # seeds do not overlap; zero masses, most of a tree below its zero hits,
+    # add nothing
     agg = dict.fromkeys(tree.iter_nodes(), Fraction(0))
-    for o, mass in pair.outcomes.items():
-        if o.base_node not in agg:
-            raise PairValidationError(
-                f"{_describe(o)} names node {o.base_node!r}, which the tree lacks"
-            )
-        a = agg[o.base_node]
-        agg[o.base_node] = a + mass if a else mass
+    agg.update(pair.killed)
+    agg.update(pair.survivors)
     for n in reversed(list(tree.iter_nodes())):
         for c in tree.children[n]:
             b = agg[c]
             if b:
                 agg[n] = agg[n] + b if agg[n] else b
-    pair._survivors[tree] = agg
+    pair._mass_past[tree] = agg
     return agg
 
 
@@ -477,7 +532,7 @@ def nonuniqueness_witness(
     this order: Z is not a supermartingale, no mass is lost, x* is the
     cemetery, and a charged path sits at x*
     (:func:`_check_freeze_admissible`).  The freeze pair is the cemetery
-    pair with each killed outcome's target set to x*, which is what
+    pair's two maps under the target x*, which is what
     ``construct_follmer(tree, z, x_star)`` returns.
     """
     pair_cemetery = construct_follmer(tree, z, CEMETERY)
@@ -492,11 +547,7 @@ def nonuniqueness_witness(
             f"the cemetery pair"
         )
     _check_freeze_admissible(tree, x_star)
-    frozen = {
-        o if o.alive else ExtendedOutcome(o.base_node, o.kill_time, x_star): mass
-        for o, mass in pair_cemetery.outcomes.items()
-    }
-    return pair_cemetery, FollmerPair(frozen, x_star), lost
+    return pair_cemetery, replace(pair_cemetery, target=x_star), lost
 
 
 def chain_measure_from_constant_times(

@@ -542,24 +542,6 @@ class StoppingTime:
         return cls(frozenset(tree.nodes_at_depth(t)))
 
 
-@dataclass(frozen=True)
-class ExtendedOutcome:
-    """A point of the cemetery/freeze-extended outcome space.
-
-    ``base_node`` is the last alive node; ``kill_time`` is in 1..T or None for
-    paths that are never killed (then ``base_node`` is a leaf).  ``target`` is
-    'cemetery' or a freeze-state label and is None for alive outcomes.
-    """
-
-    base_node: str
-    kill_time: Optional[int]
-    target: Optional[str]
-
-    @property
-    def alive(self) -> bool:
-        return self.kill_time is None
-
-
 # -- operations -------------------------------------------------------------
 
 

@@ -112,7 +112,7 @@ def test_follmer_all_pass_ledger(binary_file, tmp_path):
     ledger = (out / "ky_ledger.csv").read_text().splitlines()
     assert ledger[0] == "rho_id,atom_node,lhs,rhs,equal"
     assert all(line.endswith("true") for line in ledger[1:])
-    pair = FollmerPair.from_json(str(out / "pair.json"))
+    pair = FollmerPair.from_json(str(out / "pair.json"), FilteredTree.from_json(binary_file)[0])
     assert pair.total_mass() == 1
 
 

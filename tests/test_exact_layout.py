@@ -13,6 +13,7 @@ each call.
 import json
 import random
 import sys
+from dataclasses import replace
 from fractions import Fraction
 from hashlib import sha256
 
@@ -23,10 +24,9 @@ from follmer_lab.cli import main
 from follmer_lab.corpus import binary_example, random_case, random_supermartingale
 from follmer_lab.decompositions import doob_meyer, multiplicative
 from follmer_lab.errors import FreezeTargetError, NotSupermartingaleError
-from follmer_lab.follmer import CEMETERY, FollmerPair, construct_follmer, verify_ky, verify_ky_all
+from follmer_lab.follmer import CEMETERY, construct_follmer, verify_ky, verify_ky_all
 from follmer_lab.trees import (
     AdaptedProcess,
-    ExtendedOutcome,
     FilteredTree,
     StoppingTime,
     is_supermartingale,
@@ -261,19 +261,23 @@ def test_one_step_means_are_computed_once_per_tree_and_process(monkeypatch):
         assert sorted(calls) == sorted(n for n in tree.iter_nodes() if tree.children[n])
 
 
-def quantile_killing_outcomes(tree, z, target):
-    """The pair by the quantile-killing formula: P[n] M[n] (D_n - D_{n+1}) and P[leaf] Z[leaf]."""
+def quantile_killing_outcomes(tree, z):
+    """The pair's killed and surviving masses by the quantile-killing formula.
+
+    P[n] M[n] (D_n - D_{n+1}) is killed after the internal node n, and
+    P[leaf] Z[leaf] survives at each leaf; zero masses are left out.
+    """
     dec = multiplicative(tree, z)
     m, d = dec.martingale, dec.factor
-    outcomes = {}
+    killed, survivors = {}, {}
     for n in tree.iter_nodes():
         if tree.children[n]:
             mass = tree.path_prob[n] * m[n] * (d.value_on(tree, n) - d.steps[n])
             if mass != 0:
-                outcomes[ExtendedOutcome(n, tree.depth[n] + 1, target)] = mass
+                killed[n] = mass
         elif z[n] != 0:
-            outcomes[ExtendedOutcome(n, None, None)] = tree.path_prob[n] * z[n]
-    return outcomes
+            survivors[n] = tree.path_prob[n] * z[n]
+    return killed, survivors
 
 
 def test_follmer_pair_equals_the_quantile_killing_construction():
@@ -295,7 +299,7 @@ def test_follmer_pair_equals_the_quantile_killing_construction():
             except FreezeTargetError:
                 continue
             seen["freeze"] += target != CEMETERY
-            assert pair.outcomes == quantile_killing_outcomes(tree, z, target)
+            assert (pair.killed, pair.survivors) == quantile_killing_outcomes(tree, z)
             assert pair.target == target
     assert min(seen.values()) >= 20, seen
 
@@ -307,14 +311,14 @@ def test_mass_moved_copy_gets_its_own_verdict():
     tree, z = binary_example()
     pair = construct_follmer(tree, z)
     assert verify_ky_all(pair, tree, z).ok
-    alive = [o for o in pair.outcomes if o.alive]
-    moved = dict(pair.outcomes)
+    alive = list(pair.survivors)
+    moved = dict(pair.survivors)
     moved[alive[0]] -= Fraction(1, 100)
     moved[alive[1]] += Fraction(1, 100)
-    copy = FollmerPair(moved, pair.target)
+    copy = replace(pair, survivors=moved)
     rep = verify_ky_all(copy, tree, z)
     assert not rep.ok and rep.pair_problem is None
-    assert rep.first_failure.atom_node == alive[0].base_node
+    assert rep.first_failure.atom_node == alive[0]
     assert not verify_ky(copy, tree, z, StoppingTime.constant(tree, 1)).ok
     assert verify_ky_all(pair, tree, z).ok
     assert verify_ky(pair, tree, z, StoppingTime.constant(tree, 1)).ok

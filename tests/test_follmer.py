@@ -5,6 +5,7 @@ by hand on the tiny trees involved.
 """
 
 import random
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -13,7 +14,6 @@ from follmer_lab.corpus import binary_example, random_case, unary_chain
 from follmer_lab.errors import FreezeTargetError, MartingaleWitnessError
 from follmer_lab.follmer import (
     CEMETERY,
-    ExtendedOutcome,
     FollmerPair,
     chain_measure_from_constant_times,
     construct_follmer,
@@ -29,8 +29,11 @@ from follmer_lab.trees import AdaptedProcess, FilteredTree, StoppingTime
 def kill_time_distribution(pair):
     """The pair's mass per kill time (None for the surviving outcomes)."""
     dist = {}
-    for o, m in pair.outcomes.items():
-        dist[o.kill_time] = dist.get(o.kill_time, Fraction(0)) + m
+    for n, m in pair.killed.items():
+        t = pair.tree.depth[n] + 1
+        dist[t] = dist.get(t, Fraction(0)) + m
+    if pair.survivors:
+        dist[None] = sum(pair.survivors.values(), Fraction(0))
     return dist
 
 
@@ -38,10 +41,14 @@ def test_binary_masses_by_hand_enumeration():
     tree, z = binary_example()
     pair = construct_follmer(tree, z)
     # kill at 1 with history root: 1 * 1 * (1 - 7/8) = 1/8
-    assert pair.outcomes[ExtendedOutcome("r", 1, CEMETERY)] == Fraction(1, 8)
+    assert pair.killed == {"r": Fraction(1, 8)}
     # alive leaves: P * Z_T = (3/4, 1/8)
-    assert pair.outcomes[ExtendedOutcome("u", None, None)] == Fraction(3, 4)
-    assert pair.outcomes[ExtendedOutcome("d", None, None)] == Fraction(1, 8)
+    assert pair.survivors == {"u": Fraction(3, 4), "d": Fraction(1, 8)}
+    assert pair.to_dict()["outcomes"] == [
+        {"history_node": "r", "kill_time": 1, "target": CEMETERY, "mass": "1/8"},
+        {"history_node": "d", "kill_time": "never", "target": None, "mass": "1/8"},
+        {"history_node": "u", "kill_time": "never", "target": None, "mass": "3/4"},
+    ]
     assert pair.total_mass() == 1
     assert pair.killed_mass() == Fraction(1, 8)
 
@@ -53,16 +60,15 @@ def test_martingale_loses_no_mass():
     assert pair.killed_mass() == 0
     for leaf in tree.leaves:
         expected = tree.path_prob[leaf] * z[leaf]
-        got = pair.outcomes.get(ExtendedOutcome(leaf, None, None), Fraction(0))
+        got = pair.survivors.get(leaf, Fraction(0))
         assert got == expected
 
 
 def test_halving_chain_masses():
     chain, z = unary_chain([1, Fraction(1, 2), Fraction(1, 2)])
     pair = construct_follmer(chain, z)
-    assert pair.outcomes[ExtendedOutcome("n0", 1, CEMETERY)] == Fraction(1, 2)
-    assert pair.outcomes[ExtendedOutcome("n2", None, None)] == Fraction(1, 2)
-    assert len(pair.outcomes) == 2  # no mass lost at t=2
+    assert pair.killed == {"n0": Fraction(1, 2)}  # killed at 1; no mass lost at t=2
+    assert pair.survivors == {"n2": Fraction(1, 2)}
 
 
 def test_verify_ky_binary_atoms():
@@ -91,14 +97,29 @@ def test_corrupted_pair_detected_at_terminal_time():
     tree, z = binary_example()
     pair = construct_follmer(tree, z)
     eps = Fraction(1, 100)
-    outcomes = dict(pair.outcomes)
-    outcomes[ExtendedOutcome("u", None, None)] += eps
-    outcomes[ExtendedOutcome("d", None, None)] -= eps
-    bad = FollmerPair(outcomes, CEMETERY)
+    survivors = dict(pair.survivors)
+    survivors["u"] += eps
+    survivors["d"] -= eps
+    bad = replace(pair, survivors=survivors)
     rep = verify_ky(bad, tree, z, StoppingTime.constant(tree, tree.horizon))
     assert not rep.ok
     assert rep.first_failure.atom_node in {"u", "d"}
     assert not verify_ky_all(bad, tree, z).ok
+
+
+def test_negative_mass_of_an_in_memory_pair_is_named():
+    # a pair file's negative rows are the reader's to report; a pair built in
+    # memory is checked on its maps, killed masses first
+    tree, z = binary_example()
+    pair = construct_follmer(tree, z)
+    negative = replace(pair, survivors={"u": Fraction(9, 8), "d": Fraction(-1, 4)})
+    rep = verify_ky_all(negative, tree, z)
+    assert not rep.ok
+    assert rep.pair_problem == "outcome (history d, kill time never, target None) has negative mass -1/4"
+    both = replace(negative, killed={"r": Fraction(-1, 8)})
+    assert verify_ky_all(both, tree, z).pair_problem == (
+        "outcome (history r, kill time 1, target cemetery) has negative mass -1/8"
+    )
 
 
 def test_tau_hat_unreachable_threshold_caps_at_horizon():
@@ -178,9 +199,9 @@ def test_witness_chain_with_fresh_symbol():
 
 
 def test_witness_freeze_pair_is_the_constructed_freeze_pair():
-    # the witness relabels the cemetery pair's killed outcomes instead of
-    # constructing the freeze pair again: outcome by outcome, in order, the
-    # result is construct_follmer's, and an inadmissible x* is still refused
+    # the witness puts the cemetery pair's maps under x* instead of
+    # constructing the freeze pair again: node by node, in order, the result
+    # is construct_follmer's, and an inadmissible x* is still refused
     rng = random.Random(18)
     cases = [binary_example()] + [random_case(rng) for _ in range(30)]
     compared = refused = 0
@@ -198,7 +219,9 @@ def test_witness_freeze_pair_is_the_constructed_freeze_pair():
                 continue
             _, frz, _ = nonuniqueness_witness(tree, z, x_star)
             assert frz.target == expected.target == x_star
-            assert list(frz.outcomes.items()) == list(expected.outcomes.items())
+            assert list(frz.killed.items()) == list(expected.killed.items())
+            assert list(frz.survivors.items()) == list(expected.survivors.items())
+            assert frz == expected
             compared += 1
     assert compared >= 30 and refused >= 1
 
@@ -289,10 +312,24 @@ def test_mass_conservation_on_corpus():
 
 
 def test_pair_json_round_trip(tmp_path):
-    tree, z = binary_example()
-    pair = construct_follmer(tree, z)
-    p = tmp_path / "pair.json"
-    pair.to_json(str(p))
-    again = FollmerPair.from_json(str(p))
-    assert again.outcomes == pair.outcomes
-    assert again.target == pair.target
+    # the binary example and corpus trees, martingales among them, with the
+    # cemetery, a fresh freeze symbol and a state of the tree as targets
+    rng = random.Random(19)
+    cases = [binary_example()] + [random_case(rng, martingale=k % 4 == 0) for k in range(24)]
+    written = 0
+    for k, (tree, z) in enumerate(cases):
+        for target in (CEMETERY, "x", tree.state[tree.leaves[-1]]):
+            try:
+                pair = construct_follmer(tree, z, target)
+            except FreezeTargetError:
+                continue
+            p, q = tmp_path / f"pair{k}.json", tmp_path / f"again{k}.json"
+            pair.to_json(str(p))
+            again = FollmerPair.from_json(str(p), tree)
+            assert again == pair and again.defect is None
+            assert again.killed == pair.killed and again.survivors == pair.survivors
+            assert again.target == pair.target
+            again.to_json(str(q))
+            assert q.read_bytes() == p.read_bytes()
+            written += 1
+    assert written >= 60

@@ -7,12 +7,12 @@ recompute the verdicts and reports the slow way.
 """
 
 import random
+from dataclasses import replace
 from fractions import Fraction
 
 from follmer_lab.corpus import random_case
 from follmer_lab.decompositions import doob_meyer, left_limit_smoothing
 from follmer_lab.follmer import (
-    FollmerPair,
     construct_follmer,
     verify_ky,
     verify_ky_all,
@@ -30,21 +30,28 @@ def _exhaustive(pair, tree, z):
     return not failing, failing
 
 
+def _with_mass_added(pair, added):
+    """A copy of the pair with ``added[n]`` added to the mass at each node n."""
+    killed, survivors = dict(pair.killed), dict(pair.survivors)
+    for n, d in added.items():
+        masses = killed if n in killed else survivors
+        masses[n] += d
+    return replace(pair, killed=killed, survivors=survivors)
+
+
 def _variants(rng, pair):
     """The pair, the pair with mass moved between two outcomes, and one outcome's mass shifted."""
     yield "valid", pair
-    keys = list(pair.outcomes)
+    # an outcome is its node, since killed and surviving masses sit at
+    # different nodes; breadth-first, as the pair was built
+    mass = {**pair.killed, **pair.survivors}
+    keys = [n for n in pair.tree.iter_nodes() if n in mass]
     src = rng.choice(keys)
-    outcomes = dict(pair.outcomes)
-    shifted = dict(pair.outcomes)
-    shifted[src] += Fraction(1, 97)
-    yield "shifted", FollmerPair(shifted, pair.target)
+    yield "shifted", _with_mass_added(pair, {src: Fraction(1, 97)})
     if len(keys) > 1:
         dst = rng.choice([k for k in keys if k != src])
-        eps = outcomes[src] / 3
-        outcomes[src] -= eps
-        outcomes[dst] += eps
-        yield "moved", FollmerPair(outcomes, pair.target)
+        eps = mass[src] / 3
+        yield "moved", _with_mass_added(pair, {src: -eps, dst: eps})
 
 
 def test_per_node_verdict_equals_exhaustive_verdict():

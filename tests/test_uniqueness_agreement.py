@@ -28,11 +28,19 @@ from follmer_lab.follmer import FollmerPair, construct_follmer, uniqueness_repor
 from follmer_lab.trees import AdaptedProcess, FilteredTree, enumerate_stopping_times
 
 
+def outcome_masses(pair):
+    """The pair's masses by outcome: (node, target) if killed after node, (leaf, None) if never."""
+    masses = {(n, pair.target): m for n, m in pair.killed.items()}
+    masses.update(((n, None), m) for n, m in pair.survivors.items())
+    return masses
+
+
 def total_variation(p1, p2):
     """Half the L1 distance between two outcome measures, exactly."""
     zero = Fraction(0)
-    keys = set(p1.outcomes) | set(p2.outcomes)
-    return sum((abs(p1.outcomes.get(k, zero) - p2.outcomes.get(k, zero)) for k in keys), zero) / 2
+    o1, o2 = outcome_masses(p1), outcome_masses(p2)
+    keys = set(o1) | set(o2)
+    return sum((abs(o1.get(k, zero) - o2.get(k, zero)) for k in keys), zero) / 2
 
 
 def _bench_inputs():
@@ -102,8 +110,8 @@ def test_uniqueness_and_witness_agree(tmp_path, name):
         assert Fraction(rep["mass_lost"]) == 0
         return
 
-    cem = FollmerPair.from_json(str(wdir / "pair_cemetery.json"))
-    frz = FollmerPair.from_json(str(wdir / "pair_freeze.json"))
+    cem = FollmerPair.from_json(str(wdir / "pair_cemetery.json"), tree)
+    frz = FollmerPair.from_json(str(wdir / "pair_freeze.json"), tree)
     for rho in enumerate_stopping_times(tree):
         assert verify_ky(cem, tree, z, rho).ok
         assert verify_ky(frz, tree, z, rho).ok
@@ -169,9 +177,12 @@ def test_ky_elimination_fixes_every_mass_but_no_target(name):
     rank, solved = ky_elimination(tree, z)
     assert rank == len(tree.parent)
     from_pair = dict.fromkeys(tree.iter_nodes(), Fraction(0))
-    for outcome, mass in construct_follmer(tree, z).outcomes.items():
-        assert outcome.alive is tree.is_leaf(outcome.base_node)
-        from_pair[outcome.base_node] += mass
+    pair = construct_follmer(tree, z)
+    assert not any(tree.is_leaf(n) for n in pair.killed)
+    assert all(tree.is_leaf(n) for n in pair.survivors)
+    for masses in (pair.killed, pair.survivors):
+        for n, mass in masses.items():
+            from_pair[n] += mass
     assert solved == from_pair
     killed = [solved[n] for n in tree.iter_nodes() if not tree.is_leaf(n)]
     assert min(killed, default=0) >= 0

@@ -108,9 +108,9 @@ class FollmerPair:
     ``killed[n]`` is the mass killed just after the internal node n, at time
     depth(n)+1, and sent to ``target``; ``survivors[leaf]`` is the mass never
     killed, which the reference measure sees with an infinite kill time.
-    Nodes that carry no mass are left out.  ``defect`` is set only by
-    :meth:`from_dict`: the first row of the file that breaks this layout or
-    has negative mass, as ``verify`` reports it.
+    :func:`construct_follmer` leaves out nodes with no mass.  ``defect`` is
+    set only by :meth:`from_dict`: the first row of the file that breaks
+    this layout or has negative mass, as ``verify`` reports it.
 
     The survivor masses the KY check aggregates are memoised per tree on the
     instance, so the maps must not be mutated after construction: build a new

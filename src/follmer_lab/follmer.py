@@ -41,7 +41,7 @@ leaf.  A pair file (:meth:`FollmerPair.to_json`) is an object with the
 pair's ``target`` (``"cemetery"`` or the freeze label) and an ``outcomes``
 list of rows, one per node with nonzero mass:
 
-- ``history_node``: the node's id, read as a string;
+- ``history_node``: the node's id, a JSON string;
 - ``kill_time``: depth(node)+1 for a killed mass, or ``"never"`` for a
   survivor;
 - ``target``: the pair's target for a killed mass, null for a survivor;
@@ -56,8 +56,9 @@ fault in this order.  Exit code 2:
 - the top level has no ``outcomes`` list, or no string ``target``;
 - a malformed row (a missing field, a ``kill_time`` that is neither an
   integer nor ``"never"``, a ``target`` that is neither a string nor null,
-  a ``mass`` that is not a rational), or a row whose (node, kill time,
-  target) is listed twice, whichever comes first in the file;
+  a ``history_node`` that is not a string, a ``mass`` that is not a
+  rational), or a row whose (node, kill time, target) is listed twice,
+  whichever comes first in the file;
 - the first row whose node the tree lacks.
 
 Exit code 1, with the KY ledger still written:
@@ -173,7 +174,9 @@ class FollmerPair:
                 to = row.get("target")
                 if to is not None and not isinstance(to, str):
                     raise TypeError(f"target {to!r} is not a string")
-                node = str(row["history_node"])
+                node = row["history_node"]
+                if not isinstance(node, str):
+                    raise TypeError(f"history_node {node!r} is not a string")
                 mass = frac(row["mass"])
             except (ArithmeticError, KeyError, TypeError, ValueError) as exc:
                 raise PairValidationError(f"malformed outcome {row!r}: {exc!r}") from exc

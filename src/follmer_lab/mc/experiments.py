@@ -10,7 +10,7 @@ import numpy as np
 # Modules, not their names: a function replaced in its own module is seen
 # here too, even when that happens before this module is first imported
 # (``bench/tracer.py`` wraps functions that way and puts them back).
-from . import bridges, families, fatou, grids, paths, streams
+from . import bridges, families, fatou, grids, normal, paths, streams
 from .gallery import ExperimentResult
 
 
@@ -147,23 +147,22 @@ def run_reciprocal_bessel(seed: int, n_paths: int, params: dict) -> ExperimentRe
     oracle estimates that first-passage probability by bridge-corrected
     Monte Carlo.
     """
-    from scipy.special import ndtr  # slow to import, so only where it is called
     probe = sorted(params["ts"])
     steps = params["fp_steps"]
     res = ExperimentResult("reciprocal_bessel")
     vals = reciprocal_bessel_samples(probe, steps, n_paths, seed)
+    analytic = 2.0 * normal.ndtr(1.0 / np.sqrt(probe)) - 1.0
     xs, ys = [], []
     for j, t in enumerate(probe):
         est, se = streams.mean_and_se(vals[:, j])
         surv_est, surv_se = streams.mean_and_se(vals[:, len(probe) + j])
-        analytic = 2.0 * ndtr(1.0 / math.sqrt(t)) - 1.0
         res.rows.append(
             _row(
                 t,
                 est,
                 se,
                 n_paths,
-                analytic=float(analytic),
+                analytic=float(analytic[j]),
                 survival_oracle=surv_est,
                 survival_oracle_se=surv_se,
             )

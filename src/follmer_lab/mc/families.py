@@ -30,6 +30,7 @@ from .bridges import (
     suicide_martingale,
 )
 from .grids import GridSpec, window_grid_indices
+from .normal import ndtr
 from .paths import PathBatch
 from .streams import fill_paths, mean_and_se
 
@@ -236,7 +237,6 @@ def mass_redirect(
     form).  The estimate of the redirected mass on B_l is bounded below by
     (1-c)/2 up to sampling error, for every member of the family.
     """
-    from scipy.special import ndtr  # slow to import, so only where it is called
     if not 0.0 <= c < 1.0:
         raise ValueError(f"need 0 <= c < 1, got {c}")
     l_at_rho = np.asarray(l_at_rho, dtype=float)
@@ -246,7 +246,8 @@ def mass_redirect(
     threshold = (1.0 + c) / 2.0
     fired = l_at_rho > threshold
     indicator = (w_after > l) & (w_after < l + 1)
-    cond_prob = ndtr(l + 1 - w_at_rho) - ndtr(l - w_at_rho)
+    upper, lower = ndtr(np.stack((l + 1 - w_at_rho, l - w_at_rho)))
+    cond_prob = upper - lower
     safe = np.where(cond_prob > 0, cond_prob, 1.0)
     reweighted = np.where(fired, l_at_rho * indicator / safe, l_terminal)
     samples = reweighted * indicator
@@ -295,7 +296,6 @@ def split_limit_demo(n: int, n_paths: int, seed: int) -> Dict[str, SplitLimitRes
     result maps "+" and "-" to their reweightings.  ``n`` is at most 372:
     past that exp(-2n) underflows to 0.
     """
-    from scipy.special import ndtr  # slow to import, so only where it is called
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
     if n > 372:

@@ -277,28 +277,52 @@ def test_verify_rejects_invalid_outcome_space(tmp_path, capsys, case, edit, code
     assert (sha256(ledger_file.read_bytes()).hexdigest() if ledger_file.exists() else None) == ledger
 
 
+def _numbered_ids_example():
+    """The root r and two children whose tree-file ids are the number 5 and null, read as '5' and 'None'."""
+    tree = FilteredTree(
+        1,
+        [
+            {"id": "r", "parent": None},
+            {"id": 5, "parent": "r", "prob": "1/2", "state": "u"},
+            {"id": None, "parent": "r", "prob": "1/2", "state": "d"},
+        ],
+    )
+    return tree, AdaptedProcess({"r": Fraction(1), "5": Fraction(1), "None": Fraction(1, 2)})
+
+
+def _numbered_history_nodes(data):
+    """The rows at '5' and 'None' name their nodes by the number 5 and null, the ids the tree was given."""
+    for row in data["outcomes"]:
+        row["history_node"] = {"5": 5, "None": None}.get(row["history_node"], row["history_node"])
+
+
 @pytest.mark.parametrize(
-    "edit, named",
+    "case, edit, named",
     [
-        (lambda d: _row(d, "u", True).update(history_node="nowhere"), "names node 'nowhere'"),
-        (lambda d: d.pop("outcomes"), "needs an 'outcomes' list"),
-        (lambda d: _row(d, "u", True).pop("mass"), "'history_node': 'u'"),
-        (lambda d: d["outcomes"].append(dict(_row(d, "r", False))), "(history r, kill time 1, target cemetery) is listed twice"),
-        (lambda d: _row(d, "r", False).update(kill_time=math.inf), "kill_time inf"),
-        (lambda d: _row(d, "r", False).update(target=[1]), "target [1] is not a string"),
-        (lambda d: _row(d, "r", False).update(kill_time=1.9), "kill_time 1.9"),
-        (lambda d: _row(d, "r", False).update(kill_time=True), "kill_time True"),
-        (lambda d: _row(d, "r", False).update(kill_time="1"), "kill_time '1'"),
-        (lambda d: _row(d, "r", False).update(kill_time=None), "kill_time None"),
-        (lambda d: _row(d, "u", True).update(mass="1e-5000"), "'history_node': 'u'"),
+        (binary_example, lambda d: _row(d, "u", True).update(history_node="nowhere"), "names node 'nowhere'"),
+        (binary_example, lambda d: d.pop("outcomes"), "needs an 'outcomes' list"),
+        (binary_example, lambda d: _row(d, "u", True).pop("mass"), "'history_node': 'u'"),
+        (binary_example, lambda d: d["outcomes"].append(dict(_row(d, "r", False))), "(history r, kill time 1, target cemetery) is listed twice"),
+        (binary_example, lambda d: _row(d, "r", False).update(kill_time=math.inf), "kill_time inf"),
+        (binary_example, lambda d: _row(d, "r", False).update(target=[1]), "target [1] is not a string"),
+        (binary_example, lambda d: _row(d, "r", False).update(kill_time=1.9), "kill_time 1.9"),
+        (binary_example, lambda d: _row(d, "r", False).update(kill_time=True), "kill_time True"),
+        (binary_example, lambda d: _row(d, "r", False).update(kill_time="1"), "kill_time '1'"),
+        (binary_example, lambda d: _row(d, "r", False).update(kill_time=None), "kill_time None"),
+        (binary_example, lambda d: _row(d, "u", True).update(mass="1e-5000"), "'history_node': 'u'"),
+        (binary_example, lambda d: _row(d, "u", True).update(history_node=None), "history_node None is not a string"),
+        (binary_example, lambda d: _row(d, "u", True).update(history_node=5), "history_node 5 is not a string"),
+        (binary_example, lambda d: _row(d, "u", True).update(history_node=["u"]), "history_node ['u'] is not a string"),
+        (_numbered_ids_example, _numbered_history_nodes, "history_node 5 is not a string"),
     ],
     ids=[
         "unknown-node", "no-outcomes", "row-without-mass", "duplicate-row", "infinite-kill-time", "list-target",
         "fractional-kill-time", "bool-kill-time", "string-kill-time", "null-kill-time", "exponent-mass",
+        "null-node", "number-node", "list-node", "numbered-tree-ids",
     ],
 )
-def test_verify_malformed_pair_exits_2(tmp_path, capsys, edit, named):
-    tree_file, pair_file = _pair_files(tmp_path, edit)
+def test_verify_malformed_pair_exits_2(tmp_path, capsys, case, edit, named):
+    tree_file, pair_file = _pair_files(tmp_path, edit, case)
     assert main(["verify", tree_file, pair_file, "--out", str(tmp_path / "out")]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and named in err

@@ -1,10 +1,11 @@
-"""The exact subcommands load neither numpy nor the Monte-Carlo modules.
+"""The exact subcommands load neither numpy nor the Monte-Carlo modules, and no subcommand loads scipy.
 
 Each case runs in a fresh interpreter, because this test process imported
 them all long ago.  Of the ``mc`` package only ``mc.gallery`` may load: it
 holds the manifest contract and the writers, and ``cli`` imports it.  The
 Monte-Carlo subcommands import the rest when they run, and still work from
-a fresh interpreter.
+a fresh interpreter.  The experiments that need the normal CDF take it from
+``mc.normal``, so they load no scipy module either.
 """
 
 import json
@@ -29,7 +30,10 @@ TREE = {
 
 # the statements run, then the heavy modules they left loaded, as one JSON line
 LOADED = """
-print(json.dumps(sorted(m for m in sys.modules if m == "numpy" or m.startswith("follmer_lab.mc."))))
+print(json.dumps(sorted(
+    m for m in sys.modules
+    if m == "numpy" or m.partition(".")[0] == "scipy" or m.startswith("follmer_lab.mc.")
+)))
 """
 
 
@@ -91,13 +95,17 @@ def test_exact_paths_load_only_gallery(tree_dir, statements):
         ["mc", "manifest.json", "--out", "out"],
         ["gallery", "bm_check", "--paths", "10", "--out", "out"],
         ["selftest"],
+        ["gallery", "mass_redirect", "--paths", "10", "--out", "out"],
+        ["gallery", "split_limit", "--paths", "10", "--out", "out"],
+        ["gallery", "reciprocal_bessel", "--paths", "10", "--out", "out"],
     ],
-    ids=["mc", "gallery", "selftest"],
+    ids=["mc", "gallery", "selftest", "mass_redirect", "split_limit", "reciprocal_bessel"],
 )
 def test_monte_carlo_subcommands_run_from_a_fresh_interpreter(tmp_path, argv):
     manifest = {"experiment": "bm_check", "seed": 3, "n_paths": 10, "params": None}
     (tmp_path / "manifest.json").write_text(json.dumps(manifest))
     loaded = _fresh(_cli(argv), tmp_path)
     assert "numpy" in loaded and "follmer_lab.mc.experiments" in loaded
+    assert [m for m in loaded if m.partition(".")[0] == "scipy"] == []
     if argv[0] != "selftest":
         assert (tmp_path / "out" / "report.json").exists()

@@ -69,9 +69,10 @@ def ndtr(a):
     """P[N(0, 1) <= a], elementwise over a float array or scalar, as Cephes ``ndtr``.
 
     NaN gives NaN, +inf gives 1 and -inf gives 0, and no floating-point
-    warning is raised at any finite or infinite ``a``.
+    warning is raised at any ``a``.
     """
-    x = np.asarray(a, dtype=float) * SQRT1_2
+    with np.errstate(invalid="ignore"):  # only a signalling NaN can raise it: it turns quiet
+        x = np.asarray(a, dtype=float) * SQRT1_2
     z = np.abs(x)
     # erfc(z) is 0 where -z*z < -MAXLOG and NaN at NaN; every other z is overwritten below
     erfc = np.where(z > Z_UNDER, 0.0, z)

@@ -3,8 +3,8 @@
 scipy is the oracle: the port must give its bits at every float64, so the
 Monte-Carlo digests do not depend on which of the two computed them.  The
 fixed-seed sample covers the three call sites' arguments, magnitudes up to
-1e300, signed zeros, infinities, NaN and subnormals, and 200 ulps either
-side of each point where Cephes changes branch.
+1e300, signed zeros, infinities, quiet and signalling NaNs, subnormals, and
+200 ulps either side of each point where Cephes changes branch.
 """
 
 import math
@@ -46,8 +46,9 @@ def _sample() -> np.ndarray:
         signs * 10.0 ** rng.uniform(-300.0, 300.0, n),
         # the whole range of the erfc tail, densely
         rng.uniform(-40.0, 40.0, n),
-        # random bit patterns: subnormals, huge values and everything between
-        bits[np.isfinite(bits)],
+        # random bit patterns: subnormals, huge values, signalling and quiet NaNs
+        bits,
+        np.array([0x7FF0000000000001, 0xFFF0000000000001, 0x7FF8000000000001], dtype=np.uint64).view(np.float64),
         np.array([0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324, -5e-324, 2.2250738585072014e-308,
                   -2.2250738585072014e-308, 1e300, -1e300, 1.7976931348623157e308, -1.7976931348623157e308]),
     ]

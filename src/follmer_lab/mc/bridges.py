@@ -126,7 +126,8 @@ def single_jump_approx(
     if not 0.0 <= a < 1.0:
         raise ValueError(f"need 0 <= a < 1, got {a}")
     batch = bridge_exponential(m, anchor, grid, n_paths, seed)
-    batch.values = a + (1.0 - a) * batch.values
+    batch.values *= 1.0 - a
+    batch.values += a
     return batch
 
 

@@ -198,8 +198,9 @@ def extended_approx(
         if np.any(core < -1e-12) or np.any(np.diff(core) > 1e-12):
             raise ValueError("core path must be nonnegative and nonincreasing")
         g = simple_approx(times, np.maximum(core, 0.0), k)
-        fam = suicide_martingale(g, m, grid, n_paths, seed)
-        values = oracle_arr[None, :] + normalizer * fam.values
+        values = suicide_martingale(g, m, grid, n_paths, seed).values
+        values *= normalizer
+        values += oracle_arr
     batch = PathBatch(times, values)
     mean0, se0 = mean_and_se(values[:, 0])
     meanT, seT = mean_and_se(values[:, -1])
@@ -226,9 +227,9 @@ def mass_redirect(
     w_at_rho: np.ndarray,
     w_after: np.ndarray,
     c: float,
-    l: int,
-) -> MassRedirectResult:
-    """Redirect a family member's mass onto the window event B_l.
+    ls: Sequence[int],
+) -> Dict[int, MassRedirectResult]:
+    """Redirect a family member's mass onto the window event B_l, for each level l in ``ls``.
 
     The redirect stop fires at the first passage time when the member still
     sits above (1+c)/2 there; fired paths are reweighted by the indicator of
@@ -236,29 +237,40 @@ def mass_redirect(
     its conditional probability given the passage data (Gaussian closed
     form).  The estimate of the redirected mass on B_l is bounded below by
     (1-c)/2 up to sampling error, for every member of the family.
+
+    Every level reweights the same paths, so the normal CDF is evaluated once
+    per distinct k among the levels and their successors, and the result maps
+    each level to its redirection.
     """
     if not 0.0 <= c < 1.0:
         raise ValueError(f"need 0 <= c < 1, got {c}")
+    if not ls:
+        raise ValueError("need at least one level")
     l_at_rho = np.asarray(l_at_rho, dtype=float)
     l_terminal = np.asarray(l_terminal, dtype=float)
     w_at_rho = np.asarray(w_at_rho, dtype=float)
     w_after = np.asarray(w_after, dtype=float)
     threshold = (1.0 + c) / 2.0
     fired = l_at_rho > threshold
-    indicator = (w_after > l) & (w_after < l + 1)
-    upper, lower = ndtr(np.stack((l + 1 - w_at_rho, l - w_at_rho)))
-    cond_prob = upper - lower
-    safe = np.where(cond_prob > 0, cond_prob, 1.0)
-    reweighted = np.where(fired, l_at_rho * indicator / safe, l_terminal)
-    samples = reweighted * indicator
-    est, se = mean_and_se(samples)
-    return MassRedirectResult(
-        indicator=indicator,
-        estimate=est,
-        se=se,
-        bound=(1.0 - c) / 2.0,
-        fired_fraction=float(np.mean(fired)),
-    )
+    fired_fraction = float(np.mean(fired))
+    levels = set(ls)
+    ks = sorted(levels | {l + 1 for l in levels})
+    cdf = dict(zip(ks, ndtr(np.stack([k - w_at_rho for k in ks]))))
+    results = {}
+    for l in levels:
+        indicator = (w_after > l) & (w_after < l + 1)
+        cond_prob = cdf[l + 1] - cdf[l]
+        safe = np.where(cond_prob > 0, cond_prob, 1.0)
+        reweighted = np.where(fired, l_at_rho * indicator / safe, l_terminal)
+        est, se = mean_and_se(reweighted * indicator)
+        results[l] = MassRedirectResult(
+            indicator=indicator,
+            estimate=est,
+            se=se,
+            bound=(1.0 - c) / 2.0,
+            fired_fraction=fired_fraction,
+        )
+    return results
 
 
 # -- split-limit demo (sign-of-terminal reweighting) ----------------------------

@@ -12,7 +12,14 @@ from .streams import fill_paths
 
 @dataclass
 class PathBatch:
-    """Per-path per-gridpoint values on a shared time grid."""
+    """Per-path per-gridpoint values on a shared time grid.
+
+    ``values`` is the only ``(n_paths, n_times)`` array an experiment holds:
+    transform it in place (``*=``, ``+=``) rather than building a new matrix
+    from it, and read columns through slice views rather than fancy-index
+    copies.  At the gallery's path counts one such matrix is the experiment's
+    peak memory.
+    """
 
     times: np.ndarray
     values: np.ndarray  # shape (n_paths, len(times))

@@ -61,18 +61,31 @@ def test_mass_redirect_bound_and_disjointness():
     l_term = fam.at_time(float(fam.times[-1]))
     wgrid = GridSpec(t_max=2.5, base_step=1 / 4, extra_points=(rho, rho + 1.0))
     w = simulate_bm(wgrid, 20000, seed=32)
-    results = {}
-    for l in (1, 2):
-        r = mass_redirect(l_rho, l_term, w.at_time(rho), w.at_time(rho + 1.0), 0.5, l)
+    results = mass_redirect(l_rho, l_term, w.at_time(rho), w.at_time(rho + 1.0), 0.5, (1, 2))
+    assert sorted(results) == [1, 2]
+    for r in results.values():
         assert r.bound == 0.25
         assert r.estimate >= r.bound - 3 * r.se
-        results[l] = r
     # the window events are disjoint: no path can score on both
     both = results[1].indicator & results[2].indicator
     assert not both.any()
     total = results[1].estimate + results[2].estimate
     total_se = math.hypot(results[1].se, results[2].se)
     assert total <= 1.0 + 5 * total_se
+
+
+def test_mass_redirect_levels_match_one_at_a_time():
+    # the levels share one normal-CDF call; each result has the bits of its level alone
+    fam, rho = exp_decay_family(seed=7, n_paths=600)
+    wgrid = GridSpec(t_max=2.5, base_step=1 / 4, extra_points=(rho, rho + 1.0))
+    w = simulate_bm(wgrid, 600, seed=8)
+    args = (fam.at_time(rho), fam.at_time(2.5), w.at_time(rho), w.at_time(rho + 1.0), 0.5)
+    together = mass_redirect(*args, (3, 1, 2, 1))
+    assert sorted(together) == [1, 2, 3]
+    for l, r in together.items():
+        alone = mass_redirect(*args, [l])[l]
+        assert (r.estimate, r.se, r.fired_fraction) == (alone.estimate, alone.se, alone.fired_fraction)
+        assert np.array_equal(r.indicator, alone.indicator)
 
 
 def test_mass_redirect_degenerate_always_fires():
@@ -83,14 +96,16 @@ def test_mass_redirect_degenerate_always_fires():
     rng = np.random.default_rng(5)
     w_rho = rng.normal(0.0, 1.0, n)
     w_after = w_rho + rng.normal(0.0, 1.0, n)
-    r = mass_redirect(ones, ones * 0.0, w_rho, w_after, 0.0, 1)
+    r = mass_redirect(ones, ones * 0.0, w_rho, w_after, 0.0, [1])[1]
     assert r.fired_fraction == 1.0
     assert abs(r.estimate - 1.0) <= 4 * r.se  # reweighting preserves the mass
 
 
 def test_mass_redirect_validates_c():
     with pytest.raises(ValueError):
-        mass_redirect(np.ones(2), np.ones(2), np.zeros(2), np.zeros(2), 1.0, 1)
+        mass_redirect(np.ones(2), np.ones(2), np.zeros(2), np.zeros(2), 1.0, [1])
+    with pytest.raises(ValueError):
+        mass_redirect(np.ones(2), np.ones(2), np.zeros(2), np.zeros(2), 0.5, [])
 
 
 def test_split_limit_masses():

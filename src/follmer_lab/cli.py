@@ -8,6 +8,10 @@ Every Monte-Carlo run writes a manifest sufficient to replay it bit-exactly.
 one parser, built on the first call; each call looks its ``cmd_*`` handler
 up by the subcommand's name, so the parser holds nothing a call can change.
 
+``follmer --target x`` and ``witness T x`` build and refuse a freeze pair
+through one function, :func:`~follmer_lab.follmer.nonuniqueness_witness`,
+so they refuse the same inputs with the same message.
+
 ``decompose``, ``follmer``, ``verify``, ``uniqueness`` and ``witness`` run
 on the exact engine alone and never import numpy or any ``mc`` module but
 ``mc.gallery``, which holds the manifest contract and the writers.  ``mc``
@@ -90,14 +94,10 @@ def _verdict(ledger) -> int:
 
 def cmd_follmer(args) -> int:
     tree, z = FilteredTree.from_json(args.tree_file)
-    pair = construct_follmer(tree, z, args.target)
-    if args.target != CEMETERY and pair.killed_mass() == 0:
-        print(
-            "refusing a freeze target for a martingale: no mass is lost, "
-            "the freeze pair would not differ from the cemetery pair",
-            file=sys.stderr,
-        )
-        return EXIT_USAGE
+    if args.target == CEMETERY:
+        pair = construct_follmer(tree, z)
+    else:
+        _, pair, _ = nonuniqueness_witness(tree, z, args.target)
     out_dir = _out_dir(args)
     pair_path = os.path.join(out_dir, "pair.json")
     pair.to_json(pair_path)
@@ -121,9 +121,9 @@ def cmd_verify(args) -> int:
 
 def cmd_uniqueness(args) -> int:
     tree, z = FilteredTree.from_json(args.tree_file)
-    rep = uniqueness_report(tree, z)
+    lost = uniqueness_report(tree, z)
     out = os.path.join(_out_dir(args), "uniqueness.json")
-    write_json(out, rep.to_dict())
+    write_json(out, {"mass_lost": frac_str(lost), "unique_pair": lost == 0})
     print(out)
     return EXIT_OK
 
@@ -132,13 +132,10 @@ def cmd_witness(args) -> int:
     tree, z = FilteredTree.from_json(args.tree_file)
     cem, frz, tv = nonuniqueness_witness(tree, z, args.freeze_state)
     out_dir = _out_dir(args)
-    record = {"total_variation": frac_str(tv)}
-    for key, pair in (("pair_cemetery", cem), ("pair_freeze", frz)):
-        # a sibling file name, not a path: witness.json reads the same in any directory
-        record[key] = f"{key}.json"
-        pair.to_json(os.path.join(out_dir, record[key]))
+    cem.to_json(os.path.join(out_dir, "pair_cemetery.json"))
+    frz.to_json(os.path.join(out_dir, "pair_freeze.json"))
     witness_path = os.path.join(out_dir, "witness.json")
-    write_json(witness_path, record)
+    write_json(witness_path, {"total_variation": frac_str(tv)})
     print(witness_path)
     print(f"total variation {frac_str(tv)}")
     return EXIT_OK

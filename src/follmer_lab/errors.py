@@ -53,12 +53,8 @@ class NotSupermartingaleError(FollmerLabError):
 
 
 class FreezeTargetError(FollmerLabError):
-    """The freeze-state target is the cemetery or collides with a charged path of the tree."""
+    """A freeze pair cannot be built: Z loses no mass, or x* is the cemetery or a charged path sits at it."""
 
 
 class GridError(FollmerLabError):
     """A time grid is degenerate or too coarse for the requested window."""
-
-
-class MartingaleWitnessError(FollmerLabError):
-    """A non-uniqueness witness was requested for a martingale (no lost mass)."""

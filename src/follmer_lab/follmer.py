@@ -27,6 +27,16 @@ for the cemetery pair, whose killed outcomes reach the cemetery at their
 kill time, and it is not for a freeze pair that loses mass, whose frozen
 outcomes never reach the cemetery.
 
+With no mass lost the identity fixes every outcome, which is why the pair
+is then unique.  ``uniqueness`` writes ``uniqueness.json``: ``mass_lost``
+(:func:`uniqueness_report`, a rational string) and ``unique_pair``, true
+exactly when that mass is 0.  ``witness T x`` writes the two pairs as
+``pair_cemetery.json`` and ``pair_freeze.json`` and, beside them,
+``witness.json`` with ``total_variation``, the distance between the two
+pairs, which is the lost mass.  ``witness`` and ``follmer --target x``
+build the freeze pair with :func:`nonuniqueness_witness` and refuse it in
+the order that function gives.
+
 Verification checks the Kunita-Yoeurp identity Q[A and {rho < tau}] =
 E_P[Z_rho 1_A] atom by atom, by exact rational comparison.  An atom is a stop
 node s of rho, and its comparison (the Q-mass surviving past s against
@@ -78,16 +88,11 @@ the ledger of a broken pair accounts for every row.
 from __future__ import annotations
 
 import csv
-import json
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from typing import Dict, Iterable, List, Optional, Tuple
 
-from .errors import (
-    FreezeTargetError,
-    MartingaleWitnessError,
-    PairValidationError,
-)
+from .errors import FreezeTargetError, PairValidationError
 from .trees import (
     AdaptedProcess,
     FilteredTree,
@@ -95,6 +100,7 @@ from .trees import (
     count_stopping_times,
     frac,
     frac_str,
+    read_json,
     require_supermartingale,
     write_json,
 )
@@ -212,8 +218,7 @@ class FollmerPair:
 
     @classmethod
     def from_json(cls, path: str, tree: FilteredTree) -> "FollmerPair":
-        with open(path, "r", encoding="utf-8") as fh:
-            return cls.from_dict(json.load(fh), tree)
+        return cls.from_dict(read_json(path), tree)
 
 
 def _check_freeze_admissible(tree: FilteredTree, x_star: str) -> None:
@@ -483,45 +488,15 @@ def tau_hat(tree: FilteredTree, z: AdaptedProcess, n: int) -> StoppingTime:
 # -- uniqueness diagnostics ----------------------------------------------------
 
 
-@dataclass(frozen=True)
-class UniquenessReport:
-    mass_lost: Fraction
-    unique_pair: bool
-    reason: str
+def uniqueness_report(tree: FilteredTree, z: AdaptedProcess) -> Fraction:
+    """The mass the cemetery pair of Z loses; the pair is unique exactly when it is 0.
 
-    def to_dict(self) -> dict:
-        return {
-            "mass_lost": frac_str(self.mass_lost),
-            "unique_pair": self.unique_pair,
-            "reason": self.reason,
-        }
-
-
-def uniqueness_report(tree: FilteredTree, z: AdaptedProcess) -> UniquenessReport:
-    """Whether the Föllmer pair of Z is unique, from the mass its cemetery pair loses.
-
-    The pair is unique exactly when no mass is lost, E_P[Z_T] = Z_0.  The
-    lost mass is a sum of nonnegative one-step drifts, so it is 0 exactly
-    when Z is a martingale.  The Kunita-Yoeurp identity fixes the killed
-    mass at every node but not its target, and a fresh freeze symbol is
-    always admissible, so any lost mass can be sent to the cemetery or
-    frozen: :func:`nonuniqueness_witness` builds the two pairs whenever
-    ``unique_pair`` is false.
+    The lost mass is Z_0 - E_P[Z_T], a sum of nonnegative one-step drifts,
+    so it is 0 exactly when Z is a martingale.  The module docstring says
+    why it decides uniqueness; :func:`nonuniqueness_witness` builds the two
+    pairs whenever it is positive.
     """
-    mass_lost = construct_follmer(tree, z).killed_mass()
-    unique_pair = mass_lost == 0
-    if unique_pair:
-        reason = (
-            "no mass lost: the Kunita-Yoeurp identity fixes every outcome, "
-            "so the pair is unique"
-        )
-    else:
-        reason = (
-            "mass lost: the Kunita-Yoeurp identity fixes the killed mass at "
-            "each node but not its target, so the cemetery pair and the pair "
-            "frozen at a fresh state differ by the lost mass"
-        )
-    return UniquenessReport(mass_lost, unique_pair, reason)
+    return construct_follmer(tree, z).killed_mass()
 
 
 def nonuniqueness_witness(
@@ -541,8 +516,9 @@ def nonuniqueness_witness(
     pair_cemetery = construct_follmer(tree, z, CEMETERY)
     lost = pair_cemetery.killed_mass()
     if lost == 0:
-        raise MartingaleWitnessError(
-            "witness requires a non-martingale: no mass is lost"
+        raise FreezeTargetError(
+            f"freeze target {x_star!r} needs lost mass: Z is a martingale, so the "
+            "freeze pair would be the cemetery pair"
         )
     if x_star == CEMETERY:
         raise FreezeTargetError(

@@ -26,8 +26,8 @@ path is drawn:
   float), a list parameter (tuple default) a nonempty list of those; the
   probe times ``ts`` must also be positive;
 - the burn-in indices ``m`` and ``m_list`` entries, the split level ``n``,
-  ``fp_steps`` and ``scan_depth`` are at least 1, and the resolution ``k``
-  at least 0 (:data:`MINIMUM`);
+  ``fp_steps``, ``scan_depth`` and ``refine_points`` are at least 1, and
+  the resolution ``k`` at least 0 (:data:`MINIMUM`);
 - ``m``, the ``m_list`` entries, ``k`` and ``scan_depth`` are bounded above
   where the code stops computing what it claims (:data:`MAXIMUM`):
 
@@ -58,13 +58,12 @@ so a manifest replays itself.
 
 from __future__ import annotations
 
-import json
 import sys
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
 from ..errors import FollmerLabError
-from ..trees import write_json
+from ..trees import read_json, write_json
 
 
 @dataclass
@@ -100,7 +99,7 @@ POSITIVE = {"ts"}  # float parameters whose values must also be > 0
 # bounds of int parameters (for a list, of each entry), checked before
 # 2.0**-m and the like can overflow or underflow; the module docstring says
 # where each upper bound comes from
-MINIMUM = {"m": 1, "n": 1, "fp_steps": 1, "m_list": 1, "k": 0, "scan_depth": 1}
+MINIMUM = {"m": 1, "n": 1, "fp_steps": 1, "m_list": 1, "k": 0, "scan_depth": 1, "refine_points": 1}
 MAXIMUM = {"m": 51, "m_list": 16, "k": 16, "scan_depth": 1074}
 
 
@@ -182,8 +181,7 @@ def write_manifest(
 
 
 def read_manifest(path: str) -> dict:
-    with open(path, "r", encoding="utf-8") as fh:
-        data = json.load(fh)
+    data = read_json(path)
     if not isinstance(data, dict):
         raise FollmerLabError(f"manifest must be a JSON object, got {data!r}")
     for key in ("experiment", "seed", "n_paths"):

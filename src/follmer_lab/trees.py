@@ -82,7 +82,7 @@ from fractions import Fraction
 from itertools import chain
 from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
-from .errors import EnumerationCapError, NotSupermartingaleError, TreeValidationError
+from .errors import EnumerationCapError, FollmerLabError, NotSupermartingaleError, TreeValidationError
 
 DEFAULT_ENUMERATION_CAP = 10**6
 
@@ -163,6 +163,20 @@ def _frac_strs(values: Dict[str, Fraction]) -> Dict[str, str]:
             s = text[id(v)] = frac_str(v)
         out[n] = s
     return out
+
+
+def read_json(path: str):
+    """The JSON value in the file at ``path``.
+
+    A value nested too deeply for the parser is refused as a
+    :class:`FollmerLabError` naming the file, not left as a
+    ``RecursionError`` that would pass for a program fault.
+    """
+    with open(path, "r", encoding="utf-8") as fh:
+        try:
+            return json.load(fh)
+        except RecursionError:
+            raise FollmerLabError(f"{path}: JSON nested too deeply to read") from None
 
 
 def write_json(path: str, obj) -> None:
@@ -477,8 +491,7 @@ class FilteredTree:
 
     @classmethod
     def from_json(cls, path: str) -> Tuple["FilteredTree", "AdaptedProcess"]:
-        with open(path, "r", encoding="utf-8") as fh:
-            return cls.from_dict(json.load(fh))
+        return cls.from_dict(read_json(path))
 
     def to_json(self, path: str, z: "AdaptedProcess") -> None:
         write_json(path, self.to_dict(z))

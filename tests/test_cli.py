@@ -23,6 +23,7 @@ from follmer_lab.cli import main
 from follmer_lab.mc import streams
 from follmer_lab.mc.gallery import PARAMS
 from follmer_lab.corpus import binary_example
+from follmer_lab.errors import FreezeTargetError
 from follmer_lab.follmer import FollmerPair, construct_follmer
 from follmer_lab.trees import AdaptedProcess, FilteredTree
 
@@ -119,6 +120,36 @@ def test_follmer_all_pass_ledger(binary_file, tmp_path):
 def test_follmer_freeze_on_martingale_refused(martingale_file, tmp_path, capsys):
     assert main(["follmer", martingale_file, "--target", "x", "--out", str(tmp_path / "o")]) == 2
     assert "martingale" in capsys.readouterr().err
+
+
+def test_follmer_target_and_witness_refuse_a_martingale_alike(tmp_path, capsys):
+    # both build the freeze pair through one function, which refuses a
+    # martingale before it checks the freeze state
+    tree = FilteredTree(
+        1,
+        [
+            {"id": "r", "parent": None, "state": "s"},
+            {"id": "u", "parent": "r", "prob": "1/2", "state": "s"},
+            {"id": "d", "parent": "r", "prob": "1/2", "state": "d"},
+        ],
+    )
+    z = AdaptedProcess({"r": Fraction(1), "u": Fraction(3, 2), "d": Fraction(1, 2)})
+    path = tmp_path / "mart.json"
+    tree.to_json(str(path), z)
+    # the path r, u sits at s through the horizon, so s is inadmissible too
+    with pytest.raises(FreezeTargetError, match="collides with charged path r/u"):
+        construct_follmer(tree, z, "s")
+    for x_star in ("x", "s"):
+        refusals = []
+        for argv in (["follmer", str(path), "--target", x_star], ["witness", str(path), x_star]):
+            code = main(argv + ["--out", str(tmp_path / argv[0])])
+            refusals.append((code, capsys.readouterr().err))
+        assert refusals[0] == refusals[1] == (
+            2,
+            f"error: freeze target {x_star!r} needs lost mass: Z is a martingale, "
+            f"so the freeze pair would be the cemetery pair\n",
+        )
+    assert not (tmp_path / "follmer").exists() and not (tmp_path / "witness").exists()
 
 
 def test_verify_detects_corruption(binary_file, tmp_path, capsys):
@@ -369,7 +400,7 @@ def test_uniqueness_report_file(binary_file, tmp_path):
     out = tmp_path / "out"
     assert main(["uniqueness", binary_file, "--out", str(out)]) == 0
     rep = json.loads((out / "uniqueness.json").read_text())
-    assert sorted(rep) == ["mass_lost", "reason", "unique_pair"]
+    assert sorted(rep) == ["mass_lost", "unique_pair"]
     assert rep["mass_lost"] == "1/8"
     assert rep["unique_pair"] is False
 
@@ -487,6 +518,26 @@ def test_too_few_paths_exits_2_without_traceback(tmp_path, argv, manifest):
     assert not (tmp_path / "out" / "results.csv").exists()
 
 
+@pytest.mark.parametrize(
+    "argv, text",
+    [
+        (["decompose", "deep.json"], '{"horizon": 1, "nodes": %s}'),
+        (["verify", "tree.json", "deep.json"], '{"target": "cemetery", "outcomes": %s}'),
+        (["mc", "deep.json"], '{"experiment": "exp_decay", "seed": 1, "n_paths": 10, "params": %s}'),
+    ],
+    ids=["tree", "pair", "manifest"],
+)
+def test_deeply_nested_json_exits_2_without_traceback(tmp_path, argv, text):
+    # nested past the parser's recursion limit, which json.load reports as a RecursionError
+    tree, z = binary_example()
+    tree.to_json(str(tmp_path / "tree.json"), z)
+    (tmp_path / "deep.json").write_text(text % ("[" * 100000 + "]" * 100000))
+    proc = _run_cli(argv + ["--out", "out"], tmp_path)
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr == "error: deep.json: JSON nested too deeply to read\n"
+
+
 def test_single_jump_off_grid_mid_time_exits_2_without_traceback(tmp_path):
     manifest = {"experiment": "single_jump", "seed": 1, "n_paths": 10, "params": {"m": 40}}
     (tmp_path / "manifest.json").write_text(json.dumps(manifest))
@@ -539,6 +590,7 @@ def test_selftest_passes(capsys):
         ({"experiment": "suicide", "params": {"m": 52}}, "m must be at most 51, got 52"),
         ({"experiment": "fatou", "params": {"scan_depth": 0}}, "scan_depth must be at least 1, got 0"),
         ({"experiment": "fatou", "params": {"scan_depth": 1075}}, "scan_depth must be at most 1074, got 1075"),
+        ({"experiment": "single_jump", "params": {"refine_points": 0}}, "refine_points must be at least 1, got 0"),
     ],
     ids=[
         "fatou-twin-probes", "exp_decay-ts-0", "exp_decay-ts-str", "bessel-ts-neg", "bessel-fp-0",
@@ -547,7 +599,7 @@ def test_selftest_passes(capsys):
         "split_limit-n-true", "split_limit-n-str", "seed-null", "seed-1.7", "n_paths-null",
         "single_jump-m-neg", "split_limit-n-2000", "mass_redirect-k-neg", "mass_redirect-k-1100",
         "extended-k-1100", "fatou-m_list-3000", "suicide-m-52", "fatou-scan_depth-0",
-        "fatou-scan_depth-1075",
+        "fatou-scan_depth-1075", "single_jump-refine_points-0",
     ],
 )
 def test_bad_experiment_params_exit_2_without_traceback(tmp_path, fields, named):

@@ -350,44 +350,44 @@ def test_one_pair_against_two_trees():
 # -- golden outputs ---------------------------------------------------------------
 
 # per corpus seed (random_case, default sizes); the freeze state is "x".
-# witness.json names its two pair files relative to itself, so its digest
-# does not depend on the output directory.  Each uniqueness.json digest was
-# recorded from the six-field report that also wrote is_martingale,
-# witness_available and tau_lt_zeta_negligible, with those keys deleted and
-# the rest rewritten by write_json
+# Each uniqueness.json digest was recorded from the six-field report that
+# also wrote is_martingale, witness_available, tau_lt_zeta_negligible and
+# reason, and each witness.json digest from the record that also named the
+# two pair files as pair_cemetery and pair_freeze, with those keys deleted
+# and the rest rewritten by write_json
 GOLDEN = {
     12: {
         "tree.json": "435cf4be43f83d5f6926920a98649d6d852b86cc8c3bfb8cc39695dfc35be58c",
         "decomposition.json": "59964e92802bd155fa0166878add36c01703b724e9b1b384a3e4e6d131d3c8b2",
         "pair.json": "e91c5e3a93908ee98b9ddacea5859c53c9ab7bb82c9942ad98bea8ade7ac3738",
         "ky_ledger.csv": "800d36a4d02d1b1519a462e7de384045adae42781245d3846338c37d5452f68e",
-        "uniqueness.json": "1b29d047c74d83bb6dbd72e8684ce5d91b3d337670f59e6bd9656f70c5248e5d",
+        "uniqueness.json": "20063785c6d657533bc187908059515978a58944d1cb5a17afd35badf891d11b",
         "pair_cemetery.json": "e91c5e3a93908ee98b9ddacea5859c53c9ab7bb82c9942ad98bea8ade7ac3738",
         "pair_freeze.json": "3ffad43935c86795b2a79281319dd06634126180dd4f1a412fc055129bc2fbf3",
         "total_variation": "1/1",
-        "witness.json": "268de16cfdd907bc0a06e9b4488e9483151a988dffb42b88e65f024617d4573b",
+        "witness.json": "c5a9d11cf02ef8e08a8d57d021843b0d77975afadc187fd901a410eba15237b8",
     },
     17: {
         "tree.json": "c16a1aaed6b82df8199e91db4caf39fb027f69b8cd09fea74dbd4924cf1a89c6",
         "decomposition.json": "3c585ccc894ae06fa0f50ffda648d302c358bbc7535843168e09d99cacd4c77f",
         "pair.json": "b541e30e248b373ef468a6a70c500b1d52128a2f03033974b253b80e29602ea6",
         "ky_ledger.csv": "1c38757e755d7c64c6db345c5425a2e7229a98919ec4641ba40b4a701d7021d6",
-        "uniqueness.json": "caebe2dc9ce6da2b0f564b1f0bfb7ff8b41690ac353ed143c3514a5756366f1b",
+        "uniqueness.json": "eae63eb7eb865e072ed870a37fb0a203dfad79ec0dd0d0102e511f107b5c0e6c",
         "pair_cemetery.json": "b541e30e248b373ef468a6a70c500b1d52128a2f03033974b253b80e29602ea6",
         "pair_freeze.json": "f65da5c6de8c10c33d4549850ed6f7f192181f0fa31e21eac5e546fe092b99c6",
         "total_variation": "1253/1280",
-        "witness.json": "21a9734dda764b121b08b1574e81db8f62573852f01c29623c806e6296aff7d5",
+        "witness.json": "68736f8422f1aa0cf006aa097b318046b21347002a651446bdeb2823a031b84a",
     },
     34: {
         "tree.json": "808ce603d305a2c08cf4a566b7f2a6f0c045ac73a930e657566f5d9f50fd7397",
         "decomposition.json": "71decdbf82a7a56e3c1a1a794badcd9c69937c737bdf2c4276b7351786ab9e8a",
         "pair.json": "d61cb7c4bdaa83b278dd1ed85de1022253030996b4cbdd601d8bb5ab54347d5f",
         "ky_ledger.csv": "012b98eba49b33585b5a175fa828f5a1d9db7e3f0b07ad8575a9a30bcc3ca0a3",
-        "uniqueness.json": "aa68df14dc824150c02328d28a98e2a6c7b10d9dbf96103d4fddb04b0de71a79",
+        "uniqueness.json": "d6b2cff2eabd68e81b3c1c88de9d6ac61488694a339de573f814dbd09a0a69a3",
         "pair_cemetery.json": "d61cb7c4bdaa83b278dd1ed85de1022253030996b4cbdd601d8bb5ab54347d5f",
         "pair_freeze.json": "1ff2048ba599d328126d8d62ddc22c414e692680b3a0bc384bceb9ecfa28146e",
         "total_variation": "31913/49152",
-        "witness.json": "a87cfd01c5a5738bc22ecfa47850c653c58fd351e5fc447efa28230f76b96959",
+        "witness.json": "aa49f3ccf7779dcaafd86c163acdc538483d070a76a6fa91c027d533379cbaee",
     },
 }
 
@@ -465,40 +465,41 @@ def large_case(name):
 
 
 # recorded on the implementation that parsed every value with Fraction and
-# compared every one-step mean as a Fraction; uniqueness.json as in GOLDEN
+# compared every one-step mean as a Fraction; uniqueness.json and witness.json
+# as in GOLDEN
 LARGE_GOLDEN = {
     "binary9": {
         "tree.json": "70c23e2e9b52018a18c2dceeb4121d28d21f0efe10d21afd01dcce2b4a5a7105",
         "decomposition.json": "2bd63fb49b8223dd8f6ce7245ef7bfa783a6fa85493bc2906205751a078ddac3",
         "pair.json": "1bc74fb6ff8040cfb06bf208e437f5b739ee20c1f1e409d295b052c0babe4202",
         "ky_ledger.csv": "aac8515d25545ccbb3a041329c9534776a96cad75bd7e5a697e0e9e762c28e53",
-        "uniqueness.json": "d36f8d1dcabd5192cf45c5e7f36121271fa66f2f3526bcc4c2c53a9cc66a0bea",
+        "uniqueness.json": "a116491fcba181d8bd2d08e3321a38322ea12a156f487e8d6e606d7d5cd8e36a",
         "pair_cemetery.json": "1bc74fb6ff8040cfb06bf208e437f5b739ee20c1f1e409d295b052c0babe4202",
         "pair_freeze.json": "999c4686312e3d4548c685fc7442c3e329f5aec1b3d69732af7faaae123dc77e",
         "total_variation": "44001810262860777854848837799/48764219233644071780509286400",
-        "witness.json": "5d5ae4b98435eba114e5f3094060b97b130ee1e905c3a0f467d6dae17fc07810",
+        "witness.json": "40c8c0b9b1ed2610fc0201180b6c64647636266bd19fb4e86abbba9eba44ae49",
     },
     "branch5": {
         "tree.json": "52160b5884fb30a1de62087c27f0f499ff34a9acf5d12add7e50b5d99a87b2fe",
         "decomposition.json": "8bbfc0c9e07ee68347b82087f6e7af24eb94cf904bb2e23829d2566a4bba7b21",
         "pair.json": "632f3176fc1aa27e1a71d471c72343fc8f29f79c1550003b8659578490c90383",
         "ky_ledger.csv": "6a8ad48e2f4836ca5ca8c2ddf2e054d58ec55b4b2ced5ec480566610f4bed14e",
-        "uniqueness.json": "ba06e39e0f260e8d3fac4c13b911556d4e5d59bfaedb2799d314cb5490d8749a",
+        "uniqueness.json": "b3f50f9961df4de2b6880a4b9a33996672b831a8eb707f1b7a408e37e9d3e4d2",
         "pair_cemetery.json": "632f3176fc1aa27e1a71d471c72343fc8f29f79c1550003b8659578490c90383",
         "pair_freeze.json": "41e245af33c9214266bff08b829e66409080842b3ba6cf7fe3026681553a5af5",
         "total_variation": "21556549751/34138341376",
-        "witness.json": "4e45536f77a36b13da20bc409260e583844880dbaaefd5012081091e15e214a5",
+        "witness.json": "ffaece1787165938d7620ce9f8f21c9fbd0e65c23eb864dbed0260bc496e5fc5",
     },
     "chain120": {
         "tree.json": "ee07506373dc63e332b926224c3c4f4845fbc85f6136e5409f9acdb49983a4ad",
         "decomposition.json": "9a8b61e95e81d8c3e75572e077c905a6901c461be9f825af1fd4475502980b83",
         "pair.json": "98ee416e3daa146860bd5e923299b1b686f1f4da1ee208a65083867e67157091",
         "ky_ledger.csv": "98f580a0da7efcff6403a9125199719bbc75cdc90ebe43ea91508da21e0dd374",
-        "uniqueness.json": "1ccbe923f53342189c8259d783b5ced271b64294843f2a9f00c68ee3db114fd8",
+        "uniqueness.json": "1ca2168dde410cfc423643f39384f26e69d42fbaedc7f4a41d02e62a4809138c",
         "pair_cemetery.json": "98ee416e3daa146860bd5e923299b1b686f1f4da1ee208a65083867e67157091",
         "pair_freeze.json": "b4c1d4192c71bf44f53a0464b953933baa6ceaace2eea9718ceaa89ed9ecc7d1",
         "total_variation": "17498005798264090669048240444251939996407839917666178653838338789402979344892913985726974892502789967/17498005798264095394980017816940970922825355447145699491406164851279623993595007385788105416184430592",
-        "witness.json": "4c2054c7bea1d9f07da00f58ee3d8df7feb90dd3c414386aa42133066c58c6e3",
+        "witness.json": "cd813fe55c3e6d3063d8d53b0b39c1d4468031cf3200d06ebc50a27923d8132d",
     },
 }
 

@@ -120,7 +120,8 @@ def test_uniqueness_and_witness_agree(tmp_path, name):
     assert total_variation(cem, frz) == mass_lost
     witness = json.loads((wdir / "witness.json").read_text())
     assert Fraction(witness["total_variation"]) == mass_lost
-    assert (witness["pair_cemetery"], witness["pair_freeze"]) == ("pair_cemetery.json", "pair_freeze.json")
+    # the two pair files, read above, sit beside witness.json, which names neither
+    assert list(witness) == ["total_variation"]
 
 
 def ky_elimination(tree, z):
@@ -186,4 +187,4 @@ def test_ky_elimination_fixes_every_mass_but_no_target(name):
     assert solved == from_pair
     killed = [solved[n] for n in tree.iter_nodes() if not tree.is_leaf(n)]
     assert min(killed, default=0) >= 0
-    assert uniqueness_report(tree, z).unique_pair is all(m == 0 for m in killed)
+    assert (uniqueness_report(tree, z) == 0) is all(m == 0 for m in killed)

@@ -253,15 +253,17 @@ def construct_follmer(
     z: AdaptedProcess,
     target: str = CEMETERY,
 ) -> FollmerPair:
-    """The Föllmer pair of Z, from its one-step means (see the module docstring).
+    """The cemetery pair of Z, from its one-step means (see the module docstring).
 
-    ``target`` is :data:`CEMETERY` or a freeze-state label x* that passes
-    :func:`_check_freeze_admissible`.  Z is checked first, so a
-    non-supermartingale is reported before an inadmissible freeze state.
+    ``target`` may only name :data:`CEMETERY`, as ``bench/inputs.py`` does;
+    :func:`nonuniqueness_witness` builds every freeze pair.
     """
-    means = require_supermartingale(tree, z)
     if target != CEMETERY:
-        _check_freeze_admissible(tree, target)
+        raise ValueError(
+            f"construct_follmer builds the cemetery pair only; build the freeze pair "
+            f"at {target!r} with nonuniqueness_witness"
+        )
+    means = require_supermartingale(tree, z)
     killed: Dict[str, Fraction] = {}
     survivors: Dict[str, Fraction] = {}
     zv, path_prob = z.values, tree.path_prob
@@ -275,7 +277,7 @@ def construct_follmer(
                 killed[n] = path_prob[n] * (zn - e)
         elif zn:
             survivors[n] = path_prob[n] * zn
-    return FollmerPair(tree, target, killed, survivors)
+    return FollmerPair(tree, CEMETERY, killed, survivors)
 
 
 # -- Kunita-Yoeurp verification ----------------------------------------------
@@ -510,10 +512,10 @@ def nonuniqueness_witness(
     this order: Z is not a supermartingale, no mass is lost, x* is the
     cemetery, and a charged path sits at x*
     (:func:`_check_freeze_admissible`).  The freeze pair is the cemetery
-    pair's two maps under the target x*, which is what
-    ``construct_follmer(tree, z, x_star)`` returns.
+    pair's two maps under the target x*: the target does not change where
+    mass is killed, only where it goes.
     """
-    pair_cemetery = construct_follmer(tree, z, CEMETERY)
+    pair_cemetery = construct_follmer(tree, z)
     lost = pair_cemetery.killed_mass()
     if lost == 0:
         raise FreezeTargetError(

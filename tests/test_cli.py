@@ -24,7 +24,7 @@ from follmer_lab.mc import streams
 from follmer_lab.mc.gallery import PARAMS
 from follmer_lab.corpus import binary_example
 from follmer_lab.errors import FreezeTargetError
-from follmer_lab.follmer import FollmerPair, construct_follmer
+from follmer_lab.follmer import FollmerPair, _check_freeze_admissible, construct_follmer
 from follmer_lab.trees import AdaptedProcess, FilteredTree
 
 
@@ -118,13 +118,8 @@ def test_follmer_all_pass_ledger(binary_file, tmp_path):
 
 
 def test_follmer_freeze_on_martingale_refused(martingale_file, tmp_path, capsys):
-    assert main(["follmer", martingale_file, "--target", "x", "--out", str(tmp_path / "o")]) == 2
-    assert "martingale" in capsys.readouterr().err
-
-
-def test_follmer_target_and_witness_refuse_a_martingale_alike(tmp_path, capsys):
-    # both build the freeze pair through one function, which refuses a
-    # martingale before it checks the freeze state
+    # follmer --target and witness build the freeze pair through one
+    # function, which refuses a martingale before it checks the freeze state
     tree = FilteredTree(
         1,
         [
@@ -134,12 +129,12 @@ def test_follmer_target_and_witness_refuse_a_martingale_alike(tmp_path, capsys):
         ],
     )
     z = AdaptedProcess({"r": Fraction(1), "u": Fraction(3, 2), "d": Fraction(1, 2)})
-    path = tmp_path / "mart.json"
-    tree.to_json(str(path), z)
+    charged = tmp_path / "charged.json"
+    tree.to_json(str(charged), z)
     # the path r, u sits at s through the horizon, so s is inadmissible too
     with pytest.raises(FreezeTargetError, match="collides with charged path r/u"):
-        construct_follmer(tree, z, "s")
-    for x_star in ("x", "s"):
+        _check_freeze_admissible(tree, "s")
+    for path, x_star in ((martingale_file, "x"), (charged, "x"), (charged, "s")):
         refusals = []
         for argv in (["follmer", str(path), "--target", x_star], ["witness", str(path), x_star]):
             code = main(argv + ["--out", str(tmp_path / argv[0])])

@@ -24,7 +24,14 @@ from follmer_lab.cli import main
 from follmer_lab.corpus import binary_example, random_case, random_supermartingale
 from follmer_lab.decompositions import doob_meyer, multiplicative
 from follmer_lab.errors import FreezeTargetError, NotSupermartingaleError
-from follmer_lab.follmer import CEMETERY, construct_follmer, verify_ky, verify_ky_all
+from follmer_lab.follmer import (
+    CEMETERY,
+    construct_follmer,
+    nonuniqueness_witness,
+    uniqueness_report,
+    verify_ky,
+    verify_ky_all,
+)
 from follmer_lab.trees import (
     AdaptedProcess,
     FilteredTree,
@@ -224,13 +231,18 @@ def test_construct_follmer_checks_supermartingale_before_freeze_state():
             {"id": "b", "parent": "a", "prob": "1/1", "state": "x"},
         ],
     )
+    # the freeze state is checked by nonuniqueness_witness, after
+    # construct_follmer has checked Z
     bad = AdaptedProcess({"r": Fraction(1), "a": Fraction(2), "b": Fraction(2)})
-    with pytest.raises(NotSupermartingaleError) as err:
-        construct_follmer(tree, bad, "x")
-    assert str(err.value) == "not a supermartingale: one-step mean 2 exceeds 1 at node 'r'"
-    assert err.value.node == "r"
+    for build in (construct_follmer, lambda t, z: nonuniqueness_witness(t, z, "x")):
+        with pytest.raises(NotSupermartingaleError) as err:
+            build(tree, bad)
+        assert str(err.value) == "not a supermartingale: one-step mean 2 exceeds 1 at node 'r'"
+        assert err.value.node == "r"
     good = AdaptedProcess({"r": Fraction(1), "a": Fraction(1), "b": Fraction(1, 2)})
     with pytest.raises(FreezeTargetError):
+        nonuniqueness_witness(tree, good, "x")
+    with pytest.raises(ValueError, match="build the freeze pair at 'x' with nonuniqueness_witness"):
         construct_follmer(tree, good, "x")
 
 
@@ -256,7 +268,8 @@ def test_one_step_means_are_computed_once_per_tree_and_process(monkeypatch):
         doob_meyer(tree, z)
         multiplicative(tree, z)
         construct_follmer(tree, z)
-        construct_follmer(tree, z, "x")
+        if uniqueness_report(tree, z):
+            nonuniqueness_witness(tree, z, "x")
         require_supermartingale(tree, z)
         assert sorted(calls) == sorted(n for n in tree.iter_nodes() if tree.children[n])
 
@@ -295,7 +308,11 @@ def test_follmer_pair_equals_the_quantile_killing_construction():
         seen["surprise"] += bool(first - announced)
         for target in (CEMETERY, "x", tree.state[tree.leaves[0]]):
             try:
-                pair = construct_follmer(tree, z, target)
+                pair = (
+                    construct_follmer(tree, z)
+                    if target == CEMETERY
+                    else nonuniqueness_witness(tree, z, target)[1]
+                )
             except FreezeTargetError:
                 continue
             seen["freeze"] += target != CEMETERY

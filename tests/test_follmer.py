@@ -15,6 +15,7 @@ from follmer_lab.errors import FreezeTargetError
 from follmer_lab.follmer import (
     CEMETERY,
     FollmerPair,
+    _check_freeze_admissible,
     chain_measure_from_constant_times,
     construct_follmer,
     nonuniqueness_witness,
@@ -166,19 +167,17 @@ def test_tau_hat_mixed_crossing_and_cap():
 def test_uniqueness_martingale_verdict():
     rng = random.Random(10)
     tree, z = random_case(rng, martingale=True)
-    lost = uniqueness_report(tree, z)
-    assert lost == 0
-    assert (lost == 0) is True
+    assert uniqueness_report(tree, z) == 0
 
 
 def test_uniqueness_binary_cemetery_vs_freeze():
     tree, z = binary_example()
     lost = uniqueness_report(tree, z)
     assert lost == Fraction(1, 8)
-    assert (lost == 0) is False
     # the lost mass is the same whichever target the killed outcomes go to
-    assert construct_follmer(tree, z, CEMETERY).killed_mass() == lost
-    assert construct_follmer(tree, z, "u").killed_mass() == lost
+    cem, frz, _ = nonuniqueness_witness(tree, z, "u")
+    assert cem.target == CEMETERY and cem.killed_mass() == lost
+    assert frz.target == "u" and frz.killed_mass() == lost
 
 
 def test_witness_binary_total_variation():
@@ -201,7 +200,8 @@ def test_witness_chain_with_fresh_symbol():
 def test_witness_freeze_pair_is_the_constructed_freeze_pair():
     # the witness puts the cemetery pair's maps under x* instead of
     # constructing the freeze pair again: node by node, in order, the result
-    # is construct_follmer's, and an inadmissible x* is still refused
+    # is construct_follmer's with the target x*, and an x* that
+    # _check_freeze_admissible refuses is refused with its message
     rng = random.Random(18)
     cases = [binary_example()] + [random_case(rng) for _ in range(30)]
     compared = refused = 0
@@ -210,13 +210,14 @@ def test_witness_freeze_pair_is_the_constructed_freeze_pair():
             continue
         for x_star in ("u", "x"):
             try:
-                expected = construct_follmer(tree, z, x_star)
+                _check_freeze_admissible(tree, x_star)
             except FreezeTargetError as exc:
                 with pytest.raises(FreezeTargetError) as got:
                     nonuniqueness_witness(tree, z, x_star)
                 assert str(got.value) == str(exc)
                 refused += 1
                 continue
+            expected = replace(construct_follmer(tree, z), target=x_star)
             _, frz, _ = nonuniqueness_witness(tree, z, x_star)
             assert frz.target == expected.target == x_star
             assert list(frz.killed.items()) == list(expected.killed.items())
@@ -261,10 +262,10 @@ def test_freeze_refusal_cites_positive_duration_path():
     )
     # the (r, a, aa) path sits at state u from time 1 through the horizon
     with pytest.raises(FreezeTargetError) as exc:
-        construct_follmer(tree, z, "u")
+        nonuniqueness_witness(tree, z, "u")
     assert "aa" in str(exc.value)
     # a single final-instant visit is fine: d appears momentarily only on b-paths
-    construct_follmer(tree, z, "w")  # fresh symbol always admissible
+    nonuniqueness_witness(tree, z, "w")  # fresh symbol always admissible
 
 
 def test_chain_restricted_uniqueness_matches_triangular_solve():
@@ -311,6 +312,15 @@ def test_mass_conservation_on_corpus():
         assert pair.killed_mass() == 1 - ez_T
 
 
+def freeze_pair(tree, z, target):
+    """The pair of Z under any admissible target, a martingale's too."""
+    pair = construct_follmer(tree, z)
+    if target == CEMETERY:
+        return pair
+    _check_freeze_admissible(tree, target)
+    return replace(pair, target=target)
+
+
 def test_pair_json_round_trip(tmp_path):
     # the binary example and corpus trees, martingales among them, with the
     # cemetery, a fresh freeze symbol and a state of the tree as targets
@@ -320,7 +330,7 @@ def test_pair_json_round_trip(tmp_path):
     for k, (tree, z) in enumerate(cases):
         for target in (CEMETERY, "x", tree.state[tree.leaves[-1]]):
             try:
-                pair = construct_follmer(tree, z, target)
+                pair = freeze_pair(tree, z, target)
             except FreezeTargetError:
                 continue
             p, q = tmp_path / f"pair{k}.json", tmp_path / f"again{k}.json"

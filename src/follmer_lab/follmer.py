@@ -283,7 +283,7 @@ def construct_follmer(
 # -- Kunita-Yoeurp verification ----------------------------------------------
 
 
-@dataclass
+@dataclass(slots=True)
 class KYAtomRow:
     rho_id: str
     atom_node: str
@@ -433,7 +433,8 @@ def verify_ky_all(
     space is validated too: ``pair_problem`` names its first broken invariant.
     """
     survivor_mass = _survivor_mass_by_node(tree, pair)
-    atoms = ((f"t{tree.depth[s]}", s) for s in tree.iter_nodes())
+    rho_ids, depth = [f"t{t}" for t in range(tree.horizon + 1)], tree.depth
+    atoms = ((rho_ids[depth[s]], s) for s in tree.iter_nodes())
     rep = _check_atoms(tree, z, survivor_mass, atoms)
     rep.n_stopping_times = count_stopping_times(tree)
     rep.pair_problem = pair_problem(tree, pair)

@@ -45,6 +45,14 @@ num * b and a * den of its one-step mean num/den and its value a/b.  Where
 the mean equals Z[n], the stored mean *is* Z[n]'s value object, so readers
 of the means skip the arithmetic of a martingale step by an identity test.
 
+Each node id is one object.  The walk links every child to its parent's
+own id object and keys the children by the ids it walks, so the tree holds
+no second copy of an id and looking a node up is an identity hit.  Children
+are tuples in file order, and every leaf's is the one empty tuple.
+:meth:`FilteredTree.from_json` owns the document it parses, so it feeds the
+build a node list that it consumes: each entry and its strings are freed as
+the build takes them, and the document is never whole beside the tree.
+
 Path probabilities are shared objects.  The walk reads each parsed
 probability's numerator and denominator once, and computes a path
 probability once per pair of objects (the parent's path probability, the
@@ -80,7 +88,7 @@ import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import chain
-from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterable, Iterator, List, Optional, Tuple
 
 from .errors import EnumerationCapError, FollmerLabError, NotSupermartingaleError, TreeValidationError
 
@@ -268,10 +276,12 @@ def _key(key) -> str:
 class FilteredTree:
     """Finite filtered tree: nodes, parent links, exact edge probabilities.
 
-    Node ids are strings.  The root has depth 0 and no parent; every leaf
-    has depth ``horizon``; every internal node has at least one child whose
-    edge probabilities are > 0 and sum to exactly 1.  Nodes may carry a
-    state label from a finite alphabet (used by freeze-state constructions).
+    Node ids are strings, one object per node.  The root has depth 0 and no
+    parent; every leaf has depth ``horizon``; every internal node has at
+    least one child whose edge probabilities are > 0 and sum to exactly 1.
+    ``children`` maps each node to a tuple of its children in file order
+    (``()`` at a leaf).  Nodes may carry a state label from a finite
+    alphabet (used by freeze-state constructions).
 
     The constructor fixes the breadth-first node order and the start of
     each depth level in it, and every walk reads those; processes and pairs
@@ -280,18 +290,20 @@ class FilteredTree:
     share.
     """
 
-    def __init__(self, horizon: int, nodes: Sequence[dict]):
+    def __init__(self, horizon: int, nodes: Iterable[dict]):
         if isinstance(horizon, bool) or not isinstance(horizon, int):
             raise TreeValidationError(f"horizon must be an integer, got {horizon!r}")
         if horizon < 0:
             raise TreeValidationError(f"horizon must be >= 0, got {horizon}")
         self.horizon = horizon
+        # every parent link is set by the walk, to the parent's own id object
         self.parent: Dict[str, Optional[str]] = {}
         self.prob: Dict[str, Fraction] = {}
         self.state: Dict[str, Optional[str]] = {}
-        # parents only while the entries are read; leaves get theirs in the walk
-        self.children: Dict[str, List[str]] = {}
-        parent, prob, state_of, children = self.parent, self.prob, self.state, self.children
+        parent, prob, state_of = self.parent, self.prob, self.state
+        # each parent's children in file order, keyed by the parent id as the
+        # first child's entry spells it, only until the walk reaches the parent
+        kids_of: Dict[str, List[str]] = {}
         # each distinct probability string parsed once, and each parsed
         # value's numerator and denominator read once, keyed by its id
         seen: Dict[str, Fraction] = {}
@@ -317,7 +329,7 @@ class FilteredTree:
                     f"state at node {nid!r} must be a string or null, got {state!r}",
                     node=nid,
                 )
-            parent[nid] = par
+            parent[nid] = None
             state_of[nid] = state
             if par is None:
                 prob[nid] = one
@@ -335,25 +347,27 @@ class FilteredTree:
                 if type(raw) is str:
                     seen[raw] = p
             prob[nid] = p
-            kids = children.get(par)
+            kids = kids_of.get(par)
             if kids is None:
-                children[par] = [nid]
+                kids_of[par] = [nid]
             else:
                 kids.append(nid)
         if len(roots) != 1:
             raise TreeValidationError(f"need exactly one root, got {len(roots)}")
-        if not children.keys() <= parent.keys():
-            nid, par = next((c, p) for p, kids in children.items() if p not in parent for c in kids)
+        if not kids_of.keys() <= parent.keys():
+            nid, par = next((c, p) for p, kids in kids_of.items() if p not in parent for c in kids)
             raise TreeValidationError(
                 f"node {nid!r} references unknown parent {par!r}", node=nid
             )
 
         # One breadth-first walk fixes the node order, the start of each
-        # depth level in it, the depths, path probabilities and leaves, and
-        # checks each sibling block and each leaf's depth as it reaches them.
+        # depth level in it, the depths, parent links, children, path
+        # probabilities and leaves, and checks each sibling block and each
+        # leaf's depth as it reaches them.
         root = self.root = roots[0]
         depth: Dict[str, int] = {root: 0}
         path_prob: Dict[str, Fraction] = {root: one}
+        children: Dict[str, Tuple[str, ...]] = {}
         leaves: List[str] = []
         order: List[str] = [root]
         levels: List[int] = [0]
@@ -363,16 +377,17 @@ class FilteredTree:
         # product and one object
         products: Dict[Tuple[int, int], Fraction] = {}
         for n in order:  # grows as the walk appends children
-            kids = children.get(n)
+            kids = kids_of.pop(n, None)
             d = depth[n]
             if kids is None:
                 if d != horizon:
                     raise TreeValidationError(
                         f"leaf {n!r} has depth {d}, horizon is {horizon}", node=n
                     )
-                children[n] = []
+                children[n] = ()
                 leaves.append(n)
                 continue
+            kids = children[n] = tuple(kids)
             if len(levels) == d + 1:
                 levels.append(len(order))
             # the block's sum as num/den over a running denominator
@@ -394,6 +409,7 @@ class FilteredTree:
                     num += a
                 else:
                     num, den = num * b + a * den, den * b
+                parent[c] = n
                 depth[c] = below
                 path_prob[c] = q
                 order.append(c)
@@ -403,7 +419,7 @@ class FilteredTree:
                     node=n,
                 )
         levels.append(len(order))
-        self.depth, self.path_prob, self.leaves = depth, path_prob, leaves
+        self.children, self.depth, self.path_prob, self.leaves = children, depth, path_prob, leaves
         self._order, self._levels = order, levels
         if len(order) != len(parent):
             missing = sorted(set(parent) - set(depth))
@@ -463,16 +479,39 @@ class FilteredTree:
 
     @classmethod
     def from_dict(cls, data: dict) -> Tuple["FilteredTree", "AdaptedProcess"]:
+        """The tree and process of a tree file's parsed JSON; ``data`` is left as it was."""
+        return cls._read(data, consume=False)
+
+    @classmethod
+    def from_json(cls, path: str) -> Tuple["FilteredTree", "AdaptedProcess"]:
+        """The tree and process in the tree file at ``path``.
+
+        The parsed document is this call's own, so the build consumes its
+        node list: each entry and its strings are freed as the build takes
+        them, and the whole document never sits beside the whole tree.
+        """
+        return cls._read(read_json(path), consume=True)
+
+    @classmethod
+    def _read(cls, data, consume: bool) -> Tuple["FilteredTree", "AdaptedProcess"]:
         if not isinstance(data, dict) or not isinstance(data.get("nodes"), list):
             raise TreeValidationError("a tree file must be an object with a 'nodes' list")
         nodes = data["nodes"]
+        # z is parsed once the tree has accepted every entry, so its faults
+        # come after every tree fault, in file order
+        raw_z = [spec.get("z") if isinstance(spec, dict) else None for spec in nodes]
+        if consume:
+            # the entries reversed above a stop mark, popped in file order
+            end = object()
+            nodes.append(end)
+            nodes.reverse()
+            nodes = iter(nodes.pop, end)
         tree = cls(data.get("horizon"), nodes)
         # the tree accepted every entry, so its parent map lists their ids
         # in file order
         seen: Dict[str, Fraction] = {}
         zvals: Dict[str, Fraction] = {}
-        for nid, spec in zip(tree.parent, nodes):
-            raw = spec.get("z")
+        for nid, raw in zip(tree.parent, raw_z):
             if raw is None:
                 continue
             v = seen.get(raw) if type(raw) is str else None
@@ -481,17 +520,13 @@ class FilteredTree:
                 if type(raw) is str:
                     seen[raw] = v
             zvals[nid] = v
-        if len(zvals) != len(nodes):
+        if len(zvals) != len(raw_z):
             missing = [n for n in tree._order if n not in zvals]
             raise TreeValidationError(
                 f"process values missing at {_some_ids(missing, len(tree.parent))}",
                 node=missing[0],
             )
         return tree, AdaptedProcess(zvals)
-
-    @classmethod
-    def from_json(cls, path: str) -> Tuple["FilteredTree", "AdaptedProcess"]:
-        return cls.from_dict(read_json(path))
 
     def to_json(self, path: str, z: "AdaptedProcess") -> None:
         write_json(path, self.to_dict(z))

@@ -8,6 +8,7 @@ per entry; the ledger by reading it back with ``csv.reader``.
 """
 
 import contextlib
+import copy
 import csv
 import io
 import json
@@ -43,7 +44,7 @@ def uniform_tree_nodes(branching, depth):
 
 
 def reference_walk(horizon, nodes):
-    """Order, level starts, depths and leaves by a plain breadth-first walk of the node list."""
+    """Order, level starts, depths, leaves and children (in file order) by a plain breadth-first walk."""
     kids = {str(spec["id"]): [] for spec in nodes}
     root = None
     for spec in nodes:
@@ -60,7 +61,7 @@ def reference_walk(horizon, nodes):
             depth[c] = len(levels)
     levels.append(len(order))
     assert len(levels) == horizon + 2
-    return order, levels, depth, [n for n in order if not kids[n]]
+    return order, levels, depth, [n for n in order if not kids[n]], kids
 
 
 def build_cases():
@@ -77,13 +78,30 @@ def build_cases():
 @pytest.mark.parametrize("horizon, nodes", build_cases())
 def test_build_matches_a_reference_walk(horizon, nodes):
     tree = FilteredTree(horizon, nodes)
-    order, levels, depth, leaves = reference_walk(horizon, nodes)
+    order, levels, depth, leaves, kids = reference_walk(horizon, nodes)
     assert tree._order == order
     assert tree._levels == levels
     assert tree.depth == depth
     assert tree.leaves == leaves
+    # one id object per node: the walk's own, keying the children in walk order
+    # and linking each child to its parent
+    assert all(k is n for k, n in zip(tree.children, tree._order))
     for n in order:
         assert tree.path_prob[n] == prod((tree.prob[m] for m in tree.path_to(n)), start=Fraction(1))
+        assert type(tree.children[n]) is tuple and tree.children[n] == tuple(kids[n])
+        assert all(tree.parent[c] is n for c in tree.children[n])
+
+
+@pytest.mark.parametrize("horizon, nodes", build_cases())
+def test_from_dict_leaves_its_argument_as_it_was(horizon, nodes):
+    # the uniform case has no process values, so its read fails after the build
+    data = {"horizon": horizon, "nodes": nodes}
+    before = copy.deepcopy(data)
+    try:
+        FilteredTree.from_dict(data)
+    except TreeValidationError as exc:
+        assert "process values missing" in str(exc)
+    assert data == before
 
 
 def test_a_uniform_level_shares_one_path_probability():

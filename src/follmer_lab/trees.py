@@ -494,6 +494,7 @@ class FilteredTree:
 
     @classmethod
     def _read(cls, data, consume: bool) -> Tuple["FilteredTree", "AdaptedProcess"]:
+        """The tree and process of parsed JSON ``data``; ``consume`` lets the build empty its node list."""
         if not isinstance(data, dict) or not isinstance(data.get("nodes"), list):
             raise TreeValidationError("a tree file must be an object with a 'nodes' list")
         nodes = data["nodes"]

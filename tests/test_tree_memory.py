@@ -1,25 +1,23 @@
 """Reading a tree file holds each node once.
 
-Measured with tracemalloc on the file below: a uniform binary tree of depth
-11 (4,095 nodes) with state labels and the ids, probabilities and process
-values of a random supermartingale, about 0.5 MB of JSON.
+The file is a uniform binary tree of depth 11 (4,095 nodes, about 0.5 MB of
+JSON) with state labels and a random supermartingale's values.  Sizes below
+are tracemalloc's on CPython 3.11.
 
-- ``read_json`` alone peaks at the file's text plus the parsed document.
-  ``FilteredTree.from_json`` consumes its own document's node list, so each
-  entry is freed as the build takes it, and its peak is ``read_json``'s to
-  within 1%.  Keeping the whole document alive beside the whole tree, as a
-  build that reads the list without consuming it does, peaks at 1.27 times
-  ``read_json``'s.  So the bound is ``PEAK_RATIO``, 1.05.
-- The tree and the process keep about 310 bytes a node on CPython 3.11:
-  the node's id string (about 75 bytes), one entry in each of seven
-  node-keyed maps (about 25 bytes each), its place in the breadth-first
-  order and the leaf list, and half an internal node's children tuple.  A
-  second string per parent link (a node's parent id as its entry spelled
-  it), an empty list per leaf and a growable list per internal node add
-  about 130 bytes a node, for about 440.  On CPython 3.10 each map entry
-  takes 8 bytes more, about 60 bytes a node in all.  So the bound is
-  ``BYTES_PER_NODE``, 400: above 3.10's one-copy size, below 3.11's with
-  the copies.
+- ``read_json`` alone peaks at the file's text plus the parsed document,
+  2.3 MB.  ``FilteredTree.from_json`` consumes its own document's node
+  list, freeing each entry as the build takes it, and peaks at that same
+  2.3 MB.  A build that keeps the whole document beside the whole tree
+  peaks at 1.30 times it.  So the bound is ``PEAK_RATIO``, 1.05.
+- The tree and its process keep 270 to 300 bytes a node: the id string
+  (about 72), one entry in each of seven node-keyed maps (about 25 each),
+  a place in the node order and the leaf list (12), half an internal
+  node's children tuple (28) and a share of the distinct values (9).  A
+  second string per parent link (68), an empty list per leaf and a list
+  per internal node instead of tuples take it to 428.  On CPython 3.10 a
+  map entry takes 8 bytes more, which adds about 75 to either figure.  So
+  the bound is ``BYTES_PER_NODE``, 400: above the one-copy size on 3.10,
+  below the size with the copies on 3.11.
 """
 
 import random

@@ -28,7 +28,7 @@ from typing import List, Sequence, Tuple
 import numpy as np
 
 from ..errors import GridError
-from .grids import GridSpec, step_value, window_grid_indices
+from .grids import GridSpec, step_values, window_grid_indices
 from .paths import PathBatch
 from .streams import fill_paths
 
@@ -153,18 +153,9 @@ class SimpleNonincreasing:
         if self.levels and self.levels[-1] < 0:
             raise ValueError("levels must be nonnegative")
 
-    def value(self, t: float) -> float:
-        """Level at time t (left-continuous drops: the old level holds at the jump)."""
-        k = 0
-        for rho in self.jump_times:
-            if t > rho:
-                k += 1
-            else:
-                break
-        return self.levels[k]
-
-    def values(self, times: np.ndarray) -> np.ndarray:
-        return np.array([self.value(float(t)) for t in times])
+    def values(self, times) -> np.ndarray:
+        """Levels at ``times``: H_k after k jumps, and the old level holds at a jump time."""
+        return np.asarray(self.levels)[np.searchsorted(self.jump_times, times, side="left")]
 
     def drops(self) -> List[Tuple[float, float]]:
         """(jump time, drop size) for every jump that lowers the level."""
@@ -220,18 +211,14 @@ def simple_approx(times: Sequence[float], values: Sequence[float], k: int) -> Si
     vals = np.asarray(values, dtype=float)
     if times.size != vals.size or times.size == 0:
         raise ValueError("need matching nonempty times and values")
-    if np.any(np.diff(vals) > 1e-15):
+    if np.isnan(vals).any() or np.any(np.diff(vals) > 1e-15):
         raise ValueError("input path must be nonincreasing")
 
     step = 2.0**-k
-    t_end = float(times[-1])
-    n_steps = int(math.floor(t_end / step + 1e-12))
-    jumps: List[float] = []
-    levels: List[float] = [step_value(times, vals, 0.0)]
-    for n in range(1, n_steps + 1):
-        t = n * step
-        level = step_value(times, vals, t)
-        if level < levels[-1]:
-            jumps.append(t)
-            levels.append(level)
-    return SimpleNonincreasing(tuple(jumps), tuple(levels))
+    n_steps = max(int(math.floor(float(times[-1]) / step + 1e-12)), 0)
+    samples = step_values(times, vals, np.arange(n_steps + 1) * step)
+    # a drop is a sample below every sample before it
+    drops = np.nonzero(samples[1:] < np.minimum.accumulate(samples)[:-1])[0] + 1
+    return SimpleNonincreasing(
+        tuple((drops * step).tolist()), tuple(samples[np.r_[0, drops]].tolist())
+    )

@@ -420,8 +420,7 @@ def run_extended(seed: int, n_paths: int, params: dict) -> ExperimentResult:
     rep = families.extended_approx(
         grid,
         z_vals,
-        oracle=lambda t: np.full_like(t, 0.5),
-        terminal_mean=0.5,
+        terminal=0.5,
         h=h,
         k=k,
         m=m,

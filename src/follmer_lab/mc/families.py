@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Dict, Sequence, Tuple
+from typing import Dict, Sequence, Tuple
 
 import numpy as np
 
@@ -166,46 +166,44 @@ class ExtendedFamilyReport:
 def extended_approx(
     grid: GridSpec,
     z_values: Sequence[float],
-    oracle: Callable[[np.ndarray], np.ndarray],
-    terminal_mean: float,
+    terminal: float,
     h: float,
     k: int,
     m: int,
     n_paths: int,
     seed: int,
 ) -> ExtendedFamilyReport:
-    """Family member for a supermartingale extended by a terminal value.
+    """Family member for a deterministic supermartingale extended by a terminal value.
 
-    ``oracle`` maps grid times to the conditional expectation of the terminal
-    extension (closed form, supplied by the caller); ``terminal_mean`` is its
-    expectation.  The core (Z - oracle)/normalizer is cut to zero at time h,
-    dyadically sampled at resolution k and realized by a suicide family at
-    burn-in m; the member is oracle + normalizer * core-family.  When the
-    normalizer vanishes the core is identically one (0/0 = 1 convention) and
-    the member is the oracle itself.
+    Z is one deterministic path, so the conditional expectation of the
+    terminal value given F_t is the constant ``terminal`` itself, the oracle.
+    The core (Z - terminal)/normalizer is cut to zero at time h, dyadically
+    sampled at resolution k and realized by a suicide family at burn-in m;
+    the member is terminal + normalizer * core-family.  When the normalizer
+    vanishes the core is identically one (0/0 = 1 convention) and the member
+    is the constant ``terminal``.
     """
     times = grid.points()
     z_arr = np.asarray(z_values, dtype=float)
     if z_arr.size != times.size:
         raise ValueError("Z path must be sampled on the grid")
-    oracle_arr = np.asarray(oracle(times), dtype=float)
-    normalizer = float(z_arr[0] - terminal_mean)
+    normalizer = float(z_arr[0] - terminal)
     core_constant = normalizer == 0.0
     if core_constant:
-        values = np.tile(oracle_arr + 0.0, (n_paths, 1))
+        values = np.full((n_paths, times.size), terminal + 0.0)
     else:
-        core = np.where(times < h, (z_arr - oracle_arr) / normalizer, 0.0)
+        core = np.where(times < h, (z_arr - terminal) / normalizer, 0.0)
         if np.any(core < -1e-12) or np.any(np.diff(core) > 1e-12):
             raise ValueError("core path must be nonnegative and nonincreasing")
         g = simple_approx(times, np.maximum(core, 0.0), k)
         values = suicide_martingale(g, m, grid, n_paths, seed).values
         values *= normalizer
-        values += oracle_arr
+        values += terminal
     batch = PathBatch(times, values)
     mean0, se0 = mean_and_se(values[:, 0])
     meanT, seT = mean_and_se(values[:, -1])
     return ExtendedFamilyReport(
-        batch, normalizer, mean0, se0, meanT, seT, terminal_mean, core_constant
+        batch, normalizer, mean0, se0, meanT, seT, terminal, core_constant
     )
 
 

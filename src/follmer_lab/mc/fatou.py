@@ -18,7 +18,7 @@ from typing import Sequence, Tuple
 import numpy as np
 
 from .bridges import BridgeWindow
-from .grids import GridSpec, grid_index, step_value
+from .grids import GridSpec, grid_index, step_values
 from .paths import PathBatch
 from .streams import fill_paths
 
@@ -41,22 +41,12 @@ def in_S(t, n_max: int) -> bool:
     return False
 
 
-def left_value(times: np.ndarray, values: np.ndarray, t: float) -> float:
-    """Left limit surrogate of a sampled step path: the value just before t."""
-    idx = np.searchsorted(times, t, side="left") - 1
-    return float(values[max(idx, 0)])
-
-
-def _phase_schedule(m: int, t_max: float) -> list:
-    """Phase intervals (start, end) at level m within [0, t_max]; each burns down to D(start)."""
+def _phase_schedule(m: int, t_max: float) -> Tuple[np.ndarray, np.ndarray]:
+    """Starts and ends of the phase intervals at level m within [0, t_max]; each burns down to D(start)."""
     step = 2.0**-m
-    width = 2.0 ** (-3 * m)
     k_max = min(int(math.floor(t_max / step + 1e-12)), m * 2**m)
-    out = []
-    for k in range(1, k_max + 1):
-        start = k * step
-        out.append((start, start + width))
-    return out
+    starts = np.arange(1, k_max + 1) * step
+    return starts, starts + 2.0 ** (-3 * m)
 
 
 @dataclass(frozen=True)
@@ -84,12 +74,10 @@ class FatouSchedule:
 
     @classmethod
     def build(cls, times: np.ndarray, d_values: np.ndarray, m: int) -> "FatouSchedule":
-        phases = _phase_schedule(m, float(times[-1]))
-        starts = np.array([p[0] for p in phases])
-        ends = np.array([p[1] for p in phases])
+        starts, ends = _phase_schedule(m, float(times[-1]))
         # the last completed dyadic sample before each phase, and before each time
-        held = [float(d_values[0])] + [step_value(times, d_values, p[0]) for p in phases]
-        level = np.array(held)[np.searchsorted(ends, times, side="right")]
+        held = np.r_[d_values[0], step_values(times, d_values, starts)]
+        level = held[np.searchsorted(ends, times, side="right")]
         # phases are disjoint and sorted: the one that can hold t has the last start < t
         active = np.searchsorted(starts, times, side="left") - 1
         in_phase = active >= 0
@@ -97,11 +85,10 @@ class FatouSchedule:
         active[~in_phase] = -1
         bridged = []
         for k in np.unique(active[in_phase]).tolist():
-            start, end = phases[k]
-            prev, nxt = held[k], held[k + 1]
+            prev, nxt = held[k : k + 2].tolist()
             if nxt == prev:
                 continue
-            window = BridgeWindow.on(times, end, end - start)
+            window = BridgeWindow.on(times, ends[k], ends[k] - starts[k])
             cols = np.nonzero(active == k)[0]
             at = np.searchsorted(window.inside, cols)
             bridged.append(_BridgedPhase(window, cols, at, prev, nxt))
@@ -165,5 +152,5 @@ def fatou_probe_error(
     m_arr = np.asarray(m_values, dtype=float)
     d_arr = np.asarray(d_values, dtype=float)
     j = grid_index(times, t)
-    target = m_arr[j] + left_value(times, d_arr, t)
+    target = m_arr[j] + step_values(times, d_arr, t, side="left")
     return np.abs(batch.values[:, j] - target)

@@ -41,6 +41,7 @@ class GridSpec:
             # log-spaced toward the anchor: anchor - length * r^j
             ratio = math.exp(-math.log(1e6) / n)  # shrink by 1e-6 over n points
             for j in range(n + 1):
+                # scalar on purpose: numpy's vector power can differ from ** in the last bit
                 t = anchor - length * ratio**j
                 if 0.0 <= t <= self.t_max:
                     pts.append(t)
@@ -53,13 +54,15 @@ class GridSpec:
         return np.unique(np.asarray(pts, dtype=np.float64))
 
 
-def step_value(times: np.ndarray, values: np.ndarray, t: float) -> float:
-    """Value at t of a step path sampled at ``times``: the value at the last time <= t.
+def step_values(times: np.ndarray, values: np.ndarray, ts, side: str = "right") -> np.ndarray:
+    """Values at every time in ``ts`` of a step path sampled at ``times``.
 
+    ``side="right"`` reads the value at the last sample time <= t, and
+    ``side="left"`` the one at the last sample time < t, the left limit.
     Times before the first sample read the first value.
     """
-    idx = np.searchsorted(times, t, side="right") - 1
-    return float(values[max(idx, 0)])
+    idx = np.searchsorted(times, ts, side=side) - 1
+    return np.asarray(values)[np.maximum(idx, 0)]
 
 
 def grid_index(times: np.ndarray, t: float) -> int:

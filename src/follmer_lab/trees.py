@@ -478,11 +478,6 @@ class FilteredTree:
         return {"horizon": self.horizon, "nodes": nodes}
 
     @classmethod
-    def from_dict(cls, data: dict) -> Tuple["FilteredTree", "AdaptedProcess"]:
-        """The tree and process of a tree file's parsed JSON; ``data`` is left as it was."""
-        return cls._read(data, consume=False)
-
-    @classmethod
     def from_json(cls, path: str) -> Tuple["FilteredTree", "AdaptedProcess"]:
         """The tree and process in the tree file at ``path``.
 
@@ -490,24 +485,18 @@ class FilteredTree:
         node list: each entry and its strings are freed as the build takes
         them, and the whole document never sits beside the whole tree.
         """
-        return cls._read(read_json(path), consume=True)
-
-    @classmethod
-    def _read(cls, data, consume: bool) -> Tuple["FilteredTree", "AdaptedProcess"]:
-        """The tree and process of parsed JSON ``data``; ``consume`` lets the build empty its node list."""
+        data = read_json(path)
         if not isinstance(data, dict) or not isinstance(data.get("nodes"), list):
             raise TreeValidationError("a tree file must be an object with a 'nodes' list")
         nodes = data["nodes"]
         # z is parsed once the tree has accepted every entry, so its faults
         # come after every tree fault, in file order
         raw_z = [spec.get("z") if isinstance(spec, dict) else None for spec in nodes]
-        if consume:
-            # the entries reversed above a stop mark, popped in file order
-            end = object()
-            nodes.append(end)
-            nodes.reverse()
-            nodes = iter(nodes.pop, end)
-        tree = cls(data.get("horizon"), nodes)
+        # the entries reversed above a stop mark, popped in file order
+        end = object()
+        nodes.append(end)
+        nodes.reverse()
+        tree = cls(data.get("horizon"), iter(nodes.pop, end))
         # the tree accepted every entry, so its parent map lists their ids
         # in file order
         seen: Dict[str, Fraction] = {}

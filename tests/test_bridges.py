@@ -75,11 +75,12 @@ def test_single_jump_a_zero_is_the_bridge():
 
 def test_simple_nonincreasing_value_convention():
     g = SimpleNonincreasing((1.0, 2.0), (1.0, 0.5, 0.25))
-    assert g.value(0.0) == 1.0
-    assert g.value(1.0) == 1.0  # old level holds at the jump time
-    assert g.value(1.5) == 0.5
-    assert g.value(2.0) == 0.5
-    assert g.value(2.5) == 0.25
+    v = g.values([0.0, 1.0, 1.5, 2.0, 2.5])
+    assert v[0] == 1.0
+    assert v[1] == 1.0  # old level holds at the jump time
+    assert v[2] == 0.5
+    assert v[3] == 0.5
+    assert v[4] == 0.25
 
 
 def test_simple_nonincreasing_validation():
@@ -133,9 +134,10 @@ def test_simple_approx_dominates_and_jumps_on_next_dyadic():
     g = simple_approx(times, vals, k=2)
     assert g.jump_times == (0.5,)
     assert g.levels == (1.0, 0.5)
-    for t in np.linspace(0, 1, 41):
+    ts = np.linspace(0, 1, 41)
+    for t, v in zip(ts, g.values(ts)):
         true = 1.0 if t < 0.3 else 0.5
-        assert g.value(float(t)) >= true - 1e-15
+        assert v >= true - 1e-15
 
 
 def test_simple_approx_k_zero_single_piece():

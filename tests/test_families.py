@@ -147,8 +147,7 @@ def test_extended_zero_terminal_gives_pure_core():
     rep = extended_approx(
         grid,
         np.exp(-times),
-        oracle=lambda t: np.zeros_like(t),
-        terminal_mean=0.0,
+        terminal=0.0,
         h=1.0,
         k=3,
         m=6,
@@ -167,8 +166,7 @@ def test_extended_constant_terminal_conserves_expectation():
     rep = extended_approx(
         grid,
         z,
-        oracle=lambda t: np.full_like(t, 0.5),
-        terminal_mean=0.5,
+        terminal=0.5,
         h=1.0,
         k=3,
         m=6,
@@ -186,8 +184,7 @@ def test_extended_zero_over_zero_convention():
     rep = extended_approx(
         grid,
         np.ones_like(times),
-        oracle=lambda t: np.ones_like(t),
-        terminal_mean=1.0,
+        terminal=1.0,
         h=0.5,
         k=2,
         m=4,

@@ -5,8 +5,8 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from follmer_lab.mc.fatou import fatou_approx, fatou_probe_error, in_S, left_value
-from follmer_lab.mc.grids import GridSpec
+from follmer_lab.mc.fatou import fatou_approx, fatou_probe_error, in_S
+from follmer_lab.mc.grids import GridSpec, step_values
 
 
 def test_in_s_excludes_dyadic_left_endpoints():
@@ -81,9 +81,9 @@ def test_schedule_holds_last_dyadic_value_between_phases():
 def test_left_value_surrogate():
     times = np.array([0.0, 0.25, 0.5, 1.0])
     vals = np.array([0.0, -0.25, -0.5, -0.5])
-    assert left_value(times, vals, 0.5) == -0.25
-    assert left_value(times, vals, 0.6) == -0.5
-    assert left_value(times, vals, 0.25) == 0.0
+    assert step_values(times, vals, 0.5, side="left") == -0.25
+    assert step_values(times, vals, 0.6, side="left") == -0.5
+    assert step_values(times, vals, 0.25, side="left") == 0.0
 
 
 def test_rejects_increasing_drift():

@@ -8,7 +8,6 @@ per entry; the ledger by reading it back with ``csv.reader``.
 """
 
 import contextlib
-import copy
 import csv
 import io
 import json
@@ -92,24 +91,19 @@ def test_build_matches_a_reference_walk(horizon, nodes):
         assert all(tree.parent[c] is n for c in tree.children[n])
 
 
-@pytest.mark.parametrize("horizon, nodes", build_cases())
-def test_from_dict_leaves_its_argument_as_it_was(horizon, nodes):
-    # the uniform case has no process values, so its read fails after the build
-    data = {"horizon": horizon, "nodes": nodes}
-    before = copy.deepcopy(data)
-    try:
-        FilteredTree.from_dict(data)
-    except TreeValidationError as exc:
-        assert "process values missing" in str(exc)
-    assert data == before
-
-
 def test_a_uniform_level_shares_one_path_probability():
     tree = FilteredTree(4, uniform_tree_nodes(2, 4))
     for t in range(tree.horizon + 1):
         level = tree.nodes_at_depth(t)
         assert len({id(tree.path_prob[n]) for n in level}) == 1
         assert tree.path_prob[level[0]] == Fraction(1, 2**t)
+
+
+def _from_json(tmp_path, data):
+    """``FilteredTree.from_json`` on ``data`` written as a tree file."""
+    tree_file = tmp_path / "tree.json"
+    tree_file.write_text(json.dumps(data))
+    return FilteredTree.from_json(str(tree_file))
 
 
 def _chain(bad_z_at=None):
@@ -133,22 +127,22 @@ def _chain(bad_z_at=None):
     ],
     ids=["unparsable-prob", "prob-block-sum"],
 )
-def test_a_prob_fault_is_reported_before_an_earlier_bad_z(edit, named):
+def test_a_prob_fault_is_reported_before_an_earlier_bad_z(tmp_path, edit, named):
     # the bad z sits on the first node in the file, the bad prob after it
     nodes = _chain(bad_z_at="a.0")
     edit(nodes)
     with pytest.raises(TreeValidationError, match=named):
-        FilteredTree.from_dict({"horizon": 2, "nodes": nodes})
+        _from_json(tmp_path, {"horizon": 2, "nodes": nodes})
 
 
-def test_an_unreachable_node_is_reported_before_a_bad_z():
+def test_an_unreachable_node_is_reported_before_a_bad_z(tmp_path):
     nodes = _chain(bad_z_at="a.0") + [{"id": "x", "parent": "x", "prob": "1", "z": "1"}]
     with pytest.raises(TreeValidationError, match="unreachable from root") as err:
-        FilteredTree.from_dict({"horizon": 2, "nodes": nodes})
+        _from_json(tmp_path, {"horizon": 2, "nodes": nodes})
     assert err.value.node == "x"
     # without the unreachable node, the bad z is what is named
     with pytest.raises(TreeValidationError, match="process value at node 'a.0'"):
-        FilteredTree.from_dict({"horizon": 2, "nodes": _chain(bad_z_at="a.0")})
+        _from_json(tmp_path, {"horizon": 2, "nodes": _chain(bad_z_at="a.0")})
 
 
 # -- the JSON writer -------------------------------------------------------------
@@ -258,7 +252,7 @@ def test_ledger_rows_read_back_for_awkward_node_ids(tmp_path):
         {"id": k, "parent": root, "prob": f"1/{len(kids)}", "z": "1/2"} for k in kids
     ]
     data = {"horizon": 1, "nodes": nodes}
-    tree, z = FilteredTree.from_dict(data)
+    tree, z = _from_json(tmp_path, data)
     rep = verify_ky_all(construct_follmer(tree, z), tree, z)
     path = tmp_path / "ledger.csv"
     write_ky_ledger(rep, str(path))

@@ -10,6 +10,7 @@ on more than one seed.  The first k rows of an n-path batch must also equal
 a k-path batch (the prefix property).
 """
 
+import bisect
 import math
 
 import numpy as np
@@ -27,13 +28,13 @@ from follmer_lab.mc.bridges import (
     suicide_martingale,
 )
 from follmer_lab.mc.families import LADDER_STEP, split_limit_demo
-from follmer_lab.mc.fatou import _phase_schedule, fatou_approx
+from follmer_lab.mc.fatou import fatou_approx
 from follmer_lab.mc.experiments import (
     exp_decay_family,
     exp_decay_kill_times,
     reciprocal_bessel_samples,
 )
-from follmer_lab.mc.grids import GridSpec, step_value
+from follmer_lab.mc.grids import GridSpec
 from follmer_lab.mc.paths import simulate_bm
 from follmer_lab.mc.streams import CHUNK_PATHS, fill_paths, mean_and_se, path_generator
 
@@ -151,22 +152,30 @@ def oracle_localized(g, m, level, grid, n_paths, seed):
     return per_path(n_paths, fill_one, times.size, seed)
 
 
+def oracle_step_value(times, values, t):
+    """The value at the last sample time <= t, the first value before the first sample."""
+    return float(values[max(bisect.bisect_right(times, t) - 1, 0)])
+
+
 def oracle_fatou(grid, m_arr, d_arr, m, n_paths, seed):
     times = grid.points()
-    phases = _phase_schedule(m, float(times[-1]))
+    # the phases (k 2^-m, k 2^-m + 2^-3m) that start by t_max and by time m
+    k_max = min(int(times[-1] * 2**m), m * 2**m)
+    phases = [(k * 2.0**-m, k * 2.0**-m + 2.0 ** (-3 * m)) for k in range(1, k_max + 1)]
+    sample_times = times.tolist()
 
     def fill_one(i, rng):
         out = np.empty(times.size)
         cache = {}
         for j, t in enumerate(times):
             completed = [p for p in phases if p[1] <= t]
-            level = step_value(times, d_arr, completed[-1][0]) if completed else float(d_arr[0])
+            level = oracle_step_value(sample_times, d_arr, completed[-1][0]) if completed else float(d_arr[0])
             active = next((p for p in phases if p[0] < t < p[1]), None)
             if active is None:
                 out[j] = level
                 continue
             start, end = active
-            nxt = step_value(times, d_arr, start)
+            nxt = oracle_step_value(sample_times, d_arr, start)
             if nxt == level:
                 out[j] = level
                 continue

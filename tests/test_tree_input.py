@@ -66,10 +66,17 @@ NOT_RATIONAL = [
 NOT_RATIONAL_IDS = ["float-prob", "float-z", "bool-prob", "bool-z"]
 
 
+def _from_json(tmp_path, data):
+    """``FilteredTree.from_json`` on ``data`` written as a tree file."""
+    tree_file = tmp_path / "tree.json"
+    tree_file.write_text(json.dumps(data))
+    return FilteredTree.from_json(str(tree_file))
+
+
 @pytest.mark.parametrize("data, node", NOT_RATIONAL, ids=NOT_RATIONAL_IDS)
-def test_from_dict_names_the_node_of_a_float(data, node):
+def test_from_json_names_the_node_of_a_float(tmp_path, data, node):
     with pytest.raises(TreeValidationError) as err:
-        FilteredTree.from_dict(data)
+        _from_json(tmp_path, data)
     assert err.value.node == node
     assert "not an exact rational" in str(err.value)
 
@@ -320,7 +327,7 @@ def test_an_equal_valued_earlier_value_does_not_admit_a_later_one(
 def test_a_rational_string_reads_reduced_and_is_written_reduced(tmp_path):
     data = _tree_data(prob_up="2/4", z_down="2/8")
     data["nodes"][2]["prob"] = "2/4"
-    tree, z = FilteredTree.from_dict(data)
+    tree, z = _from_json(tmp_path, data)
     assert tree.prob["up"] == tree.prob["down"] == Fraction(1, 2)
     assert z["down"] == Fraction(1, 4)
     written = tree.to_dict(z)["nodes"]
@@ -329,7 +336,7 @@ def test_a_rational_string_reads_reduced_and_is_written_reduced(tmp_path):
     ]
 
 
-def test_the_first_bad_z_in_file_order_is_named():
+def test_the_first_bad_z_in_file_order_is_named(tmp_path):
     # breadth-first the order is r, a, b, a.0, b.0; in the file a.0 comes first
     nodes = [
         {"id": "r", "parent": None, "z": "1"},
@@ -339,7 +346,7 @@ def test_the_first_bad_z_in_file_order_is_named():
         {"id": "b.0", "parent": "b", "prob": "1", "z": "1"},
     ]
     with pytest.raises(TreeValidationError) as err:
-        FilteredTree.from_dict({"horizon": 2, "nodes": nodes})
+        _from_json(tmp_path, {"horizon": 2, "nodes": nodes})
     assert err.value.node == "a.0"
 
 
@@ -356,7 +363,7 @@ def test_missing_process_values_name_five_nodes_and_the_count(tmp_path):
     nodes = _wide_tree_nodes(1999)
     nodes[-1]["z"] = "1"  # the only value, on the last node in the file
     with pytest.raises(TreeValidationError) as err:
-        FilteredTree.from_dict({"horizon": 1, "nodes": nodes})
+        _from_json(tmp_path, {"horizon": 1, "nodes": nodes})
     # breadth-first from the root, which the error names as its node
     assert err.value.node == "r"
     assert str(err.value) == (
@@ -366,12 +373,12 @@ def test_missing_process_values_name_five_nodes_and_the_count(tmp_path):
     assert code == 2 and printed.endswith("'c0003', ... (node r)\n")
 
 
-def test_unreachable_nodes_name_five_nodes_and_the_count():
+def test_unreachable_nodes_name_five_nodes_and_the_count(tmp_path):
     # 2,000 nodes and no z at all; 1997 of them form a cycle the root never reaches
     nodes = _wide_tree_nodes(2)
     nodes += [{"id": f"x{k:04d}", "parent": f"x{(k + 1) % 1997:04d}", "prob": "1"} for k in range(1997)]
     with pytest.raises(TreeValidationError) as err:
-        FilteredTree.from_dict({"horizon": 1, "nodes": nodes})
+        _from_json(tmp_path, {"horizon": 1, "nodes": nodes})
     assert err.value.node == "x0000"
     assert str(err.value) == (
         "1997 of 2000 nodes: 'x0000', 'x0001', 'x0002', 'x0003', 'x0004', ... unreachable from root"

@@ -11,6 +11,11 @@ hold its level at a jump time (clock 0) instead of reading the bridge at
 the first ladder clock, and ``split_limit``'s results and report, after
 their always-zero ``cross_mass`` field was dropped (every other value in
 them is unchanged).
+
+The streamed experiments (``single_jump``, ``suicide``, ``bm_check``) also
+have one case at 2 x chunk + 1 paths, where a chunk holds at most
+``CHUNK_DRAWS`` path values (4,443 paths of 59 grid times, 7,943 of 33), so
+their outputs are pinned across chunk boundaries too.
 """
 
 import hashlib
@@ -46,10 +51,20 @@ GOLDEN = {
         "53f7fa7156e070bee8d579faa787cc709cf941947166cb3110d09e25af2af6aa",
         "424a325f1fc69c4e1610fa6e24c30c9319c1e6da9459ace33b679332a553251f",
     ),
+    ("single_jump", 3, 8887, None): (
+        "778f6934864aa8809b1c51ef71b57421595a225944b58a1f2f7d4b5f52c2d2e8",
+        "9c0d2d75fe284e49155a5977e284343c202ea065401f192bf5b754d0e28a040b",
+        "ab6a3219a54843d85a26c6c2760079b25e29c3e16f3e9b98f0f5326706874920",
+    ),
     ("suicide", 3, 200, None): (
         "de53b715f2465597db4ddf2c35b09b16f706b73049e7aac2369b8095f24b65d5",
         "22cbf5fb43efad9c761ab45c0daf82f558f29e8a2dfb56eeaa2dd25c9f83d88f",
         "0256741b465d6882b25bf5f3b25f3ce12ea979ce1cee09abd285787e6beeddf7",
+    ),
+    ("suicide", 3, 8887, None): (
+        "de53b715f2465597db4ddf2c35b09b16f706b73049e7aac2369b8095f24b65d5",
+        "6500f870385d1677130b846798ddd71f27c4e9de81b081f897161c9bd59ba0fd",
+        "ebee3c5b3d3d81ad9d2a864afb4793bdfdd9dd6bb8a0dae4d8f5da83d33cde4c",
     ),
     ("fatou", 3, 20, None): (
         "16c751b699d85a88059af784dcddef8005e499302b5ba8716a1f97b089c84f2f",
@@ -80,6 +95,11 @@ GOLDEN = {
         "80891f5199af0b725c801dd7ab433b5efdcd3ef5553260639026c886a9683ba9",
         EMPTY_PLOT,
         "258bf4cd9ef57189a9b2e40cd18b2acdb51b44881c1df92ca34cebe7cbbbf98e",
+    ),
+    ("bm_check", 3, 15887, None): (
+        "641f836f5ab7f81b35e5e25598b803664e878fd70166d96425dd077ba3610d82",
+        EMPTY_PLOT,
+        "044d349450a0d917fae021d5fbbe1df082e8d6535fa029f05f6013be2333b53f",
     ),
 }
 

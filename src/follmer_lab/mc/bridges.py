@@ -91,12 +91,20 @@ class BridgeWindow:
 
 
 def bridge_exponential(
-    m: int, anchor: float, grid: GridSpec, n_paths: int, seed: int
+    m: int,
+    anchor: float,
+    grid: GridSpec,
+    n_paths: int,
+    seed: int,
+    first: int = 0,
+    out: np.ndarray | None = None,
 ) -> PathBatch:
     """Burn-in bridge with window [anchor - 2^-m, anchor).
 
-    Refuses when no grid point falls inside the window: the caller must
-    refine the grid (GridSpec refinements densify toward the anchor).
+    Builds paths [first, first + n_paths), into ``out`` when given
+    (:func:`~follmer_lab.mc.streams.fill_paths`).  Refuses when no grid
+    point falls inside the window: the caller must refine the grid
+    (GridSpec refinements densify toward the anchor).
     """
     if m < 1:
         raise ValueError(f"need m >= 1, got {m}")
@@ -115,17 +123,27 @@ def bridge_exponential(
     def fill_block(z: np.ndarray) -> np.ndarray:
         return window.rows(z, times)
 
-    values = fill_paths(n_paths, window.n_draws, fill_block, times.size, seed)
+    values = fill_paths(n_paths, window.n_draws, fill_block, times.size, seed, first=first, out=out)
     return PathBatch(times, values)
 
 
 def single_jump_approx(
-    a: float, m: int, anchor: float, grid: GridSpec, n_paths: int, seed: int
+    a: float,
+    m: int,
+    anchor: float,
+    grid: GridSpec,
+    n_paths: int,
+    seed: int,
+    first: int = 0,
+    out: np.ndarray | None = None,
 ) -> PathBatch:
-    """The one-drop family a + (1-a) * bridge: 1 before the window, a from the anchor on."""
+    """The one-drop family a + (1-a) * bridge: 1 before the window, a from the anchor on.
+
+    Builds paths [first, first + n_paths), into ``out`` when given.
+    """
     if not 0.0 <= a < 1.0:
         raise ValueError(f"need 0 <= a < 1, got {a}")
-    batch = bridge_exponential(m, anchor, grid, n_paths, seed)
+    batch = bridge_exponential(m, anchor, grid, n_paths, seed, first=first, out=out)
     batch.values *= 1.0 - a
     batch.values += a
     return batch
@@ -172,6 +190,8 @@ def suicide_martingale(
     grid: GridSpec,
     n_paths: int,
     seed: int,
+    first: int = 0,
+    out: np.ndarray | None = None,
 ) -> PathBatch:
     """Composite bridge family realizing every drop of ``g`` over 2^-m windows.
 
@@ -179,6 +199,7 @@ def suicide_martingale(
     bridge per jump, window [rho_n, rho_n + 2^-m).  At t = 0 the value is H_0
     exactly; on a fully burned plateau it equals g exactly on every path.
     Overlapping windows are allowed; no plateau identity holds inside them.
+    Builds paths [first, first + n_paths), into ``out`` when given.
     """
     if m < 1:
         raise ValueError(f"need m >= 1, got {m}")
@@ -196,7 +217,7 @@ def suicide_martingale(
             off += window.n_draws
         return out
 
-    values = fill_paths(n_paths, n_draws, fill_block, times.size, seed)
+    values = fill_paths(n_paths, n_draws, fill_block, times.size, seed, first=first, out=out)
     return PathBatch(times, values)
 
 

@@ -215,21 +215,29 @@ def run_single_jump(seed: int, n_paths: int, params: dict) -> ExperimentResult:
         refinements=((anchor, window, params["refine_points"]),),
         extra_points=(mid,),
     )
-    batch = bridges.single_jump_approx(a, m, anchor, grid, n_paths, seed)
+    times = grid.points()
     # The grid comes from np.unique, so it is sorted and the times before the
-    # window are its first k columns: a slice view, not a copy of them.
-    k = np.searchsorted(batch.times, anchor - window)
-    exact_before = bool(np.all(batch.values[:, :k] == 1.0))
-    exact_after = bool(np.all(batch.at_time(t_max) == a))
-    mid_vals = batch.at_time(mid)
+    # window are each chunk's first k columns: a slice view, not a copy.
+    k = np.searchsorted(times, anchor - window)
+    j_mid, j_end = grids.grid_index(times, mid), grids.grid_index(times, t_max)
+    exact_before = exact_after = True
+    mid_vals = np.empty(n_paths)
+    chunks = paths.PathChunks(n_paths, times.size)
+    for first, out in chunks:
+        batch = bridges.single_jump_approx(a, m, anchor, grid, len(out), seed, first=first, out=out)
+        values = batch.values
+        exact_before &= bool(np.all(values[:, :k] == 1.0))
+        exact_after &= bool(np.all(values[:, j_end] == a))
+        mid_vals[first : first + len(out)] = values[:, j_mid]
+        chunks.add_to_sums()
+    mean_path = (chunks.sums / n_paths).tolist()
+    del chunks, out, batch, values  # free the chunk buffer before the statistics' temporaries
     mean, se = streams.mean_and_se(mid_vals)
     mom = streams.median_of_means(mid_vals)
     mom_se = streams.mom_standard_error(mid_vals)
     res = ExperimentResult("single_jump")
     res.rows.append(_row(mid, mean, se, n_paths, median_of_means=mom, mom_se=mom_se))
-    res.series.append(
-        ("mean_path", [float(t) for t in batch.times], [float(v) for v in batch.values.mean(axis=0)])
-    )
+    res.series.append(("mean_path", times.tolist(), mean_path))
     res.report = {
         "a": a,
         "m": m,
@@ -253,24 +261,28 @@ def run_suicide(seed: int, n_paths: int, params: dict) -> ExperimentResult:
         base_step=params["base_step"],
         refinements=tuple((rho + window, window, 16) for rho in jumps),
     )
-    batch = bridges.suicide_martingale(g, m, grid, n_paths, seed)
-    gvals = g.values(batch.times)
-    plateau = np.ones(batch.times.size, dtype=bool)
+    times = grid.points()
+    gvals = g.values(times)
+    plateau = np.ones(times.size, dtype=bool)
     for rho in jumps:
-        plateau &= ~((batch.times > rho) & (batch.times < rho + window))
-    match = (batch.values == gvals)[:, plateau]
+        plateau &= ~((times > rho) & (times < rho + window))
+    exact_paths, start_exact = 0, True
+    chunks = paths.PathChunks(n_paths, times.size)
+    for first, out in chunks:
+        values = bridges.suicide_martingale(g, m, grid, len(out), seed, first=first, out=out).values
+        exact_paths += int(np.all((values == gvals)[:, plateau], axis=1).sum())
+        start_exact &= bool(np.all(values[:, 0] == levels[0]))
+        chunks.add_to_sums()
     res = ExperimentResult("suicide")
     res.report = {
         "m": m,
         "plateau_points": int(plateau.sum()),
-        "paths_with_exact_plateaus": int(np.all(match, axis=1).sum()),
+        "paths_with_exact_plateaus": exact_paths,
         "n_paths": n_paths,
-        "plateau_identity_exact": bool(np.all(match)),
-        "start_value_exact": bool(np.all(batch.values[:, 0] == levels[0])),
+        "plateau_identity_exact": exact_paths == n_paths,
+        "start_value_exact": start_exact,
     }
-    res.series.append(
-        ("mean_path", [float(t) for t in batch.times], [float(v) for v in batch.values.mean(axis=0)])
-    )
+    res.series.append(("mean_path", times.tolist(), (chunks.sums / n_paths).tolist()))
     return res
 
 
@@ -445,8 +457,13 @@ def run_extended(seed: int, n_paths: int, params: dict) -> ExperimentResult:
 def run_bm_check(seed: int, n_paths: int, params: dict) -> ExperimentResult:
     t_max = params["t_max"]
     grid = grids.GridSpec(t_max=t_max, base_step=params["base_step"])
-    batch = paths.simulate_bm(grid, n_paths, seed)
-    w = batch.at_time(t_max)
+    times = grid.points()
+    j_end = grids.grid_index(times, t_max)
+    w = np.empty(n_paths)
+    for first, out in paths.PathChunks(n_paths, times.size):
+        batch = paths.simulate_bm(grid, len(out), seed, first=first, out=out)
+        w[first : first + len(out)] = batch.values[:, j_end]
+    del out, batch  # free the chunk buffer before the statistics' temporaries
     mean, se = streams.mean_and_se(w)
     var = float(np.var(w, ddof=1))
     var_se = var * math.sqrt(2.0 / (n_paths - 1))

@@ -1,11 +1,12 @@
 """Counter-based per-path random streams and the path-order aggregation helpers.
 
 Each path draws from its own stream, keyed by (master seed, path index), so
-replaying any (seed, index) pair reproduces the path bit-exactly, and the
-first k paths of a batch do not depend on how many paths follow them.
-:func:`fill_paths` draws each path's variates in one call and hands blocks
-of paths to array code, so families do their path arithmetic on whole
-blocks while every row still reads only its own stream.
+replaying any (seed, index) pair reproduces the path bit-exactly, and any
+range of paths [first, first + count) is the same whether it is built alone
+or as part of a larger batch.  :func:`fill_paths` draws each path's variates
+in one call and hands blocks of paths to array code, so families do their
+path arithmetic on whole blocks while every row still reads only its own
+stream.
 
 Stream v1, which every manifest replays under: stream (seed, i) is numpy's
 Philox4x64-10 bit generator with key (seed mod 2^64, i), counter 0 and an
@@ -36,6 +37,7 @@ import numpy as np
 MOM_BLOCKS = 32
 # Paths per block handed to ``fill_block``, and the most variates one block
 # may hold: together they bound the memory of a block whatever the path count.
+# ``paths.PathChunks`` bounds its chunks of path values by CHUNK_DRAWS too.
 CHUNK_PATHS = 256
 CHUNK_DRAWS = 1 << 18
 # Variates drawn at once, across blocks: uniform words are array code whose
@@ -115,28 +117,34 @@ def fill_paths(
     n_cols: int,
     seed: int,
     uniform: bool = False,
+    first: int = 0,
+    out: np.ndarray | None = None,
 ) -> np.ndarray:
-    """Draw every path's variates in blocks and map each block to its rows.
+    """Draw the variates of paths [first, first + n_paths) in blocks and map them to rows.
 
-    Path i draws its first ``n_draws`` variates from the stream keyed by
-    (seed, i) in one call: standard normals, or uniforms on [0, 1) when
-    ``uniform``.  Draws from one stream concatenate (n variates in one call
-    equal the same n drawn in pieces), so a family may cut a row into
-    consecutive pieces, one per window, phase or step, exactly as if each
-    piece had been drawn in turn; a path that stops early leaves the tail of
-    its row unused.  Consecutive paths are stacked into blocks of at most ``CHUNK_PATHS``
-    rows (fewer when a row holds more than ``CHUNK_DRAWS // CHUNK_PATHS``
-    variates, but at least one), and ``fill_block(draws)`` maps a
-    ``(rows, n_draws)`` block to the ``(rows, n_cols)`` output of those paths.
-    ``fill_block`` must treat rows independently; then row i depends on
-    (seed, i) alone, and the first k rows of an n-path batch equal a k-path
-    batch (the prefix property).  This is the one place where path streams
+    Row i is path first + i, which draws its first ``n_draws`` variates from
+    the stream keyed by (seed, first + i) in one call: standard normals, or
+    uniforms on [0, 1) when ``uniform``.  Draws from one stream concatenate
+    (n variates in one call equal the same n drawn in pieces), so a family
+    may cut a row into consecutive pieces, one per window, phase or step,
+    exactly as if each piece had been drawn in turn; a path that stops early
+    leaves the tail of its row unused.  Consecutive paths are stacked into
+    blocks of at most ``CHUNK_PATHS`` rows (fewer when a row holds more than
+    ``CHUNK_DRAWS // CHUNK_PATHS`` variates, but at least one), and
+    ``fill_block(draws)`` maps a ``(rows, n_draws)`` block to the
+    ``(rows, n_cols)`` output of those paths.  ``fill_block`` must treat rows
+    independently; then path i depends on (seed, i) alone, so the rows of
+    any range of paths equal those rows of the whole batch, the range that
+    starts at 0 (the prefix property is the case ``first == 0``).  The rows
+    go to ``out`` when given, a ``(n_paths, n_cols)`` float array, else to a
+    new array; either is returned.  This is the one place where path streams
     are read: normals from one keyed state per call (:func:`stream_state`),
     whose key is set to (seed mod 2^64, i) before path i draws, and uniforms
     from :func:`uniform_words`.  With ``n_draws == 0`` the rows are empty
     and no stream is read.
     """
-    out = np.empty((n_paths, n_cols), dtype=np.float64)
+    if out is None:
+        out = np.empty((n_paths, n_cols), dtype=np.float64)
     per_row = max(n_draws, 1)
     rows = max(1, min(CHUNK_PATHS, CHUNK_DRAWS // per_row))
     span = rows * max(1, SPAN_DRAWS // (rows * per_row))
@@ -153,11 +161,11 @@ def fill_paths(
         if not n_draws:
             draws = np.empty((hi - lo, 0), dtype=np.float64)
         elif uniform:
-            words = uniform_words(seed, np.arange(lo, hi, dtype=np.uint64), n_draws)
+            words = uniform_words(seed, np.arange(first + lo, first + hi, dtype=np.uint64), n_draws)
             draws = (words >> np.uint64(11)) * 2.0**-53
         else:
             draws = np.empty((hi - lo, n_draws), dtype=np.float64)
-            for i, row in zip(range(lo, hi), draws):
+            for i, row in zip(range(first + lo, first + hi), draws):
                 philox["key"] = (key0, i)
                 bitgen.state = state
                 normal(out=row)

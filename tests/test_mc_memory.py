@@ -1,15 +1,22 @@
-"""Each Monte-Carlo experiment holds at most one path matrix.
+"""Monte-Carlo experiments hold one chunk of paths, or at most one path matrix.
 
-An experiment builds one ``(n_paths, n_times)`` float matrix (its
-``PathBatch.values``) and then reads columns, per-time means and exactness
-flags from it.  Rescaling the matrix into a new one, or checking columns
-through a fancy-index copy, costs a second or third matrix at the peak.  So
-the traced peak of a whole experiment run must stay below ``BOUND`` times its
-matrix.  What may sit beside the matrix: one bool mask of it (1/8 of its
-bytes, for an exactness check), the per-time means, and ``fill_paths``'
-working arrays for one block of at most ``CHUNK_PATHS`` rows, whose size does
-not grow with the path count.  At ``N_PATHS`` = 6,000 these stay below 0.25
-of the matrix; a second float matrix alone is 1.0.
+``single_jump``, ``suicide`` and ``bm_check`` read their paths only as
+per-time means, exactness flags and a few per-path columns.  So they build
+the paths in chunks of at most ``CHUNK_DRAWS`` values in one reused buffer
+(``PathChunks``) and keep only those columns, 8 bytes a path each.  Their
+traced peak then grows with the path count by the kept columns alone: the
+peak at 4N paths minus the peak at N is at most 3N times 8 bytes per kept
+column, plus ``SLACK`` bytes of small objects.  N spans more than one chunk,
+so both runs hold a full chunk buffer; a whole path matrix would add
+3N x 8 bytes per grid time, 59 or 33 of them.
+
+``extended`` builds one ``(n_paths, n_times)`` float matrix (its
+``PathBatch.values``) and reads columns from it.  Rescaling the matrix into
+a new one, or checking columns through a fancy-index copy, costs a second
+matrix at the peak.  So its traced peak must stay below ``BOUND`` times its
+matrix: beside it may sit the per-time means and ``fill_paths``' working
+arrays for one block of at most ``CHUNK_PATHS`` rows, which stay below 0.25
+of the matrix at ``N_PATHS`` = 6,000; a second float matrix alone is 1.0.
 """
 
 import tracemalloc
@@ -17,24 +24,23 @@ import tracemalloc
 import pytest
 
 from follmer_lab.mc import bridges, experiments, families, gallery, paths
-from follmer_lab.mc.streams import CHUNK_PATHS
+from follmer_lab.mc.streams import CHUNK_DRAWS, CHUNK_PATHS
 
+N = 8000
+SLACK = 16 * 1024
 N_PATHS = 6000
 BOUND = 1.35
 
-# experiment -> (module, name) of the function that builds its path matrix
-BUILDERS = {
-    "single_jump": (bridges, "bridge_exponential"),
-    "suicide": (bridges, "suicide_martingale"),
-    "extended": (families, "suicide_martingale"),
-    "bm_check": (paths, "simulate_bm"),  # a control: it never copied its matrix
+# experiment -> (module, name) of the builder it calls, per-path columns it keeps
+STREAMED = {
+    "single_jump": (bridges, "single_jump_approx", 1),  # the mid-window values
+    "suicide": (bridges, "suicide_martingale", 0),
+    "bm_check": (paths, "simulate_bm", 1),  # W(t_max)
 }
 
 
-@pytest.mark.parametrize("name", sorted(BUILDERS))
-def test_peak_is_about_one_path_matrix(name, monkeypatch):
-    assert N_PATHS >= 4 * CHUNK_PATHS  # the path count spans several blocks
-    module, attr = BUILDERS[name]
+def record_shapes(monkeypatch, module, attr):
+    """Replace ``module.attr`` by a builder that records the shape of each batch it returns."""
     build = getattr(module, attr)
     shapes = []
 
@@ -44,15 +50,40 @@ def test_peak_is_about_one_path_matrix(name, monkeypatch):
         return batch
 
     monkeypatch.setattr(module, attr, recording)
+    return shapes
+
+
+def traced_peak(name, n_paths):
     run = experiments.EXPERIMENTS[name]
-    params = gallery.PARAMS[name]
-    run(1, 2, params)  # lazy imports and first-call caches stay out of the peak
     tracemalloc.start()
     try:
-        run(1, N_PATHS, params)
-        peak = tracemalloc.get_traced_memory()[1]
+        run(1, n_paths, gallery.PARAMS[name])
+        return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+
+
+@pytest.mark.parametrize("name", sorted(STREAMED))
+def test_streamed_peak_grows_by_the_kept_columns_only(name, monkeypatch):
+    module, attr, kept = STREAMED[name]
+    shapes = record_shapes(monkeypatch, module, attr)
+    experiments.EXPERIMENTS[name](1, 2, gallery.PARAMS[name])  # lazy imports and first-call caches
+    peaks = {}
+    for n_paths in (N, 4 * N):
+        shapes.clear()
+        peaks[n_paths] = traced_peak(name, n_paths)
+        assert sum(rows for rows, _ in shapes) == n_paths
+        assert all(rows * cols <= CHUNK_DRAWS for rows, cols in shapes)
+        assert shapes[0][0] < N  # a full chunk at both path counts
+    grown = peaks[4 * N] - peaks[N]
+    assert grown <= 3 * N * 8 * kept + SLACK, f"{name}: peak grew by {grown} bytes"
+
+
+def test_extended_peak_is_about_one_path_matrix(monkeypatch):
+    assert N_PATHS >= 4 * CHUNK_PATHS  # the path count spans several blocks
+    shapes = record_shapes(monkeypatch, families, "suicide_martingale")
+    experiments.EXPERIMENTS["extended"](1, 2, gallery.PARAMS["extended"])
+    peak = traced_peak("extended", N_PATHS)
     assert len(shapes) == 2 and shapes[1][0] == N_PATHS
     matrix = shapes[1][0] * shapes[1][1] * 8
-    assert peak < BOUND * matrix, f"{name}: peak {peak / matrix:.2f}x its matrix"
+    assert peak < BOUND * matrix, f"extended: peak {peak / matrix:.2f}x its matrix"

@@ -6,13 +6,23 @@ index before its draws, and uniforms from Philox4x64-10 words computed as
 array code; a call with no draws per path reads no stream.  Both must equal
 ``np.random.Generator(np.random.Philox(key=[seed mod 2^64, index]))`` bit
 for bit, on edge keys, across the 4-word counter blocks and on both sides of
-the block and span sizes.
+the block and span sizes.  A range of paths [first, first + count), from
+``fill_paths`` and from each builder on it, must equal those rows of the
+whole batch, whatever its offset against the block and span sizes.
 """
 
 import numpy as np
 import pytest
 
 from follmer_lab.mc import streams
+from follmer_lab.mc.bridges import (
+    SimpleNonincreasing,
+    bridge_exponential,
+    single_jump_approx,
+    suicide_martingale,
+)
+from follmer_lab.mc.grids import GridSpec
+from follmer_lab.mc.paths import simulate_bm
 from follmer_lab.mc.streams import CHUNK_PATHS, fill_paths, path_generator, stream_state, uniform_words
 
 C = CHUNK_PATHS
@@ -119,3 +129,61 @@ def test_fill_block_may_call_fill_paths():
         for j in range(3):
             assert np.array_equal(normals[j], numpy_stream(5, j).standard_normal(2))
             assert np.array_equal(uniforms[j], numpy_stream(5, j).random(2))
+
+
+# (first, count) ranges: count 1, and offsets off the block size C and off
+# the span (SPAN_DRAWS // n_draws paths, rounded to whole blocks)
+RANGES = ((0, 1), (1, 1), (C - 1, 2), (7, C + 3), (C + 1, 2 * C - 5), (2 * C + 9, 1))
+
+
+def whole_and_ranges(build, n_cols):
+    """Each range of ``RANGES`` built alone, with the whole batch it lies in.
+
+    Half the ranges are built into a given ``out`` array, which must be the
+    array returned.
+    """
+    whole = build(max(a + n for a, n in RANGES), 0, None)
+    for k, (first, count) in enumerate(RANGES):
+        out = np.full((count, n_cols), np.nan) if k % 2 else None
+        rows = build(count, first, out)
+        assert out is None or rows is out
+        yield whole[first : first + count], rows
+
+
+@pytest.mark.parametrize("uniform", [False, True])
+@pytest.mark.parametrize("n_draws", [0, 1, 5, 40])
+def test_fill_paths_ranges_are_rows_of_the_batch(n_draws, uniform):
+    def fill_block(z):
+        # rows stay independent; with no draws a row still holds n_draws + 1
+        return np.column_stack((z, np.full(z.shape[0], n_draws + 0.5)))
+
+    def build(count, first, out):
+        return fill_paths(count, n_draws, fill_block, n_draws + 1, 2**64 - 3,
+                          uniform=uniform, first=first, out=out)
+
+    for expected, rows in whole_and_ranges(build, n_draws + 1):
+        assert np.array_equal(rows, expected)
+
+
+M = 5
+GRID = GridSpec(t_max=3.0, base_step=1 / 8, refinements=((1.0 + 2.0**-M, 2.0**-M, 8), (2.0, 2.0**-M, 8)))
+JUMPS = SimpleNonincreasing((1.0, 2.0 - 2.0**-M), (1.0, 0.5, 0.25))
+BUILDERS = {
+    "simulate_bm": lambda n, seed, **kw: simulate_bm(GRID, n, seed, **kw),
+    "bridge_exponential": lambda n, seed, **kw: bridge_exponential(M, 2.0, GRID, n, seed, **kw),
+    "single_jump_approx": lambda n, seed, **kw: single_jump_approx(0.25, M, 2.0, GRID, n, seed, **kw),
+    "suicide_martingale": lambda n, seed, **kw: suicide_martingale(JUMPS, M, GRID, n, seed, **kw),
+}
+
+
+@pytest.mark.parametrize("name", sorted(BUILDERS))
+def test_builder_ranges_are_rows_of_the_batch(name):
+    n_cols = GRID.points().size
+
+    def build(count, first, out):
+        batch = BUILDERS[name](count, 13, first=first, out=out)
+        assert np.array_equal(batch.times, GRID.points())
+        return batch.values
+
+    for expected, rows in whole_and_ranges(build, n_cols):
+        assert np.array_equal(rows, expected)

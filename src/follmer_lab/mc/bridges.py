@@ -29,8 +29,7 @@ import numpy as np
 
 from ..errors import GridError
 from .grids import GridSpec, step_values, window_grid_indices
-from .paths import PathBatch
-from .streams import fill_paths
+from .paths import PathFamily
 
 SIGMA_MAX = 30.0
 
@@ -90,21 +89,11 @@ class BridgeWindow:
         return out
 
 
-def bridge_exponential(
-    m: int,
-    anchor: float,
-    grid: GridSpec,
-    n_paths: int,
-    seed: int,
-    first: int = 0,
-    out: np.ndarray | None = None,
-) -> PathBatch:
+def bridge_exponential(m: int, anchor: float, grid: GridSpec) -> PathFamily:
     """Burn-in bridge with window [anchor - 2^-m, anchor).
 
-    Builds paths [first, first + n_paths), into ``out`` when given
-    (:func:`~follmer_lab.mc.streams.fill_paths`).  Refuses when no grid
-    point falls inside the window: the caller must refine the grid
-    (GridSpec refinements densify toward the anchor).
+    Refuses when no grid point falls inside the window: the caller must
+    refine the grid (GridSpec refinements densify toward the anchor).
     """
     if m < 1:
         raise ValueError(f"need m >= 1, got {m}")
@@ -123,30 +112,22 @@ def bridge_exponential(
     def fill_block(z: np.ndarray) -> np.ndarray:
         return window.rows(z, times)
 
-    values = fill_paths(n_paths, window.n_draws, fill_block, times.size, seed, first=first, out=out)
-    return PathBatch(times, values)
+    return PathFamily(times, window.n_draws, fill_block)
 
 
-def single_jump_approx(
-    a: float,
-    m: int,
-    anchor: float,
-    grid: GridSpec,
-    n_paths: int,
-    seed: int,
-    first: int = 0,
-    out: np.ndarray | None = None,
-) -> PathBatch:
-    """The one-drop family a + (1-a) * bridge: 1 before the window, a from the anchor on.
-
-    Builds paths [first, first + n_paths), into ``out`` when given.
-    """
+def single_jump_approx(a: float, m: int, anchor: float, grid: GridSpec) -> PathFamily:
+    """The one-drop family a + (1-a) * bridge: 1 before the window, a from the anchor on."""
     if not 0.0 <= a < 1.0:
         raise ValueError(f"need 0 <= a < 1, got {a}")
-    batch = bridge_exponential(m, anchor, grid, n_paths, seed, first=first, out=out)
-    batch.values *= 1.0 - a
-    batch.values += a
-    return batch
+    bridge = bridge_exponential(m, anchor, grid)
+
+    def fill_block(z: np.ndarray) -> np.ndarray:
+        rows = bridge.fill_block(z)
+        rows *= 1.0 - a
+        rows += a
+        return rows
+
+    return PathFamily(bridge.times, bridge.n_draws, fill_block)
 
 
 @dataclass(frozen=True)
@@ -184,22 +165,13 @@ class SimpleNonincreasing:
         ]
 
 
-def suicide_martingale(
-    g: SimpleNonincreasing,
-    m: int,
-    grid: GridSpec,
-    n_paths: int,
-    seed: int,
-    first: int = 0,
-    out: np.ndarray | None = None,
-) -> PathBatch:
+def suicide_martingale(g: SimpleNonincreasing, m: int, grid: GridSpec) -> PathFamily:
     """Composite bridge family realizing every drop of ``g`` over 2^-m windows.
 
     N_t = H_0 - sum_n (H_{n-1} - H_n) (1 - E^(n)_t) with one independent
     bridge per jump, window [rho_n, rho_n + 2^-m).  At t = 0 the value is H_0
     exactly; on a fully burned plateau it equals g exactly on every path.
     Overlapping windows are allowed; no plateau identity holds inside them.
-    Builds paths [first, first + n_paths), into ``out`` when given.
     """
     if m < 1:
         raise ValueError(f"need m >= 1, got {m}")
@@ -217,8 +189,7 @@ def suicide_martingale(
             off += window.n_draws
         return out
 
-    values = fill_paths(n_paths, n_draws, fill_block, times.size, seed, first=first, out=out)
-    return PathBatch(times, values)
+    return PathFamily(times, n_draws, fill_block)
 
 
 def simple_approx(times: Sequence[float], values: Sequence[float], k: int) -> SimpleNonincreasing:

@@ -215,23 +215,20 @@ def run_single_jump(seed: int, n_paths: int, params: dict) -> ExperimentResult:
         refinements=((anchor, window, params["refine_points"]),),
         extra_points=(mid,),
     )
-    times = grid.points()
+    family = bridges.single_jump_approx(a, m, anchor, grid)
+    times = family.times
     # The grid comes from np.unique, so it is sorted and the times before the
     # window are each chunk's first k columns: a slice view, not a copy.
     k = np.searchsorted(times, anchor - window)
     j_mid, j_end = grids.grid_index(times, mid), grids.grid_index(times, t_max)
     exact_before = exact_after = True
     mid_vals = np.empty(n_paths)
-    chunks = paths.PathChunks(n_paths, times.size)
-    for first, out in chunks:
-        batch = bridges.single_jump_approx(a, m, anchor, grid, len(out), seed, first=first, out=out)
-        values = batch.values
+    for first, values, sums in family.chunks(n_paths, seed):
         exact_before &= bool(np.all(values[:, :k] == 1.0))
         exact_after &= bool(np.all(values[:, j_end] == a))
-        mid_vals[first : first + len(out)] = values[:, j_mid]
-        chunks.add_to_sums()
-    mean_path = (chunks.sums / n_paths).tolist()
-    del chunks, out, batch, values  # free the chunk buffer before the statistics' temporaries
+        mid_vals[first : first + len(values)] = values[:, j_mid]
+    mean_path = (sums / n_paths).tolist()
+    del values, sums  # free the chunk buffer before the statistics' temporaries
     mean, se = streams.mean_and_se(mid_vals)
     mom = streams.median_of_means(mid_vals)
     mom_se = streams.mom_standard_error(mid_vals)
@@ -261,18 +258,16 @@ def run_suicide(seed: int, n_paths: int, params: dict) -> ExperimentResult:
         base_step=params["base_step"],
         refinements=tuple((rho + window, window, 16) for rho in jumps),
     )
-    times = grid.points()
+    family = bridges.suicide_martingale(g, m, grid)
+    times = family.times
     gvals = g.values(times)
     plateau = np.ones(times.size, dtype=bool)
     for rho in jumps:
         plateau &= ~((times > rho) & (times < rho + window))
     exact_paths, start_exact = 0, True
-    chunks = paths.PathChunks(n_paths, times.size)
-    for first, out in chunks:
-        values = bridges.suicide_martingale(g, m, grid, len(out), seed, first=first, out=out).values
+    for _, values, sums in family.chunks(n_paths, seed):
         exact_paths += int(np.all((values == gvals)[:, plateau], axis=1).sum())
         start_exact &= bool(np.all(values[:, 0] == levels[0]))
-        chunks.add_to_sums()
     res = ExperimentResult("suicide")
     res.report = {
         "m": m,
@@ -282,7 +277,7 @@ def run_suicide(seed: int, n_paths: int, params: dict) -> ExperimentResult:
         "plateau_identity_exact": exact_paths == n_paths,
         "start_value_exact": start_exact,
     }
-    res.series.append(("mean_path", times.tolist(), (chunks.sums / n_paths).tolist()))
+    res.series.append(("mean_path", times.tolist(), (sums / n_paths).tolist()))
     return res
 
 
@@ -298,7 +293,7 @@ def run_fatou(seed: int, n_paths: int, params: dict) -> ExperimentResult:
     res = ExperimentResult("fatou")
     probe_err: Dict[float, List[float]] = {p: [] for p in probes}
     for m in m_list:
-        batch = fatou.fatou_approx(grid, mvals, d, m, n_paths, seed)
+        batch = fatou.fatou_approx(grid, mvals, d, m).batch(n_paths, seed)
         for p in probes:
             err = float(fatou.fatou_probe_error(batch, mvals, d, p).max())
             probe_err[p].append(err)
@@ -347,8 +342,8 @@ def exp_decay_family(
         refinements=tuple((rj + window, window, 12) for rj in g.jump_times),
         extra_points=(rho, rho + 1.0),
     )
-    fam = families.localized_suicide_family(g, m=m, level=level, grid=grid, n_paths=n_paths, seed=seed)
-    return fam, rho
+    fam = families.localized_suicide_family(g, m=m, level=level, grid=grid)
+    return fam.batch(n_paths, seed), rho
 
 
 def run_mass_redirect(seed: int, n_paths: int, params: dict) -> ExperimentResult:
@@ -359,7 +354,7 @@ def run_mass_redirect(seed: int, n_paths: int, params: dict) -> ExperimentResult
     l_rho = fam.at_time(rho)
     l_term = fam.at_time(fam.times[-1])
     wgrid = grids.GridSpec(t_max=float(fam.times[-1]), base_step=1 / 4, extra_points=(rho, rho + 1.0))
-    w = paths.simulate_bm(wgrid, n_paths, seed + 1)
+    w = paths.simulate_bm(wgrid).batch(n_paths, seed + 1)
     w_rho = w.at_time(rho)
     w_after = w.at_time(rho + 1.0)
     res = ExperimentResult("mass_redirect")
@@ -456,14 +451,12 @@ def run_extended(seed: int, n_paths: int, params: dict) -> ExperimentResult:
 
 def run_bm_check(seed: int, n_paths: int, params: dict) -> ExperimentResult:
     t_max = params["t_max"]
-    grid = grids.GridSpec(t_max=t_max, base_step=params["base_step"])
-    times = grid.points()
-    j_end = grids.grid_index(times, t_max)
+    family = paths.simulate_bm(grids.GridSpec(t_max=t_max, base_step=params["base_step"]))
+    j_end = grids.grid_index(family.times, t_max)
     w = np.empty(n_paths)
-    for first, out in paths.PathChunks(n_paths, times.size):
-        batch = paths.simulate_bm(grid, len(out), seed, first=first, out=out)
-        w[first : first + len(out)] = batch.values[:, j_end]
-    del out, batch  # free the chunk buffer before the statistics' temporaries
+    for first, values, sums in family.chunks(n_paths, seed):
+        w[first : first + len(values)] = values[:, j_end]
+    del values, sums  # free the chunk buffer before the statistics' temporaries
     mean, se = streams.mean_and_se(w)
     var = float(np.var(w, ddof=1))
     var_se = var * math.sqrt(2.0 / (n_paths - 1))

@@ -31,7 +31,7 @@ from .bridges import (
 )
 from .grids import GridSpec, window_grid_indices
 from .normal import ndtr
-from .paths import PathBatch
+from .paths import PathBatch, PathFamily
 from .streams import fill_paths, mean_and_se
 
 LADDER_STEP = 0.25
@@ -74,9 +74,7 @@ def localized_suicide_family(
     m: int,
     level: float,
     grid: GridSpec,
-    n_paths: int,
-    seed: int,
-) -> PathBatch:
+) -> PathFamily:
     """Suicide family stopped at its first crossing of ``level``.
 
     Burn-in windows [rho_k, rho_k + 2^-m) must not overlap.  Values past a
@@ -142,8 +140,7 @@ def localized_suicide_family(
         out[rows] = np.where(after, v_frozen[rows, None], out[rows])
         return out
 
-    values = fill_paths(n_paths, n_draws, fill_block, times.size, seed)
-    return PathBatch(times, values)
+    return PathFamily(times, n_draws, fill_block)
 
 
 # -- terminal extension --------------------------------------------------------
@@ -196,7 +193,7 @@ def extended_approx(
         if np.any(core < -1e-12) or np.any(np.diff(core) > 1e-12):
             raise ValueError("core path must be nonnegative and nonincreasing")
         g = simple_approx(times, np.maximum(core, 0.0), k)
-        values = suicide_martingale(g, m, grid, n_paths, seed).values
+        values = suicide_martingale(g, m, grid).batch(n_paths, seed).values
         values *= normalizer
         values += terminal
     batch = PathBatch(times, values)

@@ -19,8 +19,7 @@ import numpy as np
 
 from .bridges import BridgeWindow
 from .grids import GridSpec, grid_index, step_values
-from .paths import PathBatch
-from .streams import fill_paths
+from .paths import PathBatch, PathFamily
 
 
 def in_S(t, n_max: int) -> bool:
@@ -119,10 +118,8 @@ def fatou_approx(
     m_values: Sequence[float],
     d_values: Sequence[float],
     m: int,
-    n_paths: int,
-    seed: int,
-) -> PathBatch:
-    """Batch of Z^(m) = M + (level-m schedule of D) for deterministic M and D paths."""
+) -> PathFamily:
+    """The family Z^(m) = M + (level-m schedule of D) for deterministic M and D paths."""
     if m < 1:
         raise ValueError(f"need m >= 1, got {m}")
     times = grid.points()
@@ -137,8 +134,7 @@ def fatou_approx(
     def fill_block(z: np.ndarray) -> np.ndarray:
         return m_arr + fatou_path(schedule, z)
 
-    values = fill_paths(n_paths, schedule.n_draws, fill_block, times.size, seed)
-    return PathBatch(times, values)
+    return PathFamily(times, schedule.n_draws, fill_block)
 
 
 def fatou_probe_error(

@@ -37,7 +37,7 @@ import numpy as np
 MOM_BLOCKS = 32
 # Paths per block handed to ``fill_block``, and the most variates one block
 # may hold: together they bound the memory of a block whatever the path count.
-# ``paths.PathChunks`` bounds its chunks of path values by CHUNK_DRAWS too.
+# ``paths.PathFamily.chunks`` bounds its chunks of path values by CHUNK_DRAWS too.
 CHUNK_PATHS = 256
 CHUNK_DRAWS = 1 << 18
 # Variates drawn at once, across blocks: uniform words are array code whose
@@ -180,7 +180,9 @@ def mean_and_se(values: np.ndarray) -> tuple:
     mean = float(np.sum(values) / n)
     if n < 2:
         return mean, float("inf")
-    var = float(np.sum((values - mean) ** 2) / (n - 1))
+    d = values - mean
+    np.square(d, out=d)  # in place: one temporary of n floats, not two
+    var = float(np.sum(d) / (n - 1))
     return mean, math.sqrt(var / n)
 
 

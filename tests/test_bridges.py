@@ -25,7 +25,7 @@ def refined_grid(anchor=1.0, m=6, t_max=2.0):
 
 def test_bridge_is_one_before_window_and_zero_after():
     grid = refined_grid()
-    batch = bridge_exponential(6, 1.0, grid, n_paths=200, seed=7)
+    batch = bridge_exponential(6, 1.0, grid).batch(200, 7)
     before = batch.times < 1.0 - 2.0**-6
     after = batch.times >= 1.0
     assert np.all(batch.values[:, before] == 1.0)
@@ -37,7 +37,7 @@ def test_bridge_mid_window_mean_is_one():
     m = 6
     mid = 1.0 - 2.0**-m / 2
     grid = GridSpec(t_max=2.0, base_step=1 / 16, refinements=((1.0, 2.0**-m, 24),), extra_points=(mid,))
-    batch = bridge_exponential(m, 1.0, grid, n_paths=40000, seed=11)
+    batch = bridge_exponential(m, 1.0, grid).batch(40000, 11)
     vals = batch.at_time(mid)
     mean, se = mean_and_se(vals)
     assert abs(mean - 1.0) <= 5 * se
@@ -47,20 +47,20 @@ def test_bridge_mid_window_mean_is_one():
 
 def test_bridge_replay_is_bit_exact():
     grid = refined_grid()
-    b1 = bridge_exponential(5, 1.0, grid, n_paths=50, seed=3)
-    b2 = bridge_exponential(5, 1.0, grid, n_paths=50, seed=3)
+    b1 = bridge_exponential(5, 1.0, grid).batch(50, 3)
+    b2 = bridge_exponential(5, 1.0, grid).batch(50, 3)
     assert np.array_equal(b1.values, b2.values)
 
 
 def test_bridge_refuses_unresolved_window():
     grid = GridSpec(t_max=2.0, base_step=1 / 4)  # step 0.25 >> window 2^-6
     with pytest.raises(GridError):
-        bridge_exponential(6, 1.0 + 1 / 8, grid, n_paths=10, seed=1)
+        bridge_exponential(6, 1.0 + 1 / 8, grid)
 
 
 def test_single_jump_before_and_after():
     grid = refined_grid()
-    batch = single_jump_approx(0.5, 6, 1.0, grid, n_paths=100, seed=5)
+    batch = single_jump_approx(0.5, 6, 1.0, grid).batch(100, 5)
     before = batch.times < 1.0 - 2.0**-6
     assert np.all(batch.values[:, before] == 1.0)
     assert np.all(batch.at_time(2.0) == 0.5)  # deterministic past the anchor
@@ -68,8 +68,8 @@ def test_single_jump_before_and_after():
 
 def test_single_jump_a_zero_is_the_bridge():
     grid = refined_grid()
-    b = bridge_exponential(6, 1.0, grid, n_paths=20, seed=9)
-    n = single_jump_approx(0.0, 6, 1.0, grid, n_paths=20, seed=9)
+    b = bridge_exponential(6, 1.0, grid).batch(20, 9)
+    n = single_jump_approx(0.0, 6, 1.0, grid).batch(20, 9)
     assert np.array_equal(b.values, n.values)
 
 
@@ -93,9 +93,9 @@ def test_simple_nonincreasing_validation():
 def test_suicide_single_jump_matches_single_jump_family():
     grid = refined_grid(anchor=1.0 + 2.0**-6)
     g = SimpleNonincreasing((1.0,), (1.0, 0.5))
-    s = suicide_martingale(g, 6, grid, n_paths=30, seed=21)
+    s = suicide_martingale(g, 6, grid).batch(30, 21)
     # windows agree: suicide's window is [1, 1+2^-m), the one-term sum
-    n = single_jump_approx(0.5, 6, 1.0 + 2.0**-6, grid, n_paths=30, seed=21)
+    n = single_jump_approx(0.5, 6, 1.0 + 2.0**-6, grid).batch(30, 21)
     assert np.allclose(s.values, n.values)
     assert np.all(s.at_time(0.0) == 1.0)
 
@@ -109,7 +109,7 @@ def test_suicide_two_jump_plateau_identity_exact():
         refinements=((1.0 + 2.0**-m, 2.0**-m, 16), (2.0 + 2.0**-m, 2.0**-m, 16)),
         extra_points=(1.5,),
     )
-    batch = suicide_martingale(g, m, grid, n_paths=500, seed=13)
+    batch = suicide_martingale(g, m, grid).batch(500, 13)
     gvals = g.values(batch.times)
     # plateaus fully past their burn-in window: [0, 1], [1+2^-m, 2], [2+2^-m, 3]
     plateau = (

@@ -49,10 +49,10 @@ def test_localized_family_rejects_low_level_and_overlap():
     g = SimpleNonincreasing((1.0, 1.004), (1.0, 0.6, 0.3))
     grid = GridSpec(t_max=2.0, base_step=1 / 8)
     with pytest.raises(ValueError):
-        localized_suicide_family(g, m=6, level=0.5, grid=grid, n_paths=2, seed=1)
+        localized_suicide_family(g, m=6, level=0.5, grid=grid)
     with pytest.raises(ValueError):
         # windows of length 2^-6 overlap for jumps 1.0 and 1.004
-        localized_suicide_family(g, m=6, level=4.0, grid=grid, n_paths=2, seed=1)
+        localized_suicide_family(g, m=6, level=4.0, grid=grid)
 
 
 def test_mass_redirect_bound_and_disjointness():
@@ -60,7 +60,7 @@ def test_mass_redirect_bound_and_disjointness():
     l_rho = fam.at_time(rho)
     l_term = fam.at_time(float(fam.times[-1]))
     wgrid = GridSpec(t_max=2.5, base_step=1 / 4, extra_points=(rho, rho + 1.0))
-    w = simulate_bm(wgrid, 20000, seed=32)
+    w = simulate_bm(wgrid).batch(20000, 32)
     results = mass_redirect(l_rho, l_term, w.at_time(rho), w.at_time(rho + 1.0), 0.5, (1, 2))
     assert sorted(results) == [1, 2]
     for r in results.values():
@@ -78,7 +78,7 @@ def test_mass_redirect_levels_match_one_at_a_time():
     # the levels share one normal-CDF call; each result has the bits of its level alone
     fam, rho = exp_decay_family(seed=7, n_paths=600)
     wgrid = GridSpec(t_max=2.5, base_step=1 / 4, extra_points=(rho, rho + 1.0))
-    w = simulate_bm(wgrid, 600, seed=8)
+    w = simulate_bm(wgrid).batch(600, 8)
     args = (fam.at_time(rho), fam.at_time(2.5), w.at_time(rho), w.at_time(rho + 1.0), 0.5)
     together = mass_redirect(*args, (3, 1, 2, 1))
     assert sorted(together) == [1, 2, 3]

@@ -52,7 +52,7 @@ def test_constant_drift_is_exact_for_every_m():
     d = np.zeros_like(times)
     m_arr = np.ones_like(times)
     for m in (1, 2, 3):
-        batch = fatou_approx(grid, m_arr, d, m, n_paths=20, seed=4)
+        batch = fatou_approx(grid, m_arr, d, m).batch(20, 4)
         assert np.all(batch.values == 1.0)
 
 
@@ -63,7 +63,7 @@ def test_probe_errors_vanish_identically_once_resolved():
         assert in_S(probe, 20) is False
         errs = []
         for m in range(1, 9):
-            batch = fatou_approx(grid, m_arr, d, m, n_paths=30, seed=8)
+            batch = fatou_approx(grid, m_arr, d, m).batch(30, 8)
             errs.append(float(fatou_probe_error(batch, m_arr, d, probe).max()))
         m0 = next(m for m, e in zip(range(1, 9), errs) if e == 0.0)
         assert all(e == 0.0 for m, e in zip(range(1, 9), errs) if m >= m0)
@@ -72,7 +72,7 @@ def test_probe_errors_vanish_identically_once_resolved():
 def test_schedule_holds_last_dyadic_value_between_phases():
     grid = GridSpec(t_max=1.0, base_step=1 / 64, extra_points=(0.30,))
     times, m_arr, d = _gallery_paths(grid)
-    batch = fatou_approx(grid, m_arr, d, 2, n_paths=10, seed=3)
+    batch = fatou_approx(grid, m_arr, d, 2).batch(10, 3)
     # at t = 0.30 with m = 2: the phase at 0.25 completed (0.25 + 2^-6), so the
     # schedule holds D(0.25) = -0.25 exactly
     assert np.all(batch.at_time(0.30) == 1.0 - 0.25)
@@ -90,4 +90,4 @@ def test_rejects_increasing_drift():
     grid = GridSpec(t_max=1.0, base_step=1 / 4)
     times = grid.points()
     with pytest.raises(ValueError):
-        fatou_approx(grid, np.ones_like(times), np.linspace(0, 1, times.size), 2, 5, 1)
+        fatou_approx(grid, np.ones_like(times), np.linspace(0, 1, times.size), 2)

@@ -1,20 +1,23 @@
 """Chunked per-time sums against one axis-0 sum of the whole batch.
 
-``PathChunks`` adds each chunk of paths to running per-time sums kept in
-row 0 of its buffer, one axis-0 sum of that row and the chunk's rows.  For
-two or more columns numpy's axis-0 sum adds rows in order, so the chunked
-sums, and the means read from them, must equal one ``sum(axis=0)`` and
-``mean(axis=0)`` of the whole array bit for bit: on row counts that are not
-a multiple of the chunk, and with -0.0 in the first row, which numpy's sum
-reads as +0.0.  One column is refused, because numpy sums a single column
-pairwise.
+``PathFamily.chunks`` adds each chunk of paths to running per-time sums
+kept in row 0 of its buffer, one axis-0 sum of that row and the chunk's
+rows.  For two or more columns numpy's axis-0 sum adds rows in order, so the
+chunked sums, and the means read from them, must equal one ``sum(axis=0)``
+and ``mean(axis=0)`` of the whole array bit for bit: on row counts that are
+not a multiple of the chunk, and with -0.0 in the first row, which numpy's
+sum reads as +0.0.  One column is refused, because numpy sums a single
+column pairwise.
+
+The streamed experiments set their family up once and draw every chunk from
+it, so neither the builder nor the grid's ``points`` runs once per chunk.
 """
 
 import numpy as np
 import pytest
 
-from follmer_lab.mc import paths
-from follmer_lab.mc.paths import PathChunks
+from follmer_lab.mc import bridges, experiments, gallery, grids, paths
+from follmer_lab.mc.paths import PathFamily
 
 
 def spread(shape, seed):
@@ -23,19 +26,30 @@ def spread(shape, seed):
     return rng.standard_normal(shape) * 10.0 ** rng.uniform(-8, 8, shape)
 
 
+def handing_out(values):
+    """A family whose ``fill_block`` hands out the rows of ``values`` in order, drawing nothing."""
+    handed = 0
+
+    def fill_block(z):
+        nonlocal handed
+        rows = values[handed : handed + z.shape[0]]
+        handed += z.shape[0]
+        return rows
+
+    return PathFamily(np.arange(values.shape[1], dtype=float), 0, fill_block)
+
+
 def chunked_sums(values, chunk_values):
-    """Fill a ``PathChunks`` from ``values`` and return its sums and the ranges it yielded."""
+    """Stream ``values`` through ``PathFamily.chunks``; return the last sums and the ranges yielded."""
     n_paths, n_times = values.shape
+    ranges = []
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(paths, "CHUNK_DRAWS", chunk_values)
-        chunks = PathChunks(n_paths, n_times)
-    ranges = []
-    for first, out in chunks:
-        assert out.shape[1] == n_times and out.size <= max(chunk_values, n_times)
-        out[:] = values[first : first + len(out)]
-        ranges.append((first, len(out)))
-        chunks.add_to_sums()
-    return chunks.sums, ranges
+        for first, out, sums in handing_out(values).chunks(n_paths, seed=0):
+            assert out.shape[1] == n_times and out.size <= max(chunk_values, n_times)
+            assert np.array_equal(out, values[first : first + len(out)])
+            ranges.append((first, len(out)))
+    return sums, ranges
 
 
 @pytest.mark.parametrize(
@@ -67,13 +81,48 @@ def test_chunked_sums_equal_one_axis0_sum(shape, chunk_values, negative_zero):
 
 
 def test_chunks_refill_one_buffer():
-    chunks = PathChunks(20000, 59)
-    seen = [out for _, out in chunks]
-    assert len(seen) == 5 and sum(len(out) for out in seen) == 20000
-    assert all(out.base is seen[0].base for out in seen)
-    assert seen[0].base.shape == (chunks.rows + 1, 59) and chunks.rows * 59 <= paths.CHUNK_DRAWS
+    values = spread((20000, 59), seed=5)
+    seen = [(out, sums) for _, out, sums in handing_out(values).chunks(20000, seed=0)]
+    rows = len(seen[0][0])
+    assert len(seen) == 5 and sum(len(out) for out, _ in seen) == 20000
+    assert all(out.base is seen[0][0].base and sums.base is out.base for out, sums in seen)
+    assert seen[0][0].base.shape == (rows + 1, 59) and rows * 59 <= paths.CHUNK_DRAWS
 
 
 def test_one_column_is_refused():
     with pytest.raises(ValueError, match="n_times >= 2"):
-        PathChunks(100000, 1)
+        next(handing_out(np.zeros((100000, 1))).chunks(100000, seed=0))
+
+
+# experiment -> the builder it streams from
+STREAMED = {
+    "single_jump": "single_jump_approx",
+    "suicide": "suicide_martingale",
+    "bm_check": "simulate_bm",
+}
+
+
+@pytest.mark.parametrize("name", sorted(STREAMED))
+def test_streamed_experiment_sets_up_once(name, monkeypatch):
+    module = paths if name == "bm_check" else bridges
+    build, points = getattr(module, STREAMED[name]), grids.GridSpec.points
+    calls = {"build": 0, "points": 0}
+    families = []
+
+    def counting_build(*args, **kwargs):
+        calls["build"] += 1
+        families.append(build(*args, **kwargs))
+        return families[-1]
+
+    def counting_points(self):
+        calls["points"] += 1
+        return points(self)
+
+    monkeypatch.setattr(module, STREAMED[name], counting_build)
+    monkeypatch.setattr(grids.GridSpec, "points", counting_points)
+    run = experiments.EXPERIMENTS[name]
+    run(1, 2, gallery.PARAMS[name])
+    n_paths = 2 * (paths.CHUNK_DRAWS // families[0].times.size) + 1  # three chunks
+    calls.update(build=0, points=0)
+    run(1, n_paths, gallery.PARAMS[name])
+    assert calls["build"] == 1 and calls["points"] <= 2, calls

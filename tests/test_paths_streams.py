@@ -6,6 +6,14 @@ import numpy as np
 import pytest
 
 from follmer_lab.errors import GridError
+from follmer_lab.mc.bridges import (
+    SimpleNonincreasing,
+    bridge_exponential,
+    single_jump_approx,
+    suicide_martingale,
+)
+from follmer_lab.mc.families import localized_suicide_family
+from follmer_lab.mc.fatou import fatou_approx
 from follmer_lab.mc.grids import GridSpec, window_grid_indices
 from follmer_lab.mc.paths import simulate_bm
 from follmer_lab.mc.streams import (
@@ -41,7 +49,7 @@ def test_grid_validation():
 
 def test_bm_mean_and_variance_within_5_sigma():
     grid = GridSpec(t_max=1.0, base_step=1 / 32)
-    batch = simulate_bm(grid, 100000, seed=42)
+    batch = simulate_bm(grid).batch(100000, 42)
     w1 = batch.at_time(1.0)
     sigma = 1.0 / math.sqrt(100000)
     assert abs(float(w1.mean())) <= 5 * sigma
@@ -52,23 +60,46 @@ def test_bm_mean_and_variance_within_5_sigma():
 
 def test_bm_replay_is_bit_exact():
     grid = GridSpec(t_max=1.0, base_step=1 / 8)
-    b1 = simulate_bm(grid, 64, seed=5)
-    b2 = simulate_bm(grid, 64, seed=5)
+    b1 = simulate_bm(grid).batch(64, 5)
+    b2 = simulate_bm(grid).batch(64, 5)
     assert np.array_equal(b1.values, b2.values)
-    b3 = simulate_bm(grid, 64, seed=6)
+    b3 = simulate_bm(grid).batch(64, 6)
     assert not np.array_equal(b1.values, b2.values * 0 + b3.values)
 
 
 def test_per_path_streams_are_stable_under_batch_size():
     grid = GridSpec(t_max=1.0, base_step=1 / 8)
-    big = simulate_bm(grid, 50, seed=9)
-    small = simulate_bm(grid, 7, seed=9)
+    big = simulate_bm(grid).batch(50, 9)
+    small = simulate_bm(grid).batch(7, 9)
     assert np.array_equal(big.values[:7], small.values)
+
+
+GRID = GridSpec(t_max=2.0, base_step=1 / 16, refinements=((1.0, 2.0**-6, 24), (1.0 + 2.0**-6, 2.0**-6, 24)))
+DROP = SimpleNonincreasing((1.0,), (1.0, 0.5))
+FAMILIES = {
+    "simulate_bm": lambda: simulate_bm(GRID),
+    "bridge_exponential": lambda: bridge_exponential(6, 1.0, GRID),
+    "single_jump_approx": lambda: single_jump_approx(0.5, 6, 1.0, GRID),
+    "suicide_martingale": lambda: suicide_martingale(DROP, 6, GRID),
+    "localized_suicide_family": lambda: localized_suicide_family(DROP, 6, 4.0, GRID),
+    "fatou_approx": lambda: fatou_approx(
+        GRID, np.ones(GRID.points().size), np.where(GRID.points() < 0.5, 0.0, -0.5), 2
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(FAMILIES))
+def test_every_family_refuses_a_batch_without_paths(name):
+    family = FAMILIES[name]()
+    assert family.batch(1, 0).values.shape == (1, GRID.points().size)
+    for n_paths in (0, -1):
+        with pytest.raises(ValueError, match="n_paths >= 1"):
+            family.batch(n_paths, 0)
 
 
 def test_fill_paths_rows_match_their_own_streams():
     grid = GridSpec(t_max=1.0, base_step=1 / 16)
-    batch = simulate_bm(grid, 500, seed=3)
+    batch = simulate_bm(grid).batch(500, 3)
     sqrt_dt = np.sqrt(np.diff(batch.times))
     for i in (0, 1, 250, 499):
         steps = path_generator(3, i).standard_normal(sqrt_dt.size) * sqrt_dt

@@ -6,15 +6,16 @@ index before its draws, and uniforms from Philox4x64-10 words computed as
 array code; a call with no draws per path reads no stream.  Both must equal
 ``np.random.Generator(np.random.Philox(key=[seed mod 2^64, index]))`` bit
 for bit, on edge keys, across the 4-word counter blocks and on both sides of
-the block and span sizes.  A range of paths [first, first + count), from
-``fill_paths`` and from each builder on it, must equal those rows of the
-whole batch, whatever its offset against the block and span sizes.
+the block and span sizes.  A range of paths [first, first + count) from
+``fill_paths`` must equal those rows of the whole batch, whatever its offset
+against the block and span sizes, and so must each builder's family streamed
+in chunks, with per-time sums equal to one axis-0 sum of its batch.
 """
 
 import numpy as np
 import pytest
 
-from follmer_lab.mc import streams
+from follmer_lab.mc import paths, streams
 from follmer_lab.mc.bridges import (
     SimpleNonincreasing,
     bridge_exponential,
@@ -168,22 +169,27 @@ def test_fill_paths_ranges_are_rows_of_the_batch(n_draws, uniform):
 M = 5
 GRID = GridSpec(t_max=3.0, base_step=1 / 8, refinements=((1.0 + 2.0**-M, 2.0**-M, 8), (2.0, 2.0**-M, 8)))
 JUMPS = SimpleNonincreasing((1.0, 2.0 - 2.0**-M), (1.0, 0.5, 0.25))
-BUILDERS = {
-    "simulate_bm": lambda n, seed, **kw: simulate_bm(GRID, n, seed, **kw),
-    "bridge_exponential": lambda n, seed, **kw: bridge_exponential(M, 2.0, GRID, n, seed, **kw),
-    "single_jump_approx": lambda n, seed, **kw: single_jump_approx(0.25, M, 2.0, GRID, n, seed, **kw),
-    "suicide_martingale": lambda n, seed, **kw: suicide_martingale(JUMPS, M, GRID, n, seed, **kw),
+FAMILIES = {
+    "simulate_bm": lambda: simulate_bm(GRID),
+    "bridge_exponential": lambda: bridge_exponential(M, 2.0, GRID),
+    "single_jump_approx": lambda: single_jump_approx(0.25, M, 2.0, GRID),
+    "suicide_martingale": lambda: suicide_martingale(JUMPS, M, GRID),
 }
 
 
-@pytest.mark.parametrize("name", sorted(BUILDERS))
-def test_builder_ranges_are_rows_of_the_batch(name):
-    n_cols = GRID.points().size
-
-    def build(count, first, out):
-        batch = BUILDERS[name](count, 13, first=first, out=out)
-        assert np.array_equal(batch.times, GRID.points())
-        return batch.values
-
-    for expected, rows in whole_and_ranges(build, n_cols):
-        assert np.array_equal(rows, expected)
+# chunks of 1 path, of one path less than a block and of a few paths more
+# than one, over a path count that none of them divides
+@pytest.mark.parametrize("rows", [1, C - 1, C + 3])
+@pytest.mark.parametrize("name", sorted(FAMILIES))
+def test_builder_ranges_are_rows_of_the_batch(name, rows, monkeypatch):
+    family = FAMILIES[name]()
+    assert np.array_equal(family.times, GRID.points())
+    n_paths = 2 * C + 9
+    monkeypatch.setattr(paths, "CHUNK_DRAWS", rows * family.times.size)
+    whole = family.batch(n_paths, 13).values
+    chunks = []
+    for first, values, sums in family.chunks(n_paths, 13):
+        assert first == sum(len(c) for c in chunks) and len(values) <= rows
+        chunks.append(values.copy())
+    assert np.concatenate(chunks).tobytes() == whole.tobytes()
+    assert sums.tobytes() == whole.sum(axis=0).tobytes()

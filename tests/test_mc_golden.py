@@ -12,10 +12,13 @@ the first ladder clock, and ``split_limit``'s results and report, after
 their always-zero ``cross_mass`` field was dropped (every other value in
 them is unchanged).
 
-The streamed experiments (``single_jump``, ``suicide``, ``bm_check``) also
+The experiments that read a family on a time grid (``single_jump``,
+``suicide``, ``bm_check``, ``mass_redirect``, ``extended``, ``fatou``) also
 have one case at 2 x chunk + 1 paths, where a chunk holds at most
-``CHUNK_DRAWS`` path values (4,443 paths of 59 grid times, 7,943 of 33), so
-their outputs are pinned across chunk boundaries too.
+``CHUNK_DRAWS`` path values (4,443 paths of 59 grid times, 7,943 of 33, 903
+of 290, 1,913 of 137 and 4,032 of 65), so their outputs are pinned across
+chunk boundaries too.  The last three were recorded while those experiments
+still drew a whole batch.
 """
 
 import hashlib
@@ -71,10 +74,20 @@ GOLDEN = {
         "3c5f230a0412010697b41fbaf40f6f07dd5057022c95dfebb69267a553e4d5d5",
         "02df47794774146677af62be92ddd6c85e4b2fcbb72c19c1e5d9d475052b95ba",
     ),
+    ("fatou", 3, 8065, None): (
+        "3f51b49a0984655021f7bf0a847a1cd2cfb4657680b822818d880716ababec23",
+        "3c5f230a0412010697b41fbaf40f6f07dd5057022c95dfebb69267a553e4d5d5",
+        "02df47794774146677af62be92ddd6c85e4b2fcbb72c19c1e5d9d475052b95ba",
+    ),
     ("mass_redirect", 3, 200, None): (
         "9e519aee1670f9c77a75109d8e2dc6f8b341e420f197d35eb8db888be2ba7318",
         EMPTY_PLOT,
         "81461832ffb0ba22d991c0c0773f4a1c70bf063d09c34a110de8249cd8a1ef9f",
+    ),
+    ("mass_redirect", 3, 1807, None): (
+        "4adec25256c59ceb77b56496beea8d680ec862a7809edd9b757d865e1b33924e",
+        EMPTY_PLOT,
+        "a978ecac0841b40f8124668cd81a314afe1f806e5c15cb71e153c13459214931",
     ),
     ("split_limit", 3, 2000, None): (
         "fecdf748a834650541bb13627ecfa2da38927dad1ae63f59d93fa1508bddb775",
@@ -88,6 +101,11 @@ GOLDEN = {
     ),
     ("extended", 3, 200, None): (
         "93b0b779b1eb5c0a640eaea9d62d1ba2f12d99349ead03fb9b625b36bb496e73",
+        EMPTY_PLOT,
+        "5c5b20f1b31ec6f21a52536a63f426bf53915f37bc38f4661c4c9cddb1c38bfa",
+    ),
+    ("extended", 3, 3827, None): (
+        "a81d9051f0a3ad41bb290b3980d7139419961f414a457824033fd99d46e5f108",
         EMPTY_PLOT,
         "5c5b20f1b31ec6f21a52536a63f426bf53915f37bc38f4661c4c9cddb1c38bfa",
     ),

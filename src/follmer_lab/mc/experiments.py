@@ -186,10 +186,16 @@ def run_uniform_rho(seed: int, n_paths: int, params: dict) -> ExperimentResult:
     families converge to the same indicator supermartingale at deterministic
     times, yet their values at rho separate fully.
 
-    This is a closed form, not a simulation: both families sit at exact
-    window endpoints for every rho and every burn-in index m, so every path
-    reads the constant 0 or 1 and none is drawn.  The rows carry those exact
-    values with standard error 0.
+    This is a closed form, not a simulation: in exact arithmetic both
+    families sit at exact window endpoints for every rho and every burn-in
+    index m, so every path reads the constant 0 or 1 and none is drawn.  The
+    rows carry those exact values with standard error 0.  The library's
+    floating-point clock does not always land there.  With rho = 1 + U from
+    stream v1 (seed 0, 40,000 paths) and the post window built as
+    ``bridges.BridgeWindow.on`` builds it (anchor rho + 2^-m, start
+    anchor - 2^-m), at m = 8 the clock at rho is positive on 24 paths, up to
+    5.7e-14, so their value is not exactly 1, and negative on 23, whose rho
+    falls before the computed start.
     """
     res = ExperimentResult("uniform_rho")
     res.rows.append(_row(0.0, 0.0, 0.0, n_paths, family="pre_burn_at_rho"))
@@ -285,17 +291,17 @@ def run_fatou(seed: int, n_paths: int, params: dict) -> ExperimentResult:
     m_list, probes, scan_depth = params["m_list"], params["probes"], params["scan_depth"]
     grid = grids.GridSpec(t_max=params["t_max"], base_step=params["base_step"], extra_points=probes)
     times = grid.points()
-    for p in probes:
-        grids.grid_index(times, p)  # each probe must be exactly one grid time
+    # each probe must be exactly one grid time
+    probe_cols = [grids.grid_index(times, p) for p in probes]
     # piecewise-constant drift with dyadic drop times
     d = np.where(times < 0.25, 0.0, np.where(times < 0.5, -0.25, -0.5))
     mvals = np.ones_like(times)
     res = ExperimentResult("fatou")
     probe_err: Dict[float, List[float]] = {p: [] for p in probes}
     for m in m_list:
-        batch = fatou.fatou_approx(grid, mvals, d, m).batch(n_paths, seed)
-        for p in probes:
-            err = float(fatou.fatou_probe_error(batch, mvals, d, p).max())
+        cols = fatou.fatou_approx(grid, mvals, d, m).columns(n_paths, seed, probe_cols)
+        for p, col in zip(probes, cols):
+            err = float(fatou.fatou_probe_error(times, col, mvals, d, p).max())
             probe_err[p].append(err)
             res.rows.append(_row(p, err, 0.0, n_paths, m=m))
     for p in probes:
@@ -319,17 +325,12 @@ def run_fatou(seed: int, n_paths: int, params: dict) -> ExperimentResult:
     return res
 
 
-def exp_decay_family(
-    seed: int,
-    n_paths: int,
-    k: int = 3,
-    m: int = 6,
-    level: float = 4.0,
-) -> Tuple[paths.PathBatch, float]:
+def exp_decay_family(k: int = 3, m: int = 6, level: float = 4.0) -> Tuple[paths.PathFamily, float]:
     """Level-stopped suicide family for the exponential-decay supermartingale.
 
-    Returns the batch, on a grid of step 1/16 up to 2.5 refined in each
-    burn-in window, and the first-passage time of the decay below 1/2.
+    Returns the family, on a grid of step 1/16 up to 2.5 refined in each
+    burn-in window, and the first-passage time of the decay below 1/2,
+    which is a time of that grid.
     """
     rho = math.log(2.0)
     t_max, base_step = 2.5, 1 / 16
@@ -342,21 +343,16 @@ def exp_decay_family(
         refinements=tuple((rj + window, window, 12) for rj in g.jump_times),
         extra_points=(rho, rho + 1.0),
     )
-    fam = families.localized_suicide_family(g, m=m, level=level, grid=grid)
-    return fam.batch(n_paths, seed), rho
+    return families.localized_suicide_family(g, m=m, level=level, grid=grid), rho
 
 
 def run_mass_redirect(seed: int, n_paths: int, params: dict) -> ExperimentResult:
     c = params["c"]
-    fam, rho = exp_decay_family(
-        seed, n_paths, k=params["k"], m=params["m"], level=params["level"]
-    )
-    l_rho = fam.at_time(rho)
-    l_term = fam.at_time(fam.times[-1])
+    fam, rho = exp_decay_family(k=params["k"], m=params["m"], level=params["level"])
+    l_rho, l_term = fam.columns(n_paths, seed, [grids.grid_index(fam.times, rho), -1])
     wgrid = grids.GridSpec(t_max=float(fam.times[-1]), base_step=1 / 4, extra_points=(rho, rho + 1.0))
-    w = paths.simulate_bm(wgrid).batch(n_paths, seed + 1)
-    w_rho = w.at_time(rho)
-    w_after = w.at_time(rho + 1.0)
+    w = paths.simulate_bm(wgrid)
+    w_rho, w_after = w.columns(n_paths, seed + 1, [grids.grid_index(w.times, t) for t in (rho, rho + 1.0)])
     res = ExperimentResult("mass_redirect")
     results = families.mass_redirect(l_rho, l_term, w_rho, w_after, c, params["ls"])
     estimates = {}
@@ -452,11 +448,7 @@ def run_extended(seed: int, n_paths: int, params: dict) -> ExperimentResult:
 def run_bm_check(seed: int, n_paths: int, params: dict) -> ExperimentResult:
     t_max = params["t_max"]
     family = paths.simulate_bm(grids.GridSpec(t_max=t_max, base_step=params["base_step"]))
-    j_end = grids.grid_index(family.times, t_max)
-    w = np.empty(n_paths)
-    for first, values, sums in family.chunks(n_paths, seed):
-        w[first : first + len(values)] = values[:, j_end]
-    del values, sums  # free the chunk buffer before the statistics' temporaries
+    (w,) = family.columns(n_paths, seed, [grids.grid_index(family.times, t_max)])
     mean, se = streams.mean_and_se(w)
     var = float(np.var(w, ddof=1))
     var_se = var * math.sqrt(2.0 / (n_paths - 1))

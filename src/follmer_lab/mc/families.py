@@ -31,7 +31,7 @@ from .bridges import (
 )
 from .grids import GridSpec, window_grid_indices
 from .normal import ndtr
-from .paths import PathBatch, PathFamily
+from .paths import PathFamily
 from .streams import fill_paths, mean_and_se
 
 LADDER_STEP = 0.25
@@ -148,9 +148,8 @@ def localized_suicide_family(
 
 @dataclass
 class ExtendedFamilyReport:
-    """One member of the terminal-extended family plus its sanity statistics."""
+    """The sanity statistics of one member of the terminal-extended family."""
 
-    batch: PathBatch
     normalizer: float
     mean_initial: float
     se_initial: float
@@ -178,7 +177,8 @@ def extended_approx(
     sampled at resolution k and realized by a suicide family at burn-in m;
     the member is terminal + normalizer * core-family.  When the normalizer
     vanishes the core is identically one (0/0 = 1 convention) and the member
-    is the constant ``terminal``.
+    is the constant ``terminal``: no path is drawn.  The member is read at
+    the first and last grid times only, streamed (:meth:`PathFamily.columns`).
     """
     times = grid.points()
     z_arr = np.asarray(z_values, dtype=float)
@@ -187,21 +187,18 @@ def extended_approx(
     normalizer = float(z_arr[0] - terminal)
     core_constant = normalizer == 0.0
     if core_constant:
-        values = np.full((n_paths, times.size), terminal + 0.0)
+        ends = np.full((2, n_paths), terminal + 0.0)
     else:
         core = np.where(times < h, (z_arr - terminal) / normalizer, 0.0)
         if np.any(core < -1e-12) or np.any(np.diff(core) > 1e-12):
             raise ValueError("core path must be nonnegative and nonincreasing")
         g = simple_approx(times, np.maximum(core, 0.0), k)
-        values = suicide_martingale(g, m, grid).batch(n_paths, seed).values
-        values *= normalizer
-        values += terminal
-    batch = PathBatch(times, values)
-    mean0, se0 = mean_and_se(values[:, 0])
-    meanT, seT = mean_and_se(values[:, -1])
-    return ExtendedFamilyReport(
-        batch, normalizer, mean0, se0, meanT, seT, terminal, core_constant
-    )
+        ends = suicide_martingale(g, m, grid).columns(n_paths, seed, [0, -1])
+        ends *= normalizer
+        ends += terminal
+    mean0, se0 = mean_and_se(ends[0])
+    meanT, seT = mean_and_se(ends[1])
+    return ExtendedFamilyReport(normalizer, mean0, se0, meanT, seT, terminal, core_constant)
 
 
 # -- mass redirection (first-passage reweighting) -------------------------------

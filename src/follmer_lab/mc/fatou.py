@@ -19,7 +19,7 @@ import numpy as np
 
 from .bridges import BridgeWindow
 from .grids import GridSpec, grid_index, step_values
-from .paths import PathBatch, PathFamily
+from .paths import PathFamily
 
 
 def in_S(t, n_max: int) -> bool:
@@ -104,7 +104,8 @@ def fatou_path(schedule: FatouSchedule, z: np.ndarray) -> np.ndarray:
     Holds the last completed dyadic sample between phases and bridges the
     decrement inside each phase.
     """
-    out = np.tile(schedule.level, (z.shape[0], 1))
+    # not np.tile: its generator expressions leave garbage that only the cyclic collector frees
+    out = np.broadcast_to(schedule.level, (z.shape[0], schedule.level.size)).copy()
     off = 0
     for p in schedule.bridged:
         e = p.window.values(z[:, off : off + p.window.n_draws])
@@ -138,15 +139,18 @@ def fatou_approx(
 
 
 def fatou_probe_error(
-    batch: PathBatch,
+    times: np.ndarray,
+    column: np.ndarray,
     m_values: Sequence[float],
     d_values: Sequence[float],
     t: float,
 ) -> np.ndarray:
-    """|Z^(m)_t - (M_t + D_{t-})| per path at a probe time."""
-    times = batch.times
+    """|Z^(m)_t - (M_t + D_{t-})| per path at a probe time t of the grid ``times``.
+
+    ``column`` holds the paths' values of Z^(m) at t.
+    """
     m_arr = np.asarray(m_values, dtype=float)
     d_arr = np.asarray(d_values, dtype=float)
     j = grid_index(times, t)
     target = m_arr[j] + step_values(times, d_arr, t, side="left")
-    return np.abs(batch.values[:, j] - target)
+    return np.abs(column - target)

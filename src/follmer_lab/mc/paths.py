@@ -1,41 +1,23 @@
-"""Path families on a time grid, drawn whole or in chunks, from reproducible per-path streams.
+"""Path families on a time grid, streamed in chunks from reproducible per-path streams.
 
 A builder does the path-independent set-up of a family once, such as its grid
 times, burn-in windows or phase schedule, and returns a :class:`PathFamily`.
-The family draws a batch of paths, or streams one in chunks; both read path i
-from stream (seed, i) alone, so a chunk's rows are those rows of the batch.
+The experiments read a family only through :meth:`PathFamily.chunks`: per-time
+sums and exactness flags chunk by chunk, or the few columns they report
+through :meth:`PathFamily.columns`.  Path i reads stream (seed, i) alone, so a
+chunk's rows are those rows of the whole batch (:meth:`PathFamily.batch`, the
+tests' reference).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterator, Tuple
+from typing import Callable, Iterator, Sequence, Tuple
 
 import numpy as np
 
-from .grids import GridSpec, grid_index
+from .grids import GridSpec
 from .streams import CHUNK_DRAWS, fill_paths
-
-
-@dataclass
-class PathBatch:
-    """Per-path per-gridpoint values on a shared time grid.
-
-    :meth:`PathFamily.batch` returns the ``(n_paths, n_times)`` values of
-    every path at once.  Transform ``values`` in place (``*=``, ``+=``)
-    rather than building a new matrix from it, and read columns through
-    slice views rather than fancy-index copies.  Experiments that read the
-    paths only through per-time means, exactness flags and a few columns
-    never hold the whole batch: they stream it (:meth:`PathFamily.chunks`),
-    so their peak memory is one chunk plus the columns they keep.
-    """
-
-    times: np.ndarray
-    values: np.ndarray  # shape (n_paths, len(times))
-
-    def at_time(self, t: float) -> np.ndarray:
-        """Column of values at an exact grid time."""
-        return self.values[:, grid_index(self.times, t)]
 
 
 @dataclass(frozen=True)
@@ -45,18 +27,22 @@ class PathFamily:
     Each path reads ``n_draws`` standard normals from its own stream, and
     ``fill_block`` maps a block of them, one row per path, to the paths'
     values at ``times`` (:func:`~follmer_lab.mc.streams.fill_paths`).
+    There are three ways to read it: stream it chunk by chunk
+    (:meth:`chunks`), keep a few of its columns (:meth:`columns`, through
+    ``chunks``), or draw the whole ``(n_paths, n_times)`` matrix at once
+    (:meth:`batch`), which only the tests do, as the reference for the other
+    two.
     """
 
     times: np.ndarray
     n_draws: int
     fill_block: Callable[[np.ndarray], np.ndarray]
 
-    def batch(self, n_paths: int, seed: int) -> PathBatch:
-        """Paths [0, n_paths) of stream ``seed``, all at once."""
+    def batch(self, n_paths: int, seed: int) -> np.ndarray:
+        """The values of paths [0, n_paths) of stream ``seed``, one row a path, all at once."""
         if n_paths < 1:
             raise ValueError(f"need n_paths >= 1, got {n_paths}")
-        values = fill_paths(n_paths, self.n_draws, self.fill_block, self.times.size, seed)
-        return PathBatch(self.times, values)
+        return fill_paths(n_paths, self.n_draws, self.fill_block, self.times.size, seed)
 
     def chunks(self, n_paths: int, seed: int) -> Iterator[Tuple[int, np.ndarray, np.ndarray]]:
         """Paths [0, n_paths) of stream ``seed``, chunk by chunk, with running per-time sums.
@@ -85,6 +71,19 @@ class PathFamily:
             # the first chunk's sum starts as numpy starts it, without row 0
             np.add.reduce(buf[int(first == 0) : 1 + len(values)], axis=0, out=buf[0])
             yield first, values, buf[0]
+
+    def columns(self, n_paths: int, seed: int, idx: Sequence[int]) -> np.ndarray:
+        """The values of paths [0, n_paths) of stream ``seed`` at grid indices ``idx``, one row each.
+
+        Streamed through :meth:`chunks`, so beside the returned rows only one
+        chunk is held.
+        """
+        if n_paths < 1:
+            raise ValueError(f"need n_paths >= 1, got {n_paths}")
+        out = np.empty((len(idx), n_paths))
+        for first, values, _ in self.chunks(n_paths, seed):
+            out[:, first : first + len(values)] = values[:, idx].T
+        return out
 
 
 def simulate_bm(grid: GridSpec) -> PathFamily:

@@ -11,7 +11,7 @@ from follmer_lab.mc.bridges import (
     single_jump_approx,
     suicide_martingale,
 )
-from follmer_lab.mc.grids import GridSpec
+from follmer_lab.mc.grids import GridSpec, grid_index
 from follmer_lab.mc.streams import mean_and_se, median_of_means, mom_standard_error
 
 
@@ -25,20 +25,21 @@ def refined_grid(anchor=1.0, m=6, t_max=2.0):
 
 def test_bridge_is_one_before_window_and_zero_after():
     grid = refined_grid()
-    batch = bridge_exponential(6, 1.0, grid).batch(200, 7)
-    before = batch.times < 1.0 - 2.0**-6
-    after = batch.times >= 1.0
-    assert np.all(batch.values[:, before] == 1.0)
-    assert np.all(batch.values[:, after] == 0.0)
-    assert np.all(batch.values >= 0.0)
+    family = bridge_exponential(6, 1.0, grid)
+    values = family.batch(200, 7)
+    before = family.times < 1.0 - 2.0**-6
+    after = family.times >= 1.0
+    assert np.all(values[:, before] == 1.0)
+    assert np.all(values[:, after] == 0.0)
+    assert np.all(values >= 0.0)
 
 
 def test_bridge_mid_window_mean_is_one():
     m = 6
     mid = 1.0 - 2.0**-m / 2
     grid = GridSpec(t_max=2.0, base_step=1 / 16, refinements=((1.0, 2.0**-m, 24),), extra_points=(mid,))
-    batch = bridge_exponential(m, 1.0, grid).batch(40000, 11)
-    vals = batch.at_time(mid)
+    family = bridge_exponential(m, 1.0, grid)
+    vals = family.batch(40000, 11)[:, grid_index(family.times, mid)]
     mean, se = mean_and_se(vals)
     assert abs(mean - 1.0) <= 5 * se
     mom = median_of_means(vals)
@@ -49,7 +50,7 @@ def test_bridge_replay_is_bit_exact():
     grid = refined_grid()
     b1 = bridge_exponential(5, 1.0, grid).batch(50, 3)
     b2 = bridge_exponential(5, 1.0, grid).batch(50, 3)
-    assert np.array_equal(b1.values, b2.values)
+    assert np.array_equal(b1, b2)
 
 
 def test_bridge_refuses_unresolved_window():
@@ -60,17 +61,18 @@ def test_bridge_refuses_unresolved_window():
 
 def test_single_jump_before_and_after():
     grid = refined_grid()
-    batch = single_jump_approx(0.5, 6, 1.0, grid).batch(100, 5)
-    before = batch.times < 1.0 - 2.0**-6
-    assert np.all(batch.values[:, before] == 1.0)
-    assert np.all(batch.at_time(2.0) == 0.5)  # deterministic past the anchor
+    family = single_jump_approx(0.5, 6, 1.0, grid)
+    values = family.batch(100, 5)
+    before = family.times < 1.0 - 2.0**-6
+    assert np.all(values[:, before] == 1.0)
+    assert np.all(values[:, grid_index(family.times, 2.0)] == 0.5)  # deterministic past the anchor
 
 
 def test_single_jump_a_zero_is_the_bridge():
     grid = refined_grid()
     b = bridge_exponential(6, 1.0, grid).batch(20, 9)
     n = single_jump_approx(0.0, 6, 1.0, grid).batch(20, 9)
-    assert np.array_equal(b.values, n.values)
+    assert np.array_equal(b, n)
 
 
 def test_simple_nonincreasing_value_convention():
@@ -96,8 +98,8 @@ def test_suicide_single_jump_matches_single_jump_family():
     s = suicide_martingale(g, 6, grid).batch(30, 21)
     # windows agree: suicide's window is [1, 1+2^-m), the one-term sum
     n = single_jump_approx(0.5, 6, 1.0 + 2.0**-6, grid).batch(30, 21)
-    assert np.allclose(s.values, n.values)
-    assert np.all(s.at_time(0.0) == 1.0)
+    assert np.allclose(s, n)
+    assert np.all(s[:, grid_index(grid.points(), 0.0)] == 1.0)
 
 
 def test_suicide_two_jump_plateau_identity_exact():
@@ -109,16 +111,17 @@ def test_suicide_two_jump_plateau_identity_exact():
         refinements=((1.0 + 2.0**-m, 2.0**-m, 16), (2.0 + 2.0**-m, 2.0**-m, 16)),
         extra_points=(1.5,),
     )
-    batch = suicide_martingale(g, m, grid).batch(500, 13)
-    gvals = g.values(batch.times)
+    family = suicide_martingale(g, m, grid)
+    values, times = family.batch(500, 13), family.times
+    gvals = g.values(times)
     # plateaus fully past their burn-in window: [0, 1], [1+2^-m, 2], [2+2^-m, 3]
     plateau = (
-        (batch.times <= 1.0)
-        | ((batch.times >= 1.0 + 2.0**-m) & (batch.times <= 2.0))
-        | (batch.times >= 2.0 + 2.0**-m)
+        (times <= 1.0)
+        | ((times >= 1.0 + 2.0**-m) & (times <= 2.0))
+        | (times >= 2.0 + 2.0**-m)
     )
-    assert np.all(batch.values[:, plateau] == gvals[plateau])
-    assert np.all(batch.at_time(1.5) == 0.5)
+    assert np.all(values[:, plateau] == gvals[plateau])
+    assert np.all(values[:, grid_index(times, 1.5)] == 0.5)
 
 
 def test_simple_approx_constant_has_no_jumps():

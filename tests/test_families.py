@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from follmer_lab.mc import paths
 from follmer_lab.mc.bridges import SimpleNonincreasing, simple_approx
 from follmer_lab.mc.families import (
     extended_approx,
@@ -13,36 +14,40 @@ from follmer_lab.mc.families import (
     split_limit_demo,
 )
 from follmer_lab.mc.experiments import exp_decay_family
-from follmer_lab.mc.grids import GridSpec
+from follmer_lab.mc.grids import GridSpec, grid_index
 from follmer_lab.mc.paths import simulate_bm
 from follmer_lab.mc.streams import mean_and_se
 
 
 def test_localized_family_is_mean_exact_at_grid_times():
-    fam, rho = exp_decay_family(seed=101, n_paths=20000)
+    fam, rho = exp_decay_family()
+    values = fam.batch(20000, 101)
     for t in (rho, float(fam.times[-1])):
-        mean, se = mean_and_se(fam.at_time(t))
+        mean, se = mean_and_se(values[:, grid_index(fam.times, t)])
         assert abs(mean - 1.0) <= 4 * se
 
 
 def test_localized_family_freezes_at_level():
-    fam, _ = exp_decay_family(seed=7, n_paths=2000, level=4.0)
-    running_max = np.maximum.accumulate(fam.values, axis=1)
+    fam, _ = exp_decay_family(level=4.0)
+    values = fam.batch(2000, 7)
+    running_max = np.maximum.accumulate(values, axis=1)
     crossed = running_max[:, -1] >= 4.0
     # frozen rows are constant after the first crossing
     for i in np.nonzero(crossed)[0][:50]:
-        j = np.argmax(fam.values[i] >= 4.0)
-        assert np.all(fam.values[i, j:] == fam.values[i, j])
+        j = np.argmax(values[i] >= 4.0)
+        assert np.all(values[i, j:] == values[i, j])
 
 
 def test_localized_family_holds_its_level_at_jump_times():
     # at a jump time the window's clock is 0 and the bridge still reads 1
     draft = GridSpec(t_max=2.5, base_step=1 / 16).points()
     g = simple_approx(draft, np.exp(-draft), k=3)
-    fam, _ = exp_decay_family(seed=7, n_paths=400)
+    fam, _ = exp_decay_family()
+    values = fam.batch(400, 7)
     assert g.jump_times[-1] == fam.times[-1] == 2.5
     for rho in g.jump_times:
-        assert np.array_equal(fam.at_time(rho), fam.at_time(rho - 1 / 16))
+        at_rho, before = (values[:, grid_index(fam.times, t)] for t in (rho, rho - 1 / 16))
+        assert np.array_equal(at_rho, before)
 
 
 def test_localized_family_rejects_low_level_and_overlap():
@@ -56,12 +61,14 @@ def test_localized_family_rejects_low_level_and_overlap():
 
 
 def test_mass_redirect_bound_and_disjointness():
-    fam, rho = exp_decay_family(seed=31, n_paths=20000)
-    l_rho = fam.at_time(rho)
-    l_term = fam.at_time(float(fam.times[-1]))
+    fam, rho = exp_decay_family()
+    values = fam.batch(20000, 31)
+    l_rho = values[:, grid_index(fam.times, rho)]
+    l_term = values[:, grid_index(fam.times, float(fam.times[-1]))]
     wgrid = GridSpec(t_max=2.5, base_step=1 / 4, extra_points=(rho, rho + 1.0))
     w = simulate_bm(wgrid).batch(20000, 32)
-    results = mass_redirect(l_rho, l_term, w.at_time(rho), w.at_time(rho + 1.0), 0.5, (1, 2))
+    w_rho, w_after = (w[:, grid_index(wgrid.points(), t)] for t in (rho, rho + 1.0))
+    results = mass_redirect(l_rho, l_term, w_rho, w_after, 0.5, (1, 2))
     assert sorted(results) == [1, 2]
     for r in results.values():
         assert r.bound == 0.25
@@ -76,10 +83,13 @@ def test_mass_redirect_bound_and_disjointness():
 
 def test_mass_redirect_levels_match_one_at_a_time():
     # the levels share one normal-CDF call; each result has the bits of its level alone
-    fam, rho = exp_decay_family(seed=7, n_paths=600)
+    fam, rho = exp_decay_family()
+    values = fam.batch(600, 7)
+    l_rho, l_term = (values[:, grid_index(fam.times, t)] for t in (rho, 2.5))
     wgrid = GridSpec(t_max=2.5, base_step=1 / 4, extra_points=(rho, rho + 1.0))
     w = simulate_bm(wgrid).batch(600, 8)
-    args = (fam.at_time(rho), fam.at_time(2.5), w.at_time(rho), w.at_time(rho + 1.0), 0.5)
+    w_rho, w_after = (w[:, grid_index(wgrid.points(), t)] for t in (rho, rho + 1.0))
+    args = (l_rho, l_term, w_rho, w_after, 0.5)
     together = mass_redirect(*args, (3, 1, 2, 1))
     assert sorted(together) == [1, 2, 3]
     for l, r in together.items():
@@ -178,7 +188,9 @@ def test_extended_constant_terminal_conserves_expectation():
     assert rep.mean_terminal == rep.expected_terminal == 0.5
 
 
-def test_extended_zero_over_zero_convention():
+def test_extended_zero_over_zero_convention(monkeypatch):
+    filled = []
+    monkeypatch.setattr(paths, "fill_paths", lambda *args, **kwargs: filled.append(args))
     grid = GridSpec(t_max=1.0, base_step=1 / 8)
     times = grid.points()
     rep = extended_approx(
@@ -192,4 +204,7 @@ def test_extended_zero_over_zero_convention():
         seed=1,
     )
     assert rep.core_constant
-    assert np.all(rep.batch.values == 1.0)
+    # the member is the constant terminal: exact means, SE 0, no path drawn
+    assert rep.expected_terminal == 1.0
+    assert (rep.mean_initial, rep.se_initial) == (rep.mean_terminal, rep.se_terminal) == (1.0, 0.0)
+    assert not filled

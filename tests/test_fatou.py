@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from follmer_lab.mc.fatou import fatou_approx, fatou_probe_error, in_S
-from follmer_lab.mc.grids import GridSpec, step_values
+from follmer_lab.mc.grids import GridSpec, grid_index, step_values
 
 
 def test_in_s_excludes_dyadic_left_endpoints():
@@ -52,8 +52,8 @@ def test_constant_drift_is_exact_for_every_m():
     d = np.zeros_like(times)
     m_arr = np.ones_like(times)
     for m in (1, 2, 3):
-        batch = fatou_approx(grid, m_arr, d, m).batch(20, 4)
-        assert np.all(batch.values == 1.0)
+        values = fatou_approx(grid, m_arr, d, m).batch(20, 4)
+        assert np.all(values == 1.0)
 
 
 def test_probe_errors_vanish_identically_once_resolved():
@@ -63,8 +63,8 @@ def test_probe_errors_vanish_identically_once_resolved():
         assert in_S(probe, 20) is False
         errs = []
         for m in range(1, 9):
-            batch = fatou_approx(grid, m_arr, d, m).batch(30, 8)
-            errs.append(float(fatou_probe_error(batch, m_arr, d, probe).max()))
+            column = fatou_approx(grid, m_arr, d, m).batch(30, 8)[:, grid_index(times, probe)]
+            errs.append(float(fatou_probe_error(times, column, m_arr, d, probe).max()))
         m0 = next(m for m, e in zip(range(1, 9), errs) if e == 0.0)
         assert all(e == 0.0 for m, e in zip(range(1, 9), errs) if m >= m0)
 
@@ -72,10 +72,10 @@ def test_probe_errors_vanish_identically_once_resolved():
 def test_schedule_holds_last_dyadic_value_between_phases():
     grid = GridSpec(t_max=1.0, base_step=1 / 64, extra_points=(0.30,))
     times, m_arr, d = _gallery_paths(grid)
-    batch = fatou_approx(grid, m_arr, d, 2).batch(10, 3)
+    values = fatou_approx(grid, m_arr, d, 2).batch(10, 3)
     # at t = 0.30 with m = 2: the phase at 0.25 completed (0.25 + 2^-6), so the
     # schedule holds D(0.25) = -0.25 exactly
-    assert np.all(batch.at_time(0.30) == 1.0 - 0.25)
+    assert np.all(values[:, grid_index(times, 0.30)] == 1.0 - 0.25)
 
 
 def test_left_value_surrogate():

@@ -289,19 +289,19 @@ SUICIDE_GRID = GridSpec(
 def _cases():
     cases = {
         "simulate_bm": (
-            lambda n, s: simulate_bm(BM_GRID).batch(n, s).values,
+            lambda n, s: simulate_bm(BM_GRID).batch(n, s),
             lambda n, s: oracle_bm(BM_GRID, n, s),
         ),
         "bridge_exponential": (
-            lambda n, s: bridge_exponential(6, 1.0, BRIDGE_GRID).batch(n, s).values,
+            lambda n, s: bridge_exponential(6, 1.0, BRIDGE_GRID).batch(n, s),
             lambda n, s: oracle_bridge(6, 1.0, BRIDGE_GRID, n, s),
         ),
         "single_jump": (
-            lambda n, s: single_jump_approx(0.3, 6, 1.0, BRIDGE_GRID).batch(n, s).values,
+            lambda n, s: single_jump_approx(0.3, 6, 1.0, BRIDGE_GRID).batch(n, s),
             lambda n, s: 0.3 + (1.0 - 0.3) * oracle_bridge(6, 1.0, BRIDGE_GRID, n, s),
         ),
         "suicide_martingale": (
-            lambda n, s: suicide_martingale(SUICIDE_G, 6, SUICIDE_GRID).batch(n, s).values,
+            lambda n, s: suicide_martingale(SUICIDE_G, 6, SUICIDE_GRID).batch(n, s),
             lambda n, s: oracle_suicide(SUICIDE_G, 6, SUICIDE_GRID, n, s),
         ),
         "exp_decay_kill_times": (exp_decay_kill_times, oracle_kill_times),
@@ -323,7 +323,7 @@ def _cases():
     fatou_grid, fatou_m, fatou_d = _fatou_case()
     for m in (1, 2, 3, 6):
         cases[f"fatou_m{m}"] = (
-            lambda n, s, m=m: fatou_approx(fatou_grid, fatou_m, fatou_d, m).batch(n, s).values,
+            lambda n, s, m=m: fatou_approx(fatou_grid, fatou_m, fatou_d, m).batch(n, s),
             lambda n, s, m=m: oracle_fatou(fatou_grid, fatou_m, fatou_d, m, n, s),
         )
     # level 4 as in mass_redirect; level 1.02 sits just above the start, so
@@ -331,7 +331,7 @@ def _cases():
     g, grid = _exp_decay_g_and_grid()
     for level in (4.0, 1.02):
         cases[f"localized_level{level}"] = (
-            lambda n, s, level=level: exp_decay_family(s, n, level=level)[0].values,
+            lambda n, s, level=level: exp_decay_family(level=level)[0].batch(n, s),
             lambda n, s, level=level: oracle_localized(g, 6, level, grid, n, s),
         )
     return cases
@@ -355,7 +355,7 @@ def test_block_family_matches_per_path_oracle(name):
 
 def test_exp_decay_case_rebuilds_the_family_grid():
     g, grid = _exp_decay_g_and_grid()
-    fam, _ = exp_decay_family(seed=0, n_paths=2)
+    fam, _ = exp_decay_family()
     assert np.array_equal(grid.points(), fam.times) and len(g.jump_times) == 20
 
 

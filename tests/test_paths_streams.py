@@ -14,7 +14,7 @@ from follmer_lab.mc.bridges import (
 )
 from follmer_lab.mc.families import localized_suicide_family
 from follmer_lab.mc.fatou import fatou_approx
-from follmer_lab.mc.grids import GridSpec, window_grid_indices
+from follmer_lab.mc.grids import GridSpec, grid_index, window_grid_indices
 from follmer_lab.mc.paths import simulate_bm
 from follmer_lab.mc.streams import (
     fill_paths,
@@ -49,8 +49,7 @@ def test_grid_validation():
 
 def test_bm_mean_and_variance_within_5_sigma():
     grid = GridSpec(t_max=1.0, base_step=1 / 32)
-    batch = simulate_bm(grid).batch(100000, 42)
-    w1 = batch.at_time(1.0)
+    w1 = simulate_bm(grid).batch(100000, 42)[:, grid_index(grid.points(), 1.0)]
     sigma = 1.0 / math.sqrt(100000)
     assert abs(float(w1.mean())) <= 5 * sigma
     var = float(np.var(w1, ddof=1))
@@ -62,16 +61,16 @@ def test_bm_replay_is_bit_exact():
     grid = GridSpec(t_max=1.0, base_step=1 / 8)
     b1 = simulate_bm(grid).batch(64, 5)
     b2 = simulate_bm(grid).batch(64, 5)
-    assert np.array_equal(b1.values, b2.values)
+    assert np.array_equal(b1, b2)
     b3 = simulate_bm(grid).batch(64, 6)
-    assert not np.array_equal(b1.values, b2.values * 0 + b3.values)
+    assert not np.array_equal(b1, b2 * 0 + b3)
 
 
 def test_per_path_streams_are_stable_under_batch_size():
     grid = GridSpec(t_max=1.0, base_step=1 / 8)
     big = simulate_bm(grid).batch(50, 9)
     small = simulate_bm(grid).batch(7, 9)
-    assert np.array_equal(big.values[:7], small.values)
+    assert np.array_equal(big[:7], small)
 
 
 GRID = GridSpec(t_max=2.0, base_step=1 / 16, refinements=((1.0, 2.0**-6, 24), (1.0 + 2.0**-6, 2.0**-6, 24)))
@@ -91,19 +90,22 @@ FAMILIES = {
 @pytest.mark.parametrize("name", sorted(FAMILIES))
 def test_every_family_refuses_a_batch_without_paths(name):
     family = FAMILIES[name]()
-    assert family.batch(1, 0).values.shape == (1, GRID.points().size)
+    assert family.batch(1, 0).shape == (1, GRID.points().size)
+    assert family.columns(1, 0, [0, -1]).shape == (2, 1)
     for n_paths in (0, -1):
         with pytest.raises(ValueError, match="n_paths >= 1"):
             family.batch(n_paths, 0)
+        with pytest.raises(ValueError, match="n_paths >= 1"):
+            family.columns(n_paths, 0, [0, -1])
 
 
 def test_fill_paths_rows_match_their_own_streams():
     grid = GridSpec(t_max=1.0, base_step=1 / 16)
-    batch = simulate_bm(grid).batch(500, 3)
-    sqrt_dt = np.sqrt(np.diff(batch.times))
+    values = simulate_bm(grid).batch(500, 3)
+    sqrt_dt = np.sqrt(np.diff(grid.points()))
     for i in (0, 1, 250, 499):
         steps = path_generator(3, i).standard_normal(sqrt_dt.size) * sqrt_dt
-        assert np.array_equal(batch.values[i, 1:], np.cumsum(steps))
+        assert np.array_equal(values[i, 1:], np.cumsum(steps))
 
 
 def test_fill_paths_rows_keyed_by_index():

@@ -9,7 +9,8 @@ for bit, on edge keys, across the 4-word counter blocks and on both sides of
 the block and span sizes.  A range of paths [first, first + count) from
 ``fill_paths`` must equal those rows of the whole batch, whatever its offset
 against the block and span sizes, and so must each builder's family streamed
-in chunks, with per-time sums equal to one axis-0 sum of its batch.
+in chunks, with per-time sums equal to one axis-0 sum of its batch; the
+columns it keeps through ``PathFamily.columns`` equal those of the batch.
 """
 
 import numpy as np
@@ -186,10 +187,12 @@ def test_builder_ranges_are_rows_of_the_batch(name, rows, monkeypatch):
     assert np.array_equal(family.times, GRID.points())
     n_paths = 2 * C + 9
     monkeypatch.setattr(paths, "CHUNK_DRAWS", rows * family.times.size)
-    whole = family.batch(n_paths, 13).values
+    whole = family.batch(n_paths, 13)
     chunks = []
     for first, values, sums in family.chunks(n_paths, 13):
         assert first == sum(len(c) for c in chunks) and len(values) <= rows
         chunks.append(values.copy())
     assert np.concatenate(chunks).tobytes() == whole.tobytes()
     assert sums.tobytes() == whole.sum(axis=0).tobytes()
+    idx = [0, family.times.size // 2, -1]
+    assert family.columns(n_paths, 13, idx).tobytes() == whole[:, idx].T.tobytes()

@@ -247,7 +247,7 @@ def mass_redirect(
     fired_fraction = float(np.mean(fired))
     levels = set(ls)
     ks = sorted(levels | {l + 1 for l in levels})
-    cdf = dict(zip(ks, ndtr(np.stack([k - w_at_rho for k in ks]))))
+    cdf = {k: ndtr(k - w_at_rho) for k in ks}
     results = {}
     for l in levels:
         indicator = (w_after > l) & (w_after < l + 1)

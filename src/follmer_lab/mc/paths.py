@@ -1,11 +1,14 @@
-"""Path families on a time grid, streamed in chunks from reproducible per-path streams.
+"""Path families on a time grid, read in blocks from reproducible per-path streams.
 
 A builder does the path-independent set-up of a family once, such as its grid
 times, burn-in windows or phase schedule, and returns a :class:`PathFamily`.
-The experiments read a family only through :meth:`PathFamily.chunks`: per-time
-sums and exactness flags chunk by chunk, or the few columns they report
-through :meth:`PathFamily.columns`.  Path i reads stream (seed, i) alone, so a
-chunk's rows are those rows of the whole batch (:meth:`PathFamily.batch`, the
+The experiments read a family in one of two ways.  :meth:`PathFamily.chunks`
+streams it chunk by chunk with per-time sums, for the runners that report
+mean paths and exactness flags; it is the only read that sums.
+:meth:`PathFamily.columns` keeps the few grid columns a runner reports,
+straight from :func:`~follmer_lab.mc.streams.fill_paths`' blocks, and holds
+no chunk.  Path i reads stream (seed, i) alone, so a chunk's rows, and the
+kept columns, are those of the whole batch (:meth:`PathFamily.batch`, the
 tests' reference).
 """
 
@@ -19,6 +22,11 @@ import numpy as np
 from .grids import GridSpec
 from .streams import CHUNK_DRAWS, fill_paths
 
+# Path values per chunk of ``PathFamily.chunks``, a quarter of a draws block:
+# a chunk adds at most 512 KiB to a read, in chunks still large enough that
+# the per-chunk work does not show beside the draws.
+CHUNK_VALUES = CHUNK_DRAWS // 4
+
 
 @dataclass(frozen=True)
 class PathFamily:
@@ -27,11 +35,12 @@ class PathFamily:
     Each path reads ``n_draws`` standard normals from its own stream, and
     ``fill_block`` maps a block of them, one row per path, to the paths'
     values at ``times`` (:func:`~follmer_lab.mc.streams.fill_paths`).
-    There are three ways to read it: stream it chunk by chunk
-    (:meth:`chunks`), keep a few of its columns (:meth:`columns`, through
-    ``chunks``), or draw the whole ``(n_paths, n_times)`` matrix at once
-    (:meth:`batch`), which only the tests do, as the reference for the other
-    two.
+    There are three ways to read it: stream it chunk by chunk with per-time
+    sums (:meth:`chunks`), which holds one chunk buffer beside the draws;
+    keep a few of its columns (:meth:`columns`), which holds only the
+    draws and one block's values beside the kept rows; or draw the whole
+    ``(n_paths, n_times)`` matrix at once (:meth:`batch`), which only the
+    tests do, as the reference for the other two.
     """
 
     times: np.ndarray
@@ -48,9 +57,9 @@ class PathFamily:
         """Paths [0, n_paths) of stream ``seed``, chunk by chunk, with running per-time sums.
 
         Yields ``(first, values, sums)``: ``values`` holds paths
-        [first, first + len(values)), at most ``CHUNK_DRAWS`` values, and
-        ``sums`` the per-time sums of paths [0, first + len(values)).  Both
-        are views of one buffer, allocated once and refilled, as a fresh
+        [first, first + len(values)), at most ``CHUNK_VALUES`` values or one
+        row, and ``sums`` the per-time sums of paths [0, first + len(values)).
+        Both are views of one buffer, allocated once and refilled, as a fresh
         array per chunk would pay its first-touch page faults on every chunk:
         read what is kept of a chunk before asking for the next.
 
@@ -63,7 +72,7 @@ class PathFamily:
         n_times = self.times.size
         if n_times < 2:
             raise ValueError(f"need n_times >= 2 for row-order sums, got {n_times}")
-        rows = max(1, CHUNK_DRAWS // n_times)
+        rows = max(1, CHUNK_VALUES // n_times)
         buf = np.empty((min(rows, n_paths) + 1, n_times))
         for first in range(0, n_paths, rows):
             values = buf[1 : 1 + min(rows, n_paths - first)]
@@ -75,14 +84,18 @@ class PathFamily:
     def columns(self, n_paths: int, seed: int, idx: Sequence[int]) -> np.ndarray:
         """The values of paths [0, n_paths) of stream ``seed`` at grid indices ``idx``, one row each.
 
-        Streamed through :meth:`chunks`, so beside the returned rows only one
-        chunk is held.
+        Drawn by one :func:`~follmer_lab.mc.streams.fill_paths` call whose
+        ``fill_block`` keeps only the ``idx`` columns of each block, so beside
+        the returned rows only the call's draws buffer and one block's values
+        are held, and no per-time sum is computed.
         """
         if n_paths < 1:
             raise ValueError(f"need n_paths >= 1, got {n_paths}")
+        def fill_block(z: np.ndarray) -> np.ndarray:
+            return self.fill_block(z)[:, idx]
+
         out = np.empty((len(idx), n_paths))
-        for first, values, _ in self.chunks(n_paths, seed):
-            out[:, first : first + len(values)] = values[:, idx].T
+        fill_paths(n_paths, self.n_draws, fill_block, len(idx), seed, out=out.T)
         return out
 
 

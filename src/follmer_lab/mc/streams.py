@@ -4,9 +4,9 @@ Each path draws from its own stream, keyed by (master seed, path index), so
 replaying any (seed, index) pair reproduces the path bit-exactly, and any
 range of paths [first, first + count) is the same whether it is built alone
 or as part of a larger batch.  :func:`fill_paths` draws each path's variates
-in one call and hands blocks of paths to array code, so families do their
-path arithmetic on whole blocks while every row still reads only its own
-stream.
+in one call into a draws buffer, one per call and refilled span by span,
+and hands blocks of paths to array code, so families do their path
+arithmetic on whole blocks while every row still reads only its own stream.
 
 Stream v1, which every manifest replays under: stream (seed, i) is numpy's
 Philox4x64-10 bit generator with key (seed mod 2^64, i), counter 0 and an
@@ -37,7 +37,7 @@ import numpy as np
 MOM_BLOCKS = 32
 # Paths per block handed to ``fill_block``, and the most variates one block
 # may hold: together they bound the memory of a block whatever the path count.
-# ``paths.PathFamily.chunks`` bounds its chunks of path values by CHUNK_DRAWS too.
+# ``paths.CHUNK_VALUES``, the path values of a chunk, is a quarter of CHUNK_DRAWS.
 CHUNK_PATHS = 256
 CHUNK_DRAWS = 1 << 18
 # Variates drawn at once, across blocks: uniform words are array code whose
@@ -137,11 +137,16 @@ def fill_paths(
     any range of paths equal those rows of the whole batch, the range that
     starts at 0 (the prefix property is the case ``first == 0``).  The rows
     go to ``out`` when given, a ``(n_paths, n_cols)`` float array, else to a
-    new array; either is returned.  This is the one place where path streams
-    are read: normals from one keyed state per call (:func:`stream_state`),
-    whose key is set to (seed mod 2^64, i) before path i draws, and uniforms
-    from :func:`uniform_words`.  With ``n_draws == 0`` the rows are empty
-    and no stream is read.
+    new array; either is returned.  The variates are drawn span by span, a
+    few blocks at a time, into one draws buffer allocated once per call, of
+    at most ``max(CHUNK_DRAWS, n_draws)`` floats; ``draws`` is a view of it,
+    refilled for the next span, so ``fill_block`` must not keep it.  Beside
+    ``out`` a call thus holds that buffer, one span's Philox words while it
+    draws uniforms, and one ``fill_block`` call at a time.  This is the one
+    place where path streams are read: normals from one keyed state per call
+    (:func:`stream_state`), whose key is set to (seed mod 2^64, i) before
+    path i draws, and uniforms from :func:`uniform_words`.  With
+    ``n_draws == 0`` the rows are empty and no stream is read.
     """
     if out is None:
         out = np.empty((n_paths, n_cols), dtype=np.float64)
@@ -156,15 +161,17 @@ def fill_paths(
         key0 = philox["key"][0]
         rng = _unkeyed_generator()
         bitgen, normal = rng.bit_generator, rng.standard_normal
+    # one draws buffer per call, refilled span by span: a fresh block per
+    # span would be allocated while the previous one is still alive
+    buf = np.empty((min(span, n_paths), n_draws), dtype=np.float64)
     for lo in range(0, n_paths, span):
         hi = min(lo + span, n_paths)
-        if not n_draws:
-            draws = np.empty((hi - lo, 0), dtype=np.float64)
-        elif uniform:
+        draws = buf[: hi - lo]
+        if n_draws and uniform:
             words = uniform_words(seed, np.arange(first + lo, first + hi, dtype=np.uint64), n_draws)
-            draws = (words >> np.uint64(11)) * 2.0**-53
-        else:
-            draws = np.empty((hi - lo, n_draws), dtype=np.float64)
+            words >>= np.uint64(11)
+            np.multiply(words, 2.0**-53, out=draws)
+        elif n_draws:
             for i, row in zip(range(first + lo, first + hi), draws):
                 philox["key"] = (key0, i)
                 bitgen.state = state

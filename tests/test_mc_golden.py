@@ -14,11 +14,15 @@ them is unchanged).
 
 The experiments that read a family on a time grid (``single_jump``,
 ``suicide``, ``bm_check``, ``mass_redirect``, ``extended``, ``fatou``) also
-have one case at 2 x chunk + 1 paths, where a chunk holds at most
-``CHUNK_DRAWS`` path values (4,443 paths of 59 grid times, 7,943 of 33, 903
-of 290, 1,913 of 137 and 4,032 of 65), so their outputs are pinned across
-chunk boundaries too.  The last three were recorded while those experiments
-still drew a whole batch.
+have one case at 2 x chunk + 1 paths for a chunk of ``streams.CHUNK_DRAWS``
+path values (4,443 paths of 59 grid times, 7,943 of 33, 903 of 290, 1,913
+of 137 and 4,032 of 65).  ``single_jump`` and ``suicide`` read chunks of
+``paths.CHUNK_VALUES`` values, a quarter of that (1,110 paths of 59 grid
+times), so their 8,887 paths span eight full chunks and a part; the other
+four read their columns straight from ``fill_paths``' blocks, which those
+counts span too.  So every output is pinned across chunk and block
+boundaries.  The last three were recorded while those experiments still
+drew a whole batch.
 """
 
 import hashlib

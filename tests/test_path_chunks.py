@@ -44,7 +44,7 @@ def chunked_sums(values, chunk_values):
     n_paths, n_times = values.shape
     ranges = []
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(paths, "CHUNK_DRAWS", chunk_values)
+        mp.setattr(paths, "CHUNK_VALUES", chunk_values)
         for first, out, sums in handing_out(values).chunks(n_paths, seed=0):
             assert out.shape[1] == n_times and out.size <= max(chunk_values, n_times)
             assert np.array_equal(out, values[first : first + len(out)])
@@ -60,7 +60,7 @@ def chunked_sums(values, chunk_values):
         ((1, 5), 100),  # one path, one chunk shorter than the chunk size
         ((300, 59), 59 * 64),
         ((1001, 2), 2 * 97),
-        ((20000, 59), paths.CHUNK_DRAWS),  # the default: 4,443 rows a chunk
+        ((20000, 59), paths.CHUNK_VALUES),  # the default: 1,110 rows a chunk
         ((100000, 2), 2 * 9999),
     ],
 )
@@ -81,12 +81,13 @@ def test_chunked_sums_equal_one_axis0_sum(shape, chunk_values, negative_zero):
 
 
 def test_chunks_refill_one_buffer():
-    values = spread((20000, 59), seed=5)
-    seen = [(out, sums) for _, out, sums in handing_out(values).chunks(20000, seed=0)]
+    n_paths = 4 * (paths.CHUNK_VALUES // 59) + 7  # four full chunks and a part
+    values = spread((n_paths, 59), seed=5)
+    seen = [(out, sums) for _, out, sums in handing_out(values).chunks(n_paths, seed=0)]
     rows = len(seen[0][0])
-    assert len(seen) == 5 and sum(len(out) for out, _ in seen) == 20000
+    assert len(seen) == 5 and sum(len(out) for out, _ in seen) == n_paths
     assert all(out.base is seen[0][0].base and sums.base is out.base for out, sums in seen)
-    assert seen[0][0].base.shape == (rows + 1, 59) and rows * 59 <= paths.CHUNK_DRAWS
+    assert seen[0][0].base.shape == (rows + 1, 59) and rows * 59 <= paths.CHUNK_VALUES
 
 
 def test_one_column_is_refused():
@@ -122,7 +123,7 @@ def test_streamed_experiment_sets_up_once(name, monkeypatch):
     monkeypatch.setattr(grids.GridSpec, "points", counting_points)
     run = experiments.EXPERIMENTS[name]
     run(1, 2, gallery.PARAMS[name])
-    n_paths = 2 * (paths.CHUNK_DRAWS // families[0].times.size) + 1  # three chunks
+    n_paths = 2 * (paths.CHUNK_VALUES // families[0].times.size) + 1  # three chunks
     calls.update(build=0, points=0)
     run(1, n_paths, gallery.PARAMS[name])
     assert calls["build"] == 1 and calls["points"] <= 2, calls

@@ -186,7 +186,7 @@ def test_builder_ranges_are_rows_of_the_batch(name, rows, monkeypatch):
     family = FAMILIES[name]()
     assert np.array_equal(family.times, GRID.points())
     n_paths = 2 * C + 9
-    monkeypatch.setattr(paths, "CHUNK_DRAWS", rows * family.times.size)
+    monkeypatch.setattr(paths, "CHUNK_VALUES", rows * family.times.size)
     whole = family.batch(n_paths, 13)
     chunks = []
     for first, values, sums in family.chunks(n_paths, 13):

@@ -91,6 +91,7 @@ class PathFamily:
         """
         if n_paths < 1:
             raise ValueError(f"need n_paths >= 1, got {n_paths}")
+
         def fill_block(z: np.ndarray) -> np.ndarray:
             return self.fill_block(z)[:, idx]
 

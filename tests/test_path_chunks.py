@@ -9,8 +9,9 @@ not a multiple of the chunk, and with -0.0 in the first row, which numpy's
 sum reads as +0.0.  One column is refused, because numpy sums a single
 column pairwise.
 
-The streamed experiments set their family up once and draw every chunk from
-it, so neither the builder nor the grid's ``points`` runs once per chunk.
+The streamed experiments set their family up once and draw every chunk or
+block from it, so neither the builder nor the grid's ``points`` runs once
+per chunk.
 """
 
 import numpy as np
@@ -123,7 +124,7 @@ def test_streamed_experiment_sets_up_once(name, monkeypatch):
     monkeypatch.setattr(grids.GridSpec, "points", counting_points)
     run = experiments.EXPERIMENTS[name]
     run(1, 2, gallery.PARAMS[name])
-    n_paths = 2 * (paths.CHUNK_VALUES // families[0].times.size) + 1  # three chunks
+    n_paths = 2 * (paths.CHUNK_VALUES // families[0].times.size) + 1  # three chunks, many blocks
     calls.update(build=0, points=0)
     run(1, n_paths, gallery.PARAMS[name])
     assert calls["build"] == 1 and calls["points"] <= 2, calls

@@ -139,8 +139,6 @@ def summarize(runs: dict, end_to_end: list) -> dict:
     """
     workloads, ratios = {}, {}
     for name, pairs in runs.items():
-        if not pairs:
-            continue
         workloads[name] = {"seeds": [p["seed"] for p in pairs], **summarize_workload(pairs, end_to_end)}
         workloads[name]["pairs"] = [
             {
@@ -162,9 +160,9 @@ def digests_differ(a: dict, b: dict) -> list:
 
 
 def checkout(rev: str, dest: str) -> str:
-    """Unpack commit ``rev`` into ``dest`` with ``git archive``; return its full hash."""
+    """Unpack commit ``rev`` into the new directory ``dest`` with ``git archive``; return its full hash."""
     commit = subprocess.run(["git", "-C", ROOT, "rev-parse", rev], check=True, capture_output=True, text=True)
-    os.makedirs(dest, exist_ok=True)
+    os.makedirs(dest)  # a directory left from another run could hold another commit's files
     archive = subprocess.Popen(["git", "-C", ROOT, "archive", rev], stdout=subprocess.PIPE)
     subprocess.run(["tar", "-x", "-C", dest], stdin=archive.stdout, check=True)
     if archive.wait():
@@ -215,7 +213,7 @@ def main(argv=None) -> int:
     p.add_argument("--claim", help="workload:metric that must show a gain")
     p.add_argument("--tag", default="")
     p.add_argument("--work", default=os.path.join(ROOT, "build", "bench_pairs"),
-                   help="directory for the two checkouts")
+                   help="directory for the two checkouts; must not hold them already")
     p.add_argument("--out", required=True)
     args = p.parse_args(argv)
 

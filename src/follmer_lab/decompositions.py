@@ -8,14 +8,14 @@ arithmetic, together with the classification of the first zero of Z into its
 announced and surprise parts.
 
 ``left_limit_smoothing`` builds, for a jump threshold 1/i, the smoothed
-pair that replaces each big predictable drop of D by a
-conditional-expectation ramp starting at its announcing time, one step
-before the drop unless the previous drop is there, and checks the exact
-value it reaches at every finite stopping time.  The drops are
-predictable, so the announcing times are stopping times and the
-construction is adapted.  The reached value depends only on the stop node
-and the leaf below it, so each (node, leaf) pair is checked once and
-counted as often as finite stopping times stop there.
+pair that carries each big predictable drop of D on a martingale started at
+its announcing time, one step before the drop unless the previous drop is
+there.  D is predictable, so that martingale is constant and the smoothing
+has a closed form: the martingale part stays M, and the smoothed drift
+takes each announced drop at its announcing node.  The value the pair
+reaches at a finite stopping time depends only on the stop node, so it is
+checked once per node and counted as often as (finite stopping time, leaf)
+positions stop there.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import prod
-from typing import Dict, List, Tuple
+from typing import Dict, List
 
 from .trees import (
     AdaptedProcess,
@@ -198,8 +198,7 @@ def multiplicative_property_violations(
     for n in tree.iter_nodes():
         if tree.is_leaf(n) or zero_on_path[n]:
             continue
-        e = sum((tree.prob[c] * m_vals[c] for c in tree.children[n]), Fraction(0))
-        if e != m_vals[n]:
+        if one_step_expectation(tree, m_vals, n) != m_vals[n]:
             problems.append(f"martingale step fails at {n!r}")
     for n in dec.rho0_announced.nodes:
         if d_vals[n] != 0:
@@ -218,13 +217,15 @@ class SmoothingLimitReport:
     """Per-position comparison of the smoothed pair with its target value.
 
     A position is one (finite stopping time, leaf) pair, located at the stop
-    node on the leaf's path; the counts weight each (stop node, leaf) pair by
-    the number of finite stopping times that contain the node.
-    ``stuck`` counts positions at a jump that consecutive qualifying jumps
-    leave no room to announce, and ``guaranteed`` all the others, where the
-    target is reached exactly.
-    ``mismatches`` lists each failing (stop node, leaf, time, reached,
-    target) once.
+    node on the leaf's path.  The reached and target values depend on the
+    stop node alone, so each stop node s is checked once and counted
+    mult(s) x (leaves below s) times, mult(s) being the number of finite
+    stopping times that contain s.
+    ``stuck`` counts positions at a drop whose parent node does not announce
+    it (the drop lands at time 1, or right after the previous drop), and
+    ``guaranteed`` all the others, where the target is reached exactly.
+    ``mismatches`` lists each failing (stop node, time, reached, target)
+    once.
     """
 
     ok: bool
@@ -238,12 +239,13 @@ class SmoothingLimitReport:
 
 @dataclass
 class SmoothedDecomposition:
-    """Smoothed pair indexed per leaf and time, plus its folded node-valued forms.
+    """Smoothed pair as node-valued processes, plus its values along each path.
 
-    ``martingale_path[leaf][t]`` / ``drift_path[leaf][t]`` hold the exact
-    values along each path, and ``martingale`` / ``drift_adapted`` carry the
-    folded node-valued processes: the construction is adapted, so paths
-    through a node agree there (:func:`_fold` checks it).
+    ``martingale`` is the additive decomposition's M itself and
+    ``drift_adapted`` the smoothed drift D^s; ``martingale_path[leaf][t]``
+    / ``drift_path[leaf][t]`` read them along each leaf's path, and
+    ``jump_times[leaf]`` lists the times at which a qualifying drop lands
+    on that path.
     """
 
     threshold_index: int
@@ -255,72 +257,47 @@ class SmoothedDecomposition:
     limit_report: SmoothingLimitReport
 
 
-def _fold(paths: Dict[str, List[str]], per_leaf: Dict[str, List[Fraction]]) -> AdaptedProcess:
-    """The node-valued process of per-leaf path values.
-
-    Self-check: the smoothing is adapted, so every path through a node
-    carries one value there; two that differ are a fault in the
-    construction, and the ``RuntimeError`` names the node.
-    """
-    vals: Dict[str, Fraction] = {}
-    for leaf, path in paths.items():
-        for n, v in zip(path, per_leaf[leaf]):
-            if vals.setdefault(n, v) != v:
-                raise RuntimeError(f"smoothed paths disagree at node {n!r}: {vals[n]} != {v}")
-    return AdaptedProcess(vals)
-
-
 def left_limit_smoothing(
     tree: FilteredTree,
     z: AdaptedProcess,
     i: int,
 ) -> SmoothedDecomposition:
-    """Ramp each drop of the additive drift of size <= -1/i from its announcing time.
+    """Take each drop of the additive drift of size <= -1/i one step early.
 
     It illustrates, on a finite tree, that the big predictable jumps of a
     supermartingale's drift can be carried by martingales started at their
     announcing times without changing the value the pair reaches at a finite
     stopping time.
 
-    The n-th qualifying drop time sigma_n on a path is announced at
-    a_n = max(sigma_n - 1, sigma_{n-1} + 1); from there the martingale part
-    tracks E[Z_{sigma_n} 1{sigma_n exists} | F_t] and the drift absorbs the
-    offset, so the pair reaches, at every finite stopping time rho,
-    exactly M_rho plus (D_rho when a qualifying drop lands at rho, else the
-    pre-rho drift value).  The report records that comparison at every
-    finite stopping time, with positions weighted as in
-    :class:`SmoothingLimitReport`.
+    A drop from node n to its children is announced at n unless n is the
+    root or a qualifying drop lands on n itself.  D is predictable, so the
+    drop lands on every child of n at once, and the conditional expectation
+    of Z at the drop, given F_n, is the one-step mean M(n) + D(child).  So
+    the martingale that carries the drop is constant: the smoothed
+    martingale part is M, and the smoothed drift D^s is D except at an
+    announcing node n, where it already takes the value D(child).
+
+    At every finite stopping time rho the pair reaches M_rho + D^s_{rho-1},
+    and the target is M_rho plus (D_rho when a qualifying drop lands at rho,
+    else D_{rho-1}).  The report makes that comparison once per stop node,
+    weighted as in :class:`SmoothingLimitReport`.
     """
     if i <= 0:
         raise ValueError(f"jump threshold index must be positive, got {i}")
     add = doob_meyer(tree, z)
+    m, steps = add.martingale.values, add.drift.steps
     threshold = -Fraction(1, i)
-    bottom_up = list(tree.iter_nodes())[::-1]
-
-    # once per leaf: its path, M and D along it, the qualifying jump times
-    # and their announcing times
-    paths = {leaf: tree.path_to(leaf) for leaf in tree.leaves}
-    along: Dict[str, Tuple[List[Fraction], List[Fraction], List[int], List[int]]] = {}
-    for leaf, path in paths.items():
-        m = [add.martingale[n] for n in path]
-        d = [add.drift.value_on(tree, n) for n in path]
-        sig = [t for t in range(1, len(path)) if d[t] - d[t - 1] <= threshold]
-        a = [max(s - 1, prev + 1) for prev, s in zip([0] + sig, sig)]
-        along[leaf] = (m, d, sig, a)
-    sigmas = {leaf: sig for leaf, (_, _, sig, _) in along.items()}
-
-    # cond[k][n] = E[Z_{sigma_k} 1{sigma_k exists} | F_t] at node n, by one
-    # bottom-up pass of one-step means per jump index k
-    cond: List[Dict[str, Fraction]] = []
-    for k in range(max(map(len, sigmas.values()))):
-        x = {
-            leaf: z[paths[leaf][sig[k]]] if k < len(sig) else Fraction(0)
-            for leaf, sig in sigmas.items()
-        }
-        for n in bottom_up:
-            if tree.children[n]:
-                x[n] = one_step_expectation(tree, x, n)
-        cond.append(x)
+    order = list(tree.iter_nodes())
+    parent, children = tree.parent, tree.children
+    d = {n: add.drift.value_on(tree, n) for n in order}
+    # a qualifying drop lands on n; it is announced at n's parent unless a
+    # drop lands there too or the parent is the root
+    lands = {n: parent[n] is not None and d[n] - d[parent[n]] <= threshold for n in order}
+    announcing = {
+        n for n in order
+        if children[n] and lands[children[n][0]] and not lands[n] and parent[n] is not None
+    }
+    d_s = {n: steps[n] if n in announcing else d[n] for n in order}
 
     # Finite stopping times containing each node: with F(n) the count of
     # finite stopping times of n's subtree (F(leaf) = 1, F(n) = 1 + prod of
@@ -328,56 +305,45 @@ def left_limit_smoothing(
     # ancestor and picks any finite time below each sibling, so
     # mult(c) = mult(parent) * (F(parent) - 1) / F(c).
     finite: Dict[str, int] = {}
-    for n in bottom_up:
-        kids = tree.children[n]
+    below: Dict[str, int] = {}  # leaves below each node
+    for n in reversed(order):
+        kids = children[n]
         finite[n] = 1 + prod(finite[c] for c in kids) if kids else 1
+        below[n] = sum(below[c] for c in kids) if kids else 1
     mult: Dict[str, int] = {tree.root: 1}
-    for n in tree.iter_nodes():
-        for c in tree.children[n]:
+    for n in order:
+        for c in children[n]:
             mult[c] = mult[n] * ((finite[n] - 1) // finite[c])
 
-    # the smoothed values along each path, then the reached value checked
-    # once per (stop node, leaf) pair
-    m_path: Dict[str, List[Fraction]] = {}
-    d_path: Dict[str, List[Fraction]] = {}
+    # once per stop node s: reached M_s + D^s_{s-1} against the target
+    # M_s + (D_s on a qualifying drop at s, else D_{s-1}); every position
+    # but a stuck one is guaranteed to reach the target
     report = SmoothingLimitReport(ok=True)
-    for leaf, (m, d, sig, a) in along.items():
-        path = paths[leaf]
-        m_path[leaf] = list(m)
-        d_path[leaf] = list(d)
-        for k, (s, a_k) in enumerate(zip(sig, a)):
-            e_a = cond[k][path[a_k]]
-            for t in range(a_k, len(path)):
-                u = min(s, t)
-                m_path[leaf][t] += cond[k][path[t]] - e_a - m[u] + m[a_k]
-                d_path[leaf][t] += e_a - m[a_k] - d[u]
-        for t, stop in enumerate(path):
-            w = mult[stop]
-            prev = max(t - 1, 0)
-            # target: M_rho + (D_rho on a qualifying drop at rho, else D_{rho-})
-            jump_at_t = t in sig
-            target = m[t] + (d[t] if jump_at_t else d[prev])
-            reached = m_path[leaf][t] + d_path[leaf][prev]
-            # every position but a stuck one is guaranteed to reach the target
-            stuck = jump_at_t and a[sig.index(t)] >= t
-            report.positions += w
-            if stuck:
-                report.stuck += w
-            else:
-                report.guaranteed += w
-            if reached == target:
-                report.equal += w
-                if not stuck:
-                    report.guaranteed_equal += w
-            elif not stuck:
-                report.ok = False
-                report.mismatches.append((stop, leaf, t, reached, target))
+    for s in order:
+        before = s if parent[s] is None else parent[s]
+        w = mult[s] * below[s]
+        reached = m[s] + d_s[before]
+        target = m[s] + d[s if lands[s] else before]
+        stuck = lands[s] and before not in announcing
+        report.positions += w
+        if stuck:
+            report.stuck += w
+        else:
+            report.guaranteed += w
+        if reached == target:
+            report.equal += w
+            if not stuck:
+                report.guaranteed_equal += w
+        elif not stuck:
+            report.ok = False
+            report.mismatches.append((s, tree.depth[s], reached, target))
+    paths = {leaf: tree.path_to(leaf) for leaf in tree.leaves}
     return SmoothedDecomposition(
         threshold_index=i,
-        martingale_path=m_path,
-        drift_path=d_path,
-        jump_times=sigmas,
-        martingale=_fold(paths, m_path),
-        drift_adapted=_fold(paths, d_path),
+        martingale_path={leaf: [m[n] for n in path] for leaf, path in paths.items()},
+        drift_path={leaf: [d_s[n] for n in path] for leaf, path in paths.items()},
+        jump_times={leaf: [t for t, n in enumerate(path) if lands[n]] for leaf, path in paths.items()},
+        martingale=add.martingale,
+        drift_adapted=AdaptedProcess(d_s),
         limit_report=report,
     )

@@ -184,8 +184,10 @@ def suicide_martingale(g: SimpleNonincreasing, m: int, grid: GridSpec) -> PathFa
         out = np.full((z.shape[0], times.size), g.levels[0])
         off = 0
         for drop, window in drops:
-            e = window.rows(z[:, off : off + window.n_draws], times)
-            out -= drop * (1.0 - e)
+            # out -= drop * (1 - bridge) where the bridge is not 1: inside the
+            # window, and on the grid's tail from the anchor on, where it is 0
+            out[:, window.inside] -= drop * (1.0 - window.values(z[:, off : off + window.n_draws]))
+            out[:, np.searchsorted(times, window.anchor) :] -= drop
             off += window.n_draws
         return out
 

@@ -648,6 +648,27 @@ def test_mc_manifest_echoes_params_as_given(tmp_path):
         assert json.loads((tmp_path / "out" / "manifest.json").read_text()) == manifest
 
 
+@pytest.mark.parametrize(
+    "experiment, params",
+    [("bm_check", {"t_max": 5.4, "base_step": 0.15}), ("single_jump", {"t_max": 7.7, "base_step": 0.7})],
+    ids=["bm_check", "single_jump"],
+)
+def test_t_max_beside_a_backbone_time_one_ulp_below_exits_0(tmp_path, capsys, experiment, params):
+    # np.arange's backbone ends one ulp below t_max here, so the grid holds
+    # two times within 1e-12 of t_max; t_max is still the grid's last time
+    from follmer_lab.mc.grids import GridSpec
+
+    times = GridSpec(t_max=params["t_max"], base_step=params["base_step"]).points()
+    assert times[-1] == params["t_max"] and params["t_max"] - times[-2] < 1e-12
+    manifest = {"experiment": experiment, "seed": 1, "n_paths": 10, "params": params}
+    (tmp_path / "manifest.json").write_text(json.dumps(manifest))
+    assert main(["mc", str(tmp_path / "manifest.json"), "--out", str(tmp_path / "out")]) == 0
+    assert capsys.readouterr().err.count("error") == 0
+    report = json.loads((tmp_path / "out" / "report.json").read_text())["report"]
+    if experiment == "single_jump":
+        assert report["exact_a_from_anchor"] is True
+
+
 # One wrong-typed value: never a well-typed one, so no example runs an experiment.
 _WRONG_SCALAR = st.one_of(
     st.none(),

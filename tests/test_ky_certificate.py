@@ -131,7 +131,7 @@ def _smoothing_oracle(tree, z, sm):
                 counts["equal"] += reached == target
                 counts["guaranteed_equal"] += guaranteed and reached == target
                 if guaranteed and reached != target:
-                    mismatches.add((stop, leaf, t, reached, target))
+                    mismatches.add((stop, t, reached, target))
     return counts, mismatches
 
 

@@ -63,7 +63,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from follmer_lab.mc import experiments, gallery, paths
+from follmer_lab.mc import bridges, experiments, families, gallery, paths
 from follmer_lab.mc.streams import CHUNK_DRAWS, CHUNK_PATHS, SPAN_DRAWS, fill_paths, mean_and_se
 
 N = 8000
@@ -163,6 +163,37 @@ def test_streamed_peak_grows_by_the_kept_columns_only(name, monkeypatch):
         assert all(rows * cols <= CHUNK_DRAWS for rows, cols in shapes)
     grown = peaks[4 * N] - peaks[N]
     assert grown <= 3 * N * 8 * kept + SLACK, f"{name}: peak grew by {grown} bytes"
+
+
+@pytest.mark.parametrize("name", ["suicide", "extended"])
+def test_suicide_block_holds_window_sized_temporaries(name, monkeypatch):
+    # Beside its output, one suicide_martingale fill_block call holds arrays
+    # the size of one burn-in window's columns, at most five at once: the
+    # copy of out's window columns, the bridge values, and the clock walk,
+    # its shift and its exp; one more covers numpy's own temporaries.  A
+    # grid-sized temporary per drop, such as the bridge on every grid time,
+    # breaks the bound: it reads 11 and 29 window-sized arrays on the two
+    # families below, against 5.1 and 6.0 now.
+    built = []
+
+    def recording(g, m, grid, _build=bridges.suicide_martingale):
+        built.append((g, m, _build(g, m, grid)))
+        return built[-1][2]
+
+    monkeypatch.setattr(bridges, "suicide_martingale", recording)
+    monkeypatch.setattr(families, "suicide_martingale", recording)
+    experiments.EXPERIMENTS[name](1, 2, gallery.PARAMS[name])
+    ((g, m, family),) = built
+    rows, _ = block_sizes(family.n_draws)
+    draws = np.random.default_rng(0).standard_normal((rows, family.n_draws))
+    out = family.fill_block(draws)  # first-call caches
+    length = 2.0**-m
+    window = max(
+        bridges.BridgeWindow.on(family.times, rho + length, length).inside.size for rho, _ in g.drops()
+    )
+    peak = traced_peak(family.fill_block, draws)
+    bound = out.nbytes + 6 * 8 * rows * window + SLACK
+    assert peak <= bound, f"{name}: peak {peak} bytes, bound {bound}"
 
 
 def test_fill_paths_holds_one_draws_block():

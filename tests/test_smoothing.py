@@ -6,10 +6,11 @@ single -1/2 drop needs i >= 2 to trigger the smoothing.
 The golden digests pin every output field, value types included, on a
 seeded corpus; they were recorded from the implementation that also took
 an announce lag, restricted to lag 1 (an announcement one step before the
-jump), which is the announcement every smoothing now makes.  Two
-independent oracles check the path values: the pair's sum against a
-brute-force conditional expectation, and the fold against its own
-one-step means.
+jump), which is the announcement every smoothing now makes.  Three
+independent oracles check the outputs: the pair's sum along each path
+against a brute-force conditional expectation, the node-valued martingale
+part against its own one-step means, and the node-valued drift against
+the closed form (D moved one step early at each announcing node).
 """
 
 import random
@@ -20,7 +21,7 @@ from hashlib import sha256
 import pytest
 
 from follmer_lab.corpus import random_case, unary_chain
-from follmer_lab.decompositions import _fold, doob_meyer, left_limit_smoothing
+from follmer_lab.decompositions import doob_meyer, left_limit_smoothing
 from follmer_lab.trees import FilteredTree, AdaptedProcess, one_step_expectation
 
 
@@ -116,12 +117,6 @@ def test_branching_tree_with_random_jump_paths():
     )
     sm = left_limit_smoothing(tree, z, i=2)
     assert sm.limit_report.ok, sm.limit_report.mismatches
-
-
-def test_fold_names_the_node_where_paths_disagree():
-    paths = {"a": ["r", "a"], "b": ["r", "b"]}
-    with pytest.raises(RuntimeError, match="disagree at node 'r'"):
-        _fold(paths, {"a": [Fraction(1), Fraction(2)], "b": [Fraction(1, 2), Fraction(3)]})
 
 
 def test_invalid_threshold_rejected():
@@ -220,3 +215,30 @@ def test_fold_is_a_martingale():
         for n in tree.iter_nodes():
             if tree.children[n]:
                 assert one_step_expectation(tree, sm.martingale, n) == sm.martingale[n]
+
+
+def test_closed_form_moves_only_announced_drops():
+    # M^s is M; D^s is D except at an announcing node (internal, not the
+    # root, no qualifying drop landing on it, the drop to its children
+    # <= -1/i), where it takes the children's value one step early
+    announced = 0
+    for tree, z, sm in corpus_smoothings(n_trees=60):
+        add = doob_meyer(tree, z)
+        assert sm.martingale == add.martingale
+        threshold = -Fraction(1, sm.threshold_index)
+        announcing = set()
+        for n in tree.iter_nodes():
+            par = tree.parent[n]
+            if tree.is_leaf(n) or par is None:
+                continue
+            d_n = add.drift.value_on(tree, n)
+            landed = d_n - add.drift.value_on(tree, par) <= threshold
+            if not landed and add.drift.steps[n] - d_n <= threshold:
+                announcing.add(n)
+        for n in tree.iter_nodes():
+            expected = add.drift.steps[n] if n in announcing else add.drift.value_on(tree, n)
+            assert sm.drift_adapted[n] == expected
+        moved = {n for n in tree.iter_nodes() if sm.drift_adapted[n] != add.drift.value_on(tree, n)}
+        assert moved == announcing
+        announced += len(announcing)
+    assert announced > 0

@@ -28,7 +28,7 @@ import os
 import sys
 from fractions import Fraction
 
-from .decompositions import doob_meyer, multiplicative
+from .decompositions import doob_meyer, multiplicative, multiplicative_property_violations
 from .errors import FollmerLabError, TreeValidationError, count_str
 from .follmer import (
     CEMETERY,
@@ -176,7 +176,7 @@ def cmd_selftest(args) -> int:
 
     from .corpus import random_case
     from .mc.streams import uniform_words
-    from .measure_ext import FiniteMeasurableSpace, bierlein_extend, outer_content
+    from .measure_ext import FiniteMeasurableSpace, bierlein_extend, dyadic_demo, outer_content
 
     failures = []
 
@@ -192,17 +192,21 @@ def cmd_selftest(args) -> int:
         check(f"kill-and-survive identity on random tree {idx}", verify_ky_all(pair, tree, z).ok)
         add = doob_meyer(tree, z)
         mul = multiplicative(tree, z)
-        ok = all(
-            add.martingale[n] + add.drift.value_on(tree, n) == z[n]
-            and mul.martingale[n] * mul.factor.value_on(tree, n) == z[n]
-            for n in tree.iter_nodes()
+        m_vals, leaf = mul.martingale.values, tree.leaves[-1]
+        d_vals = {n: mul.factor.value_on(tree, n) for n in tree.iter_nodes()}
+        raised = {**m_vals, leaf: m_vals[leaf] + Fraction(1, 7)}
+        ok = (
+            all(add.martingale[n] + add.drift.value_on(tree, n) == z[n] for n in tree.iter_nodes())
+            and multiplicative_property_violations(tree, z, m_vals, d_vals) == []
+            and multiplicative_property_violations(tree, z, raised, d_vals) != []
         )
-        check(f"decomposition identities on random tree {idx}", ok)
+        check(f"additive identity and multiplicative uniqueness on random tree {idx}", ok)
     sp = FiniteMeasurableSpace.build(
         [["1", "2"], ["3", "4"]], [Fraction(1, 2), Fraction(1, 2)]
     )
     ext = bierlein_extend(sp, ["1", "3"])
     check("one-set extension hits outer content", ext.measure(["1", "3"]) == outer_content(sp, ["1", "3"]))
+    check("dyadic level measures agree up to their level, on representatives only", dyadic_demo(4, [Fraction(1, 16)] * 16).ok)
     res = run_experiment("exp_decay", 0, 20000, {})
     dev = res.report["max_abs_dev_sigmas"]
     check(f"exponential law within 3 sigma (worst {dev:.2f})", dev <= 3.0)

@@ -7,6 +7,14 @@ starting at 1.  Both are computed by one-step recursions in exact rational
 arithmetic, together with the classification of the first zero of Z into its
 announced and surprise parts.
 
+Z is refused unless it is a nonnegative supermartingale, and the edge
+probabilities are positive, so Z is absorbed at 0: the children of a zero
+are nonnegative with mean at most 0, so each is 0 too.  So a node is at or
+below the first zero of Z exactly when Z is 0 there, and
+``multiplicative_property_violations``, which checks a candidate pair
+against the properties that determine the multiplicative split, reads the
+first zero off Z's own value, in one pass over the internal nodes.
+
 ``left_limit_smoothing`` builds, for a jump threshold 1/i, the smoothed
 pair that carries each big predictable drop of D on a martingale started at
 its announcing time, one step before the drop unless the previous drop is
@@ -168,44 +176,40 @@ def multiplicative_property_violations(
     vanishing at announced zero hits, and M crossing announced hits without a
     jump.  The computed decomposition passes all of them; the list is empty
     exactly for pairs indistinguishable from it.
-    """
-    problems: List[str] = []
-    dec = multiplicative(tree, z)
-    zero_on_path: Dict[str, bool] = {}
-    for n in tree.iter_nodes():
-        par = tree.parent[n]
-        above = zero_on_path.get(par, False) if par is not None else False
-        zero_on_path[n] = above or z[n] == 0
 
+    After the pointwise checks, one pass over the internal nodes checks the
+    rest: sibling-constancy once per parent; monotonicity, freezing and
+    announced hits per child; the martingale step at the parent.  Z's own
+    value tells whether a node is at or below the first zero (module
+    docstring).
+    """
+    means = require_supermartingale(tree, z)
+    zv = z.values
+    problems: List[str] = []
     if d_vals[tree.root] != 1:
         problems.append("factor does not start at 1")
     for n in tree.iter_nodes():
         if m_vals[n] < 0 or d_vals[n] < 0:
             problems.append(f"negative part at {n!r}")
-        if m_vals[n] * d_vals[n] != z[n]:
+        if m_vals[n] * d_vals[n] != zv[n]:
             problems.append(f"product differs from Z at {n!r}")
-        par = tree.parent[n]
-        if par is not None:
-            if d_vals[n] > d_vals[par]:
-                problems.append(f"factor increases into {n!r}")
-            siblings = tree.children[par]
-            if any(d_vals[c] != d_vals[siblings[0]] for c in siblings):
-                problems.append(f"factor not sibling-constant under {par!r}")
-            if zero_on_path[par]:
-                # frozen after the first zero
-                if m_vals[n] != m_vals[par] or d_vals[n] != d_vals[par]:
-                    problems.append(f"parts not frozen below the first zero at {n!r}")
-    for n in tree.iter_nodes():
-        if tree.is_leaf(n) or zero_on_path[n]:
-            continue
-        if one_step_expectation(tree, m_vals, n) != m_vals[n]:
-            problems.append(f"martingale step fails at {n!r}")
-    for n in dec.rho0_announced.nodes:
-        if d_vals[n] != 0:
-            problems.append(f"factor nonzero at announced zero hit {n!r}")
-        par = tree.parent[n]
-        if par is not None and m_vals[n] != m_vals[par]:
-            problems.append(f"martingale part jumps at announced zero hit {n!r}")
+    for p, e in means.items():  # internal nodes, parents first
+        kids = tree.children[p]
+        if any(d_vals[c] != d_vals[kids[0]] for c in kids):
+            problems.append(f"factor not sibling-constant under {p!r}")
+        for c in kids:
+            if d_vals[c] > d_vals[p]:
+                problems.append(f"factor increases into {c!r}")
+            if not zv[p]:  # at or below the first zero
+                if m_vals[c] != m_vals[p] or d_vals[c] != d_vals[p]:
+                    problems.append(f"parts not frozen below the first zero at {c!r}")
+            elif not zv[c] and not e:  # a first zero whose hit the mean announced
+                if d_vals[c] != 0:
+                    problems.append(f"factor nonzero at announced zero hit {c!r}")
+                if m_vals[c] != m_vals[p]:
+                    problems.append(f"martingale part jumps at announced zero hit {c!r}")
+        if zv[p] and one_step_expectation(tree, m_vals, p) != m_vals[p]:
+            problems.append(f"martingale step fails at {p!r}")
     return problems
 
 

@@ -44,10 +44,14 @@ def bridge_increment_values(z: np.ndarray, sigmas: np.ndarray) -> np.ndarray:
 
     ``z`` holds one standard normal per clock time in its last axis (one row
     per path); B is their cumulative sum scaled by the clock increments.
+    Every step after the scaling works in place, so beside ``z`` the call
+    holds one array of its shape.
     """
     d = np.diff(np.concatenate(([0.0], sigmas)))
-    b = np.cumsum(z * np.sqrt(d), axis=-1)
-    return np.exp(b - sigmas / 2.0)
+    b = z * np.sqrt(d)
+    np.cumsum(b, axis=-1, out=b)
+    b -= sigmas / 2.0
+    return np.exp(b, out=b)
 
 
 @dataclass(frozen=True)

@@ -69,6 +69,8 @@ class PathFamily:
         computes, bit for bit.  That holds for two or more columns only, as
         numpy sums a single column pairwise, so one column is refused.
         """
+        if n_paths < 1:
+            raise ValueError(f"need n_paths >= 1, got {n_paths}")
         n_times = self.times.size
         if n_times < 2:
             raise ValueError(f"need n_times >= 2 for row-order sums, got {n_times}")

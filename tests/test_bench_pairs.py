@@ -16,13 +16,14 @@ END_TO_END = [
 ]
 
 
-def run(cpu, yld, ops=None, failed=0):
+def run(cpu, yld, ops=None, failed=0, kernel=0.004):
     return {
         "metrics": {"cpu_ref_s": cpu, "yield": yld},
         "attempted": 10,
         "failed": failed,
         "correct": failed == 0,
-        "kernel_s": 0.004,
+        "kernel_s": kernel,
+        "cpu_s": cpu * kernel / 0.004,
         "ops": ops or {},
     }
 
@@ -50,10 +51,16 @@ def test_medians_quartiles_wins_and_bounds():
     assert w["pairs"][1] == {
         "seed": 1,
         "first": "parent",
-        "parent": {"cpu_ref_s": 2.0, "yield": 1.0, "attempted": 10, "failed": 0, "correct": True, "kernel_s": 0.004},
-        "change": {"cpu_ref_s": 1.5, "yield": 0.7, "attempted": 10, "failed": 0, "correct": True, "kernel_s": 0.004},
+        "parent": {
+            "cpu_ref_s": 2.0, "yield": 1.0, "attempted": 10, "failed": 0, "correct": True, "kernel_s": 0.004, "cpu_s": 2.0,
+        },
+        "change": {
+            "cpu_ref_s": 1.5, "yield": 0.7, "attempted": 10, "failed": 0, "correct": True, "kernel_s": 0.004, "cpu_s": 1.5,
+        },
         "digests_differ": [],
+        "speed_states_differ": False,
     }
+    assert w["speed_states_differ"] == 0
 
 
 def test_one_pair_and_a_failed_run():
@@ -92,6 +99,17 @@ def test_claim_needs_nine_of_ten_and_more_than_the_iqr(change, met):
     claim = bench_pairs.check_claim(summary, "w", "cpu_ref_s", "lower")
     assert claim["met"] is met
     assert claim["change_wins"] == sum(c < p for p, c in zip(parent, change))
+
+
+def test_pairs_run_in_different_speed_states_are_flagged_and_counted():
+    # kernels 1.225x apart are one speed state; 1.26x and 1.68x (either side
+    # slower) are two
+    kernels = [(0.004, 0.0049), (0.004, 0.00504), (0.00672, 0.004), (0.004, 0.004)]
+    pairs = [pair(i, run(1.0, 1.0, kernel=k), run(1.0, 1.0, kernel=c)) for i, (k, c) in enumerate(kernels)]
+    w = bench_pairs.summarize({"w": pairs}, END_TO_END)["workloads"]["w"]
+    assert [p["speed_states_differ"] for p in w["pairs"]] == [False, True, True, False]
+    assert w["speed_states_differ"] == 2
+    assert [p["parent"]["cpu_s"] for p in w["pairs"]] == pytest.approx([1.0, 1.0, 1.68, 1.0])
 
 
 def test_digests_differ_and_seed_ranges():

@@ -547,6 +547,8 @@ def test_selftest_passes(capsys):
     assert main(["selftest"]) == 0
     out = capsys.readouterr().out
     assert "selftest ok" in out
+    assert "PASS dyadic level measures agree" in out
+    assert out.count("PASS additive identity and multiplicative uniqueness") == 5
 
 
 @pytest.mark.parametrize(

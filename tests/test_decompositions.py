@@ -180,6 +180,26 @@ def test_perturbed_pairs_always_violate_some_property():
     assert rejected == trials
 
 
+def test_a_broken_sibling_block_is_named_once():
+    # D is not predictable under r: child a's factor differs from its two
+    # siblings', though the product still equals Z everywhere
+    tree = trees.FilteredTree(
+        1,
+        [{"id": "r", "parent": None}]
+        + [{"id": c, "parent": "r", "prob": "1/3"} for c in "abc"],
+    )
+    z = AdaptedProcess({"r": Fraction(1), "a": Fraction(1), "b": Fraction(1, 2), "c": Fraction(1, 2)})
+    mul = multiplicative(tree, z)
+    m_vals = dict(mul.martingale.values)
+    d_vals = {n: mul.factor.value_on(tree, n) for n in tree.iter_nodes()}
+    d_vals["a"] /= 2
+    m_vals["a"] *= 2
+    problems = multiplicative_property_violations(tree, z, m_vals, d_vals)
+    assert problems.count("factor not sibling-constant under 'r'") == 1
+    assert "martingale step fails at 'r'" in problems
+    assert not any("product" in p for p in problems)
+
+
 def test_one_step_means_binary():
     tree, z = binary_example()
     assert require_supermartingale(tree, z) == {"r": Fraction(7, 8)}

@@ -196,6 +196,18 @@ def test_suicide_block_holds_window_sized_temporaries(name, monkeypatch):
     assert peak <= bound, f"{name}: peak {peak} bytes, bound {bound}"
 
 
+def test_bridge_increment_values_holds_one_array_beside_its_input():
+    # Beside the normals, one call holds its output and numpy's ufunc buffer
+    # (getbufsize values), which the in-place broadcast subtraction fills.
+    # A fresh array per step breaks the bound: three outputs at once.
+    z = np.random.default_rng(0).standard_normal((256, 120))
+    sigmas = np.cumsum(np.full(120, 0.05))
+    out = bridges.bridge_increment_values(z, sigmas)  # first-call caches
+    peak = traced_peak(bridges.bridge_increment_values, z, sigmas)
+    bound = out.nbytes + 8 * np.getbufsize() + SLACK
+    assert peak <= bound, f"peak {peak} bytes, bound {bound}"
+
+
 def test_fill_paths_holds_one_draws_block():
     # rows of CHUNK_DRAWS // CHUNK_PATHS normals: each span is one full block
     n_draws = CHUNK_DRAWS // CHUNK_PATHS

@@ -136,6 +136,25 @@ def test_dyadic_representatives_have_the_smallest_denominator():
                 assert fam.reps[n][k] == expected
 
 
+def level_measure_of_points(fam, n, points):
+    """Brute force: the level-n mass of a set of points, one scan of the representatives."""
+    pts = {Fraction(p) for p in points}
+    return sum(
+        (fam.interval_weight(n, k) for k, rep in enumerate(fam.reps[n]) if rep in pts),
+        Fraction(0),
+    )
+
+
+def level_measure_of_dyadic(fam, n, level, k):
+    """Brute force: the level-n mass of the dyadic interval (k 2^-level, (k+1) 2^-level]."""
+    assert level <= n
+    lo, hi = Fraction(k, 2**level), Fraction(k + 1, 2**level)
+    return sum(
+        (fam.interval_weight(n, j) for j, rep in enumerate(fam.reps[n]) if lo < rep <= hi),
+        Fraction(0),
+    )
+
+
 def test_dyadic_level_one_uniform():
     rep = dyadic_demo(1, [Fraction(1, 2), Fraction(1, 2)])
     lv = rep.levels[0]
@@ -143,13 +162,41 @@ def test_dyadic_level_one_uniform():
     assert lv.agrees_on_level_algebra
     assert lv.representative_set_mass == 1
     fam = DyadicFamily(1, [Fraction(1, 2), Fraction(1, 2)])
-    assert fam.level_measure_of_points(1, [fam.reps[1][0]]) == Fraction(1, 2)
+    assert level_measure_of_points(fam, 1, [fam.reps[1][0]]) == Fraction(1, 2)
 
 
 def test_dyadic_first_half_is_level_measurable():
     fam = DyadicFamily(3, [Fraction(1, 8)] * 8)
     for n in range(1, 4):
-        assert fam.level_measure_of_dyadic(n, 1, 0) == Fraction(1, 2)
+        assert level_measure_of_dyadic(fam, n, 1, 0) == Fraction(1, 2)
+
+
+def _weights_with_zeros(rng, n_max):
+    w = [rng.choice([0, 0, 1, 2, 5]) for _ in range(2**n_max)]
+    w[rng.randrange(len(w))] += 1  # at least one positive weight
+    return [Fraction(x, sum(w)) for x in w]
+
+
+def test_dyadic_demo_agrees_with_the_interval_scan():
+    # the scan the demo replaces: every dyadic interval of every level <= n
+    # against every level-n representative
+    rng = random.Random(34)
+    for n_max in range(1, 7):
+        for weights in ([Fraction(1, 2**n_max)] * 2**n_max, *(_weights_with_zeros(rng, n_max) for _ in range(4))):
+            fam = DyadicFamily(n_max, weights)
+            all_reps = {r for row in fam.reps.values() for r in row}
+            rep = dyadic_demo(n_max, weights)
+            assert [lv.level for lv in rep.levels] == list(range(1, n_max + 1))
+            for lv in rep.levels:
+                n = lv.level
+                agrees = all(
+                    level_measure_of_dyadic(fam, n, level, k) == fam.interval_weight(level, k)
+                    for level in range(1, n + 1)
+                    for k in range(2**level)
+                )
+                assert agrees and lv.agrees_on_level_algebra
+                assert lv.representative_set_mass == level_measure_of_points(fam, n, all_reps) == 1
+            assert rep.ok
 
 
 def test_dyadic_representative_set_has_full_mass_all_levels():

@@ -97,6 +97,8 @@ def test_every_family_refuses_a_batch_without_paths(name):
             family.batch(n_paths, 0)
         with pytest.raises(ValueError, match="n_paths >= 1"):
             family.columns(n_paths, 0, [0, -1])
+        with pytest.raises(ValueError, match="n_paths >= 1"):
+            next(family.chunks(n_paths, 0))
 
 
 def test_fill_paths_rows_match_their_own_streams():

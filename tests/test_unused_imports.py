@@ -32,8 +32,6 @@ BENCH_SCRIPTS = sorted((SRC.parent / "bench").glob("*.py"))
 KEPT_UNREAD = {
     "tau_hat": "a statement of the paper",
     "chain_measure_from_constant_times": "a statement of the paper",
-    "dyadic_demo": "a statement of the paper",
-    "multiplicative_property_violations": "a statement of the paper",
     "unary_chain": "test support: the corpus's one-path tree",
 }
 DISPATCHED_PREFIX = "cmd_"  # cli.main looks each subcommand's handler up by name

@@ -17,9 +17,14 @@ The output file holds, per workload, each metric's medians and quartiles
 of the medians, the pairs the change wins (strictly better), and
 ``within_bound``: the change's median against the parent's, moved by the
 metric's bound in ``BENCHMARK.json`` toward worse.  Each pair lists both
-runs' metrics, ``attempted``, ``failed``, ``correct`` and ``kernel_s`` (the
-calibration kernel's median from the run's result file), and
-``digests_differ``, the ops whose output digests differ between the sides.
+runs' metrics, ``attempted``, ``failed``, ``correct``, ``kernel_s`` (the
+calibration kernel's median from the run's result file) and ``cpu_s`` (the
+run's median raw CPU of an untraced pass, before the kernel rescales it), ``digests_differ``, the
+ops whose output digests differ between the sides, and
+``speed_states_differ``: whether the two kernels differ by more than
+``SPEED_RATIO``, so the host ran the sides in different speed states and
+the pair's rescaled CPU is off by several percent.  Each workload counts
+those pairs.
 ``op_ratios`` are the change/parent ratios of each op's untraced median per
 pair: their median, min and max over the pairs.  With ``--claim``, the
 claimed metric's wins, median difference and parent IQR are checked as a
@@ -40,12 +45,14 @@ import sys
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SIDES = ("parent", "change")
 DIGITS = 4
+SPEED_RATIO = 1.25  # the host's two speed states differ by about 1.57x in the kernel
 METHOD = (
     "Each side ran from a git archive of its commit, one run at a time, with PYTHONDONTWRITEBYTECODE=1 "
     "and no PYTHONPATH in the environment. Each pair is one seed run on both sides; within each workload "
     "the side that ran first alternates from pair to pair, starting with the parent. Values are the metrics "
     "of each run's result line, rounded to 4 decimals; kernel_s is the run's calibration-kernel median from "
-    "its result file. Quartiles are statistics.quantiles(n=4, method='inclusive') over one side's runs; "
+    "its result file, and cpu_s its median raw CPU of an untraced pass (the result file's untraced cpu_s). A pair whose two "
+    "kernel_s differ by more than 1.25x is marked speed_states_differ, and each workload counts them. Quartiles are statistics.quantiles(n=4, method='inclusive') over one side's runs; "
     "change_wins counts pairs with the change strictly better; within_bound compares the change's median "
     "with the parent's moved by the metric's BENCHMARK.json bound toward worse. digests_differ lists the ops "
     "whose 'digests' record in bench/_out/<workload>-seed<s>-trace0.json differs between the two sides. "
@@ -135,7 +142,7 @@ def summarize(runs: dict, end_to_end: list) -> dict:
 
     A pair is ``{"seed", "first", "parent": run, "change": run,
     "digests_differ"}``, where a run also carries ``ops`` (op -> untraced
-    median) and ``kernel_s``.
+    median), ``kernel_s`` and ``cpu_s``.
     """
     workloads, ratios = {}, {}
     for name, pairs in runs.items():
@@ -144,14 +151,21 @@ def summarize(runs: dict, end_to_end: list) -> dict:
             {
                 "seed": p["seed"],
                 "first": p["first"],
-                **{s: {**p[s]["metrics"], **{k: p[s][k] for k in ("attempted", "failed", "correct", "kernel_s")}}
+                **{s: {**p[s]["metrics"], **{k: p[s][k] for k in ("attempted", "failed", "correct", "kernel_s", "cpu_s")}}
                    for s in SIDES},
                 "digests_differ": p["digests_differ"],
+                "speed_states_differ": speed_states_differ(p["parent"]["kernel_s"], p["change"]["kernel_s"]),
             }
             for p in pairs
         ]
+        workloads[name]["speed_states_differ"] = sum(p["speed_states_differ"] for p in workloads[name]["pairs"])
         ratios[name] = op_ratios(pairs)
     return {"workloads": workloads, "op_ratios": ratios}
+
+
+def speed_states_differ(a: float, b: float) -> bool:
+    """Whether two runs' calibration kernels differ by more than ``SPEED_RATIO``."""
+    return max(a, b) > SPEED_RATIO * min(a, b)
 
 
 def digests_differ(a: dict, b: dict) -> list:
@@ -188,6 +202,7 @@ def run_once(root: str, workload: str, seed: int, seconds: float) -> dict:
         "failed": line["failed"],
         "correct": line["correct"],
         "kernel_s": res["kernel_s"],
+        "cpu_s": res["untraced"]["cpu_s"],
         "ops": {k: v for k, v in res["untraced"].items() if k.startswith("op:")},
         "digests": res["digests"],
         "environment": res["environment"],

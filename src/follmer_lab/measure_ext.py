@@ -187,9 +187,8 @@ def dyadic_demo(n_max: int, weights: Sequence) -> DyadicDemoReport:
     each level-n representative lies in its own level-n interval: one check
     per representative.  Each level-n atom is a representative, so the
     representative set carries the sum of the level-n weights.  The
-    reference measure is
-    known only through its interval weights, which do not determine its
-    mass on a finite set, so no such mass is reported.
+    reference measure is known only through its interval weights, which do
+    not determine its mass on a finite set, so no such mass is reported.
     """
     fam = DyadicFamily(n_max, weights)
     levels: List[DyadicLevel] = []

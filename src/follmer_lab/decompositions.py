@@ -66,9 +66,12 @@ class MultiplicativeDecomposition:
 
     martingale: AdaptedProcess
     factor: PredictableProcess
-    rho0: StoppingTime
     rho0_announced: StoppingTime
     rho0_surprise: StoppingTime
+
+    @property
+    def rho0(self) -> StoppingTime:
+        return StoppingTime(self.rho0_announced.nodes | self.rho0_surprise.nodes)
 
     def to_dict(self) -> dict:
         return {
@@ -151,7 +154,6 @@ def multiplicative(tree: FilteredTree, z: AdaptedProcess) -> MultiplicativeDecom
     return MultiplicativeDecomposition(
         AdaptedProcess(m_vals),
         PredictableProcess(Fraction(1), steps),
-        StoppingTime(frozenset(announced + surprise)),
         StoppingTime(frozenset(announced)),
         StoppingTime(frozenset(surprise)),
     )
@@ -252,7 +254,6 @@ class SmoothedDecomposition:
     on that path.
     """
 
-    threshold_index: int
     martingale_path: Dict[str, List[Fraction]]
     drift_path: Dict[str, List[Fraction]]
     jump_times: Dict[str, List[int]]
@@ -343,7 +344,6 @@ def left_limit_smoothing(
             report.mismatches.append((s, tree.depth[s], reached, target))
     paths = {leaf: tree.path_to(leaf) for leaf in tree.leaves}
     return SmoothedDecomposition(
-        threshold_index=i,
         martingale_path={leaf: [m[n] for n in path] for leaf, path in paths.items()},
         drift_path={leaf: [d_s[n] for n in path] for leaf, path in paths.items()},
         jump_times={leaf: [t for t, n in enumerate(path) if lands[n]] for leaf, path in paths.items()},

@@ -9,12 +9,16 @@ class FollmerLabError(Exception):
     """Base class for library errors."""
 
 
-class TreeValidationError(FollmerLabError):
-    """A tree file or tree structure violates the filtered-tree invariants."""
+class _NodeError(FollmerLabError):
+    """An error that may name the tree node where it arose."""
 
     def __init__(self, message, node=None):
         super().__init__(message)
         self.node = node
+
+
+class TreeValidationError(_NodeError):
+    """A tree file or tree structure violates the filtered-tree invariants."""
 
 
 def count_str(n: int) -> str:
@@ -44,12 +48,8 @@ class PairValidationError(FollmerLabError):
     """A pair file is malformed or names a node the tree lacks."""
 
 
-class NotSupermartingaleError(FollmerLabError):
+class NotSupermartingaleError(_NodeError):
     """An operation requiring a supermartingale got something else."""
-
-    def __init__(self, message, node=None):
-        super().__init__(message)
-        self.node = node
 
 
 class FreezeTargetError(FollmerLabError):

@@ -547,7 +547,7 @@ def chain_measure_from_constant_times(
     the decrement E[Z_{t-1}] - E[Z_t] and the surviving mass is E[Z_T].
     Solving it is the independent uniqueness oracle for chains.
     """
-    if not tree.is_chain():
+    if len(tree.leaves) != 1:  # every leaf sits at the horizon
         raise ValueError("constant-time solve applies to single-path trees only")
     path = tree.path_to(tree.leaves[0])
     law: Dict[Optional[int], Fraction] = {}

@@ -86,10 +86,14 @@ class BridgeWindow:
         return vals
 
     def rows(self, z: np.ndarray, times: np.ndarray) -> np.ndarray:
-        """The bridge at all grid times: 1 before the window, burn inside, 0 from the anchor."""
-        out = np.ones((z.shape[0], times.size))
-        out[:, self.inside] = self.values(z)
-        out[:, times >= self.anchor] = 0.0
+        """The bridge at all grid times: 1 before the window, burn inside, 0 from the anchor.
+
+        The clock increases with time, so the live times are the window's
+        first ones, and the bridge values go straight into the output.
+        """
+        out = np.zeros((z.shape[0], times.size))
+        out[:, : self.inside[0]] = 1.0
+        out[:, self.inside[self.live]] = bridge_increment_values(z, self.sigmas)
         return out
 
 

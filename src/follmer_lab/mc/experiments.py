@@ -236,9 +236,9 @@ def run_single_jump(seed: int, n_paths: int, params: dict) -> ExperimentResult:
     del values, sums  # free the chunk buffer before the statistics' temporaries
     mean, se = streams.mean_and_se(mid_vals)
     mom = streams.median_of_means(mid_vals)
-    mom_se = streams.mom_standard_error(mid_vals)
     res = ExperimentResult("single_jump")
-    res.rows.append(_row(mid, mean, se, n_paths, median_of_means=mom, mom_se=mom_se))
+    # the median of means' scale is sqrt(pi/2) times the mean's standard error
+    res.rows.append(_row(mid, mean, se, n_paths, median_of_means=mom, mom_se=math.sqrt(math.pi / 2.0) * se))
     res.series.append(("mean_path", times.tolist(), mean_path))
     res.report = {
         "a": a,
@@ -324,7 +324,7 @@ def run_fatou(seed: int, n_paths: int, params: dict) -> ExperimentResult:
     return res
 
 
-def exp_decay_family(k: int = 3, m: int = 6, level: float = 4.0) -> Tuple[paths.PathFamily, float]:
+def exp_decay_family(k: int, m: int, level: float) -> Tuple[paths.PathFamily, float]:
     """Level-stopped suicide family for the exponential-decay supermartingale.
 
     Returns the family, on a grid of step 1/16 up to 2.5 refined in each
@@ -347,6 +347,7 @@ def exp_decay_family(k: int = 3, m: int = 6, level: float = 4.0) -> Tuple[paths.
 
 def run_mass_redirect(seed: int, n_paths: int, params: dict) -> ExperimentResult:
     c = params["c"]
+    bound = (1.0 - c) / 2.0  # the guaranteed lower bound on every level's redirected mass
     fam, rho = exp_decay_family(k=params["k"], m=params["m"], level=params["level"])
     l_rho, l_term = fam.columns(n_paths, seed, [grids.grid_index(fam.times, rho), -1])
     wgrid = grids.GridSpec(t_max=float(fam.times[-1]), base_step=1 / 4, extra_points=(rho, rho + 1.0))
@@ -359,13 +360,13 @@ def run_mass_redirect(seed: int, n_paths: int, params: dict) -> ExperimentResult
         r = results[l]
         estimates[l] = (r.estimate, r.se)
         res.rows.append(
-            _row(rho, r.estimate, r.se, n_paths, l=l, bound=r.bound, fired=r.fired_fraction)
+            _row(rho, r.estimate, r.se, n_paths, l=l, bound=bound, fired=r.fired_fraction)
         )
     total = sum(e for e, _ in estimates.values())
     total_se = math.sqrt(sum(s * s for _, s in estimates.values()))
     res.report = {
         "c": c,
-        "bound": (1.0 - c) / 2.0,
+        "bound": bound,
         "estimates": {str(l): e for l, (e, _) in estimates.items()},
         "disjoint_sum": total,
         "disjoint_sum_se": total_se,
@@ -376,6 +377,7 @@ def run_mass_redirect(seed: int, n_paths: int, params: dict) -> ExperimentResult
 
 def run_split_limit(seed: int, n_paths: int, params: dict) -> ExperimentResult:
     n = params["n"]
+    crossing_bound = 2.0**-n  # the maximal inequality's bound on the crossing frequency
     res = ExperimentResult("split_limit")
     for sign, r in families.split_limit_demo(n, n_paths, seed).items():
         res.rows.append(
@@ -387,7 +389,7 @@ def run_split_limit(seed: int, n_paths: int, params: dict) -> ExperimentResult:
                 sign=sign,
                 raw_own_mass=r.raw_own_mass,
                 crossing_frequency=r.crossing_frequency,
-                crossing_bound=r.crossing_bound,
+                crossing_bound=crossing_bound,
             )
         )
         res.report[sign] = {
@@ -395,7 +397,7 @@ def run_split_limit(seed: int, n_paths: int, params: dict) -> ExperimentResult:
             "own_se": r.own_se,
             "raw_own_mass": r.raw_own_mass,
             "crossing_frequency": r.crossing_frequency,
-            "crossing_bound": r.crossing_bound,
+            "crossing_bound": crossing_bound,
         }
     return res
 
@@ -407,8 +409,8 @@ def run_extended(seed: int, n_paths: int, params: dict) -> ExperimentResult:
     value 1/2 gives oracle 1/2, normalizer 1/2 and core exp(-t) cut at h.
     """
     h, k, m, t_max = params["h"], params["k"], params["m"], params["t_max"]
-    base = grids.GridSpec(t_max=t_max, base_step=1 / 32)
-    draft = base.points()
+    terminal = 0.5
+    draft = grids.GridSpec(t_max=t_max, base_step=1 / 32).points()
     core_draft = np.where(draft < h, np.exp(-draft), 0.0)
     g = bridges.simple_approx(draft, core_draft, k=k)
     window = 2.0**-m
@@ -422,7 +424,7 @@ def run_extended(seed: int, n_paths: int, params: dict) -> ExperimentResult:
     rep = families.extended_approx(
         grid,
         z_vals,
-        terminal=0.5,
+        terminal=terminal,
         h=h,
         k=k,
         m=m,
@@ -436,7 +438,7 @@ def run_extended(seed: int, n_paths: int, params: dict) -> ExperimentResult:
     )
     res.report = {
         "normalizer": rep.normalizer,
-        "expected_terminal": rep.expected_terminal,
+        "expected_terminal": terminal,
         "mean_initial": rep.mean_initial,
         "mean_terminal": rep.mean_terminal,
         "core_constant_branch": rep.core_constant,

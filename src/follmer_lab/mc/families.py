@@ -135,9 +135,8 @@ def localized_suicide_family(
             crossed[new] = True
             base = floor + w.drop * e[:, -1]
         out[:, tail] = base[:, None]
-        rows = np.nonzero(crossed)[0]
-        after = times[None, :] >= t_frozen[rows, None]
-        out[rows] = np.where(after, v_frozen[rows, None], out[rows])
+        for r in np.nonzero(crossed)[0].tolist():
+            out[r, np.searchsorted(times, t_frozen[r]) :] = v_frozen[r]
         return out
 
     return PathFamily(times, n_draws, fill_block)
@@ -155,7 +154,6 @@ class ExtendedFamilyReport:
     se_initial: float
     mean_terminal: float
     se_terminal: float
-    expected_terminal: float
     core_constant: bool  # the 0/0 = 1 convention branch
 
 
@@ -198,7 +196,7 @@ def extended_approx(
         ends += terminal
     mean0, se0 = mean_and_se(ends[0])
     meanT, seT = mean_and_se(ends[1])
-    return ExtendedFamilyReport(normalizer, mean0, se0, meanT, seT, terminal, core_constant)
+    return ExtendedFamilyReport(normalizer, mean0, se0, meanT, seT, core_constant)
 
 
 # -- mass redirection (first-passage reweighting) -------------------------------
@@ -209,7 +207,6 @@ class MassRedirectResult:
     indicator: np.ndarray
     estimate: float  # E[L^(l)_inf 1_{B_l}]
     se: float
-    bound: float  # the guaranteed lower bound (1 - c)/2
     fired_fraction: float  # share of paths with the redirect stop at rho
 
 
@@ -259,7 +256,6 @@ def mass_redirect(
             indicator=indicator,
             estimate=est,
             se=se,
-            bound=(1.0 - c) / 2.0,
             fired_fraction=fired_fraction,
         )
     return results
@@ -275,7 +271,6 @@ class SplitLimitResult:
     own_se: float
     raw_own_mass: float  # plain average of L * 1_{A_sign}: heavy boundary layer
     crossing_frequency: float  # P[level 2^n reached] <= 2^-n
-    crossing_bound: float
 
 
 def split_limit_demo(n: int, n_paths: int, seed: int) -> Dict[str, SplitLimitResult]:
@@ -330,6 +325,5 @@ def split_limit_demo(n: int, n_paths: int, seed: int) -> Dict[str, SplitLimitRes
             own_se=own_se,
             raw_own_mass=mean_and_se(terminal)[0],
             crossing_frequency=float(np.mean(crossed)),
-            crossing_bound=2.0**-n,
         )
     return results

@@ -33,7 +33,10 @@ class GridSpec:
             )
 
     def points(self) -> np.ndarray:
-        pts = list(np.arange(0.0, self.t_max, self.base_step))
+        try:
+            pts = list(np.arange(0.0, self.t_max, self.base_step))
+        except (ValueError, MemoryError):  # numpy refuses the backbone's size
+            raise GridError(f"cannot allocate t_max={self.t_max} / base_step={self.base_step} backbone points") from None
         pts.append(float(self.t_max))
         for anchor, length, n in self.refinements:
             if length <= 0 or n < 1:

@@ -203,9 +203,3 @@ def median_of_means(values: np.ndarray) -> float:
     edges = np.linspace(0, n, n_blocks + 1, dtype=int)
     means = [float(np.mean(values[lo:hi])) for lo, hi in zip(edges[:-1], edges[1:])]
     return float(np.median(means))
-
-
-def mom_standard_error(values: np.ndarray) -> float:
-    """Scale for the median-of-means estimate: sqrt(pi/2) times the mean's SE."""
-    _, se = mean_and_se(values)
-    return math.sqrt(math.pi / 2.0) * se

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, FrozenSet, Iterable, List, Sequence, Tuple
+from typing import FrozenSet, Iterable, List, Sequence, Tuple
 
 from .trees import frac
 
@@ -142,38 +142,6 @@ class DyadicDemoReport:
         )
 
 
-class DyadicFamily:
-    """Atomic measures matching a reference measure on each dyadic level.
-
-    The reference measure lives on the level-``n_max`` dyadic partition of
-    (0, 1] via exact interval weights.  For each n <= n_max the level-n
-    measure puts the mass of each level-n interval onto that interval's
-    representative: the rational inside it with the smallest denominator,
-    then the smallest numerator (:func:`_representative`).
-    """
-
-    def __init__(self, n_max: int, weights: Sequence):
-        if n_max < 1:
-            raise ValueError("need n_max >= 1")
-        self.n_max = n_max
-        self.weights = [frac(w) for w in weights]
-        if len(self.weights) != 2**n_max:
-            raise ValueError(
-                f"need {2 ** n_max} interval weights at level {n_max}, "
-                f"got {len(self.weights)}"
-            )
-        if any(w < 0 for w in self.weights) or sum(self.weights, Fraction(0)) != 1:
-            raise ValueError("weights must be a probability vector")
-        self.reps: Dict[int, List[Fraction]] = {
-            n: [_representative(n, k) for k in range(2**n)] for n in range(1, n_max + 1)
-        }
-
-    def interval_weight(self, n: int, k: int) -> Fraction:
-        """Reference mass of the level-n interval k (aggregated from level n_max)."""
-        span = 2 ** (self.n_max - n)
-        return sum(self.weights[k * span : (k + 1) * span], Fraction(0))
-
-
 def dyadic_demo(n_max: int, weights: Sequence) -> DyadicDemoReport:
     """Run the agreement/disagreement demo across all levels.
 
@@ -181,6 +149,15 @@ def dyadic_demo(n_max: int, weights: Sequence) -> DyadicDemoReport:
     not pin a measure down: each level measure matches the reference measure
     on the dyadic intervals up to its level, yet all of them charge only a
     countable set of representatives.
+
+    The reference measure lives on the level-``n_max`` dyadic partition of
+    (0, 1]: ``weights`` are its 2^n_max interval masses, exact, nonnegative
+    and summing to 1, and n_max is at least 1; anything else is refused
+    with a ``ValueError``.  For each n <= n_max the level-n measure puts the
+    mass of each level-n interval, the sum of the weights inside it, onto
+    that interval's representative: the rational inside it with the
+    smallest denominator, then the smallest numerator
+    (:func:`_representative`).
 
     The dyadic intervals nest (module docstring), so the level-n measure
     gives every dyadic interval of level <= n its reference weight once
@@ -190,10 +167,17 @@ def dyadic_demo(n_max: int, weights: Sequence) -> DyadicDemoReport:
     reference measure is known only through its interval weights, which do
     not determine its mass on a finite set, so no such mass is reported.
     """
-    fam = DyadicFamily(n_max, weights)
+    if n_max < 1:
+        raise ValueError("need n_max >= 1")
+    weights = [frac(w) for w in weights]
+    if len(weights) != 2**n_max:
+        raise ValueError(f"need {2 ** n_max} interval weights at level {n_max}, got {len(weights)}")
+    if any(w < 0 for w in weights) or sum(weights, Fraction(0)) != 1:
+        raise ValueError("weights must be a probability vector")
     levels: List[DyadicLevel] = []
     for n in range(1, n_max + 1):
-        agrees = all(k < rep * 2**n <= k + 1 for k, rep in enumerate(fam.reps[n]))
-        rep_mass = sum((fam.interval_weight(n, k) for k in range(2**n)), Fraction(0))
-        levels.append(DyadicLevel(n, agrees, rep_mass))
+        span = 2 ** (n_max - n)  # level-n_max intervals in one level-n interval
+        agrees = all(k < _representative(n, k) * 2**n <= k + 1 for k in range(2**n))
+        masses = (sum(weights[k * span : (k + 1) * span], Fraction(0)) for k in range(2**n))
+        levels.append(DyadicLevel(n, agrees, sum(masses, Fraction(0))))
     return DyadicDemoReport(levels)

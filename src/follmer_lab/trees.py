@@ -443,10 +443,6 @@ class FilteredTree:
     def is_leaf(self, n: str) -> bool:
         return not self.children[n]
 
-    def is_chain(self) -> bool:
-        """True when every node has at most one child (a single path)."""
-        return all(len(kids) <= 1 for kids in self.children.values())
-
     def path_to(self, n: str) -> List[str]:
         """Node ids from the root down to ``n`` inclusive."""
         path = [n]

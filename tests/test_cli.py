@@ -588,6 +588,8 @@ def test_selftest_passes(capsys):
         ({"experiment": "fatou", "params": {"scan_depth": 0}}, "scan_depth must be at least 1, got 0"),
         ({"experiment": "fatou", "params": {"scan_depth": 1075}}, "scan_depth must be at most 1074, got 1075"),
         ({"experiment": "single_jump", "params": {"refine_points": 0}}, "refine_points must be at least 1, got 0"),
+        # a backbone numpy refuses to allocate
+        ({"experiment": "bm_check", "params": {"t_max": 1e300}}, "t_max=1e+300 / base_step=0.03125"),
     ],
     ids=[
         "fatou-twin-probes", "exp_decay-ts-0", "exp_decay-ts-str", "bessel-ts-neg", "bessel-fp-0",
@@ -596,7 +598,7 @@ def test_selftest_passes(capsys):
         "split_limit-n-true", "split_limit-n-str", "seed-null", "seed-1.7", "n_paths-null",
         "single_jump-m-neg", "split_limit-n-2000", "mass_redirect-k-neg", "mass_redirect-k-1100",
         "extended-k-1100", "fatou-m_list-3000", "suicide-m-52", "fatou-scan_depth-0",
-        "fatou-scan_depth-1075", "single_jump-refine_points-0",
+        "fatou-scan_depth-1075", "single_jump-refine_points-0", "bm_check-t_max-1e300",
     ],
 )
 def test_bad_experiment_params_exit_2_without_traceback(tmp_path, fields, named):

@@ -14,13 +14,17 @@ from follmer_lab.mc.families import (
     split_limit_demo,
 )
 from follmer_lab.mc.experiments import exp_decay_family
+from follmer_lab.mc.gallery import PARAMS
 from follmer_lab.mc.grids import GridSpec, grid_index
 from follmer_lab.mc.paths import simulate_bm
 from follmer_lab.mc.streams import mean_and_se
 
+# the family mass_redirect runs, with its default parameters
+DECAY = {key: PARAMS["mass_redirect"][key] for key in ("k", "m", "level")}
+
 
 def test_localized_family_is_mean_exact_at_grid_times():
-    fam, rho = exp_decay_family()
+    fam, rho = exp_decay_family(**DECAY)
     values = fam.batch(20000, 101)
     for t in (rho, float(fam.times[-1])):
         mean, se = mean_and_se(values[:, grid_index(fam.times, t)])
@@ -28,7 +32,7 @@ def test_localized_family_is_mean_exact_at_grid_times():
 
 
 def test_localized_family_freezes_at_level():
-    fam, _ = exp_decay_family(level=4.0)
+    fam, _ = exp_decay_family(**DECAY)
     values = fam.batch(2000, 7)
     running_max = np.maximum.accumulate(values, axis=1)
     crossed = running_max[:, -1] >= 4.0
@@ -42,7 +46,7 @@ def test_localized_family_holds_its_level_at_jump_times():
     # at a jump time the window's clock is 0 and the bridge still reads 1
     draft = GridSpec(t_max=2.5, base_step=1 / 16).points()
     g = simple_approx(draft, np.exp(-draft), k=3)
-    fam, _ = exp_decay_family()
+    fam, _ = exp_decay_family(**DECAY)
     values = fam.batch(400, 7)
     assert g.jump_times[-1] == fam.times[-1] == 2.5
     for rho in g.jump_times:
@@ -61,18 +65,18 @@ def test_localized_family_rejects_low_level_and_overlap():
 
 
 def test_mass_redirect_bound_and_disjointness():
-    fam, rho = exp_decay_family()
+    fam, rho = exp_decay_family(**DECAY)
     values = fam.batch(20000, 31)
     l_rho = values[:, grid_index(fam.times, rho)]
     l_term = values[:, grid_index(fam.times, float(fam.times[-1]))]
     wgrid = GridSpec(t_max=2.5, base_step=1 / 4, extra_points=(rho, rho + 1.0))
     w = simulate_bm(wgrid).batch(20000, 32)
     w_rho, w_after = (w[:, grid_index(wgrid.points(), t)] for t in (rho, rho + 1.0))
-    results = mass_redirect(l_rho, l_term, w_rho, w_after, 0.5, (1, 2))
+    c = 0.5
+    results = mass_redirect(l_rho, l_term, w_rho, w_after, c, (1, 2))
     assert sorted(results) == [1, 2]
     for r in results.values():
-        assert r.bound == 0.25
-        assert r.estimate >= r.bound - 3 * r.se
+        assert r.estimate >= (1.0 - c) / 2.0 - 3 * r.se
     # the window events are disjoint: no path can score on both
     both = results[1].indicator & results[2].indicator
     assert not both.any()
@@ -83,7 +87,7 @@ def test_mass_redirect_bound_and_disjointness():
 
 def test_mass_redirect_levels_match_one_at_a_time():
     # the levels share one normal-CDF call; each result has the bits of its level alone
-    fam, rho = exp_decay_family()
+    fam, rho = exp_decay_family(**DECAY)
     values = fam.batch(600, 7)
     l_rho, l_term = (values[:, grid_index(fam.times, t)] for t in (rho, 2.5))
     wgrid = GridSpec(t_max=2.5, base_step=1 / 4, extra_points=(rho, rho + 1.0))
@@ -128,9 +132,10 @@ def test_split_limit_masses():
 
 
 def test_split_limit_crossing_frequency_bound():
-    r = split_limit_demo(n=4, n_paths=30000, seed=99)["+"]
+    n = 4
+    r = split_limit_demo(n=n, n_paths=30000, seed=99)["+"]
     freq_se = math.sqrt(r.crossing_frequency * (1 - r.crossing_frequency) / 30000)
-    assert r.crossing_frequency <= r.crossing_bound + 5 * freq_se
+    assert r.crossing_frequency <= 2.0**-n + 5 * freq_se
 
 
 def test_split_limit_validates_inputs():
@@ -185,7 +190,7 @@ def test_extended_constant_terminal_conserves_expectation():
     )
     assert rep.normalizer == 0.5
     assert rep.mean_initial == 1.0
-    assert rep.mean_terminal == rep.expected_terminal == 0.5
+    assert rep.mean_terminal == 0.5  # the terminal value, the oracle
 
 
 def test_extended_zero_over_zero_convention(monkeypatch):
@@ -205,6 +210,5 @@ def test_extended_zero_over_zero_convention(monkeypatch):
     )
     assert rep.core_constant
     # the member is the constant terminal: exact means, SE 0, no path drawn
-    assert rep.expected_terminal == 1.0
     assert (rep.mean_initial, rep.se_initial) == (rep.mean_terminal, rep.se_terminal) == (1.0, 0.0)
     assert not filled

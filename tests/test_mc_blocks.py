@@ -34,6 +34,7 @@ from follmer_lab.mc.experiments import (
     exp_decay_kill_times,
     reciprocal_bessel_samples,
 )
+from follmer_lab.mc.gallery import PARAMS
 from follmer_lab.mc.grids import GridSpec
 from follmer_lab.mc.paths import simulate_bm
 from follmer_lab.mc.streams import CHUNK_PATHS, fill_paths, mean_and_se, path_generator
@@ -41,6 +42,7 @@ from follmer_lab.mc.streams import CHUNK_PATHS, fill_paths, mean_and_se, path_ge
 C = CHUNK_PATHS
 COUNTS = (1, 2, C - 1, C, C + 1, 2 * C + 3)
 SEEDS = (7, 2**40 + 3)
+DECAY = {key: PARAMS["mass_redirect"][key] for key in ("k", "m", "level")}  # exp_decay_family's arguments
 
 
 # -- the per-path oracle -----------------------------------------------------------
@@ -256,7 +258,7 @@ def _oracle_split_limit_terminals(n, n_paths, seed):
 
 
 def _exp_decay_g_and_grid():
-    """The simple process and grid that ``exp_decay_family`` builds with its defaults."""
+    """The simple process and grid that ``exp_decay_family`` builds with mass_redirect's defaults."""
     draft = GridSpec(t_max=2.5, base_step=1 / 16).points()
     g = simple_approx(draft, np.exp(-draft), k=3)
     grid = GridSpec(
@@ -331,7 +333,7 @@ def _cases():
     g, grid = _exp_decay_g_and_grid()
     for level in (4.0, 1.02):
         cases[f"localized_level{level}"] = (
-            lambda n, s, level=level: exp_decay_family(level=level)[0].batch(n, s),
+            lambda n, s, level=level: exp_decay_family(DECAY["k"], DECAY["m"], level)[0].batch(n, s),
             lambda n, s, level=level: oracle_localized(g, 6, level, grid, n, s),
         )
     return cases
@@ -355,7 +357,7 @@ def test_block_family_matches_per_path_oracle(name):
 
 def test_exp_decay_case_rebuilds_the_family_grid():
     g, grid = _exp_decay_g_and_grid()
-    fam, _ = exp_decay_family()
+    fam, _ = exp_decay_family(**DECAY)
     assert np.array_equal(grid.points(), fam.times) and len(g.jump_times) == 20
 
 

@@ -9,8 +9,8 @@ import pytest
 from follmer_lab.measure_ext import (
     FiniteMeasurableSpace,
     bierlein_extend,
+    _representative,
     dyadic_demo,
-    DyadicFamily,
     outer_content,
 )
 
@@ -122,53 +122,62 @@ def test_extension_additivity_exhaustive_small():
 
 def test_dyadic_representatives_have_the_smallest_denominator():
     # brute force: scan denominators upward, numerators upward within each
-    for n_max in range(1, 7):
-        fam = DyadicFamily(n_max, [Fraction(1, 2**n_max)] * 2**n_max)
-        for n in range(1, n_max + 1):
-            for k in range(2**n):
-                lo, hi = Fraction(k, 2**n), Fraction(k + 1, 2**n)
-                expected = next(
-                    Fraction(p, q)
-                    for q in itertools.count(1)
-                    for p in range(1, q + 1)
-                    if lo < Fraction(p, q) <= hi
-                )
-                assert fam.reps[n][k] == expected
+    for n in range(1, 7):
+        for k in range(2**n):
+            lo, hi = Fraction(k, 2**n), Fraction(k + 1, 2**n)
+            expected = next(
+                Fraction(p, q)
+                for q in itertools.count(1)
+                for p in range(1, q + 1)
+                if lo < Fraction(p, q) <= hi
+            )
+            assert _representative(n, k) == expected
 
 
-def level_measure_of_points(fam, n, points):
+def reps(n):
+    """The level-n representatives, one per level-n interval."""
+    return [_representative(n, k) for k in range(2**n)]
+
+
+def interval_weight(weights, n, k):
+    """Reference mass of the level-n interval k: the sum of its slice of the finest weights."""
+    span = len(weights) // 2**n
+    return sum(weights[k * span : (k + 1) * span], Fraction(0))
+
+
+def level_measure_of_points(weights, n, points):
     """Brute force: the level-n mass of a set of points, one scan of the representatives."""
     pts = {Fraction(p) for p in points}
     return sum(
-        (fam.interval_weight(n, k) for k, rep in enumerate(fam.reps[n]) if rep in pts),
+        (interval_weight(weights, n, k) for k, rep in enumerate(reps(n)) if rep in pts),
         Fraction(0),
     )
 
 
-def level_measure_of_dyadic(fam, n, level, k):
+def level_measure_of_dyadic(weights, n, level, k):
     """Brute force: the level-n mass of the dyadic interval (k 2^-level, (k+1) 2^-level]."""
     assert level <= n
     lo, hi = Fraction(k, 2**level), Fraction(k + 1, 2**level)
     return sum(
-        (fam.interval_weight(n, j) for j, rep in enumerate(fam.reps[n]) if lo < rep <= hi),
+        (interval_weight(weights, n, j) for j, rep in enumerate(reps(n)) if lo < rep <= hi),
         Fraction(0),
     )
 
 
 def test_dyadic_level_one_uniform():
-    rep = dyadic_demo(1, [Fraction(1, 2), Fraction(1, 2)])
+    weights = [Fraction(1, 2), Fraction(1, 2)]
+    rep = dyadic_demo(1, weights)
     lv = rep.levels[0]
     # two representatives, one per half, each carrying mass 1/2
     assert lv.agrees_on_level_algebra
     assert lv.representative_set_mass == 1
-    fam = DyadicFamily(1, [Fraction(1, 2), Fraction(1, 2)])
-    assert level_measure_of_points(fam, 1, [fam.reps[1][0]]) == Fraction(1, 2)
+    assert level_measure_of_points(weights, 1, [reps(1)[0]]) == Fraction(1, 2)
 
 
 def test_dyadic_first_half_is_level_measurable():
-    fam = DyadicFamily(3, [Fraction(1, 8)] * 8)
+    weights = [Fraction(1, 8)] * 8
     for n in range(1, 4):
-        assert level_measure_of_dyadic(fam, n, 1, 0) == Fraction(1, 2)
+        assert level_measure_of_dyadic(weights, n, 1, 0) == Fraction(1, 2)
 
 
 def _weights_with_zeros(rng, n_max):
@@ -183,19 +192,18 @@ def test_dyadic_demo_agrees_with_the_interval_scan():
     rng = random.Random(34)
     for n_max in range(1, 7):
         for weights in ([Fraction(1, 2**n_max)] * 2**n_max, *(_weights_with_zeros(rng, n_max) for _ in range(4))):
-            fam = DyadicFamily(n_max, weights)
-            all_reps = {r for row in fam.reps.values() for r in row}
+            all_reps = {r for n in range(1, n_max + 1) for r in reps(n)}
             rep = dyadic_demo(n_max, weights)
             assert [lv.level for lv in rep.levels] == list(range(1, n_max + 1))
             for lv in rep.levels:
                 n = lv.level
                 agrees = all(
-                    level_measure_of_dyadic(fam, n, level, k) == fam.interval_weight(level, k)
+                    level_measure_of_dyadic(weights, n, level, k) == interval_weight(weights, level, k)
                     for level in range(1, n + 1)
                     for k in range(2**level)
                 )
                 assert agrees and lv.agrees_on_level_algebra
-                assert lv.representative_set_mass == level_measure_of_points(fam, n, all_reps) == 1
+                assert lv.representative_set_mass == level_measure_of_points(weights, n, all_reps) == 1
             assert rep.ok
 
 
@@ -208,6 +216,20 @@ def test_dyadic_representative_set_has_full_mass_all_levels():
     assert rep.ok
     for lv in rep.levels:
         assert lv.representative_set_mass == 1
+
+
+@pytest.mark.parametrize(
+    "n_max, weights, named",
+    [
+        (0, [1], "need n_max >= 1"),
+        (2, [Fraction(1, 2)] * 2, "need 4 interval weights at level 2, got 2"),
+        (1, [Fraction(3, 2), Fraction(-1, 2)], "weights must be a probability vector"),
+        (1, [Fraction(1, 2), Fraction(1, 3)], "weights must be a probability vector"),
+    ],
+)
+def test_dyadic_demo_refuses_bad_weights(n_max, weights, named):
+    with pytest.raises(ValueError, match=named):
+        dyadic_demo(n_max, weights)
 
 
 def test_space_validation():

@@ -126,12 +126,12 @@ def test_invalid_threshold_rejected():
 
 
 def corpus_smoothings(n_trees=100, seed=909):
-    """(tree, z, smoothing) over seeded corpus trees x i in 1..4."""
+    """(tree, z, i, smoothing) over seeded corpus trees x i in 1..4."""
     rng = random.Random(seed)
     for _ in range(n_trees):
         tree, z = random_case(rng, max_depth=4, max_branching=3)
         for i in (1, 2, 3, 4):
-            yield tree, z, left_limit_smoothing(tree, z, i=i)
+            yield tree, z, i, left_limit_smoothing(tree, z, i=i)
 
 
 def _folded(proc):
@@ -141,10 +141,10 @@ def _folded(proc):
 def smoothing_digests():
     """One sha256 per output group; reprs keep Fraction, int and bool apart."""
     groups = {"paths": [], "folds": [], "report": []}
-    for _, _, sm in corpus_smoothings():
+    for _, _, i, sm in corpus_smoothings():
         groups["paths"].append(
             (
-                sm.threshold_index,
+                i,
                 sorted(sm.martingale_path.items()),
                 sorted(sm.drift_path.items()),
                 sorted(sm.jump_times.items()),
@@ -175,14 +175,14 @@ def test_smoothed_sum_is_the_windowed_conditional_expectation():
     # inside the k-th window [a_k, sigma_k) of a path, M^s_t + D^s_t is
     # E[Z_{sigma_k} 1{sigma_k exists} | F_t], averaged by brute force over
     # the leaves below the time-t node; outside every window it is Z_t
-    for tree, z, sm in corpus_smoothings(n_trees=60):
+    for tree, z, i, sm in corpus_smoothings(n_trees=60):
         add = doob_meyer(tree, z)
         sigmas = {}
         for leaf in tree.leaves:
             d = [add.drift.value_on(tree, n) for n in tree.path_to(leaf)]
             sigmas[leaf] = [
                 t for t in range(1, tree.horizon + 1)
-                if d[t] - d[t - 1] <= -Fraction(1, sm.threshold_index)
+                if d[t] - d[t - 1] <= -Fraction(1, i)
             ]
         assert sm.jump_times == sigmas
 
@@ -211,7 +211,7 @@ def test_smoothed_sum_is_the_windowed_conditional_expectation():
 
 
 def test_fold_is_a_martingale():
-    for tree, _, sm in corpus_smoothings(n_trees=60):
+    for tree, _, _, sm in corpus_smoothings(n_trees=60):
         for n in tree.iter_nodes():
             if tree.children[n]:
                 assert one_step_expectation(tree, sm.martingale, n) == sm.martingale[n]
@@ -222,10 +222,10 @@ def test_closed_form_moves_only_announced_drops():
     # root, no qualifying drop landing on it, the drop to its children
     # <= -1/i), where it takes the children's value one step early
     announced = 0
-    for tree, z, sm in corpus_smoothings(n_trees=60):
+    for tree, z, i, sm in corpus_smoothings(n_trees=60):
         add = doob_meyer(tree, z)
         assert sm.martingale == add.martingale
-        threshold = -Fraction(1, sm.threshold_index)
+        threshold = -Fraction(1, i)
         announcing = set()
         for n in tree.iter_nodes():
             par = tree.parent[n]

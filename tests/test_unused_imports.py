@@ -17,6 +17,12 @@ than its own definition reads it in one of those ways, or when a script in
 patches functions by name).  A name that only tests use does not belong
 in ``src/``; the few public names that nothing else reads are listed in
 ``KEPT_UNREAD`` with the reason each stays.
+
+A public field of a dataclass under ``src/`` counts as used when some
+module under ``src/``, or a script in ``bench/``, reads it as an
+attribute.  A field that only echoes what its caller already holds fails
+here; the few fields that only tests read are listed in ``KEPT_FIELDS``
+with the reason each stays.
 """
 
 import ast
@@ -33,6 +39,12 @@ KEPT_UNREAD = {
     "tau_hat": "a statement of the paper",
     "chain_measure_from_constant_times": "a statement of the paper",
     "unary_chain": "test support: the corpus's one-path tree",
+}
+# public dataclass fields that nothing in src/ or bench/ reads, and why each stays
+KEPT_FIELDS = {
+    "SmoothedDecomposition.drift_adapted": "test oracle: the smoothed drift as a node map",
+    "MassRedirectResult.indicator": "test oracle: the event indicators of the disjointness test",
+    "SplitLimitResult.terminal": "test oracle: the per-path values of the block test",
 }
 DISPATCHED_PREFIX = "cmd_"  # cli.main looks each subcommand's handler up by name
 
@@ -189,3 +201,71 @@ def test_every_public_name_is_read_outside_tests(path):
         *(references(p.read_text(encoding="utf-8"), strings=True) for p in BENCH_SCRIPTS),
     )
     assert unread_public_names(PARSED[path], elsewhere) == []
+
+
+def is_dataclass(node: ast.ClassDef) -> bool:
+    """Whether ``@dataclass`` or ``@dataclass(...)`` decorates the class."""
+    for deco in node.decorator_list:
+        target = deco.func if isinstance(deco, ast.Call) else deco
+        if isinstance(target, ast.Name) and target.id == "dataclass":
+            return True
+    return False
+
+
+def dataclass_fields(module: ast.Module):
+    """(line, "Class.field") of each public field of each dataclass that ``module`` defines."""
+    return [
+        (stmt.lineno, f"{node.name}.{stmt.target.id}")
+        for node in ast.walk(module)
+        if isinstance(node, ast.ClassDef) and is_dataclass(node)
+        for stmt in node.body
+        if isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name)
+        and not stmt.target.id.startswith("_")
+    ]
+
+
+def attribute_reads(module: ast.Module) -> set:
+    """Every attribute name that ``module`` reads."""
+    return {
+        node.attr
+        for node in ast.walk(module)
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+    }
+
+
+def test_the_check_sees_an_unread_field():
+    module = ast.parse(
+        "from dataclasses import dataclass\n"
+        "@dataclass(frozen=True)\n"
+        "class Result:\n"
+        "    estimate: float\n"
+        "    bound: float\n"
+        "    _cache: dict\n"
+        "    def width(self):\n"
+        "        return self.estimate\n"
+        "@dataclass\n"
+        "class Report:\n"
+        "    echoed: int\n"
+        "class Plain:\n"
+        "    unread: int\n"
+        "def set_only(r):\n"
+        "    r.echoed = 3\n"
+    )
+    fields = dataclass_fields(module)
+    assert fields == [(4, "Result.estimate"), (5, "Result.bound"), (11, "Report.echoed")]
+    read = attribute_reads(module)
+    assert [name for _, name in fields if name.partition(".")[2] not in read] == ["Result.bound", "Report.echoed"]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=[str(p.relative_to(SRC)) for p in MODULES])
+def test_every_dataclass_field_is_read_outside_tests(path):
+    read = set().union(
+        *(attribute_reads(module) for module in PARSED.values()),
+        *(attribute_reads(ast.parse(p.read_text(encoding="utf-8"))) for p in BENCH_SCRIPTS),
+    )
+    unread = [
+        (line, name)
+        for line, name in dataclass_fields(PARSED[path])
+        if name.partition(".")[2] not in read and name not in KEPT_FIELDS
+    ]
+    assert unread == []

@@ -20,7 +20,7 @@ from hypothesis import strategies as st
 import follmer_lab
 from follmer_lab import cli
 from follmer_lab.cli import main
-from follmer_lab.mc import streams
+from follmer_lab.mc import grids, streams
 from follmer_lab.mc.gallery import PARAMS
 from follmer_lab.corpus import binary_example
 from follmer_lab.errors import FreezeTargetError
@@ -612,7 +612,7 @@ def test_bad_experiment_params_exit_2_without_traceback(tmp_path, fields, named)
 
 
 class _RefusingNumpy:
-    """numpy, except that ``empty`` refuses more than 10^9 elements as an exhausted allocator does."""
+    """numpy, except that ``empty`` and ``arange`` refuse more than 10^9 elements as an exhausted allocator does."""
 
     def __getattr__(self, name):
         return getattr(np, name)
@@ -622,6 +622,12 @@ class _RefusingNumpy:
         if math.prod(shape if isinstance(shape, tuple) else (shape,)) > 10**9:
             raise MemoryError(f"Unable to allocate an array with shape {shape}")
         return np.empty(shape, *args, **kwargs)
+
+    @staticmethod
+    def arange(start, stop, step=1, **kwargs):
+        if (stop - start) / step > 10**9:
+            raise MemoryError("Unable to allocate an array for arange")
+        return np.arange(start, stop, step, **kwargs)
 
 
 @pytest.mark.parametrize(
@@ -641,6 +647,16 @@ def test_out_of_memory_exits_2(tmp_path, monkeypatch, capsys, manifest):
     err = capsys.readouterr().err
     assert err.startswith("error: out of memory: Unable to allocate an array with shape (")
     assert not (tmp_path / "out" / "results.csv").exists()
+
+
+def test_backbone_out_of_memory_names_t_max_and_base_step(tmp_path, monkeypatch, capsys):
+    # simulated for the same reason as above; the size numpy itself refuses
+    # is a case of test_bad_experiment_params_exit_2_without_traceback
+    monkeypatch.setattr(grids, "np", _RefusingNumpy())
+    manifest = {"experiment": "bm_check", "seed": 1, "n_paths": 10, "params": {"t_max": 1e11, "base_step": 1}}
+    (tmp_path / "manifest.json").write_text(json.dumps(manifest))
+    assert main(["mc", str(tmp_path / "manifest.json"), "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err == "error: cannot allocate t_max=100000000000.0 / base_step=1.0 backbone points\n"
 
 
 def test_mc_manifest_echoes_params_as_given(tmp_path):

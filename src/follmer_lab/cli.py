@@ -148,7 +148,7 @@ def _run_mc(manifest: dict, out_dir: str) -> int:
     write_manifest(os.path.join(out_dir, "manifest.json"), *fields)
     write_results_csv(result, os.path.join(out_dir, "results.csv"))
     write_plot_data(result, os.path.join(out_dir, "plot.csv"))
-    write_report_json(result, os.path.join(out_dir, "report.json"))
+    write_report_json(result, os.path.join(out_dir, "report.json"), fields[0])
     for name in ("manifest.json", "results.csv", "plot.csv", "report.json"):
         print(os.path.join(out_dir, name))
     return EXIT_OK

@@ -234,30 +234,33 @@ class SmoothingLimitReport:
     once.
     """
 
-    ok: bool
-    positions: int = 0
     equal: int = 0
     guaranteed: int = 0
     guaranteed_equal: int = 0
     stuck: int = 0
     mismatches: List[tuple] = field(default_factory=list)
 
+    @property
+    def ok(self) -> bool:
+        """Every guaranteed position reaches its target."""
+        return not self.mismatches
+
+    @property
+    def positions(self) -> int:
+        return self.guaranteed + self.stuck
+
 
 @dataclass
 class SmoothedDecomposition:
-    """Smoothed pair as node-valued processes, plus its values along each path.
+    """Smoothed pair as values along each path, plus the smoothed drift as a node map.
 
-    ``martingale`` is the additive decomposition's M itself and
-    ``drift_adapted`` the smoothed drift D^s; ``martingale_path[leaf][t]``
-    / ``drift_path[leaf][t]`` read them along each leaf's path, and
-    ``jump_times[leaf]`` lists the times at which a qualifying drop lands
-    on that path.
+    The smoothed martingale part is the additive decomposition's M itself;
+    ``martingale_path[leaf][t]`` / ``drift_path[leaf][t]`` read M and the
+    smoothed drift D^s along each leaf's path, and ``drift_adapted`` is D^s.
     """
 
     martingale_path: Dict[str, List[Fraction]]
     drift_path: Dict[str, List[Fraction]]
-    jump_times: Dict[str, List[int]]
-    martingale: AdaptedProcess
     drift_adapted: AdaptedProcess
     limit_report: SmoothingLimitReport
 
@@ -323,14 +326,13 @@ def left_limit_smoothing(
     # once per stop node s: reached M_s + D^s_{s-1} against the target
     # M_s + (D_s on a qualifying drop at s, else D_{s-1}); every position
     # but a stuck one is guaranteed to reach the target
-    report = SmoothingLimitReport(ok=True)
+    report = SmoothingLimitReport()
     for s in order:
         before = s if parent[s] is None else parent[s]
         w = mult[s] * below[s]
         reached = m[s] + d_s[before]
         target = m[s] + d[s if lands[s] else before]
         stuck = lands[s] and before not in announcing
-        report.positions += w
         if stuck:
             report.stuck += w
         else:
@@ -340,14 +342,11 @@ def left_limit_smoothing(
             if not stuck:
                 report.guaranteed_equal += w
         elif not stuck:
-            report.ok = False
             report.mismatches.append((s, tree.depth[s], reached, target))
     paths = {leaf: tree.path_to(leaf) for leaf in tree.leaves}
     return SmoothedDecomposition(
         martingale_path={leaf: [m[n] for n in path] for leaf, path in paths.items()},
         drift_path={leaf: [d_s[n] for n in path] for leaf, path in paths.items()},
-        jump_times={leaf: [t for t, n in enumerate(path) if lands[n]] for leaf, path in paths.items()},
-        martingale=add.martingale,
         drift_adapted=AdaptedProcess(d_s),
         limit_report=report,
     )

@@ -297,13 +297,17 @@ class KYAtomRow:
 
 @dataclass
 class KYReport:
-    """Verdict of a KY check; ``ok`` needs every atom equal and no ``pair_problem``."""
+    """The rows of a KY check, its first unequal row and the pair's first broken invariant."""
 
-    ok: bool
     rows: List[KYAtomRow] = field(default_factory=list)
     n_stopping_times: int = 1
     first_failure: Optional[KYAtomRow] = None
     pair_problem: Optional[str] = None
+
+    @property
+    def ok(self) -> bool:
+        """Every atom is equal and the pair breaks no invariant."""
+        return self.first_failure is None and self.pair_problem is None
 
 
 def _describe(node: str, kill_time: Optional[int], target: Optional[str]) -> str:
@@ -406,15 +410,13 @@ def _check_atoms(
     atoms: Iterable[Tuple[str, str]],
 ) -> KYReport:
     """Compare survivor mass with P[s] * Z[s] at each (rho_id, stop node s)."""
-    rep = KYReport(True)
+    rep = KYReport()
     zv, path_prob = z.values, tree.path_prob
     for rho_id, s in atoms:
         zs = zv[s]
         row = KYAtomRow(rho_id, s, survivor_mass[s], path_prob[s] * zs if zs else zs)
-        if not row.equal:
-            rep.ok = False
-            if rep.first_failure is None:
-                rep.first_failure = row
+        if rep.first_failure is None and not row.equal:
+            rep.first_failure = row
         rep.rows.append(row)
     return rep
 
@@ -438,7 +440,6 @@ def verify_ky_all(
     rep = _check_atoms(tree, z, survivor_mass, atoms)
     rep.n_stopping_times = count_stopping_times(tree)
     rep.pair_problem = pair_problem(tree, pair)
-    rep.ok = rep.ok and rep.pair_problem is None
     return rep
 
 

@@ -47,7 +47,7 @@ def run_exp_decay(seed: int, n_paths: int, params: dict) -> ExperimentResult:
     exp(-t) at every time.
     """
     taus = exp_decay_kill_times(n_paths, seed)
-    res = ExperimentResult("exp_decay")
+    res = ExperimentResult()
     xs, ys = [], []
     for t in params["ts"]:
         ind = (taus > t).astype(float)
@@ -148,7 +148,7 @@ def run_reciprocal_bessel(seed: int, n_paths: int, params: dict) -> ExperimentRe
     """
     probe = sorted(params["ts"])
     steps = params["fp_steps"]
-    res = ExperimentResult("reciprocal_bessel")
+    res = ExperimentResult()
     vals = reciprocal_bessel_samples(probe, steps, n_paths, seed)
     analytic = 2.0 * normal.ndtr(1.0 / np.sqrt(probe)) - 1.0
     xs, ys = [], []
@@ -196,7 +196,7 @@ def run_uniform_rho(seed: int, n_paths: int, params: dict) -> ExperimentResult:
     5.7e-14, so their value is not exactly 1, and negative on 23, whose rho
     falls before the computed start.
     """
-    res = ExperimentResult("uniform_rho")
+    res = ExperimentResult()
     res.rows.append(_row(0.0, 0.0, 0.0, n_paths, family="pre_burn_at_rho"))
     res.rows.append(_row(0.0, 1.0, 0.0, n_paths, family="post_burn_at_rho"))
     res.report = {
@@ -236,7 +236,7 @@ def run_single_jump(seed: int, n_paths: int, params: dict) -> ExperimentResult:
     del values, sums  # free the chunk buffer before the statistics' temporaries
     mean, se = streams.mean_and_se(mid_vals)
     mom = streams.median_of_means(mid_vals)
-    res = ExperimentResult("single_jump")
+    res = ExperimentResult()
     # the median of means' scale is sqrt(pi/2) times the mean's standard error
     res.rows.append(_row(mid, mean, se, n_paths, median_of_means=mom, mom_se=math.sqrt(math.pi / 2.0) * se))
     res.series.append(("mean_path", times.tolist(), mean_path))
@@ -273,7 +273,7 @@ def run_suicide(seed: int, n_paths: int, params: dict) -> ExperimentResult:
     for _, values, sums in family.chunks(n_paths, seed):
         exact_paths += int(np.all((values == gvals)[:, plateau], axis=1).sum())
         start_exact &= bool(np.all(values[:, 0] == levels[0]))
-    res = ExperimentResult("suicide")
+    res = ExperimentResult()
     res.report = {
         "m": m,
         "plateau_points": int(plateau.sum()),
@@ -295,7 +295,7 @@ def run_fatou(seed: int, n_paths: int, params: dict) -> ExperimentResult:
     # piecewise-constant drift with dyadic drop times
     d = np.where(times < 0.25, 0.0, np.where(times < 0.5, -0.25, -0.5))
     mvals = np.ones_like(times)
-    res = ExperimentResult("fatou")
+    res = ExperimentResult()
     probe_err: Dict[float, List[float]] = {p: [] for p in probes}
     for m in m_list:
         cols = fatou.fatou_approx(grid, mvals, d, m).columns(n_paths, seed, probe_cols)
@@ -347,20 +347,20 @@ def exp_decay_family(k: int, m: int, level: float) -> Tuple[paths.PathFamily, fl
 
 def run_mass_redirect(seed: int, n_paths: int, params: dict) -> ExperimentResult:
     c = params["c"]
-    bound = (1.0 - c) / 2.0  # the guaranteed lower bound on every level's redirected mass
+    bound = families.redirect_bound(c)  # refuses c before any path is drawn
     fam, rho = exp_decay_family(k=params["k"], m=params["m"], level=params["level"])
     l_rho, l_term = fam.columns(n_paths, seed, [grids.grid_index(fam.times, rho), -1])
     wgrid = grids.GridSpec(t_max=float(fam.times[-1]), base_step=1 / 4, extra_points=(rho, rho + 1.0))
     w = paths.simulate_bm(wgrid)
     w_rho, w_after = w.columns(n_paths, seed + 1, [grids.grid_index(w.times, t) for t in (rho, rho + 1.0)])
-    res = ExperimentResult("mass_redirect")
-    results = families.mass_redirect(l_rho, l_term, w_rho, w_after, c, params["ls"])
+    res = ExperimentResult()
+    fired, results = families.mass_redirect(l_rho, l_term, w_rho, w_after, c, params["ls"])
     estimates = {}
     for l in params["ls"]:
         r = results[l]
         estimates[l] = (r.estimate, r.se)
         res.rows.append(
-            _row(rho, r.estimate, r.se, n_paths, l=l, bound=bound, fired=r.fired_fraction)
+            _row(rho, r.estimate, r.se, n_paths, l=l, bound=bound, fired=fired)
         )
     total = sum(e for e, _ in estimates.values())
     total_se = math.sqrt(sum(s * s for _, s in estimates.values()))
@@ -378,27 +378,17 @@ def run_mass_redirect(seed: int, n_paths: int, params: dict) -> ExperimentResult
 def run_split_limit(seed: int, n_paths: int, params: dict) -> ExperimentResult:
     n = params["n"]
     crossing_bound = 2.0**-n  # the maximal inequality's bound on the crossing frequency
-    res = ExperimentResult("split_limit")
-    for sign, r in families.split_limit_demo(n, n_paths, seed).items():
-        res.rows.append(
-            _row(
-                float(n),
-                r.own_mass,
-                r.own_se,
-                n_paths,
-                sign=sign,
-                raw_own_mass=r.raw_own_mass,
-                crossing_frequency=r.crossing_frequency,
-                crossing_bound=crossing_bound,
-            )
-        )
-        res.report[sign] = {
-            "own_mass": r.own_mass,
-            "own_se": r.own_se,
-            "raw_own_mass": r.raw_own_mass,
+    r = families.split_limit_demo(n, n_paths, seed)
+    res = ExperimentResult()
+    # the rows and the report repeat the shared values under each sign
+    for sign, raw_own_mass in r.raw_own_mass.items():
+        fields = {
+            "raw_own_mass": raw_own_mass,
             "crossing_frequency": r.crossing_frequency,
             "crossing_bound": crossing_bound,
         }
+        res.rows.append(_row(float(n), r.own_mass, r.own_se, n_paths, sign=sign, **fields))
+        res.report[sign] = {"own_mass": r.own_mass, "own_se": r.own_se, **fields}
     return res
 
 
@@ -431,7 +421,7 @@ def run_extended(seed: int, n_paths: int, params: dict) -> ExperimentResult:
         n_paths=n_paths,
         seed=seed,
     )
-    res = ExperimentResult("extended")
+    res = ExperimentResult()
     res.rows.append(_row(0.0, rep.mean_initial, rep.se_initial, n_paths, which="initial"))
     res.rows.append(
         _row(t_max, rep.mean_terminal, rep.se_terminal, n_paths, which="terminal")
@@ -453,7 +443,7 @@ def run_bm_check(seed: int, n_paths: int, params: dict) -> ExperimentResult:
     mean, se = streams.mean_and_se(w)
     var = float(np.var(w, ddof=1))
     var_se = var * math.sqrt(2.0 / (n_paths - 1))
-    res = ExperimentResult("bm_check")
+    res = ExperimentResult()
     res.rows.append(_row(t_max, mean, se, n_paths, which="mean"))
     res.rows.append(_row(t_max, var, var_se / 1.96, n_paths, which="variance"))
     res.report = {"mean": mean, "variance": var, "t": t_max}

@@ -93,7 +93,7 @@ def localized_suicide_family(
     drops = g.drops()
     for (r1, _), (r2, _) in zip(drops, drops[1:]):
         if r2 < r1 + length:
-            raise ValueError("burn-in windows overlap; lower m or thin the jumps")
+            raise ValueError("burn-in windows overlap; raise m or thin the jumps")
     windows = []
     fill_from = 0.0  # the level entering the next window applies from here on
     for rho, drop in drops:
@@ -134,6 +134,7 @@ def localized_suicide_family(
             v_frozen[new] = floor[new] + w.drop * e[new, first[new]]
             crossed[new] = True
             base = floor + w.drop * e[:, -1]
+            del e  # free this window's ladder block before the next one is built
         out[:, tail] = base[:, None]
         for r in np.nonzero(crossed)[0].tolist():
             out[r, np.searchsorted(times, t_frozen[r]) :] = v_frozen[r]
@@ -154,7 +155,11 @@ class ExtendedFamilyReport:
     se_initial: float
     mean_terminal: float
     se_terminal: float
-    core_constant: bool  # the 0/0 = 1 convention branch
+
+    @property
+    def core_constant(self) -> bool:
+        """The 0/0 = 1 convention branch: the normalizer vanishes."""
+        return self.normalizer == 0.0
 
 
 def extended_approx(
@@ -177,26 +182,40 @@ def extended_approx(
     vanishes the core is identically one (0/0 = 1 convention) and the member
     is the constant ``terminal``: no path is drawn.  The member is read at
     the first and last grid times only, streamed (:meth:`PathFamily.columns`).
+
+    Otherwise the member starts at Z_0 and ends at ``terminal`` only if the
+    family carries the cut out: the core must be cut after time 0, and the
+    cut's drop to 0 must finish its burn-in, 2^-m after its dyadic landing
+    time, by the last grid time.  Any other ``h`` is refused before a path
+    is drawn, naming ``h``, the end of that burn-in and the last grid time.
     """
     times = grid.points()
     z_arr = np.asarray(z_values, dtype=float)
     if z_arr.size != times.size:
         raise ValueError("Z path must be sampled on the grid")
     normalizer = float(z_arr[0] - terminal)
-    core_constant = normalizer == 0.0
-    if core_constant:
+    if normalizer == 0.0:
         ends = np.full((2, n_paths), terminal + 0.0)
     else:
         core = np.where(times < h, (z_arr - terminal) / normalizer, 0.0)
         if np.any(core < -1e-12) or np.any(np.diff(core) > 1e-12):
             raise ValueError("core path must be nonnegative and nonincreasing")
         g = simple_approx(times, np.maximum(core, 0.0), k)
+        t_max = float(times[-1])
+        cut_end = g.jump_times[-1] + 2.0**-m if h > 0 and g.levels[-1] == 0 else math.inf
+        if cut_end > t_max:
+            why = (
+                "the core is 0 from time 0 on" if h <= 0
+                else "the core is not cut by then" if g.levels[-1]
+                else f"its burn-in ends at {cut_end}"
+            )
+            raise ValueError(f"the cut at h={h} must fall after time 0 and burn in by t_max={t_max}: {why}")
         ends = suicide_martingale(g, m, grid).columns(n_paths, seed, [0, -1])
         ends *= normalizer
         ends += terminal
     mean0, se0 = mean_and_se(ends[0])
     meanT, seT = mean_and_se(ends[1])
-    return ExtendedFamilyReport(normalizer, mean0, se0, meanT, seT, core_constant)
+    return ExtendedFamilyReport(normalizer, mean0, se0, meanT, seT)
 
 
 # -- mass redirection (first-passage reweighting) -------------------------------
@@ -207,7 +226,13 @@ class MassRedirectResult:
     indicator: np.ndarray
     estimate: float  # E[L^(l)_inf 1_{B_l}]
     se: float
-    fired_fraction: float  # share of paths with the redirect stop at rho
+
+
+def redirect_bound(c: float) -> float:
+    """The lower bound (1-c)/2 on every level's redirected mass; refuses c outside [0, 1)."""
+    if not 0.0 <= c < 1.0:
+        raise ValueError(f"need 0 <= c < 1, got {c}")
+    return (1.0 - c) / 2.0
 
 
 def mass_redirect(
@@ -217,7 +242,7 @@ def mass_redirect(
     w_after: np.ndarray,
     c: float,
     ls: Sequence[int],
-) -> Dict[int, MassRedirectResult]:
+) -> Tuple[float, Dict[int, MassRedirectResult]]:
     """Redirect a family member's mass onto the window event B_l, for each level l in ``ls``.
 
     The redirect stop fires at the first passage time when the member still
@@ -225,14 +250,15 @@ def mass_redirect(
     B_l = {driver one unit of time after the passage lies in (l, l+1)} over
     its conditional probability given the passage data (Gaussian closed
     form).  The estimate of the redirected mass on B_l is bounded below by
-    (1-c)/2 up to sampling error, for every member of the family.
+    :func:`redirect_bound`, (1-c)/2, up to sampling error, for every member
+    of the family.
 
     Every level reweights the same paths, so the normal CDF is evaluated once
-    per distinct k among the levels and their successors, and the result maps
-    each level to its redirection.
+    per distinct k among the levels and their successors.  Returns the share
+    of paths whose redirect stop fires, which every level shares, and a map
+    from each level to its redirection.
     """
-    if not 0.0 <= c < 1.0:
-        raise ValueError(f"need 0 <= c < 1, got {c}")
+    redirect_bound(c)  # refuses c outside [0, 1)
     if not ls:
         raise ValueError("need at least one level")
     l_at_rho = np.asarray(l_at_rho, dtype=float)
@@ -252,13 +278,8 @@ def mass_redirect(
         safe = np.where(cond_prob > 0, cond_prob, 1.0)
         reweighted = np.where(fired, l_at_rho * indicator / safe, l_terminal)
         est, se = mean_and_se(reweighted * indicator)
-        results[l] = MassRedirectResult(
-            indicator=indicator,
-            estimate=est,
-            se=se,
-            fired_fraction=fired_fraction,
-        )
-    return results
+        results[l] = MassRedirectResult(indicator=indicator, estimate=est, se=se)
+    return fired_fraction, results
 
 
 # -- split-limit demo (sign-of-terminal reweighting) ----------------------------
@@ -266,14 +287,16 @@ def mass_redirect(
 
 @dataclass
 class SplitLimitResult:
-    terminal: np.ndarray  # L 1_{A_sign}: 0 off the own sign event
-    own_mass: float  # E[L 1_{A_sign}] ~ 1, time-n conditioning integrated out
+    """The values both signs share, then ``raw_own_mass`` and ``terminal`` keyed by sign ("+", "-")."""
+
+    own_mass: float  # E[L 1_{A_sign}] ~ 1 for either sign, time-n conditioning integrated out
     own_se: float
-    raw_own_mass: float  # plain average of L * 1_{A_sign}: heavy boundary layer
     crossing_frequency: float  # P[level 2^n reached] <= 2^-n
+    raw_own_mass: Dict[str, float]  # plain average of L * 1_{A_sign}: heavy boundary layer
+    terminal: Dict[str, np.ndarray]  # L 1_{A_sign}: 0 off the own sign event
 
 
-def split_limit_demo(n: int, n_paths: int, seed: int) -> Dict[str, SplitLimitResult]:
+def split_limit_demo(n: int, n_paths: int, seed: int) -> SplitLimitResult:
     """Family reweighted on the sign of an independent Gaussian terminal value.
 
     The driver integral has terminal variance 1/2 and residual variance
@@ -291,9 +314,10 @@ def split_limit_demo(n: int, n_paths: int, seed: int) -> Dict[str, SplitLimitRes
     (the indicator-over-probability weight has infinite variance), which is
     why the conditioned estimator is the quoted one.
 
-    Both signs reweight the same paths, so each path is drawn once and the
-    result maps "+" and "-" to their reweightings.  ``n`` is at most 372:
-    past that exp(-2n) underflows to 0.
+    Both signs reweight the same paths, so each path is drawn once; the
+    conditioned mass and the crossing frequency are the same for both, and
+    only the raw mass and the per-path values depend on the sign.  ``n`` is
+    at most 372: past that exp(-2n) underflows to 0.
     """
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
@@ -313,17 +337,11 @@ def split_limit_demo(n: int, n_paths: int, seed: int) -> Dict[str, SplitLimitRes
 
     g_n, g_inf, stopped, crossed = fill_paths(n_paths, 2 + LADDER.size, fill_block, 4, seed).T
     p_plus = ndtr(g_n / resid_std)
-    own_mass, own_se = mean_and_se(stopped)
-    results = {}
+    terminal = {}
     for sign, p_own, own_event in (("+", p_plus, g_inf > 0), ("-", 1.0 - p_plus, g_inf < 0)):
         # the weight 1/p_own applies only on the own event, and only where p_own > 0
-        terminal = np.zeros(n_paths)
-        np.divide(stopped, p_own, out=terminal, where=own_event & (p_own > 0))
-        results[sign] = SplitLimitResult(
-            terminal=terminal,
-            own_mass=own_mass,
-            own_se=own_se,
-            raw_own_mass=mean_and_se(terminal)[0],
-            crossing_frequency=float(np.mean(crossed)),
-        )
-    return results
+        terminal[sign] = np.zeros(n_paths)
+        np.divide(stopped, p_own, out=terminal[sign], where=own_event & (p_own > 0))
+    own_mass, own_se = mean_and_se(stopped)
+    raw_own_mass = {sign: mean_and_se(t)[0] for sign, t in terminal.items()}
+    return SplitLimitResult(own_mass, own_se, float(np.mean(crossed)), raw_own_mass, terminal)

@@ -53,10 +53,16 @@ path is drawn:
     and lies in none of its phase intervals.  A deeper scan cannot change
     ``in_S``, and its exact work grows with the square of the depth.
 
-Other range rules that the library below enforces (grid spans, window
-sizes, the upper bound on ``n``, ...) are left to it.  The written
-``manifest.json`` echoes ``params`` exactly as given, without the defaults,
-so a manifest replays itself.
+The other range rules are the library's own, and each of them too refuses a
+manifest before any path is drawn: the grid spans and window sizes, ``n``
+<= 372, ``single_jump``'s 0 <= ``a`` < 1, ``mass_redirect``'s 0 <= ``c``
+< 1, a ``level`` above the start and windows that do not overlap,
+``suicide``'s ``levels`` (one more than ``jumps``, nonincreasing,
+nonnegative) and positive increasing ``jumps``, and ``extended``'s ``h``:
+its cut must fall after time 0 and finish its 2^-m burn-in by ``t_max``,
+else the member would not start at Z_0 or end at its terminal value.  The
+written ``manifest.json`` echoes ``params`` exactly as given, without the
+defaults, so a manifest replays itself.
 """
 
 from __future__ import annotations
@@ -71,7 +77,6 @@ from ..trees import read_json, write_json
 
 @dataclass
 class ExperimentResult:
-    name: str
     rows: List[dict] = field(default_factory=list)  # t, estimate, ci_low, ci_high, n_eff
     series: List[Tuple[str, List[float], List[float]]] = field(default_factory=list)
     report: dict = field(default_factory=dict)
@@ -217,5 +222,6 @@ def write_plot_data(result: ExperimentResult, path: str) -> None:
                 fh.write(f"{name},{_fmt(float(x))},{_fmt(float(y))}\n")
 
 
-def write_report_json(result: ExperimentResult, path: str) -> None:
-    write_json(path, {"experiment": result.name, "report": result.report})
+def write_report_json(result: ExperimentResult, path: str, experiment: str) -> None:
+    """The report under the manifest's ``experiment`` name (``bench/tracer.py`` reads ``path`` second)."""
+    write_json(path, {"experiment": experiment, "report": result.report})

@@ -24,9 +24,8 @@ from .trees import frac
 
 @dataclass(frozen=True)
 class FiniteMeasurableSpace:
-    """Finitely many atoms, a partition into blocks, one rational mass per block."""
+    """Disjoint nonempty blocks of atoms, one rational mass per block; the atoms are their union."""
 
-    atoms: Tuple[str, ...]
     blocks: Tuple[FrozenSet[str], ...]
     mass: Tuple[Fraction, ...]
 
@@ -38,8 +37,6 @@ class FiniteMeasurableSpace:
             if seen & b:
                 raise ValueError(f"blocks overlap at {sorted(seen & b)}")
             seen |= b
-        if seen != set(self.atoms):
-            raise ValueError("blocks do not partition the atoms")
         if len(self.mass) != len(self.blocks):
             raise ValueError("need one mass per block")
         if any(m < 0 for m in self.mass):
@@ -49,9 +46,12 @@ class FiniteMeasurableSpace:
 
     @classmethod
     def build(cls, blocks: Sequence[Iterable[str]], mass) -> "FiniteMeasurableSpace":
-        bl = tuple(frozenset(map(str, b)) for b in blocks)
-        atoms = tuple(sorted(set().union(*bl)))
-        return cls(atoms, bl, tuple(frac(m) for m in mass))
+        return cls(tuple(frozenset(map(str, b)) for b in blocks), tuple(frac(m) for m in mass))
+
+    @property
+    def atoms(self) -> Tuple[str, ...]:
+        """The union of the blocks, sorted."""
+        return tuple(sorted(set().union(*self.blocks)))
 
     def measure(self, block_union: FrozenSet[str]) -> Fraction:
         """Mass of a union of blocks (must be measurable)."""
@@ -104,7 +104,7 @@ def bierlein_extend(space: FiniteMeasurableSpace, a: Iterable[str]) -> FiniteMea
         if inside != b:
             blocks.append(b - inside)
             mass.append(Fraction(0))
-    return FiniteMeasurableSpace(space.atoms, tuple(blocks), tuple(mass))
+    return FiniteMeasurableSpace(tuple(blocks), tuple(mass))
 
 
 # -- dyadic representative measures -------------------------------------------
@@ -125,7 +125,8 @@ def _representative(n: int, k: int) -> Fraction:
 
 @dataclass
 class DyadicLevel:
-    level: int
+    """One level n of the demo; ``DyadicDemoReport.levels`` lists n = 1, 2, ... in order."""
+
     agrees_on_level_algebra: bool
     representative_set_mass: Fraction
 
@@ -179,5 +180,5 @@ def dyadic_demo(n_max: int, weights: Sequence) -> DyadicDemoReport:
         span = 2 ** (n_max - n)  # level-n_max intervals in one level-n interval
         agrees = all(k < _representative(n, k) * 2**n <= k + 1 for k in range(2**n))
         masses = (sum(weights[k * span : (k + 1) * span], Fraction(0)) for k in range(2**n))
-        levels.append(DyadicLevel(n, agrees, sum(masses, Fraction(0))))
+        levels.append(DyadicLevel(agrees, sum(masses, Fraction(0))))
     return DyadicDemoReport(levels)

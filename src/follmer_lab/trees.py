@@ -608,10 +608,13 @@ def _one_step_sum(tree: FilteredTree, x, node: str) -> Tuple[int, int]:
 
 @dataclass(frozen=True)
 class SupermartingaleReport:
-    ok: bool
     is_martingale: bool
     first_violation_node: Optional[str] = None
     reason: Optional[str] = None
+
+    @property
+    def ok(self) -> bool:
+        return self.first_violation_node is None
 
 
 def is_supermartingale(tree: FilteredTree, z: AdaptedProcess) -> SupermartingaleReport:
@@ -678,14 +681,14 @@ def _one_step(
                 exceeded = n
     root = tree.root
     if negative is not None:
-        rep = SupermartingaleReport(False, False, negative, "negative value")
+        rep = SupermartingaleReport(False, negative, "negative value")
     elif vals[root].numerator != vals[root].denominator:
-        rep = SupermartingaleReport(False, False, root, f"initial value {z[root]} != 1")
+        rep = SupermartingaleReport(False, root, f"initial value {z[root]} != 1")
     elif exceeded is not None:
         reason = f"one-step mean {means[exceeded]} exceeds {z[exceeded]}"
-        rep = SupermartingaleReport(False, False, exceeded, reason)
+        rep = SupermartingaleReport(False, exceeded, reason)
     else:
-        rep = SupermartingaleReport(True, martingale)
+        rep = SupermartingaleReport(martingale)
     z._one_step[tree] = means, rep
     return means, rep
 

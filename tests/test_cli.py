@@ -590,6 +590,18 @@ def test_selftest_passes(capsys):
         ({"experiment": "single_jump", "params": {"refine_points": 0}}, "refine_points must be at least 1, got 0"),
         # a backbone numpy refuses to allocate
         ({"experiment": "bm_check", "params": {"t_max": 1e300}}, "t_max=1e+300 / base_step=0.03125"),
+        # the library's own range rules
+        ({"experiment": "single_jump", "params": {"a": 1.0}}, "need 0 <= a < 1, got 1.0"),
+        ({"experiment": "mass_redirect", "params": {"c": 1.0}}, "need 0 <= c < 1, got 1.0"),
+        ({"experiment": "mass_redirect", "params": {"level": 0.5}}, "level 0.5 must exceed the start 1.0"),
+        ({"experiment": "mass_redirect", "params": {"m": 1}}, "burn-in windows overlap"),
+        ({"experiment": "suicide", "params": {"levels": [1.0, 0.5, 0.75]}}, "levels must be nonincreasing"),
+        ({"experiment": "suicide", "params": {"jumps": [0.0, 2.0]}}, "jump times must be positive"),
+        ({"experiment": "suicide", "params": {"levels": [1.0, 0.5]}}, "need one more level than jump times"),
+        ({"experiment": "suicide", "params": {"levels": [1.0, 0.5, -0.25]}}, "levels must be nonnegative"),
+        ({"experiment": "split_limit", "params": {"n": 373}}, "need n <= 372, got 373"),
+        ({"experiment": "extended", "params": {"h": 0}}, "the cut at h=0.0 must fall after time 0"),
+        ({"experiment": "extended", "params": {"h": 1.4}}, "its burn-in ends at 1.515625"),
     ],
     ids=[
         "fatou-twin-probes", "exp_decay-ts-0", "exp_decay-ts-str", "bessel-ts-neg", "bessel-fp-0",
@@ -599,6 +611,9 @@ def test_selftest_passes(capsys):
         "single_jump-m-neg", "split_limit-n-2000", "mass_redirect-k-neg", "mass_redirect-k-1100",
         "extended-k-1100", "fatou-m_list-3000", "suicide-m-52", "fatou-scan_depth-0",
         "fatou-scan_depth-1075", "single_jump-refine_points-0", "bm_check-t_max-1e300",
+        "single_jump-a-1", "mass_redirect-c-1", "mass_redirect-level-0.5", "mass_redirect-m-1",
+        "suicide-levels-increasing", "suicide-jump-at-0", "suicide-levels-count", "suicide-level-negative",
+        "split_limit-n-373", "extended-h-0", "extended-h-1.4",
     ],
 )
 def test_bad_experiment_params_exit_2_without_traceback(tmp_path, fields, named):

@@ -73,7 +73,7 @@ def test_mass_redirect_bound_and_disjointness():
     w = simulate_bm(wgrid).batch(20000, 32)
     w_rho, w_after = (w[:, grid_index(wgrid.points(), t)] for t in (rho, rho + 1.0))
     c = 0.5
-    results = mass_redirect(l_rho, l_term, w_rho, w_after, c, (1, 2))
+    _, results = mass_redirect(l_rho, l_term, w_rho, w_after, c, (1, 2))
     assert sorted(results) == [1, 2]
     for r in results.values():
         assert r.estimate >= (1.0 - c) / 2.0 - 3 * r.se
@@ -94,11 +94,12 @@ def test_mass_redirect_levels_match_one_at_a_time():
     w = simulate_bm(wgrid).batch(600, 8)
     w_rho, w_after = (w[:, grid_index(wgrid.points(), t)] for t in (rho, rho + 1.0))
     args = (l_rho, l_term, w_rho, w_after, 0.5)
-    together = mass_redirect(*args, (3, 1, 2, 1))
+    fired, together = mass_redirect(*args, (3, 1, 2, 1))
     assert sorted(together) == [1, 2, 3]
     for l, r in together.items():
-        alone = mass_redirect(*args, [l])[l]
-        assert (r.estimate, r.se, r.fired_fraction) == (alone.estimate, alone.se, alone.fired_fraction)
+        fired_alone, by_level = mass_redirect(*args, [l])
+        alone = by_level[l]
+        assert (r.estimate, r.se, fired) == (alone.estimate, alone.se, fired_alone)
         assert np.array_equal(r.indicator, alone.indicator)
 
 
@@ -110,8 +111,9 @@ def test_mass_redirect_degenerate_always_fires():
     rng = np.random.default_rng(5)
     w_rho = rng.normal(0.0, 1.0, n)
     w_after = w_rho + rng.normal(0.0, 1.0, n)
-    r = mass_redirect(ones, ones * 0.0, w_rho, w_after, 0.0, [1])[1]
-    assert r.fired_fraction == 1.0
+    fired, results = mass_redirect(ones, ones * 0.0, w_rho, w_after, 0.0, [1])
+    r = results[1]
+    assert fired == 1.0
     assert abs(r.estimate - 1.0) <= 4 * r.se  # reweighting preserves the mass
 
 
@@ -123,17 +125,16 @@ def test_mass_redirect_validates_c():
 
 
 def test_split_limit_masses():
-    both = split_limit_demo(n=4, n_paths=30000, seed=55)
-    r_plus, r_minus = both["+"], both["-"]
-    assert abs(r_plus.own_mass - 1.0) <= 3 * r_plus.own_se
-    assert abs(r_minus.own_mass - 1.0) <= 3 * r_minus.own_se
+    r = split_limit_demo(n=4, n_paths=30000, seed=55)
+    # one conditioned estimate serves both signs
+    assert abs(r.own_mass - 1.0) <= 3 * r.own_se
     # raw average hides the boundary-layer mass; it must sit well below 1
-    assert r_plus.raw_own_mass < 0.8
+    assert r.raw_own_mass["+"] < 0.8
 
 
 def test_split_limit_crossing_frequency_bound():
     n = 4
-    r = split_limit_demo(n=n, n_paths=30000, seed=99)["+"]
+    r = split_limit_demo(n=n, n_paths=30000, seed=99)
     freq_se = math.sqrt(r.crossing_frequency * (1 - r.crossing_frequency) / 30000)
     assert r.crossing_frequency <= 2.0**-n + 5 * freq_se
 

@@ -1,13 +1,14 @@
 """Gallery experiments: closed-form laws and exact separation values."""
 
 import math
+import re
 
 import numpy as np
 import pytest
 from scipy.special import ndtr
 
 from follmer_lab.errors import FollmerLabError
-from follmer_lab.mc import experiments, gallery, streams
+from follmer_lab.mc import experiments, families, gallery, paths, streams
 from follmer_lab.mc.gallery import EXPERIMENTS, PARAMS, read_manifest, run_experiment, write_manifest
 
 
@@ -59,7 +60,7 @@ def test_gallery_spellings_are_the_experiments_objects():
 
 def test_gallery_names():
     res = run_experiment("exp_decay", seed=1, n_paths=2000, params=None)
-    assert res.name == "exp_decay"
+    assert res.report["law"] == "Q[tau > t] = exp(-t)"
     with pytest.raises(FollmerLabError):
         run_experiment("nope", seed=1, n_paths=2000, params=None)
 
@@ -133,3 +134,46 @@ def test_bad_params_are_refused_before_any_draw(monkeypatch, name, params):
     monkeypatch.setattr(streams, "uniform_words", no_draws)
     with pytest.raises(FollmerLabError):
         run_experiment(name, seed=1, n_paths=10, params=params)
+
+
+class _Drew(Exception):
+    """A path was drawn."""
+
+
+def _refuse_draws(monkeypatch):
+    """Make every binding of ``fill_paths`` raise :class:`_Drew`."""
+
+    def draw(*args, **kwargs):
+        raise _Drew
+
+    for module in (streams, paths, families):
+        monkeypatch.setattr(module, "fill_paths", draw)
+
+
+# every range rule of the library below the manifest contract that a manifest reaches
+LIBRARY_REFUSALS = {
+    "single_jump-a-1": ("single_jump", {"a": 1.0}, "need 0 <= a < 1, got 1.0"),
+    "mass_redirect-c-1": ("mass_redirect", {"c": 1.0}, "need 0 <= c < 1, got 1.0"),
+    "mass_redirect-level-0.5": ("mass_redirect", {"level": 0.5}, "localization level 0.5 must exceed the start 1.0"),
+    "mass_redirect-m-1": ("mass_redirect", {"m": 1}, "burn-in windows overlap"),
+    "suicide-levels-increasing": ("suicide", {"levels": [1.0, 0.5, 0.75]}, "levels must be nonincreasing"),
+    "suicide-jump-at-0": ("suicide", {"jumps": [0.0, 2.0]}, "jump times must be positive"),
+    "suicide-levels-count": ("suicide", {"levels": [1.0, 0.5]}, "need one more level than jump times"),
+    "suicide-level-negative": ("suicide", {"levels": [1.0, 0.5, -0.25]}, "levels must be nonnegative"),
+    "split_limit-n-373": ("split_limit", {"n": 373}, "need n <= 372, got 373"),
+    "extended-h-0": ("extended", {"h": 0}, "the cut at h=0.0 must fall after time 0 and burn in by t_max=1.5"),
+    "extended-h-1.4": (
+        "extended", {"h": 1.4}, "the cut at h=1.4 must fall after time 0 and burn in by t_max=1.5: its burn-in ends at 1.515625",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(LIBRARY_REFUSALS))
+def test_library_range_rules_refuse_before_the_first_draw(monkeypatch, case):
+    name, params, named = LIBRARY_REFUSALS[case]
+    _refuse_draws(monkeypatch)
+    with pytest.raises(ValueError, match=re.escape(named)):
+        run_experiment(name, seed=1, n_paths=10, params=params)
+    # the same experiment with its defaults gets as far as a draw
+    with pytest.raises(_Drew):
+        run_experiment(name, seed=1, n_paths=10, params=None)

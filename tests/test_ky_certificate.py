@@ -101,10 +101,17 @@ def leaves_under(tree, n):
     return [leaf for leaf in tree.leaves if tree.ancestor_at(leaf, tree.depth[n]) == n]
 
 
-def _smoothing_oracle(tree, z, sm):
-    """The limit report recomputed position by position over every finite stopping time."""
+def _smoothing_oracle(tree, z, i, sm):
+    """The limit report recomputed position by position over every finite stopping time.
+
+    The landing times of the qualifying drops come from ``doob_meyer``'s
+    drift, not from the smoothing itself.
+    """
     add = doob_meyer(tree, z)
-    sigmas = sm.jump_times
+    sigmas = {}
+    for leaf in tree.leaves:
+        d = [add.drift.value_on(tree, n) for n in tree.path_to(leaf)]
+        sigmas[leaf] = [t for t in range(1, len(d)) if d[t] - d[t - 1] <= -Fraction(1, i)]
 
     def announce(leaf, k):
         prev = sigmas[leaf][k - 1] if k > 0 else 0
@@ -142,7 +149,7 @@ def test_smoothing_report_equals_enumeration_oracle():
         for i in (1, 2, 4):
             sm = left_limit_smoothing(tree, z, i=i)
             rep = sm.limit_report
-            counts, mismatches = _smoothing_oracle(tree, z, sm)
+            counts, mismatches = _smoothing_oracle(tree, z, i, sm)
             assert {k: getattr(rep, k) for k in counts} == counts
             assert set(rep.mismatches) == mismatches
             assert len(rep.mismatches) == len(mismatches)

@@ -243,7 +243,7 @@ def oracle_kill_times(n_paths, seed):
 
 
 def _split_limit_terminals(results):
-    return np.column_stack([results[sign].terminal for sign in ("+", "-")])
+    return np.column_stack([results.terminal[sign] for sign in ("+", "-")])
 
 
 def _oracle_split_limit_terminals(n, n_paths, seed):
@@ -364,10 +364,10 @@ def test_exp_decay_case_rebuilds_the_family_grid():
 def test_split_limit_scalars_match_oracle():
     for seed in SEEDS:
         _, _, stopped, crossed = oracle_split_limit(4, C + 1, seed).T
-        results = split_limit_demo(4, C + 1, seed)
-        for r in results.values():
-            assert (r.own_mass, r.own_se) == mean_and_se(stopped)
-            assert r.crossing_frequency == float(np.mean(crossed))
+        r = split_limit_demo(4, C + 1, seed)
+        assert (r.own_mass, r.own_se) == mean_and_se(stopped)
+        assert r.crossing_frequency == float(np.mean(crossed))
+        assert r.raw_own_mass == {sign: mean_and_se(t)[0] for sign, t in r.terminal.items()}
 
 
 def test_fill_paths_bounds_block_draws():

@@ -246,3 +246,32 @@ def test_mean_and_se_squares_in_place():
     values = np.random.default_rng(3).standard_normal(32000)
     peak = traced_peak(mean_and_se, values)
     assert peak < 1.1 * values.nbytes, f"mean_and_se: peak {peak / values.nbytes:.2f}x its column"
+
+
+def test_localized_block_holds_one_ladder_block_at_a_time(monkeypatch):
+    # Beside its output, one localized_suicide_family fill_block call (the
+    # mass_redirect family) holds one window's ladder block at a time: one
+    # bridge_increment_values call, measured on its own on the largest
+    # window's normals, and less than half a ladder block of per-window
+    # arrays (the crossing mask, one byte a ladder value, and the
+    # temporaries of the window's inside columns).  The previous window's
+    # block kept alive while the next one is built breaks the bound: 568 KiB
+    # against 466 KiB now, bound 524 KiB.
+    calls = []
+
+    def recording(z, sigmas, _bridge=bridges.bridge_increment_values):
+        calls.append((z, sigmas))
+        return _bridge(z, sigmas)
+
+    params = gallery.PARAMS["mass_redirect"]
+    family, _ = experiments.exp_decay_family(params["k"], params["m"], params["level"])
+    rows, _ = block_sizes(family.n_draws)
+    draws = np.random.default_rng(0).standard_normal((rows, family.n_draws))
+    monkeypatch.setattr(families, "bridge_increment_values", recording)
+    out = family.fill_block(draws)  # first-call caches
+    monkeypatch.undo()
+    z, sigmas = max(calls, key=lambda call: call[1].size)
+    bridge = traced_peak(bridges.bridge_increment_values, z, sigmas)
+    peak = traced_peak(family.fill_block, draws)
+    bound = out.nbytes + bridge + 8 * rows * sigmas.size // 2 + SLACK
+    assert peak <= bound, f"peak {peak} bytes, bound {bound}"

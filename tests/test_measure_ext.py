@@ -194,9 +194,8 @@ def test_dyadic_demo_agrees_with_the_interval_scan():
         for weights in ([Fraction(1, 2**n_max)] * 2**n_max, *(_weights_with_zeros(rng, n_max) for _ in range(4))):
             all_reps = {r for n in range(1, n_max + 1) for r in reps(n)}
             rep = dyadic_demo(n_max, weights)
-            assert [lv.level for lv in rep.levels] == list(range(1, n_max + 1))
-            for lv in rep.levels:
-                n = lv.level
+            assert len(rep.levels) == n_max
+            for n, lv in enumerate(rep.levels, 1):
                 agrees = all(
                     level_measure_of_dyadic(weights, n, level, k) == interval_weight(weights, level, k)
                     for level in range(1, n + 1)

@@ -6,15 +6,18 @@ single -1/2 drop needs i >= 2 to trigger the smoothing.
 The golden digests pin every output field, value types included, on a
 seeded corpus; they were recorded from the implementation that also took
 an announce lag, restricted to lag 1 (an announcement one step before the
-jump), which is the announcement every smoothing now makes.  Three
-independent oracles check the outputs: the pair's sum along each path
-against a brute-force conditional expectation, the node-valued martingale
-part against its own one-step means, and the node-valued drift against
-the closed form (D moved one step early at each announcing node).
+jump), which is the announcement every smoothing now makes.  The
+smoothing no longer returns its martingale part as a node map, nor the
+landing times of the qualifying drops: the digests read the first off
+``martingale_path`` and compute the second from ``doob_meyer``'s drift
+(:func:`jump_times`), which gives the bytes the returned fields gave.
+Three independent oracles check the outputs: the pair's sum along each
+path against a brute-force conditional expectation, the martingale part
+against its own one-step means, and the node-valued drift against the
+closed form (D moved one step early at each announcing node).
 """
 
 import random
-from dataclasses import astuple
 from fractions import Fraction
 from hashlib import sha256
 
@@ -25,14 +28,30 @@ from follmer_lab.decompositions import doob_meyer, left_limit_smoothing
 from follmer_lab.trees import FilteredTree, AdaptedProcess, one_step_expectation
 
 
+def jump_times(tree, z, i):
+    """Per leaf, the times at which a drop of ``doob_meyer``'s drift of size <= -1/i lands."""
+    drift = doob_meyer(tree, z).drift
+    times = {}
+    for leaf in tree.leaves:
+        d = [drift.value_on(tree, n) for n in tree.path_to(leaf)]
+        times[leaf] = [t for t in range(1, len(d)) if d[t] - d[t - 1] <= -Fraction(1, i)]
+    return times
+
+
+def on_nodes(tree, along):
+    """The node map that per-leaf paths ``along[leaf][t]`` read."""
+    return AdaptedProcess(
+        {n: along[leaf][t] for leaf in tree.leaves for t, n in enumerate(tree.path_to(leaf))}
+    )
+
+
 def test_no_qualifying_jumps_is_identity():
     chain, z = unary_chain([1, 1, Fraction(1, 2)])
     add = doob_meyer(chain, z)
     sm = left_limit_smoothing(chain, z, i=1)  # threshold -1: no jumps
-    assert sm.jump_times == {"n2": []}
-    for n in chain.iter_nodes():
-        assert sm.martingale[n] == add.martingale[n]
-        t = chain.depth[n]
+    assert jump_times(chain, z, 1) == {"n2": []}
+    for t, n in enumerate(chain.path_to("n2")):
+        assert sm.martingale_path["n2"][t] == add.martingale[n]
         assert sm.drift_path["n2"][t] == add.drift.value_on(chain, n)
     assert sm.limit_report.ok
 
@@ -41,7 +60,7 @@ def test_halving_chain_hand_values():
     # Z = (1, 1, 1/2): drift (0, 0, -1/2); the -1/2 drop at t=2 qualifies at i=2
     chain, z = unary_chain([1, 1, Fraction(1, 2)])
     sm = left_limit_smoothing(chain, z, i=2)
-    assert sm.jump_times == {"n2": [2]}
+    assert jump_times(chain, z, 2) == {"n2": [2]}
     # hand evaluation of the two displayed sums with announce time 1:
     # smoothed martingale stays at 1; smoothed drift is -1/2 from time 1 on
     assert sm.martingale_path["n2"] == [1, 1, 1]
@@ -87,7 +106,8 @@ def test_consecutive_jumps_are_reported_stuck():
     # drops of -1/2 at t=1 and t=2: the second announce clamps onto the jump
     chain, z = unary_chain([1, Fraction(1, 2), Fraction(1, 8)])
     sm = left_limit_smoothing(chain, z, i=4)
-    assert sm.jump_times == {"n2": [1, 2]}
+    assert jump_times(chain, z, 4) == {"n2": [1, 2]}
+    assert sm.drift_path["n2"] == [0, Fraction(-1, 2), Fraction(-7, 8)]  # neither drop is announced
     assert sm.limit_report.stuck > 0
     assert sm.limit_report.ok  # stuck positions are excluded from the guarantee
 
@@ -141,17 +161,21 @@ def _folded(proc):
 def smoothing_digests():
     """One sha256 per output group; reprs keep Fraction, int and bool apart."""
     groups = {"paths": [], "folds": [], "report": []}
-    for _, _, i, sm in corpus_smoothings():
+    for tree, z, i, sm in corpus_smoothings():
         groups["paths"].append(
             (
                 i,
                 sorted(sm.martingale_path.items()),
                 sorted(sm.drift_path.items()),
-                sorted(sm.jump_times.items()),
+                sorted(jump_times(tree, z, i).items()),
             )
         )
-        groups["folds"].append((_folded(sm.martingale), _folded(sm.drift_adapted)))
-        groups["report"].append(astuple(sm.limit_report))
+        groups["folds"].append((_folded(on_nodes(tree, sm.martingale_path)), _folded(sm.drift_adapted)))
+        rep = sm.limit_report
+        # the fields in the order they were pinned in; ok and positions are now derived
+        groups["report"].append(
+            (rep.ok, rep.positions, rep.equal, rep.guaranteed, rep.guaranteed_equal, rep.stuck, rep.mismatches)
+        )
     return {k: sha256(repr(v).encode()).hexdigest() for k, v in groups.items()}
 
 
@@ -184,7 +208,6 @@ def test_smoothed_sum_is_the_windowed_conditional_expectation():
                 t for t in range(1, tree.horizon + 1)
                 if d[t] - d[t - 1] <= -Fraction(1, i)
             ]
-        assert sm.jump_times == sigmas
 
         def at_kth_jump(leaf, k):
             return z[tree.ancestor_at(leaf, sigmas[leaf][k])] if k < len(sigmas[leaf]) else 0
@@ -212,9 +235,10 @@ def test_smoothed_sum_is_the_windowed_conditional_expectation():
 
 def test_fold_is_a_martingale():
     for tree, _, _, sm in corpus_smoothings(n_trees=60):
+        m = on_nodes(tree, sm.martingale_path)
         for n in tree.iter_nodes():
             if tree.children[n]:
-                assert one_step_expectation(tree, sm.martingale, n) == sm.martingale[n]
+                assert one_step_expectation(tree, m, n) == m[n]
 
 
 def test_closed_form_moves_only_announced_drops():
@@ -224,7 +248,7 @@ def test_closed_form_moves_only_announced_drops():
     announced = 0
     for tree, z, i, sm in corpus_smoothings(n_trees=60):
         add = doob_meyer(tree, z)
-        assert sm.martingale == add.martingale
+        assert on_nodes(tree, sm.martingale_path) == add.martingale
         threshold = -Fraction(1, i)
         announcing = set()
         for n in tree.iter_nodes():

@@ -44,11 +44,13 @@ def bridge_increment_values(z: np.ndarray, sigmas: np.ndarray) -> np.ndarray:
 
     ``z`` holds one standard normal per clock time in its last axis (one row
     per path); B is their cumulative sum scaled by the clock increments.
-    Every step after the scaling works in place, so beside ``z`` the call
-    holds one array of its shape.
+    Every step after the copy of ``z`` works in place, so beside ``z`` the
+    call holds one array of its shape, even when ``z`` is a column slice of
+    a wider block, which a product into a new array would buffer in full.
     """
     d = np.diff(np.concatenate(([0.0], sigmas)))
-    b = z * np.sqrt(d)
+    b = np.array(z)
+    b *= np.sqrt(d)
     np.cumsum(b, axis=-1, out=b)
     b -= sigmas / 2.0
     return np.exp(b, out=b)

@@ -288,6 +288,10 @@ def run_suicide(seed: int, n_paths: int, params: dict) -> ExperimentResult:
 
 def run_fatou(seed: int, n_paths: int, params: dict) -> ExperimentResult:
     m_list, probes, scan_depth = params["m_list"], params["probes"], params["scan_depth"]
+    for i, p in enumerate(probes):
+        # a repeated probe would file its errors twice under one key
+        if p in probes[:i]:
+            raise ValueError(f"probe {p} is repeated: each probe must be given once")
     grid = grids.GridSpec(t_max=params["t_max"], base_step=params["base_step"], extra_points=probes)
     times = grid.points()
     # each probe must be exactly one grid time

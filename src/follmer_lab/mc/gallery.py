@@ -58,9 +58,11 @@ manifest before any path is drawn: the grid spans and window sizes, ``n``
 <= 372, ``single_jump``'s 0 <= ``a`` < 1, ``mass_redirect``'s 0 <= ``c``
 < 1, a ``level`` above the start and windows that do not overlap,
 ``suicide``'s ``levels`` (one more than ``jumps``, nonincreasing,
-nonnegative) and positive increasing ``jumps``, and ``extended``'s ``h``:
+nonnegative) and positive increasing ``jumps``, ``extended``'s ``h``:
 its cut must fall after time 0 and finish its 2^-m burn-in by ``t_max``,
-else the member would not start at Z_0 or end at its terminal value.  The
+else the member would not start at Z_0 or end at its terminal value, and
+``fatou``'s ``probes``, each given once, as the report files a probe's
+errors under its time.  The
 written ``manifest.json`` echoes ``params`` exactly as given, without the
 defaults, so a manifest replays itself.
 """

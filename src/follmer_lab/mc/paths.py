@@ -2,14 +2,15 @@
 
 A builder does the path-independent set-up of a family once, such as its grid
 times, burn-in windows or phase schedule, and returns a :class:`PathFamily`.
-The experiments read a family in one of two ways.  :meth:`PathFamily.chunks`
-streams it chunk by chunk with per-time sums, for the runners that report
-mean paths and exactness flags; it is the only read that sums.
-:meth:`PathFamily.columns` keeps the few grid columns a runner reports,
-straight from :func:`~follmer_lab.mc.streams.fill_paths`' blocks, and holds
-no chunk.  Path i reads stream (seed, i) alone, so a chunk's rows, and the
-kept columns, are those of the whole batch (:meth:`PathFamily.batch`, the
-tests' reference).
+Every read of a family is a loop over the blocks of
+:func:`~follmer_lab.mc.streams.draw_blocks`, the one block policy, so no
+read holds more than one block's draws and values beside what it returns.
+:meth:`PathFamily.chunks` adds each block to per-time sums, for the runners
+that report mean paths and exactness flags; it is the only read that sums.
+:meth:`PathFamily.columns` keeps the few grid columns a runner reports.
+Path i reads stream (seed, i) alone, so a block's rows, and the kept
+columns, are those of the whole batch (:meth:`PathFamily.batch`, the tests'
+reference).
 """
 
 from __future__ import annotations
@@ -20,12 +21,7 @@ from typing import Callable, Iterator, Sequence, Tuple
 import numpy as np
 
 from .grids import GridSpec
-from .streams import CHUNK_DRAWS, fill_paths
-
-# Path values per chunk of ``PathFamily.chunks``, a quarter of a draws block:
-# a chunk adds at most 512 KiB to a read, in chunks still large enough that
-# the per-chunk work does not show beside the draws.
-CHUNK_VALUES = CHUNK_DRAWS // 4
+from .streams import draw_blocks, fill_paths
 
 
 @dataclass(frozen=True)
@@ -34,13 +30,14 @@ class PathFamily:
 
     Each path reads ``n_draws`` standard normals from its own stream, and
     ``fill_block`` maps a block of them, one row per path, to the paths'
-    values at ``times`` (:func:`~follmer_lab.mc.streams.fill_paths`).
-    There are three ways to read it: stream it chunk by chunk with per-time
-    sums (:meth:`chunks`), which holds one chunk buffer beside the draws;
-    keep a few of its columns (:meth:`columns`), which holds only the
-    draws and one block's values beside the kept rows; or draw the whole
-    ``(n_paths, n_times)`` matrix at once (:meth:`batch`), which only the
-    tests do, as the reference for the other two.
+    values at ``times``.  Each read loops over the blocks of
+    :func:`~follmer_lab.mc.streams.draw_blocks`, of at most
+    ``CHUNK_VALUES`` values: add them to per-time sums (:meth:`chunks`),
+    which holds one block buffer beside the draws; keep a few of their
+    columns (:meth:`columns`), which holds the draws and one block's values
+    beside the kept rows; or draw the whole ``(n_paths, n_times)`` matrix
+    (:meth:`batch`), which only the tests do, as the reference for the
+    other two.
     """
 
     times: np.ndarray
@@ -49,56 +46,49 @@ class PathFamily:
 
     def batch(self, n_paths: int, seed: int) -> np.ndarray:
         """The values of paths [0, n_paths) of stream ``seed``, one row a path, all at once."""
-        if n_paths < 1:
-            raise ValueError(f"need n_paths >= 1, got {n_paths}")
         return fill_paths(n_paths, self.n_draws, self.fill_block, self.times.size, seed)
 
     def chunks(self, n_paths: int, seed: int) -> Iterator[Tuple[int, np.ndarray, np.ndarray]]:
-        """Paths [0, n_paths) of stream ``seed``, chunk by chunk, with running per-time sums.
+        """Paths [0, n_paths) of stream ``seed``, block by block, with running per-time sums.
 
         Yields ``(first, values, sums)``: ``values`` holds paths
-        [first, first + len(values)), at most ``CHUNK_VALUES`` values or one
-        row, and ``sums`` the per-time sums of paths [0, first + len(values)).
-        Both are views of one buffer, allocated once and refilled, as a fresh
-        array per chunk would pay its first-touch page faults on every chunk:
-        read what is kept of a chunk before asking for the next.
+        [first, first + len(values)), one block of
+        :func:`~follmer_lab.mc.streams.draw_blocks`, and ``sums`` the
+        per-time sums of paths [0, first + len(values)).  Both are views of
+        one buffer, allocated for the first block and refilled, as a fresh
+        array per block would pay its first-touch page faults on every
+        block: read what is kept of a block before asking for the next.
 
-        The sums sit in the buffer's row 0, just above the chunk, so adding a
-        chunk is one axis-0 sum of that row and the chunk's rows in order:
+        The sums sit in the buffer's row 0, just above the block, so adding
+        a block is one axis-0 sum of that row and the block's rows in order:
         the sequential row sum that one axis-0 sum of the whole batch
         computes, bit for bit.  That holds for two or more columns only, as
         numpy sums a single column pairwise, so one column is refused.
         """
-        if n_paths < 1:
-            raise ValueError(f"need n_paths >= 1, got {n_paths}")
         n_times = self.times.size
         if n_times < 2:
             raise ValueError(f"need n_times >= 2 for row-order sums, got {n_times}")
-        rows = max(1, CHUNK_VALUES // n_times)
-        buf = np.empty((min(rows, n_paths) + 1, n_times))
-        for first in range(0, n_paths, rows):
-            values = buf[1 : 1 + min(rows, n_paths - first)]
-            fill_paths(len(values), self.n_draws, self.fill_block, n_times, seed, first=first, out=values)
-            # the first chunk's sum starts as numpy starts it, without row 0
+        for first, draws in draw_blocks(n_paths, self.n_draws, n_times, seed):
+            if not first:  # the first block is the largest
+                buf = np.empty((len(draws) + 1, n_times))
+            values = buf[1 : 1 + len(draws)]
+            values[...] = self.fill_block(draws)
+            # the first block's sum starts as numpy starts it, without row 0
             np.add.reduce(buf[int(first == 0) : 1 + len(values)], axis=0, out=buf[0])
             yield first, values, buf[0]
 
     def columns(self, n_paths: int, seed: int, idx: Sequence[int]) -> np.ndarray:
         """The values of paths [0, n_paths) of stream ``seed`` at grid indices ``idx``, one row each.
 
-        Drawn by one :func:`~follmer_lab.mc.streams.fill_paths` call whose
-        ``fill_block`` keeps only the ``idx`` columns of each block, so beside
-        the returned rows only the call's draws buffer and one block's values
-        are held, and no per-time sum is computed.
+        Keeps the ``idx`` columns of each block of
+        :func:`~follmer_lab.mc.streams.draw_blocks`, so beside the returned
+        rows only the draws buffer and one block's values are held, and no
+        per-time sum is computed.
         """
-        if n_paths < 1:
-            raise ValueError(f"need n_paths >= 1, got {n_paths}")
-
-        def fill_block(z: np.ndarray) -> np.ndarray:
-            return self.fill_block(z)[:, idx]
-
-        out = np.empty((len(idx), n_paths))
-        fill_paths(n_paths, self.n_draws, fill_block, len(idx), seed, out=out.T)
+        for first, draws in draw_blocks(n_paths, self.n_draws, self.times.size, seed):
+            if not first:  # allocated once draw_blocks has accepted n_paths
+                out = np.empty((len(idx), n_paths))
+            out[:, first : first + len(draws)] = self.fill_block(draws)[:, idx].T
         return out
 
 

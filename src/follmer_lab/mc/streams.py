@@ -3,19 +3,24 @@
 Each path draws from its own stream, keyed by (master seed, path index), so
 replaying any (seed, index) pair reproduces the path bit-exactly, and any
 range of paths [first, first + count) is the same whether it is built alone
-or as part of a larger batch.  :func:`fill_paths` draws each path's variates
-in one call into a draws buffer, one per call and refilled span by span,
-and hands blocks of paths to array code, so families do their path
-arithmetic on whole blocks while every row still reads only its own stream.
+or as part of a larger batch.  :func:`draw_blocks` is the one loop over
+paths and the one block policy: it draws each path's variates in one call
+into a draws buffer, one per generator and refilled span by span, and
+yields them in blocks whose draws and values are bounded whatever the path
+count and the grid.  Every Monte-Carlo read is a loop over it:
+:func:`fill_paths` maps each block to its rows of one output array, and
+:class:`~follmer_lab.mc.paths.PathFamily` keeps a few columns or per-time
+sums of each block.  So families do their path arithmetic on whole blocks
+while every row still reads only its own stream.
 
 Stream v1, which every manifest replays under: stream (seed, i) is numpy's
 Philox4x64-10 bit generator with key (seed mod 2^64, i), counter 0 and an
 empty buffer (:func:`stream_state`), read through an ``np.random.Generator``.
 
 - Normals are the generator's ``standard_normal``, numpy's ziggurat, whose
-  tables exist only in compiled code.  :func:`fill_paths` therefore still
+  tables exist only in compiled code.  :func:`draw_blocks` therefore still
   draws them path by path, on one private generator and one keyed state per
-  call, re-keyed to each path's index before its draws.
+  generator, re-keyed to each path's index before its draws.
 - Uniform j is the generator's ``random()``, ``(w_j >> 11) * 2^-53``, where
   the word w_j is word ``j mod 4`` of Philox4x64-10 applied to the counter
   ``(j // 4 + 1, 0, 0, 0)`` under the key.  :func:`uniform_words` computes
@@ -30,18 +35,22 @@ empty buffer (:func:`stream_state`), read through an ``np.random.Generator``.
 from __future__ import annotations
 
 import math
-from typing import Callable
+from typing import Callable, Iterator, Tuple
 
 import numpy as np
 
 MOM_BLOCKS = 32
-# Paths per block handed to ``fill_block``, and the most variates one block
-# may hold: together they bound the memory of a block whatever the path count.
-# ``paths.CHUNK_VALUES``, the path values of a chunk, is a quarter of CHUNK_DRAWS.
+# Paths per block of ``draw_blocks``, the most variates one block may hold,
+# and the most path values a reader maps one block to: together they bound
+# the memory of a block whatever the path count and the grid.  The values
+# bound, a quarter of CHUNK_DRAWS, adds at most 512 KiB to a read, in blocks
+# still large enough that the per-block work does not show beside the draws.
 CHUNK_PATHS = 256
 CHUNK_DRAWS = 1 << 18
-# Variates drawn at once, across blocks: uniform words are array code whose
-# per-call overhead dominates below a few thousand words.
+CHUNK_VALUES = CHUNK_DRAWS // 4
+# Uniforms drawn at once, across blocks: uniform words are array code whose
+# per-call overhead dominates below a few thousand words.  Normals are drawn
+# path by path anyway, so their span is one block.
 SPAN_DRAWS = 1 << 12
 
 _MASK64 = (1 << 64) - 1
@@ -110,6 +119,69 @@ def uniform_words(seed: int, indices: np.ndarray, n_words: int) -> np.ndarray:
     return words[:, :n_words]
 
 
+def draw_blocks(
+    n_paths: int, n_draws: int, n_cols: int, seed: int, uniform: bool = False
+) -> Iterator[Tuple[int, np.ndarray]]:
+    """The variates of paths [0, n_paths), block by block: the one loop over paths.
+
+    Yields ``(first, draws)``: row r of ``draws`` is path first + r, which
+    draws its first ``n_draws`` variates from the stream keyed by
+    (seed, first + r) in one call, standard normals or, when ``uniform``,
+    uniforms on [0, 1).  Draws from one stream concatenate (n variates in
+    one call equal the same n drawn in pieces), so a family may cut a row
+    into consecutive pieces, one per window, phase or step, exactly as if
+    each piece had been drawn in turn; a path that stops early leaves the
+    tail of its row unused.  The blocks cover the paths in order, and every
+    block but the last has the same number of rows, at most ``CHUNK_PATHS``,
+    ``CHUNK_DRAWS`` variates and, for a reader that maps a row to ``n_cols``
+    values, ``CHUNK_VALUES`` values, but at least one row.  So a block's rows
+    depend on (seed, path index) alone: those of any range of paths equal
+    the rows :func:`path_generator` draws for it.
+
+    The variates are drawn span by span, uniforms a few blocks at a time and
+    normals one block, into one draws buffer allocated once per generator;
+    ``draws`` is a view of it, refilled for the next span, so read a block
+    before asking for the next.  Beside that buffer a generator holds one
+    span's Philox words while it draws uniforms.  This is the one place
+    where path streams are read: normals from one keyed state per generator
+    (:func:`stream_state`), whose key is set to (seed mod 2^64, i) before
+    path i draws, and uniforms from :func:`uniform_words`.  With
+    ``n_draws == 0`` the rows are empty and no stream is read.
+    ``n_paths < 1`` is refused before the first block.
+    """
+    if n_paths < 1:
+        raise ValueError(f"need n_paths >= 1, got {n_paths}")
+    per_row = max(n_draws, 1)
+    rows = max(1, min(CHUNK_PATHS, CHUNK_DRAWS // per_row, CHUNK_VALUES // n_cols))
+    span = rows * max(1, SPAN_DRAWS // (rows * per_row)) if uniform else rows
+    if n_draws and not uniform:
+        # the state and generator belong to this generator, since a reader
+        # may draw other paths between two blocks; only the key's path
+        # index changes per path
+        state = stream_state(seed, 0)
+        philox = state["state"]
+        key0 = philox["key"][0]
+        rng = _unkeyed_generator()
+        bitgen, normal = rng.bit_generator, rng.standard_normal
+    # one draws buffer, refilled span by span: a fresh block per span would
+    # be allocated while the previous one is still alive
+    buf = np.empty((min(span, n_paths), n_draws), dtype=np.float64)
+    for lo in range(0, n_paths, span):
+        hi = min(lo + span, n_paths)
+        draws = buf[: hi - lo]
+        if n_draws and uniform:
+            words = uniform_words(seed, np.arange(lo, hi, dtype=np.uint64), n_draws)
+            words >>= np.uint64(11)
+            np.multiply(words, 2.0**-53, out=draws)
+        elif n_draws:
+            for i, row in zip(range(lo, hi), draws):
+                philox["key"] = (key0, i)
+                bitgen.state = state
+                normal(out=row)
+        for a in range(lo, hi, rows):
+            yield a, draws[a - lo : a - lo + rows]
+
+
 def fill_paths(
     n_paths: int,
     n_draws: int,
@@ -117,67 +189,21 @@ def fill_paths(
     n_cols: int,
     seed: int,
     uniform: bool = False,
-    first: int = 0,
-    out: np.ndarray | None = None,
 ) -> np.ndarray:
-    """Draw the variates of paths [first, first + n_paths) in blocks and map them to rows.
+    """The rows of paths [0, n_paths), each mapped from its variates by ``fill_block``.
 
-    Row i is path first + i, which draws its first ``n_draws`` variates from
-    the stream keyed by (seed, first + i) in one call: standard normals, or
-    uniforms on [0, 1) when ``uniform``.  Draws from one stream concatenate
-    (n variates in one call equal the same n drawn in pieces), so a family
-    may cut a row into consecutive pieces, one per window, phase or step,
-    exactly as if each piece had been drawn in turn; a path that stops early
-    leaves the tail of its row unused.  Consecutive paths are stacked into
-    blocks of at most ``CHUNK_PATHS`` rows (fewer when a row holds more than
-    ``CHUNK_DRAWS // CHUNK_PATHS`` variates, but at least one), and
-    ``fill_block(draws)`` maps a ``(rows, n_draws)`` block to the
-    ``(rows, n_cols)`` output of those paths.  ``fill_block`` must treat rows
-    independently; then path i depends on (seed, i) alone, so the rows of
-    any range of paths equal those rows of the whole batch, the range that
-    starts at 0 (the prefix property is the case ``first == 0``).  The rows
-    go to ``out`` when given, a ``(n_paths, n_cols)`` float array, else to a
-    new array; either is returned.  The variates are drawn span by span, a
-    few blocks at a time, into one draws buffer allocated once per call, of
-    at most ``max(CHUNK_DRAWS, n_draws)`` floats; ``draws`` is a view of it,
-    refilled for the next span, so ``fill_block`` must not keep it.  Beside
-    ``out`` a call thus holds that buffer, one span's Philox words while it
-    draws uniforms, and one ``fill_block`` call at a time.  This is the one
-    place where path streams are read: normals from one keyed state per call
-    (:func:`stream_state`), whose key is set to (seed mod 2^64, i) before
-    path i draws, and uniforms from :func:`uniform_words`.  With
-    ``n_draws == 0`` the rows are empty and no stream is read.
+    A loop over :func:`draw_blocks`: ``fill_block(draws)`` maps each
+    ``(rows, n_draws)`` block to the ``(rows, n_cols)`` output of those
+    paths, and row i of the returned ``(n_paths, n_cols)`` array is path i.
+    ``fill_block`` must treat rows independently and must not keep
+    ``draws``; then row i depends on (seed, i) alone, so the first k rows of
+    an n-path call equal a k-path call.  Beside its output a call holds the
+    generator's draws buffer and one ``fill_block`` call at a time.
     """
-    if out is None:
-        out = np.empty((n_paths, n_cols), dtype=np.float64)
-    per_row = max(n_draws, 1)
-    rows = max(1, min(CHUNK_PATHS, CHUNK_DRAWS // per_row))
-    span = rows * max(1, SPAN_DRAWS // (rows * per_row))
-    if n_draws and not uniform:
-        # the state and generator belong to this call, since fill_block may
-        # call fill_paths itself; only the key's path index changes per path
-        state = stream_state(seed, 0)
-        philox = state["state"]
-        key0 = philox["key"][0]
-        rng = _unkeyed_generator()
-        bitgen, normal = rng.bit_generator, rng.standard_normal
-    # one draws buffer per call, refilled span by span: a fresh block per
-    # span would be allocated while the previous one is still alive
-    buf = np.empty((min(span, n_paths), n_draws), dtype=np.float64)
-    for lo in range(0, n_paths, span):
-        hi = min(lo + span, n_paths)
-        draws = buf[: hi - lo]
-        if n_draws and uniform:
-            words = uniform_words(seed, np.arange(first + lo, first + hi, dtype=np.uint64), n_draws)
-            words >>= np.uint64(11)
-            np.multiply(words, 2.0**-53, out=draws)
-        elif n_draws:
-            for i, row in zip(range(first + lo, first + hi), draws):
-                philox["key"] = (key0, i)
-                bitgen.state = state
-                normal(out=row)
-        for a in range(lo, hi, rows):
-            out[a : a + rows] = fill_block(draws[a - lo : a - lo + rows])
+    for first, draws in draw_blocks(n_paths, n_draws, n_cols, seed, uniform):
+        if not first:  # allocated once draw_blocks has accepted n_paths
+            out = np.empty((n_paths, n_cols), dtype=np.float64)
+        out[first : first + len(draws)] = fill_block(draws)
     return out
 
 

@@ -176,15 +176,18 @@ def _frac_strs(values: Dict[str, Fraction]) -> Dict[str, str]:
 def read_json(path: str):
     """The JSON value in the file at ``path``.
 
-    A value nested too deeply for the parser is refused as a
-    :class:`FollmerLabError` naming the file, not left as a
-    ``RecursionError`` that would pass for a program fault.
+    A file that is not UTF-8 or not JSON, and a value nested too deeply for
+    the parser, are refused as a :class:`FollmerLabError` that names the
+    file, so a command reading two files says which one is at fault; a
+    ``RecursionError`` would also pass for a program fault.
     """
     with open(path, "r", encoding="utf-8") as fh:
         try:
             return json.load(fh)
         except RecursionError:
             raise FollmerLabError(f"{path}: JSON nested too deeply to read") from None
+        except ValueError as exc:  # a syntax error, or bytes that are not UTF-8
+            raise FollmerLabError(f"{path}: {exc}") from None
 
 
 def write_json(path: str, obj) -> None:

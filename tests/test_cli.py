@@ -533,6 +533,27 @@ def test_deeply_nested_json_exits_2_without_traceback(tmp_path, argv, text):
     assert proc.stderr == "error: deep.json: JSON nested too deeply to read\n"
 
 
+@pytest.mark.parametrize(
+    "data, reason",
+    [
+        (b'{"outcomes": [1,}', "Expecting value: line 1 column 17 (char 16)"),
+        (b"\xff\xfe{}", "'utf-8' codec can't decode byte 0xff in position 0: invalid start byte"),
+    ],
+    ids=["syntax", "encoding"],
+)
+@pytest.mark.parametrize(
+    "argv", [["decompose", "bad.json"], ["verify", "tree.json", "bad.json"], ["mc", "bad.json"]],
+    ids=["tree", "pair", "manifest"],
+)
+def test_unreadable_json_names_its_file(tmp_path, argv, data, reason):
+    tree, z = binary_example()
+    tree.to_json(str(tmp_path / "tree.json"), z)
+    (tmp_path / "bad.json").write_bytes(data)
+    proc = _run_cli(argv + ["--out", "out"], tmp_path)
+    assert proc.returncode == 2
+    assert proc.stderr == f"error: bad.json: {reason}\n"
+
+
 def test_single_jump_off_grid_mid_time_exits_2_without_traceback(tmp_path):
     manifest = {"experiment": "single_jump", "seed": 1, "n_paths": 10, "params": {"m": 40}}
     (tmp_path / "manifest.json").write_text(json.dumps(manifest))
@@ -602,6 +623,10 @@ def test_selftest_passes(capsys):
         ({"experiment": "split_limit", "params": {"n": 373}}, "need n <= 372, got 373"),
         ({"experiment": "extended", "params": {"h": 0}}, "the cut at h=0.0 must fall after time 0"),
         ({"experiment": "extended", "params": {"h": 1.4}}, "its burn-in ends at 1.515625"),
+        (
+            {"experiment": "fatou", "params": {"probes": [0.375, 0.375], "m_list": [1, 2, 3, 4]}},
+            "probe 0.375 is repeated",
+        ),
     ],
     ids=[
         "fatou-twin-probes", "exp_decay-ts-0", "exp_decay-ts-str", "bessel-ts-neg", "bessel-fp-0",
@@ -613,7 +638,7 @@ def test_selftest_passes(capsys):
         "fatou-scan_depth-1075", "single_jump-refine_points-0", "bm_check-t_max-1e300",
         "single_jump-a-1", "mass_redirect-c-1", "mass_redirect-level-0.5", "mass_redirect-m-1",
         "suicide-levels-increasing", "suicide-jump-at-0", "suicide-levels-count", "suicide-level-negative",
-        "split_limit-n-373", "extended-h-0", "extended-h-1.4",
+        "split_limit-n-373", "extended-h-0", "extended-h-1.4", "fatou-probe-repeated",
     ],
 )
 def test_bad_experiment_params_exit_2_without_traceback(tmp_path, fields, named):

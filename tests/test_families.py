@@ -196,7 +196,7 @@ def test_extended_constant_terminal_conserves_expectation():
 
 def test_extended_zero_over_zero_convention(monkeypatch):
     filled = []
-    monkeypatch.setattr(paths, "fill_paths", lambda *args, **kwargs: filled.append(args))
+    monkeypatch.setattr(paths, "draw_blocks", lambda *args, **kwargs: filled.append(args))
     grid = GridSpec(t_max=1.0, base_step=1 / 8)
     times = grid.points()
     rep = extended_approx(

@@ -8,7 +8,7 @@ import pytest
 from scipy.special import ndtr
 
 from follmer_lab.errors import FollmerLabError
-from follmer_lab.mc import experiments, families, gallery, paths, streams
+from follmer_lab.mc import experiments, gallery, paths, streams
 from follmer_lab.mc.gallery import EXPERIMENTS, PARAMS, read_manifest, run_experiment, write_manifest
 
 
@@ -141,13 +141,13 @@ class _Drew(Exception):
 
 
 def _refuse_draws(monkeypatch):
-    """Make every binding of ``fill_paths`` raise :class:`_Drew`."""
+    """Make every binding of ``draw_blocks``, which every read of paths loops over, raise :class:`_Drew`."""
 
     def draw(*args, **kwargs):
         raise _Drew
 
-    for module in (streams, paths, families):
-        monkeypatch.setattr(module, "fill_paths", draw)
+    for module in (streams, paths):
+        monkeypatch.setattr(module, "draw_blocks", draw)
 
 
 # every range rule of the library below the manifest contract that a manifest reaches
@@ -162,6 +162,7 @@ LIBRARY_REFUSALS = {
     "suicide-level-negative": ("suicide", {"levels": [1.0, 0.5, -0.25]}, "levels must be nonnegative"),
     "split_limit-n-373": ("split_limit", {"n": 373}, "need n <= 372, got 373"),
     "extended-h-0": ("extended", {"h": 0}, "the cut at h=0.0 must fall after time 0 and burn in by t_max=1.5"),
+    "fatou-probe-repeated": ("fatou", {"probes": [0.375, 0.375]}, "probe 0.375 is repeated"),
     "extended-h-1.4": (
         "extended", {"h": 1.4}, "the cut at h=1.4 must fall after time 0 and burn in by t_max=1.5: its burn-in ends at 1.515625",
     ),

@@ -1,36 +1,36 @@
-"""Monte-Carlo reads hold about one draws block at a time, beside the per-path arrays they keep.
+"""Monte-Carlo reads hold about one block at a time, beside the per-path arrays they keep.
 
-``fill_paths`` draws paths span by span into one draws buffer per call,
-which holds at most ``CHUNK_DRAWS`` variates, and hands it to ``fill_block``
-in blocks of at most ``CHUNK_PATHS`` rows.  So a call holds one draws
-buffer, one ``fill_block`` call at a time and its ``out``, however many
-spans it draws; a fresh buffer per span would be allocated while the last
-one is still alive, two blocks at once.
+Every read of paths loops over ``streams.draw_blocks``, the one block
+policy.  A block has at most ``CHUNK_PATHS`` rows, ``CHUNK_DRAWS`` variates
+and, mapped to its reader's grid, ``CHUNK_VALUES`` values (but at least one
+row), whatever the path count and the grid.  The normals are drawn into one
+draws buffer per read, one block of rows, refilled block by block; a fresh
+buffer per block would be allocated while the last one is still alive, two
+blocks at once.
 
 ``single_jump``, ``suicide``, ``bm_check``, ``extended``, ``fatou`` and
 ``mass_redirect`` read their families only as per-time means, exactness
 flags and a few columns.  ``single_jump`` and ``suicide`` read the per-time
-sums, through ``PathFamily.chunks``: one buffer of at most
-``paths.CHUNK_VALUES`` path values, refilled chunk by chunk.  The other four
-read their columns through ``PathFamily.columns``, which calls
-``fill_paths`` with a ``fill_block`` that keeps only those columns of each
-block, so they hold no chunk.  Each runner keeps per-path arrays only, 8
-bytes a path each.  A phase is the read of one family and what the runner
-does with its columns; the traced peak is the largest phase.  So at N
-paths the peak is at most the largest family's
+sums, through ``PathFamily.chunks``: one buffer of one block's values and
+the sums row, refilled block by block.  The other four read their columns
+through ``PathFamily.columns``, which keeps only those columns of each
+block.  Each runner keeps per-path arrays only, 8 bytes a path each.  A
+phase is the read of one family and what the runner does with its
+columns; the traced peak is the largest phase.  So at N paths the peak is
+at most the largest family's
 
-- draws buffer, ``min(span, N)`` rows of its ``n_draws`` variates, with
-  ``span`` as ``fill_paths`` sizes it;
-- one ``fill_block`` call on a full block of ``rows`` paths: its output
-  and the builder's own block temporaries, measured as that call's traced
-  peak on its own;
-- for the two ``chunks`` readers, the chunk buffer, ``CHUNK_VALUES //
-  n_times`` rows and the sums row;
+- draws buffer, ``min(rows, N)`` rows of its ``n_draws`` variates, with
+  ``rows`` as ``draw_blocks`` sizes a block;
+- one ``fill_block`` call on a full block: its output and the builder's
+  own block temporaries, measured as that call's traced peak on its own;
+- for the two ``chunks`` readers, the block buffer, ``min(rows, N)`` rows
+  and the sums row;
 
 plus 8N bytes per float a path holds at once and ``SLACK`` bytes of small
-objects.  At N = 8,000 a chunk of ``CHUNK_DRAWS`` values, a chunk under
-``columns`` or a second draws block each breaks this bound.  The peak at 4N
-paths minus the peak at N is at most 3N times 8 bytes per float a path
+objects.  The bound holds at the defaults and on wide grids (``WIDE``),
+where the values bound sizes the blocks: a block sized by its paths or
+draws alone, or a chunk of more rows than a block, breaks it.  The peak at
+4N paths minus the peak at N is at most 3N times 8 bytes per float a path
 holds, plus ``SLACK``; a whole path matrix would add 3N x 8 bytes per grid
 time, 13 to 290 of them.
 
@@ -64,7 +64,7 @@ import numpy as np
 import pytest
 
 from follmer_lab.mc import bridges, experiments, families, gallery, paths
-from follmer_lab.mc.streams import CHUNK_DRAWS, CHUNK_PATHS, SPAN_DRAWS, fill_paths, mean_and_se
+from follmer_lab.mc.streams import CHUNK_DRAWS, CHUNK_PATHS, CHUNK_VALUES, fill_paths, mean_and_se
 
 N = 8000
 SLACK = 16 * 1024
@@ -79,20 +79,37 @@ STREAMED = {
     "mass_redirect": (2, 26),  # the family l and the Brownian motion W
 }
 CHUNKED = {"single_jump", "suicide"}  # the readers of per-time sums
+# experiment -> params that widen its grid until the values bound sizes its
+# blocks, and the paths drawn there.  mass_redirect's grid ends at 2.5 and
+# its rows hold about 9 normals per grid time, so the draws bound sizes its
+# blocks at any parameters, and its default case covers it.
+WIDE = {
+    "single_jump": ({"t_max": 100.0}, 1000),
+    "suicide": ({"t_max": 100.0}, 1000),
+    "bm_check": ({"t_max": 100.0}, 1000),
+    "extended": ({"t_max": 100.0}, 1000),
+    "fatou": ({"t_max": 50.0}, 300),
+}
 
 
-def record_shapes(monkeypatch):
-    """Make ``paths.fill_paths`` record the shape of each array of paths it fills."""
-    fill = paths.fill_paths
-    shapes = []
+def record_blocks(monkeypatch):
+    """Make ``paths.draw_blocks`` count the rows it yields and the most draws and values of a block.
 
-    def recording(*args, **kwargs):
-        out = fill(*args, **kwargs)
-        shapes.append(out.shape)
-        return out
+    Counters, not a list of blocks, so that the recording holds as much at 4N
+    paths as at N.
+    """
+    draw = paths.draw_blocks
+    seen = {"rows": 0, "draws": 0, "values": 0}
 
-    monkeypatch.setattr(paths, "fill_paths", recording)
-    return shapes
+    def recording(n_paths, n_draws, n_cols, *args, **kwargs):
+        for first, draws in draw(n_paths, n_draws, n_cols, *args, **kwargs):
+            seen["rows"] += len(draws)
+            seen["draws"] = max(seen["draws"], draws.size)
+            seen["values"] = max(seen["values"], len(draws) * n_cols)
+            yield first, draws
+
+    monkeypatch.setattr(paths, "draw_blocks", recording)
+    return seen
 
 
 def record_families(monkeypatch):
@@ -118,21 +135,20 @@ def traced_peak(run, *args):
         tracemalloc.stop()
 
 
-def block_sizes(n_draws):
-    """Rows of a block and of a span of draws, as ``fill_paths`` sizes them."""
-    per_row = max(n_draws, 1)
-    rows = max(1, min(CHUNK_PATHS, CHUNK_DRAWS // per_row))
-    return rows, rows * max(1, SPAN_DRAWS // (rows * per_row))
+def block_rows(family):
+    """Rows of a full block of ``family``, as ``draw_blocks`` sizes them."""
+    return max(1, min(CHUNK_PATHS, CHUNK_DRAWS // max(family.n_draws, 1), CHUNK_VALUES // family.times.size))
 
 
 def phase_bytes(family, n_paths, chunked):
     """The bytes one read of ``family`` holds beside the runner's per-path arrays."""
-    rows, span = block_sizes(family.n_draws)
+    rows = block_rows(family)
     draws = np.random.default_rng(0).standard_normal((rows, family.n_draws))
     family.fill_block(draws)  # first-call caches
     block = traced_peak(family.fill_block, draws)
-    chunk = (paths.CHUNK_VALUES // family.times.size + 1) * family.times.size if chunked else 0
-    return 8 * min(span, n_paths) * family.n_draws + block + 8 * chunk
+    held = min(rows, n_paths)
+    chunk = (held + 1) * family.times.size if chunked else 0
+    return 8 * held * family.n_draws + block + 8 * chunk
 
 
 @pytest.mark.parametrize("name", sorted(STREAMED))
@@ -149,18 +165,42 @@ def test_streamed_peak_is_one_block_and_the_kept_columns(name, monkeypatch):
     assert peak <= bound, f"{name}: peak {peak} bytes, bound {bound}"
 
 
+@pytest.mark.parametrize("name", sorted(WIDE))
+def test_wide_grid_peak_is_one_block_beyond_the_set_up(name, monkeypatch):
+    # On a wide grid the set-up's arrays are no longer small objects, so the
+    # bound adds the traced peak of a 2-path run, set-up and all.  A block of
+    # CHUNK_PATHS rows of values breaks it: with blocks sized by their paths
+    # and draws only, the columns readers extended, bm_check and fatou read
+    # 6.9, 6.0 and 13.0 MiB against bounds of 0.9, 1.8 and 1.7 MiB.
+    params, n_paths = WIDE[name]
+    params = {**gallery.PARAMS[name], **params}
+    n_families, kept = STREAMED[name]
+    families = record_families(monkeypatch)
+    run = experiments.EXPERIMENTS[name]
+    run(1, 2, params)  # lazy imports and first-call caches
+    set_up = traced_peak(run, 1, 2, params)
+    families.clear()
+    peak = traced_peak(run, 1, n_paths, params)
+    assert len(families) == n_families
+    rows = {block_rows(f) for f in families.values()}
+    assert max(rows) < CHUNK_PATHS, f"{name}: the values bound sizes no block ({rows} rows)"
+    largest = max(phase_bytes(f, n_paths, name in CHUNKED) for f in families.values())
+    bound = set_up + largest + 8 * n_paths * kept + SLACK
+    assert peak <= bound, f"{name}: peak {peak} bytes, bound {bound}"
+
+
 @pytest.mark.parametrize("name", sorted(STREAMED))
 def test_streamed_peak_grows_by_the_kept_columns_only(name, monkeypatch):
     n_families, kept = STREAMED[name]
-    shapes = record_shapes(monkeypatch)
+    seen = record_blocks(monkeypatch)
     run = experiments.EXPERIMENTS[name]
     run(1, 2, gallery.PARAMS[name])  # lazy imports and first-call caches
     peaks = {}
     for n_paths in (N, 4 * N):
-        shapes.clear()
+        seen.update(rows=0, draws=0, values=0)
         peaks[n_paths] = traced_peak(run, 1, n_paths, gallery.PARAMS[name])
-        assert sum(rows for rows, _ in shapes) == n_families * n_paths
-        assert all(rows * cols <= CHUNK_DRAWS for rows, cols in shapes)
+        assert seen["rows"] == n_families * n_paths
+        assert seen["draws"] <= CHUNK_DRAWS and seen["values"] <= CHUNK_VALUES, seen
     grown = peaks[4 * N] - peaks[N]
     assert grown <= 3 * N * 8 * kept + SLACK, f"{name}: peak grew by {grown} bytes"
 
@@ -184,7 +224,7 @@ def test_suicide_block_holds_window_sized_temporaries(name, monkeypatch):
     monkeypatch.setattr(families, "suicide_martingale", recording)
     experiments.EXPERIMENTS[name](1, 2, gallery.PARAMS[name])
     ((g, m, family),) = built
-    rows, _ = block_sizes(family.n_draws)
+    rows = block_rows(family)
     draws = np.random.default_rng(0).standard_normal((rows, family.n_draws))
     out = family.fill_block(draws)  # first-call caches
     length = 2.0**-m
@@ -211,7 +251,7 @@ def test_single_jump_block_holds_its_output_and_one_bridge_call(monkeypatch):
     monkeypatch.setattr(bridges, "single_jump_approx", recording)
     experiments.EXPERIMENTS["single_jump"](1, 2, gallery.PARAMS["single_jump"])
     (family,) = built
-    rows, _ = block_sizes(family.n_draws)
+    rows = block_rows(family)
     draws = np.random.default_rng(0).standard_normal((rows, family.n_draws))
     out = family.fill_block(draws)  # first-call caches
     peak = traced_peak(family.fill_block, draws)
@@ -219,12 +259,16 @@ def test_single_jump_block_holds_its_output_and_one_bridge_call(monkeypatch):
     assert peak <= bound, f"peak {peak} bytes, bound {bound}"
 
 
-def test_bridge_increment_values_holds_one_array_beside_its_input():
+@pytest.mark.parametrize("shape, cols", [((256, 120), slice(None)), ((99, 2628), slice(1000, 1132))])
+def test_bridge_increment_values_holds_one_array_beside_its_input(shape, cols):
     # Beside the normals, one call holds its output and numpy's ufunc buffer
     # (getbufsize values), which the in-place broadcast subtraction fills.
-    # A fresh array per step breaks the bound: three outputs at once.
-    z = np.random.default_rng(0).standard_normal((256, 120))
-    sigmas = np.cumsum(np.full(120, 0.05))
+    # A fresh array per step breaks the bound: three outputs at once.  So
+    # does scaling a column slice of a wider block into a new array, as the
+    # burn-in windows pass their normals, which numpy buffers in full: 233.4
+    # KiB against 169.7 KiB now for a 99 x 132 slice, bound 182.1 KiB.
+    z = np.random.default_rng(0).standard_normal(shape)[:, cols]
+    sigmas = np.cumsum(np.full(z.shape[1], 0.05))
     out = bridges.bridge_increment_values(z, sigmas)  # first-call caches
     peak = traced_peak(bridges.bridge_increment_values, z, sigmas)
     bound = out.nbytes + 8 * np.getbufsize() + SLACK
@@ -232,14 +276,11 @@ def test_bridge_increment_values_holds_one_array_beside_its_input():
 
 
 def test_fill_paths_holds_one_draws_block():
-    # rows of CHUNK_DRAWS // CHUNK_PATHS normals: each span is one full block
+    # rows of CHUNK_DRAWS // CHUNK_PATHS normals: each block is a full draws block
     n_draws = CHUNK_DRAWS // CHUNK_PATHS
-    rows, span = block_sizes(n_draws)
-    assert rows == span == CHUNK_PATHS
-    n_paths = 3 * span + 5  # three full spans and a part
-    out = np.empty((n_paths, 1))
-    peak = traced_peak(lambda: fill_paths(n_paths, n_draws, lambda z: z[:, :1], 1, seed=7, out=out))
-    assert peak < 1.5 * 8 * CHUNK_DRAWS + out.nbytes, f"fill_paths: peak {peak} bytes"
+    n_paths = 3 * CHUNK_PATHS + 5  # three full blocks and a part
+    peak = traced_peak(fill_paths, n_paths, n_draws, lambda z: z[:, :1], 1, 7)
+    assert peak < 1.5 * 8 * CHUNK_DRAWS + 8 * n_paths, f"fill_paths: peak {peak} bytes"
 
 
 def test_mean_and_se_squares_in_place():
@@ -265,7 +306,7 @@ def test_localized_block_holds_one_ladder_block_at_a_time(monkeypatch):
 
     params = gallery.PARAMS["mass_redirect"]
     family, _ = experiments.exp_decay_family(params["k"], params["m"], params["level"])
-    rows, _ = block_sizes(family.n_draws)
+    rows = block_rows(family)
     draws = np.random.default_rng(0).standard_normal((rows, family.n_draws))
     monkeypatch.setattr(families, "bridge_increment_values", recording)
     out = family.fill_block(draws)  # first-call caches

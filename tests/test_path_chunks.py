@@ -1,24 +1,25 @@
 """Chunked per-time sums against one axis-0 sum of the whole batch.
 
-``PathFamily.chunks`` adds each chunk of paths to running per-time sums
-kept in row 0 of its buffer, one axis-0 sum of that row and the chunk's
-rows.  For two or more columns numpy's axis-0 sum adds rows in order, so the
-chunked sums, and the means read from them, must equal one ``sum(axis=0)``
-and ``mean(axis=0)`` of the whole array bit for bit: on row counts that are
-not a multiple of the chunk, and with -0.0 in the first row, which numpy's
-sum reads as +0.0.  One column is refused, because numpy sums a single
-column pairwise.
+``PathFamily.chunks`` adds each block of paths of ``streams.draw_blocks``
+to running per-time sums kept in row 0 of its buffer, one axis-0 sum of
+that row and the block's rows.  For two or more columns numpy's axis-0 sum
+adds rows in order, so the chunked sums, and the means read from them, must
+equal one ``sum(axis=0)`` and ``mean(axis=0)`` of the whole array bit for
+bit: on row counts that are not a multiple of the block, and with -0.0 in
+the first row, which numpy's sum reads as +0.0.  One column is refused,
+because numpy sums a single column pairwise.
 
-The streamed experiments set their family up once and draw every chunk or
-block from it, so neither the builder nor the grid's ``points`` runs once
-per chunk.
+The streamed experiments set their family up once and draw every block
+from it, so neither the builder nor the grid's ``points`` runs once per
+block.
 """
 
 import numpy as np
 import pytest
 
-from follmer_lab.mc import bridges, experiments, gallery, grids, paths
+from follmer_lab.mc import bridges, experiments, gallery, grids, paths, streams
 from follmer_lab.mc.paths import PathFamily
+from follmer_lab.mc.streams import CHUNK_PATHS, CHUNK_VALUES
 
 
 def spread(shape, seed):
@@ -41,11 +42,12 @@ def handing_out(values):
 
 
 def chunked_sums(values, chunk_values):
-    """Stream ``values`` through ``PathFamily.chunks``; return the last sums and the ranges yielded."""
+    """Stream ``values`` through ``PathFamily.chunks`` in blocks of at most
+    ``chunk_values`` values; return the last sums and the ranges yielded."""
     n_paths, n_times = values.shape
     ranges = []
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(paths, "CHUNK_VALUES", chunk_values)
+        mp.setattr(streams, "CHUNK_VALUES", chunk_values)
         for first, out, sums in handing_out(values).chunks(n_paths, seed=0):
             assert out.shape[1] == n_times and out.size <= max(chunk_values, n_times)
             assert np.array_equal(out, values[first : first + len(out)])
@@ -61,8 +63,8 @@ def chunked_sums(values, chunk_values):
         ((1, 5), 100),  # one path, one chunk shorter than the chunk size
         ((300, 59), 59 * 64),
         ((1001, 2), 2 * 97),
-        ((20000, 59), paths.CHUNK_VALUES),  # the default: 1,110 rows a chunk
-        ((100000, 2), 2 * 9999),
+        ((20000, 59), CHUNK_VALUES),  # the default: CHUNK_PATHS rows a block
+        ((100000, 2), 2 * 9999),  # CHUNK_PATHS rows a block, the paths bound
     ],
 )
 @pytest.mark.parametrize("negative_zero", [False, True])
@@ -72,7 +74,7 @@ def test_chunked_sums_equal_one_axis0_sum(shape, chunk_values, negative_zero):
         values[0] = -0.0
         values[1:, 0] = -0.0  # a column of -0.0 only
     sums, ranges = chunked_sums(values, chunk_values)
-    rows = max(1, chunk_values // shape[1])
+    rows = max(1, min(CHUNK_PATHS, chunk_values // shape[1]))
     assert ranges == [(a, min(rows, shape[0] - a)) for a in range(0, shape[0], rows)]
     whole = values.sum(axis=0)
     assert sums.tobytes() == whole.tobytes()
@@ -82,13 +84,12 @@ def test_chunked_sums_equal_one_axis0_sum(shape, chunk_values, negative_zero):
 
 
 def test_chunks_refill_one_buffer():
-    n_paths = 4 * (paths.CHUNK_VALUES // 59) + 7  # four full chunks and a part
+    n_paths = 4 * CHUNK_PATHS + 7  # four full blocks and a part
     values = spread((n_paths, 59), seed=5)
     seen = [(out, sums) for _, out, sums in handing_out(values).chunks(n_paths, seed=0)]
-    rows = len(seen[0][0])
     assert len(seen) == 5 and sum(len(out) for out, _ in seen) == n_paths
     assert all(out.base is seen[0][0].base and sums.base is out.base for out, sums in seen)
-    assert seen[0][0].base.shape == (rows + 1, 59) and rows * 59 <= paths.CHUNK_VALUES
+    assert seen[0][0].base.shape == (CHUNK_PATHS + 1, 59) and CHUNK_PATHS * 59 <= CHUNK_VALUES
 
 
 def test_one_column_is_refused():
@@ -124,7 +125,7 @@ def test_streamed_experiment_sets_up_once(name, monkeypatch):
     monkeypatch.setattr(grids.GridSpec, "points", counting_points)
     run = experiments.EXPERIMENTS[name]
     run(1, 2, gallery.PARAMS[name])
-    n_paths = 2 * (paths.CHUNK_VALUES // families[0].times.size) + 1  # three chunks, many blocks
+    n_paths = 2 * CHUNK_PATHS + 1  # at least three blocks
     calls.update(build=0, points=0)
     run(1, n_paths, gallery.PARAMS[name])
     assert calls["build"] == 1 and calls["points"] <= 2, calls

@@ -1,22 +1,23 @@
 """Stream v1 against numpy's own keyed Philox generator.
 
-``fill_paths`` builds the v1 streams without a generator per path: normals
-come from one keyed state and generator per call, re-keyed to each path's
-index before its draws, and uniforms from Philox4x64-10 words computed as
-array code; a call with no draws per path reads no stream.  Both must equal
-``np.random.Generator(np.random.Philox(key=[seed mod 2^64, index]))`` bit
-for bit, on edge keys, across the 4-word counter blocks and on both sides of
-the block and span sizes.  A range of paths [first, first + count) from
-``fill_paths`` must equal those rows of the whole batch, whatever its offset
-against the block and span sizes, and so must each builder's family streamed
-in chunks, with per-time sums equal to one axis-0 sum of its batch; the
-columns it keeps through ``PathFamily.columns`` equal those of the batch.
+``draw_blocks`` builds the v1 streams without a generator per path: normals
+come from one keyed state and generator per generator of blocks, re-keyed to
+each path's index before its draws, and uniforms from Philox4x64-10 words
+computed as array code; a read with no draws per path reads no stream.  Both
+must equal ``np.random.Generator(np.random.Philox(key=[seed mod 2^64,
+index]))`` bit for bit, on edge keys, across the 4-word counter blocks and
+on both sides of the block and span sizes.  Each block of paths
+[first, first + rows) must hold the rows ``path_generator`` draws for those
+paths, whatever its offset against the block and span sizes, and each
+builder's family streamed block by block must give the rows of its batch,
+with per-time sums equal to one axis-0 sum of it; the columns it keeps
+through ``PathFamily.columns`` equal those of the batch.
 """
 
 import numpy as np
 import pytest
 
-from follmer_lab.mc import paths, streams
+from follmer_lab.mc import streams
 from follmer_lab.mc.bridges import (
     SimpleNonincreasing,
     bridge_exponential,
@@ -25,7 +26,15 @@ from follmer_lab.mc.bridges import (
 )
 from follmer_lab.mc.grids import GridSpec
 from follmer_lab.mc.paths import simulate_bm
-from follmer_lab.mc.streams import CHUNK_PATHS, fill_paths, path_generator, stream_state, uniform_words
+from follmer_lab.mc.streams import (
+    CHUNK_PATHS,
+    CHUNK_VALUES,
+    draw_blocks,
+    fill_paths,
+    path_generator,
+    stream_state,
+    uniform_words,
+)
 
 C = CHUNK_PATHS
 SEEDS = (0, 2**64 - 1, -1, 2**64 + 3)
@@ -133,38 +142,21 @@ def test_fill_block_may_call_fill_paths():
             assert np.array_equal(uniforms[j], numpy_stream(5, j).random(2))
 
 
-# (first, count) ranges: count 1, and offsets off the block size C and off
-# the span (SPAN_DRAWS // n_draws paths, rounded to whole blocks)
-RANGES = ((0, 1), (1, 1), (C - 1, 2), (7, C + 3), (C + 1, 2 * C - 5), (2 * C + 9, 1))
-
-
-def whole_and_ranges(build, n_cols):
-    """Each range of ``RANGES`` built alone, with the whole batch it lies in.
-
-    Half the ranges are built into a given ``out`` array, which must be the
-    array returned.
-    """
-    whole = build(max(a + n for a, n in RANGES), 0, None)
-    for k, (first, count) in enumerate(RANGES):
-        out = np.full((count, n_cols), np.nan) if k % 2 else None
-        rows = build(count, first, out)
-        assert out is None or rows is out
-        yield whole[first : first + count], rows
-
-
+# blocks of one row, of a few rows and of one row less than CHUNK_PATHS, set
+# by the values bound, over a path count that none of them divides; with 40
+# variates a row, blocks of C - 1 rows are each a span of their own
 @pytest.mark.parametrize("uniform", [False, True])
 @pytest.mark.parametrize("n_draws", [0, 1, 5, 40])
-def test_fill_paths_ranges_are_rows_of_the_batch(n_draws, uniform):
-    def fill_block(z):
-        # rows stay independent; with no draws a row still holds n_draws + 1
-        return np.column_stack((z, np.full(z.shape[0], n_draws + 0.5)))
-
-    def build(count, first, out):
-        return fill_paths(count, n_draws, fill_block, n_draws + 1, 2**64 - 3,
-                          uniform=uniform, first=first, out=out)
-
-    for expected, rows in whole_and_ranges(build, n_draws + 1):
-        assert np.array_equal(rows, expected)
+@pytest.mark.parametrize("rows", [1, 7, C - 1])
+def test_blocks_are_the_paths_streams(rows, n_draws, uniform):
+    n_paths, seed = 2 * C + 9, 2**64 - 3
+    blocks = []
+    for first, draws in draw_blocks(n_paths, n_draws, CHUNK_VALUES // rows, seed, uniform=uniform):
+        blocks.append((first, len(draws)))
+        for i, row in enumerate(draws, start=first):
+            rng = path_generator(seed, i)
+            assert np.array_equal(row, rng.random(n_draws) if uniform else rng.standard_normal(n_draws))
+    assert blocks == [(a, min(rows, n_paths - a)) for a in range(0, n_paths, rows)]
 
 
 M = 5
@@ -178,16 +170,16 @@ FAMILIES = {
 }
 
 
-# chunks of 1 path, of one path less than a block and of a few paths more
-# than one, over a path count that none of them divides
-@pytest.mark.parametrize("rows", [1, C - 1, C + 3])
+# blocks of 1 path, of a few paths and of one path less than CHUNK_PATHS,
+# over a path count that none of them divides
+@pytest.mark.parametrize("rows", [1, 7, C - 1])
 @pytest.mark.parametrize("name", sorted(FAMILIES))
 def test_builder_ranges_are_rows_of_the_batch(name, rows, monkeypatch):
     family = FAMILIES[name]()
     assert np.array_equal(family.times, GRID.points())
     n_paths = 2 * C + 9
-    monkeypatch.setattr(paths, "CHUNK_VALUES", rows * family.times.size)
-    whole = family.batch(n_paths, 13)
+    whole = family.batch(n_paths, 13)  # in blocks of the default size
+    monkeypatch.setattr(streams, "CHUNK_VALUES", rows * family.times.size)
     chunks = []
     for first, values, sums in family.chunks(n_paths, 13):
         assert first == sum(len(c) for c in chunks) and len(values) <= rows

@@ -16,13 +16,15 @@ The experiments that read a family on a time grid (``single_jump``,
 ``suicide``, ``bm_check``, ``mass_redirect``, ``extended``, ``fatou``) also
 have one case at 2 x chunk + 1 paths for a chunk of ``streams.CHUNK_DRAWS``
 path values (4,443 paths of 59 grid times, 7,943 of 33, 903 of 290, 1,913
-of 137 and 4,032 of 65).  ``single_jump`` and ``suicide`` read chunks of
-``paths.CHUNK_VALUES`` values, a quarter of that (1,110 paths of 59 grid
-times), so their 8,887 paths span eight full chunks and a part; the other
-four read their columns straight from ``fill_paths``' blocks, which those
-counts span too.  So every output is pinned across chunk and block
-boundaries.  The last three were recorded while those experiments still
-drew a whole batch.
+of 137 and 4,032 of 65).  Every read loops over the blocks of
+``streams.draw_blocks``: at these grids blocks of ``CHUNK_PATHS`` rows, 99
+for ``mass_redirect``'s 2,628 normals a path, which those counts span many
+times over and end inside of.  ``single_jump`` and ``suicide`` add each
+block to their per-time sums, so their 8,887 paths also span the 1,110-path
+chunks they summed in before the sums moved onto the blocks; the other
+four keep their columns of each block.  So every output is pinned across
+chunk and block boundaries.  The last three were recorded while those
+experiments still drew a whole batch.
 """
 
 import hashlib

@@ -259,7 +259,9 @@ def test_single_jump_block_holds_its_output_and_one_bridge_call(monkeypatch):
     assert peak <= bound, f"peak {peak} bytes, bound {bound}"
 
 
-@pytest.mark.parametrize("shape, cols", [((256, 120), slice(None)), ((99, 2628), slice(1000, 1132))])
+@pytest.mark.parametrize(
+    "shape, cols", [((256, 120), slice(None)), ((99, 2628), slice(1000, 1132))], ids=["block", "column-slice"]
+)
 def test_bridge_increment_values_holds_one_array_beside_its_input(shape, cols):
     # Beside the normals, one call holds its output and numpy's ufunc buffer
     # (getbufsize values), which the in-place broadcast subtraction fills.

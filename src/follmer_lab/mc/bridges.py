@@ -129,15 +129,7 @@ def single_jump_approx(a: float, m: int, anchor: float, grid: GridSpec) -> PathF
     """The one-drop family a + (1-a) * bridge: 1 before the window, a from the anchor on."""
     if not 0.0 <= a < 1.0:
         raise ValueError(f"need 0 <= a < 1, got {a}")
-    bridge = bridge_exponential(m, anchor, grid)
-
-    def fill_block(z: np.ndarray) -> np.ndarray:
-        rows = bridge.fill_block(z)
-        rows *= 1.0 - a
-        rows += a
-        return rows
-
-    return PathFamily(bridge.times, bridge.n_draws, fill_block)
+    return bridge_exponential(m, anchor, grid).affine(1.0 - a, a)
 
 
 @dataclass(frozen=True)

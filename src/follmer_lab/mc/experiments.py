@@ -1,4 +1,9 @@
-"""The named Monte-Carlo experiments and their helpers; ``gallery`` checks and writes their runs."""
+"""The named Monte-Carlo experiments and their helpers; ``gallery`` checks and writes their runs.
+
+The families and builders return paths or per-path values; each runner here
+computes every mean and standard error it reports from them, so a runner
+holds each claim's estimate and its own standard error.
+"""
 
 from __future__ import annotations
 
@@ -350,22 +355,23 @@ def exp_decay_family(k: int, m: int, level: float) -> Tuple[paths.PathFamily, fl
 
 
 def run_mass_redirect(seed: int, n_paths: int, params: dict) -> ExperimentResult:
-    c = params["c"]
+    c, ls = params["c"], params["ls"]
     bound = families.redirect_bound(c)  # refuses c before any path is drawn
+    for i, l in enumerate(ls):
+        # a repeated level would count its mass twice in the rows
+        if l in ls[:i]:
+            raise ValueError(f"level {l} is repeated: each level must be given once")
     fam, rho = exp_decay_family(k=params["k"], m=params["m"], level=params["level"])
     l_rho, l_term = fam.columns(n_paths, seed, [grids.grid_index(fam.times, rho), -1])
     wgrid = grids.GridSpec(t_max=float(fam.times[-1]), base_step=1 / 4, extra_points=(rho, rho + 1.0))
     w = paths.simulate_bm(wgrid)
     w_rho, w_after = w.columns(n_paths, seed + 1, [grids.grid_index(w.times, t) for t in (rho, rho + 1.0)])
     res = ExperimentResult()
-    fired, results = families.mass_redirect(l_rho, l_term, w_rho, w_after, c, params["ls"])
-    estimates = {}
-    for l in params["ls"]:
-        r = results[l]
-        estimates[l] = (r.estimate, r.se)
-        res.rows.append(
-            _row(rho, r.estimate, r.se, n_paths, l=l, bound=bound, fired=fired)
-        )
+    fired, redirected = families.mass_redirect(l_rho, l_term, w_rho, w_after, c, ls)
+    fired_share = float(np.mean(fired))
+    estimates = {l: streams.mean_and_se(redirected[l]) for l in ls}
+    for l, (est, se) in estimates.items():
+        res.rows.append(_row(rho, est, se, n_paths, l=l, bound=bound, fired=fired_share))
     total = sum(e for e, _ in estimates.values())
     total_se = math.sqrt(sum(s * s for _, s in estimates.values()))
     res.report = {
@@ -382,17 +388,22 @@ def run_mass_redirect(seed: int, n_paths: int, params: dict) -> ExperimentResult
 def run_split_limit(seed: int, n_paths: int, params: dict) -> ExperimentResult:
     n = params["n"]
     crossing_bound = 2.0**-n  # the maximal inequality's bound on the crossing frequency
-    r = families.split_limit_demo(n, n_paths, seed)
+    stopped, crossed, terminal = families.split_limit_demo(n, n_paths, seed)
+    # the stopped carrier is either sign's terminal value given the time-n
+    # data: one own-mass estimate of finite variance serves both signs
+    own_mass, own_se = streams.mean_and_se(stopped)
+    crossing_frequency = float(np.mean(crossed))
     res = ExperimentResult()
     # the rows and the report repeat the shared values under each sign
-    for sign, raw_own_mass in r.raw_own_mass.items():
+    for sign, t in terminal.items():
         fields = {
-            "raw_own_mass": raw_own_mass,
-            "crossing_frequency": r.crossing_frequency,
+            # the plain average of L 1_{A_sign}: it misses the heavy boundary layer
+            "raw_own_mass": streams.mean_and_se(t)[0],
+            "crossing_frequency": crossing_frequency,
             "crossing_bound": crossing_bound,
         }
-        res.rows.append(_row(float(n), r.own_mass, r.own_se, n_paths, sign=sign, **fields))
-        res.report[sign] = {"own_mass": r.own_mass, "own_se": r.own_se, **fields}
+        res.rows.append(_row(float(n), own_mass, own_se, n_paths, sign=sign, **fields))
+        res.report[sign] = {"own_mass": own_mass, "own_se": own_se, **fields}
     return res
 
 
@@ -401,6 +412,7 @@ def run_extended(seed: int, n_paths: int, params: dict) -> ExperimentResult:
 
     Z_t = (1 + exp(-t))/2 has limit 1/2; extending by the constant terminal
     value 1/2 gives oracle 1/2, normalizer 1/2 and core exp(-t) cut at h.
+    The member is read at the first and last grid times only.
     """
     h, k, m, t_max = params["h"], params["k"], params["m"], params["t_max"]
     terminal = 0.5
@@ -415,27 +427,20 @@ def run_extended(seed: int, n_paths: int, params: dict) -> ExperimentResult:
     )
     times = grid.points()
     z_vals = (1.0 + np.exp(-times)) / 2.0
-    rep = families.extended_approx(
-        grid,
-        z_vals,
-        terminal=terminal,
-        h=h,
-        k=k,
-        m=m,
-        n_paths=n_paths,
-        seed=seed,
-    )
+    member, normalizer = families.extended_approx(grid, z_vals, terminal=terminal, h=h, k=k, m=m)
+    start, end = member.columns(n_paths, seed, [0, -1])
+    mean_initial, se_initial = streams.mean_and_se(start)
+    mean_terminal, se_terminal = streams.mean_and_se(end)
     res = ExperimentResult()
-    res.rows.append(_row(0.0, rep.mean_initial, rep.se_initial, n_paths, which="initial"))
-    res.rows.append(
-        _row(t_max, rep.mean_terminal, rep.se_terminal, n_paths, which="terminal")
-    )
+    res.rows.append(_row(0.0, mean_initial, se_initial, n_paths, which="initial"))
+    res.rows.append(_row(t_max, mean_terminal, se_terminal, n_paths, which="terminal"))
     res.report = {
-        "normalizer": rep.normalizer,
+        "normalizer": normalizer,
         "expected_terminal": terminal,
-        "mean_initial": rep.mean_initial,
-        "mean_terminal": rep.mean_terminal,
-        "core_constant_branch": rep.core_constant,
+        "mean_initial": mean_initial,
+        "mean_terminal": mean_terminal,
+        # the 0/0 = 1 convention: the member is the constant terminal value
+        "core_constant_branch": normalizer == 0.0,
     }
     return res
 

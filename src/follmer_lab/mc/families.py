@@ -11,6 +11,11 @@ its first passage below a level; the split-limit demo reweights on the sign
 of an independent Gaussian terminal variable.  Both produce families whose
 limits disagree while every member matches the same supermartingale at
 deterministic times.
+
+Every builder here returns paths or per-path values: a
+:class:`~follmer_lab.mc.paths.PathFamily`, or the per-path arrays of a
+reweighting.  No mean or standard error is computed here; the runners in
+:mod:`.experiments` estimate what they report from those values.
 """
 
 from __future__ import annotations
@@ -32,7 +37,7 @@ from .bridges import (
 from .grids import GridSpec, window_grid_indices
 from .normal import ndtr
 from .paths import PathFamily
-from .streams import fill_paths, mean_and_se
+from .streams import fill_paths
 
 LADDER_STEP = 0.25
 LADDER = np.arange(LADDER_STEP, SIGMA_MAX + LADDER_STEP / 2, LADDER_STEP)
@@ -146,22 +151,6 @@ def localized_suicide_family(
 # -- terminal extension --------------------------------------------------------
 
 
-@dataclass
-class ExtendedFamilyReport:
-    """The sanity statistics of one member of the terminal-extended family."""
-
-    normalizer: float
-    mean_initial: float
-    se_initial: float
-    mean_terminal: float
-    se_terminal: float
-
-    @property
-    def core_constant(self) -> bool:
-        """The 0/0 = 1 convention branch: the normalizer vanishes."""
-        return self.normalizer == 0.0
-
-
 def extended_approx(
     grid: GridSpec,
     z_values: Sequence[float],
@@ -169,25 +158,25 @@ def extended_approx(
     h: float,
     k: int,
     m: int,
-    n_paths: int,
-    seed: int,
-) -> ExtendedFamilyReport:
-    """Family member for a deterministic supermartingale extended by a terminal value.
+) -> Tuple[PathFamily, float]:
+    """Family member for a deterministic supermartingale extended by a terminal value, and its normalizer.
 
     Z is one deterministic path, so the conditional expectation of the
     terminal value given F_t is the constant ``terminal`` itself, the oracle.
-    The core (Z - terminal)/normalizer is cut to zero at time h, dyadically
-    sampled at resolution k and realized by a suicide family at burn-in m;
-    the member is terminal + normalizer * core-family.  When the normalizer
-    vanishes the core is identically one (0/0 = 1 convention) and the member
-    is the constant ``terminal``: no path is drawn.  The member is read at
-    the first and last grid times only, streamed (:meth:`PathFamily.columns`).
+    The core (Z - terminal)/normalizer, with normalizer Z_0 - terminal, is
+    cut to zero at time h, dyadically sampled at resolution k and realized
+    by a suicide family at burn-in m; the member is
+    terminal + normalizer * core-family (:meth:`PathFamily.affine`).  When
+    the normalizer vanishes the core is identically one (0/0 = 1
+    convention) and the member is the constant ``terminal``, a family with
+    no draws, so reading it reads no stream.
 
     Otherwise the member starts at Z_0 and ends at ``terminal`` only if the
     family carries the cut out: the core must be cut after time 0, and the
     cut's drop to 0 must finish its burn-in, 2^-m after its dyadic landing
-    time, by the last grid time.  Any other ``h`` is refused before a path
-    is drawn, naming ``h``, the end of that burn-in and the last grid time.
+    time, by the last grid time.  Any other ``h`` is refused here, before a
+    path is drawn, naming ``h``, the end of that burn-in and the last grid
+    time.
     """
     times = grid.points()
     z_arr = np.asarray(z_values, dtype=float)
@@ -195,37 +184,24 @@ def extended_approx(
         raise ValueError("Z path must be sampled on the grid")
     normalizer = float(z_arr[0] - terminal)
     if normalizer == 0.0:
-        ends = np.full((2, n_paths), terminal + 0.0)
-    else:
-        core = np.where(times < h, (z_arr - terminal) / normalizer, 0.0)
-        if np.any(core < -1e-12) or np.any(np.diff(core) > 1e-12):
-            raise ValueError("core path must be nonnegative and nonincreasing")
-        g = simple_approx(times, np.maximum(core, 0.0), k)
-        t_max = float(times[-1])
-        cut_end = g.jump_times[-1] + 2.0**-m if h > 0 and g.levels[-1] == 0 else math.inf
-        if cut_end > t_max:
-            why = (
-                "the core is 0 from time 0 on" if h <= 0
-                else "the core is not cut by then" if g.levels[-1]
-                else f"its burn-in ends at {cut_end}"
-            )
-            raise ValueError(f"the cut at h={h} must fall after time 0 and burn in by t_max={t_max}: {why}")
-        ends = suicide_martingale(g, m, grid).columns(n_paths, seed, [0, -1])
-        ends *= normalizer
-        ends += terminal
-    mean0, se0 = mean_and_se(ends[0])
-    meanT, seT = mean_and_se(ends[1])
-    return ExtendedFamilyReport(normalizer, mean0, se0, meanT, seT)
+        return PathFamily(times, 0, lambda z: np.full((z.shape[0], times.size), terminal + 0.0)), normalizer
+    core = np.where(times < h, (z_arr - terminal) / normalizer, 0.0)
+    if np.any(core < -1e-12) or np.any(np.diff(core) > 1e-12):
+        raise ValueError("core path must be nonnegative and nonincreasing")
+    g = simple_approx(times, np.maximum(core, 0.0), k)
+    t_max = float(times[-1])
+    cut_end = g.jump_times[-1] + 2.0**-m if h > 0 and g.levels[-1] == 0 else math.inf
+    if cut_end > t_max:
+        why = (
+            "the core is 0 from time 0 on" if h <= 0
+            else "the core is not cut by then" if g.levels[-1]
+            else f"its burn-in ends at {cut_end}"
+        )
+        raise ValueError(f"the cut at h={h} must fall after time 0 and burn in by t_max={t_max}: {why}")
+    return suicide_martingale(g, m, grid).affine(normalizer, terminal), normalizer
 
 
 # -- mass redirection (first-passage reweighting) -------------------------------
-
-
-@dataclass
-class MassRedirectResult:
-    indicator: np.ndarray
-    estimate: float  # E[L^(l)_inf 1_{B_l}]
-    se: float
 
 
 def redirect_bound(c: float) -> float:
@@ -242,21 +218,21 @@ def mass_redirect(
     w_after: np.ndarray,
     c: float,
     ls: Sequence[int],
-) -> Tuple[float, Dict[int, MassRedirectResult]]:
+) -> Tuple[np.ndarray, Dict[int, np.ndarray]]:
     """Redirect a family member's mass onto the window event B_l, for each level l in ``ls``.
 
     The redirect stop fires at the first passage time when the member still
     sits above (1+c)/2 there; fired paths are reweighted by the indicator of
     B_l = {driver one unit of time after the passage lies in (l, l+1)} over
     its conditional probability given the passage data (Gaussian closed
-    form).  The estimate of the redirected mass on B_l is bounded below by
-    :func:`redirect_bound`, (1-c)/2, up to sampling error, for every member
-    of the family.
+    form).  The mean redirected mass on B_l is bounded below by
+    :func:`redirect_bound`, (1-c)/2, for every member of the family.
 
     Every level reweights the same paths, so the normal CDF is evaluated once
-    per distinct k among the levels and their successors.  Returns the share
-    of paths whose redirect stop fires, which every level shares, and a map
-    from each level to its redirection.
+    per distinct k among the levels and their successors.  Returns the
+    per-path mask of paths whose redirect stop fires, which every level
+    shares, and a map from each level l to the per-path redirected mass
+    L^(l)_inf 1_{B_l}, which is 0 off B_l.
     """
     redirect_bound(c)  # refuses c outside [0, 1)
     if not ls:
@@ -267,36 +243,23 @@ def mass_redirect(
     w_after = np.asarray(w_after, dtype=float)
     threshold = (1.0 + c) / 2.0
     fired = l_at_rho > threshold
-    fired_fraction = float(np.mean(fired))
     levels = set(ls)
     ks = sorted(levels | {l + 1 for l in levels})
     cdf = {k: ndtr(k - w_at_rho) for k in ks}
-    results = {}
+    redirected = {}
     for l in levels:
         indicator = (w_after > l) & (w_after < l + 1)
         cond_prob = cdf[l + 1] - cdf[l]
         safe = np.where(cond_prob > 0, cond_prob, 1.0)
         reweighted = np.where(fired, l_at_rho * indicator / safe, l_terminal)
-        est, se = mean_and_se(reweighted * indicator)
-        results[l] = MassRedirectResult(indicator=indicator, estimate=est, se=se)
-    return fired_fraction, results
+        redirected[l] = reweighted * indicator
+    return fired, redirected
 
 
 # -- split-limit demo (sign-of-terminal reweighting) ----------------------------
 
 
-@dataclass
-class SplitLimitResult:
-    """The values both signs share, then ``raw_own_mass`` and ``terminal`` keyed by sign ("+", "-")."""
-
-    own_mass: float  # E[L 1_{A_sign}] ~ 1 for either sign, time-n conditioning integrated out
-    own_se: float
-    crossing_frequency: float  # P[level 2^n reached] <= 2^-n
-    raw_own_mass: Dict[str, float]  # plain average of L * 1_{A_sign}: heavy boundary layer
-    terminal: Dict[str, np.ndarray]  # L 1_{A_sign}: 0 off the own sign event
-
-
-def split_limit_demo(n: int, n_paths: int, seed: int) -> SplitLimitResult:
+def split_limit_demo(n: int, n_paths: int, seed: int) -> Tuple[np.ndarray, np.ndarray, Dict[str, np.ndarray]]:
     """Family reweighted on the sign of an independent Gaussian terminal value.
 
     The driver integral has terminal variance 1/2 and residual variance
@@ -306,18 +269,18 @@ def split_limit_demo(n: int, n_paths: int, seed: int) -> SplitLimitResult:
     residual otherwise); stopped means are exactly one, and by the maximal
     inequality the crossing frequency is at most 2^-n.
 
-    Mass estimates integrate the time-n conditioning out via the closed form:
-    the conditional expectation of a sample given the time-n data is just the
-    stopped carrier value, so the estimator has finite variance.  The raw
-    average of L * indicator is also reported; for large n it hides almost
+    Returns, per path, the stopped carrier value, whether it crossed (1.0
+    or 0.0), and for each sign ("+", "-") the terminal value L 1_{A_sign},
+    0 off the own sign event.  The stopped value is the conditional
+    expectation of either sign's terminal value given the time-n data, so
+    its mean is the own mass E[L 1_{A_sign}] with the time-n conditioning
+    integrated out, an estimator of finite variance, the same for both
+    signs.  The raw average of a terminal value hides, for large n, almost
     half its expectation on sign flips of probability too small to sample
-    (the indicator-over-probability weight has infinite variance), which is
-    why the conditioned estimator is the quoted one.
+    (the indicator-over-probability weight has infinite variance).
 
-    Both signs reweight the same paths, so each path is drawn once; the
-    conditioned mass and the crossing frequency are the same for both, and
-    only the raw mass and the per-path values depend on the sign.  ``n`` is
-    at most 372: past that exp(-2n) underflows to 0.
+    Both signs reweight the same paths, so each path is drawn once.  ``n``
+    is at most 372: past that exp(-2n) underflows to 0.
     """
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
@@ -342,6 +305,4 @@ def split_limit_demo(n: int, n_paths: int, seed: int) -> SplitLimitResult:
         # the weight 1/p_own applies only on the own event, and only where p_own > 0
         terminal[sign] = np.zeros(n_paths)
         np.divide(stopped, p_own, out=terminal[sign], where=own_event & (p_own > 0))
-    own_mass, own_se = mean_and_se(stopped)
-    raw_own_mass = {sign: mean_and_se(t)[0] for sign, t in terminal.items()}
-    return SplitLimitResult(own_mass, own_se, float(np.mean(crossed)), raw_own_mass, terminal)
+    return stopped, crossed, terminal

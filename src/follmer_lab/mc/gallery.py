@@ -62,8 +62,9 @@ nonnegative) and positive increasing ``jumps``, ``extended``'s ``h``:
 its cut must fall after time 0 and finish its 2^-m burn-in by ``t_max``,
 else the member would not start at Z_0 or end at its terminal value, and
 ``fatou``'s ``probes``, each given once, as the report files a probe's
-errors under its time.  The
-written ``manifest.json`` echoes ``params`` exactly as given, without the
+errors under its time, and ``mass_redirect``'s levels ``ls``, each given
+once, as the report sums the levels' disjoint masses.  The written
+``manifest.json`` echoes ``params`` exactly as given, without the
 defaults, so a manifest replays itself.
 """
 

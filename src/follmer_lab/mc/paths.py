@@ -8,6 +8,8 @@ read holds more than one block's draws and values beside what it returns.
 :meth:`PathFamily.chunks` adds each block to per-time sums, for the runners
 that report mean paths and exactness flags; it is the only read that sums.
 :meth:`PathFamily.columns` keeps the few grid columns a runner reports.
+:meth:`PathFamily.affine` scales and shifts a family on the same draws.
+A family returns paths only: the runners estimate from them.
 Path i reads stream (seed, i) alone, so a block's rows, and the kept
 columns, are those of the whole batch (:meth:`PathFamily.batch`, the tests'
 reference).
@@ -90,6 +92,17 @@ class PathFamily:
                 out = np.empty((len(idx), n_paths))
             out[:, first : first + len(draws)] = self.fill_block(draws)[:, idx].T
         return out
+
+    def affine(self, scale: float, shift: float) -> "PathFamily":
+        """shift + scale * this family, on the same draws: each block is scaled, then shifted, in place."""
+
+        def fill_block(z: np.ndarray) -> np.ndarray:
+            rows = self.fill_block(z)
+            rows *= scale
+            rows += shift
+            return rows
+
+        return PathFamily(self.times, self.n_draws, fill_block)
 
 
 def simulate_bm(grid: GridSpec) -> PathFamily:

@@ -627,6 +627,10 @@ def test_selftest_passes(capsys):
             {"experiment": "fatou", "params": {"probes": [0.375, 0.375], "m_list": [1, 2, 3, 4]}},
             "probe 0.375 is repeated",
         ),
+        (
+            {"experiment": "mass_redirect", "n_paths": 200, "params": {"ls": [1, 2, 1]}},
+            "level 1 is repeated: each level must be given once",
+        ),
     ],
     ids=[
         "fatou-twin-probes", "exp_decay-ts-0", "exp_decay-ts-str", "bessel-ts-neg", "bessel-fp-0",
@@ -639,6 +643,7 @@ def test_selftest_passes(capsys):
         "single_jump-a-1", "mass_redirect-c-1", "mass_redirect-level-0.5", "mass_redirect-m-1",
         "suicide-levels-increasing", "suicide-jump-at-0", "suicide-levels-count", "suicide-level-negative",
         "split_limit-n-373", "extended-h-0", "extended-h-1.4", "fatou-probe-repeated",
+        "mass_redirect-level-repeated",
     ],
 )
 def test_bad_experiment_params_exit_2_without_traceback(tmp_path, fields, named):

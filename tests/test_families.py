@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from follmer_lab.mc import paths
+from follmer_lab.mc import streams
 from follmer_lab.mc.bridges import SimpleNonincreasing, simple_approx
 from follmer_lab.mc.families import (
     extended_approx,
@@ -64,43 +64,48 @@ def test_localized_family_rejects_low_level_and_overlap():
         localized_suicide_family(g, m=6, level=4.0, grid=grid)
 
 
-def test_mass_redirect_bound_and_disjointness():
+def _redirect_inputs(n, seed):
+    """mass_redirect's four columns: the family l at rho and at the end, and W at rho and rho + 1."""
     fam, rho = exp_decay_family(**DECAY)
-    values = fam.batch(20000, 31)
-    l_rho = values[:, grid_index(fam.times, rho)]
-    l_term = values[:, grid_index(fam.times, float(fam.times[-1]))]
+    values = fam.batch(n, seed)
+    l_rho, l_term = (values[:, grid_index(fam.times, t)] for t in (rho, 2.5))
     wgrid = GridSpec(t_max=2.5, base_step=1 / 4, extra_points=(rho, rho + 1.0))
-    w = simulate_bm(wgrid).batch(20000, 32)
+    w = simulate_bm(wgrid).batch(n, seed + 1)
     w_rho, w_after = (w[:, grid_index(wgrid.points(), t)] for t in (rho, rho + 1.0))
+    return l_rho, l_term, w_rho, w_after
+
+
+def window_event(w_after, l):
+    """B_l: the driver one unit of time after the passage lies in (l, l + 1)."""
+    return (w_after > l) & (w_after < l + 1)
+
+
+def test_mass_redirect_bound_and_disjointness():
+    l_rho, l_term, w_rho, w_after = _redirect_inputs(20000, 31)
     c = 0.5
-    _, results = mass_redirect(l_rho, l_term, w_rho, w_after, c, (1, 2))
-    assert sorted(results) == [1, 2]
-    for r in results.values():
-        assert r.estimate >= (1.0 - c) / 2.0 - 3 * r.se
+    _, redirected = mass_redirect(l_rho, l_term, w_rho, w_after, c, (1, 2))
+    assert sorted(redirected) == [1, 2]
+    estimates = {l: mean_and_se(mass) for l, mass in redirected.items()}
+    for l, (est, se) in estimates.items():
+        assert est >= (1.0 - c) / 2.0 - 3 * se
+        # the redirected mass sits on B_l alone
+        assert not redirected[l][~window_event(w_after, l)].any()
     # the window events are disjoint: no path can score on both
-    both = results[1].indicator & results[2].indicator
-    assert not both.any()
-    total = results[1].estimate + results[2].estimate
-    total_se = math.hypot(results[1].se, results[2].se)
+    assert not (window_event(w_after, 1) & window_event(w_after, 2)).any()
+    total = estimates[1][0] + estimates[2][0]
+    total_se = math.hypot(estimates[1][1], estimates[2][1])
     assert total <= 1.0 + 5 * total_se
 
 
 def test_mass_redirect_levels_match_one_at_a_time():
-    # the levels share one normal-CDF call; each result has the bits of its level alone
-    fam, rho = exp_decay_family(**DECAY)
-    values = fam.batch(600, 7)
-    l_rho, l_term = (values[:, grid_index(fam.times, t)] for t in (rho, 2.5))
-    wgrid = GridSpec(t_max=2.5, base_step=1 / 4, extra_points=(rho, rho + 1.0))
-    w = simulate_bm(wgrid).batch(600, 8)
-    w_rho, w_after = (w[:, grid_index(wgrid.points(), t)] for t in (rho, rho + 1.0))
-    args = (l_rho, l_term, w_rho, w_after, 0.5)
+    # the levels share one normal-CDF call; each level's mass has the bits of its level alone
+    args = _redirect_inputs(600, 7) + (0.5,)
     fired, together = mass_redirect(*args, (3, 1, 2, 1))
     assert sorted(together) == [1, 2, 3]
-    for l, r in together.items():
-        fired_alone, by_level = mass_redirect(*args, [l])
-        alone = by_level[l]
-        assert (r.estimate, r.se, fired) == (alone.estimate, alone.se, fired_alone)
-        assert np.array_equal(r.indicator, alone.indicator)
+    for l, mass in together.items():
+        fired_alone, alone = mass_redirect(*args, [l])
+        assert np.array_equal(fired, fired_alone)
+        assert np.array_equal(mass, alone[l])
 
 
 def test_mass_redirect_degenerate_always_fires():
@@ -111,10 +116,10 @@ def test_mass_redirect_degenerate_always_fires():
     rng = np.random.default_rng(5)
     w_rho = rng.normal(0.0, 1.0, n)
     w_after = w_rho + rng.normal(0.0, 1.0, n)
-    fired, results = mass_redirect(ones, ones * 0.0, w_rho, w_after, 0.0, [1])
-    r = results[1]
-    assert fired == 1.0
-    assert abs(r.estimate - 1.0) <= 4 * r.se  # reweighting preserves the mass
+    fired, redirected = mass_redirect(ones, ones * 0.0, w_rho, w_after, 0.0, [1])
+    assert fired.all()
+    est, se = mean_and_se(redirected[1])
+    assert abs(est - 1.0) <= 4 * se  # reweighting preserves the mass
 
 
 def test_mass_redirect_validates_c():
@@ -125,18 +130,20 @@ def test_mass_redirect_validates_c():
 
 
 def test_split_limit_masses():
-    r = split_limit_demo(n=4, n_paths=30000, seed=55)
+    stopped, _, terminal = split_limit_demo(n=4, n_paths=30000, seed=55)
     # one conditioned estimate serves both signs
-    assert abs(r.own_mass - 1.0) <= 3 * r.own_se
+    own_mass, own_se = mean_and_se(stopped)
+    assert abs(own_mass - 1.0) <= 3 * own_se
     # raw average hides the boundary-layer mass; it must sit well below 1
-    assert r.raw_own_mass["+"] < 0.8
+    assert mean_and_se(terminal["+"])[0] < 0.8
 
 
 def test_split_limit_crossing_frequency_bound():
     n = 4
-    r = split_limit_demo(n=n, n_paths=30000, seed=99)
-    freq_se = math.sqrt(r.crossing_frequency * (1 - r.crossing_frequency) / 30000)
-    assert r.crossing_frequency <= 2.0**-n + 5 * freq_se
+    _, crossed, _ = split_limit_demo(n=n, n_paths=30000, seed=99)
+    freq = float(np.mean(crossed))
+    freq_se = math.sqrt(freq * (1 - freq) / 30000)
+    assert freq <= 2.0**-n + 5 * freq_se
 
 
 def test_split_limit_validates_inputs():
@@ -160,56 +167,34 @@ def _decay_grid(h, k, m, t_max):
 def test_extended_zero_terminal_gives_pure_core():
     grid = _decay_grid(1.0, 3, 6, 1.5)
     times = grid.points()
-    rep = extended_approx(
-        grid,
-        np.exp(-times),
-        terminal=0.0,
-        h=1.0,
-        k=3,
-        m=6,
-        n_paths=500,
-        seed=3,
-    )
-    assert rep.normalizer == 1.0
-    assert rep.mean_initial == 1.0  # exact: every path starts at the level
-    assert rep.mean_terminal == 0.0  # exact: all mass burned past the cut
+    member, normalizer = extended_approx(grid, np.exp(-times), terminal=0.0, h=1.0, k=3, m=6)
+    assert normalizer == 1.0
+    start, end = member.columns(500, 3, [0, -1])
+    assert mean_and_se(start)[0] == 1.0  # exact: every path starts at the level
+    assert mean_and_se(end)[0] == 0.0  # exact: all mass burned past the cut
 
 
 def test_extended_constant_terminal_conserves_expectation():
     grid = _decay_grid(1.0, 3, 6, 1.5)
     times = grid.points()
     z = (1.0 + np.exp(-times)) / 2.0
-    rep = extended_approx(
-        grid,
-        z,
-        terminal=0.5,
-        h=1.0,
-        k=3,
-        m=6,
-        n_paths=500,
-        seed=3,
-    )
-    assert rep.normalizer == 0.5
-    assert rep.mean_initial == 1.0
-    assert rep.mean_terminal == 0.5  # the terminal value, the oracle
+    member, normalizer = extended_approx(grid, z, terminal=0.5, h=1.0, k=3, m=6)
+    assert normalizer == 0.5
+    start, end = member.columns(500, 3, [0, -1])
+    assert mean_and_se(start)[0] == 1.0
+    assert mean_and_se(end)[0] == 0.5  # the terminal value, the oracle
 
 
 def test_extended_zero_over_zero_convention(monkeypatch):
-    filled = []
-    monkeypatch.setattr(paths, "draw_blocks", lambda *args, **kwargs: filled.append(args))
+    def no_stream(*args):
+        raise AssertionError("read a stream")
+
+    # every normal draw starts from stream_state, every uniform from uniform_words
+    monkeypatch.setattr(streams, "stream_state", no_stream)
+    monkeypatch.setattr(streams, "uniform_words", no_stream)
     grid = GridSpec(t_max=1.0, base_step=1 / 8)
     times = grid.points()
-    rep = extended_approx(
-        grid,
-        np.ones_like(times),
-        terminal=1.0,
-        h=0.5,
-        k=2,
-        m=4,
-        n_paths=20,
-        seed=1,
-    )
-    assert rep.core_constant
-    # the member is the constant terminal: exact means, SE 0, no path drawn
-    assert (rep.mean_initial, rep.se_initial) == (rep.mean_terminal, rep.se_terminal) == (1.0, 0.0)
-    assert not filled
+    member, normalizer = extended_approx(grid, np.ones_like(times), terminal=1.0, h=0.5, k=2, m=4)
+    # the member is the constant terminal: no draws, every path exact
+    assert (normalizer, member.n_draws) == (0.0, 0)
+    assert np.array_equal(member.columns(20, 1, [0, -1]), np.ones((2, 20)))

@@ -36,6 +36,20 @@ def test_reciprocal_bessel_identity():
         assert abs(row["estimate"] - oracle) <= tol
 
 
+@pytest.mark.xfail(
+    strict=True,
+    reason="run_bm_check passes var_se / 1.96 as the variance row's SE, so its CI is +-1 SE; "
+    "the fix re-pins bm_check's golden digest, which is ROADMAP item 18's job",
+)
+def test_bm_check_variance_ci_is_196_standard_errors():
+    n = 400
+    res = run_experiment("bm_check", seed=4, n_paths=n, params=None)
+    (row,) = (r for r in res.rows if r["which"] == "variance")
+    var = row["estimate"]
+    # the normal-theory SE of a sample variance is var * sqrt(2 / (n - 1))
+    assert row["ci_high"] - var == pytest.approx(1.96 * var * math.sqrt(2.0 / (n - 1)), rel=1e-12)
+
+
 def test_uniform_rho_full_separation():
     res = run_experiment("uniform_rho", seed=3, n_paths=8000, params=None)
     by_family = {row["family"]: row["estimate"] for row in res.rows}
@@ -163,6 +177,9 @@ LIBRARY_REFUSALS = {
     "split_limit-n-373": ("split_limit", {"n": 373}, "need n <= 372, got 373"),
     "extended-h-0": ("extended", {"h": 0}, "the cut at h=0.0 must fall after time 0 and burn in by t_max=1.5"),
     "fatou-probe-repeated": ("fatou", {"probes": [0.375, 0.375]}, "probe 0.375 is repeated"),
+    "mass_redirect-level-repeated": (
+        "mass_redirect", {"ls": [1, 2, 1]}, "level 1 is repeated: each level must be given once",
+    ),
     "extended-h-1.4": (
         "extended", {"h": 1.4}, "the cut at h=1.4 must fall after time 0 and burn in by t_max=1.5: its burn-in ends at 1.515625",
     ),

@@ -27,12 +27,13 @@ from follmer_lab.mc.bridges import (
     single_jump_approx,
     suicide_martingale,
 )
-from follmer_lab.mc.families import LADDER_STEP, split_limit_demo
+from follmer_lab.mc.families import LADDER_STEP, extended_approx, split_limit_demo
 from follmer_lab.mc.fatou import fatou_approx
 from follmer_lab.mc.experiments import (
     exp_decay_family,
     exp_decay_kill_times,
     reciprocal_bessel_samples,
+    run_split_limit,
 )
 from follmer_lab.mc.gallery import PARAMS
 from follmer_lab.mc.grids import GridSpec
@@ -242,8 +243,9 @@ def oracle_kill_times(n_paths, seed):
 # -- the families under test, as (block, oracle) functions of (n_paths, seed) --------
 
 
-def _split_limit_terminals(results):
-    return np.column_stack([results.terminal[sign] for sign in ("+", "-")])
+def _split_limit_terminals(n, n_paths, seed):
+    _, _, terminal = split_limit_demo(n, n_paths, seed)
+    return np.column_stack([terminal[sign] for sign in ("+", "-")])
 
 
 def _oracle_split_limit_terminals(n, n_paths, seed):
@@ -268,6 +270,30 @@ def _exp_decay_g_and_grid():
         extra_points=(math.log(2.0), math.log(2.0) + 1.0),
     )
     return g, grid
+
+
+EXTENDED = {key: PARAMS["extended"][key] for key in ("h", "k", "m")}  # extended_approx's arguments
+
+
+def _extended_grid():
+    """The grid that ``run_extended`` builds with its defaults."""
+    t_max, m = PARAMS["extended"]["t_max"], EXTENDED["m"]
+    draft = GridSpec(t_max=t_max, base_step=1 / 32).points()
+    g = simple_approx(draft, np.where(draft < EXTENDED["h"], np.exp(-draft), 0.0), k=EXTENDED["k"])
+    return GridSpec(
+        t_max=t_max,
+        base_step=1 / 32,
+        refinements=tuple((rj + 2.0**-m, 2.0**-m, 10) for rj in g.jump_times),
+    )
+
+
+def oracle_extended(z, terminal, grid, n_paths, seed):
+    """terminal + normalizer * the suicide family of the core (z - terminal) / normalizer, cut at h."""
+    times = grid.points()
+    normalizer = z[0] - terminal
+    core = np.where(times < EXTENDED["h"], (z - terminal) / normalizer, 0.0)
+    g = simple_approx(times, np.maximum(core, 0.0), EXTENDED["k"])
+    return oracle_suicide(g, EXTENDED["m"], grid, n_paths, seed) * normalizer + terminal
 
 
 def _fatou_case():
@@ -302,6 +328,10 @@ def _cases():
             lambda n, s: single_jump_approx(0.3, 6, 1.0, BRIDGE_GRID).batch(n, s),
             lambda n, s: 0.3 + (1.0 - 0.3) * oracle_bridge(6, 1.0, BRIDGE_GRID, n, s),
         ),
+        "affine_bm": (
+            lambda n, s: simulate_bm(BM_GRID).affine(-0.5, 2.0).batch(n, s),
+            lambda n, s: oracle_bm(BM_GRID, n, s) * -0.5 + 2.0,
+        ),
         "suicide_martingale": (
             lambda n, s: suicide_martingale(SUICIDE_G, 6, SUICIDE_GRID).batch(n, s),
             lambda n, s: oracle_suicide(SUICIDE_G, 6, SUICIDE_GRID, n, s),
@@ -319,9 +349,21 @@ def _cases():
     }
     for n_level in (1, 4):
         cases[f"split_limit_n{n_level}"] = (
-            lambda n, s, k=n_level: _split_limit_terminals(split_limit_demo(k, n, s)),
+            lambda n, s, k=n_level: _split_limit_terminals(k, n, s),
             lambda n, s, k=n_level: _oracle_split_limit_terminals(k, n, s),
         )
+    ext_grid = _extended_grid()
+    ext_times = ext_grid.points()
+    z = (1.0 + np.exp(-ext_times)) / 2.0
+    cases["extended"] = (
+        lambda n, s: extended_approx(ext_grid, z, 0.5, **EXTENDED)[0].batch(n, s),
+        lambda n, s: oracle_extended(z, 0.5, ext_grid, n, s),
+    )
+    # the 0/0 = 1 branch: the member is the constant terminal value and draws nothing
+    cases["extended_zero_normalizer"] = (
+        lambda n, s: extended_approx(ext_grid, np.ones_like(ext_times), 1.0, **EXTENDED)[0].batch(n, s),
+        lambda n, s: np.ones((n, ext_times.size)),
+    )
     fatou_grid, fatou_m, fatou_d = _fatou_case()
     for m in (1, 2, 3, 6):
         cases[f"fatou_m{m}"] = (
@@ -362,12 +404,18 @@ def test_exp_decay_case_rebuilds_the_family_grid():
 
 
 def test_split_limit_scalars_match_oracle():
+    # run_split_limit estimates from split_limit_demo's arrays: its rows against the oracle's
     for seed in SEEDS:
         _, _, stopped, crossed = oracle_split_limit(4, C + 1, seed).T
-        r = split_limit_demo(4, C + 1, seed)
-        assert (r.own_mass, r.own_se) == mean_and_se(stopped)
-        assert r.crossing_frequency == float(np.mean(crossed))
-        assert r.raw_own_mass == {sign: mean_and_se(t)[0] for sign, t in r.terminal.items()}
+        terminals = _oracle_split_limit_terminals(4, C + 1, seed)
+        res = run_split_limit(seed, C + 1, {"n": 4})
+        own_mass, own_se = mean_and_se(stopped)
+        for row, terminal in zip(res.rows, terminals.T):
+            assert row["estimate"] == own_mass == res.report[row["sign"]]["own_mass"]
+            assert (row["ci_low"], row["ci_high"]) == (own_mass - 1.96 * own_se, own_mass + 1.96 * own_se)
+            assert row["crossing_frequency"] == float(np.mean(crossed))
+            assert row["raw_own_mass"] == mean_and_se(terminal)[0]
+        assert [row["sign"] for row in res.rows] == ["+", "-"]
 
 
 def test_fill_paths_bounds_block_draws():

@@ -32,6 +32,10 @@ fields have to be found by hand: ``SmoothedDecomposition.martingale``
 (``doob_meyer``'s M itself), ``SmoothedDecomposition.jump_times`` and
 ``DyadicLevel.level`` (its place in the list) passed this way, and were
 removed.
+
+An entry of ``KEPT_UNREAD`` or ``KEPT_FIELDS`` that names no definition or
+dataclass field under ``src/``, or one that something now reads, is stale
+and fails here too.
 """
 
 import ast
@@ -52,8 +56,6 @@ KEPT_UNREAD = {
 # public dataclass fields that nothing in src/ or bench/ reads, and why each stays
 KEPT_FIELDS = {
     "SmoothedDecomposition.drift_adapted": "test oracle: the smoothed drift as a node map",
-    "MassRedirectResult.indicator": "test oracle: the event indicators of the disjointness test",
-    "SplitLimitResult.terminal": "test oracle: the per-path values of the block test",
 }
 DISPATCHED_PREFIX = "cmd_"  # cli.main looks each subcommand's handler up by name
 
@@ -155,16 +157,16 @@ def test_no_unused_private_name(path):
     assert [(line, name) for line, name in defined if name not in used] == []
 
 
-def unread_public_names(module: ast.Module, elsewhere: set):
+def unread_public_names(module: ast.Module, elsewhere: set, kept=KEPT_UNREAD):
     """(line, name) of each public module-level name that nothing reads.
 
     A reader is ``elsewhere`` or a statement of ``module`` other than the
-    name's own definition.  ``KEPT_UNREAD`` and the dispatched handlers are
-    left out.
+    name's own definition.  The ``kept`` names and the dispatched handlers
+    are left out.
     """
     unread = []
     for stmt, line, name in definitions(module):
-        if name.startswith("_") or name in KEPT_UNREAD or name.startswith(DISPATCHED_PREFIX):
+        if name.startswith("_") or name in kept or name.startswith(DISPATCHED_PREFIX):
             continue
         if name in elsewhere:
             continue
@@ -203,13 +205,17 @@ def test_the_check_sees_an_unread_public_name():
 PARSED = {path: ast.parse(path.read_text(encoding="utf-8")) for path in MODULES}
 
 
-@pytest.mark.parametrize("path", MODULES, ids=[str(p.relative_to(SRC)) for p in MODULES])
-def test_every_public_name_is_read_outside_tests(path):
-    elsewhere = set().union(
+def read_elsewhere(path) -> set:
+    """The names that the modules under ``src/`` other than ``path``, or the ``bench/`` scripts, read."""
+    return set().union(
         *(references(module) for other, module in PARSED.items() if other != path),
         *(references(p.read_text(encoding="utf-8"), strings=True) for p in BENCH_SCRIPTS),
     )
-    assert unread_public_names(PARSED[path], elsewhere) == []
+
+
+@pytest.mark.parametrize("path", MODULES, ids=[str(p.relative_to(SRC)) for p in MODULES])
+def test_every_public_name_is_read_outside_tests(path):
+    assert unread_public_names(PARSED[path], read_elsewhere(path)) == []
 
 
 def is_dataclass(node: ast.ClassDef) -> bool:
@@ -282,15 +288,32 @@ def test_the_check_sees_an_unread_field():
     assert unread == ["Result.bound", "Report.echoed", "Report.logged"]
 
 
+FIELDS_READ = set().union(
+    *(attribute_reads(module) for module in PARSED.values()),
+    *(attribute_reads(ast.parse(p.read_text(encoding="utf-8"))) for p in BENCH_SCRIPTS),
+)
+
+
+def unread_fields(module: ast.Module, kept=KEPT_FIELDS):
+    """(line, "Class.field") of each public dataclass field of ``module`` that nothing reads, but the ``kept`` ones."""
+    return [
+        (line, name)
+        for line, name in dataclass_fields(module)
+        if name.partition(".")[2] not in FIELDS_READ and name not in kept
+    ]
+
+
 @pytest.mark.parametrize("path", MODULES, ids=[str(p.relative_to(SRC)) for p in MODULES])
 def test_every_dataclass_field_is_read_outside_tests(path):
-    read = set().union(
-        *(attribute_reads(module) for module in PARSED.values()),
-        *(attribute_reads(ast.parse(p.read_text(encoding="utf-8"))) for p in BENCH_SCRIPTS),
-    )
-    unread = [
-        (line, name)
-        for line, name in dataclass_fields(PARSED[path])
-        if name.partition(".")[2] not in read and name not in KEPT_FIELDS
-    ]
-    assert unread == []
+    assert unread_fields(PARSED[path]) == []
+
+
+def test_every_kept_entry_is_still_needed():
+    # an entry that names no definition or field under src/, or one that
+    # something now reads, is stale: the check passes without it
+    unread_names = {
+        name for path in MODULES for _, name in unread_public_names(PARSED[path], read_elsewhere(path), ())
+    }
+    assert set(KEPT_UNREAD) - unread_names == set()
+    unread = {name for module in PARSED.values() for _, name in unread_fields(module, ())}
+    assert set(KEPT_FIELDS) - unread == set()

@@ -60,22 +60,20 @@ def bridge_increment_values(z: np.ndarray, sigmas: np.ndarray) -> np.ndarray:
 class BridgeWindow:
     """Where one burn-in window [anchor - length, anchor) sits on a time grid.
 
-    ``inside`` are the grid indices in the window, ``live`` marks those whose
-    clock is at most SIGMA_MAX and ``sigmas`` are the live clocks: a path
-    draws one normal per live clock, the rest of the window reads 0.
+    ``inside`` is the slice of the grid in the window and ``sigmas`` are the
+    clocks at most SIGMA_MAX.  The clock increases through the window, so
+    those are the clocks of its first ``n_draws`` times: a path draws one
+    normal per clock there, and the rest of the window reads 0.
     """
 
-    anchor: float
-    inside: np.ndarray
-    live: np.ndarray
+    inside: slice
     sigmas: np.ndarray
 
     @classmethod
     def on(cls, times: np.ndarray, anchor: float, length: float) -> "BridgeWindow":
         inside = window_grid_indices(times, anchor - length, anchor)
         sig = burnin_clock(times[inside], anchor, length)
-        live = sig <= SIGMA_MAX
-        return cls(anchor, inside, live, sig[live])
+        return cls(inside, sig[: np.searchsorted(sig, SIGMA_MAX, side="right")])
 
     @property
     def n_draws(self) -> int:
@@ -83,19 +81,19 @@ class BridgeWindow:
 
     def values(self, z: np.ndarray) -> np.ndarray:
         """Bridge values at the ``inside`` grid times for a block of normals."""
-        vals = np.zeros((z.shape[0], self.inside.size))
-        vals[:, self.live] = bridge_increment_values(z, self.sigmas)
+        vals = np.zeros((z.shape[0], self.inside.stop - self.inside.start))
+        vals[:, : self.n_draws] = bridge_increment_values(z, self.sigmas)
         return vals
 
     def rows(self, z: np.ndarray, times: np.ndarray) -> np.ndarray:
         """The bridge at all grid times: 1 before the window, burn inside, 0 from the anchor.
 
-        The clock increases with time, so the live times are the window's
-        first ones, and the bridge values go straight into the output.
+        The bridge values go straight into the output.
         """
+        lo = self.inside.start
         out = np.zeros((z.shape[0], times.size))
-        out[:, : self.inside[0]] = 1.0
-        out[:, self.inside[self.live]] = bridge_increment_values(z, self.sigmas)
+        out[:, :lo] = 1.0
+        out[:, lo : lo + self.n_draws] = bridge_increment_values(z, self.sigmas)
         return out
 
 
@@ -113,7 +111,7 @@ def bridge_exponential(m: int, anchor: float, grid: GridSpec) -> PathFamily:
     if start < 0 or anchor > grid.t_max:
         raise GridError(f"window [{start}, {anchor}) outside the grid span")
     window = BridgeWindow.on(times, anchor, length)
-    if window.inside.size == 0:
+    if window.inside.start == window.inside.stop:
         raise GridError(
             f"window [{start}, {anchor}) shorter than one grid step: refine "
             f"the grid near the anchor"
@@ -174,6 +172,9 @@ def suicide_martingale(g: SimpleNonincreasing, m: int, grid: GridSpec) -> PathFa
     bridge per jump, window [rho_n, rho_n + 2^-m).  At t = 0 the value is H_0
     exactly; on a fully burned plateau it equals g exactly on every path.
     Overlapping windows are allowed; no plateau identity holds inside them.
+    Each window is a slice of the grid (:class:`BridgeWindow`), and the
+    grid's tail from its anchor on starts at the slice's stop, so a block
+    subtracts each drop through two slices of its output.
     """
     if m < 1:
         raise ValueError(f"need m >= 1, got {m}")
@@ -189,7 +190,7 @@ def suicide_martingale(g: SimpleNonincreasing, m: int, grid: GridSpec) -> PathFa
             # out -= drop * (1 - bridge) where the bridge is not 1: inside the
             # window, and on the grid's tail from the anchor on, where it is 0
             out[:, window.inside] -= drop * (1.0 - window.values(z[:, off : off + window.n_draws]))
-            out[:, np.searchsorted(times, window.anchor) :] -= drop
+            out[:, window.inside.stop :] -= drop
             off += window.n_draws
         return out
 

@@ -293,10 +293,6 @@ def run_suicide(seed: int, n_paths: int, params: dict) -> ExperimentResult:
 
 def run_fatou(seed: int, n_paths: int, params: dict) -> ExperimentResult:
     m_list, probes, scan_depth = params["m_list"], params["probes"], params["scan_depth"]
-    for i, p in enumerate(probes):
-        # a repeated probe would file its errors twice under one key
-        if p in probes[:i]:
-            raise ValueError(f"probe {p} is repeated: each probe must be given once")
     grid = grids.GridSpec(t_max=params["t_max"], base_step=params["base_step"], extra_points=probes)
     times = grid.points()
     # each probe must be exactly one grid time
@@ -357,10 +353,6 @@ def exp_decay_family(k: int, m: int, level: float) -> Tuple[paths.PathFamily, fl
 def run_mass_redirect(seed: int, n_paths: int, params: dict) -> ExperimentResult:
     c, ls = params["c"], params["ls"]
     bound = families.redirect_bound(c)  # refuses c before any path is drawn
-    for i, l in enumerate(ls):
-        # a repeated level would count its mass twice in the rows
-        if l in ls[:i]:
-            raise ValueError(f"level {l} is repeated: each level must be given once")
     fam, rho = exp_decay_family(k=params["k"], m=params["m"], level=params["level"])
     l_rho, l_term = fam.columns(n_paths, seed, [grids.grid_index(fam.times, rho), -1])
     wgrid = grids.GridSpec(t_max=float(fam.times[-1]), base_step=1 / 4, extra_points=(rho, rho + 1.0))

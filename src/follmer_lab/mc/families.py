@@ -67,8 +67,8 @@ class _LocalizedWindow:
     """The path-independent part of one burn-in window of the localized family."""
 
     drop: float
-    plateau: np.ndarray  # grid indices holding the level entering the window
-    inside: np.ndarray  # grid indices inside the window
+    plateau: slice  # grid times holding the level entering the window
+    inside: slice  # grid times inside the window where the clock has started
     ladder: np.ndarray  # merged clock ladder
     at: np.ndarray  # position of each inside grid clock on the ladder
     t_cross: np.ndarray  # calendar time of each ladder clock
@@ -88,6 +88,11 @@ def localized_suicide_family(
     values have mean exactly the starting level at every grid time.  Each
     path draws the normals of every window's ladder; a path that crosses
     leaves the rest of its draws unused.
+
+    The grid increases, so each window's plateau (from the previous
+    window's end up to its first started clock), its started times and the
+    tail after the last window are slices of the grid.  Only the inside
+    clocks' positions ``at`` on the merged ladder are an index array.
     """
     if level <= g.levels[0]:
         raise ValueError(
@@ -100,21 +105,20 @@ def localized_suicide_family(
         if r2 < r1 + length:
             raise ValueError("burn-in windows overlap; raise m or thin the jumps")
     windows = []
-    fill_from = 0.0  # the level entering the next window applies from here on
+    last_end = 0  # the level entering the next window applies from this grid index on
     for rho, drop in drops:
         anchor = rho + length
         window = window_grid_indices(times, rho, anchor)
         sig = np.minimum(burnin_clock(times[window], anchor, length), SIGMA_MAX)
-        # at clock 0 (the jump time itself) the bridge is still 1: the level holds
-        started = sig > 0
-        inside, sig = window[started], sig[started]
-        ladder, at = _merged_ladder(sig)
+        # at clock 0 (the jump time itself) the bridge is still 1: the level
+        # holds there, and the clock increases, so it starts after a prefix
+        n_held = int(np.searchsorted(sig, 0.0, side="right"))
+        first = window.start + n_held
+        ladder, at = _merged_ladder(sig[n_held:])
         t_cross = np.array([anchor - length * math.exp(-s) for s in ladder.tolist()])
-        before = np.nonzero((times >= fill_from) & (times < rho))[0]
-        plateau = np.concatenate((before, window[~started]))
+        plateau, inside = slice(last_end, first), slice(first, window.stop)
         windows.append(_LocalizedWindow(drop, plateau, inside, ladder, at, t_cross))
-        fill_from = anchor
-    tail = np.nonzero(times >= fill_from)[0]
+        last_end = window.stop
     n_draws = sum(w.ladder.size for w in windows)
 
     def fill_block(z: np.ndarray) -> np.ndarray:
@@ -140,7 +144,7 @@ def localized_suicide_family(
             crossed[new] = True
             base = floor + w.drop * e[:, -1]
             del e  # free this window's ladder block before the next one is built
-        out[:, tail] = base[:, None]
+        out[:, last_end:] = base[:, None]
         for r in np.nonzero(crossed)[0].tolist():
             out[r, np.searchsorted(times, t_frozen[r]) :] = v_frozen[r]
         return out

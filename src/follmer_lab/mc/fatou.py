@@ -50,11 +50,14 @@ def _phase_schedule(m: int, t_max: float) -> Tuple[np.ndarray, np.ndarray]:
 
 @dataclass(frozen=True)
 class _BridgedPhase:
-    """A phase whose decrement is burned through a bridge, and where it shows on the grid."""
+    """A phase whose decrement is burned through a bridge, and how many grid times it covers.
+
+    The phase (start, end) is its bridge window [start, end) less the start,
+    so the ``n`` grid times strictly inside it are the window's last ones.
+    """
 
     window: BridgeWindow
-    cols: np.ndarray  # grid indices strictly inside the phase
-    at: np.ndarray  # their positions among the window's inside indices
+    n: int  # grid times strictly inside the phase, at least 1
     prev: float  # level held entering the phase
     nxt: float  # dyadic sample the phase burns down to
 
@@ -65,7 +68,8 @@ class FatouSchedule:
 
     ``level`` is the value every path holds at each grid time outside a
     bridged phase; ``bridged`` lists the phases that burn a decrement, in
-    phase order, which is the order a path draws their normals.
+    phase order, which is the order a path draws their normals.  Each
+    phase's grid times are a slice of the grid, the tail of its window's.
     """
 
     level: np.ndarray
@@ -77,20 +81,16 @@ class FatouSchedule:
         # the last completed dyadic sample before each phase, and before each time
         held = np.r_[d_values[0], step_values(times, d_values, starts)]
         level = held[np.searchsorted(ends, times, side="right")]
-        # phases are disjoint and sorted: the one that can hold t has the last start < t
-        active = np.searchsorted(starts, times, side="left") - 1
-        in_phase = active >= 0
-        in_phase[in_phase] = times[in_phase] < ends[active[in_phase]]
-        active[~in_phase] = -1
+        # the grid times strictly inside phase k are times[lo[k] : hi[k]]
+        lo = np.searchsorted(times, starts, side="right")
+        hi = np.searchsorted(times, ends, side="left")
         bridged = []
-        for k in np.unique(active[in_phase]).tolist():
+        for k in np.flatnonzero(hi > lo).tolist():
             prev, nxt = held[k : k + 2].tolist()
             if nxt == prev:
                 continue
             window = BridgeWindow.on(times, ends[k], ends[k] - starts[k])
-            cols = np.nonzero(active == k)[0]
-            at = np.searchsorted(window.inside, cols)
-            bridged.append(_BridgedPhase(window, cols, at, prev, nxt))
+            bridged.append(_BridgedPhase(window, int(hi[k] - lo[k]), prev, nxt))
         return cls(level, tuple(bridged))
 
     @property
@@ -102,7 +102,7 @@ def fatou_path(schedule: FatouSchedule, z: np.ndarray) -> np.ndarray:
     """A block of paths of the level-m schedule, one row per row of normals ``z``.
 
     Holds the last completed dyadic sample between phases and bridges the
-    decrement inside each phase.
+    decrement inside each phase, whose grid times end its window.
     """
     # not np.tile: its generator expressions leave garbage that only the cyclic collector frees
     out = np.broadcast_to(schedule.level, (z.shape[0], schedule.level.size)).copy()
@@ -110,7 +110,8 @@ def fatou_path(schedule: FatouSchedule, z: np.ndarray) -> np.ndarray:
     for p in schedule.bridged:
         e = p.window.values(z[:, off : off + p.window.n_draws])
         off += p.window.n_draws
-        out[:, p.cols] = p.nxt + (p.prev - p.nxt) * e[:, p.at]
+        hi = p.window.inside.stop
+        out[:, hi - p.n : hi] = p.nxt + (p.prev - p.nxt) * e[:, -p.n :]
     return out
 
 

@@ -13,9 +13,13 @@ public names of :mod:`.experiments` (:data:`EXPERIMENTS`, the ``run_*``
 functions and their helpers) are still readable as ``gallery`` attributes,
 imported on first use.
 
-The manifest contract is decided here, by :func:`run_experiment`, before any
-path is drawn:
+The manifest contract is decided here, by :func:`read_manifest` and
+:func:`run_experiment`, before any path is drawn:
 
+- a manifest holds the fields ``experiment``, ``seed``, ``n_paths`` and
+  optionally ``params`` (:data:`MANIFEST_FIELDS`); any other field, such as
+  a misspelled ``param``, is refused with the list of accepted fields
+  rather than ignored;
 - ``experiment`` names a key of :data:`PARAMS`;
 - ``seed`` and ``n_paths`` are JSON integers (not booleans), n_paths >= 2;
 - ``params`` is null or an object whose keys are among the experiment's
@@ -25,6 +29,9 @@ path is drawn:
   integer, a float parameter a finite number (an integer is read as a
   float), a list parameter (tuple default) a nonempty list of those; the
   probe times ``ts`` must also be positive;
+- each entry of ``ts``, ``probes``, ``ls`` and ``m_list`` is given once
+  (:data:`DISTINCT`): an entry names a row or a report key, so a repeat
+  would write its row twice or file its values twice under one key;
 - the burn-in indices ``m`` and ``m_list`` entries, the split level ``n``,
   ``fp_steps``, ``scan_depth`` and ``refine_points`` are at least 1, and
   the resolution ``k`` at least 0 (:data:`MINIMUM`);
@@ -60,12 +67,9 @@ manifest before any path is drawn: the grid spans and window sizes, ``n``
 ``suicide``'s ``levels`` (one more than ``jumps``, nonincreasing,
 nonnegative) and positive increasing ``jumps``, ``extended``'s ``h``:
 its cut must fall after time 0 and finish its 2^-m burn-in by ``t_max``,
-else the member would not start at Z_0 or end at its terminal value, and
-``fatou``'s ``probes``, each given once, as the report files a probe's
-errors under its time, and ``mass_redirect``'s levels ``ls``, each given
-once, as the report sums the levels' disjoint masses.  The written
-``manifest.json`` echoes ``params`` exactly as given, without the
-defaults, so a manifest replays itself.
+else the member would not start at Z_0 or end at its terminal value.
+The written ``manifest.json`` echoes ``params`` exactly as given, without
+the defaults, so a manifest replays itself.
 """
 
 from __future__ import annotations
@@ -112,6 +116,8 @@ POSITIVE = {"ts"}  # float parameters whose values must also be > 0
 # where each upper bound comes from
 MINIMUM = {"m": 1, "n": 1, "fp_steps": 1, "m_list": 1, "k": 0, "scan_depth": 1, "refine_points": 1}
 MAXIMUM = {"m": 51, "m_list": 16, "k": 16, "scan_depth": 1074}
+# list parameters whose entries name rows or report keys, so each is given once
+DISTINCT = {"ts", "probes", "ls", "m_list"}
 
 
 def _checked(key: str, x, kind: type, entry: bool = False):
@@ -148,6 +154,12 @@ def _resolve(name: str, params) -> dict:
             resolved[key] = tuple(_checked(key, v, type(default[0]), entry=True) for v in x)
         else:
             raise FollmerLabError(f"{key} must be a nonempty list, got {x!r}")
+        if key in DISTINCT:
+            seen = set()
+            for v in resolved[key]:
+                if v in seen:
+                    raise FollmerLabError(f"{key} entry {v!r} is repeated: each entry must be given once")
+                seen.add(v)
     return resolved
 
 
@@ -191,11 +203,18 @@ def write_manifest(
     write_json(path, {"experiment": experiment, "seed": seed, "n_paths": n_paths, "params": params})
 
 
+MANIFEST_FIELDS = ("experiment", "seed", "n_paths", "params")
+
+
 def read_manifest(path: str) -> dict:
+    """The manifest at ``path``: its four fields, ``params`` defaulting to ``{}``; any other field is refused."""
     data = read_json(path)
     if not isinstance(data, dict):
         raise FollmerLabError(f"manifest must be a JSON object, got {data!r}")
-    for key in ("experiment", "seed", "n_paths"):
+    for key in data:
+        if key not in MANIFEST_FIELDS:
+            raise FollmerLabError(f"manifest has no field {key!r}; it accepts {sorted(MANIFEST_FIELDS)}")
+    for key in MANIFEST_FIELDS[:-1]:  # every field but params is required
         if key not in data:
             raise FollmerLabError(f"manifest missing {key!r}")
     data.setdefault("params", {})

@@ -78,6 +78,10 @@ def grid_index(times: np.ndarray, t: float) -> int:
     return int(idx[0])
 
 
-def window_grid_indices(times: np.ndarray, start: float, anchor: float) -> np.ndarray:
-    """Indices of grid times inside [start, anchor); empty means too coarse."""
-    return np.nonzero((times >= start) & (times < anchor))[0]
+def window_grid_indices(times: np.ndarray, start: float, anchor: float) -> slice:
+    """The grid times inside [start, anchor), as a slice of the sorted grid; empty means too coarse.
+
+    ``times`` increases strictly, as ``GridSpec.points`` returns it, so the
+    times of any interval are one contiguous run of it.
+    """
+    return slice(*np.searchsorted(times, (start, anchor)).tolist())

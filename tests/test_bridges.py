@@ -7,13 +7,16 @@ import pytest
 
 from follmer_lab.errors import GridError
 from follmer_lab.mc.bridges import (
+    SIGMA_MAX,
+    BridgeWindow,
     SimpleNonincreasing,
     bridge_exponential,
+    burnin_clock,
     simple_approx,
     single_jump_approx,
     suicide_martingale,
 )
-from follmer_lab.mc.grids import GridSpec, grid_index
+from follmer_lab.mc.grids import GridSpec, grid_index, window_grid_indices
 from follmer_lab.mc.streams import mean_and_se, median_of_means
 
 
@@ -60,6 +63,44 @@ def test_bridge_refuses_unresolved_window():
     grid = GridSpec(t_max=2.0, base_step=1 / 4)  # step 0.25 >> window 2^-6
     with pytest.raises(GridError):
         bridge_exponential(6, 1.0 + 1 / 8, grid)
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_windows_are_the_grid_slices_the_masks_selected(seed):
+    # A window is the slice of the sorted grid that the mask
+    # (times >= start) & (times < anchor) selects, and the clocks at most
+    # SIGMA_MAX are exactly the window's first n_draws ones.  The random
+    # grids put times at window starts, deep inside windows and one double
+    # before an anchor, where the clock of a window of 2^-5 or longer
+    # passes the cap.  The windows include one as short as 2^-44, one between
+    # two grid times, and windows between random grid times, some reversed.
+    rng = np.random.default_rng(300 + seed)
+    t_max = float(rng.uniform(0.5, 8.0))
+    anchors = rng.uniform(0.0, t_max, 5).tolist() + [t_max]
+    lengths = [2.0 ** -int(rng.integers(1, 6)) for _ in anchors[:-1]] + [2.0 ** -int(rng.integers(20, 45))]
+    extra = [a - ln * math.exp(-float(rng.uniform(0.0, 35.0))) for a, ln in zip(anchors, lengths) for _ in range(6)]
+    extra += [a - ln for a, ln in zip(anchors, lengths)] + [float(np.nextafter(a, 0.0)) for a in anchors]
+    grid = GridSpec(
+        t_max=t_max,
+        base_step=float(rng.uniform(0.01, 0.5)),
+        refinements=tuple((a, ln, int(rng.integers(1, 30))) for a, ln in zip(anchors, lengths)),
+        extra_points=tuple(t for t in extra if 0.0 <= t <= t_max),
+    )
+    times = grid.points()
+    index = list(range(times.size))
+    pairs = list(zip(anchors, lengths)) + [(float(b), float(b - a)) for a, b in rng.choice(times, (20, 2))]
+    pairs.append((float(times[1]), float(times[1] - times[0]) / 2))
+    n_capped = 0
+    for anchor, length in pairs:
+        mask = (times >= anchor - length) & (times < anchor)
+        assert index[window_grid_indices(times, anchor - length, anchor)] == np.nonzero(mask)[0].tolist()
+        window = BridgeWindow.on(times, anchor, length)
+        assert index[window.inside] == np.nonzero(mask)[0].tolist()
+        live = (burnin_clock(times[mask], anchor, length) <= SIGMA_MAX).tolist()
+        assert live == [True] * window.n_draws + [False] * (len(live) - window.n_draws)
+        assert window.sigmas.tolist() == burnin_clock(times[mask], anchor, length)[: window.n_draws].tolist()
+        n_capped += len(live) > window.n_draws
+    assert n_capped >= 1 and index[window.inside] == []
 
 
 def test_single_jump_before_and_after():

@@ -623,13 +623,23 @@ def test_selftest_passes(capsys):
         ({"experiment": "split_limit", "params": {"n": 373}}, "need n <= 372, got 373"),
         ({"experiment": "extended", "params": {"h": 0}}, "the cut at h=0.0 must fall after time 0"),
         ({"experiment": "extended", "params": {"h": 1.4}}, "its burn-in ends at 1.515625"),
+        # the manifest contract's repeated list entries and unknown fields
         (
             {"experiment": "fatou", "params": {"probes": [0.375, 0.375], "m_list": [1, 2, 3, 4]}},
-            "probe 0.375 is repeated",
+            "probes entry 0.375 is repeated: each entry must be given once",
         ),
         (
             {"experiment": "mass_redirect", "n_paths": 200, "params": {"ls": [1, 2, 1]}},
-            "level 1 is repeated: each level must be given once",
+            "ls entry 1 is repeated: each entry must be given once",
+        ),
+        (
+            {"experiment": "reciprocal_bessel", "params": {"ts": [1.0, 1.0]}},
+            "ts entry 1.0 is repeated: each entry must be given once",
+        ),
+        ({"experiment": "fatou", "params": {"m_list": [1, 2, 1]}}, "m_list entry 1 is repeated"),
+        (
+            {"experiment": "mass_redirect", "param": {"c": 0.9}},
+            "manifest has no field 'param'; it accepts ['experiment', 'n_paths', 'params', 'seed']",
         ),
     ],
     ids=[
@@ -643,7 +653,7 @@ def test_selftest_passes(capsys):
         "single_jump-a-1", "mass_redirect-c-1", "mass_redirect-level-0.5", "mass_redirect-m-1",
         "suicide-levels-increasing", "suicide-jump-at-0", "suicide-levels-count", "suicide-level-negative",
         "split_limit-n-373", "extended-h-0", "extended-h-1.4", "fatou-probe-repeated",
-        "mass_redirect-level-repeated",
+        "mass_redirect-level-repeated", "bessel-ts-repeated", "fatou-m_list-repeated", "manifest-field-param",
     ],
 )
 def test_bad_experiment_params_exit_2_without_traceback(tmp_path, fields, named):

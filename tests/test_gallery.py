@@ -96,6 +96,15 @@ def test_manifest_validation(tmp_path):
             read_manifest(str(path))
 
 
+def test_manifest_refuses_a_field_it_does_not_have(tmp_path):
+    # a misspelled params would otherwise run the experiment on its defaults
+    path = tmp_path / "typo.json"
+    path.write_text('{"experiment": "mass_redirect", "seed": 1, "n_paths": 50, "param": {"c": 0.9}}')
+    accepted = "['experiment', 'n_paths', 'params', 'seed']"
+    with pytest.raises(FollmerLabError, match=re.escape(f"manifest has no field 'param'; it accepts {accepted}")):
+        read_manifest(str(path))
+
+
 def test_experiment_replay_determinism():
     a = run_experiment("single_jump", seed=9, n_paths=3000, params=None)
     b = run_experiment("single_jump", seed=9, n_paths=3000, params=None)
@@ -137,6 +146,11 @@ def test_experiment_replay_determinism():
         ("mass_redirect", {"m": 52}),
         ("fatou", {"scan_depth": 0}),
         ("fatou", {"scan_depth": 1075}),
+        ("fatou", {"probes": [0.375, 0.375]}),
+        ("mass_redirect", {"ls": [1, 2, 1]}),
+        ("reciprocal_bessel", {"ts": [1.0, 1]}),
+        ("exp_decay", {"ts": [0.5, 2.0, 0.5]}),
+        ("fatou", {"m_list": [1, 2, 1]}),
     ],
 )
 def test_bad_params_are_refused_before_any_draw(monkeypatch, name, params):
@@ -148,6 +162,51 @@ def test_bad_params_are_refused_before_any_draw(monkeypatch, name, params):
     monkeypatch.setattr(streams, "uniform_words", no_draws)
     with pytest.raises(FollmerLabError):
         run_experiment(name, seed=1, n_paths=10, params=params)
+
+
+# what each rule table of gallery applies to, given a parameter's type and whether it is a list
+RULE_APPLIES = {
+    "POSITIVE": lambda kind, is_list: kind is float,
+    "MINIMUM": lambda kind, is_list: kind is int,
+    "MAXIMUM": lambda kind, is_list: kind is int,
+    "DISTINCT": lambda kind, is_list: is_list,
+}
+
+
+def stale_rules(params, tables):
+    """(table, key) of each rule whose key names no parameter of ``params`` of a type the rule applies to.
+
+    ``tables`` maps a name of :data:`RULE_APPLIES` to its keys.  A key must
+    name a parameter of some experiment, and of the right type in every
+    experiment that has it.
+    """
+    kinds = {}
+    for table in params.values():
+        for key, default in table.items():
+            is_list = isinstance(default, tuple)
+            kinds.setdefault(key, set()).add((type(default[0] if is_list else default), is_list))
+    return [
+        (name, key)
+        for name, keys in tables.items()
+        for key in sorted(keys)
+        if not kinds.get(key) or not all(RULE_APPLIES[name](*kind) for kind in kinds[key])
+    ]
+
+
+def test_the_check_sees_a_stale_rule():
+    params = {"a": {"n": 3, "xs": (1.0,), "t": 0.5}, "b": {"t": 2}}
+    tables = {"POSITIVE": {"xs", "gone"}, "MINIMUM": {"n": 1, "t": 0}, "MAXIMUM": {"xs": 2}, "DISTINCT": {"n", "xs"}}
+    assert stale_rules(params, tables) == [
+        ("POSITIVE", "gone"), ("MINIMUM", "t"), ("MAXIMUM", "xs"), ("DISTINCT", "n"),
+    ]
+    fresh = {"POSITIVE": {"xs"}, "MINIMUM": {"n": 1}, "MAXIMUM": {"n": 9}, "DISTINCT": {"xs"}}
+    assert stale_rules({"a": params["a"]}, fresh) == []
+
+
+def test_every_parameter_rule_names_a_parameter_it_applies_to():
+    # a renamed or retyped parameter would silently lose its rule
+    tables = {name: getattr(gallery, name) for name in RULE_APPLIES}
+    assert stale_rules(PARAMS, tables) == []
 
 
 class _Drew(Exception):
@@ -176,10 +235,6 @@ LIBRARY_REFUSALS = {
     "suicide-level-negative": ("suicide", {"levels": [1.0, 0.5, -0.25]}, "levels must be nonnegative"),
     "split_limit-n-373": ("split_limit", {"n": 373}, "need n <= 372, got 373"),
     "extended-h-0": ("extended", {"h": 0}, "the cut at h=0.0 must fall after time 0 and burn in by t_max=1.5"),
-    "fatou-probe-repeated": ("fatou", {"probes": [0.375, 0.375]}, "probe 0.375 is repeated"),
-    "mass_redirect-level-repeated": (
-        "mass_redirect", {"ls": [1, 2, 1]}, "level 1 is repeated: each level must be given once",
-    ),
     "extended-h-1.4": (
         "extended", {"h": 1.4}, "the cut at h=1.4 must fall after time 0 and burn in by t_max=1.5: its burn-in ends at 1.515625",
     ),

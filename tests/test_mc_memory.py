@@ -229,7 +229,8 @@ def test_suicide_block_holds_window_sized_temporaries(name, monkeypatch):
     out = family.fill_block(draws)  # first-call caches
     length = 2.0**-m
     window = max(
-        bridges.BridgeWindow.on(family.times, rho + length, length).inside.size for rho, _ in g.drops()
+        len(family.times[bridges.BridgeWindow.on(family.times, rho + length, length).inside])
+        for rho, _ in g.drops()
     )
     peak = traced_peak(family.fill_block, draws)
     bound = out.nbytes + 6 * 8 * rows * window + SLACK

@@ -15,7 +15,7 @@ import math
 import numpy as np
 import pytest
 
-from follmer_lab.mc.bridges import BridgeWindow, SimpleNonincreasing, simple_approx
+from follmer_lab.mc.bridges import SIGMA_MAX, SimpleNonincreasing, burnin_clock, simple_approx
 from follmer_lab.mc.fatou import FatouSchedule, _phase_schedule
 from follmer_lab.mc.grids import step_values
 
@@ -41,7 +41,12 @@ def oracle_simple_approx(times, values, k):
 
 
 def oracle_fatou_schedule(times, d_values, m):
-    """(level, [(cols, at, prev, nxt, window)]) of the level-m schedule by one loop per phase."""
+    """(level, [(cols, prev, nxt, inside, sigmas)]) of the level-m schedule by one loop per phase.
+
+    ``inside`` lists the grid indices of the bridge window [end - (end -
+    start), end) and ``sigmas`` its clocks at most SIGMA_MAX, by one test
+    per grid time.
+    """
     step, width = 2.0**-m, 2.0 ** (-3 * m)
     k_max = min(int(math.floor(float(times[-1]) / step + 1e-12)), m * 2**m)
     phases = [(k * step, k * step + width) for k in range(1, k_max + 1)]
@@ -59,9 +64,10 @@ def oracle_fatou_schedule(times, d_values, m):
         (start, end), prev, nxt = phases[k], held[k], held[k + 1]
         if nxt == prev:
             continue
-        window = BridgeWindow.on(times, end, end - start)
-        cols = np.array(bridged[k])
-        out.append((cols, np.searchsorted(window.inside, cols), prev, nxt, window))
+        length = end - start
+        inside = [j for j, t in enumerate(times.tolist()) if end - length <= t < end]
+        clocks = burnin_clock(times[inside], end, length).tolist()
+        out.append((bridged[k], prev, nxt, inside, [s for s in clocks if s <= SIGMA_MAX]))
     return level, out
 
 
@@ -164,11 +170,12 @@ def test_fatou_schedule_matches_the_per_phase_loop(seed):
         level, bridged = oracle_fatou_schedule(times, values, m)
         assert sched.level.dtype == np.float64 and sched.level.tolist() == level.tolist()
         assert len(sched.bridged) == len(bridged)
-        for p, (cols, at, prev, nxt, window) in zip(sched.bridged, bridged):
-            assert p.cols.tolist() == cols.tolist() and p.at.tolist() == at.tolist()
+        for p, (cols, prev, nxt, inside, sigmas) in zip(sched.bridged, bridged):
+            window = list(range(times.size))[p.window.inside]
+            assert window == inside
+            # the phase's grid times are the last ones of its window
+            assert type(p.n) is int and p.n >= 1 and window[-p.n :] == cols
             assert (p.prev, p.nxt) == (prev, nxt) and type(p.prev) is type(p.nxt) is float
-            assert p.window.anchor == window.anchor
-            assert p.window.inside.tolist() == window.inside.tolist()
-            assert p.window.sigmas.tolist() == window.sigmas.tolist()
+            assert p.window.sigmas.tolist() == sigmas
         n_bridged += len(bridged)
     assert n_bridged >= 3
